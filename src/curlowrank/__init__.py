@@ -49,11 +49,7 @@ from .harness import (
     config_from_text,
     emit_csv,
     lowrank_gaussian,
-    run_clustering_experiment,
-    run_deim_experiment,
     run_experiment,
-    run_noise_experiment,
-    run_success_probability_experiment,
     spectral_noise,
     trial_generator,
     zero_out_columns,
@@ -74,9 +70,11 @@ from .linalg import (
 )
 from .mmio import read_matrix, write_matrix
 from .sampling import (
+    SCHEMES,
     ProbDist,
     SampleSizeSpec,
     StabilityParams,
+    axis_dists,
     dedup_indices,
     draw_with_replacement,
     epsilon_ceiling,

@@ -9,30 +9,31 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .cluster import parse_model_spec
-from .cur import approx_error, build_cur, randomized_cur
+from .cur import approx_error, randomized_cur
 from .deim import deim_cur
 from .errors import ConfigError, DomainError
 from .harness import (
-    ExperimentConfig,
+    CONFIG_FIELDS,
+    KINDS,
     config_from_mapping,
     config_from_text,
     emit_csv,
     run_experiment,
     trial_generator,
 )
-from .linalg import COLS, ROWS, compact_svd, condition_number, numerical_rank, stable_rank
+from .linalg import compact_svd, condition_number, numerical_rank, stable_rank
 from .mmio import read_matrix
 from .sampling import (
-    leverage_dist,
-    length_dist,
+    SCHEMES,
+    axis_dists,
     min_sample_size_rv,
     sample_size_length_via_lev,
     sample_size_leverage,
-    uniform_dist,
 )
 
 
@@ -49,16 +50,6 @@ def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="master seed for any randomness")
     sub.add_argument("--tol", type=float, default=None, help="rank/exactness tolerance override")
     sub.add_argument("--out", default=None, help="output file (default: stdout, or CSV path)")
-
-
-def _dists_for(a, scheme, k):
-    if scheme == "uniform":
-        return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
-    if scheme == "length":
-        return length_dist(a, ROWS), length_dist(a, COLS)
-    if k is None:
-        raise ConfigError("leverage sampling needs --k", field="k")
-    return leverage_dist(a, k, ROWS), leverage_dist(a, k, COLS)
 
 
 def _cmd_svd(args):
@@ -78,7 +69,7 @@ def _cmd_svd(args):
 def _cmd_cur(args):
     a = read_matrix(args.infile)
     rng = trial_generator(args.seed, 0)
-    row_dist, col_dist = _dists_for(a, args.scheme, args.k)
+    row_dist, col_dist = axis_dists(a, args.scheme, args.k)
     factors = randomized_cur(a, row_dist, col_dist, args.d1, args.d2, rng,
                              dedup=args.dedup, tol=args.tol)
     rel_f = approx_error(a, factors, "frobenius") / np.linalg.norm(a)
@@ -123,60 +114,18 @@ def _cmd_sample_size(args):
 
 
 def _summary_lines(summary):
-    lines = []
-    for group in summary.get("groups", []):
-        parts = []
-        for key, val in group.items():
-            if isinstance(val, float):
-                parts.append(f"{key}={val:.6g}")
-            else:
-                parts.append(f"{key}={val}")
-        lines.append(" ".join(parts))
-    return lines
+    return [" ".join(f"{key}={val:.6g}" if isinstance(val, float) else f"{key}={val}"
+                     for key, val in group.items())
+            for group in summary["groups"]]
 
 
-def _cmd_experiment(args):
-    if args.config:
-        with open(args.config) as fh:
-            cfg = config_from_text(fh.read())
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.out:
-            overrides["out_path"] = args.out
-        if overrides:
-            mapping = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-            mapping.update(overrides)
-            cfg = ExperimentConfig(**mapping)
-    else:
-        mapping = {
-            "kind": args.kind,
-            "m": args.m,
-            "n": args.n,
-            "k": args.k,
-            "sigma": args.sigma,
-            "scheme": args.scheme,
-            "trials": args.trials,
-            "master_seed": args.seed if args.seed is not None else 0,
-            "sparsity": args.sparsity,
-            "dedup": args.dedup,
-            "timing": args.timing,
-        }
-        if args.d:
-            mapping["d_grid"] = tuple(args.d)
-        if args.eps is not None:
-            mapping["eps"] = args.eps
-        if args.delta is not None:
-            mapping["delta"] = args.delta
-        if args.c is not None:
-            mapping["big_c"] = args.c
-        if args.kappa is not None:
-            mapping["kappa"] = args.kappa
-        if args.tol is not None:
-            mapping["tol"] = args.tol
-        if args.out:
-            mapping["out_path"] = args.out
-        cfg = config_from_mapping(mapping)
+def _given_fields(args):
+    """Config fields of the flags actually given (their parsers suppress defaults)."""
+    return {key: tuple(val) if isinstance(val, list) else val
+            for key, val in vars(args).items() if key in CONFIG_FIELDS}
+
+
+def _run(cfg):
     records, summary = run_experiment(cfg)
     if cfg.out_path:
         emit_csv(records, summary, cfg.out_path)
@@ -184,43 +133,35 @@ def _cmd_experiment(args):
     return 0
 
 
+def _cmd_experiment(args):
+    given = _given_fields(args)
+    if "config" not in args:
+        return _run(config_from_mapping(given))
+    with open(args.config) as fh:
+        return _run(replace(config_from_text(fh.read()), **given))
+
+
 def _cmd_cluster(args):
-    if args.spec:
+    base = {"kind": "clustering"}
+    if "spec" in args:
         with open(args.spec) as fh:
             model = parse_model_spec(fh.read())
-    else:
-        if args.ambient is None or not args.dims or not args.points:
-            raise ConfigError("give --spec or all of --ambient/--dims/--points", field="spec")
-        from .cluster import SubspaceSpec
+        base.update(m=model.ambient_dim, dims=model.dims, points=model.points)
+        if model.seed is not None:
+            base["master_seed"] = model.seed
+    elif not {"m", "dims", "points"} <= vars(args).keys():
+        raise ConfigError("give --spec or all of --ambient/--dims/--points", field="spec")
+    return _run(config_from_mapping({**base, **_given_fields(args)}))
 
-        model = SubspaceSpec(
-            args.ambient,
-            tuple(int(t) for t in args.dims.split(",")),
-            tuple(int(t) for t in args.points.split(",")),
-        )
-    seed = args.seed if args.seed is not None else (model.seed or 0)
-    mapping = {
-        "kind": "clustering",
-        "m": model.ambient_dim,
-        "dims": model.dims,
-        "points": model.points,
-        "scheme": args.scheme,
-        "trials": args.trials,
-        "master_seed": seed,
-        "dedup": args.dedup,
-    }
-    if args.d is not None:
-        mapping["d_grid"] = (args.d,)
-    if args.d_max is not None:
-        mapping["d_max"] = args.d_max
-    if args.tol is not None:
-        mapping["tol"] = args.tol
-    cfg = config_from_mapping(mapping)
-    records, summary = run_experiment(cfg)
-    if args.out:
-        emit_csv(records, summary, args.out)
-    _emit(_summary_lines(summary), None)
-    return 0
+
+def _config_flags(sub):
+    """Flags shared by the experiment commands; each ``dest`` is a config field."""
+    sub.add_argument("--scheme", choices=SCHEMES)
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--dedup", action="store_true", help="drop repeated indices")
+    sub.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    sub.add_argument("--tol", type=float, help="exactness tolerance")
+    sub.add_argument("--out", dest="out_path", help="CSV output path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,39 +203,34 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.set_defaults(func=_cmd_sample_size)
 
-    p = sub.add_parser("experiment", help="run a Monte Carlo experiment, write CSV")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--kind", choices=("success_prob", "noise_stability", "deim_check", "clustering"))
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--scheme", choices=("uniform", "length", "leverage"), default="length")
-    p.add_argument("--d", type=int, nargs="*", default=None, help="draw-count grid")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--c", type=float, default=None, help="leading constant")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--sparsity", type=float, default=0.0, help="fraction of columns zeroed")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dedup", action="store_true")
+    # Only the flags actually given reach the config, so ExperimentConfig
+    # holds every default and the given flags override a --config file.
+    quiet = argparse.SUPPRESS
+    p = sub.add_parser("experiment", argument_default=quiet,
+                       help="run a Monte Carlo experiment, write CSV")
+    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--kind", choices=KINDS)
+    for name in ("m", "n", "k"):
+        p.add_argument(f"--{name}", type=int)
+    for name in ("sigma", "eps", "delta", "kappa"):
+        p.add_argument(f"--{name}", type=float)
+    p.add_argument("--d", dest="d_grid", type=int, nargs="+", help="draw-count grid")
+    p.add_argument("--c", dest="big_c", type=float, help="leading constant")
+    p.add_argument("--sparsity", type=float, help="fraction of columns zeroed")
     p.add_argument("--timing", action="store_true",
                    help="record wall time per trial (breaks byte reproducibility)")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_experiment, seed=None)
+    _config_flags(p)
+    p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("cluster", help="union-of-subspaces clustering experiment")
-    p.add_argument("--spec", default=None, help="model spec file (key=value block)")
-    p.add_argument("--ambient", type=int, default=None)
-    p.add_argument("--dims", default=None, help="comma list of subspace dims")
-    p.add_argument("--points", default=None, help="comma list of points per subspace")
-    p.add_argument("--scheme", choices=("uniform", "length", "leverage"), default="length")
-    p.add_argument("--d", type=int, default=None, help="draw count per axis")
-    p.add_argument("--d-max", dest="d_max", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dedup", action="store_true")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_cluster, seed=None)
+    p = sub.add_parser("cluster", argument_default=quiet,
+                       help="union-of-subspaces clustering experiment")
+    p.add_argument("--spec", help="model spec file (key=value block)")
+    p.add_argument("--ambient", dest="m", type=int)
+    p.add_argument("--dims", help="comma list of subspace dims")
+    p.add_argument("--points", help="comma list of points per subspace")
+    p.add_argument("--d", dest="d_grid", type=int, nargs=1, help="draw count per axis")
+    _config_flags(p)
+    p.set_defaults(func=_cmd_cluster)
 
     return parser
 

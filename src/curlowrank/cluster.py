@@ -6,7 +6,10 @@ clustered from any exact CUR decomposition ``A = C U^+ R``: with
 walks of length up to the largest subspace dimension in Q's support graph
 connect exactly the same-subspace pairs.  The walk closure is computed over
 the boolean semiring on Q's support (only the zero pattern matters; numeric
-powers of Q can drift to overflow/underflow without changing it).
+powers of Q can drift to overflow/underflow without changing it).  The
+closure lies between the support and its transitive closure, so its
+connected components, and hence the cluster labels, are those of the
+support itself for every walk length.
 """
 
 from __future__ import annotations
@@ -200,16 +203,16 @@ def labels_from_clustering_matrix(w) -> ClusterLabels:
 def clustering_accuracy(pred: ClusterLabels, truth: ClusterLabels) -> float:
     """Best agreement fraction over all relabelings of the predicted clusters.
 
-    Exhaustive over label permutations, so at most 8 clusters are supported.
+    Exhaustive over label permutations of the ell-by-ell confusion matrix, so
+    at most 8 clusters are supported.
     """
     if pred.labels.shape != truth.labels.shape:
         raise ValueError("label vectors must have equal length")
     ell = max(pred.num_clusters, truth.num_clusters)
     if ell > 8:
         raise TooManyClustersError(f"permutation matching supports <= 8 clusters, got {ell}")
-    n = pred.labels.size
-    best = 0.0
-    for perm in permutations(range(ell)):
-        mapped = np.asarray(perm)[pred.labels]
-        best = max(best, float(np.count_nonzero(mapped == truth.labels)) / n)
-    return best
+    confusion = np.zeros((ell, ell), dtype=np.int64)
+    np.add.at(confusion, (pred.labels, truth.labels), 1)
+    perms = np.array(list(permutations(range(ell))), dtype=np.intp)
+    best = int(confusion[np.arange(ell), perms].sum(axis=1).max())
+    return best / pred.labels.size

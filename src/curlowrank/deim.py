@@ -26,7 +26,6 @@ class DeimSelection:
 
     indices: IndexSet
     residual_maxima: tuple
-    source_basis: np.ndarray
 
 
 def deim_select(v, ell, axis=ROWS) -> DeimSelection:
@@ -56,11 +55,7 @@ def deim_select(v, ell, axis=ROWS) -> DeimSelection:
         p = int(np.argmax(np.abs(resid)))
         maxima.append(float(abs(resid[p])))
         chosen.append(p)
-    return DeimSelection(
-        indices=IndexSet(tuple(chosen), axis),
-        residual_maxima=tuple(maxima),
-        source_basis=v[:, :ell].copy(),
-    )
+    return DeimSelection(indices=IndexSet(tuple(chosen), axis), residual_maxima=tuple(maxima))
 
 
 def deim_cur(a, k, tol=None) -> CurFactors:

@@ -1,11 +1,15 @@
 """Seeded Monte Carlo experiment runner with CSV output.
 
-Every trial draws its randomness from a Philox stream keyed by
-``(master_seed, trial_index)``, so trials are independent, reorderable, and
-individually reproducible; a config plus a master seed determines every
-output byte.  Per-trial wall time is recorded only when ``timing`` is
-enabled, since measured clocks would break byte-level reproducibility of the
-emitted CSV.
+Every experiment kind runs through one loop over (grid point, trial): a
+per-kind trial function generates a matrix, builds the sampling
+distributions, draws indices, forms the CUR and measures it, and a per-kind
+reducer writes the summary.  Every trial draws its randomness from a Philox
+stream keyed by ``(master_seed, trial_index)``, so trials are independent,
+reorderable, and individually reproducible.  For a given numpy/BLAS build
+and thread count, a config plus a master seed determines every output byte;
+the integer and flag columns are also fixed across BLAS thread counts.
+Per-trial wall time is recorded only when ``timing`` is enabled, since
+measured clocks would break byte-level reproducibility of the emitted CSV.
 
 Test matrices are Gaussian-factor products ``G1 @ G2^T`` (exactly rank k
 almost surely); an optional ``kappa`` reshapes the spectrum geometrically to
@@ -34,11 +38,9 @@ from .cluster import (
 from .cur import approx_error, build_cur, randomized_cur, verify_characterization
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import COLS, ROWS
-from .sampling import leverage_dist, length_dist, min_sample_size_rv, noisy_stability_floor, uniform_dist
+from .sampling import SCHEMES, axis_dists, min_sample_size_rv, noisy_stability_floor
 
 KINDS = ("success_prob", "noise_stability", "deim_check", "clustering")
-SCHEMES = ("uniform", "length", "leverage")
 
 CSV_HEADER = "trial,scheme,d1,d2,success,rel_err_2,rel_err_F,ms"
 
@@ -81,7 +83,6 @@ class ExperimentConfig:
     timing: bool = False
     dims: tuple | None = None
     points: tuple | None = None
-    d_max: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -96,8 +97,14 @@ class ExperimentConfig:
             raise ConfigError("must lie in [0, 1)", field="sparsity")
         if self.tol <= 0.0:
             raise ConfigError("must be positive", field="tol")
-        if self.d_grid is not None and any(d < 1 for d in self.d_grid):
-            raise ConfigError("grid values must be >= 1", field="d_grid")
+        if self.d_grid is not None:
+            if not self.d_grid or min(self.d_grid) < 1:
+                raise ConfigError("grid must be nonempty with values >= 1", field="d_grid")
+            if self.kind == "deim_check":
+                raise ConfigError("deim_check selects exactly k indices; give no grid",
+                                  field="d_grid")
+            if self.kind == "clustering" and len(self.d_grid) > 1:
+                raise ConfigError("clustering takes a single draw count", field="d_grid")
         if self.kind == "clustering":
             if self.dims is None or self.points is None:
                 raise ConfigError("clustering needs dims and points", field="dims")
@@ -131,18 +138,18 @@ class ExperimentConfig:
         return (min_sample_size_rv(float(self.k), self.eps, self.delta, self.big_c),)
 
 
-_INT_FIELDS = {"m", "n", "k", "trials", "master_seed", "d_max"}
+_INT_FIELDS = {"m", "n", "k", "trials", "master_seed"}
 _FLOAT_FIELDS = {"sigma", "eps", "delta", "big_c", "kappa", "sparsity", "tol"}
 _BOOL_FIELDS = {"dedup", "timing"}
 _TUPLE_FIELDS = {"d_grid", "dims", "points"}
+CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_mapping(mapping) -> ExperimentConfig:
     """Build a config from a plain dict of strings or values; names checked strictly."""
-    known = {f.name for f in fields(ExperimentConfig)}
     converted = {}
     for key, value in mapping.items():
-        if key not in known:
+        if key not in CONFIG_FIELDS:
             raise ConfigError("unknown field", field=key)
         try:
             if isinstance(value, str):
@@ -215,261 +222,161 @@ def spectral_noise(shape, sigma, rng) -> np.ndarray:
     return e * (float(sigma) / np.linalg.norm(e, 2))
 
 
-def _axis_dists(a, scheme, k):
-    if scheme == "uniform":
-        return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
-    if scheme == "length":
-        return length_dist(a, ROWS), length_dist(a, COLS)
-    return leverage_dist(a, k, ROWS), leverage_dist(a, k, COLS)
+def _test_matrix(cfg, rng):
+    a = lowrank_gaussian(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
+    return zero_out_columns(a, cfg.sparsity, rng) if cfg.sparsity > 0.0 else a
 
 
-def _clock(cfg):
-    return time.perf_counter if cfg.timing else (lambda: 0.0)
+def _sampled_cur(cfg, a, d, rng, k):
+    row_dist, col_dist = axis_dists(a, cfg.scheme, k)
+    return randomized_cur(a, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
 
 
-def run_success_probability_experiment(cfg: ExperimentConfig):
-    """Exact-recovery success rates for sampled CUR over a draw-count grid.
+def _relative_errors(a, factors):
+    """Spectral and Frobenius errors of a CUR relative to the same norms of ``a``."""
+    return (approx_error(a, factors, "spectral") / np.linalg.norm(a, 2),
+            approx_error(a, factors, "frobenius") / np.linalg.norm(a))
 
-    Returns ``(records, summary)``; the summary carries one aggregate row
-    per grid point.
+
+# Each trial maps (cfg, d, rng) to (success, rel_err_2, rel_err_F, extras), or to
+# None for a skipped trial; the caller owns the stream, the clock and the records.
+def _success_trial(cfg, d, rng):
+    a = _test_matrix(cfg, rng)
+    rel_2, rel_f = _relative_errors(a, _sampled_cur(cfg, a, d, rng, cfg.k))
+    return rel_f <= cfg.tol, rel_2, rel_f, {}
+
+
+def _noise_trial(cfg, d, rng):
+    """Draw indices from ``A + E``, test exactness on the clean ``A`` underneath.
+
+    The row carries the noisy-factor errors (spectral absolute, Frobenius
+    relative to A); a trial whose noise dominates a row or column is skipped.
     """
-    records = []
-    groups = []
-    trial_index = 0
-    now = _clock(cfg)
-    for d in cfg.resolved_d_grid():
-        successes = 0
-        err_sum = 0.0
-        group_start = trial_index
-        for _ in range(cfg.trials):
-            t0 = now()
-            rng = trial_generator(cfg.master_seed, trial_index)
-            a = lowrank_gaussian(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
-            if cfg.sparsity > 0.0:
-                a = zero_out_columns(a, cfg.sparsity, rng)
-            row_dist, col_dist = _axis_dists(a, cfg.scheme, cfg.k)
-            factors = randomized_cur(a, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
-            norm_f = np.linalg.norm(a)
-            rel_f = approx_error(a, factors, "frobenius") / norm_f
-            rel_2 = approx_error(a, factors, "spectral") / np.linalg.norm(a, 2)
-            success = rel_f <= cfg.tol
-            successes += int(success)
-            err_sum += rel_f
-            records.append(TrialRecord(
-                trial_index=trial_index,
-                scheme=cfg.scheme,
-                d1=d,
-                d2=d,
-                success=success,
-                rel_error_spectral=rel_2,
-                rel_error_frobenius=rel_f,
-                wall_time_ms=(now() - t0) * 1e3,
-            ))
-            trial_index += 1
-        groups.append({
-            "kind": cfg.kind,
-            "scheme": cfg.scheme,
-            "d1": d,
-            "d2": d,
-            "trials": cfg.trials,
-            "successes": successes,
-            "success_rate": successes / cfg.trials,
-            "mean_rel_err_F": err_sum / cfg.trials,
-            "first_trial": group_start,
-        })
-    return records, {"groups": groups}
+    a = _test_matrix(cfg, rng)
+    a = a / np.linalg.norm(a, 2)
+    e = spectral_noise(a.shape, cfg.sigma, rng)
+    try:
+        floors = noisy_stability_floor(a, e)
+    except NoiseDominatesError:
+        return None
+    noisy = _sampled_cur(cfg, a + e, d, rng, cfg.k)
+    clean = build_cur(a, noisy.I, noisy.J)
+    success = approx_error(a, clean, "frobenius") / np.linalg.norm(a) <= cfg.tol
+    err_2 = approx_error(a, noisy, "spectral")
+    rel_f = approx_error(a, noisy, "frobenius") / np.linalg.norm(a)
+    ratio = err_2 / cfg.sigma if cfg.sigma > 0.0 else float("nan")
+    return success, err_2, rel_f, {"alpha": floors.alpha, "beta": floors.beta, "ratio": ratio}
 
 
-def run_noise_experiment(cfg: ExperimentConfig):
-    """Sample a noisy observation, test exactness on the clean matrix underneath.
-
-    Per trial the indices are drawn from distributions of ``A + E`` while the
-    success flag checks ``A = C U^+ R`` on the clean entries; the noisy-factor
-    errors are recorded in the trial rows relative to the clean matrix norms.
-    The summary carries the per-trial stability floors and error-to-noise
-    ratios; trials whose noise dominates a row or column are counted as
-    skipped rather than failing the run.
-    """
-    records = []
-    groups = []
-    alpha_per_trial = []
-    beta_per_trial = []
-    ratio_per_trial = []
-    trial_index = 0
-    now = _clock(cfg)
-    for d in cfg.resolved_d_grid():
-        successes = 0
-        completed = 0
-        skipped = 0
-        ratios = []
-        group_start = trial_index
-        for _ in range(cfg.trials):
-            t0 = now()
-            rng = trial_generator(cfg.master_seed, trial_index)
-            a = lowrank_gaussian(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
-            if cfg.sparsity > 0.0:
-                a = zero_out_columns(a, cfg.sparsity, rng)
-            a = a / np.linalg.norm(a, 2)
-            e = spectral_noise(a.shape, cfg.sigma, rng)
-            a_tilde = a + e
-            try:
-                floors = noisy_stability_floor(a, e)
-            except NoiseDominatesError:
-                skipped += 1
-                trial_index += 1
-                continue
-            alpha_per_trial.append(floors.alpha)
-            beta_per_trial.append(floors.beta)
-            row_dist, col_dist = _axis_dists(a_tilde, cfg.scheme, cfg.k)
-            noisy = randomized_cur(a_tilde, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
-            clean = build_cur(a, noisy.I, noisy.J)
-            rel_f_clean = approx_error(a, clean, "frobenius") / np.linalg.norm(a)
-            success = rel_f_clean <= cfg.tol
-            err_2_noisy = approx_error(a, noisy, "spectral")
-            rel_f_noisy = approx_error(a, noisy, "frobenius") / np.linalg.norm(a)
-            ratio = err_2_noisy / cfg.sigma if cfg.sigma > 0.0 else float("nan")
-            ratios.append(ratio)
-            ratio_per_trial.append(ratio)
-            successes += int(success)
-            completed += 1
-            records.append(TrialRecord(
-                trial_index=trial_index,
-                scheme=cfg.scheme,
-                d1=d,
-                d2=d,
-                success=success,
-                rel_error_spectral=err_2_noisy,
-                rel_error_frobenius=rel_f_noisy,
-                wall_time_ms=(now() - t0) * 1e3,
-            ))
-            trial_index += 1
-        groups.append({
-            "kind": cfg.kind,
-            "scheme": cfg.scheme,
-            "d1": d,
-            "d2": d,
-            "sigma": cfg.sigma,
-            "trials": cfg.trials,
-            "completed": completed,
-            "skipped": skipped,
-            "successes": successes,
-            "success_rate": successes / completed if completed else float("nan"),
-            "median_err_to_noise": float(np.median(ratios)) if ratios else float("nan"),
-            "first_trial": group_start,
-        })
-    return records, {
-        "groups": groups,
-        "alpha_per_trial": alpha_per_trial,
-        "beta_per_trial": beta_per_trial,
-        "ratio_per_trial": ratio_per_trial,
-    }
+def _deim_trial(cfg, d, rng):
+    a = lowrank_gaussian(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
+    rel_2, rel_f = _relative_errors(a, deim_cur(a, cfg.k))
+    return rel_f <= cfg.tol, rel_2, rel_f, {}
 
 
-def run_deim_experiment(cfg: ExperimentConfig):
-    """Deterministic-selection exactness over seeded random rank-k matrices."""
-    records = []
-    successes = 0
-    now = _clock(cfg)
-    for trial_index in range(cfg.trials):
-        t0 = now()
-        rng = trial_generator(cfg.master_seed, trial_index)
-        a = lowrank_gaussian(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
-        factors = deim_cur(a, cfg.k)
-        rel_f = approx_error(a, factors, "frobenius") / np.linalg.norm(a)
-        rel_2 = approx_error(a, factors, "spectral") / np.linalg.norm(a, 2)
-        success = rel_f <= cfg.tol
-        successes += int(success)
-        records.append(TrialRecord(
-            trial_index=trial_index,
-            scheme="deim",
-            d1=cfg.k,
-            d2=cfg.k,
-            success=success,
-            rel_error_spectral=rel_2,
-            rel_error_frobenius=rel_f,
-            wall_time_ms=(now() - t0) * 1e3,
-        ))
-    groups = [{
-        "kind": cfg.kind,
-        "scheme": "deim",
-        "d1": cfg.k,
-        "d2": cfg.k,
-        "trials": cfg.trials,
-        "successes": successes,
-        "success_rate": successes / cfg.trials,
-    }]
-    return records, {"groups": groups}
+def _clustering_trial(cfg, d, rng):
+    """Cluster from a sampled CUR; success means perfect accuracy.
 
-
-def run_clustering_experiment(cfg: ExperimentConfig):
-    """End-to-end subspace clustering through sampled CUR decompositions.
-
-    ``success`` means perfect clustering accuracy; the summary additionally
-    reports how many trials produced a verified-exact CUR and whether every
-    such trial clustered perfectly (the deterministic guarantee).
+    Labels are the components of the support of ``Q`` (walk length 1): the
+    walk closure lies between the support and its transitive closure, so it
+    has the same components for every walk length.
     """
     spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
-    d_max = cfg.d_max if cfg.d_max is not None else max(spec.dims)
-    d = cfg.resolved_d_grid()[0]
-    records = []
-    successes = 0
-    exact_count = 0
-    exact_and_perfect = 0
-    now = _clock(cfg)
-    for trial_index in range(cfg.trials):
-        t0 = now()
-        rng = trial_generator(cfg.master_seed, trial_index)
-        a, model = generate_union_of_subspaces(spec, rng)
-        k = model.total_rank
-        row_dist, col_dist = _axis_dists(a, cfg.scheme, k)
-        factors = randomized_cur(a, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
-        report = verify_characterization(a, factors.I, factors.J, cfg.tol)
-        w = clustering_matrix(factors, d_max)
-        pred = labels_from_clustering_matrix(w)
-        truth = ClusterLabels(labels=model.ground_truth, num_clusters=len(spec.dims))
-        acc = clustering_accuracy(pred, truth)
-        rel_f = approx_error(a, factors, "frobenius") / np.linalg.norm(a)
-        rel_2 = approx_error(a, factors, "spectral") / np.linalg.norm(a, 2)
-        success = acc == 1.0
-        successes += int(success)
-        if report.all_hold:
-            exact_count += 1
-            exact_and_perfect += int(success)
-        records.append(TrialRecord(
-            trial_index=trial_index,
-            scheme=cfg.scheme,
-            d1=d,
-            d2=d,
-            success=success,
-            rel_error_spectral=rel_2,
-            rel_error_frobenius=rel_f,
-            wall_time_ms=(now() - t0) * 1e3,
-        ))
-    groups = [{
-        "kind": cfg.kind,
-        "scheme": cfg.scheme,
-        "d1": d,
-        "d2": d,
-        "trials": cfg.trials,
-        "successes": successes,
-        "success_rate": successes / cfg.trials,
-        "exact_curs": exact_count,
-        "exact_and_perfect": exact_and_perfect,
-    }]
-    return records, {"groups": groups}
+    a, model = generate_union_of_subspaces(spec, rng)
+    factors = _sampled_cur(cfg, a, d, rng, model.total_rank)
+    exact = verify_characterization(a, factors.I, factors.J, cfg.tol).all_hold
+    pred = labels_from_clustering_matrix(clustering_matrix(factors, 1))
+    truth = ClusterLabels(labels=model.ground_truth, num_clusters=len(spec.dims))
+    rel_2, rel_f = _relative_errors(a, factors)
+    return clustering_accuracy(pred, truth) == 1.0, rel_2, rel_f, {"exact": exact}
 
 
-_RUNNERS = {
-    "success_prob": run_success_probability_experiment,
-    "noise_stability": run_noise_experiment,
-    "deim_check": run_deim_experiment,
-    "clustering": run_clustering_experiment,
+# Each reducer maps the run's (d, first_trial, [(record, extras), ...]) per grid
+# point to the summary: one group per grid point, plus any run-level lists.
+def _rate_group(cfg, d, done):
+    successes = sum(r.success for r, _ in done)
+    return {"kind": cfg.kind, "scheme": _scheme(cfg), "d1": d, "d2": d, "trials": cfg.trials,
+            "successes": successes, "success_rate": successes / cfg.trials}
+
+
+def _success_summary(cfg, runs):
+    groups = []
+    for d, first, done in runs:
+        err_sum = 0.0  # summed in trial order, which the CSV bytes depend on
+        for r, _ in done:
+            err_sum += r.rel_error_frobenius
+        groups.append({**_rate_group(cfg, d, done), "mean_rel_err_F": err_sum / cfg.trials,
+                       "first_trial": first})
+    return {"groups": groups}
+
+
+def _noise_summary(cfg, runs):
+    """Per-trial stability floors and error-to-noise ratios ride along the groups."""
+    groups = []
+    for d, first, done in runs:
+        successes = sum(r.success for r, _ in done)
+        ratios = [x["ratio"] for _, x in done]
+        groups.append({"kind": cfg.kind, "scheme": cfg.scheme, "d1": d, "d2": d,
+                       "sigma": cfg.sigma, "trials": cfg.trials, "completed": len(done),
+                       "skipped": cfg.trials - len(done), "successes": successes,
+                       "success_rate": successes / len(done) if done else float("nan"),
+                       "median_err_to_noise": float(np.median(ratios)) if ratios else float("nan"),
+                       "first_trial": first})
+    extras = [x for _, _, done in runs for _, x in done]
+    return {"groups": groups, **{f"{key}_per_trial": [x[key] for x in extras]
+                                 for key in ("alpha", "beta", "ratio")}}
+
+
+def _deim_summary(cfg, runs):
+    return {"groups": [_rate_group(cfg, d, done) for d, _, done in runs]}
+
+
+def _clustering_summary(cfg, runs):
+    """Also counts verified-exact CURs, and how many of those clustered perfectly."""
+    groups = []
+    for d, _, done in runs:
+        exact = [r.success for r, x in done if x["exact"]]
+        groups.append({**_rate_group(cfg, d, done), "exact_curs": len(exact),
+                       "exact_and_perfect": sum(exact)})
+    return {"groups": groups}
+
+
+_KINDS = {
+    "success_prob": (_success_trial, _success_summary),
+    "noise_stability": (_noise_trial, _noise_summary),
+    "deim_check": (_deim_trial, _deim_summary),
+    "clustering": (_clustering_trial, _clustering_summary),
 }
 
 
+def _scheme(cfg):
+    return "deim" if cfg.kind == "deim_check" else cfg.scheme
+
+
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch on ``cfg.kind``."""
-    return _RUNNERS[cfg.kind](cfg)
+    """Run ``cfg.trials`` trials per grid point; return ``(records, summary)``.
+
+    Trial indices run on across grid points, and each trial draws from its
+    own stream :func:`trial_generator` ``(master_seed, trial_index)``.  The
+    summary holds one aggregate ``groups`` row per grid point.
+    """
+    trial, summarize = _KINDS[cfg.kind]
+    now = time.perf_counter if cfg.timing else (lambda: 0.0)
+    records = []
+    runs = []
+    for gi, d in enumerate(cfg.resolved_d_grid()):
+        first = gi * cfg.trials
+        done = []
+        for trial_index in range(first, first + cfg.trials):
+            t0 = now()
+            outcome = trial(cfg, d, trial_generator(cfg.master_seed, trial_index))
+            if outcome is None:
+                continue
+            record = TrialRecord(trial_index, _scheme(cfg), d, d, *outcome[:3], (now() - t0) * 1e3)
+            records.append(record)
+            done.append((record, outcome[3]))
+        runs.append((d, first, done))
+    return records, summarize(cfg, runs)
 
 
 def _format_value(value):

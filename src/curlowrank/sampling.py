@@ -31,6 +31,7 @@ from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, condition_numb
 
 UNIFORM = "uniform"
 LENGTH = "length"
+SCHEMES = (UNIFORM, LENGTH, "leverage")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +100,23 @@ def leverage_dist(a, k, axis) -> ProbDist:
     basis = f.right[:, :k] if axis == COLS else f.left[:, :k]
     scores = np.sum(basis * basis, axis=1) / float(k)
     return ProbDist(scores, axis, f"leverage({int(k)})")
+
+
+def axis_dists(a, scheme, k=None) -> tuple:
+    """Row and column distributions of one scheme from :data:`SCHEMES`.
+
+    Leverage scores need the truncation rank ``k``; without it a
+    DomainError is raised.
+    """
+    if scheme == UNIFORM:
+        return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
+    if scheme == LENGTH:
+        return length_dist(a, ROWS), length_dist(a, COLS)
+    if scheme not in SCHEMES:
+        raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if k is None:
+        raise DomainError("leverage sampling needs the truncation rank k")
+    return leverage_dist(a, k, ROWS), leverage_dist(a, k, COLS)
 
 
 def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:

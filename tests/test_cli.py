@@ -93,6 +93,18 @@ def test_experiment_from_config_deterministic(tmp_path, capsys):
     assert "success_rate" in capsys.readouterr().out
 
 
+def test_flags_override_config_file(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text("kind = success_prob\nm = 20\nn = 16\nk = 3\nd_grid = 8\n"
+                      "trials = 12\nmaster_seed = 44\n")
+    out = tmp_path / "exp.csv"
+    assert cli_main(["experiment", "--config", str(config), "--trials", "3",
+                     "--scheme", "uniform", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 3 and all(",uniform," in l for l in rows)
+    assert "trials=3" in capsys.readouterr().out
+
+
 def test_experiment_inline_flags(tmp_path):
     out = tmp_path / "inline.csv"
     code = cli_main(["experiment", "--kind", "deim_check", "--m", "12", "--n", "10",
@@ -120,6 +132,19 @@ def test_cluster_from_spec_file(tmp_path, capsys):
 def test_cur_leverage_requires_k(matrix_file, capsys):
     assert cli_main(["cur", "--in", str(matrix_file), "--scheme", "leverage",
                      "--d1", "6", "--d2", "6"]) == 2
+
+
+def test_cluster_flags_override_spec(tmp_path, capsys):
+    spec = tmp_path / "model.txt"
+    spec.write_text("ambient_dim = 12\ndims = 2,2\npoints = 6,6\nseed = 3\n")
+    assert cli_main(["cluster", "--spec", str(spec), "--points", "5,7", "--d", "9",
+                     "--trials", "2"]) == 0
+    assert "d1=9 d2=9 trials=2" in capsys.readouterr().out
+
+
+def test_cluster_rejects_removed_d_max_flag(capsys):
+    assert cli_main(["cluster", "--ambient", "10", "--dims", "1,2", "--points", "4,5",
+                     "--d-max", "2", "--trials", "3"]) == 2
 
 
 def test_cluster_inline(capsys):

@@ -1,5 +1,9 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlowrank.cluster import (
     ClusterLabels,
@@ -164,6 +168,48 @@ class TestAccuracy:
         labels = ClusterLabels(np.arange(9), 9)
         with pytest.raises(TooManyClustersError):
             clustering_accuracy(labels, labels)
+
+    @staticmethod
+    def reference_accuracy(pred, truth):
+        """The permutation search over full label vectors."""
+        ell = max(pred.num_clusters, truth.num_clusters)
+        n = pred.labels.size
+        best = 0.0
+        for perm in permutations(range(ell)):
+            mapped = np.asarray(perm)[pred.labels]
+            best = max(best, float(np.count_nonzero(mapped == truth.labels)) / n)
+        return best
+
+    def test_confusion_matrix_matches_reference(self):
+        rng = trial_generator(4242, 0)
+        for ell_pred in [*range(1, 9)] * 2:
+            n = int(rng.integers(1, 40))
+            ell_truth = int(rng.integers(1, 9))
+            pred = ClusterLabels(rng.integers(0, ell_pred, size=n), ell_pred)
+            truth = ClusterLabels(rng.integers(0, ell_truth, size=n), ell_truth)
+            assert clustering_accuracy(pred, truth) == self.reference_accuracy(pred, truth)
+
+
+@st.composite
+def subspace_specs(draw):
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    points = [d + draw(st.integers(0, 5)) for d in dims]
+    ambient = sum(dims) + draw(st.integers(0, 4))
+    return SubspaceSpec(ambient, tuple(dims), tuple(points))
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=subspace_specs(), seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 30))
+def test_labels_do_not_depend_on_walk_length(spec, seed, draws):
+    # the walk closure lies between the support and its transitive closure,
+    # so its components do not depend on the walk length, exact CUR or not
+    rng = trial_generator(seed, 0)
+    a, model = generate_union_of_subspaces(spec, rng)
+    f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), draws, draws, rng)
+    want = labels_from_clustering_matrix(clustering_matrix(f, 1)).labels
+    for d in range(2, model.d_max + 1):
+        got = labels_from_clustering_matrix(clustering_matrix(f, d)).labels
+        np.testing.assert_array_equal(got, want)
 
 
 class TestEndToEnd:

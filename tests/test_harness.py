@@ -13,10 +13,7 @@ from curlowrank.harness import (
     config_from_text,
     emit_csv,
     lowrank_gaussian,
-    run_clustering_experiment,
     run_experiment,
-    run_noise_experiment,
-    run_success_probability_experiment,
     spectral_noise,
     trial_generator,
     zero_out_columns,
@@ -64,6 +61,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_mapping({"kind": "clustering", "m": 10})  # dims/points missing
 
+    def test_deim_rejects_grid(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind="deim_check", m=15, n=12, k=3, d_grid=(3,))
+        assert exc.value.field == "d_grid"
+
+    def test_clustering_rejects_multi_point_grid(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6), d_grid=(8, 12))
+        assert exc.value.field == "d_grid"
+        ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6), d_grid=(8,))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            config_from_text("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid =\n")
+        assert exc.value.field == "d_grid"
+
     def test_d_from_formula(self):
         cfg = config_from_mapping({"kind": "success_prob", "m": 30, "n": 30, "k": 2,
                                    "eps": "0.5", "delta": "0.5", "trials": 1})
@@ -106,11 +119,11 @@ class TestSuccessExperiment:
     def test_rank_one_always_succeeds(self):
         cfg = ExperimentConfig(kind="success_prob", m=10, n=8, k=1, scheme="length",
                                d_grid=(1,), trials=25, master_seed=1)
-        _, summary = run_success_probability_experiment(cfg)
+        _, summary = run_experiment(cfg)
         assert summary["groups"][0]["success_rate"] == 1.0
 
     def test_records_match_contract(self):
-        records, _ = run_success_probability_experiment(self.CFG)
+        records, _ = run_experiment(self.CFG)
         assert len(records) == 20
         for r in records:
             assert r.d1 == r.d2 == 8
@@ -121,21 +134,21 @@ class TestSuccessExperiment:
     def test_timing_flag_records_wall_time(self):
         cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
                                d_grid=(8,), trials=5, master_seed=99, timing=True)
-        records, _ = run_success_probability_experiment(cfg)
+        records, _ = run_experiment(cfg)
         assert any(r.wall_time_ms > 0.0 for r in records)
 
     def test_trial_isolation(self):
         # a shorter run reproduces the exact prefix of a longer one
         short = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
                                  d_grid=(8,), trials=5, master_seed=99)
-        long_records, _ = run_success_probability_experiment(self.CFG)
-        short_records, _ = run_success_probability_experiment(short)
+        long_records, _ = run_experiment(self.CFG)
+        short_records, _ = run_experiment(short)
         assert short_records == long_records[:5]
 
     def test_monotone_in_d(self):
         cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="uniform",
                                d_grid=(3, 4, 6, 9, 14), trials=500, master_seed=31)
-        _, summary = run_success_probability_experiment(cfg)
+        _, summary = run_experiment(cfg)
         rates = [g["success_rate"] for g in summary["groups"]]
         for lo, hi in zip(rates, rates[1:]):
             assert hi >= lo - 0.03
@@ -143,31 +156,31 @@ class TestSuccessExperiment:
     def test_length_beats_uniform_on_sparse(self):
         base = dict(kind="success_prob", m=20, n=20, k=2, d_grid=(6,), trials=200,
                     master_seed=17, sparsity=0.7)
-        _, s_len = run_success_probability_experiment(ExperimentConfig(scheme="length", **base))
-        _, s_uni = run_success_probability_experiment(ExperimentConfig(scheme="uniform", **base))
+        _, s_len = run_experiment(ExperimentConfig(scheme="length", **base))
+        _, s_uni = run_experiment(ExperimentConfig(scheme="uniform", **base))
         assert s_len["groups"][0]["success_rate"] > s_uni["groups"][0]["success_rate"]
 
 
 class TestNoiseExperiment:
     def test_zero_sigma_matches_success_flags(self):
         common = dict(m=18, n=14, k=3, scheme="length", d_grid=(9,), trials=25, master_seed=7)
-        noise_records, _ = run_noise_experiment(
+        noise_records, _ = run_experiment(
             ExperimentConfig(kind="noise_stability", sigma=0.0, **common))
-        succ_records, _ = run_success_probability_experiment(
+        succ_records, _ = run_experiment(
             ExperimentConfig(kind="success_prob", **common))
         assert [r.success for r in noise_records] == [r.success for r in succ_records]
 
     def test_uniform_scheme_ignores_noise(self):
         common = dict(kind="noise_stability", m=18, n=14, k=3, scheme="uniform",
                       d_grid=(9,), trials=40, master_seed=8)
-        rec_small, _ = run_noise_experiment(ExperimentConfig(sigma=1e-6, **common))
-        rec_large, _ = run_noise_experiment(ExperimentConfig(sigma=1e-2, **common))
+        rec_small, _ = run_experiment(ExperimentConfig(sigma=1e-6, **common))
+        rec_large, _ = run_experiment(ExperimentConfig(sigma=1e-2, **common))
         assert [r.success for r in rec_small] == [r.success for r in rec_large]
 
     def test_reports_floors_per_trial(self):
         cfg = ExperimentConfig(kind="noise_stability", m=18, n=14, k=3, sigma=1e-4,
                                scheme="length", d_grid=(9,), trials=10, master_seed=9)
-        _, summary = run_noise_experiment(cfg)
+        _, summary = run_experiment(cfg)
         assert len(summary["alpha_per_trial"]) == 10
         assert all(0.0 < a <= 1.0 for a in summary["alpha_per_trial"])
         assert all(0.0 < b <= 1.0 for b in summary["beta_per_trial"])
@@ -175,7 +188,7 @@ class TestNoiseExperiment:
     def test_dominating_noise_counts_as_skip(self):
         cfg = ExperimentConfig(kind="noise_stability", m=2, n=2, k=1, sigma=1e6,
                                scheme="uniform", d_grid=(2,), trials=4, master_seed=10)
-        records, summary = run_noise_experiment(cfg)
+        records, summary = run_experiment(cfg)
         assert summary["groups"][0]["skipped"] == 4
         assert records == []
 
@@ -184,7 +197,7 @@ class TestClusteringExperiment:
     def test_small_model(self):
         cfg = ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6),
                                scheme="length", trials=10, master_seed=11)
-        records, summary = run_clustering_experiment(cfg)
+        records, summary = run_experiment(cfg)
         g = summary["groups"][0]
         assert g["trials"] == 10
         assert g["exact_and_perfect"] == g["exact_curs"]
@@ -218,7 +231,7 @@ class TestEmitCsv:
                                d_grid=(6, 8), trials=15, master_seed=123)
         paths = []
         for name in ("a.csv", "b.csv"):
-            records, summary = run_success_probability_experiment(cfg)
+            records, summary = run_experiment(cfg)
             path = tmp_path / name
             emit_csv(records, summary, path)
             paths.append(path)

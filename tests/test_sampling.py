@@ -13,6 +13,7 @@ from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet
 from curlowrank.sampling import (
     ProbDist,
+    axis_dists,
     dedup_indices,
     draw_with_replacement,
     length_dist,
@@ -72,6 +73,24 @@ class TestDistributions:
     def test_leverage_rank_deficient(self, rng):
         with pytest.raises(RankDeficientError):
             leverage_dist(rank_k(6, 5, 2, rng), 3, COLS)
+
+    def test_axis_dists_per_scheme(self, rng):
+        a = rank_k(10, 8, 3, rng)
+        expected = {
+            ("uniform", None): (uniform_dist(10, ROWS), uniform_dist(8, COLS)),
+            ("length", None): (length_dist(a, ROWS), length_dist(a, COLS)),
+            ("leverage", 3): (leverage_dist(a, 3, ROWS), leverage_dist(a, 3, COLS)),
+        }
+        for (scheme, k), want in expected.items():
+            for got, dist in zip(axis_dists(a, scheme, k), want):
+                assert got.axis == dist.axis
+                np.testing.assert_array_equal(got.weights, dist.weights)
+
+    def test_axis_dists_leverage_needs_k(self, rng):
+        with pytest.raises(DomainError):
+            axis_dists(rank_k(6, 5, 2, rng), "leverage")
+        with pytest.raises(DomainError):
+            axis_dists(rank_k(6, 5, 2, rng), "bogus", 2)
 
     def test_probdist_validation(self):
         with pytest.raises(ValueError):
