@@ -16,17 +16,18 @@ import numpy as np
 from .cluster import parse_model_spec
 from .cur import approx_error, randomized_cur
 from .deim import deim_cur
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ZeroMatrixError
 from .harness import (
     CONFIG_FIELDS,
     KINDS,
     config_from_mapping,
     config_from_text,
     emit_csv,
+    relative_errors,
     run_experiment,
     trial_generator,
 )
-from .linalg import compact_svd, condition_number, numerical_rank, stable_rank
+from .linalg import compact_svd
 from .mmio import read_matrix
 from .sampling import (
     SCHEMES,
@@ -54,14 +55,16 @@ def _common_flags(sub):
 
 def _cmd_svd(args):
     a = read_matrix(args.infile)
-    rank = numerical_rank(a, args.tol)
-    lines = [f"shape: {a.shape[0]} {a.shape[1]}", f"numerical_rank: {rank}"]
-    if rank > 0:
+    lines = [f"shape: {a.shape[0]} {a.shape[1]}"]
+    try:
         f = compact_svd(a, args.tol)
+    except ZeroMatrixError:
+        lines.append("numerical_rank: 0")
+    else:
         sigmas = " ".join(format(s, ".17g") for s in f.all_singular_values)
-        lines.append(f"singular_values: {sigmas}")
-        lines.append(f"stable_rank: {stable_rank(a):.17g}")
-        lines.append(f"condition_number: {condition_number(a, args.tol):.17g}")
+        lines += [f"numerical_rank: {f.numerical_rank}", f"singular_values: {sigmas}",
+                  f"stable_rank: {f.stable_rank():.17g}",
+                  f"condition_number: {f.condition_number():.17g}"]
     _emit(lines, args.out)
     return 0
 
@@ -72,8 +75,7 @@ def _cmd_cur(args):
     row_dist, col_dist = axis_dists(a, args.scheme, args.k)
     factors = randomized_cur(a, row_dist, col_dist, args.d1, args.d2, rng,
                              dedup=args.dedup, tol=args.tol)
-    rel_f = approx_error(a, factors, "frobenius") / np.linalg.norm(a)
-    rel_2 = approx_error(a, factors, "spectral") / np.linalg.norm(a, 2)
+    rel_2, rel_f = relative_errors(a, factors)
     _emit([
         f"scheme: {factors.scheme_tag}",
         "rows: " + " ".join(str(i) for i in factors.I),

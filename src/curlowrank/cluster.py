@@ -21,6 +21,7 @@ import numpy as np
 
 from .cur import CurFactors
 from .errors import DomainError, TooManyClustersError
+from .linalg import numerical_rank
 
 _SPEC_KEYS = ("ambient_dim", "dims", "points", "seed")
 
@@ -120,7 +121,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng, max_redraws=8):
             q, _ = np.linalg.qr(rng.standard_normal((m, d)))
             coeff = rng.standard_normal((d, p))
             block = q @ coeff
-            if np.linalg.matrix_rank(block) < d:
+            if numerical_rank(block) < d:
                 ok = False
                 break
             bases.append(q)
@@ -130,7 +131,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng, max_redraws=8):
         if not ok:
             continue
         a = np.hstack(blocks)
-        if np.linalg.matrix_rank(a) < sum(spec.dims):
+        if numerical_rank(a) < sum(spec.dims):
             continue
         perm = rng.permutation(n)
         model = SubspaceModel(
@@ -174,30 +175,18 @@ class ClusterLabels:
 
 
 def labels_from_clustering_matrix(w) -> ClusterLabels:
-    """Connected components of the pattern's graph, via union-find."""
-    w = np.asarray(w)
-    n = w.shape[0]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(*np.nonzero(w)):
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[rj] = ri
-
-    names = {}
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        root = find(i)
-        if root not in names:
-            names[root] = len(names)
-        labels[i] = names[root]
-    return ClusterLabels(labels=labels, num_clusters=len(names))
+    """Connected components of the pattern's undirected graph, numbered by smallest member."""
+    adj = np.asarray(w) != 0
+    adj = adj | adj.T
+    labels = np.full(adj.shape[0], -1, dtype=np.int64)
+    count = 0
+    while (labels < 0).any():
+        frontier = np.arange(labels.size) == np.argmax(labels < 0)
+        while frontier.any():
+            labels[frontier] = count
+            frontier = adj[frontier].any(axis=0) & (labels < 0)
+        count += 1
+    return ClusterLabels(labels=labels, num_clusters=count)
 
 
 def clustering_accuracy(pred: ClusterLabels, truth: ClusterLabels) -> float:

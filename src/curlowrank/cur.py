@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ZeroMatrixError
 from .linalg import (
     COLS,
     ROWS,
     IndexSet,
     as_matrix,
-    default_tolerance,
+    compact_svd,
     pseudoinverse,
     submatrix,
 )
@@ -119,6 +120,15 @@ def _relative(err, ref):
     return 0.0 if err == 0.0 else float("inf")
 
 
+def _rank_and_pinv(mat, tol):
+    """Rank, pseudoinverse and cutoff of ``mat`` from one compact SVD; rank 0 has a zero pinv."""
+    try:
+        f = compact_svd(mat, tol)
+    except ZeroMatrixError:
+        return 0, np.zeros(mat.shape[::-1]), tol
+    return f.numerical_rank, f.pinv(), f.tolerance_used
+
+
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:
     """Evaluate conditions (i)-(v) of the exact-CUR equivalence at tolerance ``tol``.
 
@@ -127,25 +137,15 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     pseudoinverse truncations use the numerical-rank cutoff of A itself.
     """
     a = as_matrix(a)
-    s_a = np.linalg.svd(a, compute_uv=False)
-    rank_tol = default_tolerance(a.shape, s_a[0])
-    rank_a = int(np.count_nonzero(s_a > rank_tol))
+    # a zero A leaves rank_tol None, and its zero submatrices get rank 0 as well
+    rank_a, a_pinv, rank_tol = _rank_and_pinv(a, None)
 
     c = submatrix(a, cols)
     r = submatrix(a, rows)
     u = submatrix(c, rows)
-
-    def rank_of(mat):
-        return int(np.count_nonzero(np.linalg.svd(mat, compute_uv=False) > rank_tol))
-
-    rank_c = rank_of(c)
-    rank_r = rank_of(r)
-    rank_u = rank_of(u)
-
-    u_pinv = pseudoinverse(u, rank_tol)
-    c_pinv = pseudoinverse(c, rank_tol)
-    r_pinv = pseudoinverse(r, rank_tol)
-    a_pinv = pseudoinverse(a, rank_tol)
+    rank_c, c_pinv, _ = _rank_and_pinv(c, rank_tol)
+    rank_r, r_pinv, _ = _rank_and_pinv(r, rank_tol)
+    rank_u, u_pinv, _ = _rank_and_pinv(u, rank_tol)
 
     norm_a = float(np.linalg.norm(a))
     norm_a_pinv = float(np.linalg.norm(a_pinv))

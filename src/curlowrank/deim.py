@@ -17,7 +17,7 @@ import numpy as np
 
 from .cur import CurFactors, build_cur
 from .errors import DomainError, RankDeficientError, SingularInterpolationError
-from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, default_tolerance
+from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, rank_cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +103,7 @@ def deim_noise_certificate(a_tilde, k, e_bound) -> NoiseCertificate:
     m, n = a_tilde.shape
     s = np.linalg.svd(a_tilde, compute_uv=False)
     # below the numerical-rank cutoff a singular value counts as zero
-    rank_tol = default_tolerance((m, n), s[0])
-    sigma_k = float(s[k - 1]) if k <= s.size and s[k - 1] > rank_tol else 0.0
+    sigma_k = float(s[k - 1]) if k <= rank_cutoff(s, (m, n))[0] else 0.0
     sigma_k_lower = sigma_k - float(e_bound)
     threshold = (1.0 + (2.0**k) * math.sqrt(max(m, n) * k / 3.0)) * float(e_bound)
     holds = sigma_k_lower > 0.0 and sigma_k_lower >= threshold

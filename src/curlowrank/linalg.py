@@ -2,9 +2,9 @@
 
 Matrices are plain ``numpy.ndarray`` objects of dtype float64 in C (row-major)
 memory order; every public function validates its input through
-:func:`as_matrix`.  All numerical-rank decisions share one tolerance
-convention: ``max(m, n) * machine_epsilon * sigma_1``, overridable through the
-``tol`` argument of each function.
+:func:`as_matrix`.  Every numerical-rank decision in the package is made by
+:func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
+unless the ``tol`` argument of a function overrides it.
 
 The SVD carries a fixed sign convention (the largest-magnitude entry of each
 left singular vector is made nonnegative, first such entry on ties) so that
@@ -41,6 +41,13 @@ def as_matrix(a) -> np.ndarray:
 def default_tolerance(shape, sigma_max) -> float:
     """Rank cutoff ``max(m, n) * eps * sigma_1`` used everywhere by default."""
     return max(shape) * _EPS * float(sigma_max)
+
+
+def rank_cutoff(s, shape, tol=None) -> tuple:
+    """``(rank, tol)``: the count of singular values ``s`` above ``tol`` (default :func:`default_tolerance`)."""
+    if tol is None:
+        tol = default_tolerance(shape, s[0])
+    return int(np.count_nonzero(s > tol)), float(tol)
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,18 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular_values) @ self.right.T
 
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse ``right @ diag(1/sigma) @ left.T`` at the cutoff."""
+        return (self.right / self.singular_values) @ self.left.T
+
+    def condition_number(self) -> float:
+        """Largest over smallest singular value above the cutoff."""
+        return float(self.singular_values[0] / self.singular_values[-1])
+
+    def stable_rank(self) -> float:
+        """``||A||_F^2 / ||A||_2^2`` from the full spectrum, scaled by sigma_1 first."""
+        return float(np.sum((self.all_singular_values / self.all_singular_values[0]) ** 2))
+
 
 def _fix_signs(w, vt):
     """Make the largest-magnitude entry of each left singular vector nonnegative."""
@@ -108,9 +127,7 @@ def compact_svd(a, tol=None) -> SvdFactors:
     """
     a = as_matrix(a)
     w, s, vt = np.linalg.svd(a, full_matrices=False)
-    if tol is None:
-        tol = default_tolerance(a.shape, s[0])
-    k = int(np.count_nonzero(s > tol))
+    k, tol = rank_cutoff(s, a.shape, tol)
     if k == 0:
         raise ZeroMatrixError("all singular values are at or below the tolerance")
     w, vt = _fix_signs(w[:, :k].copy(), vt[:k, :].copy())
@@ -119,7 +136,7 @@ def compact_svd(a, tol=None) -> SvdFactors:
         singular_values=s[:k].copy(),
         right=vt.T.copy(),
         numerical_rank=k,
-        tolerance_used=float(tol),
+        tolerance_used=tol,
         all_singular_values=s,
     )
 
@@ -127,10 +144,7 @@ def compact_svd(a, tol=None) -> SvdFactors:
 def numerical_rank(a, tol=None) -> int:
     """Number of singular values strictly above ``tol`` (0 for a zero matrix)."""
     a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = default_tolerance(a.shape, s[0])
-    return int(np.count_nonzero(s > tol))
+    return rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, tol)[0]
 
 
 def pseudoinverse(a, tol=None) -> np.ndarray:
@@ -138,34 +152,20 @@ def pseudoinverse(a, tol=None) -> np.ndarray:
 
     The zero matrix maps to the zero matrix of transposed shape.
     """
-    a = as_matrix(a)
     try:
-        f = compact_svd(a, tol)
+        return compact_svd(a, tol).pinv()
     except ZeroMatrixError:
-        return np.zeros((a.shape[1], a.shape[0]))
-    return (f.right / f.singular_values) @ f.left.T
+        return np.zeros(np.shape(a)[::-1])
 
 
 def stable_rank(a) -> float:
     """``||A||_F^2 / ||A||_2^2``; a perturbation-robust surrogate for rank."""
-    a = as_matrix(a)
-    fro2 = float(np.sum(a * a))
-    if fro2 == 0.0:
-        raise ZeroMatrixError("stable rank of the zero matrix is undefined")
-    s1 = float(np.linalg.svd(a, compute_uv=False)[0])
-    return fro2 / (s1 * s1)
+    return compact_svd(a).stable_rank()
 
 
 def condition_number(a, tol=None) -> float:
     """Generalized spectral condition number: sigma_max over minimal NONZERO sigma."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if tol is None:
-        tol = default_tolerance(a.shape, s[0])
-    keep = s[s > tol]
-    if keep.size == 0:
-        raise ZeroMatrixError("condition number of a rank-0 matrix is undefined")
-    return float(keep[0] / keep[-1])
+    return compact_svd(a, tol).condition_number()
 
 
 def submatrix(a, index_set: IndexSet) -> np.ndarray:

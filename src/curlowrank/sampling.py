@@ -83,30 +83,34 @@ def length_dist(a, axis) -> ProbDist:
     return ProbDist(norms2 / total, axis, LENGTH)
 
 
+def _leverage_dists(a, k, axes):
+    """Yield the rank-k leverage distribution over each of ``axes``, all from one compact SVD."""
+    if k < 1:
+        raise DomainError(f"leverage rank must be >= 1, got {k}")
+    f = compact_svd(a)
+    if k > f.numerical_rank:
+        raise RankDeficientError(
+            f"requested leverage rank {k} exceeds numerical rank {f.numerical_rank}"
+        )
+    for axis in axes:
+        basis = f.right[:, :k] if axis == COLS else f.left[:, :k]
+        yield ProbDist(np.sum(basis * basis, axis=1) / float(k), axis, f"leverage({int(k)})")
+
+
 def leverage_dist(a, k, axis) -> ProbDist:
     """Rank-k leverage scores: ``(1/k) * ||V_k(j,:)||^2`` per column index.
 
     Row leverage replaces the right singular factor by the left one.  Raises
     RankDeficientError when ``k`` exceeds the numerical rank of ``a``.
     """
-    if k < 1:
-        raise DomainError(f"leverage rank must be >= 1, got {k}")
-    a = as_matrix(a)
-    f = compact_svd(a)
-    if k > f.numerical_rank:
-        raise RankDeficientError(
-            f"requested leverage rank {k} exceeds numerical rank {f.numerical_rank}"
-        )
-    basis = f.right[:, :k] if axis == COLS else f.left[:, :k]
-    scores = np.sum(basis * basis, axis=1) / float(k)
-    return ProbDist(scores, axis, f"leverage({int(k)})")
+    return next(_leverage_dists(a, k, (axis,)))
 
 
 def axis_dists(a, scheme, k=None) -> tuple:
     """Row and column distributions of one scheme from :data:`SCHEMES`.
 
     Leverage scores need the truncation rank ``k``; without it a
-    DomainError is raised.
+    DomainError is raised.  Both leverage axes come from one SVD of ``a``.
     """
     if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
@@ -116,7 +120,7 @@ def axis_dists(a, scheme, k=None) -> tuple:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if k is None:
         raise DomainError("leverage sampling needs the truncation rank k")
-    return leverage_dist(a, k, ROWS), leverage_dist(a, k, COLS)
+    return tuple(_leverage_dists(a, k, (ROWS, COLS)))
 
 
 def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:

@@ -121,6 +121,19 @@ def test_experiment_bad_config_exits_2(tmp_path, capsys):
     assert cli_main(["experiment", "--config", str(config)]) == 2
 
 
+def test_experiment_kappa_below_one_exits_2(capsys):
+    assert cli_main(["experiment", "--kind", "success_prob", "--m", "8", "--n", "8", "--k", "2",
+                     "--d", "4", "--trials", "2", "--kappa", "0"]) == 2
+    assert "kappa" in capsys.readouterr().err
+
+
+def test_svd_of_zero_matrix_reports_rank_0(tmp_path, capsys):
+    path = tmp_path / "zero.mtx"
+    write_matrix(np.zeros((4, 3)), path)
+    assert cli_main(["svd", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "shape: 4 3\nnumerical_rank: 0\n"
+
+
 def test_cluster_from_spec_file(tmp_path, capsys):
     spec = tmp_path / "model.txt"
     spec.write_text("ambient_dim = 12\ndims = 2,2\npoints = 6,6\nseed = 3\n")

@@ -148,6 +148,51 @@ class TestLabels:
         assert labels.num_clusters == 2
         assert labels.labels.tolist() == [0, 0, 0, 1, 1, 1, 1]
 
+    @staticmethod
+    def reference_labels(w):
+        """Union-find over the nonzero pattern, components numbered by smallest member."""
+        n = w.shape[0]
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in zip(*np.nonzero(w)):
+            ri, rj = find(int(i)), find(int(j))
+            if ri != rj:
+                parent[rj] = ri
+        names = {}
+        labels = [names.setdefault(find(i), len(names)) for i in range(n)]
+        return labels, len(names)
+
+    def assert_matches_reference(self, w):
+        got = labels_from_clustering_matrix(w)
+        assert (got.labels.tolist(), got.num_clusters) == self.reference_labels(w)
+
+    def test_random_symmetric_patterns_match_union_find(self):
+        rng = trial_generator(4343, 0)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            w = rng.random((n, n)) < rng.uniform(0.0, 0.15)
+            w = (w | w.T).astype(np.int64)
+            np.fill_diagonal(w, rng.integers(0, 2))
+            isolated = rng.random(n) < 0.2
+            w[isolated, :] = 0
+            w[:, isolated] = 0
+            self.assert_matches_reference(w)
+
+    def test_long_path_matches_union_find(self):
+        n = 300
+        order = trial_generator(4344, 0).permutation(n)
+        w = np.zeros((n, n), dtype=np.int64)
+        w[order[:-1], order[1:]] = 1
+        w |= w.T
+        self.assert_matches_reference(w)
+        assert labels_from_clustering_matrix(w).num_clusters == 1
+
 
 class TestAccuracy:
     def test_identical(self):

@@ -72,6 +72,18 @@ class TestConfig:
         assert exc.value.field == "d_grid"
         ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6), d_grid=(8,))
 
+    def test_deim_rejects_sparsity(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind="deim_check", m=15, n=12, k=3, sparsity=0.5)
+        assert exc.value.field == "sparsity"
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.0, -2.0, float("nan")])
+    def test_kappa_below_one_rejected(self, kappa):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind="success_prob", m=8, n=8, k=2, d_grid=(4,), kappa=kappa)
+        assert exc.value.field == "kappa"
+        ExperimentConfig(kind="success_prob", m=8, n=8, k=2, d_grid=(4,), kappa=1.0)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError) as exc:
             config_from_text("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid =\n")

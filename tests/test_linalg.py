@@ -116,6 +116,12 @@ class TestStableRank:
         with pytest.raises(ZeroMatrixError):
             stable_rank(np.zeros((2, 2)))
 
+    def test_scale_invariant(self, rng):
+        # squared entries would underflow or overflow at these scales
+        a = rank_k(30, 20, 3, rng)
+        for scale in (1e-170, 1e170):
+            assert stable_rank(scale * a) == pytest.approx(stable_rank(a), rel=1e-12)
+
     def test_at_most_rank(self, rng):
         for _ in range(25):
             a = rank_k(9, 7, int(rng.integers(1, 6)), rng)
