@@ -76,6 +76,7 @@ from .sampling import (
     StabilityParams,
     axis_dists,
     dedup_indices,
+    draw_indices,
     draw_with_replacement,
     epsilon_ceiling,
     leverage_dist,

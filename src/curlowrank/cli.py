@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cur", help="sample a CUR decomposition of a matrix file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--scheme", choices=("uniform", "length", "leverage"), default="length")
+    p.add_argument("--scheme", choices=SCHEMES, default="length")
     p.add_argument("--d1", type=int, required=True, help="row draws")
     p.add_argument("--d2", type=int, required=True, help="column draws")
     p.add_argument("--k", type=int, default=None, help="leverage truncation rank")
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="rank (enables the leverage bounds)")
     p.add_argument("--beta", type=float, default=1.0, help="leverage dominance floor")
     p.add_argument("--kappa", type=float, default=None, help="condition number")
-    _common_flags(p)
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=_cmd_sample_size)
 
     # Only the flags actually given reach the config, so ExperimentConfig

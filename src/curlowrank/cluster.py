@@ -107,29 +107,19 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng, max_redraws=8):
     one since the dims fit in the ambient space); points are Gaussian
     coefficient combinations of each basis (generic with probability one).
     Columns are shuffled, with the assignment recorded in the model.  The
-    measure-zero event of a failed rank check triggers a redraw.
+    measure-zero event of a stacked matrix below full rank ``sum(dims)``
+    triggers a redraw; full rank implies every block has full rank (Weyl).
     """
     m = spec.ambient_dim
     n = sum(spec.points)
+    labels = np.repeat(np.arange(len(spec.dims), dtype=np.int64), spec.points)
     for _ in range(max_redraws):
         bases = []
         blocks = []
-        labels = np.empty(n, dtype=np.int64)
-        start = 0
-        ok = True
-        for idx, (d, p) in enumerate(zip(spec.dims, spec.points)):
+        for d, p in zip(spec.dims, spec.points):
             q, _ = np.linalg.qr(rng.standard_normal((m, d)))
-            coeff = rng.standard_normal((d, p))
-            block = q @ coeff
-            if numerical_rank(block) < d:
-                ok = False
-                break
             bases.append(q)
-            blocks.append(block)
-            labels[start:start + p] = idx
-            start += p
-        if not ok:
-            continue
+            blocks.append(q @ rng.standard_normal((d, p)))
         a = np.hstack(blocks)
         if numerical_rank(a) < sum(spec.dims):
             continue
@@ -139,7 +129,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng, max_redraws=8):
             subspace_dims=tuple(spec.dims),
             bases=tuple(bases),
             points_per_subspace=tuple(spec.points),
-            ground_truth=labels[perm].copy(),
+            ground_truth=labels[perm],
         )
         return np.ascontiguousarray(a[:, perm]), model
     raise RuntimeError("failed to draw a generic independent-subspace model")

@@ -18,17 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroMatrixError
 from .linalg import (
     COLS,
     ROWS,
     IndexSet,
+    _rank_pinv_cutoff,
     as_matrix,
-    compact_svd,
     pseudoinverse,
     submatrix,
+    unit_scaled,
 )
-from .sampling import ProbDist, dedup_indices, draw_with_replacement
+from .sampling import ProbDist, draw_indices
 
 EXACTNESS_TOL = 1e-8
 
@@ -50,23 +50,19 @@ class CurFactors:
         return self.C @ self.U_pinv @ self.R
 
 
-def build_cur(a, rows: IndexSet, cols: IndexSet, tol=None, scheme_tag="manual") -> CurFactors:
-    """Extract ``C, U, R`` for the given index sets; ``U^+`` is truncated at ``tol``."""
-    a = as_matrix(a)
+def _submatrices(a, rows: IndexSet, cols: IndexSet) -> tuple:
+    """``(C, R, U)`` of ``a`` for a row and a column index set."""
     if rows.axis != ROWS or cols.axis != COLS:
         raise ValueError("build_cur needs a row index set and a column index set")
     c = submatrix(a, cols)
-    r = submatrix(a, rows)
-    u = submatrix(c, rows)
-    return CurFactors(
-        I=rows,
-        J=cols,
-        C=c,
-        U=u,
-        R=r,
-        U_pinv=pseudoinverse(u, tol),
-        scheme_tag=scheme_tag,
-    )
+    return c, submatrix(a, rows), submatrix(c, rows)
+
+
+def build_cur(a, rows: IndexSet, cols: IndexSet, tol=None, scheme_tag="manual") -> CurFactors:
+    """Extract ``C, U, R`` for the given index sets; ``U^+`` is truncated at ``tol``."""
+    c, r, u = _submatrices(as_matrix(a), rows, cols)
+    return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=pseudoinverse(u, tol),
+                      scheme_tag=scheme_tag)
 
 
 def approx_error(a, factors: CurFactors, norm="frobenius") -> float:
@@ -85,7 +81,8 @@ class CharacterizationReport:
     """Numerical verdicts for the five equivalent exact-CUR conditions.
 
     The booleans must be unanimous on every instance; ``u_pinv_identity``
-    (``U^+ = C^+ A R^+``) is only meaningful when all five hold.
+    (``U^+ = C^+ A R^+``) is only meaningful when all five hold.  ``factors``
+    is the CUR behind the verdicts, with ``U^+`` truncated at A's cutoff.
     """
 
     rank_a: int
@@ -100,6 +97,7 @@ class CharacterizationReport:
     u_pinv_identity: bool
     residuals: dict = field(repr=False)
     tol: float
+    factors: CurFactors = field(repr=False)
 
     @property
     def verdicts(self):
@@ -114,19 +112,13 @@ class CharacterizationReport:
         return all(self.verdicts)
 
 
-def _relative(err, ref):
-    if ref > 0.0:
-        return err / ref
+def _relative(resid, ref):
+    """``||resid||_F / ||ref||_F``, both scaled first so neither norm over- or underflows."""
+    ref, resid = unit_scaled(ref, resid)
+    err, size = float(np.linalg.norm(resid)), float(np.linalg.norm(ref))
+    if size > 0.0:
+        return err / size
     return 0.0 if err == 0.0 else float("inf")
-
-
-def _rank_and_pinv(mat, tol):
-    """Rank, pseudoinverse and cutoff of ``mat`` from one compact SVD; rank 0 has a zero pinv."""
-    try:
-        f = compact_svd(mat, tol)
-    except ZeroMatrixError:
-        return 0, np.zeros(mat.shape[::-1]), tol
-    return f.numerical_rank, f.pinv(), f.tolerance_used
 
 
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:
@@ -137,24 +129,17 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     pseudoinverse truncations use the numerical-rank cutoff of A itself.
     """
     a = as_matrix(a)
+    c, r, u = _submatrices(a, rows, cols)
     # a zero A leaves rank_tol None, and its zero submatrices get rank 0 as well
-    rank_a, a_pinv, rank_tol = _rank_and_pinv(a, None)
+    rank_a, a_pinv, rank_tol = _rank_pinv_cutoff(a)
+    rank_c, c_pinv, _ = _rank_pinv_cutoff(c, rank_tol)
+    rank_r, r_pinv, _ = _rank_pinv_cutoff(r, rank_tol)
+    rank_u, u_pinv, _ = _rank_pinv_cutoff(u, rank_tol)
 
-    c = submatrix(a, cols)
-    r = submatrix(a, rows)
-    u = submatrix(c, rows)
-    rank_c, c_pinv, _ = _rank_and_pinv(c, rank_tol)
-    rank_r, r_pinv, _ = _rank_and_pinv(r, rank_tol)
-    rank_u, u_pinv, _ = _rank_and_pinv(u, rank_tol)
-
-    norm_a = float(np.linalg.norm(a))
-    norm_a_pinv = float(np.linalg.norm(a_pinv))
-    norm_u_pinv = float(np.linalg.norm(u_pinv))
-
-    rel_cur = _relative(float(np.linalg.norm(a - c @ u_pinv @ r)), norm_a)
-    rel_proj = _relative(float(np.linalg.norm(a - c @ c_pinv @ a @ r_pinv @ r)), norm_a)
-    rel_pinv = _relative(float(np.linalg.norm(a_pinv - r_pinv @ u @ c_pinv)), norm_a_pinv)
-    rel_u_pinv = _relative(float(np.linalg.norm(u_pinv - c_pinv @ a @ r_pinv)), norm_u_pinv)
+    rel_cur = _relative(a - c @ u_pinv @ r, a)
+    rel_proj = _relative(a - c @ c_pinv @ a @ r_pinv @ r, a)
+    rel_pinv = _relative(a_pinv - r_pinv @ u @ c_pinv, a_pinv)
+    rel_u_pinv = _relative(u_pinv - c_pinv @ a @ r_pinv, u_pinv)
 
     return CharacterizationReport(
         rank_a=rank_a,
@@ -174,17 +159,17 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
             "u_pinv_identity": rel_u_pinv,
         },
         tol=float(tol),
+        factors=CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=u_pinv),
     )
 
 
 def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
                    dedup=False, tol=None) -> CurFactors:
-    """Sample ``d1`` rows and ``d2`` columns independently with replacement.
+    """The CUR of ``d1`` rows and ``d2`` columns drawn by :func:`~curlowrank.sampling.draw_indices`.
 
-    Rows come from a child stream of ``rng`` and columns from a second one,
-    so the two index sets are drawn independently: changing ``d2`` never
-    affects the rows drawn, and vice versa.  ``dedup=True`` removes repeated
-    indices afterwards (exactness of the decomposition is unaffected).
+    Rows and columns come from independent child streams of ``rng``.
+    ``dedup=True`` removes repeated indices afterwards (exactness of the
+    decomposition is unaffected).
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -192,11 +177,5 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
         raise ValueError("row_dist must be a distribution over the rows of a")
     if col_dist.axis != COLS or col_dist.size != n:
         raise ValueError("col_dist must be a distribution over the columns of a")
-    row_rng, col_rng = rng.spawn(2)
-    rows = draw_with_replacement(row_dist, d1, row_rng)
-    cols = draw_with_replacement(col_dist, d2, col_rng)
-    if dedup:
-        rows = dedup_indices(rows)
-        cols = dedup_indices(cols)
-    tag = f"{row_dist.scheme}/{col_dist.scheme}"
-    return build_cur(a, rows, cols, tol, scheme_tag=tag)
+    return build_cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol,
+                     scheme_tag=f"{row_dist.scheme}/{col_dist.scheme}")

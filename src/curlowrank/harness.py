@@ -38,7 +38,7 @@ from .cluster import (
 from .cur import approx_error, build_cur, randomized_cur, verify_characterization
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
-from .sampling import SCHEMES, axis_dists, min_sample_size_rv, noisy_stability_floor
+from .sampling import SCHEMES, axis_dists, draw_indices, min_sample_size_rv, noisy_stability_floor
 
 KINDS = ("success_prob", "noise_stability", "deim_check", "clustering")
 
@@ -281,7 +281,7 @@ def _deim_trial(cfg, d, rng):
 
 
 def _clustering_trial(cfg, d, rng):
-    """Cluster from a sampled CUR; success means perfect accuracy.
+    """Cluster from the sampled CUR that verification checked; success means perfect accuracy.
 
     Labels are the components of the support of ``Q`` (walk length 1): the
     walk closure lies between the support and its transitive closure, so it
@@ -289,12 +289,13 @@ def _clustering_trial(cfg, d, rng):
     """
     spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
     a, model = generate_union_of_subspaces(spec, rng)
-    factors = _sampled_cur(cfg, a, d, rng, model.total_rank)
-    exact = verify_characterization(a, factors.I, factors.J, cfg.tol).all_hold
-    pred = labels_from_clustering_matrix(clustering_matrix(factors, 1))
+    row_dist, col_dist = axis_dists(a, cfg.scheme, model.total_rank)
+    report = verify_characterization(a, *draw_indices(row_dist, col_dist, d, d, rng, cfg.dedup),
+                                     cfg.tol)
+    pred = labels_from_clustering_matrix(clustering_matrix(report.factors, 1))
     truth = ClusterLabels(labels=model.ground_truth, num_clusters=len(spec.dims))
-    rel_2, rel_f = relative_errors(a, factors)
-    return clustering_accuracy(pred, truth) == 1.0, rel_2, rel_f, {"exact": exact}
+    rel_2, rel_f = relative_errors(a, report.factors)
+    return clustering_accuracy(pred, truth) == 1.0, rel_2, rel_f, {"exact": report.all_hold}
 
 
 # Each reducer maps the run's (d, first_trial, [(record, extras), ...]) per grid

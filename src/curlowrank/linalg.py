@@ -14,6 +14,7 @@ runs on identical input bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,15 +148,37 @@ def numerical_rank(a, tol=None) -> int:
     return rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, tol)[0]
 
 
+def _rank_pinv_cutoff(a, tol=None) -> tuple:
+    """``(rank, pinv, cutoff)`` from one compact SVD; rank 0 has a zero pinv and cutoff ``tol``."""
+    try:
+        f = compact_svd(a, tol)
+    except ZeroMatrixError:
+        return 0, np.zeros(np.shape(a)[::-1]), tol
+    return f.numerical_rank, f.pinv(), f.tolerance_used
+
+
 def pseudoinverse(a, tol=None) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the truncated SVD at ``tol``.
 
     The zero matrix maps to the zero matrix of transposed shape.
     """
-    try:
-        return compact_svd(a, tol).pinv()
-    except ZeroMatrixError:
-        return np.zeros(np.shape(a)[::-1])
+    return _rank_pinv_cutoff(a, tol)[1]
+
+
+def unit_scaled(a, e=None):
+    """``a``, or the pair ``(a, e)``, divided by the power of two nearest max|a|.
+
+    The division is exact unless an entry underflows, so scale-invariant
+    quantities (norm ratios, distributions) keep their bits, while squared
+    entries no longer overflow or underflow when |a| is near 1e170 or 1e-170.
+    ``e`` is scaled alongside ``a`` without validation.
+    """
+    a = as_matrix(a)
+    peak = max(float(a.max()), -float(a.min()))
+    shift = -round(math.log2(peak)) if peak > 0.0 else 0
+    if e is None:
+        return np.ldexp(a, shift)
+    return np.ldexp(a, shift), np.ldexp(e, shift)
 
 
 def stable_rank(a) -> float:

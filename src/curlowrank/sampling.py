@@ -27,7 +27,7 @@ from .errors import (
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
-from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, condition_number
+from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, condition_number, unit_scaled
 
 UNIFORM = "uniform"
 LENGTH = "length"
@@ -74,7 +74,7 @@ def length_dist(a, axis) -> ProbDist:
 
     Zero rows/columns get weight exactly 0.0; the zero matrix is rejected.
     """
-    a = as_matrix(a)
+    a = unit_scaled(a)
     sq = a * a
     norms2 = sq.sum(axis=1) if axis == ROWS else sq.sum(axis=0)
     total = float(norms2.sum())
@@ -136,6 +136,21 @@ def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:
     u = rng.random(int(d)) * cum[-1]
     pos = np.searchsorted(cum, u, side="right")
     return IndexSet(tuple(support[pos]), dist.axis)
+
+
+def draw_indices(row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng, dedup=False) -> tuple:
+    """``(rows, cols)``: ``d1`` row and ``d2`` column draws with replacement.
+
+    Rows come from a child stream of ``rng`` and columns from a second one,
+    so changing ``d2`` never affects the rows drawn, and vice versa.
+    ``dedup=True`` removes repeated indices afterwards.
+    """
+    row_rng, col_rng = rng.spawn(2)
+    rows = draw_with_replacement(row_dist, d1, row_rng)
+    cols = draw_with_replacement(col_dist, d2, col_rng)
+    if dedup:
+        return dedup_indices(rows), dedup_indices(cols)
+    return rows, cols
 
 
 def dedup_indices(index_set: IndexSet) -> IndexSet:
@@ -264,7 +279,7 @@ def _make_params(alpha_per_col, beta_per_row) -> StabilityParams:
 
 def _certify(params: StabilityParams, a, p_tilde_cols, q_tilde_rows, slack=1e-12):
     """Check the floors actually dominate: raised only on internal inconsistency."""
-    a = as_matrix(a)
+    a = unit_scaled(a)
     sq = a * a
     fro2 = float(sq.sum())
     p_col = sq.sum(axis=0) / fro2
@@ -281,7 +296,7 @@ def uniform_stability_floor(a) -> StabilityParams:
     For a nonzero row i the floor is ``sqrt(||A||_F^2 / (m * ||A(i,:)||^2))``
     and analogously over columns with n; zero rows/columns get floor 1.
     """
-    a = as_matrix(a)
+    a = unit_scaled(a)
     m, n = a.shape
     sq = a * a
     fro2 = float(sq.sum())
@@ -304,8 +319,7 @@ def noisy_stability_floor(a, e) -> StabilityParams:
     column floors are analogous.  Zero rows/columns of ``a`` get floor 1.
     Raises NoiseDominatesError on any index whose floor would be nonpositive.
     """
-    a = as_matrix(a)
-    e = as_matrix(e)
+    a, e = unit_scaled(a, as_matrix(e))
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {e.shape}")
     fro_a = float(np.linalg.norm(a))
@@ -314,14 +328,11 @@ def noisy_stability_floor(a, e) -> StabilityParams:
     denom = 1.0 + float(np.linalg.norm(e)) / fro_a
 
     def floors(a_norms, e_norms, axis_name):
-        out = np.ones_like(a_norms)
-        for i, (an, en) in enumerate(zip(a_norms, e_norms)):
-            if an == 0.0:
-                continue
-            if en >= an:
-                raise NoiseDominatesError(axis_name, i)
-            out[i] = (1.0 - en / an) / denom
-        return out
+        live = a_norms > 0.0
+        dominated = np.flatnonzero(live & (e_norms >= a_norms))
+        if dominated.size:
+            raise NoiseDominatesError(axis_name, int(dominated[0]))
+        return np.where(live, (1.0 - e_norms / np.where(live, a_norms, 1.0)) / denom, 1.0)
 
     beta_per_row = floors(np.linalg.norm(a, axis=1), np.linalg.norm(e, axis=1), ROWS)
     alpha_per_col = floors(np.linalg.norm(a, axis=0), np.linalg.norm(e, axis=0), COLS)

@@ -57,6 +57,12 @@ def test_sample_size_domain_error_exits_2(capsys):
     assert cli_main(["sample-size", "--r", "5", "--eps", "1.5", "--delta", "0.5"]) == 2
 
 
+def test_sample_size_takes_no_seed_or_tol(capsys):
+    for flag in ("--tol", "--seed"):
+        assert cli_main(["sample-size", "--r", "5", "--eps", "0.5", "--delta", "0.5",
+                         flag, "1"]) == 2
+
+
 def test_deim_on_exact_rank_file(matrix_file, capsys):
     assert cli_main(["deim", "--in", str(matrix_file), "--k", "3"]) == 0
     out = capsys.readouterr().out

@@ -5,8 +5,8 @@ import pytest
 
 from curlowrank.cur import approx_error, build_cur, randomized_cur, verify_characterization
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, pseudoinverse
-from curlowrank.sampling import ProbDist, length_dist, uniform_dist
+from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, pseudoinverse
+from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
 
 from conftest import rank_k
 
@@ -80,6 +80,20 @@ class TestCharacterization:
             rhs = pseudoinverse(f.C) @ a @ pseudoinverse(f.R)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
+    def test_factors_are_build_cur_at_a_cutoff(self, rng):
+        a = rank_k(9, 8, 3, rng)
+        rows, cols = IndexSet([0, 3, 3, 7], ROWS), IndexSet([1, 2, 6], COLS)
+        got = verify_characterization(a, rows, cols).factors
+        want = build_cur(a, rows, cols, compact_svd(a).tolerance_used)
+        assert (got.I, got.J) == (want.I, want.J)
+        for name in ("C", "U", "R", "U_pinv"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_swapped_axes_rejected_like_build_cur(self, rng):
+        a = rank_k(6, 5, 2, rng)
+        with pytest.raises(ValueError, match="build_cur needs"):
+            verify_characterization(a, IndexSet([2, 3], COLS), IndexSet([0, 1], ROWS))
+
 
 class TestRandomizedCur:
     def test_rank_one_single_draw(self, rng):
@@ -112,6 +126,13 @@ class TestRandomizedCur:
         deduped = randomized_cur(a, rd, cd, 8, 8, trial_generator(5, 1), dedup=True)
         tol = 1e-8 * np.linalg.norm(a)
         assert (approx_error(a, plain) <= tol) == (approx_error(a, deduped) <= tol)
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_draws_the_indices_of_draw_indices(self, rng, dedup):
+        a = rank_k(12, 10, 3, rng)
+        rd, cd = length_dist(a, ROWS), length_dist(a, COLS)
+        f = randomized_cur(a, rd, cd, 9, 7, trial_generator(8, 2), dedup=dedup)
+        assert (f.I, f.J) == draw_indices(rd, cd, 9, 7, trial_generator(8, 2), dedup)
 
     def test_axis_mismatch_rejected(self, rng):
         a = rank_k(6, 5, 2, rng)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from curlowrank.errors import DivisionByZeroWeightError, DomainError, NoiseDominatesError
-from curlowrank.linalg import COLS, ROWS, condition_number, stable_rank
+from curlowrank.cur import verify_characterization
+from curlowrank.linalg import COLS, ROWS, IndexSet, condition_number, stable_rank
 from curlowrank.sampling import (
     ProbDist,
     StabilityParams,
@@ -61,7 +62,57 @@ class TestUniformFloor:
         assert np.all(1.0 / 8 >= params.beta_per_row**2 * q_row - 1e-12)
 
 
+def _noisy_floors_loop(a, e):
+    """``(beta_per_row, alpha_per_col)`` by a per-index loop: the reference for the array form."""
+    denom = 1.0 + float(np.linalg.norm(e)) / float(np.linalg.norm(a))
+    out = []
+    for axis, name in ((1, ROWS), (0, COLS)):
+        floors = np.ones(a.shape[1 - axis])
+        for i, (an, en) in enumerate(zip(np.linalg.norm(a, axis=axis), np.linalg.norm(e, axis=axis))):
+            if an == 0.0:
+                continue
+            if en >= an:
+                raise NoiseDominatesError(name, i)
+            floors[i] = (1.0 - en / an) / denom
+        out.append(floors)
+    return tuple(out)
+
+
 class TestNoisyFloor:
+    def test_matches_loop_reference(self, rng):
+        named = set()
+        for trial in range(40):
+            a = rank_k(9, 7, 3, rng)
+            a[rng.integers(9)] = 0.0
+            a[:, rng.integers(7)] = 0.0
+            e = 0.05 * rng.standard_normal(a.shape)
+            if trial % 2:  # one dominated index, on either axis
+                i = int(rng.integers(7))
+                if trial % 4 == 1:
+                    e[i] += 2.0 * a[i] + 0.5
+                else:
+                    e[:, i] += 2.0 * a[:, i] + 0.5
+            try:
+                want = _noisy_floors_loop(a, e)
+            except NoiseDominatesError as ref:
+                with pytest.raises(NoiseDominatesError) as exc:
+                    noisy_stability_floor(a, e)
+                assert (exc.value.axis, exc.value.index) == (ref.axis, ref.index)
+                named.add(ref.axis)
+                continue
+            params = noisy_stability_floor(a, e)
+            np.testing.assert_array_equal(params.beta_per_row, want[0])
+            np.testing.assert_array_equal(params.alpha_per_col, want[1])
+        assert named == {ROWS, COLS}
+
+    def test_rows_named_before_columns(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        e = np.zeros_like(a)
+        e[2, 0] = 2.0  # dominates row 2 and column 0
+        with pytest.raises(NoiseDominatesError) as exc:
+            noisy_stability_floor(a, e)
+        assert (exc.value.axis, exc.value.index) == (ROWS, 2)
+
     def test_zero_noise_gives_ones(self, rng):
         a = rank_k(6, 5, 2, rng)
         params = noisy_stability_floor(a, np.zeros_like(a))
@@ -218,3 +269,21 @@ class TestSampleSizes:
             sample_size_leverage(2, 1.5, 0.5)
         with pytest.raises(DomainError):
             sample_size_length_via_lev(2.0, 0.5, 2, 0.5)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_extreme_scale_gives_unscaled_results(rng, scale):
+    # squared entries of A near 1e170 or 1e-170 leave the float range unless scaled first
+    a = rank_k(30, 20, 3, rng)
+    a[4] = 0.0
+    a[:, 7] = 0.0
+    e = 1e-3 * rng.standard_normal(a.shape)
+    for axis in (ROWS, COLS):
+        np.testing.assert_allclose(length_dist(scale * a, axis).weights,
+                                   length_dist(a, axis).weights, rtol=1e-14)
+    for got, want in ((uniform_stability_floor(scale * a), uniform_stability_floor(a)),
+                      (noisy_stability_floor(scale * a, scale * e), noisy_stability_floor(a, e))):
+        np.testing.assert_allclose(got.beta_per_row, want.beta_per_row, rtol=1e-14)
+        np.testing.assert_allclose(got.alpha_per_col, want.alpha_per_col, rtol=1e-14)
+    report = verify_characterization(scale * a, IndexSet(range(30), ROWS), IndexSet(range(20), COLS))
+    assert report.all_hold and report.u_pinv_identity

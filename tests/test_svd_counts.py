@@ -9,7 +9,7 @@ import pytest
 
 from curlowrank.cli import cli_main
 from curlowrank.cur import verify_characterization
-from curlowrank.harness import lowrank_gaussian, trial_generator
+from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet
 from curlowrank.mmio import write_matrix
 from curlowrank.sampling import axis_dists
@@ -60,3 +60,12 @@ def test_cli_svd_takes_one_svd(a, tmp_path, svd_calls, capsys):
     out = capsys.readouterr().out
     assert "numerical_rank: 3" in out and "condition_number:" in out
     assert svd_calls == [(12, 10)]
+
+
+def test_clustering_trial_factors_each_matrix_once(svd_calls):
+    # the generator's rank check of the stacked data, then A, C, R and U once each
+    cfg = ExperimentConfig(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10),
+                           d_grid=(16,), trials=1)
+    records, _ = run_experiment(cfg)
+    assert len(records) == 1
+    assert sorted(svd_calls) == sorted([(20, 30), (20, 30), (20, 16), (16, 30), (16, 16)])
