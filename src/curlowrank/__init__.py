@@ -62,7 +62,7 @@ from .linalg import (
     as_matrix,
     compact_svd,
     condition_number,
-    default_tolerance,
+    frobenius_norm,
     numerical_rank,
     pseudoinverse,
     stable_rank,
@@ -72,7 +72,6 @@ from .mmio import read_matrix, write_matrix
 from .sampling import (
     SCHEMES,
     ProbDist,
-    SampleSizeSpec,
     StabilityParams,
     axis_dists,
     dedup_indices,

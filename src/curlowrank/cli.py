@@ -11,10 +11,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .cluster import parse_model_spec
-from .cur import approx_error, randomized_cur
+from .cur import approx_error, randomized_cur, relative_errors
 from .deim import deim_cur
 from .errors import ConfigError, DomainError, ZeroMatrixError
 from .harness import (
@@ -23,11 +21,10 @@ from .harness import (
     config_from_mapping,
     config_from_text,
     emit_csv,
-    relative_errors,
     run_experiment,
     trial_generator,
 )
-from .linalg import compact_svd
+from .linalg import compact_svd, frobenius_norm
 from .mmio import read_matrix
 from .sampling import (
     SCHEMES,
@@ -77,7 +74,7 @@ def _cmd_cur(args):
                              dedup=args.dedup, tol=args.tol)
     rel_2, rel_f = relative_errors(a, factors)
     _emit([
-        f"scheme: {factors.scheme_tag}",
+        f"scheme: {row_dist.scheme}/{col_dist.scheme}",
         "rows: " + " ".join(str(i) for i in factors.I),
         "cols: " + " ".join(str(j) for j in factors.J),
         f"rel_err_F: {rel_f:.17g}",
@@ -89,7 +86,7 @@ def _cmd_cur(args):
 def _cmd_deim(args):
     a = read_matrix(args.infile)
     factors = deim_cur(a, args.k, args.tol)
-    rel_f = approx_error(a, factors, "frobenius") / np.linalg.norm(a)
+    rel_f = approx_error(a, factors, "frobenius") / frobenius_norm(a)
     _emit([
         "rows: " + " ".join(str(i) for i in factors.I),
         "cols: " + " ".join(str(j) for j in factors.J),

@@ -1,4 +1,4 @@
-"""CUR factor construction, the five-way rank-equivalence check, and sampling pipelines.
+"""CUR construction and error measures, the five-way rank-equivalence check, sampling pipelines.
 
 A CUR decomposition picks column indices J and row indices I of a matrix A
 and forms ``C = A(:, J)``, ``R = A(I, :)``, ``U = A(I, J)``; the
@@ -24,6 +24,7 @@ from .linalg import (
     IndexSet,
     _rank_pinv_cutoff,
     as_matrix,
+    frobenius_norm,
     pseudoinverse,
     submatrix,
     unit_scaled,
@@ -43,7 +44,6 @@ class CurFactors:
     U: np.ndarray
     R: np.ndarray
     U_pinv: np.ndarray
-    scheme_tag: str = "manual"
 
     def approximation(self) -> np.ndarray:
         """The product ``C U^+ R``."""
@@ -58,11 +58,10 @@ def _submatrices(a, rows: IndexSet, cols: IndexSet) -> tuple:
     return c, submatrix(a, rows), submatrix(c, rows)
 
 
-def build_cur(a, rows: IndexSet, cols: IndexSet, tol=None, scheme_tag="manual") -> CurFactors:
+def build_cur(a, rows: IndexSet, cols: IndexSet, tol=None) -> CurFactors:
     """Extract ``C, U, R`` for the given index sets; ``U^+`` is truncated at ``tol``."""
     c, r, u = _submatrices(as_matrix(a), rows, cols)
-    return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=pseudoinverse(u, tol),
-                      scheme_tag=scheme_tag)
+    return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=pseudoinverse(u, tol))
 
 
 def approx_error(a, factors: CurFactors, norm="frobenius") -> float:
@@ -70,7 +69,7 @@ def approx_error(a, factors: CurFactors, norm="frobenius") -> float:
     a = as_matrix(a)
     resid = a - factors.approximation()
     if norm == "frobenius":
-        return float(np.linalg.norm(resid))
+        return frobenius_norm(resid)
     if norm == "spectral":
         return float(np.linalg.norm(resid, 2))
     raise ValueError(f"norm must be 'spectral' or 'frobenius', got {norm!r}")
@@ -119,6 +118,13 @@ def _relative(resid, ref):
     if size > 0.0:
         return err / size
     return 0.0 if err == 0.0 else float("inf")
+
+
+def relative_errors(a, factors: CurFactors) -> tuple:
+    """``(rel_2, rel_F)``: the spectral and Frobenius norms of ``A - C U^+ R`` over those of A."""
+    a = as_matrix(a)
+    resid = a - factors.approximation()
+    return float(np.linalg.norm(resid, 2)) / np.linalg.norm(a, 2), _relative(resid, a)
 
 
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:
@@ -177,5 +183,4 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
         raise ValueError("row_dist must be a distribution over the rows of a")
     if col_dist.axis != COLS or col_dist.size != n:
         raise ValueError("col_dist must be a distribution over the columns of a")
-    return build_cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol,
-                     scheme_tag=f"{row_dist.scheme}/{col_dist.scheme}")
+    return build_cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)

@@ -72,7 +72,7 @@ def deim_cur(a, k, tol=None) -> CurFactors:
         )
     cols = deim_select(f.right[:, :k], k, axis=COLS).indices
     rows = deim_select(f.left[:, :k], k, axis=ROWS).indices
-    return build_cur(a, rows, cols, tol, scheme_tag="deim")
+    return build_cur(a, rows, cols, tol)
 
 
 @dataclass(frozen=True)

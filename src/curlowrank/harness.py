@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -35,9 +35,10 @@ from .cluster import (
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
 )
-from .cur import approx_error, build_cur, randomized_cur, verify_characterization
+from .cur import approx_error, build_cur, randomized_cur, relative_errors, verify_characterization
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
+from .linalg import frobenius_norm
 from .sampling import SCHEMES, axis_dists, draw_indices, min_sample_size_rv, noisy_stability_floor
 
 KINDS = ("success_prob", "noise_stability", "deim_check", "clustering")
@@ -57,6 +58,16 @@ class TrialRecord:
     rel_error_spectral: float
     rel_error_frobenius: float
     wall_time_ms: float
+
+
+# The fields each kind never reads; a config giving one a non-default value is rejected.
+_UNREAD = {
+    "success_prob": ("sigma", "dims", "points"),
+    "noise_stability": ("dims", "points"),
+    "deim_check": ("scheme", "sigma", "d_grid", "eps", "delta", "big_c", "sparsity", "dedup",
+                   "dims", "points"),
+    "clustering": ("n", "k", "sigma", "eps", "delta", "big_c", "kappa", "sparsity"),
+}
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"must be one of {KINDS}", field="kind")
+        for f in fields(self):
+            if f.name in _UNREAD[self.kind] and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.kind} does not read this field; leave it out",
+                                  field=f.name)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"must be one of {SCHEMES}", field="scheme")
         if self.trials < 1:
@@ -95,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError("must be >= 0", field="sigma")
         if not (0.0 <= self.sparsity < 1.0):
             raise ConfigError("must lie in [0, 1)", field="sparsity")
-        if self.sparsity > 0.0 and self.kind == "deim_check":
-            raise ConfigError("deim_check zeroes no columns; give sparsity 0", field="sparsity")
         if self.kappa is not None and not self.kappa >= 1.0:
             raise ConfigError("condition number must be >= 1", field="kappa")
         if self.tol <= 0.0:
@@ -104,9 +117,6 @@ class ExperimentConfig:
         if self.d_grid is not None:
             if not self.d_grid or min(self.d_grid) < 1:
                 raise ConfigError("grid must be nonempty with values >= 1", field="d_grid")
-            if self.kind == "deim_check":
-                raise ConfigError("deim_check selects exactly k indices; give no grid",
-                                  field="d_grid")
             if self.kind == "clustering" and len(self.d_grid) > 1:
                 raise ConfigError("clustering takes a single draw count", field="d_grid")
         if self.kind == "clustering":
@@ -236,13 +246,6 @@ def _sampled_cur(cfg, a, d, rng, k):
     return randomized_cur(a, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
 
 
-def relative_errors(a, factors):
-    """Spectral and Frobenius errors of a CUR relative to the same norms of ``a``."""
-    resid = a - factors.approximation()
-    return (float(np.linalg.norm(resid, 2)) / np.linalg.norm(a, 2),
-            float(np.linalg.norm(resid)) / np.linalg.norm(a))
-
-
 # Each trial maps (cfg, d, rng) to (success, rel_err_2, rel_err_F, extras), or to
 # None for a skipped trial; the caller owns the stream, the clock and the records.
 def _success_trial(cfg, d, rng):
@@ -266,10 +269,11 @@ def _noise_trial(cfg, d, rng):
         return None
     noisy = _sampled_cur(cfg, a + e, d, rng, cfg.k)
     clean = build_cur(a, noisy.I, noisy.J)
-    success = approx_error(a, clean, "frobenius") / np.linalg.norm(a) <= cfg.tol
+    norm_f = frobenius_norm(a)
+    success = approx_error(a, clean, "frobenius") / norm_f <= cfg.tol
     resid = a - noisy.approximation()
     err_2 = float(np.linalg.norm(resid, 2))
-    rel_f = float(np.linalg.norm(resid)) / np.linalg.norm(a)
+    rel_f = frobenius_norm(resid) / norm_f
     ratio = err_2 / cfg.sigma if cfg.sigma > 0.0 else float("nan")
     return success, err_2, rel_f, {"alpha": floors.alpha, "beta": floors.beta, "ratio": ratio}
 
@@ -387,7 +391,7 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def _format_value(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -402,16 +406,7 @@ def emit_csv(records, summary, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fh.write(",".join([
-                str(r.trial_index),
-                r.scheme,
-                str(r.d1),
-                str(r.d2),
-                "1" if r.success else "0",
-                _format_value(r.rel_error_spectral),
-                _format_value(r.rel_error_frobenius),
-                _format_value(r.wall_time_ms),
-            ]) + "\n")
+            fh.write(",".join(_format_value(value) for value in astuple(r)) + "\n")
         fh.write("# summary\n")
         for group in groups:
             parts = [f"{key}={_format_value(val)}" for key, val in group.items()]

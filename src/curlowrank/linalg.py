@@ -39,15 +39,10 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def default_tolerance(shape, sigma_max) -> float:
-    """Rank cutoff ``max(m, n) * eps * sigma_1`` used everywhere by default."""
-    return max(shape) * _EPS * float(sigma_max)
-
-
 def rank_cutoff(s, shape, tol=None) -> tuple:
-    """``(rank, tol)``: the count of singular values ``s`` above ``tol`` (default :func:`default_tolerance`)."""
+    """``(rank, tol)``: how many of ``s`` exceed ``tol``, by default ``max(m, n) * eps * s[0]``."""
     if tol is None:
-        tol = default_tolerance(shape, s[0])
+        tol = max(shape) * _EPS * float(s[0])
     return int(np.count_nonzero(s > tol)), float(tol)
 
 
@@ -111,12 +106,9 @@ class SvdFactors:
 
 def _fix_signs(w, vt):
     """Make the largest-magnitude entry of each left singular vector nonnegative."""
-    for j in range(w.shape[1]):
-        i = int(np.argmax(np.abs(w[:, j])))
-        if w[i, j] < 0.0:
-            w[:, j] = -w[:, j]
-            vt[j, :] = -vt[j, :]
-    return w, vt
+    peak = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    sign = np.where(peak < 0.0, -1.0, 1.0)
+    return w * sign, vt * sign[:, None]
 
 
 def compact_svd(a, tol=None) -> SvdFactors:
@@ -131,7 +123,7 @@ def compact_svd(a, tol=None) -> SvdFactors:
     k, tol = rank_cutoff(s, a.shape, tol)
     if k == 0:
         raise ZeroMatrixError("all singular values are at or below the tolerance")
-    w, vt = _fix_signs(w[:, :k].copy(), vt[:k, :].copy())
+    w, vt = _fix_signs(w[:, :k], vt[:k, :])
     return SvdFactors(
         left=w,
         singular_values=s[:k].copy(),
@@ -165,6 +157,12 @@ def pseudoinverse(a, tol=None) -> np.ndarray:
     return _rank_pinv_cutoff(a, tol)[1]
 
 
+def _unit_shift(a) -> int:
+    """The exponent ``j`` for which ``2**j * max|a|`` lies nearest 1 (0 for a zero matrix)."""
+    peak = max(float(a.max()), -float(a.min()))
+    return -round(math.log2(peak)) if peak > 0.0 else 0
+
+
 def unit_scaled(a, e=None):
     """``a``, or the pair ``(a, e)``, divided by the power of two nearest max|a|.
 
@@ -174,11 +172,21 @@ def unit_scaled(a, e=None):
     ``e`` is scaled alongside ``a`` without validation.
     """
     a = as_matrix(a)
-    peak = max(float(a.max()), -float(a.min()))
-    shift = -round(math.log2(peak)) if peak > 0.0 else 0
+    shift = _unit_shift(a)
     if e is None:
         return np.ldexp(a, shift)
     return np.ldexp(a, shift), np.ldexp(e, shift)
+
+
+def frobenius_norm(a) -> float:
+    """``||a||_F`` of :func:`unit_scaled` ``a``, scaled back; no square over- or underflows.
+
+    In-range inputs give the bits of ``np.linalg.norm(a)``, since both
+    scalings are by a power of two.
+    """
+    a = as_matrix(a)
+    shift = _unit_shift(a)
+    return math.ldexp(float(np.linalg.norm(np.ldexp(a, shift))), -shift)
 
 
 def stable_rank(a) -> float:

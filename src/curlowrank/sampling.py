@@ -180,25 +180,6 @@ def rescaled_submatrix(a, index_set: IndexSet, dist: ProbDist, d) -> np.ndarray:
     return a[:, idx] * scale[None, :]
 
 
-@dataclass(frozen=True)
-class SampleSizeSpec:
-    """Bundle of sampling parameters and the row/column draw counts they imply."""
-
-    r: float
-    k: int
-    eps: float
-    delta: float
-    big_c: float
-    d1: int
-    d2: int
-
-    @classmethod
-    def from_parameters(cls, r, k, eps, delta, big_c=1.0) -> "SampleSizeSpec":
-        d = min_sample_size_rv(r, eps, delta, big_c)
-        return cls(r=float(r), k=int(k), eps=float(eps), delta=float(delta),
-                   big_c=float(big_c), d1=d, d2=d)
-
-
 def min_sample_size_rv(r, eps, delta, big_c=1.0) -> int:
     """Draw count ``ceil(C * x * log x)`` with ``x = r / (eps^4 * delta)``.
 

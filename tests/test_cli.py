@@ -71,11 +71,21 @@ def test_deim_on_exact_rank_file(matrix_file, capsys):
     assert resid <= 1e-8
 
 
+def test_deim_error_is_finite_at_extreme_scale(tmp_path, rng, capsys):
+    # the squares of 1e170-sized entries overflow unless the norm is scaled first
+    path = tmp_path / "big.mtx"
+    write_matrix(1e170 * lowrank_gaussian(12, 10, 3, rng), path)
+    assert cli_main(["deim", "--in", str(path), "--k", "3"]) == 0
+    resid = float(capsys.readouterr().out.strip().splitlines()[-1].split(":")[1])
+    assert np.isfinite(resid) and resid <= 1e-8
+
+
 def test_cur_subcommand(matrix_file, capsys):
     assert cli_main(["cur", "--in", str(matrix_file), "--scheme", "length",
                      "--d1", "8", "--d2", "8", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "rel_err_F:" in out
+    assert "scheme: length/length" in out
 
 
 def test_experiment_from_config_deterministic(tmp_path, capsys):
@@ -125,6 +135,12 @@ def test_experiment_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("kind = success_prob\nm = 8\nn = 8\nk = 99\nd_grid = 4\n")
     assert cli_main(["experiment", "--config", str(config)]) == 2
+
+
+def test_experiment_field_the_kind_never_reads_exits_2(capsys):
+    assert cli_main(["experiment", "--kind", "deim_check", "--m", "12", "--n", "10", "--k", "2",
+                     "--scheme", "uniform", "--trials", "2"]) == 2
+    assert "scheme" in capsys.readouterr().err
 
 
 def test_experiment_kappa_below_one_exits_2(capsys):

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from curlowrank.cur import approx_error, build_cur, randomized_cur, verify_characterization
+from curlowrank.cur import (
+    approx_error,
+    build_cur,
+    randomized_cur,
+    relative_errors,
+    verify_characterization,
+)
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, pseudoinverse
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
@@ -174,3 +180,23 @@ class TestApproxError:
         f = build_cur(a, IndexSet([0], ROWS), IndexSet([0], COLS))
         with pytest.raises(ValueError):
             approx_error(a, f, "nuclear")
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170])
+    def test_extreme_scale_is_finite(self, rng, scale):
+        # the residual's squares overflow at 1e170 and underflow to 0 at 1e-170 unless scaled
+        a = scale * rank_k(30, 20, 3, rng)
+        f = build_cur(a, IndexSet(range(30), ROWS), IndexSet(range(20), COLS))
+        for err in (*relative_errors(a, f), approx_error(a, f) / scale,
+                    approx_error(a, f, "spectral") / scale):
+            assert np.isfinite(err) and err <= 1e-8
+        assert approx_error(a, f) > 0.0
+
+
+class TestRelativeErrors:
+    def test_in_range_bits_equal_plain_norm_ratios(self, rng):
+        a = rank_k(20, 16, 4, rng)
+        f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), 5, 5,
+                           trial_generator(3, 0))
+        resid = a - f.approximation()
+        assert relative_errors(a, f) == (np.linalg.norm(resid, 2) / np.linalg.norm(a, 2),
+                                         np.linalg.norm(resid) / np.linalg.norm(a))

@@ -77,6 +77,20 @@ class TestConfig:
             ExperimentConfig(kind="deim_check", m=15, n=12, k=3, sparsity=0.5)
         assert exc.value.field == "sparsity"
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("clustering", "kappa", 10.0),
+        ("deim_check", "scheme", "uniform"),
+        ("success_prob", "sigma", 1e-3),
+    ])
+    def test_rejects_fields_the_kind_never_reads(self, kind, field, value):
+        base = {"clustering": dict(m=12, dims=(2, 2), points=(6, 6)),
+                "deim_check": dict(m=15, n=12, k=3),
+                "success_prob": dict(m=15, n=12, k=3, d_grid=(6,))}[kind]
+        ExperimentConfig(kind=kind, **base)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind=kind, **base, **{field: value})
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("kappa", [0.5, 0.0, -2.0, float("nan")])
     def test_kappa_below_one_rejected(self, kappa):
         with pytest.raises(ConfigError) as exc:
@@ -237,6 +251,12 @@ class TestEmitCsv:
         assert lines[1] == "0,length,4,4,1,1.2499999999999999e-12,2.4999999999999999e-13,0"
         assert lines[2] == "# summary"
         assert lines[3] == "# scheme=length successes=1"
+
+    def test_numpy_bool_success_prints_as_flag(self, tmp_path):
+        path = tmp_path / "flags.csv"
+        recs = [TrialRecord(i, "length", 4, 4, np.bool_(i == 0), 0.5, 0.25, 0.0) for i in range(2)]
+        emit_csv(recs, {"groups": []}, path)
+        assert [l.split(",")[4] for l in path.read_text().splitlines()[1:3]] == ["1", "0"]
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",

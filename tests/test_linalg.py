@@ -6,9 +6,11 @@ from curlowrank.linalg import (
     COLS,
     ROWS,
     IndexSet,
+    _fix_signs,
     as_matrix,
     compact_svd,
     condition_number,
+    frobenius_norm,
     numerical_rank,
     pseudoinverse,
     stable_rank,
@@ -190,3 +192,43 @@ class TestSubmatrix:
         via_rows = submatrix(submatrix(a, rows), cols)
         via_cols = submatrix(submatrix(a, cols), rows)
         np.testing.assert_array_equal(via_rows, via_cols)
+
+
+class TestFrobeniusNorm:
+    def test_in_range_bits_equal_numpy(self, rng):
+        for m, n in ((1, 1), (3, 7), (40, 30), (200, 5)):
+            for scale in (1.0, 1e-100, 1e100):
+                x = scale * rng.standard_normal((m, n))
+                assert frobenius_norm(x) == np.linalg.norm(x)
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170, 1e300, 1e-300])
+    def test_extreme_scale(self, rng, scale):
+        x = rng.standard_normal((30, 20))
+        assert frobenius_norm(scale * x) == pytest.approx(scale * np.linalg.norm(x), rel=1e-14)
+
+    def test_zero_matrix(self):
+        assert frobenius_norm(np.zeros((3, 2))) == 0.0
+
+
+def _fix_signs_loop(w, vt):
+    """The per-column sign rule, kept as the reference for the vectorized one."""
+    w, vt = w.copy(), vt.copy()
+    for j in range(w.shape[1]):
+        i = int(np.argmax(np.abs(w[:, j])))
+        if w[i, j] < 0.0:
+            w[:, j] = -w[:, j]
+            vt[j, :] = -vt[j, :]
+    return w, vt
+
+
+def test_fix_signs_matches_per_column_loop(rng):
+    # ties in magnitude (first one wins), signed zeros and exact duplicates included
+    w = np.round(rng.standard_normal((9, 6)), 1)
+    w[:, 0] = [0.5, -0.5, 0.5, -0.5, 0.0, -0.0, 0.1, 0.2, 0.3]
+    w[:, 1] = -w[:, 0]
+    w[:, 2] = [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]
+    vt = rng.standard_normal((6, 4))
+    got, want = _fix_signs(w, vt), _fix_signs_loop(w, vt)
+    for g, r in zip(got, want):
+        np.testing.assert_array_equal(g, r)
+        assert np.array_equal(np.signbit(g), np.signbit(r))

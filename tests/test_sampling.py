@@ -202,16 +202,6 @@ class TestColumnAxisRescaling:
         np.testing.assert_allclose(got, rescaled_submatrix(a.T, idx_t, dist_t, 6).T, atol=1e-14)
 
 
-class TestSampleSizeSpec:
-    def test_from_parameters_meets_floor(self):
-        from curlowrank.sampling import SampleSizeSpec
-
-        spec = SampleSizeSpec.from_parameters(r=3.0, k=3, eps=0.4, delta=0.3, big_c=1.5)
-        floor = min_sample_size_rv(3.0, 0.4, 0.3, 1.5)
-        assert spec.d1 == spec.d2 == floor
-        assert spec.big_c == 1.5
-
-
 class TestMinSampleSize:
     def test_x_equals_e(self):
         # r/(eps^4 delta) = e  =>  ceil(e * ln e) = 3
