@@ -4,6 +4,11 @@ Unlike the rerun checks elsewhere, these digests are fixed across commits, so
 a refactor that changes any output byte fails here.  The bytes are fixed for
 a given numpy/BLAS build and thread count; every matrix is kept at most
 50x40, a size at which the bytes also agree across BLAS thread counts.
+
+Each case has a second digest over the integer and flag fields only (the
+``trial,scheme,d1,d2,success`` columns and the integer summary fields): a
+change that moves the last bits of the float columns on purpose must still
+leave every drawn index and every success flag where it was.
 """
 
 import hashlib
@@ -46,8 +51,38 @@ CASES = {
 }
 
 
+# Integer and label fields of the summary lines; the float summaries are left out.
+FLAG_FIELDS = ("kind", "scheme", "d1", "d2", "trials", "completed", "skipped", "successes",
+               "exact_curs", "exact_and_perfect", "first_trial")
+
+FLAG_DIGESTS = {
+    "success_length": "dc80ea17b3d6413fc1c7750eb58090c277cfc1e873712a982212b5f109c33693",
+    "success_leverage_kappa": "67db557c6ddc6a9885323acc180922433319ffae83a0fe1f118abf7bc620ae09",
+    "success_uniform_sparse_dedup": "e6a3114b339e321e85ef04b62309d3294c8179feba4397e059b871ca596f6a38",
+    "noise_two_points": "0cec659f3b485bc89dd0ac9837c6bed02bd13dbf60e818590dc06b1cd1eea6a2",
+    "deim": "fa928a8c1dc40e87e5d906f60408f2150835a9f05f9451e8e1c70e178755f65f",
+    "clustering": "dd67fcf1aa8ea410332cde9fe06e5925f640d8d02dc1e4d94bde1e2e8a9eb836",
+    "cli_experiment_config": "d2b16f30a1a2c1f13ac47dfd7fdb289162b07b16b369ee138121ea2909cafe54",
+    "cli_cluster_spec": "48e9a5362061beb040c3aa1fec487f8731f32ca1ea98ec227b5713be4f6bb34c",
+}
+
+
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def flag_sha(path):
+    """sha256 of the trial rows' first five columns and the integer summary fields."""
+    kept = []
+    for line in path.read_text().splitlines():
+        if line == "# summary":
+            continue
+        if line.startswith("# "):
+            group = dict(part.split("=", 1) for part in line[2:].split(" "))
+            kept.append(" ".join(f"{key}={group[key]}" for key in FLAG_FIELDS if key in group))
+        else:
+            kept.append(",".join(line.split(",")[:5]))
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -58,12 +93,20 @@ def test_experiment_csv_digest(name, tmp_path):
     assert sha(path) == digest
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_experiment_flag_digest(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    emit_csv(*run_experiment(ExperimentConfig(**CASES[name][0])), path)
+    assert flag_sha(path) == FLAG_DIGESTS[name]
+
+
 def test_cli_experiment_config_digest(tmp_path, capsys):
     config = tmp_path / "exp.cfg"
     config.write_text("kind = success_prob\nm = 24\nn = 20\nk = 3\nscheme = length\n"
                       "d_grid = 3, 6\ntrials = 10\nmaster_seed = 307\n")
     out = tmp_path / "exp.csv"
     assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+    assert flag_sha(out) == FLAG_DIGESTS["cli_experiment_config"]
     assert sha(out) == "cbf0684fa77219c9c4b97ffa647415ab54246ea62ebda75002cab2dcacd8f436"
 
 
@@ -73,4 +116,5 @@ def test_cli_cluster_spec_digest(tmp_path, capsys):
     out = tmp_path / "cluster.csv"
     assert cli_main(["cluster", "--spec", str(spec), "--d", "10", "--trials", "6",
                      "--out", str(out)]) == 0
+    assert flag_sha(out) == FLAG_DIGESTS["cli_cluster_spec"]
     assert sha(out) == "06e3916fe700999467a7a10595c8ca764575db1abb146ec80f8f9f570366d694"
