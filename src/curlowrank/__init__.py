@@ -48,6 +48,7 @@ from .harness import (
     config_from_mapping,
     config_from_text,
     emit_csv,
+    lowrank_factors,
     lowrank_gaussian,
     run_experiment,
     spectral_noise,
@@ -62,6 +63,8 @@ from .linalg import (
     as_matrix,
     compact_svd,
     condition_number,
+    factored_norms,
+    factored_svd,
     frobenius_norm,
     numerical_rank,
     pseudoinverse,

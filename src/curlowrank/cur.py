@@ -8,8 +8,10 @@ equivalent formulations of that statement numerically and reports them
 side by side; they must agree on every instance.
 
 Exactness is declared at relative Frobenius tolerance 1e-8 by default.
-Rank decisions for C, U, R reuse the numerical-rank cutoff of the source
-matrix A, since per-submatrix cutoffs can misclassify a near-singular U.
+Rank decisions for C, U, R use the numerical-rank cutoff of the source
+matrix A, since per-submatrix cutoffs can misclassify a near-singular U;
+only where repeated indices make a submatrix's own default cutoff larger
+is that one used, so its roundoff never counts toward its rank.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .linalg import (
     IndexSet,
     _rank_pinv_cutoff,
     as_matrix,
+    factored_norms,
     frobenius_norm,
     pseudoinverse,
     submatrix,
@@ -81,7 +84,7 @@ class CharacterizationReport:
 
     The booleans must be unanimous on every instance; ``u_pinv_identity``
     (``U^+ = C^+ A R^+``) is only meaningful when all five hold.  ``factors``
-    is the CUR behind the verdicts, with ``U^+`` truncated at A's cutoff.
+    is the CUR behind the verdicts, with ``U^+`` truncated at the verifier's cutoff.
     """
 
     rank_a: int
@@ -111,20 +114,34 @@ class CharacterizationReport:
         return all(self.verdicts)
 
 
-def _relative(resid, ref):
-    """``||resid||_F / ||ref||_F``, both scaled first so neither norm over- or underflows."""
-    ref, resid = unit_scaled(ref, resid)
-    err, size = float(np.linalg.norm(resid)), float(np.linalg.norm(ref))
+def _ratio(err, size) -> float:
+    """``err / size``, with 0/0 read as 0.0 and err/0 as inf."""
     if size > 0.0:
         return err / size
     return 0.0 if err == 0.0 else float("inf")
+
+
+def _relative(resid, ref):
+    """``||resid||_F / ||ref||_F``, both scaled first so neither norm over- or underflows."""
+    ref, resid = unit_scaled(ref, resid)
+    return _ratio(float(np.linalg.norm(resid)), float(np.linalg.norm(ref)))
 
 
 def relative_errors(a, factors: CurFactors) -> tuple:
     """``(rel_2, rel_F)``: the spectral and Frobenius norms of ``A - C U^+ R`` over those of A."""
     a = as_matrix(a)
     resid = a - factors.approximation()
-    return float(np.linalg.norm(resid, 2)) / np.linalg.norm(a, 2), _relative(resid, a)
+    rel_2 = _ratio(float(np.linalg.norm(resid, 2)), float(np.linalg.norm(a, 2)))
+    return rel_2, _relative(resid, a)
+
+
+def residual_norms(p, q, factors: CurFactors) -> tuple:
+    """``(||A - C U^+ R||_2, ||A - C U^+ R||_F)`` for ``A = p @ q.T``, without forming either.
+
+    The residual is the thin product ``[p, C] @ [q, -(U^+ R).T].T``.
+    """
+    return factored_norms(np.hstack([p, factors.C]),
+                          np.hstack([q, -(factors.U_pinv @ factors.R).T]))
 
 
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:
@@ -132,15 +149,16 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
 
     (i) rank(U) = rank(A); (ii) ``A = C U^+ R``; (iii) ``A = C C^+ A R^+ R``;
     (iv) ``A^+ = R^+ U C^+``; (v) rank(C) = rank(R) = rank(A).  Ranks and all
-    pseudoinverse truncations use the numerical-rank cutoff of A itself.
+    pseudoinverse truncations use the numerical-rank cutoff of A, raised for
+    C, R or U to its own default cutoff when that is larger.
     """
     a = as_matrix(a)
     c, r, u = _submatrices(a, rows, cols)
-    # a zero A leaves rank_tol None, and its zero submatrices get rank 0 as well
+    # a zero A has cutoff 0.0, and its zero submatrices get rank 0 as well
     rank_a, a_pinv, rank_tol = _rank_pinv_cutoff(a)
-    rank_c, c_pinv, _ = _rank_pinv_cutoff(c, rank_tol)
-    rank_r, r_pinv, _ = _rank_pinv_cutoff(r, rank_tol)
-    rank_u, u_pinv, _ = _rank_pinv_cutoff(u, rank_tol)
+    rank_c, c_pinv, _ = _rank_pinv_cutoff(c, floor=rank_tol)
+    rank_r, r_pinv, _ = _rank_pinv_cutoff(r, floor=rank_tol)
+    rank_u, u_pinv, _ = _rank_pinv_cutoff(u, floor=rank_tol)
 
     rel_cur = _relative(a - c @ u_pinv @ r, a)
     rel_proj = _relative(a - c @ c_pinv @ a @ r_pinv @ r, a)

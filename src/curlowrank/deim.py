@@ -58,14 +58,16 @@ def deim_select(v, ell, axis=ROWS) -> DeimSelection:
     return DeimSelection(indices=IndexSet(tuple(chosen), axis), residual_maxima=tuple(maxima))
 
 
-def deim_cur(a, k, tol=None) -> CurFactors:
+def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
     """Exactly ``k`` rows and columns chosen greedily from the rank-k SVD factors.
 
     Columns come from the right singular vectors and rows from the left ones.
     When ``rank(A) = k`` the resulting decomposition reproduces A exactly.
+    ``svd`` is the caller's compact SVD of ``a``, if it holds one; otherwise
+    ``a`` is factored at ``tol``.
     """
     a = as_matrix(a)
-    f = compact_svd(a, tol)
+    f = compact_svd(a, tol) if svd is None else svd
     if f.numerical_rank < k:
         raise RankDeficientError(
             f"requested k={k} exceeds numerical rank {f.numerical_rank}"

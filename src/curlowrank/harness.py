@@ -11,12 +11,17 @@ the integer and flag columns are also fixed across BLAS thread counts.
 Per-trial wall time is recorded only when ``timing`` is enabled, since
 measured clocks would break byte-level reproducibility of the emitted CSV.
 
-Test matrices are Gaussian-factor products ``G1 @ G2^T`` (exactly rank k
-almost surely); an optional ``kappa`` reshapes the spectrum geometrically to
-hit a target condition number, ``sparsity`` zeroes a fraction of columns to
-exercise the uniform-vs-length sampling gap, and noise is an i.i.d. Gaussian
-matrix rescaled so its spectral norm matches the requested level against
-``||A||_2 = 1``.
+Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
+k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
+to hit a target condition number, ``sparsity`` zeroes a fraction of columns
+(rows of ``G2``) to exercise the uniform-vs-length sampling gap, and noise is
+an i.i.d. Gaussian matrix rescaled so its spectral norm matches the requested
+level against ``||A||_2 = 1``.
+
+The table kinds keep A as its factors and take its spectrum, leverage
+scores and residual norms from them; the dense A is formed only for the
+length weights, the submatrices and the noise floors.  Only ``A + E`` (for
+noisy leverage scores) and the clustering matrices are factored densely.
 """
 
 from __future__ import annotations
@@ -35,10 +40,10 @@ from .cluster import (
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
 )
-from .cur import approx_error, build_cur, randomized_cur, relative_errors, verify_characterization
+from .cur import build_cur, randomized_cur, relative_errors, residual_norms, verify_characterization
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import frobenius_norm
+from .linalg import factored_svd
 from .sampling import SCHEMES, axis_dists, draw_indices, min_sample_size_rv, noisy_stability_floor
 
 KINDS = ("success_prob", "noise_stability", "deim_check", "clustering")
@@ -112,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("must lie in [0, 1)", field="sparsity")
         if self.kappa is not None and not self.kappa >= 1.0:
             raise ConfigError("condition number must be >= 1", field="kappa")
+        if self.kappa is not None and self.kappa > 1.0 and self.k == 1:
+            raise ConfigError("a rank-1 matrix has condition number 1", field="kappa")
         if self.tol <= 0.0:
             raise ConfigError("must be positive", field="tol")
         if self.d_grid is not None:
@@ -203,14 +210,20 @@ def trial_generator(master_seed, trial_index) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def lowrank_factors(m, n, k, rng, kappa=None) -> tuple:
+    """Factors ``(p, q)`` of :func:`lowrank_gaussian`'s matrix ``p @ q.T``."""
+    p, q = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+    if kappa is not None and k > 1:
+        f = factored_svd(p, q)
+        target = f.singular_values[0] * float(kappa) ** (-np.arange(k) / (k - 1.0))
+        p, q = f.left * target, f.right
+    return p, q
+
+
 def lowrank_gaussian(m, n, k, rng, kappa=None) -> np.ndarray:
     """Rank-k Gaussian-factor matrix, optionally reshaped to condition number ``kappa``."""
-    a = rng.standard_normal((m, k)) @ rng.standard_normal((n, k)).T
-    if kappa is not None and k > 1:
-        w, s, vt = np.linalg.svd(a, full_matrices=False)
-        target = s[0] * float(kappa) ** (-np.arange(k) / (k - 1.0))
-        a = (w[:, :k] * target) @ vt[:k, :]
-    return a
+    p, q = lowrank_factors(m, n, k, rng, kappa)
+    return p @ q.T
 
 
 def zero_out_columns(a, fraction, rng) -> np.ndarray:
@@ -237,20 +250,29 @@ def spectral_noise(shape, sigma, rng) -> np.ndarray:
 
 
 def _test_matrix(cfg, rng):
-    a = lowrank_gaussian(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
-    return zero_out_columns(a, cfg.sparsity, rng) if cfg.sparsity > 0.0 else a
+    """``(p, q, svd)``: the factors of a test matrix ``p @ q.T`` and its compact SVD."""
+    p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
+    if cfg.sparsity > 0.0:
+        q = zero_out_columns(q.T, cfg.sparsity, rng).T  # zero columns of A are zero rows of q
+    return p, q, factored_svd(p, q)
 
 
-def _sampled_cur(cfg, a, d, rng, k):
-    row_dist, col_dist = axis_dists(a, cfg.scheme, k)
+def _sampled_cur(cfg, a, d, rng, svd=None):
+    row_dist, col_dist = axis_dists(a, cfg.scheme, cfg.k, svd)
     return randomized_cur(a, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
+
+
+def _relative_errors(p, q, svd, factors):
+    """``(rel_2, rel_F)`` of a CUR of ``p @ q.T``, whose compact SVD is ``svd``."""
+    err_2, err_f = residual_norms(p, q, factors)
+    return err_2 / float(svd.singular_values[0]), err_f / svd.frobenius_norm()
 
 
 # Each trial maps (cfg, d, rng) to (success, rel_err_2, rel_err_F, extras), or to
 # None for a skipped trial; the caller owns the stream, the clock and the records.
 def _success_trial(cfg, d, rng):
-    a = _test_matrix(cfg, rng)
-    rel_2, rel_f = relative_errors(a, _sampled_cur(cfg, a, d, rng, cfg.k))
+    p, q, f = _test_matrix(cfg, rng)
+    rel_2, rel_f = _relative_errors(p, q, f, _sampled_cur(cfg, p @ q.T, d, rng, f))
     return rel_f <= cfg.tol, rel_2, rel_f, {}
 
 
@@ -260,27 +282,27 @@ def _noise_trial(cfg, d, rng):
     The row carries the noisy-factor errors (spectral absolute, Frobenius
     relative to A); a trial whose noise dominates a row or column is skipped.
     """
-    a = _test_matrix(cfg, rng)
-    a = a / np.linalg.norm(a, 2)
+    p, q, f = _test_matrix(cfg, rng)
+    p = p / f.singular_values[0]  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
+    norm_f = math.sqrt(f.stable_rank())
+    a = p @ q.T
     e = spectral_noise(a.shape, cfg.sigma, rng)
     try:
         floors = noisy_stability_floor(a, e)
     except NoiseDominatesError:
         return None
-    noisy = _sampled_cur(cfg, a + e, d, rng, cfg.k)
+    noisy = _sampled_cur(cfg, a + e, d, rng)
     clean = build_cur(a, noisy.I, noisy.J)
-    norm_f = frobenius_norm(a)
-    success = approx_error(a, clean, "frobenius") / norm_f <= cfg.tol
-    resid = a - noisy.approximation()
-    err_2 = float(np.linalg.norm(resid, 2))
-    rel_f = frobenius_norm(resid) / norm_f
+    success = residual_norms(p, q, clean)[1] / norm_f <= cfg.tol
+    err_2, err_f = residual_norms(p, q, noisy)
     ratio = err_2 / cfg.sigma if cfg.sigma > 0.0 else float("nan")
-    return success, err_2, rel_f, {"alpha": floors.alpha, "beta": floors.beta, "ratio": ratio}
+    return success, err_2, err_f / norm_f, {"alpha": floors.alpha, "beta": floors.beta,
+                                           "ratio": ratio}
 
 
 def _deim_trial(cfg, d, rng):
-    a = _test_matrix(cfg, rng)
-    rel_2, rel_f = relative_errors(a, deim_cur(a, cfg.k))
+    p, q, f = _test_matrix(cfg, rng)
+    rel_2, rel_f = _relative_errors(p, q, f, deim_cur(p @ q.T, cfg.k, svd=f))
     return rel_f <= cfg.tol, rel_2, rel_f, {}
 
 

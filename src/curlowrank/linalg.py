@@ -6,6 +6,10 @@ memory order; every public function validates its input through
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it.
 
+A thin product ``p @ q.T`` is factored through thin QRs of ``p`` and ``q``
+and its small core ``R_p @ R_q.T`` (Halko, Martinsson and Tropp,
+arXiv:0909.4061), in O((m + n) k^2) time instead of O(m n min(m, n)).
+
 The SVD carries a fixed sign convention (the largest-magnitude entry of each
 left singular vector is made nonnegative, first such entry on ties) so that
 singular vectors, and everything derived from them, are reproducible across
@@ -39,10 +43,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def rank_cutoff(s, shape, tol=None) -> tuple:
-    """``(rank, tol)``: how many of ``s`` exceed ``tol``, by default ``max(m, n) * eps * s[0]``."""
+def rank_cutoff(s, shape, tol=None, floor=0.0) -> tuple:
+    """``(rank, tol)``: how many of ``s`` exceed ``tol``.
+
+    ``tol`` defaults to ``max(m, n) * eps * s[0]``, or ``floor`` if that is larger.
+    """
     if tol is None:
-        tol = max(shape) * _EPS * float(s[0])
+        tol = max(floor, max(shape) * _EPS * float(s[0]))
     return int(np.count_nonzero(s > tol)), float(tol)
 
 
@@ -103,6 +110,10 @@ class SvdFactors:
         """``||A||_F^2 / ||A||_2^2`` from the full spectrum, scaled by sigma_1 first."""
         return float(np.sum((self.all_singular_values / self.all_singular_values[0]) ** 2))
 
+    def frobenius_norm(self) -> float:
+        """``||A||_F`` as ``sigma_1 * sqrt(stable rank)``."""
+        return float(self.all_singular_values[0]) * math.sqrt(self.stable_rank())
+
 
 def _fix_signs(w, vt):
     """Make the largest-magnitude entry of each left singular vector nonnegative."""
@@ -111,16 +122,50 @@ def _fix_signs(w, vt):
     return w * sign, vt * sign[:, None]
 
 
-def compact_svd(a, tol=None) -> SvdFactors:
-    """Compact SVD of ``a``, keeping singular values strictly above ``tol``.
+def compact_svd(a, tol=None, floor=0.0) -> SvdFactors:
+    """Compact SVD of ``a``, cut at :func:`rank_cutoff`'s ``tol`` or ``floor``.
 
     Raises ZeroMatrixError when every singular value falls at or below the
     cutoff (a rank-0 matrix has no compact SVD; use :func:`numerical_rank`
     if rank 0 is an acceptable answer).
     """
     a = as_matrix(a)
-    w, s, vt = np.linalg.svd(a, full_matrices=False)
-    k, tol = rank_cutoff(s, a.shape, tol)
+    return _truncated(*np.linalg.svd(a, full_matrices=False), a.shape, tol, floor)
+
+
+def _core(rp, rq):
+    """``(core, shift)``, ``rp @ rq.T == ldexp(core, -shift)``, each factor scaled near 1 first."""
+    sp, sq = _unit_shift(rp), _unit_shift(rq)
+    return np.ldexp(rp, sp) @ np.ldexp(rq, sq).T, sp + sq
+
+
+def factored_svd(p, q, tol=None) -> SvdFactors:
+    """Compact SVD of ``p @ q.T`` from thin QRs of the factors and an SVD of their core.
+
+    The cutoff and sign convention are :func:`compact_svd`'s for the m-by-n
+    product; ``all_singular_values`` is padded with zeros to length min(m, n).
+    """
+    p, q = as_matrix(p), as_matrix(q)
+    qp, rp = np.linalg.qr(p)
+    qq, rq = np.linalg.qr(q)
+    core, shift = _core(rp, rq)
+    w, s, vt = np.linalg.svd(core, full_matrices=False)
+    shape = (p.shape[0], q.shape[0])
+    s = np.concatenate([np.ldexp(s, -shift), np.zeros(min(shape) - s.size)])
+    return _truncated(qp @ w, s, vt @ qq.T, shape, tol)
+
+
+def factored_norms(p, q) -> tuple:
+    """``(||p @ q.T||_2, ||p @ q.T||_F)`` from the singular values of the core."""
+    p, q = as_matrix(p), as_matrix(q)
+    core, shift = _core(np.linalg.qr(p, mode="r"), np.linalg.qr(q, mode="r"))
+    s = np.linalg.svd(core, compute_uv=False)
+    return math.ldexp(float(s[0]), -shift), math.ldexp(float(np.linalg.norm(s)), -shift)
+
+
+def _truncated(w, s, vt, shape, tol, floor=0.0) -> SvdFactors:
+    """The compact SVD of an m-by-n matrix from its thin ``w, s, vt``, cut at the cutoff."""
+    k, tol = rank_cutoff(s, shape, tol, floor)
     if k == 0:
         raise ZeroMatrixError("all singular values are at or below the tolerance")
     w, vt = _fix_signs(w[:, :k], vt[:k, :])
@@ -140,12 +185,15 @@ def numerical_rank(a, tol=None) -> int:
     return rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, tol)[0]
 
 
-def _rank_pinv_cutoff(a, tol=None) -> tuple:
-    """``(rank, pinv, cutoff)`` from one compact SVD; rank 0 has a zero pinv and cutoff ``tol``."""
+def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
+    """``(rank, pinv, cutoff)`` from one compact SVD.
+
+    Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
+    """
     try:
-        f = compact_svd(a, tol)
+        f = compact_svd(a, tol, floor)
     except ZeroMatrixError:
-        return 0, np.zeros(np.shape(a)[::-1]), tol
+        return 0, np.zeros(np.shape(a)[::-1]), floor if tol is None else tol
     return f.numerical_rank, f.pinv(), f.tolerance_used
 
 

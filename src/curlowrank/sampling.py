@@ -83,11 +83,11 @@ def length_dist(a, axis) -> ProbDist:
     return ProbDist(norms2 / total, axis, LENGTH)
 
 
-def _leverage_dists(a, k, axes):
+def _leverage_dists(a, k, axes, svd=None):
     """Yield the rank-k leverage distribution over each of ``axes``, all from one compact SVD."""
     if k < 1:
         raise DomainError(f"leverage rank must be >= 1, got {k}")
-    f = compact_svd(a)
+    f = compact_svd(a) if svd is None else svd
     if k > f.numerical_rank:
         raise RankDeficientError(
             f"requested leverage rank {k} exceeds numerical rank {f.numerical_rank}"
@@ -106,11 +106,13 @@ def leverage_dist(a, k, axis) -> ProbDist:
     return next(_leverage_dists(a, k, (axis,)))
 
 
-def axis_dists(a, scheme, k=None) -> tuple:
+def axis_dists(a, scheme, k=None, svd=None) -> tuple:
     """Row and column distributions of one scheme from :data:`SCHEMES`.
 
     Leverage scores need the truncation rank ``k``; without it a
-    DomainError is raised.  Both leverage axes come from one SVD of ``a``.
+    DomainError is raised.  Both leverage axes come from one SVD of ``a``:
+    ``svd``, the caller's :class:`~curlowrank.linalg.SvdFactors` of ``a``,
+    when given, else :func:`~curlowrank.linalg.compact_svd` of ``a``.
     """
     if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
@@ -120,7 +122,7 @@ def axis_dists(a, scheme, k=None) -> tuple:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if k is None:
         raise DomainError("leverage sampling needs the truncation rank k")
-    return tuple(_leverage_dists(a, k, (ROWS, COLS)))
+    return tuple(_leverage_dists(a, k, (ROWS, COLS), svd))
 
 
 def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:

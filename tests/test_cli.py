@@ -149,6 +149,15 @@ def test_experiment_kappa_below_one_exits_2(capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+def test_cur_of_zero_matrix_reports_zero_errors(tmp_path, capsys):
+    path = tmp_path / "zero.mtx"
+    write_matrix(np.zeros((5, 4)), path)
+    assert cli_main(["cur", "--in", str(path), "--scheme", "uniform",
+                     "--d1", "3", "--d2", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "rel_err_F: 0\n" in out and "rel_err_2: 0\n" in out
+
+
 def test_svd_of_zero_matrix_reports_rank_0(tmp_path, capsys):
     path = tmp_path / "zero.mtx"
     write_matrix(np.zeros((4, 3)), path)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from curlowrank.cur import (
+    CurFactors,
     approx_error,
     build_cur,
     randomized_cur,
     relative_errors,
+    residual_norms,
     verify_characterization,
 )
 from curlowrank.harness import trial_generator
@@ -94,6 +96,16 @@ class TestCharacterization:
         assert (got.I, got.J) == (want.I, want.J)
         for name in ("C", "U", "R", "U_pinv"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_repeated_indices_are_ranked_at_the_submatrix_cutoff(self):
+        # rank 1 with cutoff 1.7e-13, but sigma_2(U) = 2.4e-13 for this U of repeated
+        # entries: at A's cutoff rank_u was 2 and the verdicts split
+        a = np.array([[-95.47485609713671, 367.4983980259618],
+                      [0.004204068590330321, -0.016182150309457136]])
+        for rows, cols in (((1, 1, 0, 0), (1, 1)), ((1, 0), (1,))):
+            rep = verify_characterization(a, IndexSet(rows, ROWS), IndexSet(cols, COLS))
+            assert rep.unanimous and rep.all_hold == (rep.rank_u == rep.rank_a)
+            assert (rep.rank_a, rep.rank_c, rep.rank_r, rep.rank_u) == (1, 1, 1, 1)
 
     def test_swapped_axes_rejected_like_build_cur(self, rng):
         a = rank_k(6, 5, 2, rng)
@@ -200,3 +212,28 @@ class TestRelativeErrors:
         resid = a - f.approximation()
         assert relative_errors(a, f) == (np.linalg.norm(resid, 2) / np.linalg.norm(a, 2),
                                          np.linalg.norm(resid) / np.linalg.norm(a))
+
+    def test_zero_matrix_gives_zero_errors_as_floats(self):
+        a = np.zeros((4, 3))
+        f = build_cur(a, IndexSet((0, 2), ROWS), IndexSet((1,), COLS))
+        errors = relative_errors(a, f)
+        assert errors == (0.0, 0.0) and all(type(err) is float for err in errors)
+
+    def test_spectral_ratio_is_inf_when_only_a_is_zero(self):
+        a = np.zeros((3, 3))
+        f = build_cur(a, IndexSet((0,), ROWS), IndexSet((0,), COLS))
+        f = CurFactors(I=f.I, J=f.J, C=np.ones((3, 1)), U=f.U, R=np.ones((1, 3)),
+                       U_pinv=np.ones((1, 1)))
+        assert relative_errors(a, f) == (float("inf"), float("inf"))
+
+
+class TestResidualNorms:
+    def test_match_the_dense_residual(self, rng):
+        p, q = rng.standard_normal((30, 4)), rng.standard_normal((20, 4))
+        a = p @ q.T
+        for rows, cols in (((0, 3, 3, 9), (1, 2, 7)), (range(30), range(20))):
+            f = build_cur(a, IndexSet(rows, ROWS), IndexSet(cols, COLS))
+            resid = a - f.approximation()
+            np.testing.assert_allclose(residual_norms(p, q, f),
+                                       (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
+                                       rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2))

@@ -22,26 +22,26 @@ CASES = {
     "success_length": (
         dict(kind="success_prob", m=50, n=40, k=4, scheme="length", d_grid=(4, 8), trials=12,
              master_seed=301),
-        "26cfc2bf4284e450d999651ad1d6f63464edfc988e4c9590f7cdcd03b4878512",
+        "dbb8bfa0e58210288ea7d7d214a0b5c86cb33c936c9efd57b2dcecfa3bddc1f1",
     ),
     "success_leverage_kappa": (
         dict(kind="success_prob", m=40, n=30, k=3, scheme="leverage", kappa=50.0, d_grid=(4,),
              trials=10, master_seed=302),
-        "8b54b3fa23567eca8164033761539c9c5aa4f229e399ae56ac0755ab4db3769f",
+        "0e01bd76a72555e446ef3ffd4ffa2ffd7a194eb736af54576fc85b73a91e5ea8",
     ),
     "success_uniform_sparse_dedup": (
         dict(kind="success_prob", m=30, n=40, k=3, scheme="uniform", sparsity=0.5, dedup=True,
              d_grid=(6,), trials=10, master_seed=303),
-        "a4e6d7c584976b863e00ee39a5ef4ec72177f45cd459b4b33aa2556e8235200d",
+        "d1dcb01c22fac1456e1e5161237d536122b3fd6f0f62aa67a4c598d459e68572",
     ),
     "noise_two_points": (
         dict(kind="noise_stability", m=12, n=10, k=3, sigma=0.1, scheme="length",
              d_grid=(4, 8), trials=8, master_seed=304),
-        "a8136c577d16f31cb55e92f05e8b29c6d97a6ae979e8fa736b5707713a731854",
+        "78acd75f22a5af4ab093274928a30ecb3203b09206927a3d9b5db32bdf20925c",
     ),
     "deim": (
         dict(kind="deim_check", m=50, n=40, k=4, trials=8, master_seed=305),
-        "bddc9b102de302eed63feb2973237fbcc45de06cbf54a1e260aed89e487b0fc9",
+        "e69440f745f6c46678e62dcc796de014ff6b81ee7bb86336d3ded070b3f04f3c",
     ),
     "clustering": (
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
@@ -107,7 +107,7 @@ def test_cli_experiment_config_digest(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_experiment_config"]
-    assert sha(out) == "cbf0684fa77219c9c4b97ffa647415ab54246ea62ebda75002cab2dcacd8f436"
+    assert sha(out) == "21be3b109605d5d485af4de5b437aa639797c95ec6c9bd68a62f23f4106ad9da"
 
 
 def test_cli_cluster_spec_digest(tmp_path, capsys):

@@ -12,6 +12,7 @@ from curlowrank.harness import (
     config_from_mapping,
     config_from_text,
     emit_csv,
+    lowrank_factors,
     lowrank_gaussian,
     run_experiment,
     spectral_noise,
@@ -98,6 +99,13 @@ class TestConfig:
         assert exc.value.field == "kappa"
         ExperimentConfig(kind="success_prob", m=8, n=8, k=2, d_grid=(4,), kappa=1.0)
 
+    def test_kappa_with_rank_one_rejected(self):
+        # a rank-1 matrix has condition number 1, so any other kappa would be ignored
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind="success_prob", m=8, n=8, k=1, d_grid=(4,), kappa=100.0)
+        assert exc.value.field == "kappa"
+        ExperimentConfig(kind="success_prob", m=8, n=8, k=1, d_grid=(4,), kappa=1.0)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError) as exc:
             config_from_text("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid =\n")
@@ -120,6 +128,13 @@ class TestGenerators:
         a = lowrank_gaussian(20, 15, 5, rng, kappa=37.0)
         s = np.linalg.svd(a, compute_uv=False)[:5]
         assert s[0] / s[4] == pytest.approx(37.0, rel=1e-10)
+
+    @pytest.mark.parametrize("kappa", [None, 37.0])
+    def test_factors_multiply_to_the_matrix(self, kappa):
+        p, q = lowrank_factors(20, 15, 5, trial_generator(4, 0), kappa)
+        assert (p.shape, q.shape) == ((20, 5), (15, 5))
+        a = lowrank_gaussian(20, 15, 5, trial_generator(4, 0), kappa)
+        np.testing.assert_array_equal(p @ q.T, a)
 
     def test_zero_columns(self, rng):
         a = zero_out_columns(lowrank_gaussian(10, 20, 3, rng), 0.8, rng)

@@ -10,6 +10,8 @@ from curlowrank.linalg import (
     as_matrix,
     compact_svd,
     condition_number,
+    factored_norms,
+    factored_svd,
     frobenius_norm,
     numerical_rank,
     pseudoinverse,
@@ -70,6 +72,53 @@ class TestCompactSvd:
             as_matrix([[1.0, np.nan]])
         with pytest.raises(ValueError):
             as_matrix([[np.inf], [0.0]])
+
+
+class TestFactoredSvd:
+    def test_matches_compact_svd_of_the_product(self, rng):
+        p, q = rng.standard_normal((40, 5)), rng.standard_normal((30, 5))
+        f, dense = factored_svd(p, q), compact_svd(p @ q.T)
+        assert f.numerical_rank == dense.numerical_rank == 5
+        assert f.all_singular_values.shape == (30,) and not np.any(f.all_singular_values[5:])
+        np.testing.assert_allclose(f.singular_values, dense.singular_values, rtol=1e-13)
+        assert f.tolerance_used == pytest.approx(dense.tolerance_used, rel=1e-13)
+        # same sign convention, so the singular vectors themselves agree
+        np.testing.assert_allclose(f.left, dense.left, atol=1e-12)
+        np.testing.assert_allclose(f.right, dense.right, atol=1e-12)
+        assert f.frobenius_norm() == pytest.approx(np.linalg.norm(p @ q.T), rel=1e-13)
+
+    def test_rank_deficient_factors(self, rng):
+        p, q = rng.standard_normal((12, 3)), rng.standard_normal((9, 3))
+        p[:, 2] = p[:, 0] + p[:, 1]
+        assert factored_svd(p, q).numerical_rank == 2
+
+    def test_wide_factors_give_the_product_rank(self, rng):
+        p, q = rng.standard_normal((4, 6)), rng.standard_normal((3, 6))
+        f = factored_svd(p, q)
+        assert f.numerical_rank == 3 and f.all_singular_values.shape == (3,)
+
+    def test_zero_product_rejected(self, rng):
+        with pytest.raises(ZeroMatrixError):
+            factored_svd(np.zeros((5, 2)), rng.standard_normal((4, 2)))
+        assert factored_norms(np.zeros((5, 2)), rng.standard_normal((4, 2))) == (0.0, 0.0)
+
+    def test_column_counts_must_agree(self, rng):
+        with pytest.raises(ValueError):
+            factored_svd(rng.standard_normal((5, 2)), rng.standard_normal((4, 3)))
+
+    def test_norms_match_the_dense_ones(self, rng):
+        p, q = rng.standard_normal((25, 6)), rng.standard_normal((18, 6))
+        np.testing.assert_allclose(factored_norms(p, q),
+                                   (np.linalg.norm(p @ q.T, 2), np.linalg.norm(p @ q.T)),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("j", [-900, 900])
+    def test_factors_at_opposite_extreme_scales(self, rng, j):
+        # each factor lies near an end of the range; their product does not
+        p, q = rng.standard_normal((10, 3)), rng.standard_normal((8, 3))
+        f = factored_svd(np.ldexp(p, j), np.ldexp(q, -j))
+        np.testing.assert_allclose(f.singular_values, compact_svd(p @ q.T).singular_values,
+                                   rtol=1e-13)
 
 
 class TestPseudoinverse:

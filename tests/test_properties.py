@@ -1,25 +1,31 @@
-"""Properties of scale and permutation invariance over generated rank-k inputs.
+"""Properties over generated rank-k inputs: scale and permutation invariance,
+the verifier's verdicts, and the factored SVD and residual norms.
 
 Inputs are rank-k Gaussian-factor matrices, the same with one row blown up
 by 1e3 ("spiky"), or with a zero row and a zero column; index sets are drawn
-uniformly with replacement, so they carry duplicates.
-
-The verifier's verdicts are not tested here for unanimity, for invariance
-under deduplication, permutation or 1e150 scaling, or for ``all_hold`` iff
-``rank_u == rank_a``: each fails on some generated input, because on small
-matrices the roundoff singular values of a C, R or U with repeated indices
-can cross A's rank cutoff.
+uniformly with replacement, so they carry duplicates.  The factored
+properties draw the factors themselves: with zero rows in ``q``, with a
+repeated column (rank-deficient factors), and with each factor scaled by a
+power of two up to 2^500 either way.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlowrank.cur import approx_error, relative_errors, verify_characterization
+from curlowrank.cur import (
+    CurFactors,
+    approx_error,
+    build_cur,
+    relative_errors,
+    residual_norms,
+    verify_characterization,
+)
 from curlowrank.errors import NoiseDominatesError
 from curlowrank.harness import lowrank_gaussian, trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet
+from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, factored_svd
 from curlowrank.sampling import (
+    dedup_indices,
     leverage_dist,
     length_dist,
     noisy_stability_floor,
@@ -87,3 +93,90 @@ def test_permutation_permutes_the_weights(inst):
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(leverage_dist(b, k, axis).weights,
                                    leverage_dist(a, k, axis).weights[perm], rtol=1e-8, atol=1e-12)
+
+
+def _verdicts(a, rows, cols):
+    return verify_characterization(a, rows, cols).verdicts
+
+
+@PROPERTY
+@given(inst=instances())
+def test_verdicts_are_unanimous_and_match_the_rank_of_u(inst):
+    a, _, rows, cols, _ = inst
+    report = verify_characterization(a, rows, cols)
+    assert report.unanimous
+    assert report.all_hold == (report.rank_u == report.rank_a)
+
+
+@PROPERTY
+@given(inst=instances())
+def test_verdicts_survive_deduplication_and_permutation(inst):
+    a, _, rows, cols, rng = inst
+    verdicts = _verdicts(a, rows, cols)
+    assert _verdicts(a, dedup_indices(rows), dedup_indices(cols)) == verdicts
+    pr, pc = rng.permutation(a.shape[0]), rng.permutation(a.shape[1])
+    # row i of a is row argsort(pr)[i] of a[pr]
+    moved_rows = IndexSet(np.argsort(pr)[list(rows)], ROWS)
+    moved_cols = IndexSet(np.argsort(pc)[list(cols)], COLS)
+    assert _verdicts(a[pr][:, pc], moved_rows, moved_cols) == verdicts
+
+
+@PROPERTY
+@given(inst=instances(), scale=st.sampled_from((1e150, 1e-150)))
+def test_verdicts_survive_extreme_scale(inst, scale):
+    a, _, rows, cols, _ = inst
+    assert _verdicts(scale * a, rows, cols) == _verdicts(a, rows, cols)
+
+
+@st.composite
+def factor_pairs(draw):
+    """``(p, q, rows, cols)``: factors of a nonzero ``p @ q.T`` and index sets with duplicates."""
+    m, n = draw(st.integers(2, 14)), draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(m, n)))
+    rng = trial_generator(draw(st.integers(0, 2**32 - 1)), 0)
+    p, q = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+    shape = draw(st.sampled_from(("gaussian", "zero_rows", "repeated_column")))
+    if shape == "zero_rows":
+        q[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+    elif shape == "repeated_column" and k > 1:
+        p[:, -1], q[:, -1] = p[:, 0], q[:, 0]
+    rows = IndexSet(rng.integers(0, m, size=draw(st.integers(1, 2 * m))), ROWS)
+    cols = IndexSet(rng.integers(0, n, size=draw(st.integers(1, 2 * n))), COLS)
+    return p, q, rows, cols
+
+
+def _leverage(basis):
+    return np.sum(basis * basis, axis=1)
+
+
+@PROPERTY
+@given(pair=factor_pairs(), jp=st.integers(-500, 500), jq=st.integers(-500, 500))
+def test_factored_svd_matches_the_dense_one(pair, jp, jq):
+    p, q, _, _ = pair
+    dense = compact_svd(p @ q.T)
+    f = factored_svd(np.ldexp(p, jp), np.ldexp(q, jq))
+    # the dense reference of the scaled product, without forming it at 2^(jp + jq)
+    s_ref = np.ldexp(dense.all_singular_values, jp + jq)
+    assert np.all(np.isfinite(f.all_singular_values))
+    assert np.all(np.abs(f.all_singular_values - s_ref) <= 1e-12 * s_ref[0])
+    assert f.numerical_rank == dense.numerical_rank
+    np.testing.assert_allclose(_leverage(f.left), _leverage(dense.left), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_leverage(f.right), _leverage(dense.right), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(pair=factor_pairs(), jp=st.integers(-500, 500), data=st.data())
+def test_residual_norms_match_the_dense_ones(pair, jp, data):
+    p, q, rows, cols = pair
+    a = p @ q.T
+    cur = build_cur(a, rows, cols)
+    resid = a - cur.approximation()
+    ref = np.array([np.linalg.norm(resid, 2), np.linalg.norm(resid)])
+    size = np.linalg.norm(a, 2) + np.linalg.norm(cur.C, 2) * np.linalg.norm(cur.U_pinv @ cur.R, 2)
+    # scale A by 2^j, |j| <= 500, split unevenly over the factors; the CUR scales exactly
+    jq = data.draw(st.integers(max(-500, -500 - jp), min(500, 500 - jp)))
+    j = jp + jq
+    scaled = CurFactors(I=rows, J=cols, C=np.ldexp(cur.C, j), U=np.ldexp(cur.U, j),
+                        R=np.ldexp(cur.R, j), U_pinv=np.ldexp(cur.U_pinv, -j))
+    got = np.ldexp(residual_norms(np.ldexp(p, jp), np.ldexp(q, jq), scaled), -j)
+    assert np.all(np.abs(got - ref) <= 1e-12 * size)

@@ -1,7 +1,9 @@
 """Pins the number of dense SVDs per call: each matrix is factored once.
 
 The counter wraps ``np.linalg.svd`` as the package calls it; the SVDs that
-``np.linalg.norm(x, 2)`` takes internally are not counted.
+``np.linalg.norm(x, 2)`` takes internally are not counted by it.  The
+table-kind trials are pinned with a second counter that records both
+``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix.
 """
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from curlowrank.cli import cli_main
 from curlowrank.cur import verify_characterization
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet
+from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd
 from curlowrank.mmio import write_matrix
 from curlowrank.sampling import axis_dists
 
@@ -25,6 +27,26 @@ def svd_calls(monkeypatch):
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """``(name, shape)`` of each ``np.linalg.svd`` and matrix ``np.linalg.norm(x, 2)`` call."""
+    calls = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(("svd", np.shape(a)))
+        return svd(a, *args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            calls.append(("norm2", np.shape(x)))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
     return calls
 
 
@@ -53,6 +75,13 @@ def test_leverage_axis_dists_take_one_svd(a, svd_calls):
     assert svd_calls == [(12, 10)]
 
 
+def test_leverage_axis_dists_reuse_the_callers_svd(a, svd_calls):
+    f = compact_svd(a)
+    assert [d.weights.tobytes() for d in axis_dists(a, "leverage", 3, svd=f)] == \
+        [d.weights.tobytes() for d in axis_dists(a, "leverage", 3)]
+    assert len(svd_calls) == 2
+
+
 def test_cli_svd_takes_one_svd(a, tmp_path, svd_calls, capsys):
     path = tmp_path / "a.mtx"
     write_matrix(a, path)
@@ -69,3 +98,33 @@ def test_clustering_trial_factors_each_matrix_once(svd_calls):
     records, _ = run_experiment(cfg)
     assert len(records) == 1
     assert sorted(svd_calls) == sorted([(20, 30), (20, 30), (20, 16), (16, 30), (16, 16)])
+
+
+M, N = 60, 50
+TABLE_TRIALS = {
+    "leverage": dict(kind="success_prob", scheme="leverage", d_grid=(12,)),
+    "length_kappa": dict(kind="success_prob", scheme="length", kappa=100.0, d_grid=(12,)),
+    "uniform": dict(kind="success_prob", scheme="uniform", d_grid=(12,)),
+    "deim": dict(kind="deim_check"),
+}
+
+
+def _of_a_size(calls):
+    """The calls on a matrix with a side as long as A's shorter one."""
+    return [call for call in calls if max(call[1]) >= min(M, N)]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_TRIALS))
+def test_table_trials_factor_no_m_by_n_matrix(name, spectral_calls):
+    records, _ = run_experiment(ExperimentConfig(m=M, n=N, k=4, trials=2, **TABLE_TRIALS[name]))
+    assert len(records) == 2
+    assert spectral_calls and _of_a_size(spectral_calls) == []
+
+
+def test_noise_trial_factors_only_a_plus_e_and_measures_e(spectral_calls):
+    cfg = ExperimentConfig(kind="noise_stability", m=M, n=N, k=4, sigma=1e-3, scheme="leverage",
+                           d_grid=(12,), trials=1)
+    records, _ = run_experiment(cfg)
+    assert len(records) == 1
+    # ||E||_2 in spectral_noise, then the leverage scores of A + E
+    assert _of_a_size(spectral_calls) == [("norm2", (M, N)), ("svd", (M, N))]
