@@ -18,7 +18,6 @@ from .cluster import (
     clustering_matrix,
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
-    parse_model_spec,
 )
 from .cur import (
     EXACTNESS_TOL,

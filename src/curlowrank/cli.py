@@ -11,7 +11,6 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .cluster import parse_model_spec
 from .cur import approx_error, randomized_cur, relative_errors
 from .deim import deim_cur
 from .errors import ConfigError, DomainError, ZeroMatrixError
@@ -21,6 +20,7 @@ from .harness import (
     config_from_mapping,
     config_from_text,
     emit_csv,
+    read_key_values,
     run_experiment,
     trial_generator,
 )
@@ -140,17 +140,24 @@ def _cmd_experiment(args):
         return _run(replace(config_from_text(fh.read()), **given))
 
 
+# The keys of a model spec file and the config fields they set.
+_SPEC_FIELDS = {"ambient_dim": "m", "dims": "dims", "points": "points", "seed": "master_seed"}
+
+
 def _cmd_cluster(args):
-    base = {"kind": "clustering"}
+    values = {"kind": "clustering"}
     if "spec" in args:
         with open(args.spec) as fh:
-            model = parse_model_spec(fh.read())
-        base.update(m=model.ambient_dim, dims=model.dims, points=model.points)
-        if model.seed is not None:
-            base["master_seed"] = model.seed
-    elif not {"m", "dims", "points"} <= vars(args).keys():
-        raise ConfigError("give --spec or all of --ambient/--dims/--points", field="spec")
-    return _run(config_from_mapping({**base, **_given_fields(args)}))
+            for key, value in read_key_values(fh.read()).items():
+                if key not in _SPEC_FIELDS:
+                    raise ConfigError(f"not a model spec key; use one of {tuple(_SPEC_FIELDS)}",
+                                      field=key)
+                values[_SPEC_FIELDS[key]] = value
+    values.update(_given_fields(args))
+    if not {"m", "dims", "points"} <= values.keys():
+        raise ConfigError("give ambient_dim (--ambient), dims and points in --spec or as flags",
+                          field="spec")
+    return _run(config_from_mapping(values))
 
 
 def _config_flags(sub):

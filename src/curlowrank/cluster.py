@@ -23,8 +23,6 @@ from .cur import CurFactors
 from .errors import DomainError, TooManyClustersError
 from .linalg import numerical_rank
 
-_SPEC_KEYS = ("ambient_dim", "dims", "points", "seed")
-
 
 @dataclass(frozen=True)
 class SubspaceSpec:
@@ -33,7 +31,6 @@ class SubspaceSpec:
     ambient_dim: int
     dims: tuple
     points: tuple
-    seed: int | None = None
 
     def __post_init__(self):
         if len(self.dims) != len(self.points):
@@ -48,37 +45,6 @@ class SubspaceSpec:
             )
         if any(p < d for d, p in zip(self.dims, self.points)):
             raise DomainError("each subspace needs at least dim many points")
-
-
-def parse_model_spec(text) -> SubspaceSpec:
-    """Parse a plain ``key = value`` block into a :class:`SubspaceSpec`.
-
-    Recognized keys: ambient_dim (int), dims (comma list), points (comma
-    list), seed (optional int).  Blank lines and ``#`` comments are skipped.
-    """
-    found = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _SPEC_KEYS:
-            raise DomainError(f"line {lineno}: unknown key {key!r}")
-        try:
-            if key in ("ambient_dim", "seed"):
-                found[key] = int(value)
-            else:
-                found[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
-        except ValueError as exc:
-            raise DomainError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-    for key in ("ambient_dim", "dims", "points"):
-        if key not in found:
-            raise DomainError(f"missing required key {key!r}")
-    return SubspaceSpec(**found)
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,9 +104,13 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"must be one of {KINDS}", field="kind")
         for f in fields(self):
-            if f.name in _UNREAD[self.kind] and getattr(self, f.name) != f.default:
+            value = getattr(self, f.name)
+            if f.name in _UNREAD[self.kind] and value != f.default:
                 raise ConfigError(f"{self.kind} does not read this field; leave it out",
                                   field=f.name)
+            set_float = _FIELD_CONVERTERS[f.name] is float and value is not None
+            if set_float and not math.isfinite(value):
+                raise ConfigError("must be finite", field=f.name)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"must be one of {SCHEMES}", field="scheme")
         if self.trials < 1:
@@ -159,11 +163,21 @@ class ExperimentConfig:
         return (min_sample_size_rv(float(self.k), self.eps, self.delta, self.big_c),)
 
 
-_INT_FIELDS = {"m", "n", "k", "trials", "master_seed"}
-_FLOAT_FIELDS = {"sigma", "eps", "delta", "big_c", "kappa", "sparsity", "tol"}
-_BOOL_FIELDS = {"dedup", "timing"}
-_TUPLE_FIELDS = {"d_grid", "dims", "points"}
-CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+def _to_bool(text) -> bool:
+    word = text.strip().lower()
+    if word not in ("1", "0", "true", "false", "yes", "no", "on", "off"):
+        raise ValueError("expected one of 1/0/true/false/yes/no/on/off")
+    return word in ("1", "true", "yes", "on")
+
+
+def _to_ints(text) -> tuple:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+# How a string value becomes each field's annotated type (``float | None`` reads as float).
+_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _to_bool, "tuple": _to_ints}
+_FIELD_CONVERTERS = {f.name: _CONVERTERS[f.type.split(" | ")[0]] for f in fields(ExperimentConfig)}
+CONFIG_FIELDS = frozenset(_FIELD_CONVERTERS)
 
 
 def config_from_mapping(mapping) -> ExperimentConfig:
@@ -172,26 +186,19 @@ def config_from_mapping(mapping) -> ExperimentConfig:
     for key, value in mapping.items():
         if key not in CONFIG_FIELDS:
             raise ConfigError("unknown field", field=key)
-        try:
-            if isinstance(value, str):
-                if key in _INT_FIELDS:
-                    value = int(value)
-                elif key in _FLOAT_FIELDS:
-                    value = float(value)
-                elif key in _BOOL_FIELDS:
-                    value = value.strip().lower() in ("1", "true", "yes", "on")
-                elif key in _TUPLE_FIELDS:
-                    value = tuple(int(tok) for tok in value.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad value {value!r}", field=key) from exc
+        if isinstance(value, str):
+            try:
+                value = _FIELD_CONVERTERS[key](value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value {value!r}", field=key) from exc
         converted[key] = value
     if "kind" not in converted:
         raise ConfigError("required", field="kind")
     return ExperimentConfig(**converted)
 
 
-def config_from_text(text) -> ExperimentConfig:
-    """Parse a ``key = value`` block (``#`` comments allowed) into a config."""
+def read_key_values(text) -> dict:
+    """The ``key = value`` lines of ``text`` as a dict of strings (``#`` comments allowed)."""
     mapping = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,7 +208,12 @@ def config_from_text(text) -> ExperimentConfig:
             raise ConfigError(f"expected key=value, got {raw!r}", line=lineno)
         key, _, value = line.partition("=")
         mapping[key.strip()] = value.strip()
-    return config_from_mapping(mapping)
+    return mapping
+
+
+def config_from_text(text) -> ExperimentConfig:
+    """Parse a ``key = value`` block (``#`` comments allowed) into a config."""
+    return config_from_mapping(read_key_values(text))
 
 
 def trial_generator(master_seed, trial_index) -> np.random.Generator:

@@ -7,10 +7,13 @@ File layout::
     m n
     <m*n entries, one per line, in column-major order>
 
+Blank lines and ``%`` comments, whole-line or after an entry, are skipped.
 Values are written with 17 significant digits, which round-trips float64.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -45,12 +48,11 @@ def read_matrix(path) -> np.ndarray:
             m, n = (int(tok) for tok in line.split())
         except Exception as exc:
             raise ValueError(f"bad dimensions line: {line!r}") from exc
-        values = []
-        for raw in fh:
-            raw = raw.strip()
-            if not raw or raw.startswith("%"):
-                continue
-            values.append(float(raw))
+        with warnings.catch_warnings():  # an empty body is a count error, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)
+    if values.shape[1] != 1:
+        raise ValueError(f"expected one entry per line, found {values.shape[1]}")
     if len(values) != m * n:
         raise ValueError(f"expected {m * n} entries, found {len(values)}")
-    return np.asarray(values, dtype=np.float64).reshape((m, n), order="F").copy(order="C")
+    return values.reshape((m, n), order="F").copy(order="C")

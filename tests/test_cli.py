@@ -186,6 +186,53 @@ def test_cluster_flags_override_spec(tmp_path, capsys):
     assert "d1=9 d2=9 trials=2" in capsys.readouterr().out
 
 
+def test_cluster_spec_seed_matches_seed_flag(tmp_path, capsys):
+    spec = tmp_path / "model.txt"
+    spec.write_text("# comment\nambient_dim = 12\ndims = 2, 2\npoints = 6,6\nseed = 3\n")
+    from_spec, from_flags = tmp_path / "spec.csv", tmp_path / "flags.csv"
+    assert cli_main(["cluster", "--spec", str(spec), "--trials", "4",
+                     "--out", str(from_spec)]) == 0
+    assert cli_main(["cluster", "--ambient", "12", "--dims", "2,2", "--points", "6,6",
+                     "--seed", "3", "--trials", "4", "--out", str(from_flags)]) == 0
+    assert from_spec.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("text, field", [
+    ("ambient_dim = 20\ndims = 2\n", "spec"),
+    ("ambient = 20\ndims = 2\npoints = 5\n", "ambient"),
+    ("ambient_dim twenty\n", None),
+    ("ambient_dim = 20\ndims = 2\npoints = 5\ntrials = 3\n", "trials"),
+], ids=["points-missing", "unknown-key", "not-key-value", "config-key"])
+def test_cluster_bad_spec_exits_2(tmp_path, capsys, text, field):
+    spec = tmp_path / "model.txt"
+    spec.write_text(text)
+    assert cli_main(["cluster", "--spec", str(spec), "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{field}'" in err if field else "line 1" in err
+
+
+@pytest.mark.parametrize("word", ["ture", "yes please"])
+def test_experiment_config_bool_typo_exits_2(tmp_path, capsys, word):
+    config = tmp_path / "typo.cfg"
+    config.write_text(f"kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid = 4\ntrials = 2\n"
+                      f"dedup = {word}\n")
+    assert cli_main(["experiment", "--config", str(config)]) == 2
+    assert "field 'dedup'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tol", "nan", "tol"),
+    ("--sigma", "nan", "sigma"),
+    ("--sigma", "inf", "sigma"),
+    ("--c", "nan", "big_c"),
+])
+def test_experiment_non_finite_float_exits_2(capsys, flag, value, field):
+    assert cli_main(["experiment", "--kind", "noise_stability", "--m", "8", "--n", "8",
+                     "--k", "2", "--eps", "0.5", "--delta", "0.5", "--trials", "2",
+                     flag, value]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 def test_cluster_rejects_removed_d_max_flag(capsys):
     assert cli_main(["cluster", "--ambient", "10", "--dims", "1,2", "--points", "4,5",
                      "--d-max", "2", "--trials", "3"]) == 2

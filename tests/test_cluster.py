@@ -12,7 +12,6 @@ from curlowrank.cluster import (
     clustering_matrix,
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
-    parse_model_spec,
 )
 from curlowrank.cur import build_cur, randomized_cur, verify_characterization
 from curlowrank.errors import DomainError, TooManyClustersError
@@ -22,24 +21,6 @@ from curlowrank.sampling import length_dist
 
 
 class TestSpec:
-    def test_parse_block(self):
-        spec = parse_model_spec(
-            "# comment\n"
-            "ambient_dim = 20\n"
-            "dims = 2, 3, 4\n"
-            "points = 10,10,10\n"
-            "seed = 7\n"
-        )
-        assert spec == SubspaceSpec(20, (2, 3, 4), (10, 10, 10), 7)
-
-    def test_parse_errors(self):
-        with pytest.raises(DomainError):
-            parse_model_spec("ambient_dim = 20\ndims = 2\n")  # points missing
-        with pytest.raises(DomainError):
-            parse_model_spec("ambient = 20\ndims = 2\npoints = 5\n")  # unknown key
-        with pytest.raises(DomainError):
-            parse_model_spec("ambient_dim twenty\n")
-
     def test_dims_must_fit(self):
         with pytest.raises(DomainError):
             SubspaceSpec(4, (2, 3), (5, 5))

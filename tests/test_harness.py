@@ -117,6 +117,35 @@ class TestConfig:
         x = 2.0 / (0.5**4 * 0.5)
         assert cfg.resolved_d_grid() == (math.ceil(x * math.log(x)),)
 
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("0", False), ("true", True), ("False", False),
+        ("YES", True), ("no", False), (" On ", True), ("off", False),
+    ])
+    def test_bool_words(self, word, value):
+        cfg = config_from_text(f"kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid = 4\n"
+                               f"dedup = {word}\n")
+        assert cfg.dedup is value
+
+    @pytest.mark.parametrize("word", ["ture", "yes please", "2", "", "y"])
+    def test_other_bool_values_rejected(self, word):
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping({"kind": "success_prob", "m": 8, "n": 8, "k": 2,
+                                 "d_grid": (4,), "dedup": word})
+        assert exc.value.field == "dedup"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["sigma", "eps", "delta", "big_c", "kappa", "sparsity",
+                                       "tol"])
+    def test_non_finite_floats_rejected(self, field, value):
+        base = {"kind": "noise_stability", "m": 8, "n": 8, "k": 2, "eps": "0.5", "delta": "0.5"}
+        config_from_mapping(base)
+        with pytest.raises(ConfigError) as exc:
+            config_from_mapping({**base, field: value})
+        assert exc.value.field == field
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(**{**base, "eps": 0.5, "delta": 0.5, field: float(value)})
+        assert exc.value.field == field
+
 
 class TestGenerators:
     def test_rank_and_shape(self, rng):

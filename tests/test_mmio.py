@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,59 @@ def test_rejects_wrong_entry_count(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n")
     with pytest.raises(ValueError):
         read_matrix(path)
+
+
+HEADER = "%%MatrixMarket matrix array real general\n"
+
+
+def test_rejects_non_numeric_entry(tmp_path):
+    path = tmp_path / "word.mtx"
+    path.write_text(HEADER + "2 1\n1.0\nabc\n")
+    with pytest.raises(ValueError):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("body", ["1 2\n1.0 2.0\n", "2 2\n1.0 2.0\n3.0 4.0\n",
+                                  "2 2\n1.0\n2.0 3.0\n4.0\n"])
+def test_rejects_two_values_on_one_line(tmp_path, body):
+    path = tmp_path / "wide.mtx"
+    path.write_text(HEADER + body)
+    with pytest.raises(ValueError):
+        read_matrix(path)
+
+
+def test_skips_blank_and_comment_lines_between_values(tmp_path):
+    path = tmp_path / "gaps.mtx"
+    path.write_text(HEADER + "2 2\n1.0\n\n% between\n2.0\n   \n3.0 % trailing note\n4.0\n")
+    np.testing.assert_array_equal(read_matrix(path), [[1.0, 3.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("body", ["", "% only a comment\n\n"])
+def test_empty_body_is_a_count_error_without_warnings(tmp_path, body):
+    path = tmp_path / "empty.mtx"
+    path.write_text(HEADER + "2 2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected 4 entries, found 0"):
+            read_matrix(path)
+
+
+def test_values_parse_as_python_floats(tmp_path):
+    texts = ["0.1", "-0", "4.9e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
+             "1e400", "-1e-400", "9007199254740993", "0.30000000000000004", "+1.5", "1E5",
+             "inf", "-Infinity", ".5", "5."]
+    path = tmp_path / "tricky.mtx"
+    path.write_text(HEADER + f"{len(texts)} 1\n" + "".join(t + "\n" for t in texts))
+    expected = np.array([float(t) for t in texts])
+    assert read_matrix(path).ravel().tobytes() == expected.tobytes()
+
+
+def test_round_trip_600_by_500_with_extreme_entries(tmp_path):
+    rng = np.random.default_rng(600500)
+    a = rng.standard_normal((600, 500)) * 10.0 ** rng.integers(-300, 300, size=(600, 500))
+    a[0, 0], a[1, 0], a[0, 1], a[599, 499] = -0.0, 5e-324, 1e300, -5e-324
+    path = tmp_path / "big.mtx"
+    write_matrix(a, path)
+    b = read_matrix(path)
+    assert b.shape == (600, 500) and b.flags.c_contiguous
+    assert b.tobytes() == a.tobytes()
