@@ -12,7 +12,6 @@ tables.
 
 from .cluster import (
     ClusterLabels,
-    SubspaceModel,
     SubspaceSpec,
     clustering_accuracy,
     clustering_matrix,

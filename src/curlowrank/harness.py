@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .cluster import (
-    ClusterLabels,
+    MAX_CLUSTERS,
     SubspaceSpec,
     clustering_accuracy,
     clustering_matrix,
@@ -135,6 +135,9 @@ class ExperimentConfig:
                 raise ConfigError("clustering needs dims and points", field="dims")
             if self.m < 1:
                 raise ConfigError("ambient dimension must be >= 1", field="m")
+            if len(self.dims) > MAX_CLUSTERS:
+                raise ConfigError(f"accuracy is scored for at most {MAX_CLUSTERS} subspaces",
+                                  field="dims")
             SubspaceSpec(self.m, tuple(self.dims), tuple(self.points))
         else:
             if self.m < 1 or self.n < 1:
@@ -319,19 +322,13 @@ def _deim_trial(cfg, d, rng):
 
 
 def _clustering_trial(cfg, d, rng):
-    """Cluster from the sampled CUR that verification checked; success means perfect accuracy.
-
-    Labels are the components of the support of ``Q`` (walk length 1): the
-    walk closure lies between the support and its transitive closure, so it
-    has the same components for every walk length.
-    """
+    """Cluster from the sampled CUR that verification checked; success means perfect accuracy."""
     spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
-    a, model = generate_union_of_subspaces(spec, rng)
-    row_dist, col_dist = axis_dists(a, cfg.scheme, model.total_rank)
+    a, truth = generate_union_of_subspaces(spec, rng)
+    row_dist, col_dist = axis_dists(a, cfg.scheme, sum(spec.dims))
     report = verify_characterization(a, *draw_indices(row_dist, col_dist, d, d, rng, cfg.dedup),
                                      cfg.tol)
-    pred = labels_from_clustering_matrix(clustering_matrix(report.factors, 1))
-    truth = ClusterLabels(labels=model.ground_truth, num_clusters=len(spec.dims))
+    pred = labels_from_clustering_matrix(clustering_matrix(report.factors))
     rel_2, rel_f = relative_errors(a, report.factors)
     return clustering_accuracy(pred, truth) == 1.0, rel_2, rel_f, {"exact": report.all_hold}
 

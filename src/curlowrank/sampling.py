@@ -192,10 +192,10 @@ def min_sample_size_rv(r, eps, delta, big_c=1.0) -> int:
         raise DomainError(f"eps must lie in (0, 1), got {eps}")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if r < 1.0:
-        raise DomainError(f"stable rank must be >= 1, got {r}")
-    if big_c <= 0.0:
-        raise DomainError(f"leading constant must be positive, got {big_c}")
+    if not 1.0 <= r < math.inf:
+        raise DomainError(f"stable rank must be finite and >= 1, got {r}")
+    if not 0.0 < big_c < math.inf:
+        raise DomainError(f"leading constant must be finite and positive, got {big_c}")
     x = float(r) / (float(eps) ** 4 * float(delta))
     d = math.ceil(big_c * x * math.log(x))
     if math.log(x) < 1.0:
@@ -216,10 +216,10 @@ def sample_size_leverage(k, beta, delta) -> int:
 
 def sample_size_length_via_lev(r, kappa, k, delta) -> int:
     """Draw count ``ceil(8 * r * kappa^2 * (log(2k) + 1/delta))`` for length sampling."""
-    if r < 1.0:
-        raise DomainError(f"stable rank must be >= 1, got {r}")
-    if kappa < 1.0:
-        raise DomainError(f"condition number must be >= 1, got {kappa}")
+    if not 1.0 <= r < math.inf:
+        raise DomainError(f"stable rank must be finite and >= 1, got {r}")
+    if not 1.0 <= kappa < math.inf:
+        raise DomainError(f"condition number must be finite and >= 1, got {kappa}")
     if k < 1:
         raise DomainError(f"rank must be >= 1, got {k}")
     if not (0.0 < delta < 1.0):

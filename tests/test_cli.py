@@ -57,6 +57,19 @@ def test_sample_size_domain_error_exits_2(capsys):
     assert cli_main(["sample-size", "--r", "5", "--eps", "1.5", "--delta", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--r", "nan", "stable rank"),
+    ("--r", "inf", "stable rank"),
+    ("--c", "nan", "leading constant"),
+    ("--c", "inf", "leading constant"),
+    ("--kappa", "inf", "condition number"),
+])
+def test_sample_size_non_finite_exits_2(capsys, flag, value, name):
+    assert cli_main(["sample-size", "--r", "3", "--eps", "0.5", "--delta", "0.5", "--k", "3",
+                     "--kappa", "5", flag, value]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_sample_size_takes_no_seed_or_tol(capsys):
     for flag in ("--tol", "--seed"):
         assert cli_main(["sample-size", "--r", "5", "--eps", "0.5", "--delta", "0.5",
@@ -242,3 +255,13 @@ def test_cluster_inline(capsys):
     assert cli_main(["cluster", "--ambient", "10", "--dims", "1,2", "--points", "4,5",
                      "--trials", "3", "--seed", "2"]) == 0
     assert "success_rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count, code", [(8, 0), (9, 2)])
+def test_cluster_subspace_limit(tmp_path, capsys, count, code):
+    out = tmp_path / "limit.csv"
+    assert cli_main(["cluster", "--ambient", "12", "--dims", ",".join(["1"] * count),
+                     "--points", ",".join(["3"] * count), "--trials", "2",
+                     "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert ("field 'dims'" in capsys.readouterr().err) == (code == 2)

@@ -28,28 +28,38 @@ class TestSpec:
             SubspaceSpec(8, (3,), (2,))  # fewer points than dim
 
 
+def walk_closure(support, length):
+    """Boolean walks of up to ``length`` steps on a reflexive support: the pattern of Q^length."""
+    step = np.asarray(support, dtype=np.int64)
+    reach = step
+    for _ in range(length - 1):
+        reach = (reach @ step > 0).astype(np.int64)
+    return reach
+
+
 class TestGeneration:
     def test_single_subspace_rank(self):
-        a, model = generate_union_of_subspaces(SubspaceSpec(4, (2,), (5,)), trial_generator(1, 0))
+        a, truth = generate_union_of_subspaces(SubspaceSpec(4, (2,), (5,)), trial_generator(1, 0))
         assert a.shape == (4, 5)
         assert numerical_rank(a) == 2
-        assert model.d_max == 2
+        assert truth.num_clusters == 1
+        assert truth.labels.tolist() == [0] * 5
 
     def test_total_rank(self):
         spec = SubspaceSpec(20, (2, 3, 4), (10, 10, 10))
-        a, model = generate_union_of_subspaces(spec, trial_generator(2, 0))
+        a, truth = generate_union_of_subspaces(spec, trial_generator(2, 0))
         assert a.shape == (20, 30)
-        assert numerical_rank(a) == 9
-        assert model.total_rank == 9
-        counts = np.bincount(model.ground_truth)
+        assert numerical_rank(a) == sum(spec.dims) == 9
+        assert truth.num_clusters == 3
+        counts = np.bincount(truth.labels)
         assert counts.tolist() == [10, 10, 10]
 
     def test_genericity_spot_check(self):
         spec = SubspaceSpec(20, (2, 3, 4), (10, 10, 10))
         rng = trial_generator(3, 0)
-        a, model = generate_union_of_subspaces(spec, rng)
-        for label, d in enumerate(model.subspace_dims):
-            members = np.flatnonzero(model.ground_truth == label)
+        a, truth = generate_union_of_subspaces(spec, rng)
+        for label, d in enumerate(spec.dims):
+            members = np.flatnonzero(truth.labels == label)
             for _ in range(10):
                 pick = rng.choice(members, size=d, replace=False)
                 assert np.linalg.matrix_rank(a[:, pick]) == d
@@ -57,10 +67,11 @@ class TestGeneration:
 
 class TestClusteringMatrix:
     def test_single_subspace_all_ones(self):
-        a, model = generate_union_of_subspaces(SubspaceSpec(6, (2,), (7,)), trial_generator(4, 0))
+        a, _ = generate_union_of_subspaces(SubspaceSpec(6, (2,), (7,)), trial_generator(4, 0))
         f = build_cur(a, IndexSet(range(6), ROWS), IndexSet(range(7), COLS))
-        w = clustering_matrix(f, model.d_max)
-        assert np.all(w == 1)
+        w = clustering_matrix(f)
+        assert w.dtype == bool
+        assert np.all(w)
 
     def test_orthogonal_lines_block_pattern(self):
         # axis-aligned data: two orthogonal lines in R^4
@@ -71,45 +82,40 @@ class TestClusteringMatrix:
             [0.0, 0.0, 0.0, 0.0, 0.0],
         ])
         f = build_cur(a, IndexSet([0, 2], ROWS), IndexSet([0, 3], COLS))
-        w = clustering_matrix(f, 1)
-        expected = np.zeros((5, 5), dtype=np.int64)
-        expected[:3, :3] = 1
-        expected[3:, 3:] = 1
+        w = clustering_matrix(f)
+        expected = np.zeros((5, 5), dtype=bool)
+        expected[:3, :3] = True
+        expected[3:, 3:] = True
         np.testing.assert_array_equal(w, expected)
 
     def test_matches_numeric_power_on_tiny_instance(self):
-        a, model = generate_union_of_subspaces(SubspaceSpec(6, (1, 2), (3, 4)), trial_generator(5, 0))
+        spec = SubspaceSpec(6, (1, 2), (3, 4))
+        a, _ = generate_union_of_subspaces(spec, trial_generator(5, 0))
         f = build_cur(a, IndexSet(range(6), ROWS), IndexSet(range(7), COLS))
-        w = clustering_matrix(f, model.d_max)
+        w = walk_closure(clustering_matrix(f), max(spec.dims))
         y = f.U_pinv @ f.R
         q = np.abs(y.T @ y)
         q[q < 1e-10 * q.max()] = 0.0
-        numeric = np.linalg.matrix_power(q + np.eye(7) * q.max(), model.d_max)
+        numeric = np.linalg.matrix_power(q + np.eye(7) * q.max(), max(spec.dims))
         np.testing.assert_array_equal(w, (numeric > 1e-8 * numeric.max()).astype(np.int64))
 
     def test_symmetric_and_reflexive(self):
         spec = SubspaceSpec(10, (2, 3), (6, 7))
-        a, model = generate_union_of_subspaces(spec, trial_generator(8, 0))
+        a, _ = generate_union_of_subspaces(spec, trial_generator(8, 0))
         f = build_cur(a, IndexSet(range(10), ROWS), IndexSet(range(13), COLS))
-        w = clustering_matrix(f, model.d_max)
+        w = clustering_matrix(f)
         np.testing.assert_array_equal(w, w.T)
-        assert np.all(np.diag(w) == 1)
+        assert np.all(np.diag(w))
 
     def test_column_permutation_equivariance(self):
         spec = SubspaceSpec(9, (2, 2), (5, 6))
         rng = trial_generator(9, 0)
-        a, model = generate_union_of_subspaces(spec, rng)
+        a, _ = generate_union_of_subspaces(spec, rng)
         perm = rng.permutation(11)
         full_rows, full_cols = IndexSet(range(9), ROWS), IndexSet(range(11), COLS)
-        w = clustering_matrix(build_cur(a, full_rows, full_cols), model.d_max)
-        w_perm = clustering_matrix(build_cur(a[:, perm], full_rows, full_cols), model.d_max)
+        w = clustering_matrix(build_cur(a, full_rows, full_cols))
+        w_perm = clustering_matrix(build_cur(a[:, perm], full_rows, full_cols))
         np.testing.assert_array_equal(w_perm, w[np.ix_(perm, perm)])
-
-    def test_d_max_validation(self):
-        a, model = generate_union_of_subspaces(SubspaceSpec(4, (1,), (3,)), trial_generator(6, 0))
-        f = build_cur(a, IndexSet(range(4), ROWS), IndexSet(range(3), COLS))
-        with pytest.raises(DomainError):
-            clustering_matrix(f, 0)
 
 
 class TestLabels:
@@ -230,11 +236,12 @@ def test_labels_do_not_depend_on_walk_length(spec, seed, draws):
     # the walk closure lies between the support and its transitive closure,
     # so its components do not depend on the walk length, exact CUR or not
     rng = trial_generator(seed, 0)
-    a, model = generate_union_of_subspaces(spec, rng)
+    a, _ = generate_union_of_subspaces(spec, rng)
     f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), draws, draws, rng)
-    want = labels_from_clustering_matrix(clustering_matrix(f, 1)).labels
-    for d in range(2, model.d_max + 1):
-        got = labels_from_clustering_matrix(clustering_matrix(f, d)).labels
+    support = clustering_matrix(f)
+    want = labels_from_clustering_matrix(support).labels
+    for d in range(2, max(spec.dims) + 1):
+        got = labels_from_clustering_matrix(walk_closure(support, d)).labels
         np.testing.assert_array_equal(got, want)
 
 
@@ -244,15 +251,13 @@ class TestEndToEnd:
         exact_seen = 0
         for trial in range(30):
             rng = trial_generator(1000, trial)
-            a, model = generate_union_of_subspaces(spec, rng)
+            a, truth = generate_union_of_subspaces(spec, rng)
             f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), 40, 40, rng)
             report = verify_characterization(a, f.I, f.J)
             if not report.all_hold:
                 continue
             exact_seen += 1
-            w = clustering_matrix(f, model.d_max)
-            pred = labels_from_clustering_matrix(w)
-            truth = ClusterLabels(model.ground_truth, len(spec.dims))
+            pred = labels_from_clustering_matrix(clustering_matrix(f))
             assert clustering_accuracy(pred, truth) == 1.0
         assert exact_seen >= 25
 
@@ -270,6 +275,5 @@ class TestEndToEnd:
                            20, 20, rng)
         report = verify_characterization(lifted, f.I, f.J)
         assert report.all_hold
-        w = clustering_matrix(f, 2)
-        pred = labels_from_clustering_matrix(w)
+        pred = labels_from_clustering_matrix(clustering_matrix(f))
         assert clustering_accuracy(pred, truth) == 1.0

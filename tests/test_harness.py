@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from curlowrank.cluster import MAX_CLUSTERS
 from curlowrank.errors import ConfigError
 from curlowrank.harness import (
     CSV_HEADER,
@@ -72,6 +73,14 @@ class TestConfig:
             ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6), d_grid=(8, 12))
         assert exc.value.field == "d_grid"
         ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6), d_grid=(8,))
+
+    def test_clustering_rejects_more_subspaces_than_accuracy_scores(self):
+        dims, points = (1,) * (MAX_CLUSTERS + 1), (3,) * (MAX_CLUSTERS + 1)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind="clustering", m=12, dims=dims, points=points)
+        assert exc.value.field == "dims"
+        cfg = ExperimentConfig(kind="clustering", m=12, dims=dims[1:], points=points[1:], trials=2)
+        assert len(run_experiment(cfg)[0]) == 2
 
     def test_deim_rejects_sparsity(self):
         with pytest.raises(ConfigError) as exc:

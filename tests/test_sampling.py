@@ -20,6 +20,7 @@ from curlowrank.sampling import (
     leverage_dist,
     min_sample_size_rv,
     rescaled_submatrix,
+    sample_size_length_via_lev,
     uniform_dist,
 )
 
@@ -229,3 +230,14 @@ class TestMinSampleSize:
             min_sample_size_rv(2.0, 0.5, 1.0)
         with pytest.raises(DomainError):
             min_sample_size_rv(0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: min_sample_size_rv(v, 0.5, 0.5), "stable rank"),
+        (lambda v: min_sample_size_rv(2.0, 0.5, 0.5, v), "leading constant"),
+        (lambda v: sample_size_length_via_lev(v, 2.0, 2, 0.5), "stable rank"),
+        (lambda v: sample_size_length_via_lev(2.0, v, 2, 0.5), "condition number"),
+    ], ids=["rv-r", "rv-big_c", "lev-r", "lev-kappa"])
+    def test_non_finite_inputs_are_domain_errors(self, call, name, value):
+        with pytest.raises(DomainError, match=name):
+            call(value)
