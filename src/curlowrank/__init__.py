@@ -64,6 +64,7 @@ from .linalg import (
     factored_norms,
     factored_svd,
     frobenius_norm,
+    leading_svd,
     numerical_rank,
     pseudoinverse,
     stable_rank,

@@ -20,8 +20,10 @@ level against ``||A||_2 = 1``.
 
 The table kinds keep A as its factors and take its spectrum, leverage
 scores and residual norms from them; the dense A is formed only for the
-length weights, the submatrices and the noise floors.  Only ``A + E`` (for
-noisy leverage scores) and the clustering matrices are factored densely.
+length weights, the submatrices and the noise floors.  The leverage scores
+of ``A + E`` come from the certified sketch ``linalg.leading_svd``, so the
+only m-by-n matrices factored densely are ``E`` (for its exact spectral
+norm) and the clustering matrices.
 """
 
 from __future__ import annotations

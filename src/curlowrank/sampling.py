@@ -6,6 +6,13 @@ replacement through an inverse-CDF lookup (binary search on the cumulative
 weight vector), so a fixed ``numpy.random.Generator`` state reproduces the
 same index multiset byte for byte.  Zero-weight indices are never drawn.
 
+Rank-k leverage scores need only the top-k singular subspaces.  Without a
+caller's SVD they come from the certified sketch
+:func:`~curlowrank.linalg.leading_svd`, still a pure function of the matrix
+bits, or from the dense :func:`~curlowrank.linalg.compact_svd` where the
+sketch declines; the paper's stability result (sampling from any
+``p_tilde >= beta * p``) absorbs the sketch's error.
+
 Every "how many samples suffice" formula lives here as well, together with
 the stability floors that certify a perturbed distribution against the
 squared-length one.  ``log`` means the natural logarithm throughout; leading
@@ -27,7 +34,16 @@ from .errors import (
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
-from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, condition_number, unit_scaled
+from .linalg import (
+    COLS,
+    ROWS,
+    IndexSet,
+    as_matrix,
+    compact_svd,
+    condition_number,
+    leading_svd,
+    unit_scaled,
+)
 
 UNIFORM = "uniform"
 LENGTH = "length"
@@ -83,25 +99,40 @@ def length_dist(a, axis) -> ProbDist:
     return ProbDist(norms2 / total, axis, LENGTH)
 
 
-def _leverage_dists(a, k, axes, svd=None):
-    """Yield the rank-k leverage distribution over each of ``axes``, all from one compact SVD."""
+def _leverage_bases(a, k, svd):
+    """``(left, right)``: the top-k singular bases of ``a``.
+
+    From ``svd`` when given; otherwise from :func:`~curlowrank.linalg.leading_svd`,
+    or from :func:`~curlowrank.linalg.compact_svd` where the sketch declines.
+    """
     if k < 1:
         raise DomainError(f"leverage rank must be >= 1, got {k}")
-    f = compact_svd(a) if svd is None else svd
-    if k > f.numerical_rank:
+    if svd is None:
+        sketch = leading_svd(a, k)
+        if sketch is not None:
+            return sketch[0], sketch[2]
+        svd = compact_svd(a)
+    if k > svd.numerical_rank:
         raise RankDeficientError(
-            f"requested leverage rank {k} exceeds numerical rank {f.numerical_rank}"
+            f"requested leverage rank {k} exceeds numerical rank {svd.numerical_rank}"
         )
+    return svd.left[:, :k], svd.right[:, :k]
+
+
+def _leverage_dists(a, k, axes, svd=None):
+    """Yield the rank-k leverage distribution over each of ``axes``, all from one pair of bases."""
+    left, right = _leverage_bases(a, k, svd)
     for axis in axes:
-        basis = f.right[:, :k] if axis == COLS else f.left[:, :k]
+        basis = right if axis == COLS else left
         yield ProbDist(np.sum(basis * basis, axis=1) / float(k), axis, f"leverage({int(k)})")
 
 
 def leverage_dist(a, k, axis) -> ProbDist:
     """Rank-k leverage scores: ``(1/k) * ||V_k(j,:)||^2`` per column index.
 
-    Row leverage replaces the right singular factor by the left one.  Raises
-    RankDeficientError when ``k`` exceeds the numerical rank of ``a``.
+    Row leverage replaces the right singular factor by the left one, and
+    both come from the sketch or the dense SVD as in :func:`axis_dists`.
+    Raises RankDeficientError when ``k`` exceeds the numerical rank of ``a``.
     """
     return next(_leverage_dists(a, k, (axis,)))
 
@@ -110,9 +141,10 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
     """Row and column distributions of one scheme from :data:`SCHEMES`.
 
     Leverage scores need the truncation rank ``k``; without it a
-    DomainError is raised.  Both leverage axes come from one SVD of ``a``:
-    ``svd``, the caller's :class:`~curlowrank.linalg.SvdFactors` of ``a``,
-    when given, else :func:`~curlowrank.linalg.compact_svd` of ``a``.
+    DomainError is raised.  Both leverage axes come from one factorization of
+    ``a``: ``svd``, the caller's :class:`~curlowrank.linalg.SvdFactors` of
+    ``a``, when given, else :func:`~curlowrank.linalg.leading_svd` of ``a``,
+    or its :func:`~curlowrank.linalg.compact_svd` where the sketch declines.
     """
     if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
@@ -182,6 +214,22 @@ def rescaled_submatrix(a, index_set: IndexSet, dist: ProbDist, d) -> np.ndarray:
     return a[:, idx] * scale[None, :]
 
 
+def _draw_count(formula, **inputs) -> int:
+    """``ceil(formula())``, or a DomainError naming ``inputs`` when the count leaves the float range.
+
+    A count leaves it by overflowing to inf, by dividing by a power that
+    underflowed to 0, or through an integer input too large for a float.
+    """
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        named = ", ".join(f"{key}={val!r}" for key, val in inputs.items())
+        raise DomainError(f"draw count for {named} is not a finite integer")
+    return math.ceil(value)
+
+
 def min_sample_size_rv(r, eps, delta, big_c=1.0) -> int:
     """Draw count ``ceil(C * x * log x)`` with ``x = r / (eps^4 * delta)``.
 
@@ -196,11 +244,13 @@ def min_sample_size_rv(r, eps, delta, big_c=1.0) -> int:
         raise DomainError(f"stable rank must be finite and >= 1, got {r}")
     if not 0.0 < big_c < math.inf:
         raise DomainError(f"leading constant must be finite and positive, got {big_c}")
-    x = float(r) / (float(eps) ** 4 * float(delta))
-    d = math.ceil(big_c * x * math.log(x))
-    if math.log(x) < 1.0:
-        d = max(d, math.ceil(x))
-    return int(d)
+
+    def count():
+        x = float(r) / (float(eps) ** 4 * float(delta))
+        d = big_c * x * math.log(x)
+        return max(d, x) if math.log(x) < 1.0 else d
+
+    return _draw_count(count, r=r, eps=eps, delta=delta, big_c=big_c)
 
 
 def sample_size_leverage(k, beta, delta) -> int:
@@ -211,7 +261,8 @@ def sample_size_leverage(k, beta, delta) -> int:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    return int(math.ceil((8.0 / beta) * (math.log(2 * k) + 1.0 / delta) * k))
+    return _draw_count(lambda: (8.0 / beta) * (math.log(2 * k) + 1.0 / delta) * k,
+                       k=k, beta=beta, delta=delta)
 
 
 def sample_size_length_via_lev(r, kappa, k, delta) -> int:
@@ -224,7 +275,8 @@ def sample_size_length_via_lev(r, kappa, k, delta) -> int:
         raise DomainError(f"rank must be >= 1, got {k}")
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    return int(math.ceil(8.0 * r * kappa * kappa * (math.log(2 * k) + 1.0 / delta)))
+    return _draw_count(lambda: 8.0 * r * kappa * kappa * (math.log(2 * k) + 1.0 / delta),
+                       r=r, kappa=kappa, k=k, delta=delta)
 
 
 @dataclass(frozen=True, eq=False)

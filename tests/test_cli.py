@@ -70,6 +70,20 @@ def test_sample_size_non_finite_exits_2(capsys, flag, value, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--r", "3", "--eps", "1e-100", "--delta", "0.1"], "eps=1e-100"),
+    (["--r", "1e308", "--eps", "0.5", "--delta", "0.1"], "r=1e+308"),
+    (["--r", "3", "--eps", "0.5", "--delta", "1e-320"], "delta=1e-320"),
+    (["--r", "3", "--eps", "0.5", "--delta", "0.1", "--k", "3", "--beta", "1e-320"],
+     "beta=1e-320"),
+    (["--r", "3", "--eps", "0.5", "--delta", "0.1", "--k", str(10**400)], f"k={10**400}"),
+])
+def test_sample_size_count_beyond_the_float_range_exits_2(capsys, args, named):
+    assert cli_main(["sample-size", *args]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "not a finite integer" in err
+
+
 def test_sample_size_takes_no_seed_or_tol(capsys):
     for flag in ("--tol", "--seed"):
         assert cli_main(["sample-size", "--r", "5", "--eps", "0.5", "--delta", "0.5",

@@ -5,6 +5,7 @@ from curlowrank.errors import IndexOutOfRangeError, ZeroMatrixError
 from curlowrank.linalg import (
     COLS,
     ROWS,
+    SKETCH_OVERSAMPLE,
     IndexSet,
     _fix_signs,
     as_matrix,
@@ -13,13 +14,14 @@ from curlowrank.linalg import (
     factored_norms,
     factored_svd,
     frobenius_norm,
+    leading_svd,
     numerical_rank,
     pseudoinverse,
     stable_rank,
     submatrix,
 )
 
-from conftest import rank_k
+from conftest import noisy_rank_k, rank_k
 
 
 class TestCompactSvd:
@@ -119,6 +121,57 @@ class TestFactoredSvd:
         f = factored_svd(np.ldexp(p, j), np.ldexp(q, -j))
         np.testing.assert_allclose(f.singular_values, compact_svd(p @ q.T).singular_values,
                                    rtol=1e-13)
+
+
+def _leverage(basis):
+    return np.sum(basis * basis, axis=1)
+
+
+class TestLeadingSvd:
+    def test_matches_the_dense_svd_on_low_rank_plus_noise(self, rng):
+        a, k = noisy_rank_k(200, 150, 5, 1e-3, rng), 5
+        left, s, right = leading_svd(a, k)
+        dense = compact_svd(a)
+        assert left.shape == (200, k) and right.shape == (150, k)
+        np.testing.assert_allclose(s, dense.singular_values[:k], rtol=1e-13)
+        # the same sign convention, so the vectors themselves agree
+        np.testing.assert_allclose(left, dense.left[:, :k], atol=1e-12)
+        np.testing.assert_allclose(right, dense.right[:, :k], atol=1e-12)
+        for basis, ref in ((left, dense.left[:, :k]), (right, dense.right[:, :k])):
+            assert np.max(np.abs(_leverage(basis) - _leverage(ref))) <= 1e-10 * _leverage(ref).max()
+
+    def test_flat_spectrum_fails_the_gap_check(self, rng):
+        assert leading_svd(rng.standard_normal((200, 150)), 5) is None
+
+    def test_rank_below_k_is_declined(self, rng):
+        assert leading_svd(rank_k(200, 150, 3, rng), 5) is None
+        assert leading_svd(rank_k(200, 150, 3, rng), 3) is not None
+
+    def test_size_rule(self, rng):
+        k = 4
+        width = k + SKETCH_OVERSAMPLE
+        assert leading_svd(rank_k(3 * width, 2 * width - 1, k, rng), k) is None
+        assert leading_svd(rank_k(2 * width, 3 * width, k, rng), k) is not None
+
+    def test_same_bits_whatever_the_rng_states(self, rng):
+        a = noisy_rank_k(80, 60, 4, 1e-3, rng)
+        first = [x.tobytes() for x in leading_svd(a, 4)]
+        np.random.seed(12345)
+        np.random.standard_normal(100)
+        rng.standard_normal(100)
+        assert [x.tobytes() for x in leading_svd(a, 4)] == first
+
+    @pytest.mark.parametrize("j", [-900, 900])
+    def test_power_of_two_scaling_keeps_the_bases_bits(self, rng, j):
+        a = noisy_rank_k(80, 60, 4, 1e-3, rng)
+        left, s, right = leading_svd(a, 4)
+        left_j, s_j, right_j = leading_svd(np.ldexp(a, j), 4)
+        assert left_j.tobytes() == left.tobytes() and right_j.tobytes() == right.tobytes()
+        assert np.ldexp(s_j, -j).tobytes() == s.tobytes()
+
+    def test_rank_must_be_positive(self, rng):
+        with pytest.raises(ValueError):
+            leading_svd(rank_k(60, 60, 3, rng), 0)
 
 
 class TestPseudoinverse:

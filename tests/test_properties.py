@@ -6,7 +6,9 @@ by 1e3 ("spiky"), or with a zero row and a zero column; index sets are drawn
 uniformly with replacement, so they carry duplicates.  The factored
 properties draw the factors themselves: with zero rows in ``q``, with a
 repeated column (rank-deficient factors), and with each factor scaled by a
-power of two up to 2^500 either way.
+power of two up to 2^500 either way.  The certified leverage property draws
+rank-k matrices plus noise large enough to sit near the sketch's gap
+threshold, scaled by 1e+-150.
 """
 
 import numpy as np
@@ -23,14 +25,17 @@ from curlowrank.cur import (
 )
 from curlowrank.errors import NoiseDominatesError
 from curlowrank.harness import lowrank_gaussian, trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, factored_svd
+from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, factored_svd, leading_svd
 from curlowrank.sampling import (
+    axis_dists,
     dedup_indices,
     leverage_dist,
     length_dist,
     noisy_stability_floor,
     uniform_stability_floor,
 )
+
+from conftest import noisy_rank_k
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -180,3 +185,30 @@ def test_residual_norms_match_the_dense_ones(pair, jp, data):
                         R=np.ldexp(cur.R, j), U_pinv=np.ldexp(cur.U_pinv, -j))
     got = np.ldexp(residual_norms(np.ldexp(p, jp), np.ldexp(q, jq), scaled), -j)
     assert np.all(np.abs(got - ref) <= 1e-12 * size)
+
+
+@st.composite
+def noisy_low_rank(draw):
+    """``(a, k)``: rank-k Gaussian factors plus noise ``nu * sigma_k``, scaled by 1e+-150 or 1.
+
+    Sizes straddle the sketch's size rule; ``nu`` runs from 0 to 10^-1.5, so
+    the gap estimate ``nu^5`` crosses the threshold 1e-12 near ``nu = 4e-3``.
+    """
+    m, n = draw(st.integers(12, 80)), draw(st.integers(12, 80))
+    k = draw(st.integers(1, max(1, min(m, n) // 2 - 8)))
+    nu = draw(st.one_of(st.just(0.0), st.floats(-4.0, -1.5).map(lambda x: 10.0**x)))
+    a = noisy_rank_k(m, n, k, nu, trial_generator(draw(st.integers(0, 2**32 - 1)), 0))
+    return a * draw(st.sampled_from((1e-150, 1.0, 1e150))), k
+
+
+@PROPERTY
+@given(inst=noisy_low_rank())
+def test_certified_leverage_matches_the_dense_reference(inst):
+    a, k = inst
+    got = axis_dists(a, "leverage", k)
+    ref = axis_dists(a, "leverage", k, svd=compact_svd(a))
+    if leading_svd(a, k) is None:  # the fallback is the dense path itself
+        assert [d.weights.tobytes() for d in got] == [d.weights.tobytes() for d in ref]
+    else:
+        for g, r in zip(got, ref):
+            assert np.max(np.abs(g.weights - r.weights)) <= 1e-10 * r.weights.max()

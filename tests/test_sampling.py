@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from curlowrank.errors import (
     ZeroProbabilityDrawError,
 )
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet
+from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd
 from curlowrank.sampling import (
     ProbDist,
     axis_dists,
@@ -21,10 +22,11 @@ from curlowrank.sampling import (
     min_sample_size_rv,
     rescaled_submatrix,
     sample_size_length_via_lev,
+    sample_size_leverage,
     uniform_dist,
 )
 
-from conftest import rank_k
+from conftest import noisy_rank_k, rank_k
 
 
 class TestDistributions:
@@ -98,6 +100,44 @@ class TestDistributions:
             ProbDist(np.array([0.5, 0.4]), COLS, "uniform")
         with pytest.raises(ValueError):
             ProbDist(np.array([1.1, -0.1]), COLS, "uniform")
+
+
+def _bits(dists):
+    return [d.weights.tobytes() for d in dists]
+
+
+class TestCertifiedLeverage:
+    """The leverage path without a caller's SVD, against ``compact_svd``'s scores."""
+
+    @staticmethod
+    def reference(a, k):
+        return axis_dists(a, "leverage", k, svd=compact_svd(a))
+
+    def test_sketch_matches_the_dense_reference(self, rng):
+        a = noisy_rank_k(200, 150, 5, 1e-3, rng)
+        for got, ref in zip(axis_dists(a, "leverage", 5), self.reference(a, 5)):
+            assert got.scheme == ref.scheme == "leverage(5)"
+            assert np.max(np.abs(got.weights - ref.weights)) <= 1e-10 * ref.weights.max()
+
+    def test_flat_spectrum_falls_back_to_the_dense_bits(self, rng):
+        a = rng.standard_normal((200, 150))
+        assert _bits(axis_dists(a, "leverage", 5)) == _bits(self.reference(a, 5))
+
+    def test_rank_deficient_at_sketch_size(self, rng):
+        with pytest.raises(RankDeficientError):
+            leverage_dist(rank_k(200, 150, 3, rng), 5, COLS)
+
+    def test_matrices_below_the_size_rule_keep_their_bits(self, rng):
+        a = noisy_rank_k(40, 29, 5, 1e-3, rng)
+        assert _bits(axis_dists(a, "leverage", 5)) == _bits(self.reference(a, 5))
+
+    def test_same_bits_whatever_the_global_rng_state(self, rng):
+        a = noisy_rank_k(80, 60, 4, 1e-3, rng)
+        first = _bits(axis_dists(a, "leverage", 4))
+        np.random.seed(2024)
+        np.random.random(10)
+        assert _bits(axis_dists(a, "leverage", 4)) == first
+        assert _bits(axis_dists(a.copy(), "leverage", 4)) == first
 
 
 class TestDraws:
@@ -241,3 +281,15 @@ class TestMinSampleSize:
     def test_non_finite_inputs_are_domain_errors(self, call, name, value):
         with pytest.raises(DomainError, match=name):
             call(value)
+
+    @pytest.mark.parametrize("call, named", [
+        (lambda: min_sample_size_rv(3.0, 1e-100, 0.1), "eps=1e-100"),  # eps**4 underflows to 0
+        (lambda: min_sample_size_rv(1e308, 0.5, 0.1), "r=1e+308"),
+        (lambda: min_sample_size_rv(3.0, 0.5, 1e-320), "delta=1e-320"),
+        (lambda: sample_size_leverage(3, 1e-320, 0.1), "beta=1e-320"),
+        (lambda: sample_size_length_via_lev(3.0, 1e200, 3, 0.1), "kappa=1e+200"),
+        (lambda: sample_size_leverage(10**400, 1.0, 0.1), f"k={10**400}"),
+    ], ids=["rv-eps", "rv-r", "rv-delta", "leverage-beta", "lev-kappa", "leverage-k"])
+    def test_counts_beyond_the_float_range_are_domain_errors(self, call, named):
+        with pytest.raises(DomainError, match=re.escape(named) + ".*not a finite integer"):
+            call()

@@ -12,7 +12,7 @@ import pytest
 from curlowrank.cli import cli_main
 from curlowrank.cur import verify_characterization
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd
+from curlowrank.linalg import COLS, ROWS, SKETCH_OVERSAMPLE, IndexSet, compact_svd
 from curlowrank.mmio import write_matrix
 from curlowrank.sampling import axis_dists
 
@@ -121,10 +121,20 @@ def test_table_trials_factor_no_m_by_n_matrix(name, spectral_calls):
     assert spectral_calls and _of_a_size(spectral_calls) == []
 
 
-def test_noise_trial_factors_only_a_plus_e_and_measures_e(spectral_calls):
+def test_noise_trial_takes_no_m_by_n_svd_and_measures_only_e(spectral_calls):
     cfg = ExperimentConfig(kind="noise_stability", m=M, n=N, k=4, sigma=1e-3, scheme="leverage",
                            d_grid=(12,), trials=1)
     records, _ = run_experiment(cfg)
     assert len(records) == 1
-    # ||E||_2 in spectral_noise, then the leverage scores of A + E
-    assert _of_a_size(spectral_calls) == [("norm2", (M, N)), ("svd", (M, N))]
+    # ||E||_2 in spectral_noise; the leverage scores of A + E come from the sketch's
+    # Rayleigh-Ritz SVD of a (k + 10) x n matrix
+    assert _of_a_size(spectral_calls) == [("norm2", (M, N)), ("svd", (4 + SKETCH_OVERSAMPLE, N))]
+
+
+def test_cli_leverage_cur_distributions_take_no_m_by_n_svd(tmp_path, svd_calls, capsys):
+    path = tmp_path / "a.mtx"
+    write_matrix(lowrank_gaussian(M, N, 5, trial_generator(78, 0)), path)
+    assert cli_main(["cur", "--in", str(path), "--scheme", "leverage", "--k", "5",
+                     "--d1", "10", "--d2", "10"]) == 0
+    assert "scheme: leverage(5)/leverage(5)" in capsys.readouterr().out
+    assert (M, N) not in svd_calls and (5 + SKETCH_OVERSAMPLE, N) in svd_calls
