@@ -29,6 +29,7 @@ from .cur import (
 )
 from .deim import DeimSelection, NoiseCertificate, deim_cur, deim_noise_certificate, deim_select
 from .errors import (
+    CertificateError,
     ConfigError,
     DivisionByZeroWeightError,
     DomainError,

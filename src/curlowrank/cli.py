@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .cur import approx_error, randomized_cur, relative_errors
 from .deim import deim_cur
@@ -18,7 +17,6 @@ from .harness import (
     CONFIG_FIELDS,
     KINDS,
     config_from_mapping,
-    config_from_text,
     emit_csv,
     read_key_values,
     run_experiment,
@@ -133,11 +131,12 @@ def _run(cfg):
 
 
 def _cmd_experiment(args):
-    given = _given_fields(args)
-    if "config" not in args:
-        return _run(config_from_mapping(given))
-    with open(args.config) as fh:
-        return _run(replace(config_from_text(fh.read()), **given))
+    values = {}
+    if "config" in args:
+        with open(args.config) as fh:
+            values = read_key_values(fh.read())
+    values.update(_given_fields(args))
+    return _run(config_from_mapping(values))
 
 
 # The keys of a model spec file and the config fields they set.

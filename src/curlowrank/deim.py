@@ -66,6 +66,8 @@ def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
     ``svd`` is the caller's compact SVD of ``a``, if it holds one; otherwise
     ``a`` is factored at ``tol``.
     """
+    if k < 1:
+        raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
     f = compact_svd(a, tol) if svd is None else svd
     if f.numerical_rank < k:

@@ -58,3 +58,7 @@ class ConfigError(ValueError):
         if field is not None:
             where += f"field '{field}': "
         super().__init__(where + message)
+
+
+class CertificateError(RuntimeError):
+    """Raised when computed stability floors fail to certify their distributions (a bug)."""

@@ -1,10 +1,12 @@
 """Sampling distributions over rows/columns, weighted draws, and size bounds.
 
-Three families of probability distributions are supported per axis: uniform,
-squared-length, and rank-k leverage scores.  Draws are i.i.d. with
-replacement through an inverse-CDF lookup (binary search on the cumulative
-weight vector), so a fixed ``numpy.random.Generator`` state reproduces the
-same index multiset byte for byte.  Zero-weight indices are never drawn.
+Uniform, squared-length and rank-k leverage distributions each have one
+builder, :func:`axis_dists`, which gives both axes at once; the squared
+lengths of both axes come from one square of the scaled matrix.  Draws are
+i.i.d. with replacement through an inverse-CDF lookup (binary search on the
+cumulative weight vector), so a fixed ``numpy.random.Generator`` state
+reproduces the same index multiset byte for byte.  Zero-weight indices are
+never drawn.
 
 Rank-k leverage scores need only the top-k singular subspaces.  Without a
 caller's SVD they come from the certified sketch
@@ -14,8 +16,9 @@ sketch declines; the paper's stability result (sampling from any
 ``p_tilde >= beta * p``) absorbs the sketch's error.
 
 Every "how many samples suffice" formula lives here as well, together with
-the stability floors that certify a perturbed distribution against the
-squared-length one.  ``log`` means the natural logarithm throughout; leading
+the per-index stability floors that certify a perturbed distribution
+against the squared-length weights, which each floor function checks before
+it returns.  ``log`` means the natural logarithm throughout; leading
 universal constants are surfaced as parameters rather than guessed.
 """
 
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CertificateError,
     DivisionByZeroWeightError,
     DomainError,
     NoiseDominatesError,
@@ -38,6 +42,7 @@ from .linalg import (
     COLS,
     ROWS,
     IndexSet,
+    _unit_shift,
     as_matrix,
     compact_svd,
     condition_number,
@@ -85,46 +90,35 @@ def uniform_dist(n, axis) -> ProbDist:
     return ProbDist(np.full(int(n), 1.0 / int(n)), axis, UNIFORM)
 
 
+def _length_pass(a) -> tuple:
+    """``(lengths, weights)``: the squared row and column lengths of ``a`` and their weights.
+
+    One elementwise square gives both axes, so callers pass ``a`` at unit
+    scale, where no square over- or underflows.  Each axis's weights divide
+    by the sum of its own lengths; zero rows and columns get weight exactly
+    0.0, and the zero matrix is rejected.
+    """
+    sq = a * a
+    rows, cols = sq.sum(axis=1), sq.sum(axis=0)
+    total = float(rows.sum())
+    if total == 0.0:
+        raise ZeroMatrixError("length distribution of the zero matrix is undefined")
+    return (rows, cols), (rows / total, cols / float(cols.sum()))
+
+
+def _on_axis(dists, axis) -> ProbDist:
+    """The member of a ``(rows, cols)`` pair that ``axis`` names."""
+    if axis not in (ROWS, COLS):
+        raise ValueError(f"axis must be '{ROWS}' or '{COLS}', got {axis!r}")
+    return dists[axis == COLS]
+
+
 def length_dist(a, axis) -> ProbDist:
     """Weights proportional to squared row/column Euclidean norms.
 
     Zero rows/columns get weight exactly 0.0; the zero matrix is rejected.
     """
-    a = unit_scaled(a)
-    sq = a * a
-    norms2 = sq.sum(axis=1) if axis == ROWS else sq.sum(axis=0)
-    total = float(norms2.sum())
-    if total == 0.0:
-        raise ZeroMatrixError("length distribution of the zero matrix is undefined")
-    return ProbDist(norms2 / total, axis, LENGTH)
-
-
-def _leverage_bases(a, k, svd):
-    """``(left, right)``: the top-k singular bases of ``a``.
-
-    From ``svd`` when given; otherwise from :func:`~curlowrank.linalg.leading_svd`,
-    or from :func:`~curlowrank.linalg.compact_svd` where the sketch declines.
-    """
-    if k < 1:
-        raise DomainError(f"leverage rank must be >= 1, got {k}")
-    if svd is None:
-        sketch = leading_svd(a, k)
-        if sketch is not None:
-            return sketch[0], sketch[2]
-        svd = compact_svd(a)
-    if k > svd.numerical_rank:
-        raise RankDeficientError(
-            f"requested leverage rank {k} exceeds numerical rank {svd.numerical_rank}"
-        )
-    return svd.left[:, :k], svd.right[:, :k]
-
-
-def _leverage_dists(a, k, axes, svd=None):
-    """Yield the rank-k leverage distribution over each of ``axes``, all from one pair of bases."""
-    left, right = _leverage_bases(a, k, svd)
-    for axis in axes:
-        basis = right if axis == COLS else left
-        yield ProbDist(np.sum(basis * basis, axis=1) / float(k), axis, f"leverage({int(k)})")
+    return _on_axis(axis_dists(a, LENGTH), axis)
 
 
 def leverage_dist(a, k, axis) -> ProbDist:
@@ -134,7 +128,7 @@ def leverage_dist(a, k, axis) -> ProbDist:
     both come from the sketch or the dense SVD as in :func:`axis_dists`.
     Raises RankDeficientError when ``k`` exceeds the numerical rank of ``a``.
     """
-    return next(_leverage_dists(a, k, (axis,)))
+    return _on_axis(axis_dists(a, "leverage", k), axis)
 
 
 def axis_dists(a, scheme, k=None, svd=None) -> tuple:
@@ -149,12 +143,24 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
     if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
     if scheme == LENGTH:
-        return length_dist(a, ROWS), length_dist(a, COLS)
+        rows, cols = _length_pass(unit_scaled(a))[1]
+        return ProbDist(rows, ROWS, LENGTH), ProbDist(cols, COLS, LENGTH)
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if k is None:
-        raise DomainError("leverage sampling needs the truncation rank k")
-    return tuple(_leverage_dists(a, k, (ROWS, COLS), svd))
+    if k is None or k < 1:
+        raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
+    sketch = leading_svd(a, k) if svd is None else None
+    if sketch is not None:
+        left, right = sketch[0], sketch[2]
+    else:
+        svd = compact_svd(a) if svd is None else svd
+        if k > svd.numerical_rank:
+            raise RankDeficientError(
+                f"requested leverage rank {k} exceeds numerical rank {svd.numerical_rank}"
+            )
+        left, right = svd.left[:, :k], svd.right[:, :k]
+    return tuple(ProbDist(np.sum(basis * basis, axis=1) / float(k), axis, f"leverage({int(k)})")
+                 for basis, axis in ((left, ROWS), (right, COLS)))
 
 
 def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:
@@ -214,12 +220,29 @@ def rescaled_submatrix(a, index_set: IndexSet, dist: ProbDist, d) -> np.ndarray:
     return a[:, idx] * scale[None, :]
 
 
-def _draw_count(formula, **inputs) -> int:
-    """``ceil(formula())``, or a DomainError naming ``inputs`` when the count leaves the float range.
+# The admissible range of each sample-size input, and the rule a DomainError states.
+_INPUT_RANGES = {
+    "r": (lambda v: 1.0 <= v < math.inf, "stable rank must be finite and >= 1"),
+    "eps": (lambda v: 0.0 < v < 1.0, "eps must lie in (0, 1)"),
+    "delta": (lambda v: 0.0 < v < 1.0, "delta must lie in (0, 1)"),
+    "big_c": (lambda v: 0.0 < v < math.inf, "leading constant must be finite and positive"),
+    "k": (lambda v: v >= 1, "rank must be >= 1"),
+    "beta": (lambda v: 0.0 < v <= 1.0, "beta must lie in (0, 1]"),
+    "kappa": (lambda v: 1.0 <= v < math.inf, "condition number must be finite and >= 1"),
+}
 
-    A count leaves it by overflowing to inf, by dividing by a power that
+
+def _draw_count(formula, **inputs) -> int:
+    """``ceil(formula())``, once each of ``inputs`` passes its :data:`_INPUT_RANGES` check.
+
+    A count that leaves the float range is a DomainError naming every input.
+    It leaves it by overflowing to inf, by dividing by a power that
     underflowed to 0, or through an integer input too large for a float.
     """
+    for name, value in inputs.items():
+        in_range, rule = _INPUT_RANGES[name]
+        if not in_range(value):
+            raise DomainError(f"{rule}, got {value}")
     try:
         value = formula()
     except (OverflowError, ZeroDivisionError):
@@ -236,45 +259,22 @@ def min_sample_size_rv(r, eps, delta, big_c=1.0) -> int:
     When ``log x < 1`` the result is clamped below at ``ceil(x)`` so the
     count never falls under the plain ``x`` scale.
     """
-    if not (0.0 < eps < 1.0):
-        raise DomainError(f"eps must lie in (0, 1), got {eps}")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if not 1.0 <= r < math.inf:
-        raise DomainError(f"stable rank must be finite and >= 1, got {r}")
-    if not 0.0 < big_c < math.inf:
-        raise DomainError(f"leading constant must be finite and positive, got {big_c}")
-
     def count():
         x = float(r) / (float(eps) ** 4 * float(delta))
         d = big_c * x * math.log(x)
         return max(d, x) if math.log(x) < 1.0 else d
 
-    return _draw_count(count, r=r, eps=eps, delta=delta, big_c=big_c)
+    return _draw_count(count, eps=eps, delta=delta, r=r, big_c=big_c)
 
 
 def sample_size_leverage(k, beta, delta) -> int:
     """Draw count ``ceil((8/beta) * (log(2k) + 1/delta) * k)`` for dominated leverage sampling."""
-    if k < 1:
-        raise DomainError(f"rank must be >= 1, got {k}")
-    if not (0.0 < beta <= 1.0):
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return _draw_count(lambda: (8.0 / beta) * (math.log(2 * k) + 1.0 / delta) * k,
                        k=k, beta=beta, delta=delta)
 
 
 def sample_size_length_via_lev(r, kappa, k, delta) -> int:
     """Draw count ``ceil(8 * r * kappa^2 * (log(2k) + 1/delta))`` for length sampling."""
-    if not 1.0 <= r < math.inf:
-        raise DomainError(f"stable rank must be finite and >= 1, got {r}")
-    if not 1.0 <= kappa < math.inf:
-        raise DomainError(f"condition number must be finite and >= 1, got {kappa}")
-    if k < 1:
-        raise DomainError(f"rank must be >= 1, got {k}")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return _draw_count(lambda: 8.0 * r * kappa * kappa * (math.log(2 * k) + 1.0 / delta),
                        r=r, kappa=kappa, k=k, delta=delta)
 
@@ -286,64 +286,57 @@ class StabilityParams:
     ``alpha_per_col[j]`` certifies the column distribution against the
     squared-length one (``p_tilde_j >= alpha_j^2 * p_j^col``) and
     ``beta_per_row[i]`` does the same for rows.  Conventionally the floor is
-    1 on zero rows/columns of the reference matrix.
+    1 on zero rows/columns of the reference matrix.  Only these floors are
+    stored; ``alpha``, ``beta`` and ``gamma = min(alpha, beta)`` are their minima.
     """
 
     alpha_per_col: np.ndarray
     beta_per_row: np.ndarray
-    alpha: float
-    beta: float
-    gamma: float
+
+    def __post_init__(self):
+        if not (np.all(self.alpha_per_col > 0.0) and np.all(self.beta_per_row > 0.0)):
+            raise ValueError("stability floors must be strictly positive")
+
+    @property
+    def alpha(self) -> float:
+        return float(self.alpha_per_col.min())
+
+    @property
+    def beta(self) -> float:
+        return float(self.beta_per_row.min())
+
+    @property
+    def gamma(self) -> float:
+        return min(self.alpha, self.beta)
 
 
-def _make_params(alpha_per_col, beta_per_row) -> StabilityParams:
-    alpha_per_col = np.asarray(alpha_per_col, dtype=np.float64)
-    beta_per_row = np.asarray(beta_per_row, dtype=np.float64)
-    if np.any(alpha_per_col <= 0.0) or np.any(beta_per_row <= 0.0):
-        raise ValueError("stability floors must be strictly positive")
-    alpha = float(alpha_per_col.min())
-    beta = float(beta_per_row.min())
-    return StabilityParams(
-        alpha_per_col=alpha_per_col,
-        beta_per_row=beta_per_row,
-        alpha=alpha,
-        beta=beta,
-        gamma=min(alpha, beta),
-    )
+def _certify(params: StabilityParams, reference, perturbed, slack=1e-12) -> StabilityParams:
+    """``params``, once each perturbed weight is at least its floor squared times the reference one.
 
-
-def _certify(params: StabilityParams, a, p_tilde_cols, q_tilde_rows, slack=1e-12):
-    """Check the floors actually dominate: raised only on internal inconsistency."""
-    a = unit_scaled(a)
-    sq = a * a
-    fro2 = float(sq.sum())
-    p_col = sq.sum(axis=0) / fro2
-    q_row = sq.sum(axis=1) / fro2
-    ok_cols = np.all(p_tilde_cols >= params.alpha_per_col**2 * p_col - slack)
-    ok_rows = np.all(q_tilde_rows >= params.beta_per_row**2 * q_row - slack)
-    if not (ok_cols and ok_rows):
-        raise AssertionError("stability floors fail to certify their distributions")
+    ``reference`` and ``perturbed`` are ``(rows, cols)`` weight pairs.  The
+    floors certify by construction, so a CertificateError names an internal
+    inconsistency: the first failing index, rows before columns.
+    """
+    floors = (params.beta_per_row, params.alpha_per_col)
+    for axis, floor, ref, tilde in zip((ROWS, COLS), floors, reference, perturbed):
+        short = np.flatnonzero(~(tilde >= floor**2 * ref - slack))
+        if short.size:
+            raise CertificateError(f"stability floor fails to certify {axis[:-1]} {short[0]}")
+    return params
 
 
 def uniform_stability_floor(a) -> StabilityParams:
     """Floors certifying the uniform distributions against squared lengths.
 
-    For a nonzero row i the floor is ``sqrt(||A||_F^2 / (m * ||A(i,:)||^2))``
+    For a nonzero row i the floor is ``sqrt(||A||_F^2 / (m * ||A(i,:)||^2))``,
+    which is ``sqrt(1 / (m * q_i))`` for the length weight ``q_i`` of row i,
     and analogously over columns with n; zero rows/columns get floor 1.
     """
-    a = unit_scaled(a)
-    m, n = a.shape
-    sq = a * a
-    fro2 = float(sq.sum())
-    if fro2 == 0.0:
-        raise ZeroMatrixError("stability floor of the zero matrix is undefined")
-    row2 = sq.sum(axis=1)
-    col2 = sq.sum(axis=0)
-    beta_per_row = np.where(row2 > 0.0, np.sqrt(fro2 / (m * np.where(row2 > 0, row2, 1.0))), 1.0)
-    alpha_per_col = np.where(col2 > 0.0, np.sqrt(fro2 / (n * np.where(col2 > 0, col2, 1.0))), 1.0)
-    params = _make_params(alpha_per_col, beta_per_row)
-    _certify(params, a, np.full(n, 1.0 / n), np.full(m, 1.0 / m))
-    return params
+    weights = _length_pass(unit_scaled(a))[1]
+    rows, cols = (np.where(w > 0.0, np.sqrt(1.0 / (w.size * np.where(w > 0.0, w, 1.0))), 1.0)
+                  for w in weights)
+    uniform = [uniform_dist(w.size, axis).weights for w, axis in zip(weights, (ROWS, COLS))]
+    return _certify(StabilityParams(alpha_per_col=cols, beta_per_row=rows), weights, uniform)
 
 
 def noisy_stability_floor(a, e) -> StabilityParams:
@@ -352,33 +345,34 @@ def noisy_stability_floor(a, e) -> StabilityParams:
     Per nonzero row i of ``a`` the floor is
     ``(1 - ||E(i,:)|| / ||A(i,:)||) / (1 + ||E||_F / ||A||_F)`` and the
     column floors are analogous.  Zero rows/columns of ``a`` get floor 1.
-    Raises NoiseDominatesError on any index whose floor would be nonpositive.
+    Raises NoiseDominatesError on any index whose floor would be nonpositive,
+    including one that underflows to 0.  ``a`` and ``e`` are each squared at
+    their own power-of-two scale, as in :func:`~curlowrank.linalg.frobenius_norm`,
+    so no norm over- or underflows where E dwarfs A.
     """
-    a, e = unit_scaled(a, as_matrix(e))
+    a, e = as_matrix(a), as_matrix(e)
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {e.shape}")
-    fro_a = float(np.linalg.norm(a))
-    if fro_a == 0.0:
-        raise ZeroMatrixError("stability floor of the zero matrix is undefined")
-    denom = 1.0 + float(np.linalg.norm(e)) / fro_a
-
-    def floors(a_norms, e_norms, axis_name):
-        live = a_norms > 0.0
-        dominated = np.flatnonzero(live & (e_norms >= a_norms))
-        if dominated.size:
-            raise NoiseDominatesError(axis_name, int(dominated[0]))
-        return np.where(live, (1.0 - e_norms / np.where(live, a_norms, 1.0)) / denom, 1.0)
-
-    beta_per_row = floors(np.linalg.norm(a, axis=1), np.linalg.norm(e, axis=1), ROWS)
-    alpha_per_col = floors(np.linalg.norm(a, axis=0), np.linalg.norm(e, axis=0), COLS)
-    params = _make_params(alpha_per_col, beta_per_row)
-
-    a_tilde = a + e
-    sq = a_tilde * a_tilde
-    fro2 = float(sq.sum())
-    if fro2 > 0.0:
-        _certify(params, a, sq.sum(axis=0) / fro2, sq.sum(axis=1) / fro2)
-    return params
+    shift_a, shift_e = _unit_shift(a), _unit_shift(e)
+    a, e = np.ldexp(a, shift_a), np.ldexp(e, shift_e)
+    a_lengths, a_weights = _length_pass(a)
+    # E's norms in A's units: inf only where E dwarfs A beyond the float range,
+    # which leaves every floor 0 or NaN, so NoiseDominatesError
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_norms = [np.ldexp(np.linalg.norm(e, axis=ax), shift_a - shift_e) for ax in (1, 0)]
+        denom = 1.0 + np.ldexp(np.linalg.norm(e), shift_a - shift_e) / float(np.linalg.norm(a))
+        floors = []
+        for a2, e_norm, axis in zip(a_lengths, e_norms, (ROWS, COLS)):
+            live = a2 > 0.0
+            out = np.where(live, (1.0 - e_norm / np.sqrt(np.where(live, a2, 1.0))) / denom, 1.0)
+            dominated = np.flatnonzero(~(out > 0.0))
+            if dominated.size:
+                raise NoiseDominatesError(axis, int(dominated[0]))
+            floors.append(out)
+    shift = min(shift_a, shift_e)  # A + E at the scale of the larger, so the sum cannot overflow
+    a_tilde = unit_scaled(np.ldexp(a, shift - shift_a) + np.ldexp(e, shift - shift_e))
+    return _certify(StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0]),
+                    a_weights, _length_pass(a_tilde)[1])
 
 
 def epsilon_ceiling(a, params: StabilityParams | None = None, delta=None) -> float:

@@ -107,6 +107,12 @@ def test_deim_error_is_finite_at_extreme_scale(tmp_path, rng, capsys):
     assert np.isfinite(resid) and resid <= 1e-8
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_deim_nonpositive_k_exits_2(matrix_file, capsys, k):
+    assert cli_main(["deim", "--in", str(matrix_file), "--k", k]) == 2
+    assert f"k={k}" in capsys.readouterr().err
+
+
 def test_cur_subcommand(matrix_file, capsys):
     assert cli_main(["cur", "--in", str(matrix_file), "--scheme", "length",
                      "--d1", "8", "--d2", "8", "--seed", "3"]) == 0
@@ -146,6 +152,23 @@ def test_flags_override_config_file(tmp_path, capsys):
     rows = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
     assert len(rows) == 3 and all(",uniform," in l for l in rows)
     assert "trials=3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("kind = success_prob\nm = 12\nn = 10\nk = 2\n", ["--d", "6"]),
+    ("m = 12\nn = 10\nk = 2\nd_grid = 6\n", ["--kind", "success_prob"]),
+    ("kind = deim_check\nm = 12\nn = 10\nk = 2\nscheme = uniform\n",
+     ["--kind", "success_prob", "--d", "6"]),
+], ids=["d-grid-from-flag", "kind-from-flag", "kind-overridden"])
+def test_config_file_is_validated_after_the_flags(tmp_path, capsys, text, flags):
+    # a file that is incomplete or wrong on its own, completed by the flags
+    config = tmp_path / "exp.cfg"
+    config.write_text(text + "trials = 2\n")
+    out = tmp_path / "exp.csv"
+    assert cli_main(["experiment", "--config", str(config), "--out", str(out), *flags]) == 0
+    rows = [l for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 2 and all(l.split(",")[2] == "6" for l in rows)
+    assert "kind=success_prob" in capsys.readouterr().out
 
 
 def test_experiment_inline_flags(tmp_path):

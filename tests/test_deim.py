@@ -99,6 +99,12 @@ class TestDeimCur:
         with pytest.raises(RankDeficientError):
             deim_cur(rank_k(8, 6, 2, rng), 3)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_k_is_a_domain_error(self, rng, k):
+        # a negative k would otherwise slice the basis from its end
+        with pytest.raises(DomainError, match=f"k={k}"):
+            deim_cur(rank_k(20, 12, 3, rng), k)
+
     def test_exact_recovery_sweep(self, rng):
         for _ in range(30):
             k = int(rng.integers(1, 7))

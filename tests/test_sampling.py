@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -6,12 +7,13 @@ import pytest
 
 from curlowrank.errors import (
     DomainError,
+    NoiseDominatesError,
     RankDeficientError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd
+from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, leading_svd, unit_scaled
 from curlowrank.sampling import (
     ProbDist,
     axis_dists,
@@ -20,10 +22,12 @@ from curlowrank.sampling import (
     length_dist,
     leverage_dist,
     min_sample_size_rv,
+    noisy_stability_floor,
     rescaled_submatrix,
     sample_size_length_via_lev,
     sample_size_leverage,
     uniform_dist,
+    uniform_stability_floor,
 )
 
 from conftest import noisy_rank_k, rank_k
@@ -138,6 +142,76 @@ class TestCertifiedLeverage:
         np.random.random(10)
         assert _bits(axis_dists(a, "leverage", 4)) == first
         assert _bits(axis_dists(a.copy(), "leverage", 4)) == first
+
+
+def _pin_cases():
+    """``(a, e, k)``: seeded rank-k matrices, clean and noisy, at 1 and 1e+-150.
+
+    The larger shapes have a zero row and a zero column.  Each matrix comes
+    with small noise, unit noise and a spike that dominates one column.
+    """
+    rng = np.random.default_rng(2001027740)
+    for m, n, k in ((7, 5, 2), (20, 15, 3), (61, 44, 4), (90, 90, 5)):
+        for scale in (1.0, 1e150, 1e-150):
+            for noisy in (False, True):
+                a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+                if noisy:
+                    a += 1e-3 * rng.standard_normal((m, n))
+                if m > 10:
+                    a[rng.integers(m)] = 0.0
+                    a[:, rng.integers(n)] = 0.0
+                spike = np.zeros((m, n))
+                j = int(np.argmax(np.abs(a).sum(axis=0)))
+                spike[:, j] = -2.0 * a[:, j]
+                for e in (1e-3 * rng.standard_normal((m, n)), rng.standard_normal((m, n)), spike):
+                    yield scale * a, scale * e, k
+
+
+class TestBitPin:
+    """Digests of the length and leverage weights (all three leverage paths) and the noisy floors.
+
+    A NoiseDominatesError counts by the axis and index it names.  The
+    digests were taken before the builders were merged into one per
+    quantity, so they pin that the merge moved no bit.
+    """
+
+    DIGESTS = {
+        "length": "4663b7628abf80a3f76f9eb669d7fb4ee6fb601fc822a5c2cfed5d72c6a46248",
+        "lev_svd": "58f208bca870b3d5f3da30d70d3f9127d393470c2a61246a379d88927aee7b4e",
+        "lev_sketch": "4a20293d0573eca717f249942cf541951a8a1009420dc77e504cf253ee26a594",
+        "lev_dense": "97ff956edd430dd5f9c0c848f21168def93e1ecb731deecf72ed21e29d11ed5a",
+        "noisy": "ddd91e5a50e9558ae96b80819aceb7d6827619a442d6c23ba6df17628c6efb46",
+    }
+
+    def test_digests(self):
+        h = {name: hashlib.sha256() for name in self.DIGESTS}
+        paths = set()
+        for a, e, k in _pin_cases():
+            dists = [length_dist(a, ROWS), length_dist(a, COLS), *axis_dists(a, "length")]
+            h["length"].update(b"".join(_bits(dists)))
+            h["lev_svd"].update(b"".join(_bits(axis_dists(a, "leverage", k, svd=compact_svd(a)))))
+            path = "lev_dense" if leading_svd(a, k) is None else "lev_sketch"
+            h[path].update(b"".join(_bits(axis_dists(a, "leverage", k))))
+            paths.add(path)
+            try:
+                p = noisy_stability_floor(a, e)
+            except NoiseDominatesError as exc:
+                h["noisy"].update(f"{exc.axis} {exc.index};".encode())
+            else:
+                h["noisy"].update(p.beta_per_row.tobytes() + p.alpha_per_col.tobytes())
+        assert paths == {"lev_dense", "lev_sketch"}
+        assert {name: d.hexdigest() for name, d in h.items()} == self.DIGESTS
+
+    def test_uniform_floors(self):
+        # the floor formula over squared lengths of the scaled matrix, summed whole
+        for a, _, _ in _pin_cases():
+            sq = unit_scaled(a) ** 2
+            fro2, got = float(sq.sum()), uniform_stability_floor(a)
+            for axis, floors in ((1, got.beta_per_row), (0, got.alpha_per_col)):
+                lengths = sq.sum(axis=axis)
+                live = np.where(lengths > 0.0, lengths, 1.0)
+                want = np.where(lengths > 0.0, np.sqrt(fro2 / (lengths.size * live)), 1.0)
+                np.testing.assert_allclose(floors, want, rtol=1e-15, atol=0.0)
 
 
 class TestDraws:

@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from curlowrank.errors import DivisionByZeroWeightError, DomainError, NoiseDominatesError
+from curlowrank.errors import (
+    CertificateError,
+    DivisionByZeroWeightError,
+    DomainError,
+    NoiseDominatesError,
+)
 from curlowrank.cur import verify_characterization
 from curlowrank.linalg import COLS, ROWS, IndexSet, condition_number, stable_rank
 from curlowrank.sampling import (
     ProbDist,
     StabilityParams,
+    _certify,
     epsilon_ceiling,
     length_dist,
     leverage_dist,
@@ -146,12 +152,48 @@ class TestNoisyFloor:
         params = noisy_stability_floor(a, e)
         assert params.beta_per_row[0] == 1.0
 
+    @pytest.mark.parametrize("big", [1e200, 1.7e308])
+    def test_large_noise_where_a_is_zero(self, big):
+        # E's norms are taken at E's own scale: 1e200 squared would overflow
+        a = np.diag([1.0, 0.0])
+        e = np.zeros((2, 2))
+        e[1, 1] = big
+        params = noisy_stability_floor(a, e)
+        for floors in (params.beta_per_row, params.alpha_per_col):
+            np.testing.assert_allclose(floors, [1.0 / (1.0 + big), 1.0], rtol=1e-15)
+
+    def test_floor_underflowing_to_zero_is_noise_dominated(self):
+        # ||E||_F / ||A||_F = 1e310 leaves the live row's floor at 0
+        a = np.diag([1e-300, 0.0])
+        e = np.zeros((2, 2))
+        e[1, 1] = 1e10
+        with pytest.raises(NoiseDominatesError) as exc:
+            noisy_stability_floor(a, e)
+        assert (exc.value.axis, exc.value.index) == (ROWS, 0)
+
     def test_noise_dominates(self):
         a = np.array([[1.0, 0.0], [0.0, 0.01]])
         e = np.array([[0.0, 0.0], [0.0, 0.02]])
         with pytest.raises(NoiseDominatesError) as exc:
             noisy_stability_floor(a, e)
         assert exc.value.index == 1
+
+
+class TestCertificate:
+    def test_floors_that_do_not_certify_raise(self, rng):
+        a = rank_k(6, 5, 2, rng)
+        reference = (length_dist(a, ROWS).weights, length_dist(a, COLS).weights)
+        uniform = (np.full(6, 1.0 / 6), np.full(5, 1.0 / 5))
+        params = StabilityParams(alpha_per_col=np.full(5, 2.0), beta_per_row=np.full(6, 2.0))
+        with pytest.raises(CertificateError, match="row 0"):
+            _certify(params, reference, uniform)
+        assert _certify(uniform_stability_floor(a), reference, uniform).beta > 0.0
+
+    def test_floors_are_stored_once(self):
+        params = StabilityParams(alpha_per_col=np.array([0.5, 0.25]), beta_per_row=np.array([0.75]))
+        assert (params.alpha, params.beta, params.gamma) == (0.25, 0.75, 0.25)
+        with pytest.raises(ValueError, match="strictly positive"):
+            StabilityParams(alpha_per_col=np.array([0.5, 0.0]), beta_per_row=np.array([0.75]))
 
 
 class TestEpsilonCeiling:
@@ -167,9 +209,6 @@ class TestEpsilonCeiling:
         params = StabilityParams(
             alpha_per_col=np.array([0.02]),
             beta_per_row=np.array([0.5]),
-            alpha=0.02,
-            beta=0.5,
-            gamma=0.02,
         )
         a = np.diag([2.0, 1.0])
         expected = min(0.5, 0.9 ** -0.25 * math.sqrt(2 * 0.02))
