@@ -13,10 +13,10 @@ tables.
 from .cluster import (
     ClusterLabels,
     SubspaceSpec,
-    clustering_accuracy,
     clustering_matrix,
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
+    same_partition,
 )
 from .cur import (
     EXACTNESS_TOL,
@@ -37,7 +37,6 @@ from .errors import (
     NoiseDominatesError,
     RankDeficientError,
     SingularInterpolationError,
-    TooManyClustersError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )

@@ -163,7 +163,6 @@ def _config_flags(sub):
     """Flags shared by the experiment commands; each ``dest`` is a config field."""
     sub.add_argument("--scheme", choices=SCHEMES)
     sub.add_argument("--trials", type=int)
-    sub.add_argument("--dedup", action="store_true", help="drop repeated indices")
     sub.add_argument("--seed", dest="master_seed", type=int, help="master seed")
     sub.add_argument("--tol", type=float, help="exactness tolerance")
     sub.add_argument("--out", dest="out_path", help="CSV output path")
@@ -222,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", dest="d_grid", type=int, nargs="+", help="draw-count grid")
     p.add_argument("--c", dest="big_c", type=float, help="leading constant")
     p.add_argument("--sparsity", type=float, help="fraction of columns zeroed")
+    p.add_argument("--dedup", action="store_true", help="drop repeated indices")
     p.add_argument("--timing", action="store_true",
                    help="record wall time per trial (breaks byte reproducibility)")
     _config_flags(p)

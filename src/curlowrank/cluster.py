@@ -7,31 +7,29 @@ the connected components of Q's support are the subspaces.  The labels are
 read from the support itself.  The paper's walk closure ``Q^D``, with D the
 largest subspace dimension, lies between the support and its transitive
 closure, so it has the same components and hence the same labels for every
-walk length.
+walk length.  Exact recovery is partition equality (:func:`same_partition`);
+it needs d + 1 points in each subspace of dim d >= 2, as d points are a basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .cur import CurFactors
-from .errors import DomainError, TooManyClustersError
+from .errors import DomainError
 from .linalg import numerical_rank
 
 # Entries of Q below this fraction of its largest entry count as zero (rounding guard).
 SUPPORT_RTOL = 1e-10
 # Redraws allowed for the probability-zero event of a rank-deficient draw.
 MAX_REDRAWS = 8
-# clustering_accuracy searches every relabeling, so it takes at most this many clusters.
-MAX_CLUSTERS = 8
 
 
 @dataclass(frozen=True)
 class SubspaceSpec:
-    """Generation parameters: ambient dimension, per-subspace dims and point counts."""
+    """Generation parameters: ambient dim, per-subspace dims and point counts (> d if d > 1)."""
 
     ambient_dim: int
     dims: tuple
@@ -48,8 +46,8 @@ class SubspaceSpec:
             raise DomainError(
                 f"sum of subspace dims {sum(self.dims)} exceeds ambient dim {self.ambient_dim}"
             )
-        if any(p < d for d, p in zip(self.dims, self.points)):
-            raise DomainError("each subspace needs at least dim many points")
+        if any(d >= 2 and p <= d for d, p in zip(self.dims, self.points)):
+            raise DomainError("a subspace of dim d >= 2 needs d + 1 points: d are a basis")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,20 +113,13 @@ def labels_from_clustering_matrix(w) -> ClusterLabels:
     return ClusterLabels(labels=labels, num_clusters=count)
 
 
-def clustering_accuracy(pred: ClusterLabels, truth: ClusterLabels) -> float:
-    """Best agreement fraction over all relabelings of the predicted clusters.
+def same_partition(pred: ClusterLabels, truth: ClusterLabels) -> bool:
+    """Whether both labelings group the columns into the same clusters, names aside.
 
-    Exhaustive over label permutations of the ell-by-ell confusion matrix, so
-    at most ``MAX_CLUSTERS`` clusters are supported.
+    They do exactly when the confusion support is a bijection: there are as
+    many distinct ``(pred, truth)`` label pairs as distinct labels on each side.
     """
     if pred.labels.shape != truth.labels.shape:
         raise ValueError("label vectors must have equal length")
-    ell = max(pred.num_clusters, truth.num_clusters)
-    if ell > MAX_CLUSTERS:
-        raise TooManyClustersError(
-            f"permutation matching supports <= {MAX_CLUSTERS} clusters, got {ell}")
-    confusion = np.zeros((ell, ell), dtype=np.int64)
-    np.add.at(confusion, (pred.labels, truth.labels), 1)
-    perms = np.array(list(permutations(range(ell))), dtype=np.intp)
-    best = int(confusion[np.arange(ell), perms].sum(axis=1).max())
-    return best / pred.labels.size
+    pairs = np.unique(np.stack([pred.labels, truth.labels]), axis=1).shape[1]
+    return pairs == np.unique(pred.labels).size == np.unique(truth.labels).size

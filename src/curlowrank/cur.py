@@ -84,10 +84,12 @@ class CharacterizationReport:
 
     The booleans must be unanimous on every instance; ``u_pinv_identity``
     (``U^+ = C^+ A R^+``) is only meaningful when all five hold.  ``factors``
-    is the CUR behind the verdicts, with ``U^+`` truncated at the verifier's cutoff.
+    is the CUR behind the verdicts, with ``U^+`` truncated at the verifier's cutoff;
+    ``norm_a`` is ``||A||_2``, the largest singular value of the verifier's SVD of A.
     """
 
     rank_a: int
+    norm_a: float
     rank_c: int
     rank_r: int
     rank_u: int
@@ -155,10 +157,10 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     a = as_matrix(a)
     c, r, u = _submatrices(a, rows, cols)
     # a zero A has cutoff 0.0, and its zero submatrices get rank 0 as well
-    rank_a, a_pinv, rank_tol = _rank_pinv_cutoff(a)
-    rank_c, c_pinv, _ = _rank_pinv_cutoff(c, floor=rank_tol)
-    rank_r, r_pinv, _ = _rank_pinv_cutoff(r, floor=rank_tol)
-    rank_u, u_pinv, _ = _rank_pinv_cutoff(u, floor=rank_tol)
+    rank_a, a_pinv, rank_tol, norm_a = _rank_pinv_cutoff(a)
+    rank_c, c_pinv = _rank_pinv_cutoff(c, floor=rank_tol)[:2]
+    rank_r, r_pinv = _rank_pinv_cutoff(r, floor=rank_tol)[:2]
+    rank_u, u_pinv = _rank_pinv_cutoff(u, floor=rank_tol)[:2]
 
     rel_cur = _relative(a - c @ u_pinv @ r, a)
     rel_proj = _relative(a - c @ c_pinv @ a @ r_pinv @ r, a)
@@ -167,6 +169,7 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
 
     return CharacterizationReport(
         rank_a=rank_a,
+        norm_a=norm_a,
         rank_c=rank_c,
         rank_r=rank_r,
         rank_u=rank_u,

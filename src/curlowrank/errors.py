@@ -42,10 +42,6 @@ class SingularInterpolationError(RuntimeError):
     """Raised when the interpolation system of a greedy selection step is singular."""
 
 
-class TooManyClustersError(ValueError):
-    """Raised when permutation-matching accuracy is requested for too many clusters."""
-
-
 class ConfigError(ValueError):
     """Raised on invalid experiment configuration; names the offending field."""
 

@@ -244,15 +244,15 @@ def numerical_rank(a, tol=None) -> int:
 
 
 def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
-    """``(rank, pinv, cutoff)`` from one compact SVD.
+    """``(rank, pinv, cutoff, norm)`` from one SVD; ``norm`` is the spectral norm sigma_1.
 
     Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
     """
-    try:
-        f = compact_svd(a, tol, floor)
-    except ZeroMatrixError:
-        return 0, np.zeros(np.shape(a)[::-1]), floor if tol is None else tol
-    return f.numerical_rank, f.pinv(), f.tolerance_used
+    a = as_matrix(a)
+    w, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank, cutoff = rank_cutoff(s, a.shape, tol, floor)
+    pinv = _truncated(w, s, vt, a.shape, cutoff).pinv() if rank else np.zeros(a.shape[::-1])
+    return rank, pinv, cutoff, float(s[0])
 
 
 def pseudoinverse(a, tol=None) -> np.ndarray:

@@ -294,11 +294,37 @@ def test_cluster_inline(capsys):
     assert "success_rate" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("count, code", [(8, 0), (9, 2)])
-def test_cluster_subspace_limit(tmp_path, capsys, count, code):
+@pytest.mark.parametrize("count", [9, 12])
+def test_cluster_subspace_limit(tmp_path, capsys, count):
+    # any number of subspaces runs, and every exact CUR recovers the partition
     out = tmp_path / "limit.csv"
     assert cli_main(["cluster", "--ambient", "12", "--dims", ",".join(["1"] * count),
                      "--points", ",".join(["3"] * count), "--trials", "2",
-                     "--out", str(out)]) == code
-    assert out.exists() == (code == 0)
-    assert ("field 'dims'" in capsys.readouterr().err) == (code == 2)
+                     "--out", str(out)]) == 0
+    summary = dict(part.split("=") for part in out.read_text().splitlines()[-1][2:].split(" "))
+    assert int(summary["exact_curs"]) > 0
+    assert summary["exact_and_perfect"] == summary["exact_curs"]
+
+
+@pytest.mark.parametrize("ambient, dims, points", [
+    ("4", "2,2", "2,2"), ("6", "3", "3"), ("12", "2,3", "2,9"),
+])
+def test_cluster_rejects_a_basis_of_points(capsys, ambient, dims, points):
+    # d >= 2 points of a d-dim subspace are a basis, so its cluster is not identifiable
+    assert cli_main(["cluster", "--ambient", ambient, "--dims", dims, "--points", points,
+                     "--trials", "2"]) == 2
+    assert "needs d + 1 points" in capsys.readouterr().err
+
+
+def test_cluster_rejects_dedup_flag(capsys):
+    # the clustering trial always drops repeated indices
+    assert cli_main(["cluster", "--ambient", "10", "--dims", "1,2", "--points", "4,5",
+                     "--dedup", "--trials", "2"]) == 2
+
+
+def test_clustering_config_rejects_dedup(tmp_path, capsys):
+    config = tmp_path / "cluster.cfg"
+    config.write_text("kind = clustering\nm = 10\ndims = 1,2\npoints = 4,5\ntrials = 2\n"
+                      "dedup = 1\n")
+    assert cli_main(["experiment", "--config", str(config)]) == 2
+    assert "field 'dedup'" in capsys.readouterr().err

@@ -2,22 +2,22 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curlowrank.cluster import (
     ClusterLabels,
     SubspaceSpec,
-    clustering_accuracy,
     clustering_matrix,
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
+    same_partition,
 )
 from curlowrank.cur import build_cur, randomized_cur, verify_characterization
-from curlowrank.errors import DomainError, TooManyClustersError
-from curlowrank.harness import trial_generator
+from curlowrank.errors import DomainError
+from curlowrank.harness import ExperimentConfig, run_experiment, trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, numerical_rank
-from curlowrank.sampling import length_dist
+from curlowrank.sampling import SCHEMES, length_dist
 
 
 class TestSpec:
@@ -26,6 +26,16 @@ class TestSpec:
             SubspaceSpec(4, (2, 3), (5, 5))
         with pytest.raises(DomainError):
             SubspaceSpec(8, (3,), (2,))  # fewer points than dim
+
+    @pytest.mark.parametrize("dims, points", [((2, 2), (2, 2)), ((3,), (3,)), ((2, 3), (2, 9))])
+    def test_basis_of_points_rejected(self, dims, points):
+        # d >= 2 points spanning their d-dim subspace are a basis: no grouping is identifiable
+        with pytest.raises(DomainError, match="d \\+ 1 points"):
+            SubspaceSpec(12, dims, points)
+        SubspaceSpec(12, dims, tuple(p + (p == d) for d, p in zip(dims, points)))
+
+    def test_single_point_line_accepted(self):
+        assert SubspaceSpec(3, (1, 1, 1), (1, 1, 1)).points == (1, 1, 1)
 
 
 def walk_closure(support, length):
@@ -182,24 +192,42 @@ class TestLabels:
 
 
 class TestAccuracy:
+    """Exact recovery: ``same_partition`` is the relabeling search's accuracy of 1.0."""
+
     def test_identical(self):
         x = ClusterLabels(np.array([0, 1, 1, 2]), 3)
-        assert clustering_accuracy(x, x) == 1.0
+        assert same_partition(x, x)
 
     def test_renamed(self):
         pred = ClusterLabels(np.array([2, 0, 0, 1]), 3)
         truth = ClusterLabels(np.array([0, 1, 1, 2]), 3)
-        assert clustering_accuracy(pred, truth) == 1.0
+        assert same_partition(pred, truth)
 
     def test_partial(self):
         pred = ClusterLabels(np.array([0, 0, 1, 1]), 2)
         truth = ClusterLabels(np.array([0, 1, 1, 1]), 2)
-        assert clustering_accuracy(pred, truth) == 0.75
+        assert not same_partition(pred, truth)
 
-    def test_too_many_clusters(self):
-        labels = ClusterLabels(np.arange(9), 9)
-        with pytest.raises(TooManyClustersError):
-            clustering_accuracy(labels, labels)
+    def test_merged_and_split(self):
+        merged = ClusterLabels(np.array([0, 0, 0, 0, 1]), 2)
+        truth = ClusterLabels(np.array([0, 0, 1, 1, 2]), 3)
+        split = ClusterLabels(np.array([0, 1, 2, 3, 4]), 5)
+        assert not same_partition(merged, truth) and not same_partition(truth, merged)
+        assert not same_partition(split, truth) and not same_partition(truth, split)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            same_partition(ClusterLabels(np.zeros(3, dtype=np.int64), 1),
+                           ClusterLabels(np.zeros(4, dtype=np.int64), 1))
+
+    def test_twelve_clusters_relabeled(self):
+        rng = trial_generator(4241, 0)
+        truth = ClusterLabels(rng.permutation(np.repeat(np.arange(12), 3)), 12)
+        pred = ClusterLabels(rng.permutation(12)[truth.labels], 12)
+        assert same_partition(pred, truth)
+        moved = pred.labels.copy()
+        moved[0] = (moved[0] + 1) % 12
+        assert not same_partition(ClusterLabels(moved, 12), truth)
 
     @staticmethod
     def reference_accuracy(pred, truth):
@@ -219,13 +247,16 @@ class TestAccuracy:
             ell_truth = int(rng.integers(1, 9))
             pred = ClusterLabels(rng.integers(0, ell_pred, size=n), ell_pred)
             truth = ClusterLabels(rng.integers(0, ell_truth, size=n), ell_truth)
-            assert clustering_accuracy(pred, truth) == self.reference_accuracy(pred, truth)
+            assert same_partition(pred, truth) == (self.reference_accuracy(pred, truth) == 1.0)
+            renamed = ClusterLabels((pred.labels + 1) % ell_pred, ell_pred)
+            assert same_partition(renamed, pred) and self.reference_accuracy(renamed, pred) == 1.0
 
 
 @st.composite
-def subspace_specs(draw):
-    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    points = [d + draw(st.integers(0, 5)) for d in dims]
+def subspace_specs(draw, max_subspaces=4):
+    """Valid specs: a subspace of dim d >= 2 gets at least d + 1 points, a line at least one."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_subspaces))
+    points = [d + draw(st.integers(int(d >= 2), 5)) for d in dims]
     ambient = sum(dims) + draw(st.integers(0, 4))
     return SubspaceSpec(ambient, tuple(dims), tuple(points))
 
@@ -245,6 +276,19 @@ def test_labels_do_not_depend_on_walk_length(spec, seed, draws):
         np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=subspace_specs(max_subspaces=12), seed=st.integers(0, 2**32 - 1),
+       scheme=st.sampled_from(SCHEMES))
+@example(spec=SubspaceSpec(24, (2, 3, 1) * 4, (3, 4, 1) * 4), seed=0, scheme="length")
+def test_exact_cur_recovers_the_partition(spec, seed, scheme):
+    # the clustering theorem: every exact CUR of a union of independent subspaces
+    # gives the true partition, for any number of subspaces
+    cfg = ExperimentConfig(kind="clustering", m=spec.ambient_dim, dims=spec.dims,
+                           points=spec.points, scheme=scheme, trials=3, master_seed=seed)
+    group = run_experiment(cfg)[1]["groups"][0]
+    assert group["exact_and_perfect"] == group["exact_curs"]
+
+
 class TestEndToEnd:
     def test_exact_cur_implies_perfect_clustering(self):
         spec = SubspaceSpec(12, (2, 2, 3), (6, 6, 8))
@@ -258,7 +302,7 @@ class TestEndToEnd:
                 continue
             exact_seen += 1
             pred = labels_from_clustering_matrix(clustering_matrix(f))
-            assert clustering_accuracy(pred, truth) == 1.0
+            assert same_partition(pred, truth)
         assert exact_seen >= 25
 
     def test_affine_subspaces_via_homogeneous_coordinates(self):
@@ -276,4 +320,4 @@ class TestEndToEnd:
         report = verify_characterization(lifted, f.I, f.J)
         assert report.all_hold
         pred = labels_from_clustering_matrix(clustering_matrix(f))
-        assert clustering_accuracy(pred, truth) == 1.0
+        assert same_partition(pred, truth)

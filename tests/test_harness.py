@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from curlowrank.cluster import MAX_CLUSTERS
 from curlowrank.errors import ConfigError
 from curlowrank.harness import (
     CSV_HEADER,
@@ -74,14 +73,6 @@ class TestConfig:
         assert exc.value.field == "d_grid"
         ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6), d_grid=(8,))
 
-    def test_clustering_rejects_more_subspaces_than_accuracy_scores(self):
-        dims, points = (1,) * (MAX_CLUSTERS + 1), (3,) * (MAX_CLUSTERS + 1)
-        with pytest.raises(ConfigError) as exc:
-            ExperimentConfig(kind="clustering", m=12, dims=dims, points=points)
-        assert exc.value.field == "dims"
-        cfg = ExperimentConfig(kind="clustering", m=12, dims=dims[1:], points=points[1:], trials=2)
-        assert len(run_experiment(cfg)[0]) == 2
-
     def test_deim_rejects_sparsity(self):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(kind="deim_check", m=15, n=12, k=3, sparsity=0.5)
@@ -89,6 +80,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind, field, value", [
         ("clustering", "kappa", 10.0),
+        ("clustering", "dedup", True),
         ("deim_check", "scheme", "uniform"),
         ("success_prob", "sigma", 1e-3),
     ])

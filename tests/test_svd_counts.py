@@ -2,19 +2,21 @@
 
 The counter wraps ``np.linalg.svd`` as the package calls it; the SVDs that
 ``np.linalg.norm(x, 2)`` takes internally are not counted by it.  The
-table-kind trials are pinned with a second counter that records both
-``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix.
+table-kind and clustering trials are pinned with a second counter that
+records both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of
+a matrix.
 """
 
 import numpy as np
 import pytest
 
 from curlowrank.cli import cli_main
+from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
 from curlowrank.cur import verify_characterization
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
 from curlowrank.linalg import COLS, ROWS, SKETCH_OVERSAMPLE, IndexSet, compact_svd
 from curlowrank.mmio import write_matrix
-from curlowrank.sampling import axis_dists
+from curlowrank.sampling import axis_dists, draw_indices
 
 
 @pytest.fixture
@@ -91,13 +93,29 @@ def test_cli_svd_takes_one_svd(a, tmp_path, svd_calls, capsys):
     assert svd_calls == [(12, 10)]
 
 
+CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), d_grid=(16,),
+                  trials=1)
+
+
 def test_clustering_trial_factors_each_matrix_once(svd_calls):
-    # the generator's rank check of the stacked data, then A, C, R and U once each
-    cfg = ExperimentConfig(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10),
-                           d_grid=(16,), trials=1)
-    records, _ = run_experiment(cfg)
+    # A twice (the generator's rank check, then the verifier), then C, R and U once
+    # each at the sizes of the trial's distinct indices
+    rng = trial_generator(0, 0)
+    a, _ = generate_union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
+    rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
+    d1, d2 = len(rows), len(cols)
+    assert d1 < 16 or d2 < 16  # the draw repeats an index, so its distinct part is smaller
+    svd_calls.clear()
+    records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
-    assert sorted(svd_calls) == sorted([(20, 30), (20, 30), (20, 16), (16, 30), (16, 16)])
+    assert sorted(svd_calls) == sorted([(20, 30), (20, 30), (20, d2), (d1, 30), (d1, d2)])
+
+
+def test_clustering_trial_takes_one_spectral_norm_of_the_residual(spectral_calls):
+    # ||A||_2 comes from the verifier's SVD, so the only spectral norm is the residual's
+    records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
+    assert len(records) == 1
+    assert [call for call in spectral_calls if call[0] == "norm2"] == [("norm2", (20, 30))]
 
 
 M, N = 60, 50
