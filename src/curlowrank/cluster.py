@@ -55,7 +55,6 @@ class ClusterLabels:
     """Integer label per data column; names only matter up to permutation."""
 
     labels: np.ndarray
-    num_clusters: int
 
 
 def generate_union_of_subspaces(spec: SubspaceSpec, rng):
@@ -80,7 +79,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng):
         if numerical_rank(a) < sum(spec.dims):
             continue
         perm = rng.permutation(n)
-        return np.ascontiguousarray(a[:, perm]), ClusterLabels(labels[perm], len(spec.dims))
+        return np.ascontiguousarray(a[:, perm]), ClusterLabels(labels[perm])
     raise RuntimeError("failed to draw a generic independent-subspace model")
 
 
@@ -110,7 +109,7 @@ def labels_from_clustering_matrix(w) -> ClusterLabels:
             labels[frontier] = count
             frontier = adj[frontier].any(axis=0) & (labels < 0)
         count += 1
-    return ClusterLabels(labels=labels, num_clusters=count)
+    return ClusterLabels(labels)
 
 
 def same_partition(pred: ClusterLabels, truth: ClusterLabels) -> bool:

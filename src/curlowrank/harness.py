@@ -21,9 +21,10 @@ level against ``||A||_2 = 1``.
 The table kinds keep A as its factors and take its spectrum, leverage
 scores and residual norms from them; the dense A is formed only for the
 length weights, the submatrices and the noise floors.  The leverage scores
-of ``A + E`` come from the certified sketch ``linalg.leading_svd``, so the
-only m-by-n matrices factored densely are ``E`` (for its exact spectral
-norm) and the clustering matrices.
+of ``A + E`` come from the certified sketch ``linalg.leading_svd`` and
+``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so the
+table kinds factor no m-by-n matrix at all; only the clustering matrices
+are factored densely.
 """
 
 from __future__ import annotations
@@ -45,7 +46,15 @@ from .cur import approx_error, build_cur, randomized_cur, residual_norms, verify
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
 from .linalg import factored_svd
-from .sampling import SCHEMES, axis_dists, draw_indices, min_sample_size_rv, noisy_stability_floor
+from .sampling import (
+    LENGTH,
+    SCHEMES,
+    _certify,
+    _noisy_floors,
+    axis_dists,
+    draw_indices,
+    min_sample_size_rv,
+)
 
 KINDS = ("success_prob", "noise_stability", "deim_check", "clustering")
 
@@ -251,15 +260,22 @@ def zero_out_columns(a, fraction, rng) -> np.ndarray:
 
 
 def spectral_noise(shape, sigma, rng) -> np.ndarray:
-    """I.i.d. Gaussian noise rescaled so ``||E||_2`` equals ``sigma`` exactly.
+    """I.i.d. Gaussian noise rescaled so ``||E||_2`` equals ``sigma`` to within 1e-12 relative.
 
-    The raw Gaussian block is always drawn, so stream consumption does not
-    depend on ``sigma``.
+    ``||E||_2`` is the square root of the largest eigenvalue of the smaller
+    Gram matrix, ``E^T E`` or ``E E^T``: one BLAS-3 product and a symmetric
+    eigensolve instead of an SVD of E.  The largest eigenvalue of a positive
+    semidefinite matrix is accurate relative to itself, so this agrees with
+    the singular value to a few ulp.  The raw Gaussian block is always drawn,
+    so stream consumption does not depend on ``sigma``; ``sigma = 0`` gives
+    exact zeros.
     """
     e = rng.standard_normal(shape)
     if sigma == 0.0:
         return np.zeros(shape)
-    return e * (float(sigma) / np.linalg.norm(e, 2))
+    gram = e.T @ e if e.shape[0] >= e.shape[1] else e @ e.T
+    e *= float(sigma) / math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    return e
 
 
 def _test_matrix(cfg, rng):
@@ -268,11 +284,6 @@ def _test_matrix(cfg, rng):
     if cfg.sparsity > 0.0:
         q = zero_out_columns(q.T, cfg.sparsity, rng).T  # zero columns of A are zero rows of q
     return p, q, factored_svd(p, q)
-
-
-def _sampled_cur(cfg, a, d, rng, svd=None):
-    row_dist, col_dist = axis_dists(a, cfg.scheme, cfg.k, svd)
-    return randomized_cur(a, row_dist, col_dist, d, d, rng, dedup=cfg.dedup)
 
 
 def _relative_errors(p, q, svd, factors):
@@ -285,7 +296,9 @@ def _relative_errors(p, q, svd, factors):
 # None for a skipped trial; the caller owns the stream, the clock and the records.
 def _success_trial(cfg, d, rng):
     p, q, f = _test_matrix(cfg, rng)
-    rel_2, rel_f = _relative_errors(p, q, f, _sampled_cur(cfg, p @ q.T, d, rng, f))
+    a = p @ q.T
+    factors = randomized_cur(a, *axis_dists(a, cfg.scheme, cfg.k, f), d, d, rng, dedup=cfg.dedup)
+    rel_2, rel_f = _relative_errors(p, q, f, factors)
     return rel_f <= cfg.tol, rel_2, rel_f, {}
 
 
@@ -294,6 +307,9 @@ def _noise_trial(cfg, d, rng):
 
     The row carries the noisy-factor errors (spectral absolute, Frobenius
     relative to A); a trial whose noise dominates a row or column is skipped.
+    ``A + E`` is formed once, in E's buffer, and its length distributions
+    both certify the stability floors and, under the length scheme, feed the
+    draws.
     """
     p, q, f = _test_matrix(cfg, rng)
     p = p / f.singular_values[0]  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
@@ -301,10 +317,14 @@ def _noise_trial(cfg, d, rng):
     a = p @ q.T
     e = spectral_noise(a.shape, cfg.sigma, rng)
     try:
-        floors = noisy_stability_floor(a, e)
+        floors, weights = _noisy_floors(a, e)
     except NoiseDominatesError:
         return None
-    noisy = _sampled_cur(cfg, a + e, d, rng)
+    a_tilde = np.add(a, e, out=e)
+    length = axis_dists(a_tilde, LENGTH)
+    _certify(floors, weights, [dist.weights for dist in length])
+    dists = length if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k)
+    noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
     clean = build_cur(a, noisy.I, noisy.J)
     success = residual_norms(p, q, clean)[1] / norm_f <= cfg.tol
     err_2, err_f = residual_norms(p, q, noisy)

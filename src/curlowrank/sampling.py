@@ -339,6 +339,37 @@ def uniform_stability_floor(a) -> StabilityParams:
     return _certify(StabilityParams(alpha_per_col=cols, beta_per_row=rows), weights, uniform)
 
 
+def _noisy_floors(a, e) -> tuple:
+    """``(params, weights)``: the floors of :func:`noisy_stability_floor`, not yet
+    certified, and the length weights of ``a`` they are certified against.
+
+    ``a`` and ``e`` are float64 matrices of one shape.  One m-by-n buffer holds
+    ``a`` and then ``e``, each at its own power-of-two scale, so no norm over-
+    or underflows where E dwarfs A; each is dropped once its norms are taken.
+    """
+    shift_a, shift_e = _unit_shift(a), _unit_shift(e)
+    scaled = np.ldexp(a, shift_a)
+    a_lengths, a_weights = _length_pass(scaled)
+    norm_a = float(np.linalg.norm(scaled))
+    np.ldexp(e, shift_e, out=scaled)
+    norm_e = np.linalg.norm(scaled)
+    np.multiply(scaled, scaled, out=scaled)
+    # E's norms in A's units: inf only where E dwarfs A beyond the float range,
+    # which leaves every floor 0 or NaN, so NoiseDominatesError
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_norms = [np.ldexp(np.sqrt(scaled.sum(axis=ax)), shift_a - shift_e) for ax in (1, 0)]
+        denom = 1.0 + np.ldexp(norm_e, shift_a - shift_e) / norm_a
+        floors = []
+        for a2, e_norm, axis in zip(a_lengths, e_norms, (ROWS, COLS)):
+            live = a2 > 0.0
+            out = np.where(live, (1.0 - e_norm / np.sqrt(np.where(live, a2, 1.0))) / denom, 1.0)
+            dominated = np.flatnonzero(~(out > 0.0))
+            if dominated.size:
+                raise NoiseDominatesError(axis, int(dominated[0]))
+            floors.append(out)
+    return StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0]), a_weights
+
+
 def noisy_stability_floor(a, e) -> StabilityParams:
     """Floors certifying the length distributions of ``a + e`` against those of ``a``.
 
@@ -348,31 +379,19 @@ def noisy_stability_floor(a, e) -> StabilityParams:
     Raises NoiseDominatesError on any index whose floor would be nonpositive,
     including one that underflows to 0.  ``a`` and ``e`` are each squared at
     their own power-of-two scale, as in :func:`~curlowrank.linalg.frobenius_norm`,
-    so no norm over- or underflows where E dwarfs A.
+    so no norm over- or underflows where E dwarfs A.  At most two m-by-n
+    arrays are held beyond the inputs.
     """
     a, e = as_matrix(a), as_matrix(e)
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {e.shape}")
-    shift_a, shift_e = _unit_shift(a), _unit_shift(e)
-    a, e = np.ldexp(a, shift_a), np.ldexp(e, shift_e)
-    a_lengths, a_weights = _length_pass(a)
-    # E's norms in A's units: inf only where E dwarfs A beyond the float range,
-    # which leaves every floor 0 or NaN, so NoiseDominatesError
-    with np.errstate(over="ignore", invalid="ignore"):
-        e_norms = [np.ldexp(np.linalg.norm(e, axis=ax), shift_a - shift_e) for ax in (1, 0)]
-        denom = 1.0 + np.ldexp(np.linalg.norm(e), shift_a - shift_e) / float(np.linalg.norm(a))
-        floors = []
-        for a2, e_norm, axis in zip(a_lengths, e_norms, (ROWS, COLS)):
-            live = a2 > 0.0
-            out = np.where(live, (1.0 - e_norm / np.sqrt(np.where(live, a2, 1.0))) / denom, 1.0)
-            dominated = np.flatnonzero(~(out > 0.0))
-            if dominated.size:
-                raise NoiseDominatesError(axis, int(dominated[0]))
-            floors.append(out)
-    shift = min(shift_a, shift_e)  # A + E at the scale of the larger, so the sum cannot overflow
-    a_tilde = unit_scaled(np.ldexp(a, shift - shift_a) + np.ldexp(e, shift - shift_e))
-    return _certify(StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0]),
-                    a_weights, _length_pass(a_tilde)[1])
+    params, weights = _noisy_floors(a, e)
+    # A + E in one buffer at the scale of the larger, so the sum cannot overflow
+    shift = min(_unit_shift(a), _unit_shift(e))
+    a_tilde = np.ldexp(a, shift)
+    a_tilde += np.ldexp(e, shift)
+    np.ldexp(a_tilde, _unit_shift(a_tilde), out=a_tilde)
+    return _certify(params, weights, _length_pass(a_tilde)[1])
 
 
 def epsilon_ceiling(a, params: StabilityParams | None = None, delta=None) -> float:

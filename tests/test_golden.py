@@ -37,7 +37,7 @@ CASES = {
     "noise_two_points": (
         dict(kind="noise_stability", m=12, n=10, k=3, sigma=0.1, scheme="length",
              d_grid=(4, 8), trials=8, master_seed=304),
-        "78acd75f22a5af4ab093274928a30ecb3203b09206927a3d9b5db32bdf20925c",
+        "4636201dbf1622e604b5eb03eff4c96875fa2083ba37a4054e0fcc225823d61c",
     ),
     "deim": (
         dict(kind="deim_check", m=50, n=40, k=4, trials=8, master_seed=305),

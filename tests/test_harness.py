@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from curlowrank import sampling
 from curlowrank.errors import ConfigError
 from curlowrank.harness import (
     CSV_HEADER,
@@ -183,6 +184,30 @@ class TestGenerators:
         assert not np.array_equal(a, c)
 
 
+# ||E||_2 = sigma holds to this relative tolerance; the observed error is about 1e-15
+NOISE_NORM_RTOL = 1e-12
+
+
+class TestSpectralNoise:
+    @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (30, 30), (1, 17), (17, 1)])
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e150, 1e-150])
+    def test_spectral_norm_is_sigma(self, shape, sigma):
+        e = spectral_noise(shape, sigma, trial_generator(12, 0))
+        assert e.shape == shape
+        assert np.linalg.norm(e, 2) == pytest.approx(sigma, rel=NOISE_NORM_RTOL)
+
+    def test_zero_sigma_gives_exact_zeros(self):
+        e = spectral_noise((6, 4), 0.0, trial_generator(13, 0))
+        assert e.tobytes() == np.zeros((6, 4)).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 10.0])
+    def test_next_draw_does_not_depend_on_sigma(self, sigma):
+        rng, ref = trial_generator(14, 0), trial_generator(14, 0)
+        spectral_noise((9, 7), sigma, rng)
+        ref.standard_normal((9, 7))
+        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+
+
 class TestSuccessExperiment:
     CFG = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
                            d_grid=(8,), trials=20, master_seed=99)
@@ -255,6 +280,22 @@ class TestNoiseExperiment:
         assert len(summary["alpha_per_trial"]) == 10
         assert all(0.0 < a <= 1.0 for a in summary["alpha_per_trial"])
         assert all(0.0 < b <= 1.0 for b in summary["beta_per_trial"])
+
+    def test_length_scheme_takes_one_length_pass_of_a_plus_e(self, monkeypatch):
+        # one pass over A for the floors, one over A + E for both the certificate and the draws
+        calls = []
+        real = sampling._length_pass
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(sampling, "_length_pass", counting)
+        cfg = ExperimentConfig(kind="noise_stability", m=40, n=30, k=3, sigma=1e-3,
+                               scheme="length", d_grid=(9,), trials=3, master_seed=15)
+        records, _ = run_experiment(cfg)
+        assert len(records) == 3
+        assert calls == [(40, 30)] * 6
 
     def test_dominating_noise_counts_as_skip(self):
         cfg = ExperimentConfig(kind="noise_stability", m=2, n=2, k=1, sigma=1e6,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,27 @@ class TestNoisyFloor:
         with pytest.raises(NoiseDominatesError) as exc:
             noisy_stability_floor(a, e)
         assert exc.value.index == 1
+
+    def test_sum_beyond_the_float_range_certifies(self):
+        # A + E = 1.9e308 overflows, so the certificate forms it at a power-of-two scale
+        a = np.full((3, 2), 1.2e308)
+        params = noisy_stability_floor(a, a / 1.2 * 0.7)
+        for floors in (params.beta_per_row, params.alpha_per_col):
+            np.testing.assert_allclose(floors, 0.5 / 1.9, rtol=1e-14)
+
+    def test_holds_two_m_by_n_arrays_beyond_its_inputs(self, rng):
+        m, n = 400, 300
+        a = rank_k(m, n, 5, rng)
+        e = 1e-3 * rng.standard_normal((m, n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            noisy_stability_floor(a, e)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # two m-by-n float64 arrays, plus vectors over the rows and columns
+        assert peak <= 2 * a.nbytes + 16 * 8 * (m + n)
 
 
 class TestCertificate:

@@ -139,14 +139,14 @@ def test_table_trials_factor_no_m_by_n_matrix(name, spectral_calls):
     assert spectral_calls and _of_a_size(spectral_calls) == []
 
 
-def test_noise_trial_takes_no_m_by_n_svd_and_measures_only_e(spectral_calls):
+def test_noise_trial_factors_no_m_by_n_matrix(spectral_calls):
     cfg = ExperimentConfig(kind="noise_stability", m=M, n=N, k=4, sigma=1e-3, scheme="leverage",
                            d_grid=(12,), trials=1)
     records, _ = run_experiment(cfg)
     assert len(records) == 1
-    # ||E||_2 in spectral_noise; the leverage scores of A + E come from the sketch's
-    # Rayleigh-Ritz SVD of a (k + 10) x n matrix
-    assert _of_a_size(spectral_calls) == [("norm2", (M, N)), ("svd", (4 + SKETCH_OVERSAMPLE, N))]
+    # ||E||_2 comes from a Gram eigenvalue, and the leverage scores of A + E from the
+    # sketch's Rayleigh-Ritz SVD of a (k + 10) x n matrix, the only SVD of A's width
+    assert _of_a_size(spectral_calls) == [("svd", (4 + SKETCH_OVERSAMPLE, N))]
 
 
 def test_cli_leverage_cur_distributions_take_no_m_by_n_svd(tmp_path, svd_calls, capsys):
