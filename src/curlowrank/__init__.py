@@ -64,9 +64,11 @@ from .linalg import (
     factored_norms,
     factored_svd,
     frobenius_norm,
+    leading_bases,
     leading_svd,
     numerical_rank,
     pseudoinverse,
+    spectral_norm,
     stable_rank,
     submatrix,
 )

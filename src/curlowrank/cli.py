@@ -12,7 +12,7 @@ import sys
 
 from .cur import approx_error, randomized_cur, relative_errors
 from .deim import deim_cur
-from .errors import ConfigError, DomainError, ZeroMatrixError
+from .errors import ConfigError, DomainError
 from .harness import (
     CONFIG_FIELDS,
     KINDS,
@@ -22,7 +22,7 @@ from .harness import (
     run_experiment,
     trial_generator,
 )
-from .linalg import compact_svd, frobenius_norm
+from .linalg import condition_of, frobenius_norm, rank_cutoff, singular_values, stable_rank_of
 from .mmio import read_matrix
 from .sampling import (
     SCHEMES,
@@ -44,22 +44,20 @@ def _emit(lines, out_path):
 
 def _common_flags(sub):
     sub.add_argument("--seed", type=int, default=0, help="master seed for any randomness")
-    sub.add_argument("--tol", type=float, default=None, help="rank/exactness tolerance override")
+    sub.add_argument("--tol", type=float, default=None,
+                     help="rank cutoff override, finite and >= 0")
     sub.add_argument("--out", default=None, help="output file (default: stdout, or CSV path)")
 
 
 def _cmd_svd(args):
     a = read_matrix(args.infile)
-    lines = [f"shape: {a.shape[0]} {a.shape[1]}"]
-    try:
-        f = compact_svd(a, args.tol)
-    except ZeroMatrixError:
-        lines.append("numerical_rank: 0")
-    else:
-        sigmas = " ".join(format(s, ".17g") for s in f.all_singular_values)
-        lines += [f"numerical_rank: {f.numerical_rank}", f"singular_values: {sigmas}",
-                  f"stable_rank: {f.stable_rank():.17g}",
-                  f"condition_number: {f.condition_number():.17g}"]
+    s = singular_values(a)
+    rank = rank_cutoff(s, a.shape, args.tol)[0]
+    lines = [f"shape: {a.shape[0]} {a.shape[1]}", f"numerical_rank: {rank}"]
+    if rank:
+        sigmas = " ".join(format(sigma, ".17g") for sigma in s)
+        lines += [f"singular_values: {sigmas}", f"stable_rank: {stable_rank_of(s):.17g}",
+                  f"condition_number: {condition_of(s[:rank]):.17g}"]
     _emit(lines, args.out)
     return 0
 

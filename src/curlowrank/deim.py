@@ -6,6 +6,10 @@ next column on the indices chosen so far, and picks the entry where the
 interpolation residual is largest.  Ties break toward the smallest index.
 Exactly ``rank(A)`` indices per side recover a low-rank matrix exactly, and a
 computable singular-value margin certifies recovery from a noisy observation.
+The rank-k bases come from :func:`~curlowrank.linalg.leading_bases`: the
+certified sketch in O(m n k) time where it certifies (Sorensen and Embree,
+arXiv:1407.5516, select from any accurate rank-k singular vectors), else the
+dense compact SVD.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cur import CurFactors, build_cur
-from .errors import DomainError, RankDeficientError, SingularInterpolationError
-from .linalg import COLS, ROWS, IndexSet, as_matrix, compact_svd, rank_cutoff
+from .errors import DomainError, SingularInterpolationError
+from .linalg import COLS, ROWS, IndexSet, as_matrix, leading_bases, rank_cutoff
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,19 +67,16 @@ def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
 
     Columns come from the right singular vectors and rows from the left ones.
     When ``rank(A) = k`` the resulting decomposition reproduces A exactly.
-    ``svd`` is the caller's compact SVD of ``a``, if it holds one; otherwise
-    ``a`` is factored at ``tol``.
+    The bases are :func:`~curlowrank.linalg.leading_bases` of ``a``: from
+    ``svd``, the caller's compact SVD of ``a``, if it holds one; else from
+    the certified sketch when ``tol`` is None; else from ``a`` factored at ``tol``.
     """
     if k < 1:
         raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
-    f = compact_svd(a, tol) if svd is None else svd
-    if f.numerical_rank < k:
-        raise RankDeficientError(
-            f"requested k={k} exceeds numerical rank {f.numerical_rank}"
-        )
-    cols = deim_select(f.right[:, :k], k, axis=COLS).indices
-    rows = deim_select(f.left[:, :k], k, axis=ROWS).indices
+    left, right = leading_bases(a, k, tol, svd)
+    cols = deim_select(right, k, axis=COLS).indices
+    rows = deim_select(left, k, axis=ROWS).indices
     return build_cur(a, rows, cols, tol)
 
 

@@ -42,7 +42,7 @@ from .cluster import (
     labels_from_clustering_matrix,
     same_partition,
 )
-from .cur import approx_error, build_cur, randomized_cur, residual_norms, verify_characterization
+from .cur import build_cur, randomized_cur, residual_norms, verify_characterization
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
 from .linalg import factored_svd
@@ -347,8 +347,8 @@ def _clustering_trial(cfg, d, rng):
     report = verify_characterization(a, *draw_indices(row_dist, col_dist, d, d, rng, dedup=True),
                                      cfg.tol)
     pred = labels_from_clustering_matrix(clustering_matrix(report.factors))
-    rel_2 = approx_error(a, report.factors, "spectral") / report.norm_a
-    return same_partition(pred, truth), rel_2, report.residuals["cur"], {"exact": report.all_hold}
+    rel_2, rel_f = report.residuals["cur_spectral"], report.residuals["cur"]
+    return same_partition(pred, truth), rel_2, rel_f, {"exact": report.all_hold}
 
 
 # Each reducer maps the run's (d, first_trial, [(record, extras), ...]) per grid

@@ -11,7 +11,10 @@ and its small core ``R_p @ R_q.T`` (Halko, Martinsson and Tropp,
 arXiv:0909.4061), in O((m + n) k^2) time instead of O(m n min(m, n)).  The
 top-k singular triplets of a dense matrix come from :func:`leading_svd`'s
 certified subspace iteration in O(m n k) time, or None where it cannot
-certify them.
+certify them; :func:`leading_bases` is the one place that chooses between
+that sketch and the dense SVD.  ``||A||_2`` alone comes from
+:func:`spectral_norm`, a symmetric eigensolve of the smaller Gram matrix,
+and a spectrum alone from :func:`singular_values`, an SVD without vectors.
 
 The SVD carries a fixed sign convention (the largest-magnitude entry of each
 left singular vector is made nonnegative, first such entry on ties) so that
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, ZeroMatrixError
+from .errors import DomainError, IndexOutOfRangeError, RankDeficientError, ZeroMatrixError
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -50,9 +53,12 @@ def rank_cutoff(s, shape, tol=None, floor=0.0) -> tuple:
     """``(rank, tol)``: how many of ``s`` exceed ``tol``.
 
     ``tol`` defaults to ``max(m, n) * eps * s[0]``, or ``floor`` if that is larger.
+    A given ``tol`` that is negative or not finite is a DomainError.
     """
     if tol is None:
         tol = max(floor, max(shape) * _EPS * float(s[0]))
+    elif not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     return int(np.count_nonzero(s > tol)), float(tol)
 
 
@@ -107,15 +113,25 @@ class SvdFactors:
 
     def condition_number(self) -> float:
         """Largest over smallest singular value above the cutoff."""
-        return float(self.singular_values[0] / self.singular_values[-1])
+        return condition_of(self.singular_values)
 
     def stable_rank(self) -> float:
         """``||A||_F^2 / ||A||_2^2`` from the full spectrum, scaled by sigma_1 first."""
-        return float(np.sum((self.all_singular_values / self.all_singular_values[0]) ** 2))
+        return stable_rank_of(self.all_singular_values)
 
     def frobenius_norm(self) -> float:
         """``||A||_F`` as ``sigma_1 * sqrt(stable rank)``."""
         return float(self.all_singular_values[0]) * math.sqrt(self.stable_rank())
+
+
+def condition_of(s) -> float:
+    """Largest over smallest of the nonincreasing singular values ``s`` kept above a cutoff."""
+    return float(s[0] / s[-1])
+
+
+def stable_rank_of(s) -> float:
+    """``||A||_F^2 / ||A||_2^2`` from A's nonincreasing spectrum ``s``."""
+    return float(np.sum((s / s[0]) ** 2))
 
 
 def _fix_signs(w, vt):
@@ -221,6 +237,25 @@ def leading_svd(a, k):
     return w, np.ldexp(s[:k], -shift), vt.T
 
 
+def leading_bases(a, k, tol=None, svd=None) -> tuple:
+    """``(left, right)``: the top-``k`` left and right singular vectors of ``a``.
+
+    They come from ``svd``, the caller's :class:`SvdFactors` of ``a``, when
+    given; else from :func:`leading_svd` when ``tol`` is None and the sketch
+    certifies; else from :func:`compact_svd` of ``a`` at ``tol``.  Raises
+    RankDeficientError when ``k`` exceeds the numerical rank of that SVD.
+    """
+    sketch = leading_svd(a, k) if svd is None and tol is None else None
+    if sketch is not None:
+        return sketch[0], sketch[2]
+    svd = compact_svd(a, tol) if svd is None else svd
+    if k > svd.numerical_rank:
+        raise RankDeficientError(
+            f"requested rank k={k} exceeds numerical rank {svd.numerical_rank}"
+        )
+    return svd.left[:, :k], svd.right[:, :k]
+
+
 def _truncated(w, s, vt, shape, tol, floor=0.0) -> SvdFactors:
     """The compact SVD of an m-by-n matrix from its thin ``w, s, vt``, cut at the cutoff."""
     k, tol = rank_cutoff(s, shape, tol, floor)
@@ -237,10 +272,15 @@ def _truncated(w, s, vt, shape, tol, floor=0.0) -> SvdFactors:
     )
 
 
+def singular_values(a) -> np.ndarray:
+    """All min(m, n) singular values of ``a``, nonincreasing, from an SVD without vectors."""
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
+
+
 def numerical_rank(a, tol=None) -> int:
     """Number of singular values strictly above ``tol`` (0 for a zero matrix)."""
     a = as_matrix(a)
-    return rank_cutoff(np.linalg.svd(a, compute_uv=False), a.shape, tol)[0]
+    return rank_cutoff(singular_values(a), a.shape, tol)[0]
 
 
 def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
@@ -293,6 +333,23 @@ def frobenius_norm(a) -> float:
     a = as_matrix(a)
     shift = _unit_shift(a)
     return math.ldexp(float(np.linalg.norm(np.ldexp(a, shift))), -shift)
+
+
+def spectral_norm(a) -> float:
+    """``||a||_2`` of :func:`unit_scaled` ``a``, scaled back, from its smaller Gram matrix.
+
+    The square root of the largest eigenvalue of ``a.T @ a`` or ``a @ a.T``:
+    one BLAS-3 product and a symmetric eigensolve instead of an SVD.  The
+    largest eigenvalue of a positive semidefinite matrix is accurate relative
+    to itself, so this agrees with the largest singular value to within
+    1e-12 relative; the power-of-two scaling keeps every bit under scaling
+    by 2^j and keeps the Gram entries from over- or underflowing.
+    """
+    a = as_matrix(a)
+    shift = _unit_shift(a)
+    a = np.ldexp(a, shift)
+    gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(gram)[-1])), -shift)
 
 
 def stable_rank(a) -> float:

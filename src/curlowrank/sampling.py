@@ -8,12 +8,13 @@ cumulative weight vector), so a fixed ``numpy.random.Generator`` state
 reproduces the same index multiset byte for byte.  Zero-weight indices are
 never drawn.
 
-Rank-k leverage scores need only the top-k singular subspaces.  Without a
-caller's SVD they come from the certified sketch
-:func:`~curlowrank.linalg.leading_svd`, still a pure function of the matrix
-bits, or from the dense :func:`~curlowrank.linalg.compact_svd` where the
-sketch declines; the paper's stability result (sampling from any
-``p_tilde >= beta * p``) absorbs the sketch's error.
+Rank-k leverage scores need only the top-k singular subspaces, which
+:func:`~curlowrank.linalg.leading_bases` gives: without a caller's SVD they
+come from the certified sketch :func:`~curlowrank.linalg.leading_svd`, still
+a pure function of the matrix bits, or from the dense
+:func:`~curlowrank.linalg.compact_svd` where the sketch declines; the
+paper's stability result (sampling from any ``p_tilde >= beta * p``) absorbs
+the sketch's error.
 
 Every "how many samples suffice" formula lives here as well, together with
 the per-index stability floors that certify a perturbed distribution
@@ -34,7 +35,6 @@ from .errors import (
     DivisionByZeroWeightError,
     DomainError,
     NoiseDominatesError,
-    RankDeficientError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
@@ -44,9 +44,8 @@ from .linalg import (
     IndexSet,
     _unit_shift,
     as_matrix,
-    compact_svd,
     condition_number,
-    leading_svd,
+    leading_bases,
     unit_scaled,
 )
 
@@ -136,9 +135,8 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
 
     Leverage scores need the truncation rank ``k``; without it a
     DomainError is raised.  Both leverage axes come from one factorization of
-    ``a``: ``svd``, the caller's :class:`~curlowrank.linalg.SvdFactors` of
-    ``a``, when given, else :func:`~curlowrank.linalg.leading_svd` of ``a``,
-    or its :func:`~curlowrank.linalg.compact_svd` where the sketch declines.
+    ``a``, the :func:`~curlowrank.linalg.leading_bases` of ``a`` and ``svd``,
+    the caller's :class:`~curlowrank.linalg.SvdFactors` of ``a`` if it holds one.
     """
     if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
@@ -149,16 +147,7 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if k is None or k < 1:
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
-    sketch = leading_svd(a, k) if svd is None else None
-    if sketch is not None:
-        left, right = sketch[0], sketch[2]
-    else:
-        svd = compact_svd(a) if svd is None else svd
-        if k > svd.numerical_rank:
-            raise RankDeficientError(
-                f"requested leverage rank {k} exceeds numerical rank {svd.numerical_rank}"
-            )
-        left, right = svd.left[:, :k], svd.right[:, :k]
+    left, right = leading_bases(a, k, svd=svd)
     return tuple(ProbDist(np.sum(basis * basis, axis=1) / float(k), axis, f"leverage({int(k)})")
                  for basis, axis in ((left, ROWS), (right, COLS)))
 

@@ -113,6 +113,27 @@ def test_deim_nonpositive_k_exits_2(matrix_file, capsys, k):
     assert f"k={k}" in capsys.readouterr().err
 
 
+FILE_COMMANDS = {
+    "svd": [],
+    "cur": ["--scheme", "length", "--d1", "8", "--d2", "8"],
+    "deim": ["--k", "3"],
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_file_command_bad_tol_exits_2(matrix_file, capsys, command, tol):
+    assert cli_main([command, "--in", str(matrix_file), *FILE_COMMANDS[command],
+                     "--tol", tol]) == 2
+    assert "tol must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+def test_file_command_zero_tol_runs(matrix_file, capsys, command):
+    assert cli_main([command, "--in", str(matrix_file), *FILE_COMMANDS[command],
+                     "--tol", "0"]) == 0
+
+
 def test_cur_subcommand(matrix_file, capsys):
     assert cli_main(["cur", "--in", str(matrix_file), "--scheme", "length",
                      "--d1", "8", "--d2", "8", "--seed", "3"]) == 0

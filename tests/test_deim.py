@@ -5,7 +5,7 @@ from curlowrank.cur import approx_error
 from curlowrank.deim import deim_cur, deim_noise_certificate, deim_select
 from curlowrank.errors import DomainError, RankDeficientError
 from curlowrank.harness import spectral_noise
-from curlowrank.linalg import COLS, ROWS, compact_svd
+from curlowrank.linalg import COLS, ROWS, compact_svd, leading_svd
 
 from conftest import orthonormal, rank_k
 
@@ -98,6 +98,23 @@ class TestDeimCur:
     def test_rank_deficient_rejected(self, rng):
         with pytest.raises(RankDeficientError):
             deim_cur(rank_k(8, 6, 2, rng), 3)
+
+    def test_rank_deficient_rejected_at_sketch_size(self, rng):
+        # the sketch declines, and the dense fallback names the rank
+        with pytest.raises(RankDeficientError, match="numerical rank 2"):
+            deim_cur(rank_k(80, 60, 2, rng), 3)
+
+    def test_sketched_bases_pick_the_dense_indices(self, rng):
+        a = rank_k(120, 90, 6, rng)
+        assert leading_svd(a, 6) is not None
+        got, ref = deim_cur(a, 6), deim_cur(a, 6, svd=compact_svd(a))
+        assert (got.I, got.J) == (ref.I, ref.J)
+        assert approx_error(a, got) <= 1e-8 * np.linalg.norm(a)
+
+    def test_tol_takes_the_dense_svd_at_that_cutoff(self, rng):
+        a = rank_k(120, 90, 6, rng)
+        got, ref = deim_cur(a, 6, tol=1e-6), deim_cur(a, 6, svd=compact_svd(a, 1e-6))
+        assert (got.I, got.J) == (ref.I, ref.J)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_nonpositive_k_is_a_domain_error(self, rng, k):

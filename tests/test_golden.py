@@ -46,7 +46,7 @@ CASES = {
     "clustering": (
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
              d_grid=(16,), trials=8, master_seed=306),
-        "f3a5fe4d4338003e8a0c6c2581aa55aed18ae2fbe31d330b1de380c4012256f4",
+        "5782c35d1775dfc5605a2d1cbdd0ae9b7e586750010cc41cc3371480ba3b59ad",
     ),
 }
 
@@ -117,4 +117,4 @@ def test_cli_cluster_spec_digest(tmp_path, capsys):
     assert cli_main(["cluster", "--spec", str(spec), "--d", "10", "--trials", "6",
                      "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_cluster_spec"]
-    assert sha(out) == "c45f34f9763c063a824070eff274926953a3e0c81d741b4d26c2609e55874ed8"
+    assert sha(out) == "9511f8487ecb78f20b0f539a0d139d384d47cab5bf52261dec4769db32dbfbb9"

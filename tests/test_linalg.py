@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curlowrank.errors import IndexOutOfRangeError, ZeroMatrixError
+from curlowrank.errors import DomainError, IndexOutOfRangeError, RankDeficientError, ZeroMatrixError
 from curlowrank.linalg import (
     COLS,
     ROWS,
@@ -14,9 +14,12 @@ from curlowrank.linalg import (
     factored_norms,
     factored_svd,
     frobenius_norm,
+    leading_bases,
     leading_svd,
     numerical_rank,
     pseudoinverse,
+    rank_cutoff,
+    spectral_norm,
     stable_rank,
     submatrix,
 )
@@ -310,6 +313,62 @@ class TestFrobeniusNorm:
 
     def test_zero_matrix(self):
         assert frobenius_norm(np.zeros((3, 2))) == 0.0
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (40, 30), (200, 5)])
+    def test_matches_the_svd_norm(self, rng, shape):
+        x = rng.standard_normal(shape)
+        assert spectral_norm(x) == pytest.approx(np.linalg.norm(x, 2), rel=1e-12, abs=0.0)
+
+    def test_diagonal(self):
+        assert spectral_norm(np.diag([3.0, -5.0, 1.0])) == 5.0
+
+    @pytest.mark.parametrize("scale", [1e170, 1e-170, 1e300, 1e-300])
+    def test_extreme_scale(self, rng, scale):
+        x = rng.standard_normal((30, 20))
+        assert spectral_norm(scale * x) == pytest.approx(scale * spectral_norm(x), rel=1e-14)
+
+    def test_zero_matrix(self):
+        assert spectral_norm(np.zeros((3, 2))) == 0.0
+
+
+class TestRankCutoffTol:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tol_is_a_domain_error(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            rank_cutoff(np.array([2.0, 1.0]), (2, 2), tol)
+
+    def test_zero_tol_counts_the_positive_values(self):
+        assert rank_cutoff(np.array([2.0, 1e-300, 0.0]), (3, 3), 0.0) == (2, 0.0)
+
+
+class TestLeadingBases:
+    def test_sketch_where_it_certifies(self, rng):
+        a = rank_k(80, 60, 4, rng)
+        left, _, right = leading_svd(a, 4)
+        got = leading_bases(a, 4)
+        np.testing.assert_array_equal(got[0], left)
+        np.testing.assert_array_equal(got[1], right)
+
+    @pytest.mark.parametrize("shape, tol", [((12, 10), None), ((80, 60), 1e-9)],
+                             ids=["too-small-for-the-sketch", "tol-given"])
+    def test_dense_svd_otherwise(self, rng, shape, tol):
+        a = rank_k(*shape, 3, rng)
+        f = compact_svd(a, tol)
+        got = leading_bases(a, 3, tol)
+        np.testing.assert_array_equal(got[0], f.left[:, :3])
+        np.testing.assert_array_equal(got[1], f.right[:, :3])
+
+    def test_callers_svd(self, rng):
+        a = rank_k(80, 60, 4, rng)
+        f = compact_svd(a)
+        got = leading_bases(a, 2, svd=f)
+        np.testing.assert_array_equal(got[1], f.right[:, :2])
+
+    def test_rank_deficient(self, rng):
+        with pytest.raises(RankDeficientError, match="k=4 exceeds numerical rank 3"):
+            leading_bases(rank_k(12, 10, 3, rng), 4)
 
 
 def _fix_signs_loop(w, vt):

@@ -8,7 +8,9 @@ properties draw the factors themselves: with zero rows in ``q``, with a
 repeated column (rank-deficient factors), and with each factor scaled by a
 power of two up to 2^500 either way.  The certified leverage property draws
 rank-k matrices plus noise large enough to sit near the sketch's gap
-threshold, scaled by 1e+-150.
+threshold, scaled by 1e+-150; the same inputs pin the sketched DEIM
+selection to the dense one wherever the sketch certifies.  ``spectral_norm``
+is checked against the SVD norm on the rank-k inputs.
 """
 
 import numpy as np
@@ -23,9 +25,18 @@ from curlowrank.cur import (
     residual_norms,
     verify_characterization,
 )
+from curlowrank.deim import deim_cur
 from curlowrank.errors import NoiseDominatesError
 from curlowrank.harness import lowrank_gaussian, trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, factored_svd, leading_svd
+from curlowrank.linalg import (
+    COLS,
+    ROWS,
+    IndexSet,
+    compact_svd,
+    factored_svd,
+    leading_svd,
+    spectral_norm,
+)
 from curlowrank.sampling import (
     axis_dists,
     dedup_indices,
@@ -85,6 +96,25 @@ def test_errors_stay_finite_at_extreme_scale(inst, scale):
     factors = verify_characterization(scale * a, rows, cols).factors
     errors = (*relative_errors(scale * a, factors), approx_error(scale * a, factors) / scale)
     assert all(np.isfinite(err) for err in errors)
+
+
+@PROPERTY
+@given(inst=instances(), j=st.integers(-500, 500))
+def test_spectral_norm_matches_the_svd_norm_and_keeps_bits_under_scaling(inst, j):
+    a = inst[0]
+    norm = spectral_norm(a)
+    assert abs(norm - np.linalg.norm(a, 2)) <= 1e-12 * np.linalg.norm(a, 2)
+    assert spectral_norm(np.ldexp(a, j)) == np.ldexp(norm, j)
+    assert spectral_norm(np.zeros_like(a)) == 0.0
+
+
+@PROPERTY
+@given(inst=instances(), scale=st.sampled_from((1e150, 1e-150)))
+def test_spectral_norm_stays_finite_and_correct_at_extreme_scale(inst, scale):
+    a = scale * inst[0]
+    norm = spectral_norm(a)
+    assert np.isfinite(norm) and norm > 0.0
+    assert abs(norm - np.linalg.norm(a, 2)) <= 1e-12 * np.linalg.norm(a, 2)
 
 
 @PROPERTY
@@ -212,3 +242,12 @@ def test_certified_leverage_matches_the_dense_reference(inst):
     else:
         for g, r in zip(got, ref):
             assert np.max(np.abs(g.weights - r.weights)) <= 1e-10 * r.weights.max()
+
+
+@PROPERTY
+@given(inst=noisy_low_rank())
+def test_sketched_deim_picks_the_dense_indices(inst):
+    a, k = inst
+    if leading_svd(a, k) is not None:
+        got, ref = deim_cur(a, k), deim_cur(a, k, svd=compact_svd(a))
+        assert (got.I, got.J) == (ref.I, ref.J)

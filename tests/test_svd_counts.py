@@ -2,9 +2,8 @@
 
 The counter wraps ``np.linalg.svd`` as the package calls it; the SVDs that
 ``np.linalg.norm(x, 2)`` takes internally are not counted by it.  The
-table-kind and clustering trials are pinned with a second counter that
-records both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of
-a matrix.
+trials and the file commands are pinned with a second counter that records
+both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix.
 """
 
 import numpy as np
@@ -84,13 +83,21 @@ def test_leverage_axis_dists_reuse_the_callers_svd(a, svd_calls):
     assert len(svd_calls) == 2
 
 
-def test_cli_svd_takes_one_svd(a, tmp_path, svd_calls, capsys):
+def test_cli_svd_takes_one_svd(a, tmp_path, monkeypatch, capsys):
     path = tmp_path / "a.mtx"
     write_matrix(a, path)
+    calls = []
+    real = np.linalg.svd
+
+    def counting(x, *args, **kwargs):
+        calls.append((np.shape(x), kwargs.get("compute_uv", True)))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
     assert cli_main(["svd", "--in", str(path)]) == 0
     out = capsys.readouterr().out
     assert "numerical_rank: 3" in out and "condition_number:" in out
-    assert svd_calls == [(12, 10)]
+    assert calls == [((12, 10), False)]
 
 
 CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), d_grid=(16,),
@@ -111,11 +118,12 @@ def test_clustering_trial_factors_each_matrix_once(svd_calls):
     assert sorted(svd_calls) == sorted([(20, 30), (20, 30), (20, d2), (d1, 30), (d1, d2)])
 
 
-def test_clustering_trial_takes_one_spectral_norm_of_the_residual(spectral_calls):
-    # ||A||_2 comes from the verifier's SVD, so the only spectral norm is the residual's
+def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(spectral_calls):
+    # A's two SVDs (the generator's rank check, then the verifier) are the only
+    # factorizations of an m x n matrix; the residual's ||.||_2 is a Gram eigenvalue
     records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
-    assert [call for call in spectral_calls if call[0] == "norm2"] == [("norm2", (20, 30))]
+    assert [call for call in spectral_calls if call[1] == (20, 30)] == [("svd", (20, 30))] * 2
 
 
 M, N = 60, 50
@@ -156,3 +164,16 @@ def test_cli_leverage_cur_distributions_take_no_m_by_n_svd(tmp_path, svd_calls, 
                      "--d1", "10", "--d2", "10"]) == 0
     assert "scheme: leverage(5)/leverage(5)" in capsys.readouterr().out
     assert (M, N) not in svd_calls and (5 + SKETCH_OVERSAMPLE, N) in svd_calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["cur", "--scheme", "length", "--d1", "10", "--d2", "10"],
+    ["cur", "--scheme", "leverage", "--k", "5", "--d1", "10", "--d2", "10"],
+    ["deim", "--k", "5"],
+], ids=["cur-length", "cur-leverage", "deim"])
+def test_cli_cur_and_deim_take_no_svd_of_the_input(argv, tmp_path, spectral_calls, capsys):
+    path = tmp_path / "a.mtx"
+    write_matrix(lowrank_gaussian(M, N, 5, trial_generator(78, 0)), path)
+    assert cli_main([argv[0], "--in", str(path), *argv[1:]]) == 0
+    assert "rel_err_F: " in capsys.readouterr().out
+    assert spectral_calls and (M, N) not in [shape for _, shape in spectral_calls]
