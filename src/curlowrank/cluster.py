@@ -19,12 +19,9 @@ import numpy as np
 
 from .cur import CurFactors
 from .errors import DomainError
-from .linalg import numerical_rank
 
 # Entries of Q below this fraction of its largest entry count as zero (rounding guard).
 SUPPORT_RTOL = 1e-10
-# Redraws allowed for the probability-zero event of a rank-deficient draw.
-MAX_REDRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -64,23 +61,15 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng):
     one since the dims fit in the ambient space); points are Gaussian
     coefficient combinations of each basis (generic with probability one).
     Columns are shuffled; the returned labels name each column's subspace.
-    The measure-zero event of a stacked matrix below full rank ``sum(dims)``
-    triggers a redraw; full rank implies every block has full rank (Weyl).
+    No rank is checked here: the verifier's SVD of the data decides rank(A).
     """
-    m = spec.ambient_dim
-    n = sum(spec.points)
+    blocks = []
+    for d, p in zip(spec.dims, spec.points):
+        q, _ = np.linalg.qr(rng.standard_normal((spec.ambient_dim, d)))
+        blocks.append(q @ rng.standard_normal((d, p)))
     labels = np.repeat(np.arange(len(spec.dims), dtype=np.int64), spec.points)
-    for _ in range(MAX_REDRAWS):
-        blocks = []
-        for d, p in zip(spec.dims, spec.points):
-            q, _ = np.linalg.qr(rng.standard_normal((m, d)))
-            blocks.append(q @ rng.standard_normal((d, p)))
-        a = np.hstack(blocks)
-        if numerical_rank(a) < sum(spec.dims):
-            continue
-        perm = rng.permutation(n)
-        return np.ascontiguousarray(a[:, perm]), ClusterLabels(labels[perm])
-    raise RuntimeError("failed to draw a generic independent-subspace model")
+    perm = rng.permutation(sum(spec.points))
+    return np.ascontiguousarray(np.hstack(blocks)[:, perm]), ClusterLabels(labels[perm])
 
 
 def clustering_matrix(factors: CurFactors) -> np.ndarray:

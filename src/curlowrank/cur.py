@@ -35,7 +35,6 @@ from .linalg import (
     pseudoinverse,
     spectral_norm,
     submatrix,
-    unit_scaled,
 )
 from .sampling import ProbDist, draw_indices
 
@@ -131,9 +130,8 @@ def _ratio(err, size) -> float:
 
 
 def _relative(resid, ref):
-    """``||resid||_F / ||ref||_F``, both scaled first so neither norm over- or underflows."""
-    ref, resid = unit_scaled(ref, resid)
-    return _ratio(float(np.linalg.norm(resid)), float(np.linalg.norm(ref)))
+    """``||resid||_F / ||ref||_F``, neither norm over- or underflowing."""
+    return _ratio(frobenius_norm(resid), frobenius_norm(ref))
 
 
 def relative_errors(a, factors: CurFactors) -> tuple:

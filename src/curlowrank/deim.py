@@ -21,7 +21,7 @@ import numpy as np
 
 from .cur import CurFactors, build_cur
 from .errors import DomainError, SingularInterpolationError
-from .linalg import COLS, ROWS, IndexSet, as_matrix, leading_bases, rank_cutoff
+from .linalg import COLS, ROWS, IndexSet, as_matrix, leading_bases, rank_cutoff, singular_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +98,23 @@ def deim_noise_certificate(a_tilde, k, e_bound) -> NoiseCertificate:
     (Weyl), and the certificate requires that lower bound to reach
     ``(1 + 2^k * sqrt(max(m, n) * k / 3)) * e_bound``.  When it holds and A
     has rank k, greedy selection on the noisy singular vectors yields an
-    exact decomposition of A itself.
+    exact decomposition of A itself.  Where ``2^k`` leaves the float range
+    the threshold reads inf, so the certificate fails instead of raising;
+    with ``e_bound = 0`` the threshold stays 0.0.
     """
-    if k < 1:
-        raise DomainError(f"rank must be >= 1, got k={k}")
-    if e_bound < 0.0:
-        raise DomainError(f"noise bound must be nonnegative, got {e_bound}")
     a_tilde = as_matrix(a_tilde)
     m, n = a_tilde.shape
-    s = np.linalg.svd(a_tilde, compute_uv=False)
+    if not 1 <= k <= min(m, n):
+        raise DomainError(f"need 1 <= k <= {min(m, n)}, got k={k}")
+    if not 0.0 <= e_bound < math.inf:
+        raise DomainError(f"noise bound must be finite and nonnegative, got {e_bound}")
+    s = singular_values(a_tilde)
     # below the numerical-rank cutoff a singular value counts as zero
     sigma_k = float(s[k - 1]) if k <= rank_cutoff(s, (m, n))[0] else 0.0
     sigma_k_lower = sigma_k - float(e_bound)
-    threshold = (1.0 + (2.0**k) * math.sqrt(max(m, n) * k / 3.0)) * float(e_bound)
+    with np.errstate(over="ignore"):
+        growth = np.ldexp(math.sqrt(max(m, n) * k / 3.0), k)
+        threshold = float((1.0 + growth) * float(e_bound)) if e_bound > 0.0 else 0.0
     holds = sigma_k_lower > 0.0 and sigma_k_lower >= threshold
     return NoiseCertificate(
         holds=bool(holds),

@@ -2,7 +2,8 @@
 
 Matrices are plain ``numpy.ndarray`` objects of dtype float64 in C (row-major)
 memory order; every public function validates its input through
-:func:`as_matrix`.  Every numerical-rank decision in the package is made by
+:func:`as_matrix`.  No other module of the package calls ``np.linalg.svd``.
+Every numerical-rank decision in the package is made by
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it.
 
@@ -107,14 +108,6 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular_values) @ self.right.T
 
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse ``right @ diag(1/sigma) @ left.T`` at the cutoff."""
-        return (self.right / self.singular_values) @ self.left.T
-
-    def condition_number(self) -> float:
-        """Largest over smallest singular value above the cutoff."""
-        return condition_of(self.singular_values)
-
     def stable_rank(self) -> float:
         """``||A||_F^2 / ||A||_2^2`` from the full spectrum, scaled by sigma_1 first."""
         return stable_rank_of(self.all_singular_values)
@@ -141,15 +134,15 @@ def _fix_signs(w, vt):
     return w * sign, vt * sign[:, None]
 
 
-def compact_svd(a, tol=None, floor=0.0) -> SvdFactors:
-    """Compact SVD of ``a``, cut at :func:`rank_cutoff`'s ``tol`` or ``floor``.
+def compact_svd(a, tol=None) -> SvdFactors:
+    """Compact SVD of ``a``, cut at :func:`rank_cutoff`'s ``tol``.
 
     Raises ZeroMatrixError when every singular value falls at or below the
     cutoff (a rank-0 matrix has no compact SVD; use :func:`numerical_rank`
     if rank 0 is an acceptable answer).
     """
     a = as_matrix(a)
-    return _truncated(*np.linalg.svd(a, full_matrices=False), a.shape, tol, floor)
+    return _truncated(*np.linalg.svd(a, full_matrices=False), a.shape, tol)
 
 
 def _core(rp, rq):
@@ -256,9 +249,9 @@ def leading_bases(a, k, tol=None, svd=None) -> tuple:
     return svd.left[:, :k], svd.right[:, :k]
 
 
-def _truncated(w, s, vt, shape, tol, floor=0.0) -> SvdFactors:
+def _truncated(w, s, vt, shape, tol) -> SvdFactors:
     """The compact SVD of an m-by-n matrix from its thin ``w, s, vt``, cut at the cutoff."""
-    k, tol = rank_cutoff(s, shape, tol, floor)
+    k, tol = rank_cutoff(s, shape, tol)
     if k == 0:
         raise ZeroMatrixError("all singular values are at or below the tolerance")
     w, vt = _fix_signs(w[:, :k], vt[:k, :])
@@ -287,12 +280,12 @@ def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
     """``(rank, pinv, cutoff, norm)`` from one SVD; ``norm`` is the spectral norm sigma_1.
 
     Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
+    The pinv needs no sign convention: each term pairs a vector with its own sign.
     """
     a = as_matrix(a)
     w, s, vt = np.linalg.svd(a, full_matrices=False)
     rank, cutoff = rank_cutoff(s, a.shape, tol, floor)
-    pinv = _truncated(w, s, vt, a.shape, cutoff).pinv() if rank else np.zeros(a.shape[::-1])
-    return rank, pinv, cutoff, float(s[0])
+    return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff, float(s[0])
 
 
 def pseudoinverse(a, tol=None) -> np.ndarray:
@@ -309,19 +302,15 @@ def _unit_shift(a) -> int:
     return -round(math.log2(peak)) if peak > 0.0 else 0
 
 
-def unit_scaled(a, e=None):
-    """``a``, or the pair ``(a, e)``, divided by the power of two nearest max|a|.
+def unit_scaled(a):
+    """``a`` divided by the power of two nearest max|a|.
 
     The division is exact unless an entry underflows, so scale-invariant
     quantities (norm ratios, distributions) keep their bits, while squared
     entries no longer overflow or underflow when |a| is near 1e170 or 1e-170.
-    ``e`` is scaled alongside ``a`` without validation.
     """
     a = as_matrix(a)
-    shift = _unit_shift(a)
-    if e is None:
-        return np.ldexp(a, shift)
-    return np.ldexp(a, shift), np.ldexp(e, shift)
+    return np.ldexp(a, _unit_shift(a))
 
 
 def frobenius_norm(a) -> float:
@@ -354,12 +343,20 @@ def spectral_norm(a) -> float:
 
 def stable_rank(a) -> float:
     """``||A||_F^2 / ||A||_2^2``; a perturbation-robust surrogate for rank."""
-    return compact_svd(a).stable_rank()
+    s = singular_values(a)
+    if s[0] == 0.0:
+        raise ZeroMatrixError("the zero matrix has no stable rank")
+    return stable_rank_of(s)
 
 
 def condition_number(a, tol=None) -> float:
     """Generalized spectral condition number: sigma_max over minimal NONZERO sigma."""
-    return compact_svd(a, tol).condition_number()
+    a = as_matrix(a)
+    s = singular_values(a)
+    rank = rank_cutoff(s, a.shape, tol)[0]
+    if rank == 0:
+        raise ZeroMatrixError("all singular values are at or below the tolerance")
+    return condition_of(s[:rank])
 
 
 def submatrix(a, index_set: IndexSet) -> np.ndarray:

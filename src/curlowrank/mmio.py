@@ -48,6 +48,8 @@ def read_matrix(path) -> np.ndarray:
             m, n = (int(tok) for tok in line.split())
         except Exception as exc:
             raise ValueError(f"bad dimensions line: {line!r}") from exc
+        if m < 1 or n < 1:
+            raise ValueError(f"bad dimensions line: {line!r} (each size must be >= 1)")
         with warnings.catch_warnings():  # an empty body is a count error, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)

@@ -299,16 +299,17 @@ class StabilityParams:
         return min(self.alpha, self.beta)
 
 
-def _certify(params: StabilityParams, reference, perturbed, slack=1e-12) -> StabilityParams:
+def _certify(params: StabilityParams, reference, perturbed) -> StabilityParams:
     """``params``, once each perturbed weight is at least its floor squared times the reference one.
 
-    ``reference`` and ``perturbed`` are ``(rows, cols)`` weight pairs.  The
-    floors certify by construction, so a CertificateError names an internal
-    inconsistency: the first failing index, rows before columns.
+    ``reference`` and ``perturbed`` are ``(rows, cols)`` weight pairs, compared
+    with a rounding slack of 1e-12.  The floors certify by construction, so a
+    CertificateError names an internal inconsistency: the first failing
+    index, rows before columns.
     """
     floors = (params.beta_per_row, params.alpha_per_col)
     for axis, floor, ref, tilde in zip((ROWS, COLS), floors, reference, perturbed):
-        short = np.flatnonzero(~(tilde >= floor**2 * ref - slack))
+        short = np.flatnonzero(~(tilde >= floor**2 * ref - 1e-12))
         if short.size:
             raise CertificateError(f"stability floor fails to certify {axis[:-1]} {short[0]}")
     return params

@@ -34,6 +34,14 @@ def test_missing_file_is_runtime_error(capsys, tmp_path):
     assert cli_main(["svd", "--in", str(tmp_path / "nope.mtx")]) == 1
 
 
+@pytest.mark.parametrize("dims", ["0 5", "-2 -3"])
+def test_svd_of_a_file_with_a_size_below_one_exits_1(tmp_path, capsys, dims):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{dims}\n" + "1.0\n" * 6)
+    assert cli_main(["svd", "--in", str(path)]) == 1
+    assert "bad dimensions line" in capsys.readouterr().err
+
+
 def test_svd_reports_rank(matrix_file, capsys):
     assert cli_main(["svd", "--in", str(matrix_file)]) == 0
     out = capsys.readouterr().out

@@ -189,3 +189,20 @@ class TestNoiseCertificate:
             deim_noise_certificate(a, 0, 0.1)
         with pytest.raises(DomainError):
             deim_noise_certificate(a, 1, -0.1)
+
+    @pytest.mark.parametrize("e_bound", [np.nan, np.inf])
+    def test_non_finite_noise_bound_is_a_domain_error(self, rng, e_bound):
+        with pytest.raises(DomainError):
+            deim_noise_certificate(rank_k(4, 4, 2, rng), 1, e_bound)
+
+    def test_k_beyond_the_smaller_side_is_a_domain_error(self, rng):
+        with pytest.raises(DomainError):
+            deim_noise_certificate(rank_k(6, 4, 2, rng), 5, 0.0)
+
+    def test_threshold_past_the_float_range_fails_instead_of_raising(self):
+        # 2^1025 overflows: the threshold reads inf, or 0.0 without noise
+        a = np.eye(1025)
+        cert = deim_noise_certificate(a, 1025, 1e-300)
+        assert cert.threshold == np.inf and cert.margin == -np.inf and not cert.holds
+        cert0 = deim_noise_certificate(a, 1025, 0.0)
+        assert cert0.threshold == 0.0 and cert0.margin == 1.0 and cert0.holds

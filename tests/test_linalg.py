@@ -269,6 +269,10 @@ class TestConditionNumber:
         with pytest.raises(ZeroMatrixError):
             condition_number(np.zeros((4, 2)))
 
+    def test_rank_zero_at_tol_rejected(self):
+        with pytest.raises(ZeroMatrixError):
+            condition_number(np.diag([4.0, 1.0]), tol=4.0)
+
 
 class TestSubmatrix:
     def test_row_pick(self):

@@ -10,13 +10,16 @@ power of two up to 2^500 either way.  The certified leverage property draws
 rank-k matrices plus noise large enough to sit near the sketch's gap
 threshold, scaled by 1e+-150; the same inputs pin the sketched DEIM
 selection to the dense one wherever the sketch certifies.  ``spectral_norm``
-is checked against the SVD norm on the rank-k inputs.
+is checked against the SVD norm on the rank-k inputs.  Union-of-subspaces
+specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
+the generated data, which the generator itself does not check.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
 from curlowrank.cur import (
     CurFactors,
     approx_error,
@@ -35,6 +38,7 @@ from curlowrank.linalg import (
     compact_svd,
     factored_svd,
     leading_svd,
+    numerical_rank,
     spectral_norm,
 )
 from curlowrank.sampling import (
@@ -251,3 +255,24 @@ def test_sketched_deim_picks_the_dense_indices(inst):
     if leading_svd(a, k) is not None:
         got, ref = deim_cur(a, k), deim_cur(a, k, svd=compact_svd(a))
         assert (got.I, got.J) == (ref.I, ref.J)
+
+
+@st.composite
+def subspace_specs(draw):
+    """``(spec, rng)``: up to five subspaces, the ambient dim tight or a little larger."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    points = [draw(st.integers(1 if d == 1 else d + 1, d + 4)) for d in dims]
+    ambient = sum(dims) + draw(st.sampled_from((0, 0, 1, 3)))
+    spec = SubspaceSpec(ambient_dim=ambient, dims=tuple(dims), points=tuple(points))
+    return spec, trial_generator(draw(st.integers(0, 2**32 - 1)), 0)
+
+
+@PROPERTY
+@given(inst=subspace_specs())
+def test_generated_subspaces_have_the_stated_ranks(inst):
+    spec, rng = inst
+    a, truth = generate_union_of_subspaces(spec, rng)
+    assert a.shape == (spec.ambient_dim, sum(spec.points))
+    assert numerical_rank(a) == sum(spec.dims)
+    for label, d in enumerate(spec.dims):
+        assert numerical_rank(a[:, truth.labels == label]) == d

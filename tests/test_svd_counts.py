@@ -13,9 +13,17 @@ from curlowrank.cli import cli_main
 from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
 from curlowrank.cur import verify_characterization
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
-from curlowrank.linalg import COLS, ROWS, SKETCH_OVERSAMPLE, IndexSet, compact_svd
+from curlowrank.linalg import (
+    COLS,
+    ROWS,
+    SKETCH_OVERSAMPLE,
+    IndexSet,
+    compact_svd,
+    condition_number,
+    stable_rank,
+)
 from curlowrank.mmio import write_matrix
-from curlowrank.sampling import axis_dists, draw_indices
+from curlowrank.sampling import axis_dists, draw_indices, epsilon_ceiling
 
 
 @pytest.fixture
@@ -83,9 +91,9 @@ def test_leverage_axis_dists_reuse_the_callers_svd(a, svd_calls):
     assert len(svd_calls) == 2
 
 
-def test_cli_svd_takes_one_svd(a, tmp_path, monkeypatch, capsys):
-    path = tmp_path / "a.mtx"
-    write_matrix(a, path)
+@pytest.fixture
+def uv_calls(monkeypatch):
+    """``(shape, compute_uv)`` of each ``np.linalg.svd`` call."""
     calls = []
     real = np.linalg.svd
 
@@ -94,10 +102,23 @@ def test_cli_svd_takes_one_svd(a, tmp_path, monkeypatch, capsys):
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_cli_svd_takes_one_svd(a, tmp_path, uv_calls, capsys):
+    path = tmp_path / "a.mtx"
+    write_matrix(a, path)
     assert cli_main(["svd", "--in", str(path)]) == 0
     out = capsys.readouterr().out
     assert "numerical_rank: 3" in out and "condition_number:" in out
-    assert calls == [((12, 10), False)]
+    assert uv_calls == [((12, 10), False)]
+
+
+@pytest.mark.parametrize("spectral", [stable_rank, condition_number, epsilon_ceiling],
+                         ids=lambda f: f.__name__)
+def test_spectral_scalars_take_one_svd_without_vectors(a, uv_calls, spectral):
+    assert spectral(a) > 0.0
+    assert uv_calls == [((12, 10), False)]
 
 
 CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), d_grid=(16,),
@@ -105,8 +126,8 @@ CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), 
 
 
 def test_clustering_trial_factors_each_matrix_once(svd_calls):
-    # A twice (the generator's rank check, then the verifier), then C, R and U once
-    # each at the sizes of the trial's distinct indices
+    # A once (the verifier), then C, R and U once each at the sizes of the
+    # trial's distinct indices
     rng = trial_generator(0, 0)
     a, _ = generate_union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
     rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
@@ -115,15 +136,15 @@ def test_clustering_trial_factors_each_matrix_once(svd_calls):
     svd_calls.clear()
     records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
-    assert sorted(svd_calls) == sorted([(20, 30), (20, 30), (20, d2), (d1, 30), (d1, d2)])
+    assert sorted(svd_calls) == sorted([(20, 30), (20, d2), (d1, 30), (d1, d2)])
 
 
 def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(spectral_calls):
-    # A's two SVDs (the generator's rank check, then the verifier) are the only
-    # factorizations of an m x n matrix; the residual's ||.||_2 is a Gram eigenvalue
+    # the verifier's SVD of A is the only factorization of an m x n matrix; the
+    # residual's ||.||_2 is a Gram eigenvalue
     records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
-    assert [call for call in spectral_calls if call[1] == (20, 30)] == [("svd", (20, 30))] * 2
+    assert [call for call in spectral_calls if call[1] == (20, 30)] == [("svd", (20, 30))]
 
 
 M, N = 60, 50
