@@ -8,6 +8,7 @@ format; experiment results land in CSV with a trailing ``# summary`` block.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .cur import approx_error, randomized_cur, relative_errors
@@ -238,11 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing builds a fresh namespace and keeps no state on the parser, so one
+# parser serves every call in the process.
+_shared_parser = functools.cache(build_parser)
+
+
 def cli_main(argv=None) -> int:
     """Entry point returning an exit code instead of raising SystemExit."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    parser = _shared_parser()
     if not argv:
         parser.print_usage(sys.stderr)
         return 2

@@ -106,8 +106,14 @@ def same_partition(pred: ClusterLabels, truth: ClusterLabels) -> bool:
 
     They do exactly when the confusion support is a bijection: there are as
     many distinct ``(pred, truth)`` label pairs as distinct labels on each side.
+    Each side's labels are first renamed ``0..count-1``, so the pair code
+    ``pred * count + truth`` is one distinct integer per pair for any labels.
     """
     if pred.labels.shape != truth.labels.shape:
         raise ValueError("label vectors must have equal length")
-    pairs = np.unique(np.stack([pred.labels, truth.labels]), axis=1).shape[1]
-    return pairs == np.unique(pred.labels).size == np.unique(truth.labels).size
+    pred_names, pred_ids = np.unique(pred.labels, return_inverse=True)
+    truth_names, truth_ids = np.unique(truth.labels, return_inverse=True)
+    count = pred_names.size
+    if truth_names.size != count:
+        return False
+    return np.unique(pred_ids * count + truth_ids).size == count

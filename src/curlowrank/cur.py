@@ -29,12 +29,11 @@ from .linalg import (
     ROWS,
     IndexSet,
     _rank_pinv_cutoff,
+    _take,
     as_matrix,
     factored_norms,
     frobenius_norm,
-    pseudoinverse,
     spectral_norm,
-    submatrix,
 )
 from .sampling import ProbDist, draw_indices
 
@@ -58,17 +57,24 @@ class CurFactors:
 
 
 def _submatrices(a, rows: IndexSet, cols: IndexSet) -> tuple:
-    """``(C, R, U)`` of ``a`` for a row and a column index set."""
+    """``(C, R, U)`` of the validated ``a`` for a row and a column index set."""
     if rows.axis != ROWS or cols.axis != COLS:
         raise ValueError("build_cur needs a row index set and a column index set")
-    c = submatrix(a, cols)
-    return c, submatrix(a, rows), submatrix(c, rows)
+    if not (rows.indices and cols.indices):
+        raise ValueError("build_cur needs at least one row index and one column index")
+    c = _take(a, cols)
+    return c, _take(a, rows), _take(c, rows)
 
 
 def build_cur(a, rows: IndexSet, cols: IndexSet, tol=None) -> CurFactors:
     """Extract ``C, U, R`` for the given index sets; ``U^+`` is truncated at ``tol``."""
-    c, r, u = _submatrices(as_matrix(a), rows, cols)
-    return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=pseudoinverse(u, tol))
+    return _cur(as_matrix(a), rows, cols, tol)
+
+
+def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
+    """:func:`build_cur` of the validated ``a``."""
+    c, r, u = _submatrices(a, rows, cols)
+    return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=_rank_pinv_cutoff(u, tol)[1])
 
 
 def approx_error(a, factors: CurFactors, norm="frobenius") -> float:
@@ -210,4 +216,4 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
         raise ValueError("row_dist must be a distribution over the rows of a")
     if col_dist.axis != COLS or col_dist.size != n:
         raise ValueError("col_dist must be a distribution over the columns of a")
-    return build_cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)
+    return _cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cur import CurFactors, build_cur
+from .cur import CurFactors, _cur
 from .errors import DomainError, SingularInterpolationError
 from .linalg import COLS, ROWS, IndexSet, as_matrix, leading_bases, rank_cutoff, singular_values
 
@@ -77,7 +77,7 @@ def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
     left, right = leading_bases(a, k, tol, svd)
     cols = deim_select(right, k, axis=COLS).indices
     rows = deim_select(left, k, axis=ROWS).indices
-    return build_cur(a, rows, cols, tol)
+    return _cur(a, rows, cols, tol)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -457,7 +457,9 @@ def emit_csv(records, summary, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            fh.write(",".join(_format_value(value) for value in astuple(r)) + "\n")
+            fh.write(f"{r.trial_index},{r.scheme},{r.d1},{r.d2},{'1' if r.success else '0'},"
+                     f"{float(r.rel_error_spectral):.17g},{float(r.rel_error_frobenius):.17g},"
+                     f"{float(r.wall_time_ms):.17g}\n")
         fh.write("# summary\n")
         for group in groups:
             parts = [f"{key}={_format_value(val)}" for key, val in group.items()]

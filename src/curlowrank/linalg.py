@@ -1,8 +1,12 @@
 """Dense matrix primitives: compact SVD, pseudoinverse, ranks, submatrices.
 
 Matrices are plain ``numpy.ndarray`` objects of dtype float64 in C (row-major)
-memory order; every public function validates its input through
-:func:`as_matrix`.  No other module of the package calls ``np.linalg.svd``.
+memory order.  A matrix is validated once, by :func:`as_matrix`, where it
+enters the public API; the package passes an already validated matrix on to
+private twins (:func:`_take`, :func:`_compact_svd`, :func:`_leading_svd`,
+:func:`_rank_pinv_cutoff`) that skip that check, and :func:`_take` still
+checks its indices against the matrix.  No other module of the package calls
+``np.linalg.svd``.
 Every numerical-rank decision in the package is made by
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it.
@@ -45,7 +49,7 @@ def as_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -75,8 +79,9 @@ class IndexSet:
     axis: str
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if any(i < 0 for i in self.indices):
+        indices = tuple(map(int, self.indices))
+        object.__setattr__(self, "indices", indices)
+        if min(indices, default=0) < 0:
             raise IndexOutOfRangeError("indices must be nonnegative")
         if self.axis not in (ROWS, COLS):
             raise ValueError(f"axis must be '{ROWS}' or '{COLS}', got {self.axis!r}")
@@ -141,7 +146,11 @@ def compact_svd(a, tol=None) -> SvdFactors:
     cutoff (a rank-0 matrix has no compact SVD; use :func:`numerical_rank`
     if rank 0 is an acceptable answer).
     """
-    a = as_matrix(a)
+    return _compact_svd(as_matrix(a), tol)
+
+
+def _compact_svd(a, tol) -> SvdFactors:
+    """:func:`compact_svd` of an already validated matrix ``a``."""
     return _truncated(*np.linalg.svd(a, full_matrices=False), a.shape, tol)
 
 
@@ -212,6 +221,11 @@ def leading_svd(a, k):
     a = as_matrix(a)
     if k < 1:
         raise ValueError(f"rank must be >= 1, got {k}")
+    return _leading_svd(a, k)
+
+
+def _leading_svd(a, k):
+    """:func:`leading_svd` of an already validated matrix ``a`` and a rank ``k >= 1``."""
     width = k + SKETCH_OVERSAMPLE
     if 2 * width > min(a.shape):
         return None
@@ -235,13 +249,17 @@ def leading_bases(a, k, tol=None, svd=None) -> tuple:
 
     They come from ``svd``, the caller's :class:`SvdFactors` of ``a``, when
     given; else from :func:`leading_svd` when ``tol`` is None and the sketch
-    certifies; else from :func:`compact_svd` of ``a`` at ``tol``.  Raises
-    RankDeficientError when ``k`` exceeds the numerical rank of that SVD.
+    certifies; else from :func:`compact_svd` of ``a`` at ``tol``.  A ``k``
+    outside ``1..min(m, n)`` is a DomainError; a ``k`` within it that
+    exceeds the numerical rank of that SVD is a RankDeficientError.
     """
-    sketch = leading_svd(a, k) if svd is None and tol is None else None
+    a = as_matrix(a) if svd is None else a
+    if not 1 <= k <= min(np.shape(a)):
+        raise DomainError(f"need 1 <= k <= {min(np.shape(a))}, got k={k}")
+    sketch = _leading_svd(a, k) if svd is None and tol is None else None
     if sketch is not None:
         return sketch[0], sketch[2]
-    svd = compact_svd(a, tol) if svd is None else svd
+    svd = _compact_svd(a, tol) if svd is None else svd
     if k > svd.numerical_rank:
         raise RankDeficientError(
             f"requested rank k={k} exceeds numerical rank {svd.numerical_rank}"
@@ -277,12 +295,11 @@ def numerical_rank(a, tol=None) -> int:
 
 
 def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
-    """``(rank, pinv, cutoff, norm)`` from one SVD; ``norm`` is the spectral norm sigma_1.
+    """``(rank, pinv, cutoff, norm)`` from one SVD of the validated ``a``; ``norm`` is sigma_1.
 
     Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
     The pinv needs no sign convention: each term pairs a vector with its own sign.
     """
-    a = as_matrix(a)
     w, s, vt = np.linalg.svd(a, full_matrices=False)
     rank, cutoff = rank_cutoff(s, a.shape, tol, floor)
     return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff, float(s[0])
@@ -293,7 +310,7 @@ def pseudoinverse(a, tol=None) -> np.ndarray:
 
     The zero matrix maps to the zero matrix of transposed shape.
     """
-    return _rank_pinv_cutoff(a, tol)[1]
+    return _rank_pinv_cutoff(as_matrix(a), tol)[1]
 
 
 def _unit_shift(a) -> int:
@@ -361,13 +378,18 @@ def condition_number(a, tol=None) -> float:
 
 def submatrix(a, index_set: IndexSet) -> np.ndarray:
     """Extract ``A(I, :)`` or ``A(:, J)``; duplicates and ordering are honored."""
-    a = as_matrix(a)
-    dim = a.shape[0] if index_set.axis == ROWS else a.shape[1]
-    idx = np.asarray(index_set.indices, dtype=np.intp)
-    if idx.size and int(idx.max()) >= dim:
+    return _take(as_matrix(a), index_set)
+
+
+def _take(a, index_set: IndexSet) -> np.ndarray:
+    """:func:`submatrix` of an already validated matrix ``a``, as a new C-ordered array.
+
+    The indices are still checked against the size of ``a`` along their axis.
+    """
+    axis = 0 if index_set.axis == ROWS else 1
+    top = max(index_set.indices, default=-1)
+    if top >= a.shape[axis]:
         raise IndexOutOfRangeError(
-            f"index {int(idx.max())} out of range for axis '{index_set.axis}' of size {dim}"
+            f"index {top} out of range for axis '{index_set.axis}' of size {a.shape[axis]}"
         )
-    if index_set.axis == ROWS:
-        return a[idx, :].copy()
-    return a[:, idx].copy()
+    return a.take(np.asarray(index_set.indices, dtype=np.intp), axis=axis)

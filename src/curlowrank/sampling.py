@@ -66,7 +66,7 @@ class ProbDist:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        if not (w.min() >= 0.0 and w.max() < math.inf):  # NaN fails the first test
             raise ValueError("weights must be finite and nonnegative")
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
@@ -164,7 +164,7 @@ def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:
     cum = np.cumsum(dist.weights[support])
     u = rng.random(int(d)) * cum[-1]
     pos = np.searchsorted(cum, u, side="right")
-    return IndexSet(tuple(support[pos]), dist.axis)
+    return IndexSet(support[pos].tolist(), dist.axis)
 
 
 def draw_indices(row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng, dedup=False) -> tuple:
@@ -191,7 +191,11 @@ def rescaled_submatrix(a, index_set: IndexSet, dist: ProbDist, d) -> np.ndarray:
     """Rows (or columns) at the drawn indices, each scaled by ``1/sqrt(d * p_i)``.
 
     With this scaling the sampled Gram matrix is an unbiased estimator:
-    ``E[Rhat^T Rhat] = A^T A`` when the draws follow ``dist``.
+    ``E[Rhat^T Rhat] = A^T A`` when the draws follow ``dist``, provided that
+    ``dist`` gives every nonzero row (column) of ``a`` a positive weight.
+    Uniform and squared-length weights always do; rank-k leverage weights do
+    when rank(A) = k, and may not otherwise: ``A = diag(2, 1)`` has rank-1
+    leverage 0 on its nonzero second row.
     """
     if d < 1:
         raise DomainError(f"scaling denominator d must be >= 1, got d={d}")

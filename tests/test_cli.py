@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import curlowrank
 from curlowrank.cli import cli_main
 from curlowrank.harness import lowrank_gaussian
 from curlowrank.mmio import write_matrix
@@ -119,6 +123,28 @@ def test_deim_error_is_finite_at_extreme_scale(tmp_path, rng, capsys):
 def test_deim_nonpositive_k_exits_2(matrix_file, capsys, k):
     assert cli_main(["deim", "--in", str(matrix_file), "--k", k]) == 2
     assert f"k={k}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def rank_2_file(tmp_path, rng):
+    path = tmp_path / "rank2.mtx"
+    write_matrix(lowrank_gaussian(4, 3, 2, rng), path)
+    return path
+
+
+LEVERAGE_CUR = ["cur", "--scheme", "leverage", "--d1", "4", "--d2", "4"]
+
+
+@pytest.mark.parametrize("command", [["deim", "--k", "5"], [*LEVERAGE_CUR, "--k", "7"]])
+def test_rank_above_the_smaller_size_exits_2(rank_2_file, capsys, command):
+    assert cli_main([*command, "--in", str(rank_2_file)]) == 2
+    assert "need 1 <= k <= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["deim", "--k", "3"], [*LEVERAGE_CUR, "--k", "3"]])
+def test_rank_above_the_numerical_rank_exits_1(rank_2_file, capsys, command):
+    assert cli_main([*command, "--in", str(rank_2_file)]) == 1
+    assert "exceeds numerical rank 2" in capsys.readouterr().err
 
 
 FILE_COMMANDS = {
@@ -357,3 +383,36 @@ def test_clustering_config_rejects_dedup(tmp_path, capsys):
                       "dedup = 1\n")
     assert cli_main(["experiment", "--config", str(config)]) == 2
     assert "field 'dedup'" in capsys.readouterr().err
+
+
+EXPERIMENT = ["experiment", "--kind", "success_prob", "--m", "20", "--n", "16", "--k", "3",
+              "--scheme", "length", "--d", "8", "--trials", "6", "--seed", "9"]
+
+
+def _alone(argv):
+    """``(exit code, stdout)`` of ``argv`` in a fresh interpreter, whose parser no other call used."""
+    src = os.path.dirname(os.path.dirname(curlowrank.__file__))
+    done = subprocess.run([sys.executable, "-c", "from curlowrank.cli import main; main()", *argv],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stdout
+
+
+def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    plain = [*EXPERIMENT, "--out", str(out)]
+    assert _alone(plain)[0] == 0
+    want = out.read_bytes()
+    assert cli_main([*plain, "--dedup", "--sparsity", "0.5"]) == 0
+    assert out.read_bytes() != want
+    assert cli_main(plain) == 0
+    assert out.read_bytes() == want
+
+
+def test_a_usage_error_leaves_the_next_call_intact(capsys):
+    code, want = _alone(EXPERIMENT)
+    assert code == 0 and "success_rate" in want
+    assert cli_main([*EXPERIMENT, "--dedup", "--trials", "many"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli_main(EXPERIMENT) == 0
+    assert capsys.readouterr().out == want

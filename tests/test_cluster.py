@@ -229,6 +229,39 @@ class TestAccuracy:
         moved[0] = (moved[0] + 1) % 12
         assert not same_partition(ClusterLabels(moved), truth)
 
+    def test_labels_anywhere_in_the_integer_range(self):
+        # a naive pair code pred * (max(truth) + 1) + truth maps (1, -1) and (0, 1) to one code
+        assert same_partition(ClusterLabels(np.array([1, 0])), ClusterLabels(np.array([-1, 1])))
+        top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+        big = ClusterLabels(np.array([top, bottom, top - 1, top], dtype=np.int64))
+        small = ClusterLabels(np.array([0, 1, 2, 0], dtype=np.int8))
+        assert same_partition(big, small) and same_partition(small, big)
+        assert not same_partition(big, ClusterLabels(np.array([0, 1, 1, 0], dtype=np.int8)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_stacked_pair_definition(self, data):
+        """Equal to counting distinct stacked (pred, truth) columns, for signed labels of any width."""
+        n = data.draw(st.integers(0, 30))
+        pred_ids = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        renamed = data.draw(st.booleans())  # then truth renames pred: the partitions agree
+        truth_ids = pred_ids if renamed else data.draw(
+            st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        pred, truth = (self.named(data, ids) for ids in (pred_ids, truth_ids))
+        pairs = np.unique(np.stack([pred, truth]), axis=1).shape[1]
+        want = pairs == np.unique(pred).size == np.unique(truth).size
+        assert same_partition(ClusterLabels(pred), ClusterLabels(truth)) == want
+        assert want or not renamed
+
+    @staticmethod
+    def named(data, ids):
+        """``ids`` mapped to five distinct labels of a signed dtype, the ends of its range likely."""
+        info = np.iinfo(data.draw(st.sampled_from((np.int8, np.int16, np.int32, np.int64))))
+        edges = st.sampled_from((info.min, info.min + 1, -1, 0, info.max - 1, info.max))
+        names = data.draw(st.lists(st.one_of(edges, st.integers(info.min, info.max)),
+                                   min_size=5, max_size=5, unique=True))
+        return np.array([names[i] for i in ids], dtype=info.dtype)
+
     @staticmethod
     def reference_accuracy(pred, truth):
         """The permutation search over full label vectors."""

@@ -294,6 +294,12 @@ class TestSubmatrix:
         with pytest.raises(IndexOutOfRangeError):
             IndexSet([-1], ROWS)
 
+    def test_extractions_are_new_c_ordered_arrays(self, rng):
+        a = rng.standard_normal((5, 4))
+        for index_set in (IndexSet([3, 1, 3], ROWS), IndexSet([2, 0, 2], COLS)):
+            got = submatrix(a, index_set)
+            assert got.flags.c_contiguous and got.flags.owndata
+
     def test_composition(self, rng):
         a = rng.standard_normal((7, 9))
         rows = IndexSet([2, 2, 5, 0], ROWS)
@@ -373,6 +379,12 @@ class TestLeadingBases:
     def test_rank_deficient(self, rng):
         with pytest.raises(RankDeficientError, match="k=4 exceeds numerical rank 3"):
             leading_bases(rank_k(12, 10, 3, rng), 4)
+
+    def test_rank_above_the_smaller_size_is_a_domain_error(self, rng):
+        a = rank_k(4, 3, 2, rng)
+        for svd in (None, compact_svd(a)):
+            with pytest.raises(DomainError, match="need 1 <= k <= 3, got k=4"):
+                leading_bases(a, 4, svd=svd)
 
 
 def _fix_signs_loop(w, vt):

@@ -12,7 +12,9 @@ threshold, scaled by 1e+-150; the same inputs pin the sketched DEIM
 selection to the dense one wherever the sketch certifies.  ``spectral_norm``
 is checked against the SVD norm on the rank-k inputs.  Union-of-subspaces
 specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
-the generated data, which the generator itself does not check.
+the generated data, which the generator itself does not check.  The
+rescaled samples of the uniform, length and rank-k leverage distributions
+reproduce the Gram matrices of A exactly once weighted by their probabilities.
 """
 
 import numpy as np
@@ -47,6 +49,8 @@ from curlowrank.sampling import (
     leverage_dist,
     length_dist,
     noisy_stability_floor,
+    rescaled_submatrix,
+    uniform_dist,
     uniform_stability_floor,
 )
 
@@ -132,6 +136,22 @@ def test_permutation_permutes_the_weights(inst):
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(leverage_dist(b, k, axis).weights,
                                    leverage_dist(a, k, axis).weights[perm], rtol=1e-8, atol=1e-12)
+
+
+@PROPERTY
+@given(inst=instances())
+def test_rescaled_gram_is_unbiased_exactly(inst):
+    # sum_i p_i * rhat_i^T rhat_i = A^T A, one draw of each index in the support;
+    # leverage(k) meets it because rank(A) = k, so no nonzero row has zero leverage
+    a, k, _, _, _ = inst
+    for axis, gram in ((ROWS, a.T @ a), (COLS, a @ a.T)):
+        for dist in (uniform_dist(a.shape[axis == COLS], axis), length_dist(a, axis),
+                     leverage_dist(a, k, axis)):
+            support = np.flatnonzero(dist.weights > 0.0)
+            rhat = rescaled_submatrix(a, IndexSet(support, axis), dist, 1)
+            p = dist.weights[support]
+            got = (rhat.T * p) @ rhat if axis == ROWS else (rhat * p) @ rhat.T
+            assert np.linalg.norm(got - gram) <= 1e-12 * np.linalg.norm(gram), dist.scheme
 
 
 def _verdicts(a, rows, cols):
