@@ -61,7 +61,7 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng):
     one since the dims fit in the ambient space); points are Gaussian
     coefficient combinations of each basis (generic with probability one).
     Columns are shuffled; the returned labels name each column's subspace.
-    No rank is checked here: the verifier's SVD of the data decides rank(A).
+    No rank is checked here: the clustering trial's SVD of the data sets A's cutoff.
     """
     blocks = []
     for d, p in zip(spec.dims, spec.points):

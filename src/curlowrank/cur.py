@@ -93,15 +93,13 @@ class CharacterizationReport:
     """Numerical verdicts for the five equivalent exact-CUR conditions.
 
     The booleans must be unanimous on every instance; ``u_pinv_identity``
-    (``U^+ = C^+ A R^+``) is only meaningful when all five hold.  ``factors``
-    is the CUR behind the verdicts, with ``U^+`` truncated at the verifier's cutoff;
-    ``norm_a`` is ``||A||_2``, the largest singular value of the verifier's SVD of A.
-    ``residuals`` holds the relative Frobenius residual of each identity, and
-    under ``"cur_spectral"`` the spectral ratio ``||A - C U^+ R||_2 / ||A||_2``.
+    (``U^+ = C^+ A R^+``) is only meaningful when all five hold.
+    ``residuals`` holds the relative Frobenius residual of each identity.
+    A caller that needs only an exact CUR, not the characterization, builds
+    it with :func:`build_cur` at A's cutoff and tests (ii) on its residual.
     """
 
     rank_a: int
-    norm_a: float
     rank_c: int
     rank_r: int
     rank_u: int
@@ -113,7 +111,6 @@ class CharacterizationReport:
     u_pinv_identity: bool
     residuals: dict = field(repr=False)
     tol: float
-    factors: CurFactors = field(repr=False)
 
     @property
     def verdicts(self):
@@ -167,20 +164,18 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     a = as_matrix(a)
     c, r, u = _submatrices(a, rows, cols)
     # a zero A has cutoff 0.0, and its zero submatrices get rank 0 as well
-    rank_a, a_pinv, rank_tol, norm_a = _rank_pinv_cutoff(a)
+    rank_a, a_pinv, rank_tol = _rank_pinv_cutoff(a)
     rank_c, c_pinv = _rank_pinv_cutoff(c, floor=rank_tol)[:2]
     rank_r, r_pinv = _rank_pinv_cutoff(r, floor=rank_tol)[:2]
     rank_u, u_pinv = _rank_pinv_cutoff(u, floor=rank_tol)[:2]
 
-    resid = a - c @ u_pinv @ r
-    rel_cur = _relative(resid, a)
+    rel_cur = _relative(a - c @ u_pinv @ r, a)
     rel_proj = _relative(a - c @ c_pinv @ a @ r_pinv @ r, a)
     rel_pinv = _relative(a_pinv - r_pinv @ u @ c_pinv, a_pinv)
     rel_u_pinv = _relative(u_pinv - c_pinv @ a @ r_pinv, u_pinv)
 
     return CharacterizationReport(
         rank_a=rank_a,
-        norm_a=norm_a,
         rank_c=rank_c,
         rank_r=rank_r,
         rank_u=rank_u,
@@ -192,13 +187,11 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
         u_pinv_identity=rel_u_pinv <= tol,
         residuals={
             "cur": rel_cur,
-            "cur_spectral": _ratio(spectral_norm(resid), norm_a),
             "projection": rel_proj,
             "pinv_product": rel_pinv,
             "u_pinv_identity": rel_u_pinv,
         },
         tol=float(tol),
-        factors=CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=u_pinv),
     )
 
 

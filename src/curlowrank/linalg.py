@@ -295,14 +295,14 @@ def numerical_rank(a, tol=None) -> int:
 
 
 def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
-    """``(rank, pinv, cutoff, norm)`` from one SVD of the validated ``a``; ``norm`` is sigma_1.
+    """``(rank, pinv, cutoff)`` from one SVD of the validated ``a``.
 
     Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
     The pinv needs no sign convention: each term pairs a vector with its own sign.
     """
     w, s, vt = np.linalg.svd(a, full_matrices=False)
     rank, cutoff = rank_cutoff(s, a.shape, tol, floor)
-    return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff, float(s[0])
+    return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff
 
 
 def pseudoinverse(a, tol=None) -> np.ndarray:

@@ -316,6 +316,20 @@ def test_cluster_bad_spec_exits_2(tmp_path, capsys, text, field):
     assert f"field '{field}'" in err if field else "line 1" in err
 
 
+@pytest.mark.parametrize("command, text, where", [
+    ("--config", "kind = success_prob\nm = 50\nn = 40\nk = 2\nd_grid = 4\nm = 30\n",
+     "line 6: field 'm'"),
+    ("--spec", "ambient_dim = 12\ndims = 2,2\npoints = 6,6\nambient_dim = 16\n",
+     "line 4: field 'ambient_dim'"),
+], ids=["config", "spec"])
+def test_key_repeated_in_a_file_exits_2(tmp_path, capsys, command, text, where):
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    name = "experiment" if command == "--config" else "cluster"
+    assert cli_main([name, command, str(path), "--trials", "2"]) == 2
+    assert f"{where}: given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", ["ture", "yes please"])
 def test_experiment_config_bool_typo_exits_2(tmp_path, capsys, word):
     config = tmp_path / "typo.cfg"

@@ -13,7 +13,7 @@ from curlowrank.cur import (
     verify_characterization,
 )
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, pseudoinverse
+from curlowrank.linalg import COLS, ROWS, IndexSet, pseudoinverse
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
 
 from conftest import rank_k
@@ -87,15 +87,6 @@ class TestCharacterization:
             lhs = f.U_pinv
             rhs = pseudoinverse(f.C) @ a @ pseudoinverse(f.R)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
-
-    def test_factors_are_build_cur_at_a_cutoff(self, rng):
-        a = rank_k(9, 8, 3, rng)
-        rows, cols = IndexSet([0, 3, 3, 7], ROWS), IndexSet([1, 2, 6], COLS)
-        got = verify_characterization(a, rows, cols).factors
-        want = build_cur(a, rows, cols, compact_svd(a).tolerance_used)
-        assert (got.I, got.J) == (want.I, want.J)
-        for name in ("C", "U", "R", "U_pinv"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_repeated_indices_are_ranked_at_the_submatrix_cutoff(self):
         # rank 1 with cutoff 1.7e-13, but sigma_2(U) = 2.4e-13 for this U of repeated

@@ -46,7 +46,7 @@ CASES = {
     "clustering": (
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
              d_grid=(16,), trials=8, master_seed=306),
-        "5782c35d1775dfc5605a2d1cbdd0ae9b7e586750010cc41cc3371480ba3b59ad",
+        "41f3b78c43305e9f0e3283176f1a4021810c0b615399e4dfc2f7ec7fda5015e2",
     ),
 }
 
@@ -117,4 +117,4 @@ def test_cli_cluster_spec_digest(tmp_path, capsys):
     assert cli_main(["cluster", "--spec", str(spec), "--d", "10", "--trials", "6",
                      "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_cluster_spec"]
-    assert sha(out) == "9511f8487ecb78f20b0f539a0d139d384d47cab5bf52261dec4769db32dbfbb9"
+    assert sha(out) == "619c11cfc517ff498dc12dd035e3d7c867dea6ff6a7ea8e5771b246dd36b35f5"

@@ -10,9 +10,13 @@ power of two up to 2^500 either way.  The certified leverage property draws
 rank-k matrices plus noise large enough to sit near the sketch's gap
 threshold, scaled by 1e+-150; the same inputs pin the sketched DEIM
 selection to the dense one wherever the sketch certifies.  ``spectral_norm``
-is checked against the SVD norm on the rank-k inputs.  Union-of-subspaces
+is checked against the SVD norm on the rank-k inputs.  The leverage/length
+dominance inequalities hold on the rank-k inputs scaled by 1e+-150, and on
+the same shapes at sizes where the sketch applies, for the scores of the
+caller's SVD, the sketch and the dense fallback.  Union-of-subspaces
 specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
-the generated data, which the generator itself does not check.  The
+the generated data, which the generator itself does not check, and the
+clustering trial's exactness flag to the verifier's unanimous verdicts.  The
 rescaled samples of the uniform, length and rank-k leverage distributions
 reproduce the Gram matrices of A exactly once weighted by their probabilities.
 """
@@ -32,20 +36,26 @@ from curlowrank.cur import (
 )
 from curlowrank.deim import deim_cur
 from curlowrank.errors import NoiseDominatesError
-from curlowrank.harness import lowrank_gaussian, trial_generator
+from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
 from curlowrank.linalg import (
     COLS,
     ROWS,
+    SKETCH_OVERSAMPLE,
     IndexSet,
     compact_svd,
     factored_svd,
     leading_svd,
     numerical_rank,
+    rank_cutoff,
+    singular_values,
     spectral_norm,
+    stable_rank_of,
 )
 from curlowrank.sampling import (
+    SCHEMES,
     axis_dists,
     dedup_indices,
+    draw_indices,
     leverage_dist,
     length_dist,
     noisy_stability_floor,
@@ -57,13 +67,11 @@ from curlowrank.sampling import (
 from conftest import noisy_rank_k
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+EPS = float(np.finfo(np.float64).eps)
 
 
-@st.composite
-def instances(draw):
-    """``(a, k, rows, cols, rng)``: a rank-k matrix and index sets of it with duplicates."""
-    m, n = draw(st.integers(2, 14)), draw(st.integers(2, 12))
-    k = draw(st.integers(1, min(m, n) - 1))
+def _shaped_rank_k(draw, m, n, k):
+    """``(a, rng)``: a rank-k matrix, plain, with a spiky row, or with a zero row and column."""
     rng = trial_generator(draw(st.integers(0, 2**32 - 1)), 0)
     a = lowrank_gaussian(m, n, k, rng)
     shape = draw(st.sampled_from(("gaussian", "spiky_row", "zero_row_col")))
@@ -72,6 +80,15 @@ def instances(draw):
     elif shape == "zero_row_col":
         a[int(rng.integers(m))] = 0.0
         a[:, int(rng.integers(n))] = 0.0
+    return a, rng
+
+
+@st.composite
+def instances(draw):
+    """``(a, k, rows, cols, rng)``: a rank-k matrix and index sets of it with duplicates."""
+    m, n = draw(st.integers(2, 14)), draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(m, n) - 1))
+    a, rng = _shaped_rank_k(draw, m, n, k)
     rows = IndexSet(rng.integers(0, m, size=draw(st.integers(1, 2 * m))), ROWS)
     cols = IndexSet(rng.integers(0, n, size=draw(st.integers(1, 2 * n))), COLS)
     return a, k, rows, cols, rng
@@ -101,8 +118,9 @@ def test_power_of_two_scaling_keeps_every_bit(inst, j):
 @given(inst=instances(), scale=st.sampled_from((1e150, 1e-150)))
 def test_errors_stay_finite_at_extreme_scale(inst, scale):
     a, _, rows, cols, _ = inst
-    factors = verify_characterization(scale * a, rows, cols).factors
-    errors = (*relative_errors(scale * a, factors), approx_error(scale * a, factors) / scale)
+    a = scale * a
+    factors = build_cur(a, rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
+    errors = (*relative_errors(a, factors), approx_error(a, factors) / scale)
     assert all(np.isfinite(err) for err in errors)
 
 
@@ -152,6 +170,34 @@ def test_rescaled_gram_is_unbiased_exactly(inst):
             p = dist.weights[support]
             got = (rhat.T * p) @ rhat if axis == ROWS else (rhat * p) @ rhat.T
             assert np.linalg.norm(got - gram) <= 1e-12 * np.linalg.norm(gram), dist.scheme
+
+
+@st.composite
+def sketch_sized(draw):
+    """``(a, k)``: :func:`instances`' shapes at sizes where the leverage sketch applies."""
+    m, n = draw(st.integers(24, 48)), draw(st.integers(24, 48))
+    k = draw(st.integers(1, min(m, n) // 2 - SKETCH_OVERSAMPLE))
+    return _shaped_rank_k(draw, m, n, k)[0], k
+
+
+@PROPERTY
+@given(inst=st.one_of(instances().map(lambda inst: inst[:2]), sketch_sized()),
+       scale=st.sampled_from((1e-150, 1.0, 1e150)))
+def test_leverage_and_length_dominate_each_other(inst, scale):
+    # p_lev >= (r/k) p_len and p_len >= k/(r kappa^2) p_lev on both axes, for the
+    # leverage scores of the caller's SVD and of the sketch, or the dense fallback
+    # where the sketch does not apply; weights lie in [0, 1], so the slack is ulp-level
+    a, k = inst
+    a = scale * a
+    s = singular_values(a)
+    r, kappa = stable_rank_of(s), float(s[0] / s[k - 1])
+    assert (leading_svd(a, k) is None) == (min(a.shape) < 2 * (k + SKETCH_OVERSAMPLE))
+    length = axis_dists(a, "length")
+    for svd in (None, compact_svd(a)):
+        for p_len, p_lev in zip(length, axis_dists(a, "leverage", k, svd=svd)):
+            p_len, p_lev = p_len.weights, p_lev.weights
+            assert np.all(p_lev >= (r / k) * p_len - 16 * EPS)
+            assert np.all(p_len >= k / (r * kappa**2) * p_lev - 16 * EPS)
 
 
 def _verdicts(a, rows, cols):
@@ -296,3 +342,25 @@ def test_generated_subspaces_have_the_stated_ranks(inst):
     assert numerical_rank(a) == sum(spec.dims)
     for label, d in enumerate(spec.dims):
         assert numerical_rank(a[:, truth.labels == label]) == d
+
+
+@PROPERTY
+@given(inst=subspace_specs(), scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_clustering_exactness_is_the_verifiers(inst, scheme, seed, data):
+    # the trial counts a CUR as exact by its residual alone, condition (ii); on the
+    # same draws, below and above sum(dims), the five verdicts agree with it
+    spec, _ = inst
+    k = sum(spec.dims)
+    d = data.draw(st.integers(1, 3 * k))
+    cfg = ExperimentConfig(kind="clustering", m=spec.ambient_dim, dims=spec.dims,
+                           points=spec.points, scheme=scheme, d_grid=(d,), trials=1,
+                           master_seed=seed)
+    exact = run_experiment(cfg)[1]["groups"][0]["exact_curs"]
+    rng = trial_generator(seed, 0)
+    a, _ = generate_union_of_subspaces(spec, rng)
+    report = verify_characterization(a, *draw_indices(*axis_dists(a, scheme, k), d, d, rng,
+                                                      dedup=True), cfg.tol)
+    assert exact == report.all_hold
+    assert report.unanimous
+    assert report.all_hold == (report.rank_u == report.rank_a)

@@ -125,23 +125,23 @@ CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), 
                   trials=1)
 
 
-def test_clustering_trial_factors_each_matrix_once(svd_calls):
-    # A once (the verifier), then C, R and U once each at the sizes of the
-    # trial's distinct indices
+def test_clustering_trial_factors_each_matrix_once(uv_calls):
+    # A once without vectors for its cutoff, then U once at the size of the
+    # trial's distinct indices; C and R are not factored
     rng = trial_generator(0, 0)
     a, _ = generate_union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
     rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
     d1, d2 = len(rows), len(cols)
     assert d1 < 16 or d2 < 16  # the draw repeats an index, so its distinct part is smaller
-    svd_calls.clear()
+    uv_calls.clear()
     records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
-    assert sorted(svd_calls) == sorted([(20, 30), (20, d2), (d1, 30), (d1, d2)])
+    assert uv_calls == [((20, 30), False), ((d1, d2), True)]
 
 
 def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(spectral_calls):
-    # the verifier's SVD of A is the only factorization of an m x n matrix; the
-    # residual's ||.||_2 is a Gram eigenvalue
+    # A's spectrum, without vectors, is the only factorization of an m x n matrix;
+    # ||A||_2 and the residual's ||.||_2 are Gram eigenvalues
     records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
     assert [call for call in spectral_calls if call[1] == (20, 30)] == [("svd", (20, 30))]
