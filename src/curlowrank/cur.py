@@ -28,10 +28,11 @@ from .linalg import (
     COLS,
     ROWS,
     IndexSet,
+    SvdFactors,
+    _norms,
     _rank_pinv_cutoff,
     _take,
     as_matrix,
-    factored_norms,
     frobenius_norm,
     spectral_norm,
 )
@@ -144,13 +145,16 @@ def relative_errors(a, factors: CurFactors) -> tuple:
     return _ratio(spectral_norm(resid), spectral_norm(a)), _relative(resid, a)
 
 
-def residual_norms(p, q, factors: CurFactors) -> tuple:
-    """``(||A - C U^+ R||_2, ||A - C U^+ R||_F)`` for ``A = p @ q.T``, without forming either.
+def residual_norms(svd: SvdFactors, factors: CurFactors) -> tuple:
+    """``(||A - C U^+ R||_2, ||A - C U^+ R||_F)`` for a CUR of A, from A's compact SVD ``svd``.
 
-    The residual is the thin product ``[p, C] @ [q, -(U^+ R).T].T``.
+    The residual is ``W (S - S V_J^T U^+ W_I S) V^T`` for ``A = W S V^T``; its k-by-k middle
+    factor is grouped so that no product passes through ``S^2``.  Where ``svd`` is cut, the
+    part of A below its cutoff is left out.
     """
-    return factored_norms(np.hstack([p, factors.C]),
-                          np.hstack([q, -(factors.U_pinv @ factors.R).T]))
+    s = svd.singular_values
+    left = (s[:, None] * _take(svd.right.T, factors.J)) @ factors.U_pinv
+    return _norms(np.diag(s) - left @ (_take(svd.left, factors.I) * s))
 
 
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:

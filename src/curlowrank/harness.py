@@ -18,9 +18,11 @@ to hit a target condition number, ``sparsity`` zeroes a fraction of columns
 an i.i.d. Gaussian matrix rescaled so its spectral norm matches the requested
 level against ``||A||_2 = 1``.
 
-The table kinds keep A as its factors and take its spectrum, leverage
-scores and residual norms from them; the dense A is formed only for the
-length weights, the submatrices and the noise floors.  The leverage scores
+The table kinds keep A as its factors, take its spectrum and leverage scores
+from them and measure each CUR of A in A's k-by-k core; the dense A is formed
+only for the length weights, the submatrices and the noise floors.  The noisy
+CUR, drawn from ``A + E``, is not in A's row and column space, so its norms
+come from ``linalg.factored_norms`` of its thin factors.  The leverage scores
 of ``A + E`` come from the certified sketch ``linalg.leading_svd`` and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so the
 table kinds factor no m-by-n matrix at all; the clustering trial takes only
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .cluster import (
 from .cur import build_cur, randomized_cur, relative_errors, residual_norms
 from .deim import deim_cur
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import factored_svd, rank_cutoff, singular_values
+from .linalg import factored_norms, factored_svd, rank_cutoff, singular_values
 from .sampling import (
     LENGTH,
     SCHEMES,
@@ -151,7 +153,7 @@ class ExperimentConfig:
                 raise ConfigError("matrix sizes must be >= 1", field="m")
             if not (1 <= self.k <= min(self.m, self.n)):
                 raise ConfigError("rank must satisfy 1 <= k <= min(m, n)", field="k")
-            if self.sparsity > 0.0 and (1.0 - self.sparsity) * self.n < self.k:
+            if self.n - round(self.sparsity * self.n) < self.k:
                 raise ConfigError("too many zeroed columns for the target rank", field="sparsity")
         if self.d_grid is None and self.kind in ("success_prob", "noise_stability"):
             if self.eps is None or self.delta is None:
@@ -291,9 +293,9 @@ def _test_matrix(cfg, rng):
     return p, q, factored_svd(p, q)
 
 
-def _relative_errors(p, q, svd, factors):
-    """``(rel_2, rel_F)`` of a CUR of ``p @ q.T``, whose compact SVD is ``svd``."""
-    err_2, err_f = residual_norms(p, q, factors)
+def _relative_errors(svd, factors):
+    """``(rel_2, rel_F)`` of a CUR of A, whose compact SVD is ``svd``, in A's k-by-k core."""
+    err_2, err_f = residual_norms(svd, factors)
     return err_2 / float(svd.singular_values[0]), err_f / svd.frobenius_norm()
 
 
@@ -303,7 +305,7 @@ def _success_trial(cfg, d, rng):
     p, q, f = _test_matrix(cfg, rng)
     a = p @ q.T
     factors = randomized_cur(a, *axis_dists(a, cfg.scheme, cfg.k, f), d, d, rng, dedup=cfg.dedup)
-    rel_2, rel_f = _relative_errors(p, q, f, factors)
+    rel_2, rel_f = _relative_errors(f, factors)
     return rel_f <= cfg.tol, rel_2, rel_f, {}
 
 
@@ -317,7 +319,10 @@ def _noise_trial(cfg, d, rng):
     draws.
     """
     p, q, f = _test_matrix(cfg, rng)
-    p = p / f.singular_values[0]  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
+    s_1 = f.singular_values[0]
+    p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
+    f = replace(f, singular_values=f.singular_values / s_1,
+                all_singular_values=f.all_singular_values / s_1)
     norm_f = math.sqrt(f.stable_rank())
     a = p @ q.T
     e = spectral_noise(a.shape, cfg.sigma, rng)
@@ -330,9 +335,9 @@ def _noise_trial(cfg, d, rng):
     _certify(floors, weights, [dist.weights for dist in length])
     dists = length if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k)
     noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
-    clean = build_cur(a, noisy.I, noisy.J)
-    success = residual_norms(p, q, clean)[1] / norm_f <= cfg.tol
-    err_2, err_f = residual_norms(p, q, noisy)
+    success = _relative_errors(f, build_cur(a, noisy.I, noisy.J))[1] <= cfg.tol
+    err_2, err_f = factored_norms(np.hstack([p, noisy.C]),
+                                  np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
     ratio = err_2 / cfg.sigma if cfg.sigma > 0.0 else float("nan")
     return success, err_2, err_f / norm_f, {"alpha": floors.alpha, "beta": floors.beta,
                                            "ratio": ratio}
@@ -340,7 +345,7 @@ def _noise_trial(cfg, d, rng):
 
 def _deim_trial(cfg, d, rng):
     p, q, f = _test_matrix(cfg, rng)
-    rel_2, rel_f = _relative_errors(p, q, f, deim_cur(p @ q.T, cfg.k, svd=f))
+    rel_2, rel_f = _relative_errors(f, deim_cur(p @ q.T, cfg.k, svd=f))
     return rel_f <= cfg.tol, rel_2, rel_f, {}
 
 

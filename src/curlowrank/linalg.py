@@ -179,8 +179,14 @@ def factored_svd(p, q, tol=None) -> SvdFactors:
 def factored_norms(p, q) -> tuple:
     """``(||p @ q.T||_2, ||p @ q.T||_F)`` from the singular values of the core."""
     p, q = as_matrix(p), as_matrix(q)
-    core, shift = _core(np.linalg.qr(p, mode="r"), np.linalg.qr(q, mode="r"))
-    s = np.linalg.svd(core, compute_uv=False)
+    return _norms(*_core(np.linalg.qr(p, mode="r"), np.linalg.qr(q, mode="r")))
+
+
+def _norms(core, shift=0) -> tuple:
+    """``(||a||_2, ||a||_F)`` of ``a = ldexp(core, -shift)``, from ``core`` scaled near 1."""
+    scale = _unit_shift(core)
+    s = np.linalg.svd(np.ldexp(core, scale), compute_uv=False)
+    shift += scale
     return math.ldexp(float(s[0]), -shift), math.ldexp(float(np.linalg.norm(s)), -shift)
 
 

@@ -13,7 +13,7 @@ from curlowrank.cur import (
     verify_characterization,
 )
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, pseudoinverse
+from curlowrank.linalg import COLS, ROWS, IndexSet, factored_svd, pseudoinverse
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
 
 from conftest import rank_k
@@ -224,9 +224,12 @@ class TestResidualNorms:
     def test_match_the_dense_residual(self, rng):
         p, q = rng.standard_normal((30, 4)), rng.standard_normal((20, 4))
         a = p @ q.T
-        for rows, cols in (((0, 3, 3, 9), (1, 2, 7)), (range(30), range(20))):
+        svd = factored_svd(p, q)
+        # too few columns; every column but two distinct rows, so U has rank 2; every index
+        for rows, cols in (((0, 3, 3, 9), (1, 2, 7)), ((5, 5, 6, 6, 6), range(20)),
+                           (range(30), range(20))):
             f = build_cur(a, IndexSet(rows, ROWS), IndexSet(cols, COLS))
             resid = a - f.approximation()
-            np.testing.assert_allclose(residual_norms(p, q, f),
+            np.testing.assert_allclose(residual_norms(svd, f),
                                        (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
                                        rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2))

@@ -22,17 +22,17 @@ CASES = {
     "success_length": (
         dict(kind="success_prob", m=50, n=40, k=4, scheme="length", d_grid=(4, 8), trials=12,
              master_seed=301),
-        "dbb8bfa0e58210288ea7d7d214a0b5c86cb33c936c9efd57b2dcecfa3bddc1f1",
+        "a34e4f04a6390b11d512745c1a8783ed5f20ac6ec4250ff96df202b2f20b172c",
     ),
     "success_leverage_kappa": (
         dict(kind="success_prob", m=40, n=30, k=3, scheme="leverage", kappa=50.0, d_grid=(4,),
              trials=10, master_seed=302),
-        "0e01bd76a72555e446ef3ffd4ffa2ffd7a194eb736af54576fc85b73a91e5ea8",
+        "285ac673774fd34a1ecf71ba308443d91ce445e0d0e302a4eb2a8c41978ad879",
     ),
     "success_uniform_sparse_dedup": (
         dict(kind="success_prob", m=30, n=40, k=3, scheme="uniform", sparsity=0.5, dedup=True,
              d_grid=(6,), trials=10, master_seed=303),
-        "d1dcb01c22fac1456e1e5161237d536122b3fd6f0f62aa67a4c598d459e68572",
+        "77d1b9212c939e6c72aae8e9c1f8f141a64d04faf701888cea0b3d465216c6ae",
     ),
     "noise_two_points": (
         dict(kind="noise_stability", m=12, n=10, k=3, sigma=0.1, scheme="length",
@@ -41,7 +41,7 @@ CASES = {
     ),
     "deim": (
         dict(kind="deim_check", m=50, n=40, k=4, trials=8, master_seed=305),
-        "e69440f745f6c46678e62dcc796de014ff6b81ee7bb86336d3ded070b3f04f3c",
+        "dfaa996d33a1a6407d6f60d903356c5c803dcd0f688667f633250a98052e53bd",
     ),
     "clustering": (
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
@@ -107,7 +107,7 @@ def test_cli_experiment_config_digest(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_experiment_config"]
-    assert sha(out) == "21be3b109605d5d485af4de5b437aa639797c95ec6c9bd68a62f23f4106ad9da"
+    assert sha(out) == "7ea535fec86d3e0ccab8c35fbc9b60c7f90d6898eb65c52745007c49fbca1b48"
 
 
 def test_cli_cluster_spec_digest(tmp_path, capsys):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from curlowrank import sampling
+from curlowrank import harness, sampling
+from curlowrank.cur import build_cur, relative_errors
 from curlowrank.errors import ConfigError
 from curlowrank.harness import (
     CSV_HEADER,
@@ -78,6 +79,22 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(kind="deim_check", m=15, n=12, k=3, sparsity=0.5)
         assert exc.value.field == "sparsity"
+
+    @pytest.mark.parametrize("sparsity, k, survivors", [
+        (0.9, 1, 1),  # (1 - 0.9) * 10 is 0.9999999999999998, yet one column survives
+        (0.549, 5, 5),
+        (0.6, 5, 4),
+    ])
+    def test_sparsity_accepted_while_k_columns_survive(self, sparsity, k, survivors):
+        kept = zero_out_columns(np.ones((3, 10)), sparsity, trial_generator(0, 0)).any(axis=0)
+        assert np.count_nonzero(kept) == survivors
+        cfg = dict(kind="success_prob", m=12, n=10, k=k, sparsity=sparsity, d_grid=(6,), trials=1)
+        if survivors < k:
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig(**cfg)
+            assert exc.value.field == "sparsity"
+        else:
+            assert len(run_experiment(ExperimentConfig(**cfg))[0]) == 1
 
     @pytest.mark.parametrize("kind, field, value", [
         ("clustering", "kappa", 10.0),
@@ -296,6 +313,29 @@ class TestNoiseExperiment:
         records, _ = run_experiment(cfg)
         assert len(records) == 3
         assert calls == [(40, 30)] * 6
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.1])
+    def test_success_is_exactness_of_the_clean_cur(self, sigma, monkeypatch):
+        # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1
+        clean = []
+
+        def recording(a, rows, cols, tol=None):
+            clean.append((a, rows, cols))
+            return build_cur(a, rows, cols, tol)
+
+        monkeypatch.setattr(harness, "build_cur", recording)
+        flags = []
+        for seed in range(3):
+            clean.clear()
+            cfg = ExperimentConfig(kind="noise_stability", m=40, n=30, k=3, sigma=sigma,
+                                   scheme="length", d_grid=(3, 6), trials=6, master_seed=seed)
+            records, _ = run_experiment(cfg)
+            assert len(records) == len(clean) > 0
+            expected = [relative_errors(a, build_cur(a, rows, cols))[1] <= cfg.tol
+                        for a, rows, cols in clean]
+            assert [r.success for r in records] == expected
+            flags += expected
+        assert any(flags) and not all(flags)
 
     def test_dominating_noise_counts_as_skip(self):
         cfg = ExperimentConfig(kind="noise_stability", m=2, n=2, k=1, sigma=1e6,

@@ -3,7 +3,8 @@
 The counter wraps ``np.linalg.svd`` as the package calls it; the SVDs that
 ``np.linalg.norm(x, 2)`` takes internally are not counted by it.  The
 trials and the file commands are pinned with a second counter that records
-both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix.
+both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix,
+and the table trials once more with a counter of ``np.linalg.qr``.
 """
 
 import numpy as np
@@ -198,3 +199,40 @@ def test_cli_cur_and_deim_take_no_svd_of_the_input(argv, tmp_path, spectral_call
     assert cli_main([argv[0], "--in", str(path), *argv[1:]]) == 0
     assert "rel_err_F: " in capsys.readouterr().out
     assert spectral_calls and (M, N) not in [shape for _, shape in spectral_calls]
+
+
+@pytest.fixture
+def qr_calls(monkeypatch):
+    """The shape of each ``np.linalg.qr`` call."""
+    calls = []
+    real = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
+FACTORED_SVD_QRS = [(50, 4), (40, 4)]
+QR_TRIALS = {
+    "length": (dict(kind="success_prob", scheme="length", d_grid=(12,)), FACTORED_SVD_QRS),
+    # kappa reshapes the spectrum through one more factored SVD of the factors
+    "leverage_kappa": (dict(kind="success_prob", scheme="leverage", kappa=100.0, d_grid=(12,)),
+                       FACTORED_SVD_QRS * 2),
+    "deim": (dict(kind="deim_check"), FACTORED_SVD_QRS),
+    # the noisy CUR's residual is the thin product [p, C] [q, -(U^+ R).T].T, of width k + d
+    "noise_length": (dict(kind="noise_stability", scheme="length", sigma=1e-3, d_grid=(12,)),
+                     FACTORED_SVD_QRS + [(50, 16), (40, 16)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QR_TRIALS))
+def test_table_trials_measure_a_cur_of_a_without_a_qr(name, qr_calls):
+    # a CUR of A is measured in A's k x k core; only A's factors, and the noisy
+    # CUR's thin residual factors, are orthogonalized
+    fields, expected = QR_TRIALS[name]
+    records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=1, **fields))
+    assert len(records) == 1
+    assert qr_calls == expected
