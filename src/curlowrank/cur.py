@@ -152,9 +152,14 @@ def residual_norms(svd: SvdFactors, factors: CurFactors) -> tuple:
     factor is grouped so that no product passes through ``S^2``.  Where ``svd`` is cut, the
     part of A below its cutoff is left out.
     """
+    return _norms(_residual_core(svd, factors.I, factors.J, factors.U_pinv)[None])[0]
+
+
+def _residual_core(svd: SvdFactors, rows: IndexSet, cols: IndexSet, u_pinv) -> np.ndarray:
+    """The k-by-k middle factor of :func:`residual_norms` for the CUR of ``rows``, ``cols``."""
     s = svd.singular_values
-    left = (s[:, None] * _take(svd.right.T, factors.J)) @ factors.U_pinv
-    return _norms(np.diag(s) - left @ (_take(svd.left, factors.I) * s))
+    left = (s[:, None] * _take(svd.right.T, cols)) @ u_pinv
+    return np.diag(s) - left @ (_take(svd.left, rows) * s)
 
 
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:

@@ -74,10 +74,13 @@ def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
     if k < 1:
         raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
+    return _cur(a, *_deim_indices(a, k, tol, svd), tol)
+
+
+def _deim_indices(a, k, tol, svd) -> tuple:
+    """``(rows, cols)`` that :func:`deim_cur` selects from the validated ``a``."""
     left, right = leading_bases(a, k, tol, svd)
-    cols = deim_select(right, k, axis=COLS).indices
-    rows = deim_select(left, k, axis=ROWS).indices
-    return _cur(a, rows, cols, tol)
+    return deim_select(left, k, axis=ROWS).indices, deim_select(right, k, axis=COLS).indices
 
 
 @dataclass(frozen=True)

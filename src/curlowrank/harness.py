@@ -1,15 +1,24 @@
 """Seeded Monte Carlo experiment runner with CSV output.
 
-Every experiment kind runs through one loop over (grid point, trial): a
-per-kind trial function generates a matrix, builds the sampling
-distributions, draws indices, forms the CUR and measures it, and a per-kind
-reducer writes the summary.  Every trial draws its randomness from a Philox
-stream keyed by ``(master_seed, trial_index)``, so trials are independent,
-reorderable, and individually reproducible.  For a given numpy/BLAS build
-and thread count, a config plus a master seed determines every output byte;
-the integer and flag columns are also fixed across BLAS thread counts.
-Per-trial wall time is recorded only when ``timing`` is enabled, since
-measured clocks would break byte-level reproducibility of the emitted CSV.
+Every experiment kind runs through one trial loop, grid point by grid point,
+and a per-kind reducer writes the summary.  A grid point runs stage-major:
+all its trials enter the first stage, and each stage maps the live trials to
+the next.  The table kinds stack their small LAPACK calls, one per stage:
+every test matrix's factors are factored at once, each trial's dense stage
+then forms A, draws its indices and extracts U (a dominated noise trial
+drops out here), and a last stage takes every U's pseudoinverse and every
+residual core's norms; shapes that differ (under ``dedup``) loop inside it.
+Each trial draws from its own Philox stream keyed by ``(master_seed,
+trial_index)``, in the order it would alone, and a stacked call gives each
+matrix the bits of a call on it alone, so trials are independent,
+reorderable, and individually reproducible.  An exception in any trial
+aborts the run, though a different trial's error may surface first.  For a
+given numpy/BLAS build and thread count, a config plus a master seed
+determines every output byte; the integer and flag columns are also fixed
+across BLAS thread counts.  Per-trial wall time is recorded only when
+``timing`` is enabled, since measured clocks would break byte-level
+reproducibility; it is the trial's own time in the per-trial stages plus an
+equal share of each stacked stage it joined.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -26,7 +35,9 @@ come from ``linalg.factored_norms`` of its thin factors.  The leverage scores
 of ``A + E`` come from the certified sketch ``linalg.leading_svd`` and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so the
 table kinds factor no m-by-n matrix at all; the clustering trial takes only
-the singular values of its data matrix, for A's rank cutoff.
+the singular values of its data matrix, for A's rank cutoff.  No m-by-n array
+outlives a trial's dense stage, where the noisy CUR is also measured: what
+passes between stages is A's factors and compact SVD, the index sets and U.
 """
 
 from __future__ import annotations
@@ -44,10 +55,18 @@ from .cluster import (
     labels_from_clustering_matrix,
     same_partition,
 )
-from .cur import build_cur, randomized_cur, relative_errors, residual_norms
-from .deim import deim_cur
+from .cur import _residual_core, _submatrices, build_cur, randomized_cur, relative_errors
+from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import factored_norms, factored_svd, rank_cutoff, singular_values
+from .linalg import (
+    _EPS,
+    _norms,
+    _rank_pinv_cutoff,
+    factored_norms,
+    factored_svd,
+    rank_cutoff,
+    singular_values,
+)
 from .sampling import (
     LENGTH,
     SCHEMES,
@@ -135,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError("condition number must be >= 1", field="kappa")
         if self.kappa is not None and self.kappa > 1.0 and self.k == 1:
             raise ConfigError("a rank-1 matrix has condition number 1", field="kappa")
+        if self.kappa is not None and self.kappa * max(self.m, self.n) * _EPS >= 1.0:
+            raise ConfigError("must satisfy kappa * max(m, n) * eps < 1", field="kappa")
         if self.tol <= 0.0:
             raise ConfigError("must be positive", field="tol")
         if self.d_grid is not None:
@@ -238,13 +259,20 @@ def trial_generator(master_seed, trial_index) -> np.random.Generator:
 
 
 def lowrank_factors(m, n, k, rng, kappa=None) -> tuple:
-    """Factors ``(p, q)`` of :func:`lowrank_gaussian`'s matrix ``p @ q.T``."""
-    p, q = rng.standard_normal((m, k)), rng.standard_normal((n, k))
+    """Factors ``(p, q)`` of :func:`lowrank_gaussian`'s matrix ``p @ q.T``.
+
+    Given a list of generators, ``p`` and ``q`` stack each one's factors, drawn
+    from its own stream, and the ``kappa`` reshape factors the stacks at once.
+    """
+    rngs = rng if isinstance(rng, list) else [rng]
+    draws = [(g.standard_normal((m, k)), g.standard_normal((n, k))) for g in rngs]
+    p, q = np.stack([x for x, _ in draws]), np.stack([y for _, y in draws])
     if kappa is not None and k > 1:
-        f = factored_svd(p, q)
-        target = f.singular_values[0] * float(kappa) ** (-np.arange(k) / (k - 1.0))
-        p, q = f.left * target, f.right
-    return p, q
+        decay = float(kappa) ** (-np.arange(k) / (k - 1.0))
+        svds = factored_svd(p, q)
+        p = np.stack([f.left * (f.singular_values[0] * decay) for f in svds])
+        q = np.stack([f.right for f in svds])
+    return (p, q) if isinstance(rng, list) else (p[0], q[0])
 
 
 def lowrank_gaussian(m, n, k, rng, kappa=None) -> np.ndarray:
@@ -285,31 +313,39 @@ def spectral_noise(shape, sigma, rng) -> np.ndarray:
     return e
 
 
-def _test_matrix(cfg, rng):
-    """``(p, q, svd)``: the factors of a test matrix ``p @ q.T`` and its compact SVD."""
-    p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rng, cfg.kappa)
-    if cfg.sparsity > 0.0:
-        q = zero_out_columns(q.T, cfg.sparsity, rng).T  # zero columns of A are zero rows of q
-    return p, q, factored_svd(p, q)
+@dataclass
+class _Trial:
+    """A trial in flight: its index, stream and clock, and the state one stage hands the next."""
+
+    index: int
+    rng: np.random.Generator
+    seconds: float = 0.0
+    state: object = None
 
 
-def _relative_errors(svd, factors):
-    """``(rel_2, rel_F)`` of a CUR of A, whose compact SVD is ``svd``, in A's k-by-k core."""
-    err_2, err_f = residual_norms(svd, factors)
-    return err_2 / float(svd.singular_values[0]), err_f / svd.frobenius_norm()
+# A stacked stage maps (cfg, trials) to the new state of every live trial; a per-trial
+# stage maps (cfg, d, rng, state) to one trial's new state, or to None for a skipped
+# trial.  The last stage leaves (success, rel_err_2, rel_err_F, extras).
+def _test_matrices(cfg, trials):
+    """Each trial's ``(p, q, svd)``: the factors of its test matrix ``p @ q.T``, and its SVD."""
+    rngs = [t.rng for t in trials]
+    p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rngs, cfg.kappa)
+    if cfg.sparsity > 0.0:  # zero columns of A are zero rows of q
+        q = np.stack([zero_out_columns(x.T, cfg.sparsity, rng).T for x, rng in zip(q, rngs)])
+    return list(zip(p, q, factored_svd(p, q)))
 
 
-# Each trial maps (cfg, d, rng) to (success, rel_err_2, rel_err_F, extras), or to
-# None for a skipped trial; the caller owns the stream, the clock and the records.
-def _success_trial(cfg, d, rng):
-    p, q, f = _test_matrix(cfg, rng)
+# The dense stage of each table kind forms A = p @ q.T and leaves (svd, rows, cols, U,
+# row): A's SVD, the drawn index sets, U = A(I, J), and the row's own errors and
+# extras if the trial measured them, else None; no m-by-n array outlives it.
+def _success_trial(cfg, d, rng, state):
+    p, q, f = state
     a = p @ q.T
-    factors = randomized_cur(a, *axis_dists(a, cfg.scheme, cfg.k, f), d, d, rng, dedup=cfg.dedup)
-    rel_2, rel_f = _relative_errors(f, factors)
-    return rel_f <= cfg.tol, rel_2, rel_f, {}
+    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, cfg.k, f), d, d, rng, cfg.dedup)
+    return f, rows, cols, _submatrices(a, rows, cols)[2], None
 
 
-def _noise_trial(cfg, d, rng):
+def _noise_trial(cfg, d, rng, state):
     """Draw indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
     The row carries the noisy-factor errors (spectral absolute, Frobenius
@@ -318,7 +354,7 @@ def _noise_trial(cfg, d, rng):
     both certify the stability floors and, under the length scheme, feed the
     draws.
     """
-    p, q, f = _test_matrix(cfg, rng)
+    p, q, f = state
     s_1 = f.singular_values[0]
     p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
     f = replace(f, singular_values=f.singular_values / s_1,
@@ -335,21 +371,45 @@ def _noise_trial(cfg, d, rng):
     _certify(floors, weights, [dist.weights for dist in length])
     dists = length if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k)
     noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
-    success = _relative_errors(f, build_cur(a, noisy.I, noisy.J))[1] <= cfg.tol
     err_2, err_f = factored_norms(np.hstack([p, noisy.C]),
                                   np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
     ratio = err_2 / cfg.sigma if cfg.sigma > 0.0 else float("nan")
-    return success, err_2, err_f / norm_f, {"alpha": floors.alpha, "beta": floors.beta,
-                                           "ratio": ratio}
+    row = err_2, err_f / norm_f, {"alpha": floors.alpha, "beta": floors.beta, "ratio": ratio}
+    return f, noisy.I, noisy.J, _submatrices(a, noisy.I, noisy.J)[2], row
 
 
-def _deim_trial(cfg, d, rng):
-    p, q, f = _test_matrix(cfg, rng)
-    rel_2, rel_f = _relative_errors(f, deim_cur(p @ q.T, cfg.k, svd=f))
-    return rel_f <= cfg.tol, rel_2, rel_f, {}
+def _deim_trial(cfg, d, rng, state):
+    p, q, f = state
+    a = p @ q.T
+    rows, cols = _deim_indices(a, cfg.k, None, f)
+    return f, rows, cols, _submatrices(a, rows, cols)[2], None
 
 
-def _clustering_trial(cfg, d, rng):
+def _stacked(fn, mats):
+    """``fn`` of each of ``mats``: one call on their stack if they share a shape, else one each."""
+    if len({m.shape for m in mats}) == 1:
+        return fn(np.stack(mats))
+    return [fn(m[None])[0] for m in mats]
+
+
+def _measure(cfg, trials):
+    """Each table trial's CUR of A measured in A's k-by-k core.
+
+    ``U^+`` is cut at U's own cutoff.  Success is ``rel_err_F <= tol``; a row
+    its dense stage measured (the noise trial's noisy CUR) keeps those errors.
+    """
+    states = [t.state for t in trials]
+    pinvs = _stacked(_rank_pinv_cutoff, [u for _, _, _, u, _ in states])
+    cores = [_residual_core(f, rows, cols, u_pinv)
+             for (f, rows, cols, _, _), (_, u_pinv, _) in zip(states, pinvs)]
+    outcomes = []
+    for (f, *_, row), (err_2, err_f) in zip(states, _stacked(_norms, cores)):
+        rel_2, rel_f = err_2 / float(f.singular_values[0]), err_f / f.frobenius_norm()
+        outcomes.append((rel_f <= cfg.tol, *(row or (rel_2, rel_f, {}))))
+    return outcomes
+
+
+def _clustering_trial(cfg, d, rng, state):
     """Cluster from the CUR of the distinct drawn indices; success is exact recovery.
 
     ``U^+`` is cut at A's cutoff: U's own would keep the roundoff singular value
@@ -415,15 +475,39 @@ def _clustering_summary(cfg, runs):
 
 
 _KINDS = {
-    "success_prob": (_success_trial, _success_summary),
-    "noise_stability": (_noise_trial, _noise_summary),
-    "deim_check": (_deim_trial, _deim_summary),
-    "clustering": (_clustering_trial, _clustering_summary),
+    "success_prob": ((_test_matrices, _success_trial, _measure), _success_summary),
+    "noise_stability": ((_test_matrices, _noise_trial, _measure), _noise_summary),
+    "deim_check": ((_test_matrices, _deim_trial, _measure), _deim_summary),
+    "clustering": ((_clustering_trial,), _clustering_summary),
 }
+_STACKED = (_test_matrices, _measure)
 
 
 def _scheme(cfg):
     return "deim" if cfg.kind == "deim_check" else cfg.scheme
+
+
+def _run_trials(cfg, d, indices):
+    """``[(record, extras), ...]`` of the trials ``indices`` at draw count ``d``, run stage-major."""
+    now = time.perf_counter if cfg.timing else (lambda: 0.0)
+    live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices]
+    for stage in _KINDS[cfg.kind][0]:
+        if not live:
+            break
+        if stage in _STACKED:
+            t0 = now()
+            states = stage(cfg, live)
+            share = (now() - t0) / len(live)
+            for t, state in zip(live, states):
+                t.state, t.seconds = state, t.seconds + share
+            continue
+        for t in live:
+            t0 = now()
+            t.state = stage(cfg, d, t.rng, t.state)
+            t.seconds += now() - t0
+        live = [t for t in live if t.state is not None]
+    return [(TrialRecord(t.index, _scheme(cfg), d, d, *t.state[:3], t.seconds * 1e3), t.state[3])
+            for t in live]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -433,23 +517,14 @@ def run_experiment(cfg: ExperimentConfig):
     own stream :func:`trial_generator` ``(master_seed, trial_index)``.  The
     summary holds one aggregate ``groups`` row per grid point.
     """
-    trial, summarize = _KINDS[cfg.kind]
-    now = time.perf_counter if cfg.timing else (lambda: 0.0)
     records = []
     runs = []
     for gi, d in enumerate(cfg.resolved_d_grid()):
         first = gi * cfg.trials
-        done = []
-        for trial_index in range(first, first + cfg.trials):
-            t0 = now()
-            outcome = trial(cfg, d, trial_generator(cfg.master_seed, trial_index))
-            if outcome is None:
-                continue
-            record = TrialRecord(trial_index, _scheme(cfg), d, d, *outcome[:3], (now() - t0) * 1e3)
-            records.append(record)
-            done.append((record, outcome[3]))
+        done = _run_trials(cfg, d, range(first, first + cfg.trials))
+        records += [record for record, _ in done]
         runs.append((d, first, done))
-    return records, summarize(cfg, runs)
+    return records, _KINDS[cfg.kind][1](cfg, runs)
 
 
 def _format_value(value):

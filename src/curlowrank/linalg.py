@@ -154,40 +154,56 @@ def _compact_svd(a, tol) -> SvdFactors:
     return _truncated(*np.linalg.svd(a, full_matrices=False), a.shape, tol)
 
 
+def _as_stack(a) -> np.ndarray:
+    """``a`` validated by :func:`as_matrix`: a stack of matrices, or a matrix given a stack axis."""
+    a = np.asarray(a)
+    if a.ndim == 3:
+        return as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape)
+    return as_matrix(a)[None]
+
+
 def _core(rp, rq):
-    """``(core, shift)``, ``rp @ rq.T == ldexp(core, -shift)``, each factor scaled near 1 first."""
-    sp, sq = _unit_shift(rp), _unit_shift(rq)
-    return np.ldexp(rp, sp) @ np.ldexp(rq, sq).T, sp + sq
+    """``(core, shift)`` of the stacks ``rp``, ``rq``: ``rp @ rq.T == ldexp(core, -shift)``
+    for each pair, each factor scaled near 1 first."""
+    sp, sq = (np.array([_unit_shift(r) for r in x]) for x in (rp, rq))
+    core = np.ldexp(rp, sp[:, None, None]) @ np.swapaxes(np.ldexp(rq, sq[:, None, None]), 1, 2)
+    return core, sp + sq
 
 
-def factored_svd(p, q, tol=None) -> SvdFactors:
+def factored_svd(p, q, tol=None):
     """Compact SVD of ``p @ q.T`` from thin QRs of the factors and an SVD of their core.
 
     The cutoff and sign convention are :func:`compact_svd`'s for the m-by-n
     product; ``all_singular_values`` is padded with zeros to length min(m, n).
+    Stacks ``p`` of shape (T, m, k) and ``q`` of shape (T, n, k) give the list
+    of the T products' SVDs, from one QR of each stack and one SVD of the cores.
     """
-    p, q = as_matrix(p), as_matrix(q)
+    single = np.ndim(p) == 2
+    p, q = _as_stack(p), _as_stack(q)
     qp, rp = np.linalg.qr(p)
     qq, rq = np.linalg.qr(q)
     core, shift = _core(rp, rq)
     w, s, vt = np.linalg.svd(core, full_matrices=False)
-    shape = (p.shape[0], q.shape[0])
-    s = np.concatenate([np.ldexp(s, -shift), np.zeros(min(shape) - s.size)])
-    return _truncated(qp @ w, s, vt @ qq.T, shape, tol)
+    shape = (p.shape[1], q.shape[1])
+    pad = np.zeros(min(shape) - s.shape[1])
+    out = [_truncated(left, np.concatenate([np.ldexp(s_i, -j), pad]), right, shape, tol)
+           for left, s_i, right, j in zip(qp @ w, s, vt @ np.swapaxes(qq, 1, 2), shift)]
+    return out[0] if single else out
 
 
 def factored_norms(p, q) -> tuple:
     """``(||p @ q.T||_2, ||p @ q.T||_F)`` from the singular values of the core."""
     p, q = as_matrix(p), as_matrix(q)
-    return _norms(*_core(np.linalg.qr(p, mode="r"), np.linalg.qr(q, mode="r")))
+    return _norms(*_core(np.linalg.qr(p, mode="r")[None], np.linalg.qr(q, mode="r")[None]))[0]
 
 
-def _norms(core, shift=0) -> tuple:
-    """``(||a||_2, ||a||_F)`` of ``a = ldexp(core, -shift)``, from ``core`` scaled near 1."""
-    scale = _unit_shift(core)
-    s = np.linalg.svd(np.ldexp(core, scale), compute_uv=False)
-    shift += scale
-    return math.ldexp(float(s[0]), -shift), math.ldexp(float(np.linalg.norm(s)), -shift)
+def _norms(core, shift=0) -> list:
+    """``(||a||_2, ||a||_F)`` of each ``a = ldexp(core, -shift)`` of the stack ``core`` (and its
+    shifts), from one SVD of the stack with each core scaled near 1 first."""
+    scales = np.array([_unit_shift(c) for c in core])
+    s = np.linalg.svd(np.ldexp(core, scales[:, None, None]), compute_uv=False)
+    return [(math.ldexp(float(s_i[0]), -j), math.ldexp(float(np.linalg.norm(s_i)), -j))
+            for s_i, j in zip(s, (scales + shift).tolist())]
 
 
 # Subspace iteration for the leading singular subspaces (Halko, Martinsson and
@@ -300,15 +316,19 @@ def numerical_rank(a, tol=None) -> int:
     return rank_cutoff(singular_values(a), a.shape, tol)[0]
 
 
-def _rank_pinv_cutoff(a, tol=None, floor=0.0) -> tuple:
-    """``(rank, pinv, cutoff)`` from one SVD of the validated ``a``.
+def _rank_pinv_cutoff(a, tol=None, floor=0.0):
+    """``(rank, pinv, cutoff)`` from one SVD of the validated ``a``; for a stack of
+    matrices, the list of each one's, from one SVD of the stack.
 
     Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
     The pinv needs no sign convention: each term pairs a vector with its own sign.
     """
     w, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank, cutoff = rank_cutoff(s, a.shape, tol, floor)
-    return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff
+    out = []
+    for w_i, s_i, vt_i in zip(w, s, vt) if a.ndim > 2 else [(w, s, vt)]:
+        rank, cutoff = rank_cutoff(s_i, a.shape[-2:], tol, floor)
+        out.append((rank, (vt_i[:rank].T / s_i[:rank]) @ w_i[:, :rank].T, cutoff))
+    return out if a.ndim > 2 else out[0]
 
 
 def pseudoinverse(a, tol=None) -> np.ndarray:

@@ -254,6 +254,18 @@ def test_experiment_kappa_below_one_exits_2(capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [["--kind", "deim_check"],
+                                  ["--kind", "success_prob", "--scheme", "leverage", "--d", "4"]],
+                         ids=["deim", "leverage"])
+def test_experiment_kappa_past_the_rank_cutoff_exits_2(capsys, kind):
+    # 8e14 * 6 * eps >= 1 puts sigma_k at or below the cutoff max(m, n) * eps * sigma_1
+    args = ["experiment", *kind, "--m", "6", "--n", "5", "--k", "3", "--trials", "3"]
+    assert cli_main([*args, "--kappa", "8e14"]) == 2
+    assert "kappa" in capsys.readouterr().err
+    assert cli_main([*args, "--kappa", "7e14"]) == 0
+    assert "trials=3" in capsys.readouterr().out
+
+
 def test_cur_of_zero_matrix_reports_zero_errors(tmp_path, capsys):
     path = tmp_path / "zero.mtx"
     write_matrix(np.zeros((5, 4)), path)

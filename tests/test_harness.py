@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,12 +319,13 @@ class TestNoiseExperiment:
     def test_success_is_exactness_of_the_clean_cur(self, sigma, monkeypatch):
         # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1
         clean = []
+        real = harness._submatrices
 
-        def recording(a, rows, cols, tol=None):
+        def recording(a, rows, cols):
             clean.append((a, rows, cols))
-            return build_cur(a, rows, cols, tol)
+            return real(a, rows, cols)
 
-        monkeypatch.setattr(harness, "build_cur", recording)
+        monkeypatch.setattr(harness, "_submatrices", recording)
         flags = []
         for seed in range(3):
             clean.clear()
@@ -343,6 +345,55 @@ class TestNoiseExperiment:
         records, summary = run_experiment(cfg)
         assert summary["groups"][0]["skipped"] == 4
         assert records == []
+
+
+# Table configs whose grid point runs its trials through stacked calls; dedup makes U
+# ragged, noise at 0.1 skips half of the trials, kappa adds a stacked reshape.
+STACKED_CONFIGS = {
+    "length": dict(kind="success_prob", scheme="length", d_grid=(8,)),
+    "leverage_kappa": dict(kind="success_prob", scheme="leverage", kappa=1e6, d_grid=(8,)),
+    "uniform_sparse_dedup": dict(kind="success_prob", scheme="uniform", sparsity=0.5, dedup=True,
+                                 d_grid=(10,)),
+    "noise_length": dict(kind="noise_stability", scheme="length", sigma=1e-3, d_grid=(8,)),
+    "noise_leverage_dedup_skips": dict(kind="noise_stability", scheme="leverage", sigma=0.1,
+                                       dedup=True, d_grid=(8,)),
+    "deim": dict(kind="deim_check"),
+    "deim_kappa": dict(kind="deim_check", kappa=1e6),
+}
+
+
+class TestStageMajor:
+    @pytest.mark.parametrize("name", sorted(STACKED_CONFIGS))
+    def test_a_trial_in_a_grid_point_is_the_trial_alone(self, name):
+        cfg = ExperimentConfig(m=30, n=24, k=4, trials=6, master_seed=41, **STACKED_CONFIGS[name])
+        d = cfg.resolved_d_grid()[0]
+        together = harness._run_trials(cfg, d, range(6))
+        alone = [done for i in range(6) for done in harness._run_trials(cfg, d, [i])]
+        assert together == alone
+        assert together and all(record.wall_time_ms == 0.0 for record, _ in together)
+
+    def test_timing_shares_each_stacked_stage(self, monkeypatch):
+        # each stage advances a fake clock by 1 s per call; a stacked stage's second
+        # is split between the trials that joined it
+        ticks = iter(range(10_000))
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+        cfg = ExperimentConfig(kind="deim_check", m=15, n=12, k=3, trials=4, timing=True)
+        records, _ = run_experiment(cfg)
+        assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 1.0 + 0.25)] * 4
+
+    def test_noise_grid_point_holds_no_m_by_n_array_per_trial(self):
+        def peak(trials):
+            cfg = ExperimentConfig(kind="noise_stability", m=300, n=200, k=4, sigma=1e-3,
+                                   scheme="length", d_grid=(16,), trials=trials, master_seed=5)
+            tracemalloc.start()
+            try:
+                assert len(run_experiment(cfg)[0]) == trials
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first run also allocates the package's lazily built caches
+        assert peak(16) <= 1.5 * peak(1)
 
 
 class TestClusteringExperiment:

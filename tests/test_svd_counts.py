@@ -4,7 +4,9 @@ The counter wraps ``np.linalg.svd`` as the package calls it; the SVDs that
 ``np.linalg.norm(x, 2)`` takes internally are not counted by it.  The
 trials and the file commands are pinned with a second counter that records
 both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix,
-and the table trials once more with a counter of ``np.linalg.qr``.
+and the table trials once more with a counter of ``np.linalg.qr``.  A table
+grid point stacks its trials' small factorizations, one call per stage, so
+their count does not grow with the number of trials.
 """
 
 import numpy as np
@@ -215,16 +217,19 @@ def qr_calls(monkeypatch):
     return calls
 
 
-FACTORED_SVD_QRS = [(50, 4), (40, 4)]
+# a grid point of three trials factors its three test matrices through one QR of each
+# factor stack, however many trials it holds
+FACTORED_SVD_QRS = [(3, 50, 4), (3, 40, 4)]
 QR_TRIALS = {
     "length": (dict(kind="success_prob", scheme="length", d_grid=(12,)), FACTORED_SVD_QRS),
-    # kappa reshapes the spectrum through one more factored SVD of the factors
+    # kappa reshapes the spectrum through one more factored SVD of the factor stacks
     "leverage_kappa": (dict(kind="success_prob", scheme="leverage", kappa=100.0, d_grid=(12,)),
                        FACTORED_SVD_QRS * 2),
     "deim": (dict(kind="deim_check"), FACTORED_SVD_QRS),
-    # the noisy CUR's residual is the thin product [p, C] [q, -(U^+ R).T].T, of width k + d
+    # the noisy CUR's residual is the thin product [p, C] [q, -(U^+ R).T].T, of width k + d,
+    # orthogonalized in each trial's own dense stage
     "noise_length": (dict(kind="noise_stability", scheme="length", sigma=1e-3, d_grid=(12,)),
-                     FACTORED_SVD_QRS + [(50, 16), (40, 16)]),
+                     FACTORED_SVD_QRS + [(50, 16), (40, 16)] * 3),
 }
 
 
@@ -233,6 +238,26 @@ def test_table_trials_measure_a_cur_of_a_without_a_qr(name, qr_calls):
     # a CUR of A is measured in A's k x k core; only A's factors, and the noisy
     # CUR's thin residual factors, are orthogonalized
     fields, expected = QR_TRIALS[name]
-    records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=1, **fields))
-    assert len(records) == 1
+    records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=3, **fields))
+    assert len(records) == 3
     assert qr_calls == expected
+
+
+# (shape, compute_uv) of each matrix in the SVDs of a 50 x 40, k = 4 grid point at d = 12:
+# the core of A's factors (twice with kappa), U, and the residual's k x k core
+SVD_STAGES = {
+    "length": (dict(kind="success_prob", scheme="length", d_grid=(12,)),
+               [((4, 4), True), ((12, 12), True), ((4, 4), False)]),
+    "leverage_kappa": (dict(kind="success_prob", scheme="leverage", kappa=100.0, d_grid=(12,)),
+                       [((4, 4), True), ((4, 4), True), ((12, 12), True), ((4, 4), False)]),
+    "deim": (dict(kind="deim_check"), [((4, 4), True), ((4, 4), True), ((4, 4), False)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SVD_STAGES))
+@pytest.mark.parametrize("trials", [1, 3])
+def test_table_grid_point_takes_one_stacked_svd_per_stage(name, trials, uv_calls):
+    fields, expected = SVD_STAGES[name]
+    records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=trials, **fields))
+    assert len(records) == trials
+    assert uv_calls == [((trials, *shape), uv) for shape, uv in expected]
