@@ -17,6 +17,7 @@ from .cluster import (
     generate_union_of_subspaces,
     labels_from_clustering_matrix,
     same_partition,
+    subspace_factors,
 )
 from .cur import (
     EXACTNESS_TOL,

@@ -54,6 +54,28 @@ class ClusterLabels:
     labels: np.ndarray
 
 
+def subspace_factors(spec: SubspaceSpec, rng) -> tuple:
+    """``(p, q, labels)`` of :func:`generate_union_of_subspaces`: its matrix is ``p @ q.T``.
+
+    ``p`` stacks the orthonormal bases (m-by-K, K the sum of the dims), ``q`` the shuffled
+    columns' block coefficients (N-by-K).  A list of generators gives each one's, stacked and
+    drawn in one generator's order, from one QR of each subspace's stack of Gaussian blocks.
+    """
+    rngs = rng if isinstance(rng, list) else [rng]
+    draws = [[(g.standard_normal((spec.ambient_dim, d)), g.standard_normal((d, n)))
+              for d, n in zip(spec.dims, spec.points)] for g in rngs]
+    perms = [g.permutation(sum(spec.points)) for g in rngs]
+    p = np.concatenate([np.linalg.qr(np.stack([trial[i][0] for trial in draws]))[0]
+                        for i in range(len(spec.dims))], axis=2)
+    labels = np.repeat(np.arange(len(spec.dims), dtype=np.int64), spec.points)
+    q = np.zeros((len(rngs), labels.size, p.shape[2]))
+    block = labels[:, None] == np.repeat(np.arange(len(spec.dims)), spec.dims)
+    q[:, block] = [np.concatenate([coef.T.ravel() for _, coef in trial]) for trial in draws]
+    q = np.stack([q_t[perm] for q_t, perm in zip(q, perms)])
+    truths = [ClusterLabels(labels[perm]) for perm in perms]
+    return (p, q, truths) if isinstance(rng, list) else (p[0], q[0], truths[0])
+
+
 def generate_union_of_subspaces(spec: SubspaceSpec, rng):
     """Draw a data matrix whose columns come from independent random subspaces.
 
@@ -61,15 +83,10 @@ def generate_union_of_subspaces(spec: SubspaceSpec, rng):
     one since the dims fit in the ambient space); points are Gaussian
     coefficient combinations of each basis (generic with probability one).
     Columns are shuffled; the returned labels name each column's subspace.
-    No rank is checked here: the clustering trial's SVD of the data sets A's cutoff.
+    It is ``p @ q.T`` of :func:`subspace_factors`; no rank is checked here.
     """
-    blocks = []
-    for d, p in zip(spec.dims, spec.points):
-        q, _ = np.linalg.qr(rng.standard_normal((spec.ambient_dim, d)))
-        blocks.append(q @ rng.standard_normal((d, p)))
-    labels = np.repeat(np.arange(len(spec.dims), dtype=np.int64), spec.points)
-    perm = rng.permutation(sum(spec.points))
-    return np.ascontiguousarray(np.hstack(blocks)[:, perm]), ClusterLabels(labels[perm])
+    p, q, truth = subspace_factors(spec, rng)
+    return p @ q.T, truth
 
 
 def clustering_matrix(factors: CurFactors) -> np.ndarray:

@@ -34,10 +34,10 @@ CUR, drawn from ``A + E``, is not in A's row and column space, so its norms
 come from ``linalg.factored_norms`` of its thin factors.  The leverage scores
 of ``A + E`` come from the certified sketch ``linalg.leading_svd`` and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so the
-table kinds factor no m-by-n matrix at all; the clustering trial takes only
-the singular values of its data matrix, for A's rank cutoff.  No m-by-n array
-outlives a trial's dense stage, where the noisy CUR is also measured: what
-passes between stages is A's factors and compact SVD, the index sets and U.
+table kinds factor no m-by-n matrix at all, nor does the clustering kind,
+whose data comes as thin factors too.  No m-by-n array outlives a trial's
+dense stage, where the noisy CUR is also measured: what passes between
+stages is A's factors and compact SVD, the index sets and U.
 """
 
 from __future__ import annotations
@@ -51,22 +51,14 @@ import numpy as np
 from .cluster import (
     SubspaceSpec,
     clustering_matrix,
-    generate_union_of_subspaces,
     labels_from_clustering_matrix,
     same_partition,
+    subspace_factors,
 )
-from .cur import _residual_core, _submatrices, build_cur, randomized_cur, relative_errors
+from .cur import _residual_core, _submatrices, build_cur, randomized_cur, residual_norms
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import (
-    _EPS,
-    _norms,
-    _rank_pinv_cutoff,
-    factored_norms,
-    factored_svd,
-    rank_cutoff,
-    singular_values,
-)
+from .linalg import _EPS, _norms, _rank_pinv_cutoff, factored_norms, factored_svd
 from .sampling import (
     LENGTH,
     SCHEMES,
@@ -409,17 +401,25 @@ def _measure(cfg, trials):
     return outcomes
 
 
+def _subspace_data(cfg, trials):
+    """Each trial's ``(p, q, truth, svd)``: its data's factors, labels and SVD of ``p @ q.T``."""
+    spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
+    p, q, truths = subspace_factors(spec, [t.rng for t in trials])
+    return list(zip(p, q, truths, factored_svd(p, q)))
+
+
 def _clustering_trial(cfg, d, rng, state):
     """Cluster from the CUR of the distinct drawn indices; success is exact recovery.
 
     ``U^+`` is cut at A's cutoff: U's own would keep the roundoff singular value
-    of a near-singular U.  The CUR is exact when ``rel_err_F <= tol``, condition (ii).
+    of a near-singular U.  Measured in A's core, the CUR is exact when ``rel_err_F <= tol``.
     """
-    spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
-    a, truth = generate_union_of_subspaces(spec, rng)
-    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, sum(spec.dims)), d, d, rng, dedup=True)
-    factors = build_cur(a, rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
-    rel_2, rel_f = relative_errors(a, factors)
+    p, q, truth, f = state
+    a = p @ q.T
+    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, q.shape[1]), d, d, rng, dedup=True)
+    factors = build_cur(a, rows, cols, f.tolerance_used)
+    err_2, err_f = residual_norms(f, factors)
+    rel_2, rel_f = err_2 / float(f.singular_values[0]), err_f / f.frobenius_norm()
     pred = labels_from_clustering_matrix(clustering_matrix(factors))
     return same_partition(pred, truth), rel_2, rel_f, {"exact": rel_f <= cfg.tol}
 
@@ -443,6 +443,12 @@ def _success_summary(cfg, runs):
     return {"groups": groups}
 
 
+def _median(values) -> float:
+    """``np.median`` of nonempty values, by a sort: the first ``np.median`` imports ``numpy.ma``."""
+    ordered, mid = sorted(values), len(values) // 2
+    return float(ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _noise_summary(cfg, runs):
     """Per-trial stability floors and error-to-noise ratios ride along the groups."""
     groups = []
@@ -453,7 +459,7 @@ def _noise_summary(cfg, runs):
                        "sigma": cfg.sigma, "trials": cfg.trials, "completed": len(done),
                        "skipped": cfg.trials - len(done), "successes": successes,
                        "success_rate": successes / len(done) if done else float("nan"),
-                       "median_err_to_noise": float(np.median(ratios)) if ratios else float("nan"),
+                       "median_err_to_noise": _median(ratios) if ratios else float("nan"),
                        "first_trial": first})
     extras = [x for _, _, done in runs for _, x in done]
     return {"groups": groups, **{f"{key}_per_trial": [x[key] for x in extras]
@@ -478,9 +484,9 @@ _KINDS = {
     "success_prob": ((_test_matrices, _success_trial, _measure), _success_summary),
     "noise_stability": ((_test_matrices, _noise_trial, _measure), _noise_summary),
     "deim_check": ((_test_matrices, _deim_trial, _measure), _deim_summary),
-    "clustering": ((_clustering_trial,), _clustering_summary),
+    "clustering": ((_subspace_data, _clustering_trial), _clustering_summary),
 }
-_STACKED = (_test_matrices, _measure)
+_STACKED = (_test_matrices, _measure, _subspace_data)
 
 
 def _scheme(cfg):

@@ -9,14 +9,20 @@ Each case has a second digest over the integer and flag fields only (the
 ``trial,scheme,d1,d2,success`` columns and the integer summary fields): a
 change that moves the last bits of the float columns on purpose must still
 leave every drawn index and every success flag where it was.
+
+The union-of-subspaces generator's matrix and labels are pinned by their own
+digests, so a change to how the data is built cannot hide behind the CSV's
+float columns.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from curlowrank.cli import cli_main
-from curlowrank.harness import ExperimentConfig, emit_csv, run_experiment
+from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
+from curlowrank.harness import ExperimentConfig, emit_csv, run_experiment, trial_generator
 
 CASES = {
     "success_length": (
@@ -46,7 +52,7 @@ CASES = {
     "clustering": (
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
              d_grid=(16,), trials=8, master_seed=306),
-        "41f3b78c43305e9f0e3283176f1a4021810c0b615399e4dfc2f7ec7fda5015e2",
+        "e0df3667c71d33ec81f79538b20f212738b40d38f1ae25691e4c3ca558afff42",
     ),
 }
 
@@ -117,4 +123,29 @@ def test_cli_cluster_spec_digest(tmp_path, capsys):
     assert cli_main(["cluster", "--spec", str(spec), "--d", "10", "--trials", "6",
                      "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_cluster_spec"]
-    assert sha(out) == "619c11cfc517ff498dc12dd035e3d7c867dea6ff6a7ea8e5771b246dd36b35f5"
+    assert sha(out) == "e8f84248cecb2bea0086d4ed3453a560a751599e517daff91efa97d4cffd4fa9"
+
+
+# sha256 of the generated data matrix's bytes and of its labels' bytes; the second
+# spec has lines among its subspaces and an ambient dim of exactly sum(dims)
+SUBSPACE_DIGESTS = {
+    "three_blocks": (
+        SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), 309,
+        "f14238aebeb6aa478bc2cc5a1de6a994e2e91e15f9d9d29496b60b69eda2eccf",
+        "88b87da181cee69988fb280a779e87a8623ddb7ef5373f2f9e3ac7ea43394899",
+    ),
+    "lines_tight": (
+        SubspaceSpec(6, (1, 1, 4), (2, 1, 7)), 310,
+        "5229432177c401abc7e6f4ef05d3edcd17f6b43e36456920484851007a0b96c0",
+        "485d235a60900069ebdc958de0bcbc31d7239166697f41fc973f772c975f5e2f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSPACE_DIGESTS))
+def test_generated_subspaces_digest(name):
+    spec, seed, matrix_digest, labels_digest = SUBSPACE_DIGESTS[name]
+    a, truth = generate_union_of_subspaces(spec, trial_generator(seed, 0))
+    assert (a.dtype, truth.labels.dtype) == (np.float64, np.int64) and a.flags.c_contiguous
+    assert hashlib.sha256(a.tobytes()).hexdigest() == matrix_digest
+    assert hashlib.sha256(truth.labels.tobytes()).hexdigest() == labels_digest

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -346,26 +349,50 @@ class TestNoiseExperiment:
         assert summary["groups"][0]["skipped"] == 4
         assert records == []
 
+    def test_median_err_to_noise_is_numpys_median(self):
+        # the summary's sort-based median has np.median's bits, and a run imports no numpy.ma
+        rng = trial_generator(4545, 0)
+        for n in [*range(1, 40), 0, 0]:
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-200, 200, n)).tolist()
+            values = values or [float("nan")] * int(rng.integers(1, 5))
+            assert repr(harness._median(values)) == repr(float(np.median(values)))
+        code = ("import sys; from curlowrank.harness import ExperimentConfig, run_experiment; "
+                "cfg = ExperimentConfig(kind='noise_stability', m=12, n=10, k=3, sigma=0.1, "
+                "d_grid=(4,), trials=3); "
+                "assert run_experiment(cfg)[1]['groups'][0]['median_err_to_noise'] > 0; "
+                "assert 'numpy.ma' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
-# Table configs whose grid point runs its trials through stacked calls; dedup makes U
-# ragged, noise at 0.1 skips half of the trials, kappa adds a stacked reshape.
+
+# Configs whose grid point runs its trials through stacked calls; dedup makes U ragged,
+# noise at 0.1 skips half of the trials, kappa adds a stacked reshape.  A clustering
+# grid point factors its data matrices at once; the second model has lines among its
+# subspaces and an ambient dim of exactly sum(dims).
+TABLE = dict(m=30, n=24, k=4)
 STACKED_CONFIGS = {
-    "length": dict(kind="success_prob", scheme="length", d_grid=(8,)),
-    "leverage_kappa": dict(kind="success_prob", scheme="leverage", kappa=1e6, d_grid=(8,)),
-    "uniform_sparse_dedup": dict(kind="success_prob", scheme="uniform", sparsity=0.5, dedup=True,
-                                 d_grid=(10,)),
-    "noise_length": dict(kind="noise_stability", scheme="length", sigma=1e-3, d_grid=(8,)),
-    "noise_leverage_dedup_skips": dict(kind="noise_stability", scheme="leverage", sigma=0.1,
-                                       dedup=True, d_grid=(8,)),
-    "deim": dict(kind="deim_check"),
-    "deim_kappa": dict(kind="deim_check", kappa=1e6),
+    "length": dict(TABLE, kind="success_prob", scheme="length", d_grid=(8,)),
+    "leverage_kappa": dict(TABLE, kind="success_prob", scheme="leverage", kappa=1e6,
+                           d_grid=(8,)),
+    "uniform_sparse_dedup": dict(TABLE, kind="success_prob", scheme="uniform", sparsity=0.5,
+                                 dedup=True, d_grid=(10,)),
+    "noise_length": dict(TABLE, kind="noise_stability", scheme="length", sigma=1e-3,
+                         d_grid=(8,)),
+    "noise_leverage_dedup_skips": dict(TABLE, kind="noise_stability", scheme="leverage",
+                                       sigma=0.1, dedup=True, d_grid=(8,)),
+    "deim": dict(TABLE, kind="deim_check"),
+    "deim_kappa": dict(TABLE, kind="deim_check", kappa=1e6),
+    "clustering_length": dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10),
+                              scheme="length", d_grid=(16,)),
+    "clustering_lines_tight_leverage": dict(kind="clustering", m=6, dims=(1, 1, 4),
+                                            points=(2, 1, 7), scheme="leverage", d_grid=(9,)),
 }
 
 
 class TestStageMajor:
     @pytest.mark.parametrize("name", sorted(STACKED_CONFIGS))
     def test_a_trial_in_a_grid_point_is_the_trial_alone(self, name):
-        cfg = ExperimentConfig(m=30, n=24, k=4, trials=6, master_seed=41, **STACKED_CONFIGS[name])
+        cfg = ExperimentConfig(trials=6, master_seed=41, **STACKED_CONFIGS[name])
         d = cfg.resolved_d_grid()[0]
         together = harness._run_trials(cfg, d, range(6))
         alone = [done for i in range(6) for done in harness._run_trials(cfg, d, [i])]

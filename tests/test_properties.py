@@ -15,17 +15,27 @@ dominance inequalities hold on the rank-k inputs scaled by 1e+-150, and on
 the same shapes at sizes where the sketch applies, for the scores of the
 caller's SVD, the sketch and the dense fallback.  Union-of-subspaces
 specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
-the generated data, which the generator itself does not check, and the
-clustering trial's exactness flag to the verifier's unanimous verdicts.  The
+the generated data and of its factors, which the generator itself does not
+check, the clustering trial's exactness flag to the verifier's unanimous
+verdicts, and its flags and errors to those of the dense residual.  The
 rescaled samples of the uniform, length and rank-k leverage distributions
 reproduce the Gram matrices of A exactly once weighted by their probabilities.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
+from curlowrank.cluster import (
+    SubspaceSpec,
+    clustering_matrix,
+    generate_union_of_subspaces,
+    labels_from_clustering_matrix,
+    same_partition,
+    subspace_factors,
+)
 from curlowrank.cur import (
     CurFactors,
     approx_error,
@@ -337,9 +347,11 @@ def subspace_specs(draw):
 @given(inst=subspace_specs())
 def test_generated_subspaces_have_the_stated_ranks(inst):
     spec, rng = inst
+    p, q, _ = subspace_factors(spec, copy.deepcopy(rng))
     a, truth = generate_union_of_subspaces(spec, rng)
+    assert np.array_equal(a, p @ q.T)
     assert a.shape == (spec.ambient_dim, sum(spec.points))
-    assert numerical_rank(a) == sum(spec.dims)
+    assert factored_svd(p, q).numerical_rank == numerical_rank(a) == sum(spec.dims)
     for label, d in enumerate(spec.dims):
         assert numerical_rank(a[:, truth.labels == label]) == d
 
@@ -364,3 +376,29 @@ def test_clustering_exactness_is_the_verifiers(inst, scheme, seed, data):
     assert exact == report.all_hold
     assert report.unanimous
     assert report.all_hold == (report.rank_u == report.rank_a)
+
+
+@PROPERTY
+@given(inst=subspace_specs(), scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_clustering_trial_agrees_with_the_dense_path(inst, scheme, seed, data):
+    # the trial measures its CUR in the k x k core of its data's factors; building it
+    # at the dense spectrum's cutoff and measuring the m x n residual gives the same
+    # flags, and errors within 1e-11
+    spec, _ = inst
+    k = sum(spec.dims)
+    d = data.draw(st.integers(1, 3 * k))
+    cfg = ExperimentConfig(kind="clustering", m=spec.ambient_dim, dims=spec.dims,
+                           points=spec.points, scheme=scheme, d_grid=(d,), trials=1,
+                           master_seed=seed)
+    [record], summary = run_experiment(cfg)
+    rng = trial_generator(seed, 0)
+    a, truth = generate_union_of_subspaces(spec, rng)
+    rows, cols = draw_indices(*axis_dists(a, scheme, k), d, d, rng, dedup=True)
+    factors = build_cur(a, rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
+    rel_2, rel_f = relative_errors(a, factors)
+    pred = labels_from_clustering_matrix(clustering_matrix(factors))
+    assert record.success == same_partition(pred, truth)
+    assert summary["groups"][0]["exact_curs"] == (rel_f <= cfg.tol)
+    assert abs(record.rel_error_spectral - rel_2) <= 1e-11
+    assert abs(record.rel_error_frobenius - rel_f) <= 1e-11

@@ -6,7 +6,8 @@ trials and the file commands are pinned with a second counter that records
 both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix,
 and the table trials once more with a counter of ``np.linalg.qr``.  A table
 grid point stacks its trials' small factorizations, one call per stage, so
-their count does not grow with the number of trials.
+their count does not grow with the number of trials; a clustering grid
+point factors its data matrices the same way.
 """
 
 import numpy as np
@@ -129,25 +130,28 @@ CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), 
 
 
 def test_clustering_trial_factors_each_matrix_once(uv_calls):
-    # A once without vectors for its cutoff, then U once at the size of the
-    # trial's distinct indices; C and R are not factored
-    rng = trial_generator(0, 0)
-    a, _ = generate_union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
-    rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
-    d1, d2 = len(rows), len(cols)
-    assert d1 < 16 or d2 < 16  # the draw repeats an index, so its distinct part is smaller
+    # A once, through one SVD of the grid point's stack of 9 x 9 cores; then in each
+    # trial U once at the size of its distinct indices and the residual's 9 x 9 core
+    # without vectors; C, R and A itself are not factored
+    expected = [((3, 9, 9), True)]
+    for i in range(3):
+        rng = trial_generator(0, i)
+        a, _ = generate_union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
+        rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
+        expected += [((len(rows), len(cols)), True), ((1, 9, 9), False)]
+    # a draw repeats an index, so its distinct part is smaller
+    assert any(shape != (16, 16) for shape, _ in expected[1::2])
     uv_calls.clear()
-    records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
-    assert len(records) == 1
-    assert uv_calls == [((20, 30), False), ((d1, d2), True)]
+    records, _ = run_experiment(ExperimentConfig(**{**CLUSTERING, "trials": 3}))
+    assert len(records) == 3
+    assert uv_calls == expected
 
 
 def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(spectral_calls):
-    # A's spectrum, without vectors, is the only factorization of an m x n matrix;
-    # ||A||_2 and the residual's ||.||_2 are Gram eigenvalues
+    # nor of A: the data is kept as its thin factors, and every norm is read from a k x k core
     records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
     assert len(records) == 1
-    assert [call for call in spectral_calls if call[1] == (20, 30)] == [("svd", (20, 30))]
+    assert spectral_calls and [call for call in spectral_calls if max(call[1]) >= 20] == []
 
 
 M, N = 60, 50
