@@ -317,7 +317,7 @@ class _Trial:
 
 # A stacked stage maps (cfg, trials) to the new state of every live trial; a per-trial
 # stage maps (cfg, d, rng, state) to one trial's new state, or to None for a skipped
-# trial.  The last stage leaves (success, rel_err_2, rel_err_F, extras).
+# trial.  The last stage leaves the trial's CSV row: (success, rel_err_2, rel_err_F).
 def _test_matrices(cfg, trials):
     """Each trial's ``(p, q, svd)``: the factors of its test matrix ``p @ q.T``, and its SVD."""
     rngs = [t.rng for t in trials]
@@ -328,8 +328,8 @@ def _test_matrices(cfg, trials):
 
 
 # The dense stage of each table kind forms A = p @ q.T and leaves (svd, rows, cols, U,
-# row): A's SVD, the drawn index sets, U = A(I, J), and the row's own errors and
-# extras if the trial measured them, else None; no m-by-n array outlives it.
+# norms): A's SVD, the drawn index sets, U = A(I, J), and the absolute norms of the
+# row's own CUR if it is not the CUR of A, else None; no m-by-n array outlives it.
 def _success_trial(cfg, d, rng, state):
     p, q, f = state
     a = p @ q.T
@@ -340,8 +340,8 @@ def _success_trial(cfg, d, rng, state):
 def _noise_trial(cfg, d, rng, state):
     """Draw indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
-    The row carries the noisy-factor errors (spectral absolute, Frobenius
-    relative to A); a trial whose noise dominates a row or column is skipped.
+    The row carries the noisy CUR's errors relative to A; a trial whose noise
+    dominates a row or column is skipped.
     ``A + E`` is formed once, in E's buffer, and its length distributions
     both certify the stability floors and, under the length scheme, feed the
     draws.
@@ -351,7 +351,6 @@ def _noise_trial(cfg, d, rng, state):
     p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
     f = replace(f, singular_values=f.singular_values / s_1,
                 all_singular_values=f.all_singular_values / s_1)
-    norm_f = math.sqrt(f.stable_rank())
     a = p @ q.T
     e = spectral_noise(a.shape, cfg.sigma, rng)
     try:
@@ -363,11 +362,8 @@ def _noise_trial(cfg, d, rng, state):
     _certify(floors, weights, [dist.weights for dist in length])
     dists = length if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k)
     noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
-    err_2, err_f = factored_norms(np.hstack([p, noisy.C]),
-                                  np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
-    ratio = err_2 / cfg.sigma if cfg.sigma > 0.0 else float("nan")
-    row = err_2, err_f / norm_f, {"alpha": floors.alpha, "beta": floors.beta, "ratio": ratio}
-    return f, noisy.I, noisy.J, _submatrices(a, noisy.I, noisy.J)[2], row
+    norms = factored_norms(np.hstack([p, noisy.C]), np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
+    return f, noisy.I, noisy.J, _submatrices(a, noisy.I, noisy.J)[2], norms
 
 
 def _deim_trial(cfg, d, rng, state):
@@ -387,17 +383,18 @@ def _stacked(fn, mats):
 def _measure(cfg, trials):
     """Each table trial's CUR of A measured in A's k-by-k core.
 
-    ``U^+`` is cut at U's own cutoff.  Success is ``rel_err_F <= tol``; a row
-    its dense stage measured (the noise trial's noisy CUR) keeps those errors.
+    ``U^+`` is cut at U's own cutoff.  Success is ``rel_err_F <= tol``; a row whose
+    dense stage measured its own CUR (the noise trial's) prints those norms over A's.
     """
     states = [t.state for t in trials]
     pinvs = _stacked(_rank_pinv_cutoff, [u for _, _, _, u, _ in states])
     cores = [_residual_core(f, rows, cols, u_pinv)
              for (f, rows, cols, _, _), (_, u_pinv, _) in zip(states, pinvs)]
     outcomes = []
-    for (f, *_, row), (err_2, err_f) in zip(states, _stacked(_norms, cores)):
-        rel_2, rel_f = err_2 / float(f.singular_values[0]), err_f / f.frobenius_norm()
-        outcomes.append((rel_f <= cfg.tol, *(row or (rel_2, rel_f, {}))))
+    for (f, *_, norms), (err_2, err_f) in zip(states, _stacked(_norms, cores)):
+        s_1, norm_f = float(f.singular_values[0]), f.frobenius_norm()
+        row_2, row_f = norms or (err_2, err_f)
+        outcomes.append((err_f / norm_f <= cfg.tol, row_2 / s_1, row_f / norm_f))
     return outcomes
 
 
@@ -416,18 +413,18 @@ def _clustering_trial(cfg, d, rng, state):
     """
     p, q, truth, f = state
     a = p @ q.T
-    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, q.shape[1]), d, d, rng, dedup=True)
+    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, q.shape[1], f), d, d, rng, dedup=True)
     factors = build_cur(a, rows, cols, f.tolerance_used)
     err_2, err_f = residual_norms(f, factors)
     rel_2, rel_f = err_2 / float(f.singular_values[0]), err_f / f.frobenius_norm()
     pred = labels_from_clustering_matrix(clustering_matrix(factors))
-    return same_partition(pred, truth), rel_2, rel_f, {"exact": rel_f <= cfg.tol}
+    return same_partition(pred, truth), rel_2, rel_f
 
 
-# Each reducer maps the run's (d, first_trial, [(record, extras), ...]) per grid
-# point to the summary: one group per grid point, plus any run-level lists.
+# Each reducer maps the run's (d, first_trial, records) per grid point to the summary,
+# {"groups": [...]} with one group per grid point: a function of the rows and the config.
 def _rate_group(cfg, d, done):
-    successes = sum(r.success for r, _ in done)
+    successes = sum(r.success for r in done)
     return {"kind": cfg.kind, "scheme": _scheme(cfg), "d1": d, "d2": d, "trials": cfg.trials,
             "successes": successes, "success_rate": successes / cfg.trials}
 
@@ -436,7 +433,7 @@ def _success_summary(cfg, runs):
     groups = []
     for d, first, done in runs:
         err_sum = 0.0  # summed in trial order, which the CSV bytes depend on
-        for r, _ in done:
+        for r in done:
             err_sum += r.rel_error_frobenius
         groups.append({**_rate_group(cfg, d, done), "mean_rel_err_F": err_sum / cfg.trials,
                        "first_trial": first})
@@ -450,20 +447,18 @@ def _median(values) -> float:
 
 
 def _noise_summary(cfg, runs):
-    """Per-trial stability floors and error-to-noise ratios ride along the groups."""
+    """Skipped trials count against no rate; the error-to-noise median is over the rows."""
     groups = []
     for d, first, done in runs:
-        successes = sum(r.success for r, _ in done)
-        ratios = [x["ratio"] for _, x in done]
+        successes = sum(r.success for r in done)
+        ratios = [r.rel_error_spectral / cfg.sigma for r in done] if cfg.sigma > 0.0 else []
         groups.append({"kind": cfg.kind, "scheme": cfg.scheme, "d1": d, "d2": d,
                        "sigma": cfg.sigma, "trials": cfg.trials, "completed": len(done),
                        "skipped": cfg.trials - len(done), "successes": successes,
                        "success_rate": successes / len(done) if done else float("nan"),
                        "median_err_to_noise": _median(ratios) if ratios else float("nan"),
                        "first_trial": first})
-    extras = [x for _, _, done in runs for _, x in done]
-    return {"groups": groups, **{f"{key}_per_trial": [x[key] for x in extras]
-                                 for key in ("alpha", "beta", "ratio")}}
+    return {"groups": groups}
 
 
 def _deim_summary(cfg, runs):
@@ -471,10 +466,10 @@ def _deim_summary(cfg, runs):
 
 
 def _clustering_summary(cfg, runs):
-    """Also counts verified-exact CURs, and how many of those clustered perfectly."""
+    """Also counts the exact CURs, ``rel_err_F <= tol``, and those that clustered perfectly."""
     groups = []
     for d, _, done in runs:
-        exact = [r.success for r, x in done if x["exact"]]
+        exact = [r.success for r in done if r.rel_error_frobenius <= cfg.tol]
         groups.append({**_rate_group(cfg, d, done), "exact_curs": len(exact),
                        "exact_and_perfect": sum(exact)})
     return {"groups": groups}
@@ -494,7 +489,7 @@ def _scheme(cfg):
 
 
 def _run_trials(cfg, d, indices):
-    """``[(record, extras), ...]`` of the trials ``indices`` at draw count ``d``, run stage-major."""
+    """The records of the trials ``indices`` at draw count ``d``, run stage-major."""
     now = time.perf_counter if cfg.timing else (lambda: 0.0)
     live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices]
     for stage in _KINDS[cfg.kind][0]:
@@ -512,8 +507,7 @@ def _run_trials(cfg, d, indices):
             t.state = stage(cfg, d, t.rng, t.state)
             t.seconds += now() - t0
         live = [t for t in live if t.state is not None]
-    return [(TrialRecord(t.index, _scheme(cfg), d, d, *t.state[:3], t.seconds * 1e3), t.state[3])
-            for t in live]
+    return [TrialRecord(t.index, _scheme(cfg), d, d, *t.state, t.seconds * 1e3) for t in live]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -528,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig):
     for gi, d in enumerate(cfg.resolved_d_grid()):
         first = gi * cfg.trials
         done = _run_trials(cfg, d, range(first, first + cfg.trials))
-        records += [record for record, _ in done]
+        records += done
         runs.append((d, first, done))
     return records, _KINDS[cfg.kind][1](cfg, runs)
 
@@ -545,7 +539,6 @@ def _format_value(value):
 
 def emit_csv(records, summary, path) -> None:
     """Write trial rows plus a ``# summary`` comment block, deterministically formatted."""
-    groups = summary.get("groups", []) if isinstance(summary, dict) else list(summary)
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
@@ -553,6 +546,6 @@ def emit_csv(records, summary, path) -> None:
                      f"{float(r.rel_error_spectral):.17g},{float(r.rel_error_frobenius):.17g},"
                      f"{float(r.wall_time_ms):.17g}\n")
         fh.write("# summary\n")
-        for group in groups:
+        for group in summary["groups"]:
             parts = [f"{key}={_format_value(val)}" for key, val in group.items()]
             fh.write("# " + " ".join(parts) + "\n")

@@ -170,7 +170,7 @@ def _core(rp, rq):
     return core, sp + sq
 
 
-def factored_svd(p, q, tol=None):
+def factored_svd(p, q):
     """Compact SVD of ``p @ q.T`` from thin QRs of the factors and an SVD of their core.
 
     The cutoff and sign convention are :func:`compact_svd`'s for the m-by-n
@@ -186,7 +186,7 @@ def factored_svd(p, q, tol=None):
     w, s, vt = np.linalg.svd(core, full_matrices=False)
     shape = (p.shape[1], q.shape[1])
     pad = np.zeros(min(shape) - s.shape[1])
-    out = [_truncated(left, np.concatenate([np.ldexp(s_i, -j), pad]), right, shape, tol)
+    out = [_truncated(left, np.concatenate([np.ldexp(s_i, -j), pad]), right, shape, None)
            for left, s_i, right, j in zip(qp @ w, s, vt @ np.swapaxes(qq, 1, 2), shift)]
     return out[0] if single else out
 

@@ -20,9 +20,16 @@ import hashlib
 import numpy as np
 import pytest
 
+from curlowrank import harness
 from curlowrank.cli import cli_main
 from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
-from curlowrank.harness import ExperimentConfig, emit_csv, run_experiment, trial_generator
+from curlowrank.harness import (
+    ExperimentConfig,
+    TrialRecord,
+    emit_csv,
+    run_experiment,
+    trial_generator,
+)
 
 CASES = {
     "success_length": (
@@ -104,6 +111,33 @@ def test_experiment_flag_digest(name, tmp_path):
     path = tmp_path / f"{name}.csv"
     emit_csv(*run_experiment(ExperimentConfig(**CASES[name][0])), path)
     assert flag_sha(path) == FLAG_DIGESTS[name]
+
+
+def records_from_csv(path):
+    """The trial rows of an ``emit_csv`` file as records; the ``.17g`` floats round-trip."""
+    records = []
+    for line in path.read_text().splitlines()[1:]:
+        if line == "# summary":
+            break
+        trial, scheme, d1, d2, success, *floats = line.split(",")
+        records.append(TrialRecord(int(trial), scheme, int(d1), int(d2), success == "1",
+                                   *map(float, floats)))
+    return records
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_summary_is_a_function_of_the_rows(name, tmp_path):
+    # the kind's reducer rebuilds the summary block from the parsed rows and the config
+    cfg = ExperimentConfig(**CASES[name][0])
+    path, again = tmp_path / "run.csv", tmp_path / "again.csv"
+    emit_csv(*run_experiment(cfg), path)
+    records = records_from_csv(path)
+    runs = []
+    for gi, d in enumerate(cfg.resolved_d_grid()):
+        first = gi * cfg.trials
+        runs.append((d, first, [r for r in records if first <= r.trial_index < first + cfg.trials]))
+    emit_csv(records, harness._KINDS[cfg.kind][1](cfg, runs), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_cli_experiment_config_digest(tmp_path, capsys):

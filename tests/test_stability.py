@@ -110,6 +110,7 @@ class TestNoisyFloor:
             params = noisy_stability_floor(a, e)
             np.testing.assert_array_equal(params.beta_per_row, want[0])
             np.testing.assert_array_equal(params.alpha_per_col, want[1])
+            assert 0.0 < params.alpha <= 1.0 and 0.0 < params.beta <= 1.0
         assert named == {ROWS, COLS}
 
     def test_rows_named_before_columns(self):

@@ -147,9 +147,11 @@ def test_clustering_trial_factors_each_matrix_once(uv_calls):
     assert uv_calls == expected
 
 
-def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(spectral_calls):
-    # nor of A: the data is kept as its thin factors, and every norm is read from a k x k core
-    records, _ = run_experiment(ExperimentConfig(**CLUSTERING))
+@pytest.mark.parametrize("scheme", ["length", "leverage"])
+def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(scheme, spectral_calls):
+    # nor of A: the data is kept as its thin factors, the leverage scores come from the
+    # grid point's SVD of them, and every norm is read from a k x k core
+    records, _ = run_experiment(ExperimentConfig(**CLUSTERING, scheme=scheme))
     assert len(records) == 1
     assert spectral_calls and [call for call in spectral_calls if max(call[1]) >= 20] == []
 
