@@ -1,6 +1,6 @@
 """Exact CUR decompositions of low-rank matrices via randomized and deterministic selection.
 
-The library covers: dense SVD-derived primitives (compact SVD, pseudoinverse,
+The library covers: dense SVD-derived primitives (compact SVD, spectra, norms,
 stable rank, generalized condition number), row/column sampling distributions
 with their size bounds and stability floors, construction and verification of
 exact CUR decompositions, greedy deterministic index selection, and a
@@ -11,10 +11,8 @@ tables.
 """
 
 from .cluster import (
-    ClusterLabels,
     SubspaceSpec,
     clustering_matrix,
-    generate_union_of_subspaces,
     labels_from_clustering_matrix,
     same_partition,
     subspace_factors,
@@ -66,12 +64,8 @@ from .linalg import (
     factored_svd,
     frobenius_norm,
     leading_bases,
-    leading_svd,
-    numerical_rank,
-    pseudoinverse,
     spectral_norm,
     stable_rank,
-    submatrix,
 )
 from .mmio import read_matrix, write_matrix
 from .sampling import (

@@ -9,6 +9,7 @@ largest subspace dimension, lies between the support and its transitive
 closure, so it has the same components and hence the same labels for every
 walk length.  Exact recovery is partition equality (:func:`same_partition`);
 it needs d + 1 points in each subspace of dim d >= 2, as d points are a basis.
+Labels are int64 vectors, one per data column; names only matter up to permutation.
 """
 
 from __future__ import annotations
@@ -47,46 +48,26 @@ class SubspaceSpec:
             raise DomainError("a subspace of dim d >= 2 needs d + 1 points: d are a basis")
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterLabels:
-    """Integer label per data column; names only matter up to permutation."""
+def subspace_factors(spec: SubspaceSpec, rngs) -> tuple:
+    """``(p, q, labels)`` of one data matrix ``p @ q.T`` per generator in the list ``rngs``.
 
-    labels: np.ndarray
-
-
-def subspace_factors(spec: SubspaceSpec, rng) -> tuple:
-    """``(p, q, labels)`` of :func:`generate_union_of_subspaces`: its matrix is ``p @ q.T``.
-
-    ``p`` stacks the orthonormal bases (m-by-K, K the sum of the dims), ``q`` the shuffled
-    columns' block coefficients (N-by-K).  A list of generators gives each one's, stacked and
-    drawn in one generator's order, from one QR of each subspace's stack of Gaussian blocks.
+    Bases are orthonormalized Gaussian blocks (independent with probability one, as
+    the dims fit in the ambient space), one QR per subspace for the whole stack, and
+    points are generic Gaussian combinations of each basis.  ``p`` stacks the bases
+    (T-by-m-by-K, K the sum of the dims), ``q`` the shuffled columns' coefficients
+    (T-by-N-by-K), and ``labels`` (T-by-N) names each column's subspace.  Each stream
+    is read in the order of one generator alone.  No rank is checked here.
     """
-    rngs = rng if isinstance(rng, list) else [rng]
     draws = [[(g.standard_normal((spec.ambient_dim, d)), g.standard_normal((d, n)))
               for d, n in zip(spec.dims, spec.points)] for g in rngs]
-    perms = [g.permutation(sum(spec.points)) for g in rngs]
+    perms = np.stack([g.permutation(sum(spec.points)) for g in rngs])
     p = np.concatenate([np.linalg.qr(np.stack([trial[i][0] for trial in draws]))[0]
                         for i in range(len(spec.dims))], axis=2)
     labels = np.repeat(np.arange(len(spec.dims), dtype=np.int64), spec.points)
     q = np.zeros((len(rngs), labels.size, p.shape[2]))
     block = labels[:, None] == np.repeat(np.arange(len(spec.dims)), spec.dims)
     q[:, block] = [np.concatenate([coef.T.ravel() for _, coef in trial]) for trial in draws]
-    q = np.stack([q_t[perm] for q_t, perm in zip(q, perms)])
-    truths = [ClusterLabels(labels[perm]) for perm in perms]
-    return (p, q, truths) if isinstance(rng, list) else (p[0], q[0], truths[0])
-
-
-def generate_union_of_subspaces(spec: SubspaceSpec, rng):
-    """Draw a data matrix whose columns come from independent random subspaces.
-
-    Bases are orthonormalized Gaussian blocks (independent with probability
-    one since the dims fit in the ambient space); points are Gaussian
-    coefficient combinations of each basis (generic with probability one).
-    Columns are shuffled; the returned labels name each column's subspace.
-    It is ``p @ q.T`` of :func:`subspace_factors`; no rank is checked here.
-    """
-    p, q, truth = subspace_factors(spec, rng)
-    return p @ q.T, truth
+    return p, np.stack([q_t[perm] for q_t, perm in zip(q, perms)]), labels[perms]
 
 
 def clustering_matrix(factors: CurFactors) -> np.ndarray:
@@ -103,8 +84,8 @@ def clustering_matrix(factors: CurFactors) -> np.ndarray:
     return support
 
 
-def labels_from_clustering_matrix(w) -> ClusterLabels:
-    """Connected components of the pattern's undirected graph, numbered by smallest member."""
+def labels_from_clustering_matrix(w) -> np.ndarray:
+    """Connected components of the pattern's undirected graph: int64 labels, by smallest member."""
     adj = np.asarray(w) != 0
     adj = adj | adj.T
     labels = np.full(adj.shape[0], -1, dtype=np.int64)
@@ -115,21 +96,21 @@ def labels_from_clustering_matrix(w) -> ClusterLabels:
             labels[frontier] = count
             frontier = adj[frontier].any(axis=0) & (labels < 0)
         count += 1
-    return ClusterLabels(labels)
+    return labels
 
 
-def same_partition(pred: ClusterLabels, truth: ClusterLabels) -> bool:
-    """Whether both labelings group the columns into the same clusters, names aside.
+def same_partition(pred, truth) -> bool:
+    """Whether the label vectors group the columns into the same clusters, names aside.
 
     They do exactly when the confusion support is a bijection: there are as
     many distinct ``(pred, truth)`` label pairs as distinct labels on each side.
     Each side's labels are first renamed ``0..count-1``, so the pair code
     ``pred * count + truth`` is one distinct integer per pair for any labels.
     """
-    if pred.labels.shape != truth.labels.shape:
+    if np.shape(pred) != np.shape(truth):
         raise ValueError("label vectors must have equal length")
-    pred_names, pred_ids = np.unique(pred.labels, return_inverse=True)
-    truth_names, truth_ids = np.unique(truth.labels, return_inverse=True)
+    pred_names, pred_ids = np.unique(pred, return_inverse=True)
+    truth_names, truth_ids = np.unique(truth, return_inverse=True)
     count = pred_names.size
     if truth_names.size != count:
         return False

@@ -32,7 +32,7 @@ from them and measure each CUR of A in A's k-by-k core; the dense A is formed
 only for the length weights, the submatrices and the noise floors.  The noisy
 CUR, drawn from ``A + E``, is not in A's row and column space, so its norms
 come from ``linalg.factored_norms`` of its thin factors.  The leverage scores
-of ``A + E`` come from the certified sketch ``linalg.leading_svd`` and
+of ``A + E`` come from the certified sketch of ``linalg.leading_bases`` and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so the
 table kinds factor no m-by-n matrix at all, nor does the clustering kind,
 whose data comes as thin factors too.  No m-by-n array outlives a trial's
@@ -55,7 +55,8 @@ from .cluster import (
     same_partition,
     subspace_factors,
 )
-from .cur import _residual_core, _submatrices, build_cur, randomized_cur, residual_norms
+from .cur import (EXACTNESS_TOL, _residual_core, _submatrices, build_cur, randomized_cur,
+                  residual_norms)
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
 from .linalg import _EPS, _norms, _rank_pinv_cutoff, factored_norms, factored_svd
@@ -117,7 +118,7 @@ class ExperimentConfig:
     out_path: str | None = None
     kappa: float | None = None
     sparsity: float = 0.0
-    tol: float = 1e-8
+    tol: float = EXACTNESS_TOL
     dedup: bool = False
     timing: bool = False
     dims: tuple | None = None
@@ -196,7 +197,7 @@ def _to_bool(text) -> bool:
 
 
 def _to_ints(text) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    return tuple(int(tok) for tok in text.split(","))
 
 
 # How a string value becomes each field's annotated type (``float | None`` reads as float).
@@ -250,13 +251,12 @@ def trial_generator(master_seed, trial_index) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def lowrank_factors(m, n, k, rng, kappa=None) -> tuple:
-    """Factors ``(p, q)`` of :func:`lowrank_gaussian`'s matrix ``p @ q.T``.
+def lowrank_factors(m, n, k, rngs, kappa=None) -> tuple:
+    """Stacks ``(p, q)`` of :func:`lowrank_gaussian`'s factors, one ``p @ q.T`` per generator.
 
-    Given a list of generators, ``p`` and ``q`` stack each one's factors, drawn
-    from its own stream, and the ``kappa`` reshape factors the stacks at once.
+    Each generator of the list ``rngs`` draws its own factors from its own
+    stream, and the ``kappa`` reshape factors the stacks at once.
     """
-    rngs = rng if isinstance(rng, list) else [rng]
     draws = [(g.standard_normal((m, k)), g.standard_normal((n, k))) for g in rngs]
     p, q = np.stack([x for x, _ in draws]), np.stack([y for _, y in draws])
     if kappa is not None and k > 1:
@@ -264,13 +264,13 @@ def lowrank_factors(m, n, k, rng, kappa=None) -> tuple:
         svds = factored_svd(p, q)
         p = np.stack([f.left * (f.singular_values[0] * decay) for f in svds])
         q = np.stack([f.right for f in svds])
-    return (p, q) if isinstance(rng, list) else (p[0], q[0])
+    return p, q
 
 
 def lowrank_gaussian(m, n, k, rng, kappa=None) -> np.ndarray:
     """Rank-k Gaussian-factor matrix, optionally reshaped to condition number ``kappa``."""
-    p, q = lowrank_factors(m, n, k, rng, kappa)
-    return p @ q.T
+    p, q = lowrank_factors(m, n, k, [rng], kappa)
+    return p[0] @ q[0].T
 
 
 def zero_out_columns(a, fraction, rng) -> np.ndarray:

@@ -1,12 +1,12 @@
-"""Dense matrix primitives: compact SVD, pseudoinverse, ranks, submatrices.
+"""Dense matrix primitives: compact SVD, spectra, norms, ranks, submatrices.
 
 Matrices are plain ``numpy.ndarray`` objects of dtype float64 in C (row-major)
 memory order.  A matrix is validated once, by :func:`as_matrix`, where it
 enters the public API; the package passes an already validated matrix on to
-private twins (:func:`_take`, :func:`_compact_svd`, :func:`_leading_svd`,
-:func:`_rank_pinv_cutoff`) that skip that check, and :func:`_take` still
-checks its indices against the matrix.  No other module of the package calls
-``np.linalg.svd``.
+private helpers (:func:`_take`, :func:`_compact_svd`, :func:`_leading_svd`,
+:func:`_rank_pinv_cutoff`, which also gives the pseudoinverse) that skip that
+check, and :func:`_take` still checks its indices against the matrix.  No
+other module of the package calls ``np.linalg.svd``.
 Every numerical-rank decision in the package is made by
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it.
@@ -14,7 +14,7 @@ unless the ``tol`` argument of a function overrides it.
 A thin product ``p @ q.T`` is factored through thin QRs of ``p`` and ``q``
 and its small core ``R_p @ R_q.T`` (Halko, Martinsson and Tropp,
 arXiv:0909.4061), in O((m + n) k^2) time instead of O(m n min(m, n)).  The
-top-k singular triplets of a dense matrix come from :func:`leading_svd`'s
+top-k singular triplets of a dense matrix come from :func:`_leading_svd`'s
 certified subspace iteration in O(m n k) time, or None where it cannot
 certify them; :func:`leading_bases` is the one place that chooses between
 that sketch and the dense SVD.  ``||A||_2`` alone comes from
@@ -110,9 +110,6 @@ class SvdFactors:
     tolerance_used: float
     all_singular_values: np.ndarray = field(repr=False)
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
-
     def stable_rank(self) -> float:
         """``||A||_F^2 / ||A||_2^2`` from the full spectrum, scaled by sigma_1 first."""
         return stable_rank_of(self.all_singular_values)
@@ -143,8 +140,8 @@ def compact_svd(a, tol=None) -> SvdFactors:
     """Compact SVD of ``a``, cut at :func:`rank_cutoff`'s ``tol``.
 
     Raises ZeroMatrixError when every singular value falls at or below the
-    cutoff (a rank-0 matrix has no compact SVD; use :func:`numerical_rank`
-    if rank 0 is an acceptable answer).
+    cutoff (a rank-0 matrix has no compact SVD; use :func:`rank_cutoff` of
+    :func:`singular_values` if rank 0 is an acceptable answer).
     """
     return _compact_svd(as_matrix(a), tol)
 
@@ -222,8 +219,8 @@ SKETCH_POWER_STEPS = 2
 SKETCH_GAP_TOL = 1e-12
 
 
-def leading_svd(a, k):
-    """``(left, singular_values, right)`` of the top ``k`` singular triplets of ``a``, or None.
+def _leading_svd(a, k):
+    """``(left, singular_values, right)``: the top ``k >= 1`` singular triplets of ``a``, or None.
 
     Block subspace iteration from a Gaussian block of width ``l = k +``
     :data:`SKETCH_OVERSAMPLE` drawn from :data:`SKETCH_SEED` (no caller's
@@ -240,14 +237,6 @@ def leading_svd(a, k):
     ``s_(k+1) >= s_l`` also bounds the gap between the rank-k subspace and
     the next direction, on which the rank-k subspace itself depends.
     """
-    a = as_matrix(a)
-    if k < 1:
-        raise ValueError(f"rank must be >= 1, got {k}")
-    return _leading_svd(a, k)
-
-
-def _leading_svd(a, k):
-    """:func:`leading_svd` of an already validated matrix ``a`` and a rank ``k >= 1``."""
     width = k + SKETCH_OVERSAMPLE
     if 2 * width > min(a.shape):
         return None
@@ -270,7 +259,7 @@ def leading_bases(a, k, tol=None, svd=None) -> tuple:
     """``(left, right)``: the top-``k`` left and right singular vectors of ``a``.
 
     They come from ``svd``, the caller's :class:`SvdFactors` of ``a``, when
-    given; else from :func:`leading_svd` when ``tol`` is None and the sketch
+    given; else from :func:`_leading_svd` when ``tol`` is None and the sketch
     certifies; else from :func:`compact_svd` of ``a`` at ``tol``.  A ``k``
     outside ``1..min(m, n)`` is a DomainError; a ``k`` within it that
     exceeds the numerical rank of that SVD is a RankDeficientError.
@@ -310,12 +299,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def numerical_rank(a, tol=None) -> int:
-    """Number of singular values strictly above ``tol`` (0 for a zero matrix)."""
-    a = as_matrix(a)
-    return rank_cutoff(singular_values(a), a.shape, tol)[0]
-
-
 def _rank_pinv_cutoff(a, tol=None, floor=0.0):
     """``(rank, pinv, cutoff)`` from one SVD of the validated ``a``; for a stack of
     matrices, the list of each one's, from one SVD of the stack.
@@ -329,14 +312,6 @@ def _rank_pinv_cutoff(a, tol=None, floor=0.0):
         rank, cutoff = rank_cutoff(s_i, a.shape[-2:], tol, floor)
         out.append((rank, (vt_i[:rank].T / s_i[:rank]) @ w_i[:, :rank].T, cutoff))
     return out if a.ndim > 2 else out[0]
-
-
-def pseudoinverse(a, tol=None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the truncated SVD at ``tol``.
-
-    The zero matrix maps to the zero matrix of transposed shape.
-    """
-    return _rank_pinv_cutoff(as_matrix(a), tol)[1]
 
 
 def _unit_shift(a) -> int:
@@ -402,15 +377,11 @@ def condition_number(a, tol=None) -> float:
     return condition_of(s[:rank])
 
 
-def submatrix(a, index_set: IndexSet) -> np.ndarray:
-    """Extract ``A(I, :)`` or ``A(:, J)``; duplicates and ordering are honored."""
-    return _take(as_matrix(a), index_set)
-
-
 def _take(a, index_set: IndexSet) -> np.ndarray:
-    """:func:`submatrix` of an already validated matrix ``a``, as a new C-ordered array.
+    """``A(I, :)`` or ``A(:, J)`` of the validated ``a``, as a new C-ordered array.
 
-    The indices are still checked against the size of ``a`` along their axis.
+    Duplicates and ordering are honored, and the indices are checked against
+    the size of ``a`` along their axis.
     """
     axis = 0 if index_set.axis == ROWS else 1
     top = max(index_set.indices, default=-1)

@@ -10,7 +10,7 @@ never drawn.
 
 Rank-k leverage scores need only the top-k singular subspaces, which
 :func:`~curlowrank.linalg.leading_bases` gives: without a caller's SVD they
-come from the certified sketch :func:`~curlowrank.linalg.leading_svd`, still
+come from the certified sketch :func:`~curlowrank.linalg._leading_svd`, still
 a pure function of the matrix bits, or from the dense
 :func:`~curlowrank.linalg.compact_svd` where the sketch declines; the
 paper's stability result (sampling from any ``p_tilde >= beta * p``) absorbs

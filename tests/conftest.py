@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from curlowrank.cluster import subspace_factors
 from curlowrank.harness import lowrank_gaussian
+from curlowrank.linalg import rank_cutoff, singular_values
 
 
 @pytest.fixture
@@ -25,3 +27,14 @@ def orthonormal(n, k, rng):
     """Random n-by-k matrix with orthonormal columns."""
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return q
+
+
+def rank_of(a):
+    """The numerical rank of ``a`` at the package's cutoff, 0 for a zero matrix."""
+    return rank_cutoff(singular_values(a), np.shape(a))[0]
+
+
+def union_of_subspaces(spec, rng):
+    """One union-of-subspaces data matrix ``p @ q.T`` drawn from ``rng``, and its labels."""
+    p, q, labels = subspace_factors(spec, [rng])
+    return p[0] @ q[0].T, labels[0]

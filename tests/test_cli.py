@@ -314,6 +314,14 @@ def test_cluster_spec_seed_matches_seed_flag(tmp_path, capsys):
     assert from_spec.read_bytes() == from_flags.read_bytes()
 
 
+@pytest.mark.parametrize("dims, points, field", [("2,,1", "6,6", "dims"),
+                                                  ("2,1", "6,6,", "points")])
+def test_cluster_list_flag_with_an_empty_item_exits_2(capsys, dims, points, field):
+    assert cli_main(["cluster", "--ambient", "12", "--dims", dims, "--points", points,
+                     "--trials", "2"]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, field", [
     ("ambient_dim = 20\ndims = 2\n", "spec"),
     ("ambient = 20\ndims = 2\npoints = 5\n", "ambient"),

@@ -5,7 +5,7 @@ from curlowrank.cur import approx_error
 from curlowrank.deim import deim_cur, deim_noise_certificate, deim_select
 from curlowrank.errors import DomainError, RankDeficientError
 from curlowrank.harness import spectral_noise
-from curlowrank.linalg import COLS, ROWS, compact_svd, leading_svd
+from curlowrank.linalg import COLS, ROWS, _leading_svd, compact_svd
 
 from conftest import orthonormal, rank_k
 
@@ -106,7 +106,7 @@ class TestDeimCur:
 
     def test_sketched_bases_pick_the_dense_indices(self, rng):
         a = rank_k(120, 90, 6, rng)
-        assert leading_svd(a, 6) is not None
+        assert _leading_svd(a, 6) is not None
         got, ref = deim_cur(a, 6), deim_cur(a, 6, svd=compact_svd(a))
         assert (got.I, got.J) == (ref.I, ref.J)
         assert approx_error(a, got) <= 1e-8 * np.linalg.norm(a)

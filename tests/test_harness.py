@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from curlowrank import harness, sampling
-from curlowrank.cur import build_cur, relative_errors
+from curlowrank.cur import EXACTNESS_TOL, build_cur, relative_errors
 from curlowrank.errors import ConfigError
 from curlowrank.harness import (
     CSV_HEADER,
@@ -134,6 +134,21 @@ class TestConfig:
             config_from_text("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid =\n")
         assert exc.value.field == "d_grid"
 
+    @pytest.mark.parametrize("text, field", [
+        ("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid = 2,,4\n", "d_grid"),
+        ("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid = 2, 4,\n", "d_grid"),
+        ("kind = clustering\nm = 12\ndims = 2,,1\npoints = 6,6\n", "dims"),
+        ("kind = clustering\nm = 12\ndims = 2,1\npoints = ,6,6\n", "points"),
+    ], ids=["grid-inner", "grid-trailing", "dims", "points-leading"])
+    def test_empty_list_item_rejected(self, text, field):
+        # an empty item is an error, not a shorter list: "2,,1" is not (2, 1)
+        with pytest.raises(ConfigError) as exc:
+            config_from_text(text)
+        assert exc.value.field == field
+
+    def test_tol_defaults_to_the_exactness_tolerance(self):
+        assert ExperimentConfig(kind="deim_check", m=8, n=8, k=2).tol == EXACTNESS_TOL
+
     def test_d_from_formula(self):
         cfg = config_from_mapping({"kind": "success_prob", "m": 30, "n": 30, "k": 2,
                                    "eps": "0.5", "delta": "0.5", "trials": 1})
@@ -183,10 +198,12 @@ class TestGenerators:
 
     @pytest.mark.parametrize("kappa", [None, 37.0])
     def test_factors_multiply_to_the_matrix(self, kappa):
-        p, q = lowrank_factors(20, 15, 5, trial_generator(4, 0), kappa)
-        assert (p.shape, q.shape) == ((20, 5), (15, 5))
-        a = lowrank_gaussian(20, 15, 5, trial_generator(4, 0), kappa)
-        np.testing.assert_array_equal(p @ q.T, a)
+        # a list of generators stacks each one's factors, with the bits of each one alone
+        p, q = lowrank_factors(20, 15, 5, [trial_generator(4, i) for i in range(3)], kappa)
+        assert (p.shape, q.shape) == ((3, 20, 5), (3, 15, 5))
+        for i in range(3):
+            a = lowrank_gaussian(20, 15, 5, trial_generator(4, i), kappa)
+            np.testing.assert_array_equal(p[i] @ q[i].T, a)
 
     def test_zero_columns(self, rng):
         a = zero_out_columns(lowrank_gaussian(10, 20, 3, rng), 0.8, rng)

@@ -22,8 +22,6 @@ rescaled samples of the uniform, length and rank-k leverage distributions
 reproduce the Gram matrices of A exactly once weighted by their probabilities.
 """
 
-import copy
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +29,6 @@ from hypothesis import strategies as st
 from curlowrank.cluster import (
     SubspaceSpec,
     clustering_matrix,
-    generate_union_of_subspaces,
     labels_from_clustering_matrix,
     same_partition,
     subspace_factors,
@@ -52,10 +49,9 @@ from curlowrank.linalg import (
     ROWS,
     SKETCH_OVERSAMPLE,
     IndexSet,
+    _leading_svd,
     compact_svd,
     factored_svd,
-    leading_svd,
-    numerical_rank,
     rank_cutoff,
     singular_values,
     spectral_norm,
@@ -74,7 +70,7 @@ from curlowrank.sampling import (
     uniform_stability_floor,
 )
 
-from conftest import noisy_rank_k
+from conftest import noisy_rank_k, rank_of, union_of_subspaces
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 EPS = float(np.finfo(np.float64).eps)
@@ -201,7 +197,7 @@ def test_leverage_and_length_dominate_each_other(inst, scale):
     a = scale * a
     s = singular_values(a)
     r, kappa = stable_rank_of(s), float(s[0] / s[k - 1])
-    assert (leading_svd(a, k) is None) == (min(a.shape) < 2 * (k + SKETCH_OVERSAMPLE))
+    assert (_leading_svd(a, k) is None) == (min(a.shape) < 2 * (k + SKETCH_OVERSAMPLE))
     length = axis_dists(a, "length")
     for svd in (None, compact_svd(a)):
         for p_len, p_lev in zip(length, axis_dists(a, "leverage", k, svd=svd)):
@@ -317,7 +313,7 @@ def test_certified_leverage_matches_the_dense_reference(inst):
     a, k = inst
     got = axis_dists(a, "leverage", k)
     ref = axis_dists(a, "leverage", k, svd=compact_svd(a))
-    if leading_svd(a, k) is None:  # the fallback is the dense path itself
+    if _leading_svd(a, k) is None:  # the fallback is the dense path itself
         assert [d.weights.tobytes() for d in got] == [d.weights.tobytes() for d in ref]
     else:
         for g, r in zip(got, ref):
@@ -328,7 +324,7 @@ def test_certified_leverage_matches_the_dense_reference(inst):
 @given(inst=noisy_low_rank())
 def test_sketched_deim_picks_the_dense_indices(inst):
     a, k = inst
-    if leading_svd(a, k) is not None:
+    if _leading_svd(a, k) is not None:
         got, ref = deim_cur(a, k), deim_cur(a, k, svd=compact_svd(a))
         assert (got.I, got.J) == (ref.I, ref.J)
 
@@ -347,13 +343,12 @@ def subspace_specs(draw):
 @given(inst=subspace_specs())
 def test_generated_subspaces_have_the_stated_ranks(inst):
     spec, rng = inst
-    p, q, _ = subspace_factors(spec, copy.deepcopy(rng))
-    a, truth = generate_union_of_subspaces(spec, rng)
-    assert np.array_equal(a, p @ q.T)
+    p, q, truth = subspace_factors(spec, [rng])
+    a = p[0] @ q[0].T
     assert a.shape == (spec.ambient_dim, sum(spec.points))
-    assert factored_svd(p, q).numerical_rank == numerical_rank(a) == sum(spec.dims)
+    assert factored_svd(p[0], q[0]).numerical_rank == rank_of(a) == sum(spec.dims)
     for label, d in enumerate(spec.dims):
-        assert numerical_rank(a[:, truth.labels == label]) == d
+        assert rank_of(a[:, truth[0] == label]) == d
 
 
 @PROPERTY
@@ -370,7 +365,7 @@ def test_clustering_exactness_is_the_verifiers(inst, scheme, seed, data):
                            master_seed=seed)
     exact = run_experiment(cfg)[1]["groups"][0]["exact_curs"]
     rng = trial_generator(seed, 0)
-    a, _ = generate_union_of_subspaces(spec, rng)
+    a, _ = union_of_subspaces(spec, rng)
     report = verify_characterization(a, *draw_indices(*axis_dists(a, scheme, k), d, d, rng,
                                                       dedup=True), cfg.tol)
     assert exact == report.all_hold
@@ -393,7 +388,7 @@ def test_clustering_trial_agrees_with_the_dense_path(inst, scheme, seed, data):
                            master_seed=seed)
     [record], summary = run_experiment(cfg)
     rng = trial_generator(seed, 0)
-    a, truth = generate_union_of_subspaces(spec, rng)
+    a, truth = union_of_subspaces(spec, rng)
     rows, cols = draw_indices(*axis_dists(a, scheme, k), d, d, rng, dedup=True)
     factors = build_cur(a, rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
     rel_2, rel_f = relative_errors(a, factors)

@@ -13,7 +13,7 @@ from curlowrank.errors import (
     ZeroProbabilityDrawError,
 )
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, compact_svd, leading_svd, unit_scaled
+from curlowrank.linalg import COLS, ROWS, IndexSet, _leading_svd, compact_svd, unit_scaled
 from curlowrank.sampling import (
     ProbDist,
     axis_dists,
@@ -190,7 +190,7 @@ class TestBitPin:
             dists = [length_dist(a, ROWS), length_dist(a, COLS), *axis_dists(a, "length")]
             h["length"].update(b"".join(_bits(dists)))
             h["lev_svd"].update(b"".join(_bits(axis_dists(a, "leverage", k, svd=compact_svd(a)))))
-            path = "lev_dense" if leading_svd(a, k) is None else "lev_sketch"
+            path = "lev_dense" if _leading_svd(a, k) is None else "lev_sketch"
             h[path].update(b"".join(_bits(axis_dists(a, "leverage", k))))
             paths.add(path)
             try:

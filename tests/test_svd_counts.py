@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from curlowrank.cli import cli_main
-from curlowrank.cluster import SubspaceSpec, generate_union_of_subspaces
+from curlowrank.cluster import SubspaceSpec
 from curlowrank.cur import verify_characterization
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
 from curlowrank.linalg import (
@@ -28,6 +28,8 @@ from curlowrank.linalg import (
 )
 from curlowrank.mmio import write_matrix
 from curlowrank.sampling import axis_dists, draw_indices, epsilon_ceiling
+
+from conftest import union_of_subspaces
 
 
 @pytest.fixture
@@ -136,7 +138,7 @@ def test_clustering_trial_factors_each_matrix_once(uv_calls):
     expected = [((3, 9, 9), True)]
     for i in range(3):
         rng = trial_generator(0, i)
-        a, _ = generate_union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
+        a, _ = union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
         rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
         expected += [((len(rows), len(cols)), True), ((1, 9, 9), False)]
     # a draw repeats an index, so its distinct part is smaller
