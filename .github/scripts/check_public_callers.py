@@ -1,10 +1,12 @@
 """Fail when a public module-level function or class of src/curlowrank has no use.
 
-A use is a whole-word mention of the name outside its own definition, in
-src/curlowrank (the re-exports of ``__init__.py`` aside), in
-tests/test_acceptance.py, in perfbench/ or in the tier-1 workflow.  A name
-that only unit tests call is not a use: such an object is deleted, and its
-tests move onto the code that stays.  Run from the repository root:
+A use is a reference in code outside the object's own definition: a name, an
+attribute or an imported name, as the parser finds it in src/curlowrank (the
+re-exports of ``__init__.py`` aside), in tests/test_acceptance.py or in
+perfbench/.  A docstring, a comment or a string does not count.  The tier-1
+workflow is not Python, so there a whole-word mention counts.  A name that only
+unit tests call is not a use: such an object is deleted, and its tests move
+onto the code that stays.  Run from the repository root:
 
     python .github/scripts/check_public_callers.py
 """
@@ -20,24 +22,38 @@ AWAITING_A_CALLER = {
     "deim_noise_certificate",
     "epsilon_ceiling",
     "leverage_dominance_ratio",
+    "noisy_stability_floor",
     "uniform_stability_floor",
 }
 
 root = pathlib.Path(__file__).resolve().parents[2]
 package = sorted(p for p in (root / "src/curlowrank").glob("*.py") if p.name != "__init__.py")
-others = [root / "tests/test_acceptance.py", root / ".github/workflows/tier1.yml",
-          *sorted((root / "perfbench").rglob("*.py"))]
-texts = {p: p.read_text().splitlines() for p in package + others}
+others = [root / "tests/test_acceptance.py", *sorted((root / "perfbench").rglob("*.py"))]
+workflow = (root / ".github/workflows/tier1.yml").read_text()
+trees = {p: ast.parse(p.read_text()) for p in package + others}
 
+
+def references(tree):
+    """``(name, line)`` of each name, attribute and imported name in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
+uses = {p: list(references(tree)) for p, tree in trees.items()}
 unused = set()
 for path in package:
-    for node in ast.parse("\n".join(texts[path])).body:
+    for node in trees[path].body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
             continue
-        word = re.compile(rf"\b{node.name}\b")
-        own = range(node.lineno - 1, node.end_lineno)
-        if not any(word.search(line) for p, lines in texts.items()
-                   for i, line in enumerate(lines) if not (p == path and i in own)):
+        own = range(node.lineno, node.end_lineno + 1)
+        in_code = any(name == node.name and not (p == path and line in own)
+                      for p, refs in uses.items() for name, line in refs)
+        if not in_code and not re.search(rf"\b{node.name}\b", workflow):
             unused.add(node.name)
 
 for name in sorted(unused - AWAITING_A_CALLER):

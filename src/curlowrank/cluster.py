@@ -4,7 +4,10 @@ Data columns drawn from a union of independent linear subspaces can be
 clustered from any exact CUR decomposition ``A = C U^+ R``: with
 ``Y = U^+ R`` and ``Q = |Y^T Y|``, cross-subspace entries of Q vanish, so
 the connected components of Q's support are the subspaces.  The labels are
-read from the support itself.  The paper's walk closure ``Q^D``, with D the
+read from the support itself, and Y need not be formed: any factor of
+Y's Gram matrix gives the same Q.  For an exact CUR of ``A = W S V^T``,
+``Q = |V (V_J^T V_J)^{-1} V^T|`` whatever the rows (Aldroubi, Hamm, Koku and
+Sekmen, 2019).  The paper's walk closure ``Q^D``, with D the
 largest subspace dimension, lies between the support and its transitive
 closure, so it has the same components and hence the same labels for every
 walk length.  Exact recovery is partition equality (:func:`same_partition`);
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cur import CurFactors
 from .errors import DomainError
 
 # Entries of Q below this fraction of its largest entry count as zero (rounding guard).
@@ -70,13 +72,14 @@ def subspace_factors(spec: SubspaceSpec, rngs) -> tuple:
     return p, np.stack([q_t[perm] for q_t, perm in zip(q, perms)]), labels[perms]
 
 
-def clustering_matrix(factors: CurFactors) -> np.ndarray:
-    """Boolean co-membership support of the coefficient Gram matrix of a CUR.
+def clustering_matrix(y) -> np.ndarray:
+    """Boolean co-membership support of the Gram matrix of the coefficients ``y`` of a CUR.
 
-    ``Q = |(U^+ R)^T (U^+ R)|`` is thresholded at ``SUPPORT_RTOL * max|Q|``
-    to guard rounding, and the diagonal is forced on.
+    ``y`` is ``U^+ R``, or any factor with the same Gram matrix, such as ``Z V^T``
+    where ``U^+ R = Q Z V^T`` with orthonormal columns in Q.  ``Q = |y^T y|`` is
+    thresholded at ``SUPPORT_RTOL * max|Q|`` to guard rounding, and the diagonal
+    is forced on.
     """
-    y = factors.U_pinv @ factors.R
     q = np.abs(y.T @ y)
     peak = float(q.max())
     support = q >= SUPPORT_RTOL * peak if peak > 0.0 else np.zeros_like(q, dtype=bool)

@@ -15,7 +15,9 @@ is that one used, so its roundoff never counts toward its rank.
 
 Spectral errors take ``||.||_2`` from :func:`~curlowrank.linalg.spectral_norm`,
 an eigensolve of the smaller Gram matrix that agrees with the SVD norm to
-within 1e-12 relative, so no m-by-n residual is factored.
+within 1e-12 relative, so no m-by-n residual is factored.  A CUR of a matrix
+held as its compact SVD is measured in that SVD's k-by-k core instead
+(:func:`_cores_of_a`), without extracting C, U or R.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .linalg import (
     COLS,
     ROWS,
     IndexSet,
-    SvdFactors,
     _norms,
+    _pinvs,
     _rank_pinv_cutoff,
     _take,
     as_matrix,
@@ -145,21 +147,41 @@ def relative_errors(a, factors: CurFactors) -> tuple:
     return _ratio(spectral_norm(resid), spectral_norm(a)), _relative(resid, a)
 
 
-def residual_norms(svd: SvdFactors, factors: CurFactors) -> tuple:
-    """``(||A - C U^+ R||_2, ||A - C U^+ R||_F)`` for a CUR of A, from A's compact SVD ``svd``.
+def _stacked(fn, mats, *args):
+    """``fn`` of each of ``mats`` and its item of each of ``args``: one call on their
+    stack if they share a shape, else one call each."""
+    if len({m.shape for m in mats}) == 1:
+        return fn(np.stack(mats), *args)
+    return [fn(m[None], *([arg[i]] for arg in args))[0] for i, m in enumerate(mats)]
 
-    The residual is ``W (S - S V_J^T U^+ W_I S) V^T`` for ``A = W S V^T``; its k-by-k middle
-    factor is grouped so that no product passes through ``S^2``.  Where ``svd`` is cut, the
-    part of A below its cutoff is left out.
+
+def _r_factors(x):
+    """The R factors of the stack ``x``: (T, min(d, k), k) for (T, d, k)."""
+    return np.linalg.qr(x, mode="r")
+
+
+def _cores_of_a(curs) -> list:
+    """``((||A - C U^+ R||_2, ||A - C U^+ R||_F), z)`` of each CUR of A in ``curs``.
+
+    ``curs`` holds ``(svd, rows, cols, tol)``: A's compact SVD ``A = W S V^T``, the
+    index sets, and the cutoff of ``U^+``, None for U's own.  ``U = (W_I S) V_J^T``
+    has the singular values of the core ``M = R_b R_v^T`` of the R factors of
+    ``W_I S`` and ``V_J``, so ``U^+ = Q_v M^+ Q_b^T``, the residual is
+    ``W (S - S R_v^T M^+ R_b) V^T`` (grouped so that no product passes through
+    ``S^2``; where ``svd`` is cut, the part of A below its cutoff is left out)
+    and ``U^+ R = Q_v z V^T`` with ``z = M^+ R_b``.  Each stage is one LAPACK
+    call on the stack of its matrices where their shapes agree.
     """
-    return _norms(_residual_core(svd, factors.I, factors.J, factors.U_pinv)[None])[0]
-
-
-def _residual_core(svd: SvdFactors, rows: IndexSet, cols: IndexSet, u_pinv) -> np.ndarray:
-    """The k-by-k middle factor of :func:`residual_norms` for the CUR of ``rows``, ``cols``."""
-    s = svd.singular_values
-    left = (s[:, None] * _take(svd.right.T, cols)) @ u_pinv
-    return np.diag(s) - left @ (_take(svd.left, rows) * s)
+    svds, rows, cols, tols = zip(*curs)
+    rb = _stacked(_r_factors, [np.take(f.left, i.indices, axis=0) * f.singular_values
+                               for f, i in zip(svds, rows)])
+    rv = _stacked(_r_factors, [np.take(f.right, j.indices, axis=0) for f, j in zip(svds, cols)])
+    shapes = [(len(i), len(j)) for i, j in zip(rows, cols)]
+    pinvs = _stacked(_pinvs, [b @ v.T for b, v in zip(rb, rv)], shapes, tols)
+    zs = [pinv @ b for (_, pinv, _), b in zip(pinvs, rb)]
+    middles = [np.diag(f.singular_values) - f.singular_values[:, None] * (v.T @ z)
+               for f, v, z in zip(svds, rv, zs)]
+    return list(zip(_stacked(_norms, middles), zs))
 
 
 def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL) -> CharacterizationReport:

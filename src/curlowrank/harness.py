@@ -3,11 +3,10 @@
 Every experiment kind runs through one trial loop, grid point by grid point,
 and a per-kind reducer writes the summary.  A grid point runs stage-major:
 all its trials enter the first stage, and each stage maps the live trials to
-the next.  The table kinds stack their small LAPACK calls, one per stage:
-every test matrix's factors are factored at once, each trial's dense stage
-then forms A, draws its indices and extracts U (a dominated noise trial
-drops out here), and a last stage takes every U's pseudoinverse and every
-residual core's norms; shapes that differ (under ``dedup``) loop inside it.
+the next.  Every kind stacks its small LAPACK calls, one per stage: every
+data matrix's factors are factored at once, each trial then draws its indices
+(a dominated noise trial drops out here), and a last stage measures every
+CUR of A in A's k-by-k core; shapes that differ (under ``dedup``) loop inside it.
 Each trial draws from its own Philox stream keyed by ``(master_seed,
 trial_index)``, in the order it would alone, and a stacked call gives each
 matrix the bits of a call on it alone, so trials are independent,
@@ -27,17 +26,17 @@ to hit a target condition number, ``sparsity`` zeroes a fraction of columns
 an i.i.d. Gaussian matrix rescaled so its spectral norm matches the requested
 level against ``||A||_2 = 1``.
 
-The table kinds keep A as its factors, take its spectrum and leverage scores
-from them and measure each CUR of A in A's k-by-k core; the dense A is formed
-only for the length weights, the submatrices and the noise floors.  The noisy
-CUR, drawn from ``A + E``, is not in A's row and column space, so its norms
-come from ``linalg.factored_norms`` of its thin factors.  The leverage scores
-of ``A + E`` come from the certified sketch of ``linalg.leading_bases`` and
-``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so the
-table kinds factor no m-by-n matrix at all, nor does the clustering kind,
-whose data comes as thin factors too.  No m-by-n array outlives a trial's
-dense stage, where the noisy CUR is also measured: what passes between
-stages is A's factors and compact SVD, the index sets and U.
+Every kind keeps A as its factors ``p @ q.T`` and takes its spectrum, its
+length weights and leverage scores and each CUR of A from them: U, its
+pseudoinverse, the residual and the clustering kind's coefficients all live
+in A's k-by-k core (``cur._cores_of_a``), so no C, U or R is extracted.  Only
+the noise trial forms m-by-n arrays: A and ``A + E``, which it draws from.  Its
+noisy CUR is not in A's row and column space, so its norms come from
+``linalg.factored_norms`` of its thin factors; the leverage scores of
+``A + E`` come from the certified sketch of ``linalg.leading_bases`` and
+``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so no
+kind factors an m-by-n matrix.  What passes between stages is A's factors
+and compact SVD and the index sets.
 """
 
 from __future__ import annotations
@@ -55,11 +54,10 @@ from .cluster import (
     same_partition,
     subspace_factors,
 )
-from .cur import (EXACTNESS_TOL, _residual_core, _submatrices, build_cur, randomized_cur,
-                  residual_norms)
+from .cur import EXACTNESS_TOL, _cores_of_a, randomized_cur
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import _EPS, _norms, _rank_pinv_cutoff, factored_norms, factored_svd
+from .linalg import _EPS, factored_norms, factored_svd
 from .sampling import (
     LENGTH,
     SCHEMES,
@@ -327,14 +325,13 @@ def _test_matrices(cfg, trials):
     return list(zip(p, q, factored_svd(p, q)))
 
 
-# The dense stage of each table kind forms A = p @ q.T and leaves (svd, rows, cols, U,
-# norms): A's SVD, the drawn index sets, U = A(I, J), and the absolute norms of the
-# row's own CUR if it is not the CUR of A, else None; no m-by-n array outlives it.
+# The per-trial stage of each kind leaves (svd, rows, cols, tail): A's SVD, the drawn
+# index sets, and for the noise trial the absolute norms of its own noisy CUR, for the
+# clustering trial its true labels, else None.
 def _success_trial(cfg, d, rng, state):
     p, q, f = state
-    a = p @ q.T
-    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, cfg.k, f), d, d, rng, cfg.dedup)
-    return f, rows, cols, _submatrices(a, rows, cols)[2], None
+    dists = axis_dists((p, q), cfg.scheme, cfg.k, f)
+    return (f, *draw_indices(*dists, d, d, rng, cfg.dedup), None)
 
 
 def _noise_trial(cfg, d, rng, state):
@@ -363,39 +360,12 @@ def _noise_trial(cfg, d, rng, state):
     dists = length if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k)
     noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
     norms = factored_norms(np.hstack([p, noisy.C]), np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
-    return f, noisy.I, noisy.J, _submatrices(a, noisy.I, noisy.J)[2], norms
+    return f, noisy.I, noisy.J, norms
 
 
 def _deim_trial(cfg, d, rng, state):
-    p, q, f = state
-    a = p @ q.T
-    rows, cols = _deim_indices(a, cfg.k, None, f)
-    return f, rows, cols, _submatrices(a, rows, cols)[2], None
-
-
-def _stacked(fn, mats):
-    """``fn`` of each of ``mats``: one call on their stack if they share a shape, else one each."""
-    if len({m.shape for m in mats}) == 1:
-        return fn(np.stack(mats))
-    return [fn(m[None])[0] for m in mats]
-
-
-def _measure(cfg, trials):
-    """Each table trial's CUR of A measured in A's k-by-k core.
-
-    ``U^+`` is cut at U's own cutoff.  Success is ``rel_err_F <= tol``; a row whose
-    dense stage measured its own CUR (the noise trial's) prints those norms over A's.
-    """
-    states = [t.state for t in trials]
-    pinvs = _stacked(_rank_pinv_cutoff, [u for _, _, _, u, _ in states])
-    cores = [_residual_core(f, rows, cols, u_pinv)
-             for (f, rows, cols, _, _), (_, u_pinv, _) in zip(states, pinvs)]
-    outcomes = []
-    for (f, *_, norms), (err_2, err_f) in zip(states, _stacked(_norms, cores)):
-        s_1, norm_f = float(f.singular_values[0]), f.frobenius_norm()
-        row_2, row_f = norms or (err_2, err_f)
-        outcomes.append((err_f / norm_f <= cfg.tol, row_2 / s_1, row_f / norm_f))
-    return outcomes
+    f = state[2]
+    return (f, *_deim_indices(None, cfg.k, None, f), None)
 
 
 def _subspace_data(cfg, trials):
@@ -406,19 +376,36 @@ def _subspace_data(cfg, trials):
 
 
 def _clustering_trial(cfg, d, rng, state):
-    """Cluster from the CUR of the distinct drawn indices; success is exact recovery.
-
-    ``U^+`` is cut at A's cutoff: U's own would keep the roundoff singular value
-    of a near-singular U.  Measured in A's core, the CUR is exact when ``rel_err_F <= tol``.
-    """
+    """Draw a CUR of distinct indices: neither exactness nor the clusters depend on repeats."""
     p, q, truth, f = state
-    a = p @ q.T
-    rows, cols = draw_indices(*axis_dists(a, cfg.scheme, q.shape[1], f), d, d, rng, dedup=True)
-    factors = build_cur(a, rows, cols, f.tolerance_used)
-    err_2, err_f = residual_norms(f, factors)
-    rel_2, rel_f = err_2 / float(f.singular_values[0]), err_f / f.frobenius_norm()
-    pred = labels_from_clustering_matrix(clustering_matrix(factors))
-    return same_partition(pred, truth), rel_2, rel_f
+    dists = axis_dists((p, q), cfg.scheme, q.shape[1], f)
+    return (f, *draw_indices(*dists, d, d, rng, dedup=True), truth)
+
+
+def _measure(cfg, trials):
+    """Each trial's CSV row, from its CUR of A measured in A's k-by-k core.
+
+    ``U^+`` is cut at U's own cutoff in the table kinds, and at A's in the
+    clustering kind, where U's own would keep the roundoff singular value of a
+    near-singular U.  A CUR is exact when ``rel_err_F <= tol``: that is a table
+    row's success, and a row whose trial measured its own CUR (the noise
+    trial's) prints those norms over A's.  A clustering row's success is exact
+    recovery of the partition from the support of ``|(U^+ R)^T (U^+ R)|``.
+    """
+    states = [t.state for t in trials]
+    clustering = cfg.kind == "clustering"
+    measured = _cores_of_a([(f, rows, cols, f.tolerance_used if clustering else None)
+                            for f, rows, cols, _ in states])
+    outcomes = []
+    for (f, _, _, tail), ((err_2, err_f), z) in zip(states, measured):
+        s_1, norm_f = float(f.singular_values[0]), f.frobenius_norm()
+        if clustering:
+            pred = labels_from_clustering_matrix(clustering_matrix(z @ f.right.T))
+            outcomes.append((same_partition(pred, tail), err_2 / s_1, err_f / norm_f))
+        else:
+            row_2, row_f = tail or (err_2, err_f)
+            outcomes.append((err_f / norm_f <= cfg.tol, row_2 / s_1, row_f / norm_f))
+    return outcomes
 
 
 # Each reducer maps the run's (d, first_trial, records) per grid point to the summary,
@@ -479,7 +466,7 @@ _KINDS = {
     "success_prob": ((_test_matrices, _success_trial, _measure), _success_summary),
     "noise_stability": ((_test_matrices, _noise_trial, _measure), _noise_summary),
     "deim_check": ((_test_matrices, _deim_trial, _measure), _deim_summary),
-    "clustering": ((_subspace_data, _clustering_trial), _clustering_summary),
+    "clustering": ((_subspace_data, _clustering_trial, _measure), _clustering_summary),
 }
 _STACKED = (_test_matrices, _measure, _subspace_data)
 

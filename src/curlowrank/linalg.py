@@ -152,11 +152,11 @@ def _compact_svd(a, tol) -> SvdFactors:
 
 
 def _as_stack(a) -> np.ndarray:
-    """``a`` validated by :func:`as_matrix`: a stack of matrices, or a matrix given a stack axis."""
+    """The stack of matrices ``a``, each matrix validated by :func:`as_matrix`."""
     a = np.asarray(a)
-    if a.ndim == 3:
-        return as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape)
-    return as_matrix(a)[None]
+    if a.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
+    return as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape)
 
 
 def _core(rp, rq):
@@ -167,25 +167,28 @@ def _core(rp, rq):
     return core, sp + sq
 
 
-def factored_svd(p, q):
-    """Compact SVD of ``p @ q.T`` from thin QRs of the factors and an SVD of their core.
+def factored_svd(p, q) -> list:
+    """The compact SVD of each product ``p[t] @ q[t].T`` of the stacks ``p``, ``q``.
 
-    The cutoff and sign convention are :func:`compact_svd`'s for the m-by-n
-    product; ``all_singular_values`` is padded with zeros to length min(m, n).
-    Stacks ``p`` of shape (T, m, k) and ``q`` of shape (T, n, k) give the list
-    of the T products' SVDs, from one QR of each stack and one SVD of the cores.
+    ``p`` is (T, m, k) and ``q`` (T, n, k): one QR of each stack and one SVD of
+    the T small cores ``R_p @ R_q.T`` (Halko, Martinsson and Tropp).  The
+    cutoff and sign convention are :func:`compact_svd`'s for the m-by-n product;
+    ``all_singular_values`` is padded with zeros to length min(m, n).  A zero row
+    of a factor, a zero row or column of the product, gives an exactly zero row of
+    ``left`` or ``right``, as it gives an exactly zero row or column of any
+    submatrix, where the QR's roundoff would leave about 1e-17.
     """
-    single = np.ndim(p) == 2
     p, q = _as_stack(p), _as_stack(q)
     qp, rp = np.linalg.qr(p)
     qq, rq = np.linalg.qr(q)
+    qp[~p.any(axis=2)] = 0.0
+    qq[~q.any(axis=2)] = 0.0
     core, shift = _core(rp, rq)
     w, s, vt = np.linalg.svd(core, full_matrices=False)
     shape = (p.shape[1], q.shape[1])
     pad = np.zeros(min(shape) - s.shape[1])
-    out = [_truncated(left, np.concatenate([np.ldexp(s_i, -j), pad]), right, shape, None)
-           for left, s_i, right, j in zip(qp @ w, s, vt @ np.swapaxes(qq, 1, 2), shift)]
-    return out[0] if single else out
+    return [_truncated(left, np.concatenate([np.ldexp(s_i, -j), pad]), right, shape, None)
+            for left, s_i, right, j in zip(qp @ w, s, vt @ np.swapaxes(qq, 1, 2), shift)]
 
 
 def factored_norms(p, q) -> tuple:
@@ -259,14 +262,16 @@ def leading_bases(a, k, tol=None, svd=None) -> tuple:
     """``(left, right)``: the top-``k`` left and right singular vectors of ``a``.
 
     They come from ``svd``, the caller's :class:`SvdFactors` of ``a``, when
-    given; else from :func:`_leading_svd` when ``tol`` is None and the sketch
-    certifies; else from :func:`compact_svd` of ``a`` at ``tol``.  A ``k``
-    outside ``1..min(m, n)`` is a DomainError; a ``k`` within it that
-    exceeds the numerical rank of that SVD is a RankDeficientError.
+    given, and ``a`` is then not read (it may be None); else from
+    :func:`_leading_svd` when ``tol`` is None and the sketch certifies; else
+    from :func:`compact_svd` of ``a`` at ``tol``.  A ``k`` outside
+    ``1..min(m, n)`` is a DomainError; a ``k`` within it that exceeds the
+    numerical rank of that SVD is a RankDeficientError.
     """
     a = as_matrix(a) if svd is None else a
-    if not 1 <= k <= min(np.shape(a)):
-        raise DomainError(f"need 1 <= k <= {min(np.shape(a))}, got k={k}")
+    size = min(a.shape if svd is None else (len(svd.left), len(svd.right)))
+    if not 1 <= k <= size:
+        raise DomainError(f"need 1 <= k <= {size}, got k={k}")
     sketch = _leading_svd(a, k) if svd is None and tol is None else None
     if sketch is not None:
         return sketch[0], sketch[2]
@@ -300,18 +305,28 @@ def singular_values(a) -> np.ndarray:
 
 
 def _rank_pinv_cutoff(a, tol=None, floor=0.0):
-    """``(rank, pinv, cutoff)`` from one SVD of the validated ``a``; for a stack of
-    matrices, the list of each one's, from one SVD of the stack.
+    """``(rank, pinv, cutoff)`` from one SVD of the validated matrix ``a``.
 
     Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
     The pinv needs no sign convention: each term pairs a vector with its own sign.
     """
-    w, s, vt = np.linalg.svd(a, full_matrices=False)
-    out = []
-    for w_i, s_i, vt_i in zip(w, s, vt) if a.ndim > 2 else [(w, s, vt)]:
-        rank, cutoff = rank_cutoff(s_i, a.shape[-2:], tol, floor)
-        out.append((rank, (vt_i[:rank].T / s_i[:rank]) @ w_i[:, :rank].T, cutoff))
-    return out if a.ndim > 2 else out[0]
+    return _cut_pinv(*np.linalg.svd(a, full_matrices=False), a.shape, tol, floor)
+
+
+def _pinvs(a, shapes, tols) -> list:
+    """:func:`_rank_pinv_cutoff` of each matrix of the stack ``a``, from one SVD of the stack.
+
+    Each is cut at :func:`rank_cutoff` of its own ``shape`` and ``tol``, so a small
+    matrix can stand for a larger one with the same nonzero singular values.
+    """
+    return [_cut_pinv(w, s, vt, shape, tol)
+            for w, s, vt, shape, tol in zip(*np.linalg.svd(a, full_matrices=False), shapes, tols)]
+
+
+def _cut_pinv(w, s, vt, shape, tol, floor=0.0) -> tuple:
+    """``(rank, pinv, cutoff)`` of a matrix of ``shape`` from its thin SVD ``w, s, vt``."""
+    rank, cutoff = rank_cutoff(s, shape, tol, floor)
+    return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff
 
 
 def _unit_shift(a) -> int:

@@ -2,7 +2,8 @@
 
 Uniform, squared-length and rank-k leverage distributions each have one
 builder, :func:`axis_dists`, which gives both axes at once; the squared
-lengths of both axes come from one square of the scaled matrix.  Draws are
+lengths of both axes come from one square of the scaled matrix, or, for a
+matrix held as thin factors, from the factors and its SVD.  Draws are
 i.i.d. with replacement through an inverse-CDF lookup (binary search on the
 cumulative weight vector), so a fixed ``numpy.random.Generator`` state
 reproduces the same index multiset byte for byte.  Zero-weight indices are
@@ -45,6 +46,7 @@ from .linalg import (
     _unit_shift,
     as_matrix,
     condition_number,
+    factored_svd,
     leading_bases,
     unit_scaled,
 )
@@ -99,10 +101,28 @@ def _length_pass(a) -> tuple:
     """
     sq = a * a
     rows, cols = sq.sum(axis=1), sq.sum(axis=0)
-    total = float(rows.sum())
-    if total == 0.0:
+    return (rows, cols), _length_weights(rows, cols)
+
+
+def _length_weights(rows, cols) -> tuple:
+    """The squared lengths of each axis over their own sum; the zero matrix is rejected."""
+    if not rows.any():
         raise ZeroMatrixError("length distribution of the zero matrix is undefined")
-    return (rows, cols), (rows / total, cols / float(cols.sum()))
+    return rows / float(rows.sum()), cols / float(cols.sum())
+
+
+def _factored_lengths(p, q, svd) -> tuple:
+    """The squared row and column lengths of ``p @ q.T``, each axis at its own scale.
+
+    ``svd = W S V^T`` is the product's compact SVD, whose W and V span the
+    ranges of p and q: row i has the length of ``p_i (q^T V)`` and column j
+    that of ``q_j (p^T W)``, with no LAPACK call.  Each is formed from
+    unit-scaled factors, so no square over- or underflows, and a zero row of
+    ``q`` gives a column of length exactly 0.0.
+    """
+    p, q = unit_scaled(p), unit_scaled(q)
+    return tuple(np.sum((x @ (y.T @ basis)) ** 2, axis=1)
+                 for x, y, basis in ((p, q, svd.right), (q, p, svd.left)))
 
 
 def _on_axis(dists, axis) -> ProbDist:
@@ -133,18 +153,30 @@ def leverage_dist(a, k, axis) -> ProbDist:
 def axis_dists(a, scheme, k=None, svd=None) -> tuple:
     """Row and column distributions of one scheme from :data:`SCHEMES`.
 
+    ``a`` is a matrix, or a pair ``(p, q)`` of thin factors of ``a = p @ q.T``,
+    which is then not formed: its length weights come from
+    :func:`_factored_lengths` of ``svd``, or of :func:`~curlowrank.linalg.factored_svd`
+    of the pair, within 1e-14 of the largest dense weight.
     Leverage scores need the truncation rank ``k``; without it a
     DomainError is raised.  Both leverage axes come from one factorization of
     ``a``, the :func:`~curlowrank.linalg.leading_bases` of ``a`` and ``svd``,
     the caller's :class:`~curlowrank.linalg.SvdFactors` of ``a`` if it holds one.
     """
-    if scheme == UNIFORM:
-        return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
-    if scheme == LENGTH:
-        rows, cols = _length_pass(unit_scaled(a))[1]
-        return ProbDist(rows, ROWS, LENGTH), ProbDist(cols, COLS, LENGTH)
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    factored = isinstance(a, tuple)
+    if scheme == UNIFORM:
+        m, n = (len(a[0]), len(a[1])) if factored else a.shape
+        return uniform_dist(m, ROWS), uniform_dist(n, COLS)
+    if factored:
+        (p, q), a = a, None
+        svd = factored_svd(p[None], q[None])[0] if svd is None else svd
+    if scheme == LENGTH:
+        if factored:
+            rows, cols = _length_weights(*_factored_lengths(p, q, svd))
+        else:
+            rows, cols = _length_pass(unit_scaled(a))[1]
+        return ProbDist(rows, ROWS, LENGTH), ProbDist(cols, COLS, LENGTH)
     if k is None or k < 1:
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
     left, right = leading_bases(a, k, svd=svd)

@@ -79,7 +79,7 @@ class TestClusteringMatrix:
     def test_single_subspace_all_ones(self):
         a, _ = union_of_subspaces(SubspaceSpec(6, (2,), (7,)), trial_generator(4, 0))
         f = build_cur(a, IndexSet(range(6), ROWS), IndexSet(range(7), COLS))
-        w = clustering_matrix(f)
+        w = clustering_matrix(f.U_pinv @ f.R)
         assert w.dtype == bool
         assert np.all(w)
 
@@ -92,7 +92,7 @@ class TestClusteringMatrix:
             [0.0, 0.0, 0.0, 0.0, 0.0],
         ])
         f = build_cur(a, IndexSet([0, 2], ROWS), IndexSet([0, 3], COLS))
-        w = clustering_matrix(f)
+        w = clustering_matrix(f.U_pinv @ f.R)
         expected = np.zeros((5, 5), dtype=bool)
         expected[:3, :3] = True
         expected[3:, 3:] = True
@@ -102,8 +102,8 @@ class TestClusteringMatrix:
         spec = SubspaceSpec(6, (1, 2), (3, 4))
         a, _ = union_of_subspaces(spec, trial_generator(5, 0))
         f = build_cur(a, IndexSet(range(6), ROWS), IndexSet(range(7), COLS))
-        w = walk_closure(clustering_matrix(f), max(spec.dims))
         y = f.U_pinv @ f.R
+        w = walk_closure(clustering_matrix(y), max(spec.dims))
         q = np.abs(y.T @ y)
         q[q < 1e-10 * q.max()] = 0.0
         numeric = np.linalg.matrix_power(q + np.eye(7) * q.max(), max(spec.dims))
@@ -113,7 +113,7 @@ class TestClusteringMatrix:
         spec = SubspaceSpec(10, (2, 3), (6, 7))
         a, _ = union_of_subspaces(spec, trial_generator(8, 0))
         f = build_cur(a, IndexSet(range(10), ROWS), IndexSet(range(13), COLS))
-        w = clustering_matrix(f)
+        w = clustering_matrix(f.U_pinv @ f.R)
         np.testing.assert_array_equal(w, w.T)
         assert np.all(np.diag(w))
 
@@ -123,8 +123,9 @@ class TestClusteringMatrix:
         a, _ = union_of_subspaces(spec, rng)
         perm = rng.permutation(11)
         full_rows, full_cols = IndexSet(range(9), ROWS), IndexSet(range(11), COLS)
-        w = clustering_matrix(build_cur(a, full_rows, full_cols))
-        w_perm = clustering_matrix(build_cur(a[:, perm], full_rows, full_cols))
+        f, f_perm = build_cur(a, full_rows, full_cols), build_cur(a[:, perm], full_rows, full_cols)
+        w = clustering_matrix(f.U_pinv @ f.R)
+        w_perm = clustering_matrix(f_perm.U_pinv @ f_perm.R)
         np.testing.assert_array_equal(w_perm, w[np.ix_(perm, perm)])
 
 
@@ -301,7 +302,7 @@ def test_labels_do_not_depend_on_walk_length(spec, seed, draws):
     rng = trial_generator(seed, 0)
     a, _ = union_of_subspaces(spec, rng)
     f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), draws, draws, rng)
-    support = clustering_matrix(f)
+    support = clustering_matrix(f.U_pinv @ f.R)
     want = labels_from_clustering_matrix(support)
     for d in range(2, max(spec.dims) + 1):
         got = labels_from_clustering_matrix(walk_closure(support, d))
@@ -333,7 +334,7 @@ class TestEndToEnd:
             if not report.all_hold:
                 continue
             exact_seen += 1
-            pred = labels_from_clustering_matrix(clustering_matrix(f))
+            pred = labels_from_clustering_matrix(clustering_matrix(f.U_pinv @ f.R))
             assert same_partition(pred, truth)
         assert exact_seen >= 25
 
@@ -351,5 +352,5 @@ class TestEndToEnd:
                            20, 20, rng)
         report = verify_characterization(lifted, f.I, f.J)
         assert report.all_hold
-        pred = labels_from_clustering_matrix(clustering_matrix(f))
+        pred = labels_from_clustering_matrix(clustering_matrix(f.U_pinv @ f.R))
         assert same_partition(pred, truth)

@@ -5,11 +5,11 @@ import pytest
 
 from curlowrank.cur import (
     CurFactors,
+    _cores_of_a,
     approx_error,
     build_cur,
     randomized_cur,
     relative_errors,
-    residual_norms,
     verify_characterization,
 )
 from curlowrank.harness import trial_generator
@@ -221,15 +221,52 @@ class TestRelativeErrors:
 
 
 class TestResidualNorms:
+    # too few columns; every column but two distinct rows, so U has rank 2; every index
+    INDEX_SETS = (((0, 3, 3, 9), (1, 2, 7)), ((5, 5, 6, 6, 6), range(20)), (range(30), range(20)))
+
     def test_match_the_dense_residual(self, rng):
         p, q = rng.standard_normal((30, 4)), rng.standard_normal((20, 4))
         a = p @ q.T
-        svd = factored_svd(p, q)
-        # too few columns; every column but two distinct rows, so U has rank 2; every index
-        for rows, cols in (((0, 3, 3, 9), (1, 2, 7)), ((5, 5, 6, 6, 6), range(20)),
-                           (range(30), range(20))):
-            f = build_cur(a, IndexSet(rows, ROWS), IndexSet(cols, COLS))
+        [svd] = factored_svd(p[None], q[None])
+        for rows, cols in self.INDEX_SETS:
+            rows, cols = IndexSet(rows, ROWS), IndexSet(cols, COLS)
+            f = build_cur(a, rows, cols)
             resid = a - f.approximation()
-            np.testing.assert_allclose(residual_norms(svd, f),
-                                       (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
+            [(norms, z)] = _cores_of_a([(svd, rows, cols, None)])
+            np.testing.assert_allclose(norms, (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
                                        rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2))
+            # U^+ R = Q_v z V^T, so z V^T has the Gram matrix of U^+ R
+            y, y_core = f.U_pinv @ f.R, z @ svd.right.T
+            np.testing.assert_allclose(y_core.T @ y_core, y.T @ y,
+                                       rtol=0, atol=1e-12 * np.linalg.norm(y, 2) ** 2)
+
+    def test_u_pinv_is_cut_at_the_given_cutoff_or_at_u_own(self, rng):
+        # sigma_2(A) = 1e-9: U's own cutoff keeps it, a cutoff of 1e-6 drops it
+        p = np.linalg.qr(rng.standard_normal((30, 2)))[0] * [1.0, 1e-9]
+        q = np.linalg.qr(rng.standard_normal((20, 2)))[0]
+        a = p @ q.T
+        [svd] = factored_svd(p[None], q[None])
+        rows, cols = IndexSet(range(0, 30, 3), ROWS), IndexSet(range(0, 20, 2), COLS)
+        [(kept, _)], [(dropped, _)] = (_cores_of_a([(svd, rows, cols, tol)])
+                                       for tol in (None, 1e-6))
+        resid = a - build_cur(a, rows, cols, 1e-6).approximation()
+        np.testing.assert_allclose(dropped, (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
+                                   rtol=1e-6)
+        assert dropped[1] > 1e-10
+        # the CUR that keeps sigma_2 is exact; in the core its residual is at the
+        # roundoff of the factors, where the dense one, amplified by 1/sigma_2(U), is 2e-8
+        assert kept[1] < 1e-15
+
+    def test_a_stack_gives_each_cur_its_own_bits(self, rng):
+        # one call per stage on the stack where shapes agree, one each where they do not
+        p, q = rng.standard_normal((2, 30, 4)), rng.standard_normal((2, 20, 4))
+        svds = factored_svd(p, q)
+        curs = [(svd, IndexSet(rows, ROWS), IndexSet(cols, COLS), tol)
+                for svd, (rows, cols) in zip(svds * 3, self.INDEX_SETS * 2)
+                for tol in (None, svd.tolerance_used)]
+        together = _cores_of_a(curs)
+        alone = [_cores_of_a([cur])[0] for cur in curs]
+        for (norms, z), (norms_1, z_1) in zip(together, alone):
+            assert norms == norms_1 and z.tobytes() == z_1.tobytes()
+        same = [cur for cur in curs if len(cur[1]) == 4 and len(cur[2]) == 3]
+        assert [_cores_of_a([cur])[0][0] for cur in same] == [n for n, _ in _cores_of_a(same)]

@@ -35,17 +35,17 @@ CASES = {
     "success_length": (
         dict(kind="success_prob", m=50, n=40, k=4, scheme="length", d_grid=(4, 8), trials=12,
              master_seed=301),
-        "a34e4f04a6390b11d512745c1a8783ed5f20ac6ec4250ff96df202b2f20b172c",
+        "11b922b8eeea44c488e3e3ed3c2875ef84c55b3caa38f88533e6002fba8dd2a4",
     ),
     "success_leverage_kappa": (
         dict(kind="success_prob", m=40, n=30, k=3, scheme="leverage", kappa=50.0, d_grid=(4,),
              trials=10, master_seed=302),
-        "285ac673774fd34a1ecf71ba308443d91ce445e0d0e302a4eb2a8c41978ad879",
+        "d992f7a128e31ffbbda59abf10da0333375268c770eef4eeb9e02156828dd7f0",
     ),
     "success_uniform_sparse_dedup": (
         dict(kind="success_prob", m=30, n=40, k=3, scheme="uniform", sparsity=0.5, dedup=True,
              d_grid=(6,), trials=10, master_seed=303),
-        "77d1b9212c939e6c72aae8e9c1f8f141a64d04faf701888cea0b3d465216c6ae",
+        "0e4b52d670567c46afd579f30b375331ca63d6b5e85c66a2fd9cefb99f3c4508",
     ),
     "noise_two_points": (
         dict(kind="noise_stability", m=12, n=10, k=3, sigma=0.1, scheme="length",
@@ -54,12 +54,12 @@ CASES = {
     ),
     "deim": (
         dict(kind="deim_check", m=50, n=40, k=4, trials=8, master_seed=305),
-        "dfaa996d33a1a6407d6f60d903356c5c803dcd0f688667f633250a98052e53bd",
+        "5673f6e6ef6f1a886f925c9a34e0a36fa94c7b6452f8b61b7ac4589daf0c3f92",
     ),
     "clustering": (
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
              d_grid=(16,), trials=8, master_seed=306),
-        "e0df3667c71d33ec81f79538b20f212738b40d38f1ae25691e4c3ca558afff42",
+        "efc0fb96e70e22ce033af46d97a981b7f378ae0f1e1aa16c8d71b59828bcf9f2",
     ),
 }
 
@@ -147,7 +147,7 @@ def test_cli_experiment_config_digest(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_experiment_config"]
-    assert sha(out) == "7ea535fec86d3e0ccab8c35fbc9b60c7f90d6898eb65c52745007c49fbca1b48"
+    assert sha(out) == "3e248f3f66ad60551792b0b1bb5193ff4f581e6bc9d000795f816da66234e232"
 
 
 def test_cli_cluster_spec_digest(tmp_path, capsys):
@@ -157,7 +157,7 @@ def test_cli_cluster_spec_digest(tmp_path, capsys):
     assert cli_main(["cluster", "--spec", str(spec), "--d", "10", "--trials", "6",
                      "--out", str(out)]) == 0
     assert flag_sha(out) == FLAG_DIGESTS["cli_cluster_spec"]
-    assert sha(out) == "e8f84248cecb2bea0086d4ed3453a560a751599e517daff91efa97d4cffd4fa9"
+    assert sha(out) == "b456b1cbd9b40c4b9e63271a4b441b6ce13f7cd6e74b8e72c617415c9199d9dd"
 
 
 # sha256 of the generated data matrix's bytes and of its labels' bytes; the second

@@ -329,15 +329,23 @@ class TestNoiseExperiment:
 
     @pytest.mark.parametrize("sigma", [1e-3, 0.1])
     def test_success_is_exactness_of_the_clean_cur(self, sigma, monkeypatch):
-        # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1
-        clean = []
-        real = harness._submatrices
+        # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1;
+        # the clean A is the one whose floors were taken, the indices the noisy CUR's
+        clean, cleans = [], []
+        floors, cur = harness._noisy_floors, harness.randomized_cur
 
-        def recording(a, rows, cols):
-            clean.append((a, rows, cols))
-            return real(a, rows, cols)
+        def recording_floors(a, e):
+            out = floors(a, e)
+            cleans.append(a.copy())
+            return out
 
-        monkeypatch.setattr(harness, "_submatrices", recording)
+        def recording_cur(*args, **kwargs):
+            noisy = cur(*args, **kwargs)
+            clean.append((cleans[-1], noisy.I, noisy.J))
+            return noisy
+
+        monkeypatch.setattr(harness, "_noisy_floors", recording_floors)
+        monkeypatch.setattr(harness, "randomized_cur", recording_cur)
         flags = []
         for seed in range(3):
             clean.clear()
@@ -447,6 +455,34 @@ class TestClusteringExperiment:
         records, summary = run_experiment(cfg)
         assert all(r.success for r in records)
         assert summary["groups"][0]["success_rate"] == 1.0
+
+
+# One small grid point of each kind, for the cutoff pin below.
+EVERY_KIND = {
+    "success_prob": dict(kind="success_prob", m=20, n=16, k=3, d_grid=(8,), dedup=True),
+    "noise_stability": dict(kind="noise_stability", m=20, n=16, k=3, sigma=1e-3, d_grid=(8,)),
+    "deim_check": dict(kind="deim_check", m=20, n=16, k=3),
+    "clustering": dict(kind="clustering", m=12, dims=(2, 3), points=(6, 6), d_grid=(12,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_each_kind_cuts_u_pinv_at_its_own_cutoff(kind, monkeypatch):
+    # the table kinds at U's own cutoff (None), the clustering kind at A's
+    cutoffs = []
+    real = harness._cores_of_a
+
+    def recording(curs):
+        cutoffs.extend((tol, f.tolerance_used) for f, _, _, tol in curs)
+        return real(curs)
+
+    monkeypatch.setattr(harness, "_cores_of_a", recording)
+    records, _ = run_experiment(ExperimentConfig(trials=4, **EVERY_KIND[kind]))
+    assert len(cutoffs) == len(records) > 0
+    if kind == "clustering":
+        assert all(tol == a_tol for tol, a_tol in cutoffs)
+    else:
+        assert all(tol is None for tol, _ in cutoffs)
 
 
 class TestEmitCsv:

@@ -83,10 +83,15 @@ class TestCompactSvd:
             as_matrix([[np.inf], [0.0]])
 
 
+def _factored(p, q):
+    """:func:`factored_svd` of the one product ``p @ q.T``, through a stack of one."""
+    return factored_svd(p[None], q[None])[0]
+
+
 class TestFactoredSvd:
     def test_matches_compact_svd_of_the_product(self, rng):
         p, q = rng.standard_normal((40, 5)), rng.standard_normal((30, 5))
-        f, dense = factored_svd(p, q), compact_svd(p @ q.T)
+        f, dense = _factored(p, q), compact_svd(p @ q.T)
         assert f.numerical_rank == dense.numerical_rank == 5
         assert f.all_singular_values.shape == (30,) and not np.any(f.all_singular_values[5:])
         np.testing.assert_allclose(f.singular_values, dense.singular_values, rtol=1e-13)
@@ -99,21 +104,35 @@ class TestFactoredSvd:
     def test_rank_deficient_factors(self, rng):
         p, q = rng.standard_normal((12, 3)), rng.standard_normal((9, 3))
         p[:, 2] = p[:, 0] + p[:, 1]
-        assert factored_svd(p, q).numerical_rank == 2
+        assert _factored(p, q).numerical_rank == 2
 
     def test_wide_factors_give_the_product_rank(self, rng):
         p, q = rng.standard_normal((4, 6)), rng.standard_normal((3, 6))
-        f = factored_svd(p, q)
+        f = _factored(p, q)
         assert f.numerical_rank == 3 and f.all_singular_values.shape == (3,)
 
     def test_zero_product_rejected(self, rng):
         with pytest.raises(ZeroMatrixError):
-            factored_svd(np.zeros((5, 2)), rng.standard_normal((4, 2)))
+            _factored(np.zeros((5, 2)), rng.standard_normal((4, 2)))
         assert factored_norms(np.zeros((5, 2)), rng.standard_normal((4, 2))) == (0.0, 0.0)
 
     def test_column_counts_must_agree(self, rng):
         with pytest.raises(ValueError):
-            factored_svd(rng.standard_normal((5, 2)), rng.standard_normal((4, 3)))
+            _factored(rng.standard_normal((5, 2)), rng.standard_normal((4, 3)))
+
+    def test_takes_only_stacks(self, rng):
+        with pytest.raises(ValueError, match="stack"):
+            factored_svd(rng.standard_normal((5, 2)), rng.standard_normal((4, 2)))
+
+    def test_zero_rows_of_a_factor_give_exactly_zero_singular_vector_rows(self, rng):
+        # so a CUR measured in the core sees the exact zeros that the submatrices hold
+        p, q = rng.standard_normal((3, 12, 3)), rng.standard_normal((3, 9, 3))
+        p[0, [1, 5]] = 0.0
+        q[:, [0, 4, 8]] = 0.0
+        for t, f in enumerate(factored_svd(p, q)):
+            assert not f.left[~p[t].any(axis=1)].any() and not f.right[[0, 4, 8]].any()
+            assert np.all(np.abs(f.left[p[t].any(axis=1)]).sum(axis=1) > 0.0)
+            assert np.all(np.abs(f.right[q[t].any(axis=1)]).sum(axis=1) > 0.0)
 
     def test_norms_match_the_dense_ones(self, rng):
         p, q = rng.standard_normal((25, 6)), rng.standard_normal((18, 6))
@@ -125,7 +144,7 @@ class TestFactoredSvd:
     def test_factors_at_opposite_extreme_scales(self, rng, j):
         # each factor lies near an end of the range; their product does not
         p, q = rng.standard_normal((10, 3)), rng.standard_normal((8, 3))
-        f = factored_svd(np.ldexp(p, j), np.ldexp(q, -j))
+        f = _factored(np.ldexp(p, j), np.ldexp(q, -j))
         np.testing.assert_allclose(f.singular_values, compact_svd(p @ q.T).singular_values,
                                    rtol=1e-13)
 

@@ -1,5 +1,5 @@
 """Properties over generated rank-k inputs: scale and permutation invariance,
-the verifier's verdicts, and the factored SVD and residual norms.
+the verifier's verdicts, the factored SVD and residual norms, and the trials.
 
 Inputs are rank-k Gaussian-factor matrices, the same with one row blown up
 by 1e3 ("spiky"), or with a zero row and a zero column; index sets are drawn
@@ -16,13 +16,17 @@ the same shapes at sizes where the sketch applies, for the scores of the
 caller's SVD, the sketch and the dense fallback.  Union-of-subspaces
 specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
 the generated data and of its factors, which the generator itself does not
-check, the clustering trial's exactness flag to the verifier's unanimous
-verdicts, and its flags and errors to those of the dense residual.  The
+check, and the clustering trial's exactness flag to the verifier's unanimous
+verdicts.  The success, DEIM and clustering trials, which measure each CUR
+in A's k-by-k core, keep the flags and errors of the dense path (``build_cur``
+and the m-by-n residual) for every scheme, kappa up to 1e6, sparsity 0.5, and
+fewer distinct draws than the rank.  The
 rescaled samples of the uniform, length and rank-k leverage distributions
 reproduce the Gram matrices of A exactly once weighted by their probabilities.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,12 +37,12 @@ from curlowrank.cluster import (
     same_partition,
     subspace_factors,
 )
+from curlowrank import harness
 from curlowrank.cur import (
-    CurFactors,
+    _cores_of_a,
     approx_error,
     build_cur,
     relative_errors,
-    residual_norms,
     verify_characterization,
 )
 from curlowrank.deim import deim_cur
@@ -265,7 +269,7 @@ def _leverage(basis):
 def test_factored_svd_matches_the_dense_one(pair, jp, jq):
     p, q, _, _ = pair
     dense = compact_svd(p @ q.T)
-    f = factored_svd(np.ldexp(p, jp), np.ldexp(q, jq))
+    f = factored_svd(np.ldexp(p, jp)[None], np.ldexp(q, jq)[None])[0]
     # the dense reference of the scaled product, without forming it at 2^(jp + jq)
     s_ref = np.ldexp(dense.all_singular_values, jp + jq)
     assert np.all(np.isfinite(f.all_singular_values))
@@ -284,13 +288,11 @@ def test_residual_norms_match_the_dense_ones(pair, jp, data):
     resid = a - cur.approximation()
     ref = np.array([np.linalg.norm(resid, 2), np.linalg.norm(resid)])
     size = np.linalg.norm(a, 2) + np.linalg.norm(cur.C, 2) * np.linalg.norm(cur.U_pinv @ cur.R, 2)
-    # scale A by 2^j, |j| <= 500, split unevenly over the factors; the CUR scales exactly
+    # scale A by 2^j, |j| <= 500, split unevenly over the factors; the norms scale exactly
     jq = data.draw(st.integers(max(-500, -500 - jp), min(500, 500 - jp)))
-    j = jp + jq
-    scaled = CurFactors(I=rows, J=cols, C=np.ldexp(cur.C, j), U=np.ldexp(cur.U, j),
-                        R=np.ldexp(cur.R, j), U_pinv=np.ldexp(cur.U_pinv, -j))
-    got = np.ldexp(residual_norms(factored_svd(np.ldexp(p, jp), np.ldexp(q, jq)), scaled), -j)
-    assert np.all(np.abs(got - ref) <= 1e-12 * size)
+    svd = factored_svd(np.ldexp(p, jp)[None], np.ldexp(q, jq)[None])[0]
+    [(norms, _)] = _cores_of_a([(svd, rows, cols, None)])
+    assert np.all(np.abs(np.ldexp(norms, -(jp + jq)) - ref) <= 1e-12 * size)
 
 
 @st.composite
@@ -346,7 +348,7 @@ def test_generated_subspaces_have_the_stated_ranks(inst):
     p, q, truth = subspace_factors(spec, [rng])
     a = p[0] @ q[0].T
     assert a.shape == (spec.ambient_dim, sum(spec.points))
-    assert factored_svd(p[0], q[0]).numerical_rank == rank_of(a) == sum(spec.dims)
+    assert factored_svd(p, q)[0].numerical_rank == rank_of(a) == sum(spec.dims)
     for label, d in enumerate(spec.dims):
         assert rank_of(a[:, truth[0] == label]) == d
 
@@ -373,27 +375,99 @@ def test_clustering_exactness_is_the_verifiers(inst, scheme, seed, data):
     assert report.all_hold == (report.rank_u == report.rank_a)
 
 
+def _assert_agrees_with_the_dense_path(cfg, dense_success):
+    """The one-trial run of ``cfg`` against the dense path on its test matrix ``a``.
+
+    The dense path draws from ``a``'s own distributions, builds the CUR with
+    ``build_cur`` and measures the m-by-n residual with ``relative_errors``;
+    ``dense_success(factors, rel_f, truth)`` is its success flag.  The flags must
+    be equal, and the errors within 1e-11 (relative above 1).  A spectrum
+    reshaped to condition number kappa adds the roundoff of the dense path,
+    which reaches about ``40 eps kappa`` of ``||A||`` (measured on 3,000
+    trials; the bound allows ``1000 eps kappa``).
+    """
+    [record], summary = run_experiment(cfg)
+    rng = trial_generator(cfg.master_seed, 0)
+    if cfg.kind == "clustering":
+        a, truth = union_of_subspaces(SubspaceSpec(cfg.m, cfg.dims, cfg.points), rng)
+        k = sum(cfg.dims)
+    else:
+        p, q, _ = harness._test_matrices(cfg, [harness._Trial(0, rng)])[0]
+        a, truth, k = p @ q.T, None, cfg.k
+    if cfg.kind == "deim_check":
+        factors = deim_cur(a, k)
+    else:
+        d, dedup = cfg.d_grid[0], cfg.dedup or cfg.kind == "clustering"
+        rows, cols = draw_indices(*axis_dists(a, cfg.scheme, k), d, d, rng, dedup)
+        tol = rank_cutoff(singular_values(a), a.shape)[1] if cfg.kind == "clustering" else None
+        factors = build_cur(a, rows, cols, tol)
+    rel_2, rel_f = relative_errors(a, factors)
+    assert record.success == dense_success(factors, rel_f, truth)
+    if cfg.kind == "clustering":
+        assert summary["groups"][0]["exact_curs"] == (rel_f <= cfg.tol)
+    roundoff = 1e3 * EPS * cfg.kappa if cfg.kappa else 0.0
+    for got, ref in ((record.rel_error_spectral, rel_2), (record.rel_error_frobenius, rel_f)):
+        assert abs(got - ref) <= 1e-11 * max(ref, 1.0) + roundoff
+
+
+def _exact(cfg):
+    return lambda factors, rel_f, truth: rel_f <= cfg.tol
+
+
+def _clustered(factors, rel_f, truth):
+    pred = labels_from_clustering_matrix(clustering_matrix(factors.U_pinv @ factors.R))
+    return same_partition(pred, truth)
+
+
 @PROPERTY
 @given(inst=subspace_specs(), scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_clustering_trial_agrees_with_the_dense_path(inst, scheme, seed, data):
-    # the trial measures its CUR in the k x k core of its data's factors; building it
-    # at the dense spectrum's cutoff and measuring the m x n residual gives the same
-    # flags, and errors within 1e-11
+    # the trial measures its CUR in the k x k core of its data's factors and clusters
+    # from the K-wide factor; building the CUR at the dense spectrum's cutoff, measuring
+    # the m x n residual and clustering U^+ R gives the same flags, and errors within
+    # 1e-11; fewer distinct draws than K leave short R factors
     spec, _ = inst
     k = sum(spec.dims)
     d = data.draw(st.integers(1, 3 * k))
     cfg = ExperimentConfig(kind="clustering", m=spec.ambient_dim, dims=spec.dims,
                            points=spec.points, scheme=scheme, d_grid=(d,), trials=1,
                            master_seed=seed)
-    [record], summary = run_experiment(cfg)
-    rng = trial_generator(seed, 0)
-    a, truth = union_of_subspaces(spec, rng)
-    rows, cols = draw_indices(*axis_dists(a, scheme, k), d, d, rng, dedup=True)
-    factors = build_cur(a, rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
-    rel_2, rel_f = relative_errors(a, factors)
-    pred = labels_from_clustering_matrix(clustering_matrix(factors))
-    assert record.success == same_partition(pred, truth)
-    assert summary["groups"][0]["exact_curs"] == (rel_f <= cfg.tol)
-    assert abs(record.rel_error_spectral - rel_2) <= 1e-11
-    assert abs(record.rel_error_frobenius - rel_f) <= 1e-11
+    _assert_agrees_with_the_dense_path(cfg, _clustered)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_clustering_trial_with_fewer_distinct_draws_than_k_agrees_with_the_dense_path(scheme, d):
+    cfg = ExperimentConfig(kind="clustering", m=10, dims=(2, 3, 2), points=(4, 5, 3),
+                           scheme=scheme, d_grid=(d,), trials=1, master_seed=90 + d)
+    _assert_agrees_with_the_dense_path(cfg, _clustered)
+
+
+@st.composite
+def table_configs(draw):
+    """One-trial ``success_prob`` configs: every scheme, kappa 1 to 1e6, sparsity 0 or 0.5."""
+    k = draw(st.integers(1, 5))
+    m, n = draw(st.integers(k + 1, 30)), draw(st.integers(2 * k + 1, 25))
+    kappa = draw(st.sampled_from((None, 1.0, 100.0, 1e6))) if k > 1 else None
+    return ExperimentConfig(kind="success_prob", m=m, n=n, k=k, kappa=kappa,
+                            scheme=draw(st.sampled_from(SCHEMES)),
+                            sparsity=draw(st.sampled_from((0.0, 0.5))),
+                            dedup=draw(st.booleans()), d_grid=(draw(st.integers(1, 3 * k)),),
+                            trials=1, master_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(cfg=table_configs())
+def test_success_trial_agrees_with_the_dense_path(cfg):
+    _assert_agrees_with_the_dense_path(cfg, _exact(cfg))
+
+
+@PROPERTY
+@given(k=st.integers(1, 5), kappa=st.sampled_from((None, 1.0, 100.0, 1e6)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_deim_trial_agrees_with_the_dense_path(k, kappa, seed, data):
+    m, n = data.draw(st.integers(k + 1, 40)), data.draw(st.integers(k + 1, 40))
+    cfg = ExperimentConfig(kind="deim_check", m=m, n=n, k=k, kappa=kappa if k > 1 else None,
+                           trials=1, master_seed=seed)
+    _assert_agrees_with_the_dense_path(cfg, _exact(cfg))

@@ -12,8 +12,17 @@ from curlowrank.errors import (
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
-from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, _leading_svd, compact_svd, unit_scaled
+from curlowrank import harness
+from curlowrank.harness import ExperimentConfig, trial_generator
+from curlowrank.linalg import (
+    COLS,
+    ROWS,
+    IndexSet,
+    _leading_svd,
+    compact_svd,
+    factored_svd,
+    unit_scaled,
+)
 from curlowrank.sampling import (
     ProbDist,
     axis_dists,
@@ -108,6 +117,40 @@ class TestDistributions:
 
 def _bits(dists):
     return [d.weights.tobytes() for d in dists]
+
+
+class TestFactoredLength:
+    @pytest.mark.parametrize("kappa", [None, 100.0, 1e6])
+    def test_match_the_dense_weights_and_skip_the_zeroed_columns(self, kappa):
+        # the weights of the table kinds' test matrices from their factors and SVD, and
+        # from the factors alone with A scaled by 2^-500 or 2^500
+        cfg = ExperimentConfig(kind="success_prob", m=30, n=40, k=4, kappa=kappa, sparsity=0.5,
+                               d_grid=(8,), trials=60)
+        trials = [harness._Trial(i, trial_generator(5, i)) for i in range(cfg.trials)]
+        for i, (p, q, f) in enumerate(harness._test_matrices(cfg, trials)):
+            zeroed = ~q.any(axis=1)
+            assert zeroed.sum() == 20
+            dense = axis_dists(p @ q.T, "length")
+            j = (-500, 500)[i % 2]
+            for factors, svd in (((p, q), f), ((np.ldexp(p, j), q), None),
+                                 ((p, np.ldexp(q, -j)), None)):
+                weights = axis_dists(factors, "length", svd=svd)
+                assert np.all(weights[1].weights[zeroed] == 0.0)
+                for got, ref in zip(weights, dense):
+                    assert np.max(np.abs(got.weights - ref.weights)) <= 1e-14 * ref.weights.max()
+            drawn = draw_with_replacement(weights[1], 2000, trial_generator(6, i))
+            assert not zeroed[list(drawn)].any()
+
+
+    def test_uniform_and_leverage_of_the_factors_are_those_of_the_product(self, rng):
+        p, q = rng.standard_normal((12, 3)), rng.standard_normal((9, 3))
+        [f] = factored_svd(p[None], q[None])
+        for scheme in ("uniform", "leverage"):
+            got = axis_dists((p, q), scheme, 3, svd=f)
+            ref = axis_dists(p @ q.T, scheme, 3, svd=f)
+            assert [d.weights.tobytes() for d in got] == [d.weights.tobytes() for d in ref]
+        with pytest.raises(ZeroMatrixError):
+            axis_dists((np.zeros((12, 3)), q), "length")
 
 
 class TestCertifiedLeverage:

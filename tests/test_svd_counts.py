@@ -7,11 +7,16 @@ both ``np.linalg.svd`` and the spectral ``np.linalg.norm(x, 2)`` of a matrix,
 and the table trials once more with a counter of ``np.linalg.qr``.  A table
 grid point stacks its trials' small factorizations, one call per stage, so
 their count does not grow with the number of trials; a clustering grid
-point factors its data matrices the same way.
+point factors its data matrices the same way.  Only the noise trial extracts
+submatrices or holds an m-by-n array, which ``tracemalloc`` pins.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from curlowrank import cur
 
 from curlowrank.cli import cli_main
 from curlowrank.cluster import SubspaceSpec
@@ -132,21 +137,21 @@ CLUSTERING = dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), 
 
 
 def test_clustering_trial_factors_each_matrix_once(uv_calls):
-    # A once, through one SVD of the grid point's stack of 9 x 9 cores; then in each
-    # trial U once at the size of its distinct indices and the residual's 9 x 9 core
-    # without vectors; C, R and A itself are not factored
-    expected = [((3, 9, 9), True)]
+    # A once, through one SVD of the grid point's stack of 9 x 9 cores; then every U
+    # and every residual through one SVD each of the stack of their 9 x 9 cores, with
+    # and without vectors: no trial takes an SVD larger than K x K, and the stacks do
+    # not depend on how many distinct indices each trial drew
+    distinct = []
     for i in range(3):
         rng = trial_generator(0, i)
         a, _ = union_of_subspaces(SubspaceSpec(20, (2, 3, 4), (10, 10, 10)), rng)
         rows, cols = draw_indices(*axis_dists(a, "length", 9), 16, 16, rng, dedup=True)
-        expected += [((len(rows), len(cols)), True), ((1, 9, 9), False)]
-    # a draw repeats an index, so its distinct part is smaller
-    assert any(shape != (16, 16) for shape, _ in expected[1::2])
+        distinct.append((len(rows), len(cols)))
+    assert len(set(distinct)) > 1
     uv_calls.clear()
     records, _ = run_experiment(ExperimentConfig(**{**CLUSTERING, "trials": 3}))
     assert len(records) == 3
-    assert uv_calls == expected
+    assert uv_calls == [((3, 9, 9), True), ((3, 9, 9), True), ((3, 9, 9), False)]
 
 
 @pytest.mark.parametrize("scheme", ["length", "leverage"])
@@ -226,25 +231,28 @@ def qr_calls(monkeypatch):
 
 
 # a grid point of three trials factors its three test matrices through one QR of each
-# factor stack, however many trials it holds
+# factor stack, however many trials it holds, and measures their CURs of A through one
+# QR of the stack of each CUR's rows of W S and of V (d x k each)
 FACTORED_SVD_QRS = [(3, 50, 4), (3, 40, 4)]
 QR_TRIALS = {
-    "length": (dict(kind="success_prob", scheme="length", d_grid=(12,)), FACTORED_SVD_QRS),
+    # the length weights of A come from A's factors and SVD by products alone
+    "length": (dict(kind="success_prob", scheme="length", d_grid=(12,)),
+               FACTORED_SVD_QRS + [(3, 12, 4)] * 2),
     # kappa reshapes the spectrum through one more factored SVD of the factor stacks
     "leverage_kappa": (dict(kind="success_prob", scheme="leverage", kappa=100.0, d_grid=(12,)),
-                       FACTORED_SVD_QRS * 2),
-    "deim": (dict(kind="deim_check"), FACTORED_SVD_QRS),
+                       FACTORED_SVD_QRS * 2 + [(3, 12, 4)] * 2),
+    "deim": (dict(kind="deim_check"), FACTORED_SVD_QRS + [(3, 4, 4)] * 2),
     # the noisy CUR's residual is the thin product [p, C] [q, -(U^+ R).T].T, of width k + d,
     # orthogonalized in each trial's own dense stage
     "noise_length": (dict(kind="noise_stability", scheme="length", sigma=1e-3, d_grid=(12,)),
-                     FACTORED_SVD_QRS + [(50, 16), (40, 16)] * 3),
+                     FACTORED_SVD_QRS + [(50, 16), (40, 16)] * 3 + [(3, 12, 4)] * 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(QR_TRIALS))
-def test_table_trials_measure_a_cur_of_a_without_a_qr(name, qr_calls):
-    # a CUR of A is measured in A's k x k core; only A's factors, and the noisy
-    # CUR's thin residual factors, are orthogonalized
+def test_table_trials_orthogonalize_only_thin_stacks(name, qr_calls):
+    # a CUR of A is measured in A's k x k core, from the R factors of its d x k stacks;
+    # no QR is taken of an m x n matrix or of a submatrix of one
     fields, expected = QR_TRIALS[name]
     records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=3, **fields))
     assert len(records) == 3
@@ -252,12 +260,12 @@ def test_table_trials_measure_a_cur_of_a_without_a_qr(name, qr_calls):
 
 
 # (shape, compute_uv) of each matrix in the SVDs of a 50 x 40, k = 4 grid point at d = 12:
-# the core of A's factors (twice with kappa), U, and the residual's k x k core
+# the core of A's factors (twice with kappa), U's k x k core and the residual's k x k core
 SVD_STAGES = {
     "length": (dict(kind="success_prob", scheme="length", d_grid=(12,)),
-               [((4, 4), True), ((12, 12), True), ((4, 4), False)]),
+               [((4, 4), True), ((4, 4), True), ((4, 4), False)]),
     "leverage_kappa": (dict(kind="success_prob", scheme="leverage", kappa=100.0, d_grid=(12,)),
-                       [((4, 4), True), ((4, 4), True), ((12, 12), True), ((4, 4), False)]),
+                       [((4, 4), True), ((4, 4), True), ((4, 4), True), ((4, 4), False)]),
     "deim": (dict(kind="deim_check"), [((4, 4), True), ((4, 4), True), ((4, 4), False)]),
 }
 
@@ -269,3 +277,41 @@ def test_table_grid_point_takes_one_stacked_svd_per_stage(name, trials, uv_calls
     records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=trials, **fields))
     assert len(records) == trials
     assert uv_calls == [((trials, *shape), uv) for shape, uv in expected]
+
+
+# One grid point of each trial path at a size where an m x n array (6.4 MB for the
+# tables, 14.4 MB for the clustering data) outweighs everything else a trial holds.
+BIG = dict(m=1000, n=800, k=4, trials=2)
+BIG_TRIALS = {
+    **{name: dict(BIG, **fields) for name, fields in TABLE_TRIALS.items()},
+    "length_sparse": dict(BIG, kind="success_prob", scheme="length", sparsity=0.5, d_grid=(12,)),
+    "clustering": dict(kind="clustering", m=6000, dims=(2, 2, 2), points=(100, 100, 100),
+                       d_grid=(40,), trials=2),
+    "noise": dict(BIG, kind="noise_stability", sigma=1e-3, scheme="length", d_grid=(12,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_TRIALS))
+def test_only_the_noise_trial_extracts_submatrices_or_forms_an_m_by_n_array(name, monkeypatch):
+    extracted = []
+    real = cur._submatrices
+
+    def recording(a, rows, cols):
+        extracted.append(a.shape)
+        return real(a, rows, cols)
+
+    monkeypatch.setattr(cur, "_submatrices", recording)
+    cfg = ExperimentConfig(**BIG_TRIALS[name])
+    size = 8 * cfg.m * (cfg.n or sum(cfg.points))
+    run_experiment(cfg)  # the first run also allocates the package's lazily built caches
+    extracted.clear()
+    tracemalloc.start()
+    try:
+        assert len(run_experiment(cfg)[0]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if name == "noise":
+        assert extracted == [(cfg.m, cfg.n)] * 2 and peak >= size
+    else:
+        assert extracted == [] and peak < size / 2
