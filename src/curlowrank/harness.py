@@ -30,7 +30,9 @@ Every kind keeps A as its factors ``p @ q.T`` and takes its spectrum, its
 length weights and leverage scores and each CUR of A from them: U, its
 pseudoinverse, the residual and the clustering kind's coefficients all live
 in A's k-by-k core (``cur._cores_of_a``), so no C, U or R is extracted.  Only
-the noise trial forms m-by-n arrays: A and ``A + E``, which it draws from.  Its
+the noise trial forms m-by-n arrays: E, whose Gram matrix it drops before it
+forms A, then ``A + E`` in E's buffer, which it draws from; its floors, from
+the unshifted sums of squares of A and E, need no shift (``_noise_trial``).  Its
 noisy CUR is not in A's row and column space, so its norms come from
 ``linalg.factored_norms`` of its thin factors; the leverage scores of
 ``A + E`` come from the certified sketch of ``linalg.leading_bases`` and
@@ -57,12 +59,15 @@ from .cluster import (
 from .cur import EXACTNESS_TOL, _cores_of_a, randomized_cur
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import _EPS, factored_norms, factored_svd
+from .linalg import _EPS, COLS, ROWS, factored_norms, factored_svd
 from .sampling import (
     LENGTH,
     SCHEMES,
+    ProbDist,
     _certify,
+    _length_weights,
     _noisy_floors,
+    _squared_lengths,
     axis_dists,
     draw_indices,
     min_sample_size_rv,
@@ -338,26 +343,36 @@ def _noise_trial(cfg, d, rng, state):
     """Draw indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
     The row carries the noisy CUR's errors relative to A; a trial whose noise
-    dominates a row or column is skipped.
-    ``A + E`` is formed once, in E's buffer, and its length distributions
-    both certify the stability floors and, under the length scheme, feed the
-    draws.
+    dominates a row or column is skipped.  E is drawn and scaled through its
+    Gram matrix before A is formed, so the trial holds E, its Gram matrix and
+    at most one other m-by-n array at a time.  The floors come from the row
+    and column sums of squares of A and E, and ``A + E`` is formed in E's
+    buffer, where its sums give the length weights that both certify the
+    floors and, under the length scheme, feed the draws.  No power-of-two
+    shift is needed: ``||A||_2 = 1``, so no square of A overflows, an E whose
+    squares overflow has ``||E||_F = inf``, which leaves every floor 0 or NaN
+    and skips the trial, and an E whose squares underflow is below 1e-150 of
+    A, where every floor rounds to 1 either way.
     """
     p, q, f = state
     s_1 = f.singular_values[0]
     p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
     f = replace(f, singular_values=f.singular_values / s_1,
                 all_singular_values=f.all_singular_values / s_1)
+    e = spectral_noise((len(p), len(q)), cfg.sigma, rng)
     a = p @ q.T
-    e = spectral_noise(a.shape, cfg.sigma, rng)
     try:
-        floors, weights = _noisy_floors(a, e)
+        with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
+            lengths = _squared_lengths(a), _squared_lengths(e)
+            floors = _noisy_floors(*lengths, np.linalg.norm(a), np.linalg.norm(e))
     except NoiseDominatesError:
         return None
     a_tilde = np.add(a, e, out=e)
-    length = axis_dists(a_tilde, LENGTH)
-    _certify(floors, weights, [dist.weights for dist in length])
-    dists = length if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k)
+    del a
+    weights = _length_weights(*_squared_lengths(a_tilde))
+    _certify(floors, _length_weights(*lengths[0]), weights)
+    dists = ([ProbDist(w, axis, LENGTH) for w, axis in zip(weights, (ROWS, COLS))]
+             if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k))
     noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
     norms = factored_norms(np.hstack([p, noisy.C]), np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
     return f, noisy.I, noisy.J, norms

@@ -2,8 +2,9 @@
 
 Uniform, squared-length and rank-k leverage distributions each have one
 builder, :func:`axis_dists`, which gives both axes at once; the squared
-lengths of both axes come from one square of the scaled matrix, or, for a
-matrix held as thin factors, from the factors and its SVD.  Draws are
+lengths of both axes come from one pass of row and column sums of squares
+over the scaled matrix, with no m-by-n temporary, or, for a matrix held as
+thin factors, from the factors and its SVD.  Draws are
 i.i.d. with replacement through an inverse-CDF lookup (binary search on the
 cumulative weight vector), so a fixed ``numpy.random.Generator`` state
 reproduces the same index multiset byte for byte.  Zero-weight indices are
@@ -91,17 +92,15 @@ def uniform_dist(n, axis) -> ProbDist:
     return ProbDist(np.full(int(n), 1.0 / int(n)), axis, UNIFORM)
 
 
-def _length_pass(a) -> tuple:
-    """``(lengths, weights)``: the squared row and column lengths of ``a`` and their weights.
+def _squared_lengths(a) -> tuple:
+    """``(rows, cols)``: the squared row and column lengths of ``a``, with no m-by-n temporary.
 
-    One elementwise square gives both axes, so callers pass ``a`` at unit
-    scale, where no square over- or underflows.  Each axis's weights divide
-    by the sum of its own lengths; zero rows and columns get weight exactly
-    0.0, and the zero matrix is rejected.
+    The rows are squared a block at a time and the columns summed by einsum,
+    with the bits of ``(a * a).sum(axis)``.  No square over- or underflows
+    where ``a`` is at unit scale.
     """
-    sq = a * a
-    rows, cols = sq.sum(axis=1), sq.sum(axis=0)
-    return (rows, cols), _length_weights(rows, cols)
+    rows = [np.square(a[i:i + 64]).sum(axis=1) for i in range(0, len(a), 64)]
+    return np.concatenate(rows), np.einsum("ij,ij->j", a, a)
 
 
 def _length_weights(rows, cols) -> tuple:
@@ -172,10 +171,8 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
         (p, q), a = a, None
         svd = factored_svd(p[None], q[None])[0] if svd is None else svd
     if scheme == LENGTH:
-        if factored:
-            rows, cols = _length_weights(*_factored_lengths(p, q, svd))
-        else:
-            rows, cols = _length_pass(unit_scaled(a))[1]
+        lengths = _factored_lengths(p, q, svd) if factored else _squared_lengths(unit_scaled(a))
+        rows, cols = _length_weights(*lengths)
         return ProbDist(rows, ROWS, LENGTH), ProbDist(cols, COLS, LENGTH)
     if k is None or k < 1:
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
@@ -358,42 +355,38 @@ def uniform_stability_floor(a) -> StabilityParams:
     which is ``sqrt(1 / (m * q_i))`` for the length weight ``q_i`` of row i,
     and analogously over columns with n; zero rows/columns get floor 1.
     """
-    weights = _length_pass(unit_scaled(a))[1]
+    weights = _length_weights(*_squared_lengths(unit_scaled(a)))
     rows, cols = (np.where(w > 0.0, np.sqrt(1.0 / (w.size * np.where(w > 0.0, w, 1.0))), 1.0)
                   for w in weights)
     uniform = [uniform_dist(w.size, axis).weights for w, axis in zip(weights, (ROWS, COLS))]
     return _certify(StabilityParams(alpha_per_col=cols, beta_per_row=rows), weights, uniform)
 
 
-def _noisy_floors(a, e) -> tuple:
-    """``(params, weights)``: the floors of :func:`noisy_stability_floor`, not yet
-    certified, and the length weights of ``a`` they are certified against.
+def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e, shift=0) -> StabilityParams:
+    """The floors of :func:`noisy_stability_floor`, not yet certified.
 
-    ``a`` and ``e`` are float64 matrices of one shape.  One m-by-n buffer holds
-    ``a`` and then ``e``, each at its own power-of-two scale, so no norm over-
-    or underflows where E dwarfs A; each is dropped once its norms are taken.
+    ``a_lengths`` and ``e_lengths`` are the :func:`_squared_lengths` of A and
+    of E, and ``norm_a`` and ``norm_e`` their Frobenius norms, E's taken at
+    ``2**-shift`` times A's scale.  :func:`noisy_stability_floor` scales each
+    by its own power of two; the noise trial, which holds only A and E by
+    then, passes them unshifted: its ``||A||_2 = 1``, an E whose squares
+    overflow leaves every floor 0 or NaN, and one whose squares underflow
+    every floor 1, so a shift would change no outcome.
     """
-    shift_a, shift_e = _unit_shift(a), _unit_shift(e)
-    scaled = np.ldexp(a, shift_a)
-    a_lengths, a_weights = _length_pass(scaled)
-    norm_a = float(np.linalg.norm(scaled))
-    np.ldexp(e, shift_e, out=scaled)
-    norm_e = np.linalg.norm(scaled)
-    np.multiply(scaled, scaled, out=scaled)
     # E's norms in A's units: inf only where E dwarfs A beyond the float range,
     # which leaves every floor 0 or NaN, so NoiseDominatesError
     with np.errstate(over="ignore", invalid="ignore"):
-        e_norms = [np.ldexp(np.sqrt(scaled.sum(axis=ax)), shift_a - shift_e) for ax in (1, 0)]
-        denom = 1.0 + np.ldexp(norm_e, shift_a - shift_e) / norm_a
+        denom = 1.0 + np.ldexp(norm_e, shift) / norm_a
         floors = []
-        for a2, e_norm, axis in zip(a_lengths, e_norms, (ROWS, COLS)):
+        for a2, e2, axis in zip(a_lengths, e_lengths, (ROWS, COLS)):
             live = a2 > 0.0
+            e_norm = np.ldexp(np.sqrt(e2), shift)
             out = np.where(live, (1.0 - e_norm / np.sqrt(np.where(live, a2, 1.0))) / denom, 1.0)
             dominated = np.flatnonzero(~(out > 0.0))
             if dominated.size:
                 raise NoiseDominatesError(axis, int(dominated[0]))
             floors.append(out)
-    return StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0]), a_weights
+    return StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0])
 
 
 def noisy_stability_floor(a, e) -> StabilityParams:
@@ -406,18 +399,24 @@ def noisy_stability_floor(a, e) -> StabilityParams:
     including one that underflows to 0.  ``a`` and ``e`` are each squared at
     their own power-of-two scale, as in :func:`~curlowrank.linalg.frobenius_norm`,
     so no norm over- or underflows where E dwarfs A.  At most two m-by-n
-    arrays are held beyond the inputs.
+    arrays are held beyond the inputs: one buffer takes the scaled ``a``, the
+    scaled ``e`` and then ``a + e``, which adds the scaled ``e`` from another.
     """
     a, e = as_matrix(a), as_matrix(e)
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {e.shape}")
-    params, weights = _noisy_floors(a, e)
-    # A + E in one buffer at the scale of the larger, so the sum cannot overflow
-    shift = min(_unit_shift(a), _unit_shift(e))
-    a_tilde = np.ldexp(a, shift)
-    a_tilde += np.ldexp(e, shift)
+    shifts = _unit_shift(a), _unit_shift(e)
+    scaled, lengths, norms = np.empty_like(a), [], []
+    for x, j in zip((a, e), shifts):
+        lengths.append(_squared_lengths(np.ldexp(x, j, out=scaled)))
+        norms.append(np.linalg.norm(scaled))
+    params = _noisy_floors(*lengths, *norms, shifts[0] - shifts[1])
+    # A + E at the scale of the larger, so the sum cannot overflow
+    a_tilde = np.ldexp(a, min(shifts), out=scaled)
+    a_tilde += np.ldexp(e, min(shifts))
     np.ldexp(a_tilde, _unit_shift(a_tilde), out=a_tilde)
-    return _certify(params, weights, _length_pass(a_tilde)[1])
+    return _certify(params, _length_weights(*lengths[0]),
+                    _length_weights(*_squared_lengths(a_tilde)))
 
 
 def epsilon_ceiling(a, params: StabilityParams | None = None, delta=None) -> float:

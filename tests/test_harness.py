@@ -25,6 +25,7 @@ from curlowrank.harness import (
     trial_generator,
     zero_out_columns,
 )
+from curlowrank.sampling import SCHEMES
 
 
 def sha(path):
@@ -312,39 +313,41 @@ class TestNoiseExperiment:
         assert [r.success for r in rec_small] == [r.success for r in rec_large]
 
     def test_length_scheme_takes_one_length_pass_of_a_plus_e(self, monkeypatch):
-        # one pass over A for the floors, one over A + E for both the certificate and the draws
+        # one pass over A and one over E for the floors, one over A + E for both the
+        # certificate and the draws
         calls = []
-        real = sampling._length_pass
+        real = sampling._squared_lengths
 
         def counting(a):
             calls.append(a.shape)
             return real(a)
 
-        monkeypatch.setattr(sampling, "_length_pass", counting)
+        monkeypatch.setattr(sampling, "_squared_lengths", counting)
+        monkeypatch.setattr(harness, "_squared_lengths", counting)
         cfg = ExperimentConfig(kind="noise_stability", m=40, n=30, k=3, sigma=1e-3,
                                scheme="length", d_grid=(9,), trials=3, master_seed=15)
         records, _ = run_experiment(cfg)
         assert len(records) == 3
-        assert calls == [(40, 30)] * 6
+        assert calls == [(40, 30)] * 9
 
     @pytest.mark.parametrize("sigma", [1e-3, 0.1])
     def test_success_is_exactness_of_the_clean_cur(self, sigma, monkeypatch):
         # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1;
-        # the clean A is the one whose floors were taken, the indices the noisy CUR's
-        clean, cleans = [], []
-        floors, cur = harness._noisy_floors, harness.randomized_cur
+        # the clean A is the one whose floors were taken, the indices the noisy CUR's.
+        # A trial takes the lengths of A, of E and of A + E, so A's are the third last
+        seen, clean = [], []
+        lengths, cur = harness._squared_lengths, harness.randomized_cur
 
-        def recording_floors(a, e):
-            out = floors(a, e)
-            cleans.append(a.copy())
-            return out
+        def recording_lengths(a):
+            seen.append(a.copy())
+            return lengths(a)
 
         def recording_cur(*args, **kwargs):
             noisy = cur(*args, **kwargs)
-            clean.append((cleans[-1], noisy.I, noisy.J))
+            clean.append((seen[-3], noisy.I, noisy.J))
             return noisy
 
-        monkeypatch.setattr(harness, "_noisy_floors", recording_floors)
+        monkeypatch.setattr(harness, "_squared_lengths", recording_lengths)
         monkeypatch.setattr(harness, "randomized_cur", recording_cur)
         flags = []
         for seed in range(3):
@@ -425,19 +428,31 @@ class TestStageMajor:
         records, _ = run_experiment(cfg)
         assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 1.0 + 0.25)] * 4
 
-    def test_noise_grid_point_holds_no_m_by_n_array_per_trial(self):
-        def peak(trials):
-            cfg = ExperimentConfig(kind="noise_stability", m=300, n=200, k=4, sigma=1e-3,
-                                   scheme="length", d_grid=(16,), trials=trials, master_seed=5)
-            tracemalloc.start()
-            try:
-                assert len(run_experiment(cfg)[0]) == trials
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def _noise_peak(trials, scheme="length"):
+        """The traced peak of a 300-by-200 noise grid point of ``trials`` trials, in bytes."""
+        cfg = ExperimentConfig(kind="noise_stability", m=300, n=200, k=4, sigma=1e-3,
+                               scheme=scheme, d_grid=(16,), trials=trials, master_seed=5)
+        tracemalloc.start()
+        try:
+            assert len(run_experiment(cfg)[0]) == trials
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        peak(1)  # the first run also allocates the package's lazily built caches
-        assert peak(16) <= 1.5 * peak(1)
+    # one m-by-n float64 array at 300-by-200, and E's 200-by-200 Gram matrix
+    MN, GRAM = 8 * 300 * 200, 8 * 200 * 200
+
+    def test_noise_grid_point_holds_no_m_by_n_array_per_trial(self):
+        self._noise_peak(1)  # the first run also allocates the package's lazily built caches
+        # what grows is the stage-major factor state, about 0.58 MB over 15 trials
+        assert self._noise_peak(16) - self._noise_peak(1) < 2 * self.MN
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_noise_trial_peaks_at_two_m_by_n_arrays_and_e_gram(self, scheme):
+        # E and its Gram matrix, then E and A, then A + E and the leverage sketch's copy
+        self._noise_peak(1, scheme)
+        assert self._noise_peak(1, scheme) < 2 * self.MN + self.GRAM
 
 
 class TestClusteringExperiment:

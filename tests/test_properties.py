@@ -20,10 +20,15 @@ check, and the clustering trial's exactness flag to the verifier's unanimous
 verdicts.  The success, DEIM and clustering trials, which measure each CUR
 in A's k-by-k core, keep the flags and errors of the dense path (``build_cur``
 and the m-by-n residual) for every scheme, kappa up to 1e6, sparsity 0.5, and
-fewer distinct draws than the rank.  The
+fewer distinct draws than the rank.  The noise trial prints the rows of
+sigma = 0 at sigma = 1e-150, skips every trial at 1e150 and 1e300 with no
+warning, and takes the floors of ``noisy_stability_floor`` bit for bit.  The
 rescaled samples of the uniform, length and rank-k leverage distributions
 reproduce the Gram matrices of A exactly once weighted by their probabilities.
 """
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -471,3 +476,72 @@ def test_deim_trial_agrees_with_the_dense_path(k, kappa, seed, data):
     cfg = ExperimentConfig(kind="deim_check", m=m, n=n, k=k, kappa=kappa if k > 1 else None,
                            trials=1, master_seed=seed)
     _assert_agrees_with_the_dense_path(cfg, _exact(cfg))
+
+
+@st.composite
+def noise_configs(draw, sigma, scheme=None, sparsities=(0.0, 0.5)):
+    """Three-trial 40-by-30 ``noise_stability`` configs at ``sigma``: kappa, sparsity, dedup."""
+    k = draw(st.integers(1, 5))
+    return ExperimentConfig(kind="noise_stability", m=40, n=30, k=k, sigma=sigma,
+                            kappa=draw(st.sampled_from((None, 100.0, 1e6))) if k > 1 else None,
+                            scheme=scheme or draw(st.sampled_from(SCHEMES)),
+                            sparsity=draw(st.sampled_from(sparsities)), dedup=draw(st.booleans()),
+                            d_grid=(draw(st.integers(k, 3 * k)),), trials=3,
+                            master_seed=draw(st.integers(0, 2**32 - 1)))
+
+
+NOISE_PROPERTY = settings(PROPERTY, max_examples=40)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@NOISE_PROPERTY
+@given(data=st.data())
+def test_noise_below_every_entry_of_a_gives_the_noiseless_rows(scheme, data):
+    # E at 1e-150 vanishes in A + E, so every row has the bits of sigma = 0; in a zeroed
+    # column of A it would not, so A has none
+    cfg = data.draw(noise_configs(1e-150, scheme, sparsities=(0.0,)))
+    records = run_experiment(cfg)[0]
+    assert len(records) == cfg.trials
+    assert repr(records) == repr(run_experiment(replace(cfg, sigma=0.0))[0])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@NOISE_PROPERTY
+@given(data=st.data(), sigma=st.sampled_from((1e150, 1e300)))
+def test_noise_far_above_a_skips_every_trial(scheme, data, sigma):
+    # at 1e300 E's squares overflow; the skip comes without a RuntimeWarning either way
+    records, summary = run_experiment(data.draw(noise_configs(sigma, scheme)))
+    assert records == [] and summary["groups"][0]["skipped"] == 3
+
+
+def _outcome(floors, *args):
+    try:
+        params = floors(*args)
+    except NoiseDominatesError as exc:
+        return exc.axis, exc.index
+    return params.beta_per_row.tobytes(), params.alpha_per_col.tobytes()
+
+
+@NOISE_PROPERTY
+@given(data=st.data(), sigma=st.sampled_from((1e-3, 0.1, 0.5)))
+def test_noise_trial_floors_are_noisy_stability_floors(data, sigma):
+    # the trial's unshifted floors from A's and E's sums have the bits of the public
+    # function's, whose shifts are powers of two; a dominated trial names the same index
+    seen, outcomes = [], []
+    lengths, floors = harness._squared_lengths, harness._noisy_floors
+
+    def recording_lengths(x):
+        seen.append(x.copy())
+        return lengths(x)
+
+    def recording_floors(*args):
+        a, e = seen[-2:]
+        outcomes.append((_outcome(floors, *args), _outcome(noisy_stability_floor, a, e)))
+        return floors(*args)
+
+    with mock.patch.object(harness, "_squared_lengths", recording_lengths), \
+            mock.patch.object(harness, "_noisy_floors", recording_floors):
+        run_experiment(data.draw(noise_configs(sigma)))
+    assert len(outcomes) == 3
+    for trial, public in outcomes:
+        assert trial == public
