@@ -14,6 +14,7 @@ from .cluster import (
     SubspaceSpec,
     clustering_matrix,
     labels_from_clustering_matrix,
+    recovers_partition,
     same_partition,
     subspace_factors,
 )
@@ -22,7 +23,6 @@ from .cur import (
     CharacterizationReport,
     CurFactors,
     approx_error,
-    build_cur,
     randomized_cur,
     verify_characterization,
 )

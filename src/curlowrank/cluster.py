@@ -10,8 +10,13 @@ Y's Gram matrix gives the same Q.  For an exact CUR of ``A = W S V^T``,
 Sekmen, 2019).  The paper's walk closure ``Q^D``, with D the
 largest subspace dimension, lies between the support and its transitive
 closure, so it has the same components and hence the same labels for every
-walk length.  Exact recovery is partition equality (:func:`same_partition`);
-it needs d + 1 points in each subspace of dim d >= 2, as d points are a basis.
+walk length.  Exact recovery is partition equality, which
+:func:`recovers_partition` decides in three steps: a supported pair across two
+subspaces merges them; else fully supported blocks are the components; else
+the component search decides.  Step 2 covers an exact CUR, whose Q is block
+diagonal with dense blocks for generic data, unless it drew exactly a basis
+(d >= 2 columns) of a subspace: Q is diagonal on those.  Recovery needs d + 1
+points in each subspace of dim d >= 2.
 Labels are int64 vectors, one per data column; names only matter up to permutation.
 """
 
@@ -118,3 +123,18 @@ def same_partition(pred, truth) -> bool:
     if truth_names.size != count:
         return False
     return np.unique(pred_ids * count + truth_ids).size == count
+
+
+def recovers_partition(support, truth) -> bool:
+    """``same_partition(labels_from_clustering_matrix(support), truth)``, searching last.
+
+    With no supported pair across two true clusters, the components refine
+    them; if every pair within each is supported, each is a clique and so a component.
+    """
+    support, truth = np.asarray(support, dtype=bool), np.asarray(truth)
+    same = truth[:, None] == truth
+    if (support > same).any():
+        return False
+    if (support >= same).all():
+        return True
+    return same_partition(labels_from_clustering_matrix(support), truth)

@@ -62,20 +62,15 @@ class CurFactors:
 def _submatrices(a, rows: IndexSet, cols: IndexSet) -> tuple:
     """``(C, R, U)`` of the validated ``a`` for a row and a column index set."""
     if rows.axis != ROWS or cols.axis != COLS:
-        raise ValueError("build_cur needs a row index set and a column index set")
+        raise ValueError("a CUR needs a row index set and a column index set")
     if not (rows.indices and cols.indices):
-        raise ValueError("build_cur needs at least one row index and one column index")
+        raise ValueError("a CUR needs at least one row index and one column index")
     c = _take(a, cols)
     return c, _take(a, rows), _take(c, rows)
 
 
-def build_cur(a, rows: IndexSet, cols: IndexSet, tol=None) -> CurFactors:
-    """Extract ``C, U, R`` for the given index sets; ``U^+`` is truncated at ``tol``."""
-    return _cur(as_matrix(a), rows, cols, tol)
-
-
 def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
-    """:func:`build_cur` of the validated ``a``."""
+    """``C, U, R`` of the validated ``a`` for the given index sets; ``U^+`` is cut at ``tol``."""
     c, r, u = _submatrices(a, rows, cols)
     return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=_rank_pinv_cutoff(u, tol)[1])
 
@@ -98,8 +93,8 @@ class CharacterizationReport:
     The booleans must be unanimous on every instance; ``u_pinv_identity``
     (``U^+ = C^+ A R^+``) is only meaningful when all five hold.
     ``residuals`` holds the relative Frobenius residual of each identity.
-    A caller that needs only an exact CUR, not the characterization, builds
-    it with :func:`build_cur` at A's cutoff and tests (ii) on its residual.
+    A caller that needs only an exact CUR draws it at A's cutoff (as
+    :func:`randomized_cur` does) and tests (ii) on its residual.
     """
 
     rank_a: int

@@ -49,13 +49,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .cluster import (
-    SubspaceSpec,
-    clustering_matrix,
-    labels_from_clustering_matrix,
-    same_partition,
-    subspace_factors,
-)
+from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspace_factors
 from .cur import EXACTNESS_TOL, _cores_of_a, randomized_cur
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
@@ -405,7 +399,8 @@ def _measure(cfg, trials):
     near-singular U.  A CUR is exact when ``rel_err_F <= tol``: that is a table
     row's success, and a row whose trial measured its own CUR (the noise
     trial's) prints those norms over A's.  A clustering row's success is exact
-    recovery of the partition from the support of ``|(U^+ R)^T (U^+ R)|``.
+    recovery of the partition from the support of ``|(U^+ R)^T (U^+ R)|``: its
+    true blocks decide it unless one has a missing pair (``recovers_partition``).
     """
     states = [t.state for t in trials]
     clustering = cfg.kind == "clustering"
@@ -415,8 +410,8 @@ def _measure(cfg, trials):
     for (f, _, _, tail), ((err_2, err_f), z) in zip(states, measured):
         s_1, norm_f = float(f.singular_values[0]), f.frobenius_norm()
         if clustering:
-            pred = labels_from_clustering_matrix(clustering_matrix(z @ f.right.T))
-            outcomes.append((same_partition(pred, tail), err_2 / s_1, err_f / norm_f))
+            recovered = recovers_partition(clustering_matrix(z @ f.right.T), tail)
+            outcomes.append((recovered, err_2 / s_1, err_f / norm_f))
         else:
             row_2, row_f = tail or (err_2, err_f)
             outcomes.append((err_f / norm_f <= cfg.tol, row_2 / s_1, row_f / norm_f))

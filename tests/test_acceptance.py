@@ -12,8 +12,7 @@ import time
 
 import numpy as np
 
-from curlowrank.cluster import SubspaceSpec
-from curlowrank.cur import approx_error, build_cur, verify_characterization
+from curlowrank.cur import approx_error, verify_characterization
 from curlowrank.deim import deim_cur
 from curlowrank.harness import (
     ExperimentConfig,

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curlowrank import cluster, harness
 from curlowrank.cluster import (
     SubspaceSpec,
     clustering_matrix,
     labels_from_clustering_matrix,
+    recovers_partition,
     same_partition,
 )
-from curlowrank.cur import build_cur, randomized_cur, verify_characterization
+from curlowrank.cur import _cur, randomized_cur, verify_characterization
 from curlowrank.errors import DomainError
 from curlowrank.harness import ExperimentConfig, run_experiment, trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet
+from curlowrank.linalg import COLS, ROWS, IndexSet, as_matrix
 from curlowrank.sampling import SCHEMES, length_dist
 
 from conftest import rank_of, union_of_subspaces
@@ -78,7 +80,7 @@ class TestGeneration:
 class TestClusteringMatrix:
     def test_single_subspace_all_ones(self):
         a, _ = union_of_subspaces(SubspaceSpec(6, (2,), (7,)), trial_generator(4, 0))
-        f = build_cur(a, IndexSet(range(6), ROWS), IndexSet(range(7), COLS))
+        f = _cur(as_matrix(a), IndexSet(range(6), ROWS), IndexSet(range(7), COLS), None)
         w = clustering_matrix(f.U_pinv @ f.R)
         assert w.dtype == bool
         assert np.all(w)
@@ -91,7 +93,7 @@ class TestClusteringMatrix:
             [0.0, 0.0, 0.0, 3.0, -2.0],
             [0.0, 0.0, 0.0, 0.0, 0.0],
         ])
-        f = build_cur(a, IndexSet([0, 2], ROWS), IndexSet([0, 3], COLS))
+        f = _cur(as_matrix(a), IndexSet([0, 2], ROWS), IndexSet([0, 3], COLS), None)
         w = clustering_matrix(f.U_pinv @ f.R)
         expected = np.zeros((5, 5), dtype=bool)
         expected[:3, :3] = True
@@ -101,7 +103,7 @@ class TestClusteringMatrix:
     def test_matches_numeric_power_on_tiny_instance(self):
         spec = SubspaceSpec(6, (1, 2), (3, 4))
         a, _ = union_of_subspaces(spec, trial_generator(5, 0))
-        f = build_cur(a, IndexSet(range(6), ROWS), IndexSet(range(7), COLS))
+        f = _cur(as_matrix(a), IndexSet(range(6), ROWS), IndexSet(range(7), COLS), None)
         y = f.U_pinv @ f.R
         w = walk_closure(clustering_matrix(y), max(spec.dims))
         q = np.abs(y.T @ y)
@@ -112,7 +114,7 @@ class TestClusteringMatrix:
     def test_symmetric_and_reflexive(self):
         spec = SubspaceSpec(10, (2, 3), (6, 7))
         a, _ = union_of_subspaces(spec, trial_generator(8, 0))
-        f = build_cur(a, IndexSet(range(10), ROWS), IndexSet(range(13), COLS))
+        f = _cur(as_matrix(a), IndexSet(range(10), ROWS), IndexSet(range(13), COLS), None)
         w = clustering_matrix(f.U_pinv @ f.R)
         np.testing.assert_array_equal(w, w.T)
         assert np.all(np.diag(w))
@@ -123,7 +125,8 @@ class TestClusteringMatrix:
         a, _ = union_of_subspaces(spec, rng)
         perm = rng.permutation(11)
         full_rows, full_cols = IndexSet(range(9), ROWS), IndexSet(range(11), COLS)
-        f, f_perm = build_cur(a, full_rows, full_cols), build_cur(a[:, perm], full_rows, full_cols)
+        f = _cur(as_matrix(a), full_rows, full_cols, None)
+        f_perm = _cur(as_matrix(a[:, perm]), full_rows, full_cols, None)
         w = clustering_matrix(f.U_pinv @ f.R)
         w_perm = clustering_matrix(f_perm.U_pinv @ f_perm.R)
         np.testing.assert_array_equal(w_perm, w[np.ix_(perm, perm)])
@@ -283,6 +286,93 @@ class TestAccuracy:
             assert same_partition(pred, truth) == (self.reference_accuracy(pred, truth) == 1.0)
             renamed = (pred + 1) % ell_pred
             assert same_partition(renamed, pred) and self.reference_accuracy(renamed, pred) == 1.0
+
+
+def searched(support, truth):
+    """Exact recovery by the component search alone."""
+    return same_partition(labels_from_clustering_matrix(support), truth)
+
+
+@st.composite
+def block_supports(draw):
+    """``(support, truth)``: block cliques of named clusters, some one point, then edited.
+
+    Within-block pairs are removed and cross pairs added, each in both triangles
+    or in one, so blocks stay connected without being cliques, or split.
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    names = np.array(draw(st.lists(st.integers(-50, 50), min_size=len(sizes),
+                                   max_size=len(sizes), unique=True)))
+    truth = names[np.repeat(np.arange(len(sizes)), sizes)][draw(st.permutations(range(sum(sizes))))]
+    support = truth[:, None] == truth
+    pair = st.tuples(*[st.integers(0, truth.size - 1)] * 2)
+    for value in (False, True):  # removed within blocks, then added across them
+        for i, j in draw(st.lists(pair, max_size=6)):
+            if (truth[i] != truth[j]) == value:
+                support[i, j] = value
+                if draw(st.booleans()):
+                    support[j, i] = value
+    return support, truth
+
+
+class TestRecoversPartition:
+    """``recovers_partition`` decides from the true blocks what the component search would."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=block_supports())
+    def test_equals_the_component_search(self, case):
+        support, truth = case
+        assert recovers_partition(support, truth) == searched(support, truth)
+
+    @pytest.mark.parametrize("edits, recovered", [
+        ((), True),
+        (((0, 1, False), (1, 0, False)), True),  # the triangle stays connected
+        (((0, 1, False),), True),
+        (((4, 5, False), (5, 4, False)), False),  # the pair splits
+        (((3, 4, True), (4, 3, True)), False),  # a cross pair merges
+        (((3, 4, True),), False),
+        (((3, 3, False),), True),  # a one-point cluster needs no diagonal
+    ])
+    def test_each_pattern(self, edits, recovered):
+        truth = np.array([7, 7, 7, -1, 3, 3])  # a triangle, a one-point cluster and a pair
+        support = truth[:, None] == truth
+        for i, j, value in edits:
+            support[i, j] = value
+        assert recovers_partition(support, truth) == searched(support, truth) == recovered
+        assert recovers_partition(2.5 * support, truth) == recovered  # a nonzero pattern
+
+    @staticmethod
+    def flags_and_searches(monkeypatch, cfg):
+        """The run's success flags, and how many supports went to the component search."""
+        calls = []
+
+        def counting(w):
+            calls.append(1)
+            return labels_from_clustering_matrix(w)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster, "labels_from_clustering_matrix", counting)
+            flags = [r.success for r in run_experiment(cfg)[0]]
+        return flags, len(calls)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("ambient, dims, points", [
+        (60, (2, 3, 4, 5, 6), (30,) * 5), (40, (2, 2, 3, 3, 4, 4, 5), (20,) * 7)])
+    def test_dense_blocks_take_no_search(self, monkeypatch, seed, ambient, dims, points):
+        # the benchmark's clustering models: every exact CUR's support has dense blocks
+        cfg = ExperimentConfig(kind="clustering", m=ambient, dims=dims, points=points,
+                               scheme="length", trials=5, master_seed=seed)
+        flags, searches = self.flags_and_searches(monkeypatch, cfg)
+        assert searches == 0 and all(flags)
+
+    def test_tight_lines_model_takes_the_search_with_its_flags(self, monkeypatch):
+        cfg = ExperimentConfig(kind="clustering", m=6, dims=(1, 1, 4), points=(2, 1, 7),
+                               scheme="leverage", d_grid=(9,), trials=40)
+        flags, searches = self.flags_and_searches(monkeypatch, cfg)
+        assert searches >= 1
+        monkeypatch.setattr(harness, "recovers_partition", searched)
+        assert [r.success for r in run_experiment(cfg)[0]] == flags
+        assert any(flags) and not all(flags)
 
 
 @st.composite

@@ -6,14 +6,14 @@ import pytest
 from curlowrank.cur import (
     CurFactors,
     _cores_of_a,
+    _cur,
     approx_error,
-    build_cur,
     randomized_cur,
     relative_errors,
     verify_characterization,
 )
 from curlowrank.harness import trial_generator
-from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, factored_svd
+from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
 
 from conftest import rank_k
@@ -22,7 +22,7 @@ from conftest import rank_k
 class TestBuildCur:
     def test_rank_one_pivot(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        f = build_cur(a, IndexSet([0], ROWS), IndexSet([0], COLS))
+        f = _cur(as_matrix(a), IndexSet([0], ROWS), IndexSet([0], COLS), None)
         np.testing.assert_array_equal(f.C, [[1.0], [2.0]])
         np.testing.assert_array_equal(f.U, [[1.0]])
         np.testing.assert_array_equal(f.R, [[1.0, 2.0]])
@@ -30,27 +30,27 @@ class TestBuildCur:
 
     def test_other_pivot(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        f = build_cur(a, IndexSet([1], ROWS), IndexSet([1], COLS))
+        f = _cur(as_matrix(a), IndexSet([1], ROWS), IndexSet([1], COLS), None)
         np.testing.assert_array_equal(f.U, [[4.0]])
         np.testing.assert_allclose(f.approximation(), a, atol=1e-14)
 
     def test_duplicate_indices_leave_product_unchanged(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        plain = build_cur(a, IndexSet([0], ROWS), IndexSet([0], COLS))
-        doubled = build_cur(a, IndexSet([0, 0], ROWS), IndexSet([0], COLS))
+        plain = _cur(as_matrix(a), IndexSet([0], ROWS), IndexSet([0], COLS), None)
+        doubled = _cur(as_matrix(a), IndexSet([0, 0], ROWS), IndexSet([0], COLS), None)
         np.testing.assert_allclose(doubled.approximation(), plain.approximation(), atol=1e-14)
 
     def test_submatrices_are_exact_extractions(self, rng):
         a = rng.standard_normal((6, 7))
         rows, cols = IndexSet([5, 0, 0], ROWS), IndexSet([2, 6], COLS)
-        f = build_cur(a, rows, cols)
+        f = _cur(as_matrix(a), rows, cols, None)
         np.testing.assert_array_equal(f.C, a[:, [2, 6]])
         np.testing.assert_array_equal(f.R, a[[5, 0, 0], :])
         np.testing.assert_array_equal(f.U, a[np.ix_([5, 0, 0], [2, 6])])
 
     def test_u_pinv_satisfies_penrose(self, rng):
         a = rank_k(9, 8, 3, rng)
-        f = build_cur(a, IndexSet([0, 3, 5, 7], ROWS), IndexSet([1, 2, 6], COLS))
+        f = _cur(as_matrix(a), IndexSet([0, 3, 5, 7], ROWS), IndexSet([1, 2, 6], COLS), None)
         u, p = f.U, f.U_pinv
         assert np.linalg.norm(u @ p @ u - u) <= 1e-8 * np.linalg.norm(u)
         assert np.linalg.norm(p @ u @ p - p) <= 1e-8 * np.linalg.norm(p)
@@ -83,7 +83,7 @@ class TestCharacterization:
         rows, cols = IndexSet([0, 2, 4, 6], ROWS), IndexSet([0, 1, 3, 5], COLS)
         rep = verify_characterization(a, rows, cols)
         if rep.all_hold:
-            f = build_cur(a, rows, cols)
+            f = _cur(as_matrix(a), rows, cols, None)
             lhs = f.U_pinv
             rhs = _rank_pinv_cutoff(f.C)[1] @ a @ _rank_pinv_cutoff(f.R)[1]
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
@@ -98,9 +98,9 @@ class TestCharacterization:
             assert rep.unanimous and rep.all_hold == (rep.rank_u == rep.rank_a)
             assert (rep.rank_a, rep.rank_c, rep.rank_r, rep.rank_u) == (1, 1, 1, 1)
 
-    def test_swapped_axes_rejected_like_build_cur(self, rng):
+    def test_swapped_axes_rejected_like_a_cur(self, rng):
         a = rank_k(6, 5, 2, rng)
-        with pytest.raises(ValueError, match="build_cur needs"):
+        with pytest.raises(ValueError, match="a CUR needs"):
             verify_characterization(a, IndexSet([2, 3], COLS), IndexSet([0, 1], ROWS))
 
 
@@ -169,18 +169,18 @@ class TestRandomizedUnanimity:
 class TestApproxError:
     def test_exact_instance(self, rng):
         a = rank_k(8, 7, 2, rng)
-        f = build_cur(a, IndexSet(range(8), ROWS), IndexSet(range(7), COLS))
+        f = _cur(as_matrix(a), IndexSet(range(8), ROWS), IndexSet(range(7), COLS), None)
         assert approx_error(a, f) <= 1e-10 * np.linalg.norm(a)
         assert approx_error(a, f, "spectral") <= 1e-10 * np.linalg.norm(a, 2)
 
     def test_rank_deficient_selection_positive_error(self, rng):
         a = rank_k(6, 6, 3, rng)
-        f = build_cur(a, IndexSet([0], ROWS), IndexSet([0], COLS))
+        f = _cur(as_matrix(a), IndexSet([0], ROWS), IndexSet([0], COLS), None)
         assert approx_error(a, f) > 1e-6
 
     def test_bad_norm_name(self, rng):
         a = rank_k(3, 3, 1, rng)
-        f = build_cur(a, IndexSet([0], ROWS), IndexSet([0], COLS))
+        f = _cur(as_matrix(a), IndexSet([0], ROWS), IndexSet([0], COLS), None)
         with pytest.raises(ValueError):
             approx_error(a, f, "nuclear")
 
@@ -188,7 +188,7 @@ class TestApproxError:
     def test_extreme_scale_is_finite(self, rng, scale):
         # the residual's squares overflow at 1e170 and underflow to 0 at 1e-170 unless scaled
         a = scale * rank_k(30, 20, 3, rng)
-        f = build_cur(a, IndexSet(range(30), ROWS), IndexSet(range(20), COLS))
+        f = _cur(as_matrix(a), IndexSet(range(30), ROWS), IndexSet(range(20), COLS), None)
         for err in (*relative_errors(a, f), approx_error(a, f) / scale,
                     approx_error(a, f, "spectral") / scale):
             assert np.isfinite(err) and err <= 1e-8
@@ -208,13 +208,13 @@ class TestRelativeErrors:
 
     def test_zero_matrix_gives_zero_errors_as_floats(self):
         a = np.zeros((4, 3))
-        f = build_cur(a, IndexSet((0, 2), ROWS), IndexSet((1,), COLS))
+        f = _cur(as_matrix(a), IndexSet((0, 2), ROWS), IndexSet((1,), COLS), None)
         errors = relative_errors(a, f)
         assert errors == (0.0, 0.0) and all(type(err) is float for err in errors)
 
     def test_spectral_ratio_is_inf_when_only_a_is_zero(self):
         a = np.zeros((3, 3))
-        f = build_cur(a, IndexSet((0,), ROWS), IndexSet((0,), COLS))
+        f = _cur(as_matrix(a), IndexSet((0,), ROWS), IndexSet((0,), COLS), None)
         f = CurFactors(I=f.I, J=f.J, C=np.ones((3, 1)), U=f.U, R=np.ones((1, 3)),
                        U_pinv=np.ones((1, 1)))
         assert relative_errors(a, f) == (float("inf"), float("inf"))
@@ -230,7 +230,7 @@ class TestResidualNorms:
         [svd] = factored_svd(p[None], q[None])
         for rows, cols in self.INDEX_SETS:
             rows, cols = IndexSet(rows, ROWS), IndexSet(cols, COLS)
-            f = build_cur(a, rows, cols)
+            f = _cur(as_matrix(a), rows, cols, None)
             resid = a - f.approximation()
             [(norms, z)] = _cores_of_a([(svd, rows, cols, None)])
             np.testing.assert_allclose(norms, (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
@@ -249,7 +249,7 @@ class TestResidualNorms:
         rows, cols = IndexSet(range(0, 30, 3), ROWS), IndexSet(range(0, 20, 2), COLS)
         [(kept, _)], [(dropped, _)] = (_cores_of_a([(svd, rows, cols, tol)])
                                        for tol in (None, 1e-6))
-        resid = a - build_cur(a, rows, cols, 1e-6).approximation()
+        resid = a - _cur(as_matrix(a), rows, cols, 1e-6).approximation()
         np.testing.assert_allclose(dropped, (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
                                    rtol=1e-6)
         assert dropped[1] > 1e-10

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from curlowrank import harness, sampling
-from curlowrank.cur import EXACTNESS_TOL, build_cur, relative_errors
+from curlowrank.cur import EXACTNESS_TOL, _cur, relative_errors
 from curlowrank.errors import ConfigError
 from curlowrank.harness import (
     CSV_HEADER,
@@ -25,6 +25,7 @@ from curlowrank.harness import (
     trial_generator,
     zero_out_columns,
 )
+from curlowrank.linalg import as_matrix
 from curlowrank.sampling import SCHEMES
 
 
@@ -356,7 +357,7 @@ class TestNoiseExperiment:
                                    scheme="length", d_grid=(3, 6), trials=6, master_seed=seed)
             records, _ = run_experiment(cfg)
             assert len(records) == len(clean) > 0
-            expected = [relative_errors(a, build_cur(a, rows, cols))[1] <= cfg.tol
+            expected = [relative_errors(a, _cur(as_matrix(a), rows, cols, None))[1] <= cfg.tol
                         for a, rows, cols in clean]
             assert [r.success for r in records] == expected
             flags += expected

@@ -18,7 +18,7 @@ specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
 the generated data and of its factors, which the generator itself does not
 check, and the clustering trial's exactness flag to the verifier's unanimous
 verdicts.  The success, DEIM and clustering trials, which measure each CUR
-in A's k-by-k core, keep the flags and errors of the dense path (``build_cur``
+in A's k-by-k core, keep the flags and errors of the dense path (``cur._cur``
 and the m-by-n residual) for every scheme, kappa up to 1e6, sparsity 0.5, and
 fewer distinct draws than the rank.  The noise trial prints the rows of
 sigma = 0 at sigma = 1e-150, skips every trial at 1e150 and 1e300 with no
@@ -45,8 +45,8 @@ from curlowrank.cluster import (
 from curlowrank import harness
 from curlowrank.cur import (
     _cores_of_a,
+    _cur,
     approx_error,
-    build_cur,
     relative_errors,
     verify_characterization,
 )
@@ -59,6 +59,7 @@ from curlowrank.linalg import (
     SKETCH_OVERSAMPLE,
     IndexSet,
     _leading_svd,
+    as_matrix,
     compact_svd,
     factored_svd,
     rank_cutoff,
@@ -134,7 +135,7 @@ def test_power_of_two_scaling_keeps_every_bit(inst, j):
 def test_errors_stay_finite_at_extreme_scale(inst, scale):
     a, _, rows, cols, _ = inst
     a = scale * a
-    factors = build_cur(a, rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
+    factors = _cur(as_matrix(a), rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
     errors = (*relative_errors(a, factors), approx_error(a, factors) / scale)
     assert all(np.isfinite(err) for err in errors)
 
@@ -289,7 +290,7 @@ def test_factored_svd_matches_the_dense_one(pair, jp, jq):
 def test_residual_norms_match_the_dense_ones(pair, jp, data):
     p, q, rows, cols = pair
     a = p @ q.T
-    cur = build_cur(a, rows, cols)
+    cur = _cur(as_matrix(a), rows, cols, None)
     resid = a - cur.approximation()
     ref = np.array([np.linalg.norm(resid, 2), np.linalg.norm(resid)])
     size = np.linalg.norm(a, 2) + np.linalg.norm(cur.C, 2) * np.linalg.norm(cur.U_pinv @ cur.R, 2)
@@ -384,7 +385,7 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
     """The one-trial run of ``cfg`` against the dense path on its test matrix ``a``.
 
     The dense path draws from ``a``'s own distributions, builds the CUR with
-    ``build_cur`` and measures the m-by-n residual with ``relative_errors``;
+    ``cur._cur`` and measures the m-by-n residual with ``relative_errors``;
     ``dense_success(factors, rel_f, truth)`` is its success flag.  The flags must
     be equal, and the errors within 1e-11 (relative above 1).  A spectrum
     reshaped to condition number kappa adds the roundoff of the dense path,
@@ -405,7 +406,7 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
         d, dedup = cfg.d_grid[0], cfg.dedup or cfg.kind == "clustering"
         rows, cols = draw_indices(*axis_dists(a, cfg.scheme, k), d, d, rng, dedup)
         tol = rank_cutoff(singular_values(a), a.shape)[1] if cfg.kind == "clustering" else None
-        factors = build_cur(a, rows, cols, tol)
+        factors = _cur(as_matrix(a), rows, cols, tol)
     rel_2, rel_f = relative_errors(a, factors)
     assert record.success == dense_success(factors, rel_f, truth)
     if cfg.kind == "clustering":
