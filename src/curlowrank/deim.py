@@ -40,26 +40,31 @@ def deim_select(v, ell, axis=ROWS) -> DeimSelection:
     so callers can route it to rows or columns of the data matrix.
     """
     v = as_matrix(v)
-    n, width = v.shape
-    if not (1 <= ell <= width):
-        raise DomainError(f"need 1 <= ell <= {width}, got ell={ell}")
+    if not (1 <= ell <= v.shape[1]):
+        raise DomainError(f"need 1 <= ell <= {v.shape[1]}, got ell={ell}")
+    chosen, maxima = _select(v[None], ell)
+    return DeimSelection(indices=IndexSet(chosen[0], axis), residual_maxima=tuple(maxima[0]))
 
-    chosen = [int(np.argmax(np.abs(v[:, 0])))]
-    maxima = [float(abs(v[chosen[0], 0]))]
-    for j in range(1, ell):
-        vj = v[:, j]
-        interp = v[np.asarray(chosen), :j]
-        try:
-            coeff = np.linalg.solve(interp, vj[np.asarray(chosen)])
-        except np.linalg.LinAlgError as exc:
-            raise SingularInterpolationError(
-                f"interpolation system singular at step {j + 1}"
-            ) from exc
-        resid = vj - v[:, :j] @ coeff
-        p = int(np.argmax(np.abs(resid)))
-        maxima.append(float(abs(resid[p])))
-        chosen.append(p)
-    return DeimSelection(indices=IndexSet(tuple(chosen), axis), residual_maxima=tuple(maxima))
+
+def _select(v, ell) -> tuple:
+    """:func:`deim_select`'s indices and residual maxima, as (T, ell) lists, of each basis of
+    the stack ``v``: one stacked solve per greedy step."""
+    t = np.arange(len(v))[:, None]
+    chosen, maxima = np.empty((len(v), ell), dtype=np.intp), np.empty((len(v), ell))
+    resid = v[:, :, 0]
+    for j in range(ell):
+        if j:
+            picked = chosen[:, :j]
+            try:
+                coeff = np.linalg.solve(v[t, picked, :j], v[t, picked, j][..., None])
+            except np.linalg.LinAlgError as exc:
+                raise SingularInterpolationError(
+                    f"interpolation system singular at step {j + 1}"
+                ) from exc
+            resid = v[:, :, j] - (v[:, :, :j] @ coeff)[..., 0]
+        magnitude = np.abs(resid)
+        chosen[:, j], maxima[:, j] = magnitude.argmax(axis=1), magnitude.max(axis=1)
+    return chosen.tolist(), maxima.tolist()
 
 
 def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
@@ -74,13 +79,16 @@ def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
     if k < 1:
         raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
-    return _cur(a, *_deim_indices(a, k, tol, svd), tol)
-
-
-def _deim_indices(a, k, tol, svd) -> tuple:
-    """``(rows, cols)`` that :func:`deim_cur` selects from the validated ``a``."""
     left, right = leading_bases(a, k, tol, svd)
-    return deim_select(left, k, axis=ROWS).indices, deim_select(right, k, axis=COLS).indices
+    return _cur(a, deim_select(left, k, ROWS).indices, deim_select(right, k, COLS).indices, tol)
+
+
+def _deim_indices(svds, k) -> list:
+    """``(rows, cols)`` that :func:`deim_cur` selects from each compact SVD of ``svds``, every
+    rank-``k`` basis of one side at once."""
+    bases = map(np.stack, zip(*(leading_bases(None, k, svd=f) for f in svds)))
+    rows, cols = (_select(b, k)[0] for b in bases)
+    return [(IndexSet(i, ROWS), IndexSet(j, COLS)) for i, j in zip(rows, cols)]
 
 
 @dataclass(frozen=True)

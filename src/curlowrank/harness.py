@@ -3,21 +3,22 @@
 Every experiment kind runs through one trial loop, grid point by grid point,
 and a per-kind reducer writes the summary.  A grid point runs stage-major:
 all its trials enter the first stage, and each stage maps the live trials to
-the next.  Every kind stacks its small LAPACK calls, one per stage: every
-data matrix's factors are factored at once, each trial then draws its indices
-(a dominated noise trial drops out here), and a last stage measures every
-CUR of A in A's k-by-k core; shapes that differ (under ``dedup``) loop inside it.
-Each trial draws from its own Philox stream keyed by ``(master_seed,
-trial_index)``, in the order it would alone, and a stacked call gives each
-matrix the bits of a call on it alone, so trials are independent,
-reorderable, and individually reproducible.  An exception in any trial
-aborts the run, though a different trial's error may surface first.  For a
-given numpy/BLAS build and thread count, a config plus a master seed
-determines every output byte; the integer and flag columns are also fixed
-across BLAS thread counts.  Per-trial wall time is recorded only when
-``timing`` is enabled, since measured clocks would break byte-level
-reproducibility; it is the trial's own time in the per-trial stages plus an
-equal share of each stacked stage it joined.
+the next in one pass over their stacked arrays: every data matrix is
+factored at once; every trial's sampling weights are built at once, and each
+trial only draws from its own stream (DEIM selects on the stack of bases);
+and every CUR of A is measured in A's k-by-k core, shapes that differ (under
+``dedup``) looping inside.  Only the noise trial's middle stage, which holds
+m-by-n arrays, runs trial by trial, and drops a dominated trial.  Each trial
+draws from its own Philox stream keyed by ``(master_seed, trial_index)``, in
+the order it would alone, and a stacked call gives each matrix the bits of a
+call on it alone, so trials are independent, reorderable, and individually
+reproducible.  An exception in any trial aborts the run, though a different
+trial's error may surface first.  For a given numpy/BLAS build and thread
+count, a config plus a master seed determines every output byte; the integer
+and flag columns are also fixed across BLAS thread counts.  Per-trial wall
+time is recorded only when ``timing`` is enabled, since measured clocks
+would break byte-level reproducibility; it is an equal share of each stacked
+stage plus a noise trial's own time in its middle stage.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -59,11 +60,12 @@ from .sampling import (
     SCHEMES,
     ProbDist,
     _certify,
+    _draw_pair,
     _length_weights,
     _noisy_floors,
     _squared_lengths,
+    _stacked_weights,
     axis_dists,
-    draw_indices,
     min_sample_size_rv,
 )
 
@@ -312,25 +314,40 @@ class _Trial:
     state: object = None
 
 
-# A stacked stage maps (cfg, trials) to the new state of every live trial; a per-trial
-# stage maps (cfg, d, rng, state) to one trial's new state, or to None for a skipped
-# trial.  The last stage leaves the trial's CSV row: (success, rel_err_2, rel_err_F).
-def _test_matrices(cfg, trials):
-    """Each trial's ``(p, q, svd)``: the factors of its test matrix ``p @ q.T``, and its SVD."""
+# A stacked stage maps (cfg, d, trials) to the new state of every live trial; the noise
+# trial's stage maps (cfg, d, rng, state) to one trial's, or to None for a skipped trial.
+# The first stage leaves (p, q, svd, tail): the factors of the data ``p @ q.T``, its SVD,
+# and the clustering trial's true labels, else None; the middle stage (svd, rows, cols,
+# tail), where the noise trial's tail is the norms of its own noisy CUR; the last stage
+# the trial's CSV row: (success, rel_err_2, rel_err_F).
+def _test_matrices(cfg, d, trials):
     rngs = [t.rng for t in trials]
     p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rngs, cfg.kappa)
     if cfg.sparsity > 0.0:  # zero columns of A are zero rows of q
         q = np.stack([zero_out_columns(x.T, cfg.sparsity, rng).T for x, rng in zip(q, rngs)])
-    return list(zip(p, q, factored_svd(p, q)))
+    return list(zip(p, q, factored_svd(p, q), [None] * len(trials)))
 
 
-# The per-trial stage of each kind leaves (svd, rows, cols, tail): A's SVD, the drawn
-# index sets, and for the noise trial the absolute norms of its own noisy CUR, for the
-# clustering trial its true labels, else None.
-def _success_trial(cfg, d, rng, state):
-    p, q, f = state
-    dists = axis_dists((p, q), cfg.scheme, cfg.k, f)
-    return (f, *draw_indices(*dists, d, d, rng, cfg.dedup), None)
+def _subspace_data(cfg, d, trials):
+    spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
+    p, q, truths = subspace_factors(spec, [t.rng for t in trials])
+    return list(zip(p, q, factored_svd(p, q), truths))
+
+
+def _draws(cfg, d, trials):
+    """Every trial's weights at once, then its own draws; a clustering CUR drops repeats, on
+    which neither exactness nor the clusters depend."""
+    p, q, svds, tails = zip(*(t.state for t in trials))
+    k = q[0].shape[1] if cfg.kind == "clustering" else cfg.k
+    cums = [np.cumsum(w, axis=1, out=w) for w in _stacked_weights(p, q, svds, cfg.scheme, k)]
+    dedup = cfg.dedup or cfg.kind == "clustering"
+    return [(f, *_draw_pair(rows, cols, d, t.rng, dedup), tail)
+            for f, rows, cols, t, tail in zip(svds, *cums, trials, tails)]
+
+
+def _deim_selections(cfg, d, trials):
+    svds = [t.state[2] for t in trials]
+    return [(f, *indices, None) for f, indices in zip(svds, _deim_indices(svds, cfg.k))]
 
 
 def _noise_trial(cfg, d, rng, state):
@@ -348,7 +365,7 @@ def _noise_trial(cfg, d, rng, state):
     and skips the trial, and an E whose squares underflow is below 1e-150 of
     A, where every floor rounds to 1 either way.
     """
-    p, q, f = state
+    p, q, f, _ = state
     s_1 = f.singular_values[0]
     p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
     f = replace(f, singular_values=f.singular_values / s_1,
@@ -372,26 +389,7 @@ def _noise_trial(cfg, d, rng, state):
     return f, noisy.I, noisy.J, norms
 
 
-def _deim_trial(cfg, d, rng, state):
-    f = state[2]
-    return (f, *_deim_indices(None, cfg.k, None, f), None)
-
-
-def _subspace_data(cfg, trials):
-    """Each trial's ``(p, q, truth, svd)``: its data's factors, labels and SVD of ``p @ q.T``."""
-    spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
-    p, q, truths = subspace_factors(spec, [t.rng for t in trials])
-    return list(zip(p, q, truths, factored_svd(p, q)))
-
-
-def _clustering_trial(cfg, d, rng, state):
-    """Draw a CUR of distinct indices: neither exactness nor the clusters depend on repeats."""
-    p, q, truth, f = state
-    dists = axis_dists((p, q), cfg.scheme, q.shape[1], f)
-    return (f, *draw_indices(*dists, d, d, rng, dedup=True), truth)
-
-
-def _measure(cfg, trials):
+def _measure(cfg, d, trials):
     """Each trial's CSV row, from its CUR of A measured in A's k-by-k core.
 
     ``U^+`` is cut at U's own cutoff in the table kinds, and at A's in the
@@ -473,12 +471,11 @@ def _clustering_summary(cfg, runs):
 
 
 _KINDS = {
-    "success_prob": ((_test_matrices, _success_trial, _measure), _success_summary),
+    "success_prob": ((_test_matrices, _draws, _measure), _success_summary),
     "noise_stability": ((_test_matrices, _noise_trial, _measure), _noise_summary),
-    "deim_check": ((_test_matrices, _deim_trial, _measure), _deim_summary),
-    "clustering": ((_subspace_data, _clustering_trial, _measure), _clustering_summary),
+    "deim_check": ((_test_matrices, _deim_selections, _measure), _deim_summary),
+    "clustering": ((_subspace_data, _draws, _measure), _clustering_summary),
 }
-_STACKED = (_test_matrices, _measure, _subspace_data)
 
 
 def _scheme(cfg):
@@ -492,17 +489,17 @@ def _run_trials(cfg, d, indices):
     for stage in _KINDS[cfg.kind][0]:
         if not live:
             break
-        if stage in _STACKED:
+        if stage is _noise_trial:
+            for t in live:
+                t0 = now()
+                t.state = stage(cfg, d, t.rng, t.state)
+                t.seconds += now() - t0
+        else:
             t0 = now()
-            states = stage(cfg, live)
+            states = stage(cfg, d, live)
             share = (now() - t0) / len(live)
             for t, state in zip(live, states):
                 t.state, t.seconds = state, t.seconds + share
-            continue
-        for t in live:
-            t0 = now()
-            t.state = stage(cfg, d, t.rng, t.state)
-            t.seconds += now() - t0
         live = [t for t in live if t.state is not None]
     return [TrialRecord(t.index, _scheme(cfg), d, d, *t.state, t.seconds * 1e3) for t in live]
 

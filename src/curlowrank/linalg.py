@@ -162,7 +162,7 @@ def _as_stack(a) -> np.ndarray:
 def _core(rp, rq):
     """``(core, shift)`` of the stacks ``rp``, ``rq``: ``rp @ rq.T == ldexp(core, -shift)``
     for each pair, each factor scaled near 1 first."""
-    sp, sq = (np.array([_unit_shift(r) for r in x]) for x in (rp, rq))
+    sp, sq = _unit_shift(rp), _unit_shift(rq)
     core = np.ldexp(rp, sp[:, None, None]) @ np.swapaxes(np.ldexp(rq, sq[:, None, None]), 1, 2)
     return core, sp + sq
 
@@ -200,7 +200,7 @@ def factored_norms(p, q) -> tuple:
 def _norms(core, shift=0) -> list:
     """``(||a||_2, ||a||_F)`` of each ``a = ldexp(core, -shift)`` of the stack ``core`` (and its
     shifts), from one SVD of the stack with each core scaled near 1 first."""
-    scales = np.array([_unit_shift(c) for c in core])
+    scales = _unit_shift(core)
     s = np.linalg.svd(np.ldexp(core, scales[:, None, None]), compute_uv=False)
     return [(math.ldexp(float(s_i[0]), -j), math.ldexp(float(np.linalg.norm(s_i)), -j))
             for s_i, j in zip(s, (scales + shift).tolist())]
@@ -329,10 +329,12 @@ def _cut_pinv(w, s, vt, shape, tol, floor=0.0) -> tuple:
     return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff
 
 
-def _unit_shift(a) -> int:
-    """The exponent ``j`` for which ``2**j * max|a|`` lies nearest 1 (0 for a zero matrix)."""
-    peak = max(float(a.max()), -float(a.min()))
-    return -round(math.log2(peak)) if peak > 0.0 else 0
+def _unit_shift(a):
+    """The exponent ``j`` for which ``2**j * max|a|`` lies nearest 1 (0 for a zero matrix), or
+    for a stack of matrices the array of each one's."""
+    peaks = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
+    shifts = [-round(math.log2(peak)) if peak > 0.0 else 0 for peak in np.ravel(peaks).tolist()]
+    return np.array(shifts, dtype=np.intc) if a.ndim == 3 else shifts[0]
 
 
 def unit_scaled(a):

@@ -4,11 +4,11 @@ Uniform, squared-length and rank-k leverage distributions each have one
 builder, :func:`axis_dists`, which gives both axes at once; the squared
 lengths of both axes come from one pass of row and column sums of squares
 over the scaled matrix, with no m-by-n temporary, or, for a matrix held as
-thin factors, from the factors and its SVD.  Draws are
-i.i.d. with replacement through an inverse-CDF lookup (binary search on the
-cumulative weight vector), so a fixed ``numpy.random.Generator`` state
-reproduces the same index multiset byte for byte.  Zero-weight indices are
-never drawn.
+thin factors, from the factors and its SVD, a whole stack of them at once
+(:func:`_stacked_weights`).  Draws are i.i.d. with replacement through an
+inverse-CDF lookup, a binary search of the full cumulative weight vector,
+so a fixed ``numpy.random.Generator`` state reproduces the same index
+multiset byte for byte.  Zero-weight indices are never drawn.
 
 Rank-k leverage scores need only the top-k singular subspaces, which
 :func:`~curlowrank.linalg.leading_bases` gives: without a caller's SVD they
@@ -69,11 +69,7 @@ class ProbDist:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
-        if not (w.min() >= 0.0 and w.max() < math.inf):  # NaN fails the first test
-            raise ValueError("weights must be finite and nonnegative")
-        total = float(w.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 (got {total!r})")
+        _check_weights(w)
         if self.axis not in (ROWS, COLS):
             raise ValueError(f"axis must be '{ROWS}' or '{COLS}'")
         w = w.copy()
@@ -83,6 +79,15 @@ class ProbDist:
     @property
     def size(self) -> int:
         return int(self.weights.size)
+
+
+def _check_weights(w) -> None:
+    """:class:`ProbDist`'s checks on each vector of the stack ``w``: finite, nonnegative, sum 1."""
+    if not (w.min() >= 0.0 and w.max() < math.inf):  # NaN fails the first test
+        raise ValueError("weights must be finite and nonnegative")
+    off = [total for total in np.atleast_1d(w.sum(axis=-1)).tolist() if abs(total - 1.0) > 1e-12]
+    if off:
+        raise ValueError(f"weights must sum to 1 (got {off[0]!r})")
 
 
 def uniform_dist(n, axis) -> ProbDist:
@@ -104,24 +109,28 @@ def _squared_lengths(a) -> tuple:
 
 
 def _length_weights(rows, cols) -> tuple:
-    """The squared lengths of each axis over their own sum; the zero matrix is rejected."""
-    if not rows.any():
+    """The squared lengths of each axis (of each matrix) over their own sum; no zero matrix."""
+    if not rows.any(axis=-1).all():
         raise ZeroMatrixError("length distribution of the zero matrix is undefined")
-    return rows / float(rows.sum()), cols / float(cols.sum())
+    return rows / rows.sum(axis=-1, keepdims=True), cols / cols.sum(axis=-1, keepdims=True)
 
 
-def _factored_lengths(p, q, svd) -> tuple:
-    """The squared row and column lengths of ``p @ q.T``, each axis at its own scale.
+def _factored_lengths(p, q, svds) -> tuple:
+    """The squared row and column lengths of each ``p[t] @ q[t].T``, each axis at its own scale.
 
-    ``svd = W S V^T`` is the product's compact SVD, whose W and V span the
+    ``svds[t] = W S V^T`` is the product's compact SVD, whose W and V span the
     ranges of p and q: row i has the length of ``p_i (q^T V)`` and column j
-    that of ``q_j (p^T W)``, with no LAPACK call.  Each is formed from
-    unit-scaled factors, so no square over- or underflows, and a zero row of
-    ``q`` gives a column of length exactly 0.0.
+    that of ``q_j (p^T W)``, with no LAPACK call (one product at a time where
+    ranks differ).  Each is formed from unit-scaled factors, so no square over-
+    or underflows, and a zero row of ``q`` gives a column of length exactly 0.0.
     """
-    p, q = unit_scaled(p), unit_scaled(q)
-    return tuple(np.sum((x @ (y.T @ basis)) ** 2, axis=1)
-                 for x, y, basis in ((p, q, svd.right), (q, p, svd.left)))
+    if len({f.numerical_rank for f in svds}) > 1:
+        alone = [_factored_lengths(p[t:t + 1], q[t:t + 1], [f]) for t, f in enumerate(svds)]
+        return tuple(map(np.concatenate, zip(*alone)))
+    p, q = (np.ldexp(x, _unit_shift(x)[:, None, None]) for x in (p, q))
+    rights, lefts = np.stack([f.right for f in svds]), np.stack([f.left for f in svds])
+    return tuple(np.sum((x @ (np.swapaxes(y, 1, 2) @ basis)) ** 2, axis=2)
+                 for x, y, basis in ((p, q, rights), (q, p, lefts)))
 
 
 def _on_axis(dists, axis) -> ProbDist:
@@ -153,9 +162,8 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
     """Row and column distributions of one scheme from :data:`SCHEMES`.
 
     ``a`` is a matrix, or a pair ``(p, q)`` of thin factors of ``a = p @ q.T``,
-    which is then not formed: its length weights come from
-    :func:`_factored_lengths` of ``svd``, or of :func:`~curlowrank.linalg.factored_svd`
-    of the pair, within 1e-14 of the largest dense weight.
+    which is then not formed: its weights are :func:`_stacked_weights` of the
+    one pair, whose length weights are within 1e-14 of the largest dense weight.
     Leverage scores need the truncation rank ``k``; without it a
     DomainError is raised.  Both leverage axes come from one factorization of
     ``a``, the :func:`~curlowrank.linalg.leading_bases` of ``a`` and ``svd``,
@@ -163,37 +171,54 @@ def axis_dists(a, scheme, k=None, svd=None) -> tuple:
     """
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    factored = isinstance(a, tuple)
-    if scheme == UNIFORM:
-        m, n = (len(a[0]), len(a[1])) if factored else a.shape
-        return uniform_dist(m, ROWS), uniform_dist(n, COLS)
-    if factored:
-        (p, q), a = a, None
-        svd = factored_svd(p[None], q[None])[0] if svd is None else svd
-    if scheme == LENGTH:
-        lengths = _factored_lengths(p, q, svd) if factored else _squared_lengths(unit_scaled(a))
-        rows, cols = _length_weights(*lengths)
-        return ProbDist(rows, ROWS, LENGTH), ProbDist(cols, COLS, LENGTH)
-    if k is None or k < 1:
+    if scheme not in (UNIFORM, LENGTH) and (k is None or k < 1):
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
-    left, right = leading_bases(a, k, svd=svd)
-    return tuple(ProbDist(np.sum(basis * basis, axis=1) / float(k), axis, f"leverage({int(k)})")
-                 for basis, axis in ((left, ROWS), (right, COLS)))
+    if isinstance(a, tuple):
+        p, q = ([as_matrix(x)] for x in a)
+        svd = factored_svd(p, q)[0] if svd is None and scheme != UNIFORM else svd
+        weights = [w[0] for w in _stacked_weights(p, q, [svd], scheme, k)]
+    elif scheme == UNIFORM:
+        return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
+    elif scheme == LENGTH:
+        weights = _length_weights(*_squared_lengths(unit_scaled(a)))
+    else:
+        weights = [np.sum(b * b, axis=1) / float(k) for b in leading_bases(a, k, svd=svd)]
+    label = scheme if scheme in (UNIFORM, LENGTH) else f"leverage({int(k)})"
+    return ProbDist(weights[0], ROWS, label), ProbDist(weights[1], COLS, label)
+
+
+def _stacked_weights(p, q, svds, scheme, k) -> tuple:
+    """The (T, m) and (T, n) stacks of :func:`axis_dists`'s weights of each ``p[t] @ q[t].T``,
+    from each product's compact SVD ``svds[t]``, with the checks of :class:`ProbDist`."""
+    if scheme == UNIFORM:
+        weights = [np.full((len(x), len(x[0])), 1.0 / len(x[0])) for x in (p, q)]
+    elif scheme == LENGTH:
+        weights = _length_weights(*_factored_lengths(np.stack(p), np.stack(q), svds))
+    else:
+        bases = map(np.stack, zip(*(leading_bases(None, k, svd=f) for f in svds)))
+        weights = [np.sum(b * b, axis=2) / float(k) for b in bases]
+    for w in weights:
+        _check_weights(w)
+    return weights
+
+
+def _inverse_cdf(cum, d, rng) -> np.ndarray:
+    """``d`` i.i.d. indices of the weights with running sum ``cum``; never a zero weight's."""
+    return np.searchsorted(cum, rng.random(int(d)) * cum[-1], side="right")
 
 
 def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:
-    """Draw ``d`` i.i.d. indices from ``dist`` with replacement.
-
-    Inverse-CDF sampling over the positive-weight support; deterministic for
-    a given generator state.
-    """
+    """Draw ``d`` i.i.d. indices from ``dist`` with replacement, by an inverse-CDF lookup."""
     if d < 1:
         raise DomainError(f"need at least one draw, got d={d}")
-    support = np.flatnonzero(dist.weights > 0.0)
-    cum = np.cumsum(dist.weights[support])
-    u = rng.random(int(d)) * cum[-1]
-    pos = np.searchsorted(cum, u, side="right")
-    return IndexSet(support[pos].tolist(), dist.axis)
+    return IndexSet(_inverse_cdf(np.cumsum(dist.weights), d, rng).tolist(), dist.axis)
+
+
+def _draw_pair(row_cum, col_cum, d, rng, dedup) -> tuple:
+    """:func:`draw_indices` of ``d`` rows and ``d`` columns, from each axis's running sums."""
+    drawn = [_inverse_cdf(cum, d, g).tolist() for cum, g in zip((row_cum, col_cum), rng.spawn(2))]
+    return tuple(IndexSet(dict.fromkeys(x) if dedup else x, axis)
+                 for x, axis in zip(drawn, (ROWS, COLS)))
 
 
 def draw_indices(row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng, dedup=False) -> tuple:
@@ -203,12 +228,9 @@ def draw_indices(row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng, dedup=Fals
     so changing ``d2`` never affects the rows drawn, and vice versa.
     ``dedup=True`` removes repeated indices afterwards.
     """
-    row_rng, col_rng = rng.spawn(2)
-    rows = draw_with_replacement(row_dist, d1, row_rng)
-    cols = draw_with_replacement(col_dist, d2, col_rng)
-    if dedup:
-        return dedup_indices(rows), dedup_indices(cols)
-    return rows, cols
+    rows, cols = (draw_with_replacement(dist, d, child) for dist, d, child
+                  in zip((row_dist, col_dist), (d1, d2), rng.spawn(2)))
+    return (dedup_indices(rows), dedup_indices(cols)) if dedup else (rows, cols)
 
 
 def dedup_indices(index_set: IndexSet) -> IndexSet:

@@ -4,13 +4,21 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from curlowrank import harness, sampling
+from curlowrank import deim, harness, sampling
 from curlowrank.cur import EXACTNESS_TOL, _cur, relative_errors
-from curlowrank.errors import ConfigError
+from curlowrank.deim import deim_select
+from curlowrank.errors import (
+    ConfigError,
+    DomainError,
+    RankDeficientError,
+    SingularInterpolationError,
+    ZeroMatrixError,
+)
 from curlowrank.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -25,8 +33,8 @@ from curlowrank.harness import (
     trial_generator,
     zero_out_columns,
 )
-from curlowrank.linalg import as_matrix
-from curlowrank.sampling import SCHEMES
+from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd
+from curlowrank.sampling import SCHEMES, axis_dists, draw_indices, leverage_dist
 
 
 def sha(path):
@@ -409,6 +417,17 @@ STACKED_CONFIGS = {
                                             points=(2, 1, 7), scheme="leverage", d_grid=(9,)),
 }
 
+# The draw stage's configs: every scheme at sparsity 0 and 0.5, with and without dedup
+# and kappa = 1e6, and both clustering models.
+DRAW_CONFIGS = {
+    f"{scheme}_sparsity{sparsity}" + ("_dedup_kappa" if dedup else ""):
+        dict(TABLE, kind="success_prob", scheme=scheme, sparsity=sparsity, dedup=dedup,
+             kappa=1e6 if dedup else None, d_grid=(12,))
+    for scheme in SCHEMES for sparsity in (0.0, 0.5) for dedup in (False, True)
+}
+DRAW_CONFIGS.update({name: STACKED_CONFIGS[name]
+                     for name in ("clustering_length", "clustering_lines_tight_leverage")})
+
 
 class TestStageMajor:
     @pytest.mark.parametrize("name", sorted(STACKED_CONFIGS))
@@ -420,13 +439,142 @@ class TestStageMajor:
         assert together == alone
         assert together and all(record.wall_time_ms == 0.0 for record in together)
 
+    @staticmethod
+    def _first_stage(cfg, bases=None):
+        """Six trials through ``cfg``'s first stage, each with a fresh stream for the next."""
+        trials = [harness._Trial(i, trial_generator(cfg.master_seed, i)) for i in range(6)]
+        stage = harness._KINDS[cfg.kind][0][0]
+        for t, state in zip(trials, stage(cfg, cfg.resolved_d_grid()[0], trials)):
+            t.state, t.rng = state, trial_generator(cfg.master_seed, t.index)
+        return trials
+
+    @pytest.mark.parametrize("name", sorted(DRAW_CONFIGS))
+    def test_draw_stage_gives_each_trial_the_draws_it_makes_alone(self, name):
+        cfg = ExperimentConfig(trials=6, master_seed=47, **DRAW_CONFIGS[name])
+        d = cfg.resolved_d_grid()[0]
+        trials = self._first_stage(cfg)
+        states = [t.state for t in trials]
+        clustering = cfg.kind == "clustering"
+        for (p, q, f, _), (g, rows, cols, _), t in zip(states, harness._draws(cfg, d, trials),
+                                                        trials):
+            k = q.shape[1] if clustering else cfg.k
+            dists = axis_dists((p, q), cfg.scheme, k, f)
+            rng = trial_generator(cfg.master_seed, t.index)
+            assert g is f
+            assert (rows, cols) == draw_indices(*dists, d, d, rng, cfg.dedup or clustering)
+
+    def test_draw_stage_weighs_a_trial_of_lower_rank_as_it_does_alone(self):
+        cfg = ExperimentConfig(trials=6, master_seed=50, **STACKED_CONFIGS["length"])
+        trials = self._first_stage(cfg)
+        p, q, _, _ = trials[1].state
+        p = p * [1.0, 1.0, 0.0, 1.0]  # rank 3 of the config's 4
+        trials[1].state = (p, q, factored_svd(p[None], q[None])[0], None)
+        states = [t.state for t in trials]
+        stacked = sampling._stacked_weights(np.stack([s[0] for s in states]),
+                                            np.stack([s[1] for s in states]),
+                                            [s[2] for s in states], "length", 4)
+        for i, (p, q, f, _) in enumerate(states):
+            alone = axis_dists((p, q), "length", svd=f)
+            assert [w[i].tobytes() for w in stacked] == [d.weights.tobytes() for d in alone]
+
+    @pytest.mark.parametrize("kappa", [None, 1e6])
+    def test_deim_stage_selects_from_each_basis_what_deim_select_does(self, kappa):
+        cfg = ExperimentConfig(trials=6, master_seed=48, kappa=kappa, **TABLE, kind="deim_check")
+        trials = self._first_stage(cfg)
+        for t, (f, rows, cols, _) in zip(trials, harness._deim_selections(cfg, 4, trials)):
+            assert f is t.state[2]
+            assert rows == deim_select(f.left[:, :4], 4, ROWS).indices
+            assert cols == deim_select(f.right[:, :4], 4, COLS).indices
+
+    def test_stacked_selection_breaks_ties_toward_the_smallest_index(self):
+        # rows i and i + 4 of the tied basis have equal magnitudes, and every entry of
+        # the scaled Hadamard columns has magnitude 1/sqrt(8)
+        rng = np.random.default_rng(49)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        hadamard = np.array([[1.0]])
+        for _ in range(3):
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        stack = np.stack([np.vstack([q, -q]) / math.sqrt(2.0), hadamard[:, :4] / math.sqrt(8.0),
+                          *(np.linalg.qr(rng.standard_normal((8, 4)))[0] for _ in range(4))])
+        chosen, maxima = deim._select(stack, 4)
+        assert chosen[1][0] == 0 and all(i < 4 for i in chosen[0])
+        for basis, indices, residuals in zip(stack, chosen, maxima):
+            alone = deim_select(basis, 4)
+            assert alone.indices.indices == tuple(indices)
+            assert alone.residual_maxima == tuple(residuals)
+
+    # Each error the per-trial path raises on one trial, raised by the stacked stage.
+    def test_a_zero_matrix_in_the_stack_fails_as_it_fails_alone(self):
+        cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["length"])
+        trials = self._first_stage(cfg)
+        p, q, f, _ = trials[3].state
+        trials[3].state = (np.zeros_like(p), q, f, None)
+        with pytest.raises(ZeroMatrixError) as alone:
+            axis_dists((np.zeros_like(p), q), "length", svd=f)
+        with pytest.raises(ZeroMatrixError) as stacked:
+            harness._draws(cfg, 8, trials)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_a_leverage_rank_beyond_a_trial_fails_as_it_fails_alone(self):
+        cfg = ExperimentConfig(trials=6, **{**STACKED_CONFIGS["length"], "scheme": "leverage"})
+        trials = self._first_stage(cfg)
+        p, q, _, _ = trials[2].state
+        p = p * [1.0, 1.0, 1.0, 0.0]  # rank 3 of the config's 4
+        trials[2].state = (p, q, factored_svd(p[None], q[None])[0], None)
+        with pytest.raises(RankDeficientError) as alone:
+            axis_dists((p, q), "leverage", 4, trials[2].state[2])
+        with pytest.raises(RankDeficientError) as stacked:
+            harness._draws(cfg, 8, trials)
+        assert str(stacked.value) == str(alone.value)
+        states = [t.state for t in trials]
+        p, q = np.stack([s[0] for s in states]), np.stack([s[1] for s in states])
+        for k in (0, 25):  # outside 1..min(m, n)
+            with pytest.raises(DomainError):
+                leverage_dist(p[0] @ q[0].T, k, ROWS)
+            with pytest.raises(DomainError):
+                sampling._stacked_weights(p, q, [s[2] for s in states], "leverage", k)
+
+    def test_weights_failing_a_check_fail_the_stack_as_they_fail_alone(self, monkeypatch):
+        cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["length"])
+        trials = self._first_stage(cfg)
+        real = sampling._factored_lengths
+
+        def one_negative(p, q, svds):
+            rows, cols = real(p, q, svds)
+            rows[-1, 0] = -rows[-1, 0]
+            return rows, cols
+
+        monkeypatch.setattr(sampling, "_factored_lengths", one_negative)
+        p, q, f, _ = trials[-1].state
+        with pytest.raises(ValueError) as alone:
+            axis_dists((p, q), "length", svd=f)
+        with pytest.raises(ValueError) as stacked:
+            harness._draws(cfg, 8, trials)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_a_singular_deim_step_fails_the_stack_as_it_fails_alone(self):
+        cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["deim"])
+        trials = self._first_stage(cfg)
+        p, q, f, _ = trials[4].state
+        f = replace(f, left=f.left * [0.0, 1.0, 1.0, 1.0])  # step 2 solves a 1-by-1 zero
+        trials[4].state = (p, q, f, None)
+        with pytest.raises(SingularInterpolationError) as alone:
+            deim_select(f.left[:, :4], 4, ROWS)
+        with pytest.raises(SingularInterpolationError) as stacked:
+            harness._deim_selections(cfg, 4, trials)
+        assert str(stacked.value) == str(alone.value)
+
     def test_timing_shares_each_stacked_stage(self, monkeypatch):
         # each stage advances a fake clock by 1 s per call; a stacked stage's second
-        # is split between the trials that joined it
+        # is split between the trials that joined it, and each noise trial keeps the
+        # second of its own stage
         ticks = iter(range(10_000))
         monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
-        cfg = ExperimentConfig(kind="deim_check", m=15, n=12, k=3, trials=4, timing=True)
-        records, _ = run_experiment(cfg)
+        table = dict(m=15, n=12, k=3, trials=4, timing=True)
+        records, _ = run_experiment(ExperimentConfig(kind="deim_check", **table))
+        assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 0.25 + 0.25)] * 4
+        noise = ExperimentConfig(kind="noise_stability", sigma=1e-3, d_grid=(6,), **table)
+        records, _ = run_experiment(noise)
         assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 1.0 + 0.25)] * 4
 
     @staticmethod

@@ -398,7 +398,7 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
         a, truth = union_of_subspaces(SubspaceSpec(cfg.m, cfg.dims, cfg.points), rng)
         k = sum(cfg.dims)
     else:
-        p, q, _ = harness._test_matrices(cfg, [harness._Trial(0, rng)])[0]
+        p, q, _, _ = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])[0]
         a, truth, k = p @ q.T, None, cfg.k
     if cfg.kind == "deim_check":
         factors = deim_cur(a, k)

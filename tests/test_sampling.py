@@ -12,7 +12,7 @@ from curlowrank.errors import (
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
-from curlowrank import harness
+from curlowrank import harness, sampling
 from curlowrank.harness import ExperimentConfig, trial_generator
 from curlowrank.linalg import (
     COLS,
@@ -127,7 +127,7 @@ class TestFactoredLength:
         cfg = ExperimentConfig(kind="success_prob", m=30, n=40, k=4, kappa=kappa, sparsity=0.5,
                                d_grid=(8,), trials=60)
         trials = [harness._Trial(i, trial_generator(5, i)) for i in range(cfg.trials)]
-        for i, (p, q, f) in enumerate(harness._test_matrices(cfg, trials)):
+        for i, (p, q, f, _) in enumerate(harness._test_matrices(cfg, 8, trials)):
             zeroed = ~q.any(axis=1)
             assert zeroed.sum() == 20
             dense = axis_dists(p @ q.T, "length")
@@ -289,6 +289,41 @@ class TestDraws:
     def test_d_must_be_positive(self):
         with pytest.raises(DomainError):
             draw_with_replacement(uniform_dist(3, ROWS), 0, trial_generator(0, 0))
+
+    def test_full_cumulative_search_draws_what_the_support_search_draws(self):
+        # leading, interior and trailing zeros, and a weight of 1e-20 that leaves the
+        # running sum where it was: the search over the full running sum gives the
+        # indices of a search over the positive weights alone
+        weights = np.array([0.0, 0.0, 0.2, 0.0, 0.3, 1e-20, 0.0, 0.0, 0.5, 0.0, 0.0])
+        dist = ProbDist(weights, ROWS, "length")
+        support = np.flatnonzero(weights > 0.0)
+        cum = np.cumsum(weights[support])
+        for seed in range(1000):
+            u = np.random.default_rng(seed).random(24) * cum[-1]
+            want = support[np.searchsorted(cum, u, side="right")]
+            got = draw_with_replacement(dist, 24, np.random.default_rng(seed))
+            assert got.indices == tuple(want.tolist())
+
+        class OnTheBoundaries:  # uniforms equal to 0 and to running sums (cum[-1] is 1.0)
+            def random(self, d):
+                return np.array([0.0, 0.2, 0.5])
+
+        got = draw_with_replacement(dist, 3, OnTheBoundaries())
+        assert got.indices == tuple(support[np.searchsorted(cum, [0.0, 0.2, 0.5], "right")])
+        assert got.indices == (2, 4, 8)
+
+
+class TestWeightChecks:
+    @pytest.mark.parametrize("bad", [[0.5, 0.6, -0.1], [0.5, np.inf, 0.0], [0.5, np.nan, 0.5],
+                                     [0.5, 0.4, 0.1 + 1e-9]])
+    def test_a_stack_fails_as_its_bad_vector_fails(self, bad):
+        stack = np.array([[0.25, 0.25, 0.5], bad, [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError) as alone:
+            ProbDist(np.array(bad), ROWS, "length")
+        with pytest.raises(ValueError) as stacked:
+            sampling._check_weights(stack)
+        assert str(stacked.value) == str(alone.value)
+        sampling._check_weights(stack[[0, 2]])
 
 
 class TestDedup:
