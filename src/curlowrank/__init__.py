@@ -73,7 +73,6 @@ from .sampling import (
     ProbDist,
     StabilityParams,
     axis_dists,
-    dedup_indices,
     draw_indices,
     draw_with_replacement,
     epsilon_ceiling,

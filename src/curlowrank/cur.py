@@ -7,17 +7,15 @@ decomposition is *exact* when ``A = C U^+ R``, which happens precisely when
 equivalent formulations of that statement numerically and reports them
 side by side; they must agree on every instance.
 
-Exactness is declared at relative Frobenius tolerance 1e-8 by default.
-Rank decisions for C, U, R use the numerical-rank cutoff of the source
-matrix A, since per-submatrix cutoffs can misclassify a near-singular U;
-only where repeated indices make a submatrix's own default cutoff larger
-is that one used, so its roundoff never counts toward its rank.
-
-Spectral errors take ``||.||_2`` from :func:`~curlowrank.linalg.spectral_norm`,
-an eigensolve of the smaller Gram matrix that agrees with the SVD norm to
-within 1e-12 relative, so no m-by-n residual is factored.  A CUR of a matrix
-held as its compact SVD is measured in that SVD's k-by-k core instead
-(:func:`_cores_of_a`), without extracting C, U or R.
+Exactness is declared at relative Frobenius tolerance 1e-8 by default.  A CUR
+of A is measured in the k-by-k blocks of A's compact SVD (:func:`_blocks`),
+without extracting C, U or R: C, R and U have the singular values of small
+blocks, every rank and every ``U^+`` is cut at A's numerical-rank cutoff, and
+no m-by-n product is formed, so roundoff does not grow with the condition
+number of U.  The trials and ``verify_characterization`` share these blocks.
+Spectral errors of an extracted CUR take ``||.||_2`` from
+:func:`~curlowrank.linalg.spectral_norm`, an eigensolve of the smaller Gram
+matrix, so no m-by-n residual is factored.
 """
 
 from __future__ import annotations
@@ -30,6 +28,8 @@ from .linalg import (
     COLS,
     ROWS,
     IndexSet,
+    _check_range,
+    _compact_svd,
     _norms,
     _pinvs,
     _rank_pinv_cutoff,
@@ -37,6 +37,7 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     spectral_norm,
+    unit_scaled,
 )
 from .sampling import ProbDist, draw_indices
 
@@ -59,19 +60,21 @@ class CurFactors:
         return self.C @ self.U_pinv @ self.R
 
 
-def _submatrices(a, rows: IndexSet, cols: IndexSet) -> tuple:
-    """``(C, R, U)`` of the validated ``a`` for a row and a column index set."""
+def _check_cur(rows: IndexSet, cols: IndexSet, shape) -> None:
+    """Raise unless ``rows``, ``cols`` are a nonempty row and column index set within ``shape``."""
     if rows.axis != ROWS or cols.axis != COLS:
         raise ValueError("a CUR needs a row index set and a column index set")
     if not (rows.indices and cols.indices):
         raise ValueError("a CUR needs at least one row index and one column index")
-    c = _take(a, cols)
-    return c, _take(a, rows), _take(c, rows)
+    for index_set, size in zip((rows, cols), shape):
+        _check_range(index_set, size)
 
 
 def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
     """``C, U, R`` of the validated ``a`` for the given index sets; ``U^+`` is cut at ``tol``."""
-    c, r, u = _submatrices(a, rows, cols)
+    _check_cur(rows, cols, a.shape)
+    c, r = _take(a, cols), _take(a, rows)
+    u = _take(c, rows)
     return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=_rank_pinv_cutoff(u, tol)[1])
 
 
@@ -93,8 +96,8 @@ class CharacterizationReport:
     The booleans must be unanimous on every instance; ``u_pinv_identity``
     (``U^+ = C^+ A R^+``) is only meaningful when all five hold.
     ``residuals`` holds the relative Frobenius residual of each identity.
-    A caller that needs only an exact CUR draws it at A's cutoff (as
-    :func:`randomized_cur` does) and tests (ii) on its residual.
+    A caller that needs only (ii) measures the CUR with :func:`_cores_of_a`,
+    as the trials do.
     """
 
     rank_a: int
@@ -130,16 +133,12 @@ def _ratio(err, size) -> float:
     return 0.0 if err == 0.0 else float("inf")
 
 
-def _relative(resid, ref):
-    """``||resid||_F / ||ref||_F``, neither norm over- or underflowing."""
-    return _ratio(frobenius_norm(resid), frobenius_norm(ref))
-
-
 def relative_errors(a, factors: CurFactors) -> tuple:
     """``(rel_2, rel_F)``: the spectral and Frobenius norms of ``A - C U^+ R`` over those of A."""
     a = as_matrix(a)
     resid = a - factors.approximation()
-    return _ratio(spectral_norm(resid), spectral_norm(a)), _relative(resid, a)
+    return (_ratio(spectral_norm(resid), spectral_norm(a)),
+            _ratio(frobenius_norm(resid), frobenius_norm(a)))
 
 
 def _stacked(fn, mats, *args):
@@ -155,27 +154,33 @@ def _r_factors(x):
     return np.linalg.qr(x, mode="r")
 
 
-def _cores_of_a(curs) -> list:
-    """``((||A - C U^+ R||_2, ||A - C U^+ R||_F), z)`` of each CUR of A in ``curs``.
+def _blocks(curs) -> tuple:
+    """The lists of ``R_b``, ``R_v``, ``(rank(U), M^+)``, ``z`` and ``middle`` of ``curs``.
 
-    ``curs`` holds ``(svd, rows, cols, tol)``: A's compact SVD ``A = W S V^T``, the
-    index sets, and the cutoff of ``U^+``, None for U's own.  ``U = (W_I S) V_J^T``
-    has the singular values of the core ``M = R_b R_v^T`` of the R factors of
-    ``W_I S`` and ``V_J``, so ``U^+ = Q_v M^+ Q_b^T``, the residual is
-    ``W (S - S R_v^T M^+ R_b) V^T`` (grouped so that no product passes through
-    ``S^2``; where ``svd`` is cut, the part of A below its cutoff is left out)
-    and ``U^+ R = Q_v z V^T`` with ``z = M^+ R_b``.  Each stage is one LAPACK
-    call on the stack of its matrices where their shapes agree.
+    ``curs`` holds ``(svd, rows, cols)``: A's compact SVD ``A = W S V^T`` and the
+    index sets.  ``U = (W_I S) V_J^T`` has the singular values of the core
+    ``M = R_b R_v^T`` of the R factors of ``W_I S`` and ``V_J``, so ``U^+ = Q_v M^+
+    Q_b^T``, cut at A's cutoff ``svd.tolerance_used``; the residual is ``W middle V^T``
+    with ``middle = S - S R_v^T M^+ R_b`` (grouped so that no product passes through
+    ``S^2``; the part of A below its cutoff is left out), and ``U^+ R = Q_v z V^T``
+    with ``z = M^+ R_b``.  Each stage is one LAPACK call on the stack of its
+    matrices where their shapes agree.
     """
-    svds, rows, cols, tols = zip(*curs)
+    svds, rows, cols = zip(*curs)
     rb = _stacked(_r_factors, [np.take(f.left, i.indices, axis=0) * f.singular_values
                                for f, i in zip(svds, rows)])
     rv = _stacked(_r_factors, [np.take(f.right, j.indices, axis=0) for f, j in zip(svds, cols)])
-    shapes = [(len(i), len(j)) for i, j in zip(rows, cols)]
-    pinvs = _stacked(_pinvs, [b @ v.T for b, v in zip(rb, rv)], shapes, tols)
-    zs = [pinv @ b for (_, pinv, _), b in zip(pinvs, rb)]
+    pinvs = _stacked(_pinvs, [b @ v.T for b, v in zip(rb, rv)], [f.tolerance_used for f in svds])
+    zs = [pinv @ b for (_, pinv), b in zip(pinvs, rb)]
     middles = [np.diag(f.singular_values) - f.singular_values[:, None] * (v.T @ z)
                for f, v, z in zip(svds, rv, zs)]
+    return rb, rv, pinvs, zs, middles
+
+
+def _cores_of_a(curs) -> list:
+    """``((||A - C U^+ R||_2, ||A - C U^+ R||_F), z)`` of each CUR of A in ``curs``, from
+    :func:`_blocks`."""
+    *_, zs, middles = _blocks(curs)
     return list(zip(_stacked(_norms, middles), zs))
 
 
@@ -183,40 +188,43 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     """Evaluate conditions (i)-(v) of the exact-CUR equivalence at tolerance ``tol``.
 
     (i) rank(U) = rank(A); (ii) ``A = C U^+ R``; (iii) ``A = C C^+ A R^+ R``;
-    (iv) ``A^+ = R^+ U C^+``; (v) rank(C) = rank(R) = rank(A).  Ranks and all
-    pseudoinverse truncations use the numerical-rank cutoff of A, raised for
-    C, R or U to its own default cutoff when that is larger.
+    (iv) ``A^+ = R^+ U C^+``; (v) rank(C) = rank(R) = rank(A).  Each is
+    evaluated in the k-by-k blocks of :func:`_blocks` from one compact SVD of
+    the unit-scaled A: C, R and U have the singular values of ``X = S R_v^T``,
+    ``R_b`` and ``M``, every rank and pseudoinverse is cut at A's cutoff, and
+    the orthonormal factors drop out of each residual, so (iii) is
+    ``||S - X X^+ S R_b^+ R_b||``, (iv) is ``||S^-1 - R_b^+ R_b R_v^T X^+||``
+    and the ``U^+`` identity ``||M^+ - X^+ S R_b^+||``, relative to S, S^-1 and M^+.
     """
     a = as_matrix(a)
-    c, r, u = _submatrices(a, rows, cols)
-    # a zero A has cutoff 0.0, and its zero submatrices get rank 0 as well
-    rank_a, a_pinv, rank_tol = _rank_pinv_cutoff(a)
-    rank_c, c_pinv = _rank_pinv_cutoff(c, floor=rank_tol)[:2]
-    rank_r, r_pinv = _rank_pinv_cutoff(r, floor=rank_tol)[:2]
-    rank_u, u_pinv = _rank_pinv_cutoff(u, floor=rank_tol)[:2]
-
-    rel_cur = _relative(a - c @ u_pinv @ r, a)
-    rel_proj = _relative(a - c @ c_pinv @ a @ r_pinv @ r, a)
-    rel_pinv = _relative(a_pinv - r_pinv @ u @ c_pinv, a_pinv)
-    rel_u_pinv = _relative(u_pinv - c_pinv @ a @ r_pinv, u_pinv)
-
+    _check_cur(rows, cols, a.shape)
+    if a.any():
+        f = _compact_svd(unit_scaled(a), None)
+        [b], [v], [(rank_u, m_pinv)], _, [middle] = _blocks([(f, rows, cols)])
+        s, s_inv = np.diag(f.singular_values), np.diag(1.0 / f.singular_values)
+        x = f.singular_values[:, None] * v.T
+        rank_c, x_pinv = _rank_pinv_cutoff(x, f.tolerance_used)
+        rank_r, b_pinv = _rank_pinv_cutoff(b, f.tolerance_used)
+        ranks = f.numerical_rank, rank_c, rank_r, rank_u
+        residuals = [float(_ratio(np.linalg.norm(err), np.linalg.norm(ref))) for err, ref in (
+            (middle, s), (s - x @ x_pinv @ s @ b_pinv @ b, s),
+            (s_inv - b_pinv @ b @ v.T @ x_pinv, s_inv), (m_pinv - x_pinv @ s @ b_pinv, m_pinv))]
+    else:  # A, C, R and U have rank 0, and every identity holds exactly
+        ranks, residuals = (0, 0, 0, 0), [0.0] * 4
+    rank_a, rank_c, rank_r, rank_u = ranks
+    holds_ii, holds_iii, holds_iv, u_pinv_identity = (r <= tol for r in residuals)
     return CharacterizationReport(
         rank_a=rank_a,
         rank_c=rank_c,
         rank_r=rank_r,
         rank_u=rank_u,
         holds_i=rank_u == rank_a,
-        holds_ii=rel_cur <= tol,
-        holds_iii=rel_proj <= tol,
-        holds_iv=rel_pinv <= tol,
+        holds_ii=holds_ii,
+        holds_iii=holds_iii,
+        holds_iv=holds_iv,
         holds_v=rank_c == rank_a and rank_r == rank_a,
-        u_pinv_identity=rel_u_pinv <= tol,
-        residuals={
-            "cur": rel_cur,
-            "projection": rel_proj,
-            "pinv_product": rel_pinv,
-            "u_pinv_identity": rel_u_pinv,
-        },
+        u_pinv_identity=u_pinv_identity,
+        residuals=dict(zip(("cur", "projection", "pinv_product", "u_pinv_identity"), residuals)),
         tol=float(tol),
     )
 
@@ -230,9 +238,6 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
     decomposition is unaffected).
     """
     a = as_matrix(a)
-    m, n = a.shape
-    if row_dist.axis != ROWS or row_dist.size != m:
-        raise ValueError("row_dist must be a distribution over the rows of a")
-    if col_dist.axis != COLS or col_dist.size != n:
-        raise ValueError("col_dist must be a distribution over the columns of a")
+    if (row_dist.size, col_dist.size) != a.shape:
+        raise ValueError("row_dist and col_dist must weigh the rows and the columns of a")
     return _cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)

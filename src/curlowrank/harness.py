@@ -150,6 +150,8 @@ class ExperimentConfig:
             raise ConfigError("must satisfy kappa * max(m, n) * eps < 1", field="kappa")
         if self.tol <= 0.0:
             raise ConfigError("must be positive", field="tol")
+        if self.kappa is not None and self.kappa * self.tol > 1.0:  # sigma_k would hide below tol
+            raise ConfigError("must satisfy kappa * tol <= 1", field="kappa")
         if self.d_grid is not None:
             if not self.d_grid or min(self.d_grid) < 1:
                 raise ConfigError("grid must be nonempty with values >= 1", field="d_grid")
@@ -341,7 +343,7 @@ def _draws(cfg, d, trials):
     k = q[0].shape[1] if cfg.kind == "clustering" else cfg.k
     cums = [np.cumsum(w, axis=1, out=w) for w in _stacked_weights(p, q, svds, cfg.scheme, k)]
     dedup = cfg.dedup or cfg.kind == "clustering"
-    return [(f, *_draw_pair(rows, cols, d, t.rng, dedup), tail)
+    return [(f, *_draw_pair(rows, cols, d, d, t.rng, dedup), tail)
             for f, rows, cols, t, tail in zip(svds, *cums, trials, tails)]
 
 
@@ -369,7 +371,8 @@ def _noise_trial(cfg, d, rng, state):
     s_1 = f.singular_values[0]
     p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
     f = replace(f, singular_values=f.singular_values / s_1,
-                all_singular_values=f.all_singular_values / s_1)
+                all_singular_values=f.all_singular_values / s_1,
+                tolerance_used=f.tolerance_used / s_1)
     e = spectral_noise((len(p), len(q)), cfg.sigma, rng)
     a = p @ q.T
     try:
@@ -392,22 +395,19 @@ def _noise_trial(cfg, d, rng, state):
 def _measure(cfg, d, trials):
     """Each trial's CSV row, from its CUR of A measured in A's k-by-k core.
 
-    ``U^+`` is cut at U's own cutoff in the table kinds, and at A's in the
-    clustering kind, where U's own would keep the roundoff singular value of a
-    near-singular U.  A CUR is exact when ``rel_err_F <= tol``: that is a table
-    row's success, and a row whose trial measured its own CUR (the noise
-    trial's) prints those norms over A's.  A clustering row's success is exact
-    recovery of the partition from the support of ``|(U^+ R)^T (U^+ R)|``: its
-    true blocks decide it unless one has a missing pair (``recovers_partition``).
+    ``U^+`` is cut at A's cutoff in every kind, the cutoff of the verifier's ranks.
+    A CUR is exact when ``rel_err_F <= tol``: that is a table row's success, and a
+    row whose trial measured its own CUR (the noise trial's) prints those norms
+    over A's.  A clustering row's success is exact recovery of the partition from
+    the support of ``|(U^+ R)^T (U^+ R)|``: its true blocks decide it unless one
+    has a missing pair (``recovers_partition``).
     """
     states = [t.state for t in trials]
-    clustering = cfg.kind == "clustering"
-    measured = _cores_of_a([(f, rows, cols, f.tolerance_used if clustering else None)
-                            for f, rows, cols, _ in states])
+    measured = _cores_of_a([state[:3] for state in states])
     outcomes = []
     for (f, _, _, tail), ((err_2, err_f), z) in zip(states, measured):
         s_1, norm_f = float(f.singular_values[0]), f.frobenius_norm()
-        if clustering:
+        if cfg.kind == "clustering":
             recovered = recovers_partition(clustering_matrix(z @ f.right.T), tail)
             outcomes.append((recovered, err_2 / s_1, err_f / norm_f))
         else:

@@ -9,7 +9,8 @@ check, and :func:`_take` still checks its indices against the matrix.  No
 other module of the package calls ``np.linalg.svd``.
 Every numerical-rank decision in the package is made by
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
-unless the ``tol`` argument of a function overrides it.
+unless the ``tol`` argument of a function overrides it; the small blocks that
+stand for a CUR of A (:func:`_pinvs`, :func:`_rank_pinv_cutoff`) are cut at A's.
 
 A thin product ``p @ q.T`` is factored through thin QRs of ``p`` and ``q``
 and its small core ``R_p @ R_q.T`` (Halko, Martinsson and Tropp,
@@ -54,14 +55,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def rank_cutoff(s, shape, tol=None, floor=0.0) -> tuple:
+def rank_cutoff(s, shape, tol=None) -> tuple:
     """``(rank, tol)``: how many of ``s`` exceed ``tol``.
 
-    ``tol`` defaults to ``max(m, n) * eps * s[0]``, or ``floor`` if that is larger.
-    A given ``tol`` that is negative or not finite is a DomainError.
+    ``tol`` defaults to ``max(m, n) * eps * s[0]``.  A given ``tol`` that is
+    negative or not finite is a DomainError.
     """
     if tol is None:
-        tol = max(floor, max(shape) * _EPS * float(s[0]))
+        tol = max(shape) * _EPS * float(s[0])
     elif not 0.0 <= tol < math.inf:
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
     return int(np.count_nonzero(s > tol)), float(tol)
@@ -304,29 +305,21 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def _rank_pinv_cutoff(a, tol=None, floor=0.0):
-    """``(rank, pinv, cutoff)`` from one SVD of the validated matrix ``a``.
-
-    Rank 0 has a zero pinv, and the cutoff ``tol``, or ``floor`` when ``tol`` is None.
-    The pinv needs no sign convention: each term pairs a vector with its own sign.
-    """
-    return _cut_pinv(*np.linalg.svd(a, full_matrices=False), a.shape, tol, floor)
+def _rank_pinv_cutoff(a, tol=None) -> tuple:
+    """``(rank, pinv)`` of the validated matrix ``a``: :func:`_pinvs` of it alone."""
+    return _pinvs(a[None], [tol])[0]
 
 
-def _pinvs(a, shapes, tols) -> list:
-    """:func:`_rank_pinv_cutoff` of each matrix of the stack ``a``, from one SVD of the stack.
-
-    Each is cut at :func:`rank_cutoff` of its own ``shape`` and ``tol``, so a small
-    matrix can stand for a larger one with the same nonzero singular values.
-    """
-    return [_cut_pinv(w, s, vt, shape, tol)
-            for w, s, vt, shape, tol in zip(*np.linalg.svd(a, full_matrices=False), shapes, tols)]
-
-
-def _cut_pinv(w, s, vt, shape, tol, floor=0.0) -> tuple:
-    """``(rank, pinv, cutoff)`` of a matrix of ``shape`` from its thin SVD ``w, s, vt``."""
-    rank, cutoff = rank_cutoff(s, shape, tol, floor)
-    return rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T, cutoff
+def _pinvs(a, tols) -> list:
+    """``(rank, pinv)`` of each matrix of the stack ``a``, from one SVD of the stack, cut at
+    :func:`rank_cutoff` of its item of ``tols`` (None for its own default), so a small matrix
+    can stand for a larger one with the same nonzero singular values.  Rank 0 has a zero
+    pinv; the pinv needs no sign convention, as each term pairs a vector with its own sign."""
+    pinvs = []
+    for w, s, vt, tol in zip(*np.linalg.svd(a, full_matrices=False), tols):
+        rank = rank_cutoff(s, a.shape[1:], tol)[0]
+        pinvs.append((rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T))
+    return pinvs
 
 
 def _unit_shift(a):
@@ -401,9 +394,14 @@ def _take(a, index_set: IndexSet) -> np.ndarray:
     the size of ``a`` along their axis.
     """
     axis = 0 if index_set.axis == ROWS else 1
-    top = max(index_set.indices, default=-1)
-    if top >= a.shape[axis]:
-        raise IndexOutOfRangeError(
-            f"index {top} out of range for axis '{index_set.axis}' of size {a.shape[axis]}"
-        )
+    _check_range(index_set, a.shape[axis])
     return a.take(np.asarray(index_set.indices, dtype=np.intp), axis=axis)
+
+
+def _check_range(index_set: IndexSet, size) -> None:
+    """Raise IndexOutOfRangeError unless every index of ``index_set`` is below ``size``."""
+    top = max(index_set.indices, default=-1)
+    if top >= size:
+        raise IndexOutOfRangeError(
+            f"index {top} out of range for axis '{index_set.axis}' of size {size}"
+        )

@@ -203,20 +203,21 @@ def _stacked_weights(p, q, svds, scheme, k) -> tuple:
 
 
 def _inverse_cdf(cum, d, rng) -> np.ndarray:
-    """``d`` i.i.d. indices of the weights with running sum ``cum``; never a zero weight's."""
+    """``d >= 1`` i.i.d. indices of the weights with running sum ``cum``; never a zero weight's."""
+    if d < 1:
+        raise DomainError(f"need at least one draw, got d={d}")
     return np.searchsorted(cum, rng.random(int(d)) * cum[-1], side="right")
 
 
 def draw_with_replacement(dist: ProbDist, d, rng) -> IndexSet:
     """Draw ``d`` i.i.d. indices from ``dist`` with replacement, by an inverse-CDF lookup."""
-    if d < 1:
-        raise DomainError(f"need at least one draw, got d={d}")
     return IndexSet(_inverse_cdf(np.cumsum(dist.weights), d, rng).tolist(), dist.axis)
 
 
-def _draw_pair(row_cum, col_cum, d, rng, dedup) -> tuple:
-    """:func:`draw_indices` of ``d`` rows and ``d`` columns, from each axis's running sums."""
-    drawn = [_inverse_cdf(cum, d, g).tolist() for cum, g in zip((row_cum, col_cum), rng.spawn(2))]
+def _draw_pair(row_cum, col_cum, d1, d2, rng, dedup) -> tuple:
+    """:func:`draw_indices` of ``d1`` rows and ``d2`` columns, from each axis's running sums."""
+    drawn = [_inverse_cdf(cum, d, g).tolist()
+             for cum, d, g in zip((row_cum, col_cum), (d1, d2), rng.spawn(2))]
     return tuple(IndexSet(dict.fromkeys(x) if dedup else x, axis)
                  for x, axis in zip(drawn, (ROWS, COLS)))
 
@@ -228,14 +229,9 @@ def draw_indices(row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng, dedup=Fals
     so changing ``d2`` never affects the rows drawn, and vice versa.
     ``dedup=True`` removes repeated indices afterwards.
     """
-    rows, cols = (draw_with_replacement(dist, d, child) for dist, d, child
-                  in zip((row_dist, col_dist), (d1, d2), rng.spawn(2)))
-    return (dedup_indices(rows), dedup_indices(cols)) if dedup else (rows, cols)
-
-
-def dedup_indices(index_set: IndexSet) -> IndexSet:
-    """Remove duplicates, keeping first occurrences in order."""
-    return IndexSet(tuple(dict.fromkeys(index_set.indices)), index_set.axis)
+    if row_dist.axis != ROWS or col_dist.axis != COLS:
+        raise ValueError("draw_indices needs a row and a column distribution")
+    return _draw_pair(np.cumsum(row_dist.weights), np.cumsum(col_dist.weights), d1, d2, rng, dedup)
 
 
 def rescaled_submatrix(a, index_set: IndexSet, dist: ProbDist, d) -> np.ndarray:

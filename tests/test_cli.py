@@ -258,8 +258,10 @@ def test_experiment_kappa_below_one_exits_2(capsys):
                                   ["--kind", "success_prob", "--scheme", "leverage", "--d", "4"]],
                          ids=["deim", "leverage"])
 def test_experiment_kappa_past_the_rank_cutoff_exits_2(capsys, kind):
-    # 8e14 * 6 * eps >= 1 puts sigma_k at or below the cutoff max(m, n) * eps * sigma_1
-    args = ["experiment", *kind, "--m", "6", "--n", "5", "--k", "3", "--trials", "3"]
+    # 8e14 * 6 * eps >= 1 puts sigma_k at or below the cutoff max(m, n) * eps * sigma_1;
+    # a tol of 1e-15 keeps both kappas within kappa * tol <= 1
+    args = ["experiment", *kind, "--m", "6", "--n", "5", "--k", "3", "--trials", "3",
+            "--tol", "1e-15"]
     assert cli_main([*args, "--kappa", "8e14"]) == 2
     assert "kappa" in capsys.readouterr().err
     assert cli_main([*args, "--kappa", "7e14"]) == 0

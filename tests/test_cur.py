@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from curlowrank.cur import (
     relative_errors,
     verify_characterization,
 )
+from curlowrank.errors import IndexOutOfRangeError
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
@@ -89,14 +91,40 @@ class TestCharacterization:
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * np.linalg.norm(lhs)
 
     def test_repeated_indices_are_ranked_at_the_submatrix_cutoff(self):
-        # rank 1 with cutoff 1.7e-13, but sigma_2(U) = 2.4e-13 for this U of repeated
-        # entries: at A's cutoff rank_u was 2 and the verdicts split
+        # rank 1 with cutoff 1.7e-13, but sigma_2 = 2.4e-13 for the extracted U of repeated
+        # entries; in A's core U has at most A's rank
         a = np.array([[-95.47485609713671, 367.4983980259618],
                       [0.004204068590330321, -0.016182150309457136]])
         for rows, cols in (((1, 1, 0, 0), (1, 1)), ((1, 0), (1,))):
             rep = verify_characterization(a, IndexSet(rows, ROWS), IndexSet(cols, COLS))
             assert rep.unanimous and rep.all_hold == (rep.rank_u == rep.rank_a)
             assert (rep.rank_a, rep.rank_c, rep.rank_r, rep.rank_u) == (1, 1, 1, 1)
+
+    def test_well_posed_rank_two_is_unanimous(self, rng):
+        # sigma_2 / sigma_1 = 1e-9, far above A's cutoff 7e-15, so U keeps rank 2; a dense
+        # C U^+ R would carry roundoff amplified by 1/sigma_2(U), about 2e-8 here
+        p = np.linalg.qr(rng.standard_normal((30, 2)))[0] * [1.0, 1e-9]
+        q = np.linalg.qr(rng.standard_normal((20, 2)))[0]
+        rep = verify_characterization(p @ q.T, IndexSet(range(0, 30, 3), ROWS),
+                                      IndexSet(range(0, 20, 2), COLS))
+        assert rep.verdicts == (True,) * 5 and rep.u_pinv_identity
+        assert (rep.rank_a, rep.rank_c, rep.rank_r, rep.rank_u) == (2, 2, 2, 2)
+        assert all(type(v) is bool for v in (*rep.verdicts, rep.u_pinv_identity))
+        assert all(type(r) is float for r in rep.residuals.values())
+
+    def test_zero_matrix_has_rank_zero_and_every_verdict_holds(self):
+        rep = verify_characterization(np.zeros((4, 3)), IndexSet([0, 0], ROWS),
+                                      IndexSet([2], COLS))
+        assert (rep.rank_a, rep.rank_c, rep.rank_r, rep.rank_u) == (0, 0, 0, 0)
+        assert rep.all_hold and rep.u_pinv_identity
+        assert set(rep.residuals.values()) == {0.0}
+
+    def test_out_of_range_index_rejected(self, rng):
+        a = rank_k(6, 5, 2, rng)
+        with pytest.raises(IndexOutOfRangeError):
+            verify_characterization(a, IndexSet([0, 6], ROWS), IndexSet([1], COLS))
+        with pytest.raises(IndexOutOfRangeError):
+            verify_characterization(a, IndexSet([0], ROWS), IndexSet([5], COLS))
 
     def test_swapped_axes_rejected_like_a_cur(self, rng):
         a = rank_k(6, 5, 2, rng)
@@ -230,9 +258,9 @@ class TestResidualNorms:
         [svd] = factored_svd(p[None], q[None])
         for rows, cols in self.INDEX_SETS:
             rows, cols = IndexSet(rows, ROWS), IndexSet(cols, COLS)
-            f = _cur(as_matrix(a), rows, cols, None)
+            f = _cur(as_matrix(a), rows, cols, svd.tolerance_used)
             resid = a - f.approximation()
-            [(norms, z)] = _cores_of_a([(svd, rows, cols, None)])
+            [(norms, z)] = _cores_of_a([(svd, rows, cols)])
             np.testing.assert_allclose(norms, (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
                                        rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2))
             # U^+ R = Q_v z V^T, so z V^T has the Gram matrix of U^+ R
@@ -241,14 +269,14 @@ class TestResidualNorms:
                                        rtol=0, atol=1e-12 * np.linalg.norm(y, 2) ** 2)
 
     def test_u_pinv_is_cut_at_the_given_cutoff_or_at_u_own(self, rng):
-        # sigma_2(A) = 1e-9: U's own cutoff keeps it, a cutoff of 1e-6 drops it
+        # sigma_2(A) = 1e-9: A's cutoff keeps it, an SVD cut at 1e-6 drops it
         p = np.linalg.qr(rng.standard_normal((30, 2)))[0] * [1.0, 1e-9]
         q = np.linalg.qr(rng.standard_normal((20, 2)))[0]
         a = p @ q.T
         [svd] = factored_svd(p[None], q[None])
         rows, cols = IndexSet(range(0, 30, 3), ROWS), IndexSet(range(0, 20, 2), COLS)
-        [(kept, _)], [(dropped, _)] = (_cores_of_a([(svd, rows, cols, tol)])
-                                       for tol in (None, 1e-6))
+        [(kept, _)], [(dropped, _)] = (_cores_of_a([(f, rows, cols)])
+                                       for f in (svd, replace(svd, tolerance_used=1e-6)))
         resid = a - _cur(as_matrix(a), rows, cols, 1e-6).approximation()
         np.testing.assert_allclose(dropped, (np.linalg.norm(resid, 2), np.linalg.norm(resid)),
                                    rtol=1e-6)
@@ -261,9 +289,8 @@ class TestResidualNorms:
         # one call per stage on the stack where shapes agree, one each where they do not
         p, q = rng.standard_normal((2, 30, 4)), rng.standard_normal((2, 20, 4))
         svds = factored_svd(p, q)
-        curs = [(svd, IndexSet(rows, ROWS), IndexSet(cols, COLS), tol)
-                for svd, (rows, cols) in zip(svds * 3, self.INDEX_SETS * 2)
-                for tol in (None, svd.tolerance_used)]
+        curs = [(svd, IndexSet(rows, ROWS), IndexSet(cols, COLS))
+                for svd, (rows, cols) in zip(svds * 3, self.INDEX_SETS * 2)]
         together = _cores_of_a(curs)
         alone = [_cores_of_a([cur])[0] for cur in curs]
         for (norms, z), (norms_1, z_1) in zip(together, alone):

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curlowrank import deim, harness, sampling
+from curlowrank import cur, deim, harness, sampling
 from curlowrank.cur import EXACTNESS_TOL, _cur, relative_errors
 from curlowrank.deim import deim_select
 from curlowrank.errors import (
@@ -33,7 +33,7 @@ from curlowrank.harness import (
     trial_generator,
     zero_out_columns,
 )
-from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd
+from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd, rank_cutoff
 from curlowrank.sampling import SCHEMES, axis_dists, draw_indices, leverage_dist
 
 
@@ -138,6 +138,17 @@ class TestConfig:
             ExperimentConfig(kind="success_prob", m=8, n=8, k=1, d_grid=(4,), kappa=100.0)
         assert exc.value.field == "kappa"
         ExperimentConfig(kind="success_prob", m=8, n=8, k=1, d_grid=(4,), kappa=1.0)
+
+    @pytest.mark.parametrize("kind", ["success_prob", "noise_stability", "deim_check"])
+    def test_kappa_beyond_one_over_tol_rejected(self, kind):
+        # a sigma_k below tol * ||A||_2 hides from the residual test: kappa * tol <= 1
+        base = dict(kind=kind, m=8, n=8, k=2) | ({} if kind == "deim_check" else {"d_grid": (4,)})
+        for kappa, tol in ((1e8 * 1.001, 1e-8), (1e5, 1e-4), (3.0, 0.5)):
+            with pytest.raises(ConfigError) as exc:
+                ExperimentConfig(**base, kappa=kappa, tol=tol)
+            assert exc.value.field == "kappa"
+        for kappa, tol in ((1e8, 1e-8), (1e4, 1e-4), (2.0, 0.5)):
+            ExperimentConfig(**base, kappa=kappa, tol=tol)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -632,21 +643,24 @@ EVERY_KIND = {
 
 @pytest.mark.parametrize("kind", sorted(EVERY_KIND))
 def test_each_kind_cuts_u_pinv_at_its_own_cutoff(kind, monkeypatch):
-    # the table kinds at U's own cutoff (None), the clustering kind at A's
-    cutoffs = []
-    real = harness._cores_of_a
+    # every kind cuts U^+ at A's cutoff, max(m, n) eps sigma_1 of the SVD it measures in
+    cutoffs, a_cutoffs = [], []
+    real_cores, real_pinvs = harness._cores_of_a, cur._pinvs
 
-    def recording(curs):
-        cutoffs.extend((tol, f.tolerance_used) for f, _, _, tol in curs)
-        return real(curs)
+    def recording_cores(curs):
+        a_cutoffs.extend(rank_cutoff(f.all_singular_values, (len(f.left), len(f.right)))[1]
+                         for f, _, _ in curs)
+        return real_cores(curs)
 
-    monkeypatch.setattr(harness, "_cores_of_a", recording)
+    def recording_pinvs(a, tols):
+        cutoffs.extend(tols)
+        return real_pinvs(a, tols)
+
+    monkeypatch.setattr(harness, "_cores_of_a", recording_cores)
+    monkeypatch.setattr(cur, "_pinvs", recording_pinvs)
     records, _ = run_experiment(ExperimentConfig(trials=4, **EVERY_KIND[kind]))
     assert len(cutoffs) == len(records) > 0
-    if kind == "clustering":
-        assert all(tol == a_tol for tol, a_tol in cutoffs)
-    else:
-        assert all(tol is None for tol, _ in cutoffs)
+    assert cutoffs == pytest.approx(a_cutoffs, rel=1e-15, abs=0.0)
 
 
 class TestEmitCsv:

@@ -13,7 +13,11 @@ selection to the dense one wherever the sketch certifies.  ``spectral_norm``
 is checked against the SVD norm on the rank-k inputs.  The leverage/length
 dominance inequalities hold on the rank-k inputs scaled by 1e+-150, and on
 the same shapes at sizes where the sketch applies, for the scores of the
-caller's SVD, the sketch and the dense fallback.  Union-of-subspaces
+caller's SVD, the sketch and the dense fallback.  The verdicts are also
+held to the success of one-trial ``success_prob`` and ``deim_check`` runs whose
+sigma_k lies 1x to 10^3x above the bound ``tol * sigma_1``, and three rank
+decisions of A (leverage weights, DEIM, the verifier) to each other where
+sigma_k lies 1x to 10^3x above ``rank_cutoff``.  Union-of-subspaces
 specs, the tight ``ambient_dim == sum(dims)`` among them, pin the ranks of
 the generated data and of its factors, which the generator itself does not
 check, and the clustering trial's exactness flag to the verifier's unanimous
@@ -44,6 +48,7 @@ from curlowrank.cluster import (
 )
 from curlowrank import harness
 from curlowrank.cur import (
+    EXACTNESS_TOL,
     _cores_of_a,
     _cur,
     approx_error,
@@ -51,7 +56,7 @@ from curlowrank.cur import (
     verify_characterization,
 )
 from curlowrank.deim import deim_cur
-from curlowrank.errors import NoiseDominatesError
+from curlowrank.errors import NoiseDominatesError, RankDeficientError
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
 from curlowrank.linalg import (
     COLS,
@@ -70,7 +75,6 @@ from curlowrank.linalg import (
 from curlowrank.sampling import (
     SCHEMES,
     axis_dists,
-    dedup_indices,
     draw_indices,
     leverage_dist,
     length_dist,
@@ -220,13 +224,66 @@ def _verdicts(a, rows, cols):
     return verify_characterization(a, rows, cols).verdicts
 
 
+@st.composite
+def near_cutoff(draw):
+    """``(a, k, rows, cols, tol, success)``: a rank-k matrix whose sigma_k lies 1x to 10^3x
+    above a cutoff, as ``success_prob`` and ``deim_check`` generate it (kappa = sigma_1 / sigma_k).
+
+    Either the cutoff is the bound ``tol * sigma_1`` (``kappa * tol`` from 1e-3 to 1, tol
+    1e-8, 1e-6 or 1e-4), and ``success`` is the flag of the one-trial run on the draws
+    returned; or it is ``rank_cutoff``, where ``kappa * tol <= 1`` puts tol at the roundoff
+    of the residuals, so no tol decides the verdicts: ``tol`` and ``success`` are None there,
+    and the indices are uniform draws.
+    """
+    k = draw(st.integers(2, 5))
+    m, n = draw(st.integers(k + 1, 30)), draw(st.integers(2 * k + 1, 25))
+    near, seed = 10.0 ** draw(st.floats(-3.0, -1e-3)), draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        rng = trial_generator(seed, 0)
+        a = lowrank_gaussian(m, n, k, rng, near / (max(m, n) * EPS))
+        rows = IndexSet(rng.integers(0, m, size=draw(st.integers(1, 2 * m))), ROWS)
+        cols = IndexSet(rng.integers(0, n, size=draw(st.integers(1, 2 * n))), COLS)
+        return a, k, rows, cols, None, None
+    tol = draw(st.sampled_from((1e-8, 1e-6, 1e-4)))
+    d = draw(st.integers(1, 3 * k))
+    kind = draw(st.sampled_from(("success_prob", "deim_check")))
+    extra = {"d_grid": (d,), "scheme": draw(st.sampled_from(SCHEMES)),
+             "dedup": draw(st.booleans())} if kind == "success_prob" else {}
+    cfg = ExperimentConfig(kind=kind, m=m, n=n, k=k, kappa=near / tol, tol=tol, trials=1,
+                           master_seed=seed, **extra)
+    [record], _ = run_experiment(cfg)
+    rng = trial_generator(seed, 0)
+    p, q, _, _ = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])[0]
+    a = p @ q.T
+    if kind == "deim_check":
+        factors = deim_cur(a, k)
+        return a, k, factors.I, factors.J, tol, record.success
+    return a, k, *draw_indices(*axis_dists(a, cfg.scheme, k), d, d, rng, cfg.dedup), tol, \
+        record.success
+
+
+def _rank_deficient(call) -> bool:
+    try:
+        call()
+    except RankDeficientError:
+        return True
+    return False
+
+
 @PROPERTY
-@given(inst=instances())
+@given(inst=st.one_of(instances().map(lambda inst: (*inst[:4], EXACTNESS_TOL, None)),
+                      near_cutoff()))
 def test_verdicts_are_unanimous_and_match_the_rank_of_u(inst):
-    a, _, rows, cols, _ = inst
-    report = verify_characterization(a, rows, cols)
-    assert report.unanimous
-    assert report.all_hold == (report.rank_u == report.rank_a)
+    # and match a table trial's success on the same draws; the leverage weights, DEIM and
+    # the verifier decide the rank of A alike, even where sigma_k is near rank_cutoff
+    a, k, rows, cols, tol, success = inst
+    report = verify_characterization(a, rows, cols, tol or EXACTNESS_TOL)
+    assert _rank_deficient(lambda: axis_dists(a, "leverage", k)) == (report.rank_a < k)
+    assert _rank_deficient(lambda: deim_cur(a, k)) == (report.rank_a < k)
+    if tol is not None:
+        assert report.unanimous
+        assert report.all_hold == (report.rank_u == report.rank_a)
+        assert success is None or report.all_hold == success
 
 
 @PROPERTY
@@ -234,7 +291,7 @@ def test_verdicts_are_unanimous_and_match_the_rank_of_u(inst):
 def test_verdicts_survive_deduplication_and_permutation(inst):
     a, _, rows, cols, rng = inst
     verdicts = _verdicts(a, rows, cols)
-    assert _verdicts(a, dedup_indices(rows), dedup_indices(cols)) == verdicts
+    assert _verdicts(a, *(IndexSet(dict.fromkeys(x), x.axis) for x in (rows, cols))) == verdicts
     pr, pc = rng.permutation(a.shape[0]), rng.permutation(a.shape[1])
     # row i of a is row argsort(pr)[i] of a[pr]
     moved_rows = IndexSet(np.argsort(pr)[list(rows)], ROWS)
@@ -290,14 +347,14 @@ def test_factored_svd_matches_the_dense_one(pair, jp, jq):
 def test_residual_norms_match_the_dense_ones(pair, jp, data):
     p, q, rows, cols = pair
     a = p @ q.T
-    cur = _cur(as_matrix(a), rows, cols, None)
+    cur = _cur(as_matrix(a), rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
     resid = a - cur.approximation()
     ref = np.array([np.linalg.norm(resid, 2), np.linalg.norm(resid)])
     size = np.linalg.norm(a, 2) + np.linalg.norm(cur.C, 2) * np.linalg.norm(cur.U_pinv @ cur.R, 2)
     # scale A by 2^j, |j| <= 500, split unevenly over the factors; the norms scale exactly
     jq = data.draw(st.integers(max(-500, -500 - jp), min(500, 500 - jp)))
     svd = factored_svd(np.ldexp(p, jp)[None], np.ldexp(q, jq)[None])[0]
-    [(norms, _)] = _cores_of_a([(svd, rows, cols, None)])
+    [(norms, _)] = _cores_of_a([(svd, rows, cols)])
     assert np.all(np.abs(np.ldexp(norms, -(jp + jq)) - ref) <= 1e-12 * size)
 
 
@@ -405,8 +462,7 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
     else:
         d, dedup = cfg.d_grid[0], cfg.dedup or cfg.kind == "clustering"
         rows, cols = draw_indices(*axis_dists(a, cfg.scheme, k), d, d, rng, dedup)
-        tol = rank_cutoff(singular_values(a), a.shape)[1] if cfg.kind == "clustering" else None
-        factors = _cur(as_matrix(a), rows, cols, tol)
+        factors = _cur(as_matrix(a), rows, cols, rank_cutoff(singular_values(a), a.shape)[1])
     rel_2, rel_f = relative_errors(a, factors)
     assert record.success == dense_success(factors, rel_f, truth)
     if cfg.kind == "clustering":

@@ -26,7 +26,7 @@ from curlowrank.linalg import (
 from curlowrank.sampling import (
     ProbDist,
     axis_dists,
-    dedup_indices,
+    draw_indices,
     draw_with_replacement,
     length_dist,
     leverage_dist,
@@ -327,16 +327,14 @@ class TestWeightChecks:
 
 
 class TestDedup:
-    def test_first_occurrence_order(self):
-        assert tuple(dedup_indices(IndexSet([2, 2, 0, 2, 1], ROWS))) == (2, 0, 1)
-
-    def test_singleton(self):
-        assert tuple(dedup_indices(IndexSet([3], COLS))) == (3,)
-
-    def test_idempotent(self, rng):
-        idx = IndexSet(rng.integers(0, 6, size=30).tolist(), ROWS)
-        once = dedup_indices(idx)
-        assert dedup_indices(once) == once
+    def test_draws_keep_first_occurrences_in_order(self):
+        dists = uniform_dist(6, ROWS), uniform_dist(5, COLS)
+        for seed in range(20):
+            drawn = draw_indices(*dists, 30, 3, trial_generator(seed, 0))
+            kept = draw_indices(*dists, 30, 3, trial_generator(seed, 0), dedup=True)
+            for x, y in zip(drawn, kept):
+                first = [i for n, i in enumerate(x.indices) if i not in x.indices[:n]]
+                assert y.indices == tuple(first) and y.axis == x.axis
 
 
 class TestRescaledSubmatrix:

@@ -75,18 +75,21 @@ def a():
     return lowrank_gaussian(12, 10, 3, trial_generator(77, 0))
 
 
-def test_verify_characterization_factors_a_c_r_u_once_each(a, svd_calls):
+def test_verify_characterization_factors_only_a(a, svd_calls):
+    # one SVD of the m-by-n input; every other factored matrix is at most k by max(|I|, |J|)
     rows, cols = IndexSet((0, 2, 5, 7), ROWS), IndexSet((1, 3, 4), COLS)
     assert verify_characterization(a, rows, cols).all_hold
-    assert sorted(svd_calls) == sorted([(12, 10), (12, 3), (4, 10), (4, 3)])
+    assert svd_calls.count((12, 10)) == 1
+    assert all(max(shape) <= 4 and min(shape) <= 3 for shape in svd_calls if shape != (12, 10))
 
 
-def test_zero_submatrices_take_one_svd_each(a, svd_calls):
+def test_zero_submatrices_factor_only_a(a, svd_calls):
     a = a.copy()
     a[:, 0] = 0.0
     report = verify_characterization(a, IndexSet((1,), ROWS), IndexSet((0,), COLS))
     assert (report.rank_c, report.rank_u, report.holds_i) == (0, 0, False)
-    assert len(svd_calls) == 4
+    assert svd_calls.count((12, 10)) == 1
+    assert all(max(shape) <= 3 for shape in svd_calls if shape != (12, 10))
 
 
 def test_leverage_axis_dists_take_one_svd(a, svd_calls):
@@ -294,13 +297,13 @@ BIG_TRIALS = {
 @pytest.mark.parametrize("name", sorted(BIG_TRIALS))
 def test_only_the_noise_trial_extracts_submatrices_or_forms_an_m_by_n_array(name, monkeypatch):
     extracted = []
-    real = cur._submatrices
+    real = cur._cur
 
-    def recording(a, rows, cols):
+    def recording(a, rows, cols, tol):
         extracted.append(a.shape)
-        return real(a, rows, cols)
+        return real(a, rows, cols, tol)
 
-    monkeypatch.setattr(cur, "_submatrices", recording)
+    monkeypatch.setattr(cur, "_cur", recording)
     cfg = ExperimentConfig(**BIG_TRIALS[name])
     size = 8 * cfg.m * (cfg.n or sum(cfg.points))
     run_experiment(cfg)  # the first run also allocates the package's lazily built caches
