@@ -34,10 +34,10 @@ from .linalg import (
     _pinvs,
     _rank_pinv_cutoff,
     _take,
+    _unit_shift,
     as_matrix,
     frobenius_norm,
     spectral_norm,
-    unit_scaled,
 )
 from .sampling import ProbDist, draw_indices
 
@@ -199,7 +199,7 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     a = as_matrix(a)
     _check_cur(rows, cols, a.shape)
     if a.any():
-        f = _compact_svd(unit_scaled(a), None)
+        f = _compact_svd(np.ldexp(a, _unit_shift(a)), None)  # A scaled by 2^j, max|A| near 1
         [b], [v], [(rank_u, m_pinv)], _, [middle] = _blocks([(f, rows, cols)])
         s, s_inv = np.diag(f.singular_values), np.diag(1.0 / f.singular_values)
         x = f.singular_values[:, None] * v.T
