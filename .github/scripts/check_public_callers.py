@@ -1,9 +1,11 @@
 """Fail when a public module-level function or class of src/curlowrank has no use.
 
 A use is a reference in code outside the object's own definition: a name, an
-attribute or an imported name, as the parser finds it in src/curlowrank (the
-re-exports of ``__init__.py`` aside), in tests/test_acceptance.py or in
-perfbench/.  A docstring, a comment or a string does not count.  The tier-1
+imported name, or an attribute whose chain starts at an imported module
+(``curlowrank.linalg.frobenius_norm``, but not ``f.frobenius_norm()`` on an
+object), as the parser finds it in src/curlowrank (the re-exports of
+``__init__.py`` aside), in tests/test_acceptance.py or in perfbench/.  A
+docstring, a comment or a string does not count.  The tier-1
 workflow is not Python, so there a whole-word mention counts.  A name that only
 unit tests call is not a use: such an object is deleted, and its tests move
 onto the code that stays.  Run from the repository root:
@@ -33,12 +35,31 @@ workflow = (root / ".github/workflows/tier1.yml").read_text()
 trees = {p: ast.parse(p.read_text()) for p in package + others}
 
 
+def modules(tree):
+    """The names that ``tree`` binds to modules: ``import x``, ``from . import x`` and
+    ``from curlowrank import x`` for a module ``x`` of the package."""
+    stems = {p.stem for p in package}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if isinstance(node, ast.Import) or not node.module or alias.name in stems:
+                    yield alias.asname or alias.name.split(".")[0]
+
+
+def root(node):
+    """The innermost value of the attribute chain ``node``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
 def references(tree):
-    """``(name, line)`` of each name, attribute and imported name in ``tree``."""
+    """``(name, line)`` of each name, imported name and attribute of a module in ``tree``."""
+    imported = set(modules(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and getattr(root(node), "id", None) in imported:
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno

@@ -26,7 +26,7 @@ from .cur import (
     randomized_cur,
     verify_characterization,
 )
-from .deim import DeimSelection, NoiseCertificate, deim_cur, deim_noise_certificate, deim_select
+from .deim import NoiseCertificate, deim_cur, deim_noise_certificate, deim_select
 from .errors import (
     CertificateError,
     ConfigError,

@@ -83,7 +83,7 @@ def _cmd_cur(args):
 def _cmd_deim(args):
     a = read_matrix(args.infile)
     factors = deim_cur(a, args.k, args.tol)
-    rel_f = approx_error(a, factors, "frobenius") / frobenius_norm(a)
+    rel_f = approx_error(a, factors) / frobenius_norm(a)
     _emit([
         "rows: " + " ".join(str(i) for i in factors.I),
         "cols: " + " ".join(str(j) for j in factors.J),

@@ -13,7 +13,10 @@ without extracting C, U or R: C, R and U have the singular values of small
 blocks, every rank and every ``U^+`` is cut at A's numerical-rank cutoff, and
 no m-by-n product is formed, so roundoff does not grow with the condition
 number of U.  The trials and ``verify_characterization`` share these blocks.
-Spectral errors of an extracted CUR take ``||.||_2`` from
+An extracted CUR (:func:`_cur`, which the ``cur`` and ``deim`` commands
+measure) cuts ``U^+`` at ``tol``, by default U's own cutoff, and its errors
+are norms of the dense residual ``A - C U^+ R``, whose roundoff grows with
+``1 / sigma_min(U)``.  Their spectral norms come from
 :func:`~curlowrank.linalg.spectral_norm`, an eigensolve of the smaller Gram
 matrix, so no m-by-n residual is factored.
 """
@@ -24,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import IndexOutOfRangeError
 from .linalg import (
     COLS,
     ROWS,
     IndexSet,
-    _check_range,
     _compact_svd,
     _norms,
     _pinvs,
@@ -67,7 +70,11 @@ def _check_cur(rows: IndexSet, cols: IndexSet, shape) -> None:
     if not (rows.indices and cols.indices):
         raise ValueError("a CUR needs at least one row index and one column index")
     for index_set, size in zip((rows, cols), shape):
-        _check_range(index_set, size)
+        top = max(index_set.indices)
+        if top >= size:
+            raise IndexOutOfRangeError(
+                f"index {top} out of range for axis '{index_set.axis}' of size {size}"
+            )
 
 
 def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
@@ -78,15 +85,9 @@ def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
     return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=_rank_pinv_cutoff(u, tol)[1])
 
 
-def approx_error(a, factors: CurFactors, norm="frobenius") -> float:
-    """``||A - C U^+ R||`` in the spectral or Frobenius norm."""
-    a = as_matrix(a)
-    resid = a - factors.approximation()
-    if norm == "frobenius":
-        return frobenius_norm(resid)
-    if norm == "spectral":
-        return spectral_norm(resid)
-    raise ValueError(f"norm must be 'spectral' or 'frobenius', got {norm!r}")
+def approx_error(a, factors: CurFactors) -> float:
+    """``||A - C U^+ R||_F``."""
+    return frobenius_norm(as_matrix(a) - factors.approximation())
 
 
 @dataclass(frozen=True)

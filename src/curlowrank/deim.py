@@ -21,18 +21,19 @@ import numpy as np
 
 from .cur import CurFactors, _cur
 from .errors import DomainError, SingularInterpolationError
-from .linalg import COLS, ROWS, IndexSet, as_matrix, leading_bases, rank_cutoff, singular_values
+from .linalg import (
+    COLS,
+    ROWS,
+    IndexSet,
+    _bases,
+    as_matrix,
+    leading_bases,
+    rank_cutoff,
+    singular_values,
+)
 
 
-@dataclass(frozen=True, eq=False)
-class DeimSelection:
-    """Indices chosen from a basis, with the per-step residual maxima."""
-
-    indices: IndexSet
-    residual_maxima: tuple
-
-
-def deim_select(v, ell, axis=ROWS) -> DeimSelection:
+def deim_select(v, ell, axis=ROWS) -> IndexSet:
     """Select ``ell`` interpolation indices from the basis ``v`` (columns).
 
     ``v`` should have orthonormal columns (singular vectors); ``ell`` may not
@@ -42,15 +43,14 @@ def deim_select(v, ell, axis=ROWS) -> DeimSelection:
     v = as_matrix(v)
     if not (1 <= ell <= v.shape[1]):
         raise DomainError(f"need 1 <= ell <= {v.shape[1]}, got ell={ell}")
-    chosen, maxima = _select(v[None], ell)
-    return DeimSelection(indices=IndexSet(chosen[0], axis), residual_maxima=tuple(maxima[0]))
+    return IndexSet(_select(v[None], ell)[0], axis)
 
 
-def _select(v, ell) -> tuple:
-    """:func:`deim_select`'s indices and residual maxima, as (T, ell) lists, of each basis of
-    the stack ``v``: one stacked solve per greedy step."""
+def _select(v, ell) -> list:
+    """:func:`deim_select`'s indices, as a (T, ell) list, of each basis of the stack ``v``: one
+    stacked solve per greedy step."""
     t = np.arange(len(v))[:, None]
-    chosen, maxima = np.empty((len(v), ell), dtype=np.intp), np.empty((len(v), ell))
+    chosen = np.empty((len(v), ell), dtype=np.intp)
     resid = v[:, :, 0]
     for j in range(ell):
         if j:
@@ -62,32 +62,30 @@ def _select(v, ell) -> tuple:
                     f"interpolation system singular at step {j + 1}"
                 ) from exc
             resid = v[:, :, j] - (v[:, :, :j] @ coeff)[..., 0]
-        magnitude = np.abs(resid)
-        chosen[:, j], maxima[:, j] = magnitude.argmax(axis=1), magnitude.max(axis=1)
-    return chosen.tolist(), maxima.tolist()
+        chosen[:, j] = np.abs(resid).argmax(axis=1)
+    return chosen.tolist()
 
 
-def deim_cur(a, k, tol=None, svd=None) -> CurFactors:
+def deim_cur(a, k, tol=None) -> CurFactors:
     """Exactly ``k`` rows and columns chosen greedily from the rank-k SVD factors.
 
     Columns come from the right singular vectors and rows from the left ones.
     When ``rank(A) = k`` the resulting decomposition reproduces A exactly.
-    The bases are :func:`~curlowrank.linalg.leading_bases` of ``a``: from
-    ``svd``, the caller's compact SVD of ``a``, if it holds one; else from
-    the certified sketch when ``tol`` is None; else from ``a`` factored at ``tol``.
+    The bases are :func:`~curlowrank.linalg.leading_bases` of ``a``: the
+    certified sketch when ``tol`` is None, else ``a`` factored at ``tol``.
     """
     if k < 1:
         raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
-    left, right = leading_bases(a, k, tol, svd)
-    return _cur(a, deim_select(left, k, ROWS).indices, deim_select(right, k, COLS).indices, tol)
+    left, right = leading_bases(a, k, tol)
+    return _cur(a, deim_select(left, k, ROWS), deim_select(right, k, COLS), tol)
 
 
 def _deim_indices(svds, k) -> list:
     """``(rows, cols)`` that :func:`deim_cur` selects from each compact SVD of ``svds``, every
     rank-``k`` basis of one side at once."""
-    bases = map(np.stack, zip(*(leading_bases(None, k, svd=f) for f in svds)))
-    rows, cols = (_select(b, k)[0] for b in bases)
+    bases = map(np.stack, zip(*(_bases(f, k) for f in svds)))
+    rows, cols = (_select(b, k) for b in bases)
     return [(IndexSet(i, ROWS), IndexSet(j, COLS)) for i, j in zip(rows, cols)]
 
 

@@ -5,8 +5,8 @@ memory order.  A matrix is validated once, by :func:`as_matrix`, where it
 enters the public API; the package passes an already validated matrix on to
 private helpers (:func:`_take`, :func:`_compact_svd`, :func:`_leading_svd`,
 :func:`_rank_pinv_cutoff`, which also gives the pseudoinverse) that skip that
-check, and :func:`_take` still checks its indices against the matrix.  No
-other module of the package calls ``np.linalg.svd``.
+check, and :func:`_take` trusts its caller's range check.  No other module of
+the package calls ``np.linalg.svd``.
 Every numerical-rank decision in the package is made by
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it; the small blocks that
@@ -259,24 +259,26 @@ def _leading_svd(a, k):
     return w, np.ldexp(s[:k], -shift), vt.T
 
 
-def leading_bases(a, k, tol=None, svd=None) -> tuple:
+def leading_bases(a, k, tol=None) -> tuple:
     """``(left, right)``: the top-``k`` left and right singular vectors of ``a``.
 
-    They come from ``svd``, the caller's :class:`SvdFactors` of ``a``, when
-    given, and ``a`` is then not read (it may be None); else from
-    :func:`_leading_svd` when ``tol`` is None and the sketch certifies; else
-    from :func:`compact_svd` of ``a`` at ``tol``.  A ``k`` outside
-    ``1..min(m, n)`` is a DomainError; a ``k`` within it that exceeds the
-    numerical rank of that SVD is a RankDeficientError.
+    They come from :func:`_leading_svd` when ``tol`` is None and the sketch
+    certifies, else from :func:`compact_svd` of ``a`` at ``tol``.  A ``k``
+    outside ``1..min(m, n)`` is a DomainError; a ``k`` within it that exceeds
+    the numerical rank of that SVD is a RankDeficientError.
     """
-    a = as_matrix(a) if svd is None else a
-    size = min(a.shape if svd is None else (len(svd.left), len(svd.right)))
-    if not 1 <= k <= size:
-        raise DomainError(f"need 1 <= k <= {size}, got k={k}")
-    sketch = _leading_svd(a, k) if svd is None and tol is None else None
+    a = as_matrix(a)
+    if not 1 <= k <= min(a.shape):
+        raise DomainError(f"need 1 <= k <= {min(a.shape)}, got k={k}")
+    sketch = _leading_svd(a, k) if tol is None else None
     if sketch is not None:
         return sketch[0], sketch[2]
-    svd = _compact_svd(a, tol) if svd is None else svd
+    return _bases(_compact_svd(a, tol), k)
+
+
+def _bases(svd, k) -> tuple:
+    """``(left, right)``: the first ``k`` columns of the bases of the compact SVD ``svd``, or a
+    RankDeficientError where ``k`` exceeds its numerical rank."""
     if k > svd.numerical_rank:
         raise RankDeficientError(
             f"requested rank k={k} exceeds numerical rank {svd.numerical_rank}"
@@ -390,18 +392,8 @@ def condition_number(a, tol=None) -> float:
 def _take(a, index_set: IndexSet) -> np.ndarray:
     """``A(I, :)`` or ``A(:, J)`` of the validated ``a``, as a new C-ordered array.
 
-    Duplicates and ordering are honored, and the indices are checked against
-    the size of ``a`` along their axis.
+    Duplicates and ordering are honored; the caller has checked the indices
+    against the size of ``a`` along their axis.
     """
     axis = 0 if index_set.axis == ROWS else 1
-    _check_range(index_set, a.shape[axis])
     return a.take(np.asarray(index_set.indices, dtype=np.intp), axis=axis)
-
-
-def _check_range(index_set: IndexSet, size) -> None:
-    """Raise IndexOutOfRangeError unless every index of ``index_set`` is below ``size``."""
-    top = max(index_set.indices, default=-1)
-    if top >= size:
-        raise IndexOutOfRangeError(
-            f"index {top} out of range for axis '{index_set.axis}' of size {size}"
-        )

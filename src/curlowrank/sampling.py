@@ -3,20 +3,20 @@
 Uniform, squared-length and rank-k leverage distributions each have one
 builder, :func:`axis_dists`, which gives both axes at once; the squared
 lengths of both axes come from one pass of row and column sums of squares
-over the scaled matrix, with no m-by-n temporary, or, for a matrix held as
-thin factors, from the factors and its SVD, a whole stack of them at once
-(:func:`_stacked_weights`).  Draws are i.i.d. with replacement through an
-inverse-CDF lookup, a binary search of the full cumulative weight vector,
-so a fixed ``numpy.random.Generator`` state reproduces the same index
-multiset byte for byte.  Zero-weight indices are never drawn.
+over the scaled matrix, with no m-by-n temporary.  The trials, which hold
+each matrix as thin factors, weigh a whole stack of them at once from the
+factors and their SVDs (:func:`_stacked_weights`).  Draws are i.i.d. with
+replacement through an inverse-CDF lookup, a binary search of the full
+cumulative weight vector, so a fixed ``numpy.random.Generator`` state
+reproduces the same index multiset byte for byte.  Zero-weight indices are
+never drawn.
 
 Rank-k leverage scores need only the top-k singular subspaces, which
-:func:`~curlowrank.linalg.leading_bases` gives: without a caller's SVD they
-come from the certified sketch :func:`~curlowrank.linalg._leading_svd`, still
-a pure function of the matrix bits, or from the dense
-:func:`~curlowrank.linalg.compact_svd` where the sketch declines; the
-paper's stability result (sampling from any ``p_tilde >= beta * p``) absorbs
-the sketch's error.
+:func:`~curlowrank.linalg.leading_bases` gives: from the certified sketch
+:func:`~curlowrank.linalg._leading_svd`, still a pure function of the matrix
+bits, or from the dense :func:`~curlowrank.linalg.compact_svd` where the
+sketch declines; the paper's stability result (sampling from any
+``p_tilde >= beta * p``) absorbs the sketch's error.
 
 Every "how many samples suffice" formula lives here as well, together with
 the per-index stability floors that certify a perturbed distribution
@@ -44,10 +44,10 @@ from .linalg import (
     COLS,
     ROWS,
     IndexSet,
+    _bases,
     _unit_shift,
     as_matrix,
     condition_number,
-    factored_svd,
     leading_bases,
     unit_scaled,
 )
@@ -158,44 +158,37 @@ def leverage_dist(a, k, axis) -> ProbDist:
     return _on_axis(axis_dists(a, "leverage", k), axis)
 
 
-def axis_dists(a, scheme, k=None, svd=None) -> tuple:
-    """Row and column distributions of one scheme from :data:`SCHEMES`.
+def axis_dists(a, scheme, k=None) -> tuple:
+    """Row and column distributions of the matrix ``a`` for one scheme from :data:`SCHEMES`.
 
-    ``a`` is a matrix, or a pair ``(p, q)`` of thin factors of ``a = p @ q.T``,
-    which is then not formed: its weights are :func:`_stacked_weights` of the
-    one pair, whose length weights are within 1e-14 of the largest dense weight.
-    Leverage scores need the truncation rank ``k``; without it a
-    DomainError is raised.  Both leverage axes come from one factorization of
-    ``a``, the :func:`~curlowrank.linalg.leading_bases` of ``a`` and ``svd``,
-    the caller's :class:`~curlowrank.linalg.SvdFactors` of ``a`` if it holds one.
+    Leverage scores need the truncation rank ``k``; without it a DomainError
+    is raised.  Both leverage axes come from one factorization of ``a``, its
+    :func:`~curlowrank.linalg.leading_bases`.
     """
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme not in (UNIFORM, LENGTH) and (k is None or k < 1):
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
-    if isinstance(a, tuple):
-        p, q = ([as_matrix(x)] for x in a)
-        svd = factored_svd(p, q)[0] if svd is None and scheme != UNIFORM else svd
-        weights = [w[0] for w in _stacked_weights(p, q, [svd], scheme, k)]
-    elif scheme == UNIFORM:
+    if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
     elif scheme == LENGTH:
         weights = _length_weights(*_squared_lengths(unit_scaled(a)))
     else:
-        weights = [np.sum(b * b, axis=1) / float(k) for b in leading_bases(a, k, svd=svd)]
+        weights = [np.sum(b * b, axis=1) / float(k) for b in leading_bases(a, k)]
     label = scheme if scheme in (UNIFORM, LENGTH) else f"leverage({int(k)})"
     return ProbDist(weights[0], ROWS, label), ProbDist(weights[1], COLS, label)
 
 
 def _stacked_weights(p, q, svds, scheme, k) -> tuple:
     """The (T, m) and (T, n) stacks of :func:`axis_dists`'s weights of each ``p[t] @ q[t].T``,
-    from each product's compact SVD ``svds[t]``, with the checks of :class:`ProbDist`."""
+    from each product's compact SVD ``svds[t]``, with the checks of :class:`ProbDist`.  The
+    length weights are within 1e-14 of the largest weight of the dense product."""
     if scheme == UNIFORM:
         weights = [np.full((len(x), len(x[0])), 1.0 / len(x[0])) for x in (p, q)]
     elif scheme == LENGTH:
         weights = _length_weights(*_factored_lengths(np.stack(p), np.stack(q), svds))
     else:
-        bases = map(np.stack, zip(*(leading_bases(None, k, svd=f) for f in svds)))
+        bases = map(np.stack, zip(*(_bases(f, k) for f in svds)))
         weights = [np.sum(b * b, axis=2) / float(k) for b in bases]
     for w in weights:
         _check_weights(w)

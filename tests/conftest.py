@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from curlowrank import sampling
 from curlowrank.cluster import subspace_factors
 from curlowrank.harness import lowrank_gaussian
 from curlowrank.linalg import rank_cutoff, singular_values
@@ -21,6 +22,12 @@ def noisy_rank_k(m, n, k, sigma, rng):
     a = rank_k(m, n, k, rng)
     e = rng.standard_normal((m, n))
     return a + e * (sigma * np.linalg.svd(a, compute_uv=False)[k - 1] / np.linalg.norm(e, 2))
+
+
+def factored_weights(p, q, svd, scheme, k=None):
+    """The row and column weights the trials build for ``p @ q.T`` from its compact SVD ``svd``:
+    the stacked builder on a stack of one."""
+    return [w[0] for w in sampling._stacked_weights(p[None], q[None], [svd], scheme, k)]
 
 
 def orthonormal(n, k, rng):

@@ -34,7 +34,9 @@ from curlowrank.harness import (
     zero_out_columns,
 )
 from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd, rank_cutoff
-from curlowrank.sampling import SCHEMES, axis_dists, draw_indices, leverage_dist
+from curlowrank.sampling import SCHEMES, ProbDist, draw_indices, leverage_dist
+
+from conftest import factored_weights
 
 
 def sha(path):
@@ -469,7 +471,8 @@ class TestStageMajor:
         for (p, q, f, _), (g, rows, cols, _), t in zip(states, harness._draws(cfg, d, trials),
                                                         trials):
             k = q.shape[1] if clustering else cfg.k
-            dists = axis_dists((p, q), cfg.scheme, k, f)
+            dists = (ProbDist(w, axis, cfg.scheme)
+                     for w, axis in zip(factored_weights(p, q, f, cfg.scheme, k), (ROWS, COLS)))
             rng = trial_generator(cfg.master_seed, t.index)
             assert g is f
             assert (rows, cols) == draw_indices(*dists, d, d, rng, cfg.dedup or clustering)
@@ -485,8 +488,8 @@ class TestStageMajor:
                                             np.stack([s[1] for s in states]),
                                             [s[2] for s in states], "length", 4)
         for i, (p, q, f, _) in enumerate(states):
-            alone = axis_dists((p, q), "length", svd=f)
-            assert [w[i].tobytes() for w in stacked] == [d.weights.tobytes() for d in alone]
+            alone = factored_weights(p, q, f, "length")
+            assert [w[i].tobytes() for w in stacked] == [w.tobytes() for w in alone]
 
     @pytest.mark.parametrize("kappa", [None, 1e6])
     def test_deim_stage_selects_from_each_basis_what_deim_select_does(self, kappa):
@@ -494,8 +497,8 @@ class TestStageMajor:
         trials = self._first_stage(cfg)
         for t, (f, rows, cols, _) in zip(trials, harness._deim_selections(cfg, 4, trials)):
             assert f is t.state[2]
-            assert rows == deim_select(f.left[:, :4], 4, ROWS).indices
-            assert cols == deim_select(f.right[:, :4], 4, COLS).indices
+            assert rows == deim_select(f.left[:, :4], 4, ROWS)
+            assert cols == deim_select(f.right[:, :4], 4, COLS)
 
     def test_stacked_selection_breaks_ties_toward_the_smallest_index(self):
         # rows i and i + 4 of the tied basis have equal magnitudes, and every entry of
@@ -507,12 +510,10 @@ class TestStageMajor:
             hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
         stack = np.stack([np.vstack([q, -q]) / math.sqrt(2.0), hadamard[:, :4] / math.sqrt(8.0),
                           *(np.linalg.qr(rng.standard_normal((8, 4)))[0] for _ in range(4))])
-        chosen, maxima = deim._select(stack, 4)
+        chosen = deim._select(stack, 4)
         assert chosen[1][0] == 0 and all(i < 4 for i in chosen[0])
-        for basis, indices, residuals in zip(stack, chosen, maxima):
-            alone = deim_select(basis, 4)
-            assert alone.indices.indices == tuple(indices)
-            assert alone.residual_maxima == tuple(residuals)
+        for basis, indices in zip(stack, chosen):
+            assert list(deim_select(basis, 4)) == indices
 
     # Each error the per-trial path raises on one trial, raised by the stacked stage.
     def test_a_zero_matrix_in_the_stack_fails_as_it_fails_alone(self):
@@ -521,7 +522,7 @@ class TestStageMajor:
         p, q, f, _ = trials[3].state
         trials[3].state = (np.zeros_like(p), q, f, None)
         with pytest.raises(ZeroMatrixError) as alone:
-            axis_dists((np.zeros_like(p), q), "length", svd=f)
+            factored_weights(np.zeros_like(p), q, f, "length")
         with pytest.raises(ZeroMatrixError) as stacked:
             harness._draws(cfg, 8, trials)
         assert str(stacked.value) == str(alone.value)
@@ -533,17 +534,14 @@ class TestStageMajor:
         p = p * [1.0, 1.0, 1.0, 0.0]  # rank 3 of the config's 4
         trials[2].state = (p, q, factored_svd(p[None], q[None])[0], None)
         with pytest.raises(RankDeficientError) as alone:
-            axis_dists((p, q), "leverage", 4, trials[2].state[2])
+            factored_weights(p, q, trials[2].state[2], "leverage", 4)
         with pytest.raises(RankDeficientError) as stacked:
             harness._draws(cfg, 8, trials)
         assert str(stacked.value) == str(alone.value)
-        states = [t.state for t in trials]
-        p, q = np.stack([s[0] for s in states]), np.stack([s[1] for s in states])
-        for k in (0, 25):  # outside 1..min(m, n)
+        p, q, _, _ = trials[0].state
+        for k in (0, 25):  # outside 1..min(m, n), which the config rules out for a trial
             with pytest.raises(DomainError):
-                leverage_dist(p[0] @ q[0].T, k, ROWS)
-            with pytest.raises(DomainError):
-                sampling._stacked_weights(p, q, [s[2] for s in states], "leverage", k)
+                leverage_dist(p @ q.T, k, ROWS)
 
     def test_weights_failing_a_check_fail_the_stack_as_they_fail_alone(self, monkeypatch):
         cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["length"])
@@ -558,7 +556,7 @@ class TestStageMajor:
         monkeypatch.setattr(sampling, "_factored_lengths", one_negative)
         p, q, f, _ = trials[-1].state
         with pytest.raises(ValueError) as alone:
-            axis_dists((p, q), "length", svd=f)
+            factored_weights(p, q, f, "length")
         with pytest.raises(ValueError) as stacked:
             harness._draws(cfg, 8, trials)
         assert str(stacked.value) == str(alone.value)

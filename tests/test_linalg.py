@@ -7,6 +7,7 @@ from curlowrank.linalg import (
     ROWS,
     SKETCH_OVERSAMPLE,
     IndexSet,
+    _bases,
     _fix_signs,
     _leading_svd,
     _rank_pinv_cutoff,
@@ -310,10 +311,7 @@ class TestSubmatrix:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(_take(a, IndexSet([1, 0], COLS)), [[2.0, 1.0], [4.0, 3.0]])
 
-    def test_out_of_range(self):
-        a = np.eye(3)
-        with pytest.raises(IndexOutOfRangeError):
-            _take(a, IndexSet([3], ROWS))
+    def test_negative_index_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
             IndexSet([-1], ROWS)
 
@@ -393,21 +391,22 @@ class TestLeadingBases:
         np.testing.assert_array_equal(got[0], f.left[:, :3])
         np.testing.assert_array_equal(got[1], f.right[:, :3])
 
-    def test_callers_svd(self, rng):
-        a = rank_k(80, 60, 4, rng)
-        f = compact_svd(a)
-        got = leading_bases(a, 2, svd=f)
-        np.testing.assert_array_equal(got[1], f.right[:, :2])
-
     def test_rank_deficient(self, rng):
         with pytest.raises(RankDeficientError, match="k=4 exceeds numerical rank 3"):
             leading_bases(rank_k(12, 10, 3, rng), 4)
 
+    def test_bases_of_a_stacked_svd_below_k_are_rank_deficient(self, rng):
+        # the trials take their bases from factored_svd of a stack, at rank k of the config
+        p, q = rng.standard_normal((2, 30, 4)), rng.standard_normal((2, 20, 4))
+        p[1, :, 3] = 0.0
+        full, short = factored_svd(p, q)
+        assert (full.numerical_rank, short.numerical_rank) == (4, 3)
+        with pytest.raises(RankDeficientError, match="k=4 exceeds numerical rank 3"):
+            _bases(short, 4)
+
     def test_rank_above_the_smaller_size_is_a_domain_error(self, rng):
-        a = rank_k(4, 3, 2, rng)
-        for svd in (None, compact_svd(a)):
-            with pytest.raises(DomainError, match="need 1 <= k <= 3, got k=4"):
-                leading_bases(a, 4, svd=svd)
+        with pytest.raises(DomainError, match="need 1 <= k <= 3, got k=4"):
+            leading_bases(rank_k(4, 3, 2, rng), 4)
 
 
 def _fix_signs_loop(w, vt):

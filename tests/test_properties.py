@@ -67,6 +67,7 @@ from curlowrank.linalg import (
     as_matrix,
     compact_svd,
     factored_svd,
+    leading_bases,
     rank_cutoff,
     singular_values,
     spectral_norm,
@@ -205,7 +206,7 @@ def sketch_sized(draw):
        scale=st.sampled_from((1e-150, 1.0, 1e150)))
 def test_leverage_and_length_dominate_each_other(inst, scale):
     # p_lev >= (r/k) p_len and p_len >= k/(r kappa^2) p_lev on both axes, for the
-    # leverage scores of the caller's SVD and of the sketch, or the dense fallback
+    # leverage scores of the dense SVD and of the sketch, or the dense fallback
     # where the sketch does not apply; weights lie in [0, 1], so the slack is ulp-level
     a, k = inst
     a = scale * a
@@ -213,9 +214,9 @@ def test_leverage_and_length_dominate_each_other(inst, scale):
     r, kappa = stable_rank_of(s), float(s[0] / s[k - 1])
     assert (_leading_svd(a, k) is None) == (min(a.shape) < 2 * (k + SKETCH_OVERSAMPLE))
     length = axis_dists(a, "length")
-    for svd in (None, compact_svd(a)):
-        for p_len, p_lev in zip(length, axis_dists(a, "leverage", k, svd=svd)):
-            p_len, p_lev = p_len.weights, p_lev.weights
+    for tol in (None, compact_svd(a).tolerance_used):
+        for p_len, b in zip(length, leading_bases(a, k, tol)):
+            p_len, p_lev = p_len.weights, np.sum(b * b, axis=1) / k
             assert np.all(p_lev >= (r / k) * p_len - 16 * EPS)
             assert np.all(p_len >= k / (r * kappa**2) * p_lev - 16 * EPS)
 
@@ -377,12 +378,13 @@ def noisy_low_rank(draw):
 def test_certified_leverage_matches_the_dense_reference(inst):
     a, k = inst
     got = axis_dists(a, "leverage", k)
-    ref = axis_dists(a, "leverage", k, svd=compact_svd(a))
+    ref = [np.sum(b * b, axis=1) / float(k)
+           for b in leading_bases(a, k, compact_svd(a).tolerance_used)]
     if _leading_svd(a, k) is None:  # the fallback is the dense path itself
-        assert [d.weights.tobytes() for d in got] == [d.weights.tobytes() for d in ref]
+        assert [d.weights.tobytes() for d in got] == [r.tobytes() for r in ref]
     else:
         for g, r in zip(got, ref):
-            assert np.max(np.abs(g.weights - r.weights)) <= 1e-10 * r.weights.max()
+            assert np.max(np.abs(g.weights - r)) <= 1e-10 * r.max()
 
 
 @PROPERTY
@@ -390,7 +392,7 @@ def test_certified_leverage_matches_the_dense_reference(inst):
 def test_sketched_deim_picks_the_dense_indices(inst):
     a, k = inst
     if _leading_svd(a, k) is not None:
-        got, ref = deim_cur(a, k), deim_cur(a, k, svd=compact_svd(a))
+        got, ref = deim_cur(a, k), deim_cur(a, k, compact_svd(a).tolerance_used)
         assert (got.I, got.J) == (ref.I, ref.J)
 
 

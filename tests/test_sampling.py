@@ -21,6 +21,7 @@ from curlowrank.linalg import (
     _leading_svd,
     compact_svd,
     factored_svd,
+    leading_bases,
     unit_scaled,
 )
 from curlowrank.sampling import (
@@ -39,7 +40,7 @@ from curlowrank.sampling import (
     uniform_stability_floor,
 )
 
-from conftest import noisy_rank_k, rank_k
+from conftest import factored_weights, noisy_rank_k, rank_k
 
 
 class TestDistributions:
@@ -132,43 +133,48 @@ class TestFactoredLength:
             assert zeroed.sum() == 20
             dense = axis_dists(p @ q.T, "length")
             j = (-500, 500)[i % 2]
-            for factors, svd in (((p, q), f), ((np.ldexp(p, j), q), None),
-                                 ((p, np.ldexp(q, -j)), None)):
-                weights = axis_dists(factors, "length", svd=svd)
-                assert np.all(weights[1].weights[zeroed] == 0.0)
+            for x, y, svd in ((p, q, f), (np.ldexp(p, j), q, None), (p, np.ldexp(q, -j), None)):
+                svd = factored_svd(x[None], y[None])[0] if svd is None else svd
+                weights = factored_weights(x, y, svd, "length")
+                assert np.all(weights[1][zeroed] == 0.0)
                 for got, ref in zip(weights, dense):
-                    assert np.max(np.abs(got.weights - ref.weights)) <= 1e-14 * ref.weights.max()
-            drawn = draw_with_replacement(weights[1], 2000, trial_generator(6, i))
+                    assert np.max(np.abs(got - ref.weights)) <= 1e-14 * ref.weights.max()
+            cols = ProbDist(weights[1], COLS, "length")
+            drawn = draw_with_replacement(cols, 2000, trial_generator(6, i))
             assert not zeroed[list(drawn)].any()
 
 
     def test_uniform_and_leverage_of_the_factors_are_those_of_the_product(self, rng):
         p, q = rng.standard_normal((12, 3)), rng.standard_normal((9, 3))
         [f] = factored_svd(p[None], q[None])
-        for scheme in ("uniform", "leverage"):
-            got = axis_dists((p, q), scheme, 3, svd=f)
-            ref = axis_dists(p @ q.T, scheme, 3, svd=f)
-            assert [d.weights.tobytes() for d in got] == [d.weights.tobytes() for d in ref]
+        uniform = factored_weights(p, q, f, "uniform")
+        assert _bits(axis_dists(p @ q.T, "uniform")) == [w.tobytes() for w in uniform]
+        leverage = factored_weights(p, q, f, "leverage", 3)
+        for got, ref in zip(leverage, axis_dists(p @ q.T, "leverage", 3)):
+            assert np.max(np.abs(got - ref.weights)) <= 1e-14 * ref.weights.max()
         with pytest.raises(ZeroMatrixError):
-            axis_dists((np.zeros((12, 3)), q), "length")
+            factored_weights(np.zeros((12, 3)), q, f, "length")
+
+
+def dense_leverage(a, k):
+    """The rank-k leverage weights of ``a`` from ``compact_svd`` at the default cutoff: given
+    that cutoff, ``leading_bases`` takes no sketch."""
+    tol = compact_svd(a).tolerance_used
+    return [np.sum(b * b, axis=1) / float(k) for b in leading_bases(a, k, tol)]
 
 
 class TestCertifiedLeverage:
-    """The leverage path without a caller's SVD, against ``compact_svd``'s scores."""
-
-    @staticmethod
-    def reference(a, k):
-        return axis_dists(a, "leverage", k, svd=compact_svd(a))
+    """The leverage path, sketched where it certifies, against ``compact_svd``'s scores."""
 
     def test_sketch_matches_the_dense_reference(self, rng):
         a = noisy_rank_k(200, 150, 5, 1e-3, rng)
-        for got, ref in zip(axis_dists(a, "leverage", 5), self.reference(a, 5)):
-            assert got.scheme == ref.scheme == "leverage(5)"
-            assert np.max(np.abs(got.weights - ref.weights)) <= 1e-10 * ref.weights.max()
+        for got, ref in zip(axis_dists(a, "leverage", 5), dense_leverage(a, 5)):
+            assert got.scheme == "leverage(5)"
+            assert np.max(np.abs(got.weights - ref)) <= 1e-10 * ref.max()
 
     def test_flat_spectrum_falls_back_to_the_dense_bits(self, rng):
         a = rng.standard_normal((200, 150))
-        assert _bits(axis_dists(a, "leverage", 5)) == _bits(self.reference(a, 5))
+        assert _bits(axis_dists(a, "leverage", 5)) == [w.tobytes() for w in dense_leverage(a, 5)]
 
     def test_rank_deficient_at_sketch_size(self, rng):
         with pytest.raises(RankDeficientError):
@@ -176,7 +182,7 @@ class TestCertifiedLeverage:
 
     def test_matrices_below_the_size_rule_keep_their_bits(self, rng):
         a = noisy_rank_k(40, 29, 5, 1e-3, rng)
-        assert _bits(axis_dists(a, "leverage", 5)) == _bits(self.reference(a, 5))
+        assert _bits(axis_dists(a, "leverage", 5)) == [w.tobytes() for w in dense_leverage(a, 5)]
 
     def test_same_bits_whatever_the_global_rng_state(self, rng):
         a = noisy_rank_k(80, 60, 4, 1e-3, rng)
@@ -232,7 +238,7 @@ class TestBitPin:
         for a, e, k in _pin_cases():
             dists = [length_dist(a, ROWS), length_dist(a, COLS), *axis_dists(a, "length")]
             h["length"].update(b"".join(_bits(dists)))
-            h["lev_svd"].update(b"".join(_bits(axis_dists(a, "leverage", k, svd=compact_svd(a)))))
+            h["lev_svd"].update(b"".join(w.tobytes() for w in dense_leverage(a, k)))
             path = "lev_dense" if _leading_svd(a, k) is None else "lev_sketch"
             h[path].update(b"".join(_bits(axis_dists(a, "leverage", k))))
             paths.add(path)

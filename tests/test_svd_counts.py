@@ -27,7 +27,6 @@ from curlowrank.linalg import (
     ROWS,
     SKETCH_OVERSAMPLE,
     IndexSet,
-    compact_svd,
     condition_number,
     stable_rank,
 )
@@ -96,13 +95,6 @@ def test_leverage_axis_dists_take_one_svd(a, svd_calls):
     rows, cols = axis_dists(a, "leverage", 3)
     assert (rows.size, cols.size) == (12, 10)
     assert svd_calls == [(12, 10)]
-
-
-def test_leverage_axis_dists_reuse_the_callers_svd(a, svd_calls):
-    f = compact_svd(a)
-    assert [d.weights.tobytes() for d in axis_dists(a, "leverage", 3, svd=f)] == \
-        [d.weights.tobytes() for d in axis_dists(a, "leverage", 3)]
-    assert len(svd_calls) == 2
 
 
 @pytest.fixture
