@@ -18,16 +18,6 @@ import pathlib
 import re
 import sys
 
-# Diagnostics whose fate waits for the trace sidecar (ROADMAP item 4): each gets a
-# caller there or is deleted.  A name listed here that gains a use must leave the list.
-AWAITING_A_CALLER = {
-    "deim_noise_certificate",
-    "epsilon_ceiling",
-    "leverage_dominance_ratio",
-    "noisy_stability_floor",
-    "uniform_stability_floor",
-}
-
 root = pathlib.Path(__file__).resolve().parents[2]
 package = sorted(p for p in (root / "src/curlowrank").glob("*.py") if p.name != "__init__.py")
 others = [root / "tests/test_acceptance.py", *sorted((root / "perfbench").rglob("*.py"))]
@@ -77,8 +67,6 @@ for path in package:
         if not in_code and not re.search(rf"\b{node.name}\b", workflow):
             unused.add(node.name)
 
-for name in sorted(unused - AWAITING_A_CALLER):
+for name in sorted(unused):
     print(f"{name}: public, but nothing outside the unit tests uses it", file=sys.stderr)
-for name in sorted(AWAITING_A_CALLER - unused):
-    print(f"{name}: has a use now (or is gone); drop it from AWAITING_A_CALLER", file=sys.stderr)
-sys.exit(1 if unused ^ AWAITING_A_CALLER else 0)
+sys.exit(1 if unused else 0)

@@ -2,7 +2,7 @@
 
 The library covers: dense SVD-derived primitives (compact SVD, spectra, norms,
 stable rank, generalized condition number), row/column sampling distributions
-with their size bounds and stability floors, construction and verification of
+with their size bounds, construction and verification of
 exact CUR decompositions, greedy deterministic index selection, and a
 CUR-based solver for clustering data drawn from a union of independent
 subspaces.  A seeded Monte Carlo harness (also exposed as the ``curlowrank``
@@ -26,11 +26,10 @@ from .cur import (
     randomized_cur,
     verify_characterization,
 )
-from .deim import NoiseCertificate, deim_cur, deim_noise_certificate, deim_select
+from .deim import deim_cur, deim_select
 from .errors import (
     CertificateError,
     ConfigError,
-    DivisionByZeroWeightError,
     DomainError,
     IndexOutOfRangeError,
     NoiseDominatesError,
@@ -75,17 +74,13 @@ from .sampling import (
     axis_dists,
     draw_indices,
     draw_with_replacement,
-    epsilon_ceiling,
     leverage_dist,
-    leverage_dominance_ratio,
     length_dist,
     min_sample_size_rv,
-    noisy_stability_floor,
     rescaled_submatrix,
     sample_size_length_via_lev,
     sample_size_leverage,
     uniform_dist,
-    uniform_stability_floor,
 )
 
 __version__ = "0.1.0"

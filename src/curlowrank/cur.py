@@ -33,6 +33,7 @@ from .linalg import (
     ROWS,
     IndexSet,
     _compact_svd,
+    _nonnegative,
     _norms,
     _pinvs,
     _rank_pinv_cutoff,
@@ -196,7 +197,9 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
     the orthonormal factors drop out of each residual, so (iii) is
     ``||S - X X^+ S R_b^+ R_b||``, (iv) is ``||S^-1 - R_b^+ R_b R_v^T X^+||``
     and the ``U^+`` identity ``||M^+ - X^+ S R_b^+||``, relative to S, S^-1 and M^+.
+    A ``tol`` that is negative or not finite is a DomainError.
     """
+    tol = _nonnegative(tol, "tol")
     a = as_matrix(a)
     _check_cur(rows, cols, a.shape)
     if a.any():
@@ -226,7 +229,7 @@ def verify_characterization(a, rows: IndexSet, cols: IndexSet, tol=EXACTNESS_TOL
         holds_v=rank_c == rank_a and rank_r == rank_a,
         u_pinv_identity=u_pinv_identity,
         residuals=dict(zip(("cur", "projection", "pinv_product", "u_pinv_identity"), residuals)),
-        tol=float(tol),
+        tol=tol,
     )
 
 

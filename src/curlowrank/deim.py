@@ -4,8 +4,7 @@ The selection walks the basis columns left to right.  The first index is the
 largest-magnitude entry of the first column; each later step interpolates the
 next column on the indices chosen so far, and picks the entry where the
 interpolation residual is largest.  Ties break toward the smallest index.
-Exactly ``rank(A)`` indices per side recover a low-rank matrix exactly, and a
-computable singular-value margin certifies recovery from a noisy observation.
+Exactly ``rank(A)`` indices per side recover a low-rank matrix exactly.
 The rank-k bases come from :func:`~curlowrank.linalg.leading_bases`: the
 certified sketch in O(m n k) time where it certifies (Sorensen and Embree,
 arXiv:1407.5516, select from any accurate rank-k singular vectors), else the
@@ -13,9 +12,6 @@ dense compact SVD.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +24,6 @@ from .linalg import (
     _bases,
     as_matrix,
     leading_bases,
-    rank_cutoff,
-    singular_values,
 )
 
 
@@ -87,47 +81,3 @@ def _deim_indices(svds, k) -> list:
     bases = map(np.stack, zip(*(_bases(f, k) for f in svds)))
     rows, cols = (_select(b, k) for b in bases)
     return [(IndexSet(i, ROWS), IndexSet(j, COLS)) for i, j in zip(rows, cols)]
-
-
-@dataclass(frozen=True)
-class NoiseCertificate:
-    """Outcome of the noisy-recovery hypothesis check."""
-
-    holds: bool
-    margin: float
-    threshold: float
-    sigma_k_lower: float
-
-
-def deim_noise_certificate(a_tilde, k, e_bound) -> NoiseCertificate:
-    """Check the recovery hypothesis for selection on a noisy observation.
-
-    Given only ``a_tilde = A + E`` and a bound on ``||E||_2``, the k-th
-    singular value of A is bounded below by ``sigma_k(a_tilde) - e_bound``
-    (Weyl), and the certificate requires that lower bound to reach
-    ``(1 + 2^k * sqrt(max(m, n) * k / 3)) * e_bound``.  When it holds and A
-    has rank k, greedy selection on the noisy singular vectors yields an
-    exact decomposition of A itself.  Where ``2^k`` leaves the float range
-    the threshold reads inf, so the certificate fails instead of raising;
-    with ``e_bound = 0`` the threshold stays 0.0.
-    """
-    a_tilde = as_matrix(a_tilde)
-    m, n = a_tilde.shape
-    if not 1 <= k <= min(m, n):
-        raise DomainError(f"need 1 <= k <= {min(m, n)}, got k={k}")
-    if not 0.0 <= e_bound < math.inf:
-        raise DomainError(f"noise bound must be finite and nonnegative, got {e_bound}")
-    s = singular_values(a_tilde)
-    # below the numerical-rank cutoff a singular value counts as zero
-    sigma_k = float(s[k - 1]) if k <= rank_cutoff(s, (m, n))[0] else 0.0
-    sigma_k_lower = sigma_k - float(e_bound)
-    with np.errstate(over="ignore"):
-        growth = np.ldexp(math.sqrt(max(m, n) * k / 3.0), k)
-        threshold = float((1.0 + growth) * float(e_bound)) if e_bound > 0.0 else 0.0
-    holds = sigma_k_lower > 0.0 and sigma_k_lower >= threshold
-    return NoiseCertificate(
-        holds=bool(holds),
-        margin=sigma_k_lower - threshold,
-        threshold=threshold,
-        sigma_k_lower=sigma_k_lower,
-    )

@@ -21,10 +21,6 @@ class ZeroProbabilityDrawError(ValueError):
     """Raised when a drawn index carries zero probability weight."""
 
 
-class DivisionByZeroWeightError(ZeroDivisionError):
-    """Raised when a dominance ratio would divide by a zero weight."""
-
-
 class NoiseDominatesError(ValueError):
     """Raised when noise is as large as the signal on some row or column.
 

@@ -54,7 +54,7 @@ from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspa
 from .cur import EXACTNESS_TOL, _cores_of_a, randomized_cur
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import _EPS, COLS, ROWS, factored_norms, factored_svd
+from .linalg import _EPS, COLS, ROWS, _nonnegative, factored_norms, factored_svd
 from .sampling import (
     LENGTH,
     SCHEMES,
@@ -294,15 +294,16 @@ def spectral_noise(shape, sigma, rng) -> np.ndarray:
     semidefinite matrix is accurate relative to itself, so this agrees with
     the singular value to a few ulp.  The raw Gaussian block is always drawn,
     so stream consumption does not depend on ``sigma``; ``sigma = 0`` gives
-    exact zeros.
+    exact zeros, and a ``sigma`` that is negative or not finite is a DomainError.
     """
+    sigma = _nonnegative(sigma, "sigma")
     e = rng.standard_normal(shape)
     if sigma == 0.0:
         return np.zeros(shape)
     # linalg.spectral_norm gives the same bits, but its scaled m-by-n copy of E
     # raised the peak memory of 1000-by-800 noise trials by about 4 MiB (measured)
     gram = e.T @ e if e.shape[0] >= e.shape[1] else e @ e.T
-    e *= float(sigma) / math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    e *= sigma / math.sqrt(np.linalg.eigvalsh(gram)[-1])
     return e
 
 

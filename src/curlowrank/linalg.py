@@ -4,9 +4,9 @@ Matrices are plain ``numpy.ndarray`` objects of dtype float64 in C (row-major)
 memory order.  A matrix is validated once, by :func:`as_matrix`, where it
 enters the public API; the package passes an already validated matrix on to
 private helpers (:func:`_take`, :func:`_compact_svd`, :func:`_leading_svd`,
-:func:`_rank_pinv_cutoff`, which also gives the pseudoinverse) that skip that
-check, and :func:`_take` trusts its caller's range check.  No other module of
-the package calls ``np.linalg.svd``.
+:func:`_leading_bases`, :func:`_rank_pinv_cutoff`, which also gives the
+pseudoinverse) that skip that check, and :func:`_take` trusts its caller's
+range check.  No other module of the package calls ``np.linalg.svd``.
 Every numerical-rank decision in the package is made by
 :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it; the small blocks that
@@ -61,11 +61,15 @@ def rank_cutoff(s, shape, tol=None) -> tuple:
     ``tol`` defaults to ``max(m, n) * eps * s[0]``.  A given ``tol`` that is
     negative or not finite is a DomainError.
     """
-    if tol is None:
-        tol = max(shape) * _EPS * float(s[0])
-    elif not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
-    return int(np.count_nonzero(s > tol)), float(tol)
+    tol = max(shape) * _EPS * float(s[0]) if tol is None else _nonnegative(tol, "tol")
+    return int(np.count_nonzero(s > tol)), tol
+
+
+def _nonnegative(value, name) -> float:
+    """``value`` as a float, or a DomainError naming ``name`` where it is negative or not finite."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,11 @@ def leading_bases(a, k, tol=None) -> tuple:
     outside ``1..min(m, n)`` is a DomainError; a ``k`` within it that exceeds
     the numerical rank of that SVD is a RankDeficientError.
     """
-    a = as_matrix(a)
+    return _leading_bases(as_matrix(a), k, tol)
+
+
+def _leading_bases(a, k, tol=None) -> tuple:
+    """:func:`leading_bases` of the validated matrix ``a``."""
     if not 1 <= k <= min(a.shape):
         raise DomainError(f"need 1 <= k <= {min(a.shape)}, got k={k}")
     sketch = _leading_svd(a, k) if tol is None else None
@@ -326,25 +334,20 @@ def _pinvs(a, tols) -> list:
 
 def _unit_shift(a):
     """The exponent ``j`` for which ``2**j * max|a|`` lies nearest 1 (0 for a zero matrix), or
-    for a stack of matrices the array of each one's."""
+    for a stack of matrices the array of each one's.
+
+    Scaling by ``2**j`` is exact unless an entry underflows, so scale-invariant
+    quantities (norm ratios, distributions) keep their bits, while squared
+    entries no longer overflow or underflow when |a| is near 1e170 or 1e-170.
+    """
     peaks = np.maximum(a.max(axis=(-2, -1)), -a.min(axis=(-2, -1)))
     shifts = [-round(math.log2(peak)) if peak > 0.0 else 0 for peak in np.ravel(peaks).tolist()]
     return np.array(shifts, dtype=np.intc) if a.ndim == 3 else shifts[0]
 
 
-def unit_scaled(a):
-    """``a`` divided by the power of two nearest max|a|.
-
-    The division is exact unless an entry underflows, so scale-invariant
-    quantities (norm ratios, distributions) keep their bits, while squared
-    entries no longer overflow or underflow when |a| is near 1e170 or 1e-170.
-    """
-    a = as_matrix(a)
-    return np.ldexp(a, _unit_shift(a))
-
-
 def frobenius_norm(a) -> float:
-    """``||a||_F`` of :func:`unit_scaled` ``a``, scaled back; no square over- or underflows.
+    """``||a||_F`` of ``a`` scaled by :func:`_unit_shift`, scaled back; no square over- or
+    underflows.
 
     In-range inputs give the bits of ``np.linalg.norm(a)``, since both
     scalings are by a power of two.
@@ -355,7 +358,8 @@ def frobenius_norm(a) -> float:
 
 
 def spectral_norm(a) -> float:
-    """``||a||_2`` of :func:`unit_scaled` ``a``, scaled back, from its smaller Gram matrix.
+    """``||a||_2`` of ``a`` scaled by :func:`_unit_shift`, scaled back, from its smaller Gram
+    matrix.
 
     The square root of the largest eigenvalue of ``a.T @ a`` or ``a @ a.T``:
     one BLAS-3 product and a symmetric eigensolve instead of an SVD.  The

@@ -19,9 +19,9 @@ sketch declines; the paper's stability result (sampling from any
 ``p_tilde >= beta * p``) absorbs the sketch's error.
 
 Every "how many samples suffice" formula lives here as well, together with
-the per-index stability floors that certify a perturbed distribution
-against the squared-length weights, which each floor function checks before
-it returns.  ``log`` means the natural logarithm throughout; leading
+the noise trial's per-index stability floors (:func:`_noisy_floors`), which
+:func:`_certify` checks against the squared-length weights of A and of
+``A + E``.  ``log`` means the natural logarithm throughout; leading
 universal constants are surfaced as parameters rather than guessed.
 """
 
@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     CertificateError,
-    DivisionByZeroWeightError,
     DomainError,
     NoiseDominatesError,
     ZeroMatrixError,
@@ -45,11 +44,9 @@ from .linalg import (
     ROWS,
     IndexSet,
     _bases,
+    _leading_bases,
     _unit_shift,
     as_matrix,
-    condition_number,
-    leading_bases,
-    unit_scaled,
 )
 
 UNIFORM = "uniform"
@@ -169,12 +166,13 @@ def axis_dists(a, scheme, k=None) -> tuple:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme not in (UNIFORM, LENGTH) and (k is None or k < 1):
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
+    a = as_matrix(a)
     if scheme == UNIFORM:
         return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
     elif scheme == LENGTH:
-        weights = _length_weights(*_squared_lengths(unit_scaled(a)))
+        weights = _length_weights(*_squared_lengths(np.ldexp(a, _unit_shift(a))))
     else:
-        weights = [np.sum(b * b, axis=1) / float(k) for b in leading_bases(a, k)]
+        weights = [np.sum(b * b, axis=1) / float(k) for b in _leading_bases(a, k)]
     label = scheme if scheme in (UNIFORM, LENGTH) else f"leverage({int(k)})"
     return ProbDist(weights[0], ROWS, label), ProbDist(weights[1], COLS, label)
 
@@ -319,8 +317,7 @@ class StabilityParams:
     ``alpha_per_col[j]`` certifies the column distribution against the
     squared-length one (``p_tilde_j >= alpha_j^2 * p_j^col``) and
     ``beta_per_row[i]`` does the same for rows.  Conventionally the floor is
-    1 on zero rows/columns of the reference matrix.  Only these floors are
-    stored; ``alpha``, ``beta`` and ``gamma = min(alpha, beta)`` are their minima.
+    1 on zero rows/columns of the reference matrix.
     """
 
     alpha_per_col: np.ndarray
@@ -329,18 +326,6 @@ class StabilityParams:
     def __post_init__(self):
         if not (np.all(self.alpha_per_col > 0.0) and np.all(self.beta_per_row > 0.0)):
             raise ValueError("stability floors must be strictly positive")
-
-    @property
-    def alpha(self) -> float:
-        return float(self.alpha_per_col.min())
-
-    @property
-    def beta(self) -> float:
-        return float(self.beta_per_row.min())
-
-    @property
-    def gamma(self) -> float:
-        return min(self.alpha, self.beta)
 
 
 def _certify(params: StabilityParams, reference, perturbed) -> StabilityParams:
@@ -359,99 +344,29 @@ def _certify(params: StabilityParams, reference, perturbed) -> StabilityParams:
     return params
 
 
-def uniform_stability_floor(a) -> StabilityParams:
-    """Floors certifying the uniform distributions against squared lengths.
+def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e) -> StabilityParams:
+    """Floors certifying the length distributions of ``A + E`` against those of A, not yet
+    certified (:func:`_certify`).
 
-    For a nonzero row i the floor is ``sqrt(||A||_F^2 / (m * ||A(i,:)||^2))``,
-    which is ``sqrt(1 / (m * q_i))`` for the length weight ``q_i`` of row i,
-    and analogously over columns with n; zero rows/columns get floor 1.
+    Per nonzero row i of A the floor is
+    ``(1 - ||E(i,:)|| / ||A(i,:)||) / (1 + ||E||_F / ||A||_F)`` and the column
+    floors are analogous; zero rows/columns of A get floor 1.  ``a_lengths``
+    and ``e_lengths`` are the :func:`_squared_lengths` of A and of E, and
+    ``norm_a`` and ``norm_e`` their Frobenius norms.  Raises
+    NoiseDominatesError on the first index, rows before columns, whose floor
+    would be nonpositive, including one that underflows to 0.
     """
-    weights = _length_weights(*_squared_lengths(unit_scaled(a)))
-    rows, cols = (np.where(w > 0.0, np.sqrt(1.0 / (w.size * np.where(w > 0.0, w, 1.0))), 1.0)
-                  for w in weights)
-    uniform = [uniform_dist(w.size, axis).weights for w, axis in zip(weights, (ROWS, COLS))]
-    return _certify(StabilityParams(alpha_per_col=cols, beta_per_row=rows), weights, uniform)
-
-
-def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e, shift=0) -> StabilityParams:
-    """The floors of :func:`noisy_stability_floor`, not yet certified.
-
-    ``a_lengths`` and ``e_lengths`` are the :func:`_squared_lengths` of A and
-    of E, and ``norm_a`` and ``norm_e`` their Frobenius norms, E's taken at
-    ``2**-shift`` times A's scale.  :func:`noisy_stability_floor` scales each
-    by its own power of two; the noise trial, which holds only A and E by
-    then, passes them unshifted: its ``||A||_2 = 1``, an E whose squares
-    overflow leaves every floor 0 or NaN, and one whose squares underflow
-    every floor 1, so a shift would change no outcome.
-    """
-    # E's norms in A's units: inf only where E dwarfs A beyond the float range,
+    # ||E||_F / ||A||_F is inf only where E dwarfs A beyond the float range,
     # which leaves every floor 0 or NaN, so NoiseDominatesError
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = 1.0 + np.ldexp(norm_e, shift) / norm_a
+        denom = 1.0 + norm_e / norm_a
         floors = []
         for a2, e2, axis in zip(a_lengths, e_lengths, (ROWS, COLS)):
             live = a2 > 0.0
-            e_norm = np.ldexp(np.sqrt(e2), shift)
-            out = np.where(live, (1.0 - e_norm / np.sqrt(np.where(live, a2, 1.0))) / denom, 1.0)
+            ratio = np.sqrt(e2) / np.sqrt(np.where(live, a2, 1.0))
+            out = np.where(live, (1.0 - ratio) / denom, 1.0)
             dominated = np.flatnonzero(~(out > 0.0))
             if dominated.size:
                 raise NoiseDominatesError(axis, int(dominated[0]))
             floors.append(out)
     return StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0])
-
-
-def noisy_stability_floor(a, e) -> StabilityParams:
-    """Floors certifying the length distributions of ``a + e`` against those of ``a``.
-
-    Per nonzero row i of ``a`` the floor is
-    ``(1 - ||E(i,:)|| / ||A(i,:)||) / (1 + ||E||_F / ||A||_F)`` and the
-    column floors are analogous.  Zero rows/columns of ``a`` get floor 1.
-    Raises NoiseDominatesError on any index whose floor would be nonpositive,
-    including one that underflows to 0.  ``a`` and ``e`` are each squared at
-    their own power-of-two scale, as in :func:`~curlowrank.linalg.frobenius_norm`,
-    so no norm over- or underflows where E dwarfs A.  At most two m-by-n
-    arrays are held beyond the inputs: one buffer takes the scaled ``a``, the
-    scaled ``e`` and then ``a + e``, which adds the scaled ``e`` from another.
-    """
-    a, e = as_matrix(a), as_matrix(e)
-    if a.shape != e.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {e.shape}")
-    shifts = _unit_shift(a), _unit_shift(e)
-    scaled, lengths, norms = np.empty_like(a), [], []
-    for x, j in zip((a, e), shifts):
-        lengths.append(_squared_lengths(np.ldexp(x, j, out=scaled)))
-        norms.append(np.linalg.norm(scaled))
-    params = _noisy_floors(*lengths, *norms, shifts[0] - shifts[1])
-    # A + E at the scale of the larger, so the sum cannot overflow
-    a_tilde = np.ldexp(a, min(shifts), out=scaled)
-    a_tilde += np.ldexp(e, min(shifts))
-    np.ldexp(a_tilde, _unit_shift(a_tilde), out=a_tilde)
-    return _certify(params, _length_weights(*lengths[0]),
-                    _length_weights(*_squared_lengths(a_tilde)))
-
-
-def epsilon_ceiling(a, params: StabilityParams | None = None, delta=None) -> float:
-    """Largest admissible ``eps`` for the sampling guarantees on ``a``.
-
-    Without stability floors this is ``1/kappa(A)``; with floors it is
-    ``min(1/kappa(A), delta^(-1/4) * sqrt(2 * gamma))``.
-    """
-    kappa_inv = 1.0 / condition_number(a)
-    if params is None:
-        return kappa_inv
-    if delta is None or not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1) when floors are given, got {delta}")
-    return min(kappa_inv, float(delta) ** -0.25 * math.sqrt(2.0 * params.gamma))
-
-
-def leverage_dominance_ratio(p_tilde: ProbDist, p_lev: ProbDist) -> float:
-    """``max_j p_lev_j / p_tilde_j`` over indices with positive leverage weight."""
-    if p_tilde.axis != p_lev.axis or p_tilde.size != p_lev.size:
-        raise ValueError("distributions must share axis and length")
-    mask = p_lev.weights > 0.0
-    if np.any(p_tilde.weights[mask] == 0.0):
-        bad = int(np.flatnonzero(mask & (p_tilde.weights == 0.0))[0])
-        raise DivisionByZeroWeightError(
-            f"index {bad} has positive leverage weight but zero sampling weight"
-        )
-    return float(np.max(p_lev.weights[mask] / p_tilde.weights[mask]))

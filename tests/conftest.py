@@ -3,8 +3,9 @@ import pytest
 
 from curlowrank import sampling
 from curlowrank.cluster import subspace_factors
+from curlowrank.errors import NoiseDominatesError
 from curlowrank.harness import lowrank_gaussian
-from curlowrank.linalg import rank_cutoff, singular_values
+from curlowrank.linalg import COLS, ROWS, rank_cutoff, singular_values
 
 
 @pytest.fixture
@@ -28,6 +29,24 @@ def factored_weights(p, q, svd, scheme, k=None):
     """The row and column weights the trials build for ``p @ q.T`` from its compact SVD ``svd``:
     the stacked builder on a stack of one."""
     return [w[0] for w in sampling._stacked_weights(p[None], q[None], [svd], scheme, k)]
+
+
+def noisy_floors_loop(a, e):
+    """The noisy stability floors of A and E by a per-index loop: the reference for
+    ``sampling._noisy_floors``.  A dominated index raises NoiseDominatesError."""
+    denom = 1.0 + float(np.linalg.norm(e)) / float(np.linalg.norm(a))
+    out = []
+    for axis, name in ((1, ROWS), (0, COLS)):
+        floors = np.ones(a.shape[1 - axis])
+        norms = zip(np.linalg.norm(a, axis=axis), np.linalg.norm(e, axis=axis))
+        for i, (an, en) in enumerate(norms):
+            if an == 0.0:
+                continue
+            if en >= an:
+                raise NoiseDominatesError(name, i)
+            floors[i] = (1.0 - en / an) / denom
+        out.append(floors)
+    return sampling.StabilityParams(alpha_per_col=out[1], beta_per_row=out[0])
 
 
 def orthonormal(n, k, rng):

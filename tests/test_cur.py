@@ -13,7 +13,7 @@ from curlowrank.cur import (
     relative_errors,
     verify_characterization,
 )
-from curlowrank.errors import IndexOutOfRangeError
+from curlowrank.errors import DomainError, IndexOutOfRangeError
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
@@ -137,6 +137,13 @@ class TestCharacterization:
         a = rank_k(6, 5, 2, rng)
         with pytest.raises(ValueError, match="a CUR needs"):
             verify_characterization(a, IndexSet([2, 3], COLS), IndexSet([0, 1], ROWS))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_tol_negative_or_not_finite_rejected(self, rng, tol):
+        # as rank_cutoff rejects its own tol: NaN and -1 would fail (ii)-(iv) and inf pass them
+        a = rank_k(6, 5, 2, rng)
+        with pytest.raises(DomainError, match="tol must be finite"):
+            verify_characterization(a, IndexSet([0, 1, 2], ROWS), IndexSet([0, 1, 2], COLS), tol)
 
 
 class TestRandomizedCur:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from curlowrank.cur import _cur, approx_error
-from curlowrank.deim import deim_cur, deim_noise_certificate, deim_select
+from curlowrank.cur import approx_error
+from curlowrank.deim import deim_cur, deim_select
 from curlowrank.errors import DomainError, RankDeficientError
-from curlowrank.harness import spectral_noise
-from curlowrank.linalg import COLS, ROWS, IndexSet, _leading_svd, as_matrix, compact_svd
+from curlowrank.linalg import COLS, ROWS, IndexSet, _leading_svd, compact_svd
 
 from conftest import orthonormal, rank_k
 
@@ -128,72 +127,3 @@ class TestDeimCur:
             n = int(rng.integers(k + 2, 41))
             a = rank_k(m, n, k, rng)
             assert approx_error(a, deim_cur(a, k)) <= 1e-8 * np.linalg.norm(a)
-
-
-class TestNoiseCertificate:
-    def test_zero_noise(self, rng):
-        a = rank_k(6, 5, 2, rng)
-        cert = deim_noise_certificate(a, 2, 0.0)
-        assert cert.holds and cert.threshold == 0.0
-        cert0 = deim_noise_certificate(a, 3, 0.0)
-        assert not cert0.holds  # sigma_3 vanishes
-
-    def test_threshold_small_case(self):
-        a = np.eye(3)
-        cert = deim_noise_certificate(a, 1, 0.01)
-        # 1 + 2^1 * sqrt(3*1/3) = 3
-        assert cert.threshold == pytest.approx(0.03)
-
-    def test_end_to_end_recovery(self, rng):
-        a = rank_k(20, 20, 2, rng)
-        f = compact_svd(a)
-        a = (f.left * (f.singular_values / f.singular_values[-1])) @ f.right.T  # sigma_2 = 1
-        e = spectral_noise(a.shape, 1e-3, rng)
-        a_tilde = a + e
-        cert = deim_noise_certificate(a_tilde, 2, 1e-3)
-        assert cert.holds
-        tilde_f = compact_svd(a_tilde)
-        clean = _cur(as_matrix(a), *dense_selection(tilde_f, 2), None)
-        assert approx_error(a, clean) <= 1e-6 * np.linalg.norm(a)
-
-    def test_certificate_soundness_sweep(self, rng):
-        # whenever the certificate holds, selection on the noisy matrix recovers A
-        held = 0
-        for _ in range(40):
-            k = int(rng.integers(1, 4))
-            a = rank_k(15, 12, k, rng)
-            a /= np.linalg.norm(a, 2)
-            sigma = 10.0 ** rng.uniform(-6, -2)
-            e = spectral_noise(a.shape, sigma, rng)
-            cert = deim_noise_certificate(a + e, k, sigma)
-            if not cert.holds:
-                continue
-            held += 1
-            f = compact_svd(a + e)
-            clean = _cur(as_matrix(a), *dense_selection(f, k), None)
-            assert approx_error(a, clean) <= 1e-6 * np.linalg.norm(a)
-        assert held > 5  # the sweep actually exercised the certified branch
-
-    def test_domain_errors(self, rng):
-        a = rank_k(4, 4, 2, rng)
-        with pytest.raises(DomainError):
-            deim_noise_certificate(a, 0, 0.1)
-        with pytest.raises(DomainError):
-            deim_noise_certificate(a, 1, -0.1)
-
-    @pytest.mark.parametrize("e_bound", [np.nan, np.inf])
-    def test_non_finite_noise_bound_is_a_domain_error(self, rng, e_bound):
-        with pytest.raises(DomainError):
-            deim_noise_certificate(rank_k(4, 4, 2, rng), 1, e_bound)
-
-    def test_k_beyond_the_smaller_side_is_a_domain_error(self, rng):
-        with pytest.raises(DomainError):
-            deim_noise_certificate(rank_k(6, 4, 2, rng), 5, 0.0)
-
-    def test_threshold_past_the_float_range_fails_instead_of_raising(self):
-        # 2^1025 overflows: the threshold reads inf, or 0.0 without noise
-        a = np.eye(1025)
-        cert = deim_noise_certificate(a, 1025, 1e-300)
-        assert cert.threshold == np.inf and cert.margin == -np.inf and not cert.holds
-        cert0 = deim_noise_certificate(a, 1025, 0.0)
-        assert cert0.threshold == 0.0 and cert0.margin == 1.0 and cert0.holds

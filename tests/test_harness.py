@@ -261,6 +261,12 @@ class TestSpectralNoise:
         e = spectral_noise((6, 4), 0.0, trial_generator(13, 0))
         assert e.tobytes() == np.zeros((6, 4)).tobytes()
 
+    @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf])
+    def test_sigma_negative_or_not_finite_rejected(self, sigma):
+        # NaN would give an all-NaN E and -1 the negated E
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            spectral_noise((6, 4), sigma, trial_generator(13, 0))
+
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 10.0])
     def test_next_draw_does_not_depend_on_sigma(self, sigma):
         rng, ref = trial_generator(14, 0), trial_generator(14, 0)

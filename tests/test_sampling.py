@@ -7,7 +7,6 @@ import pytest
 
 from curlowrank.errors import (
     DomainError,
-    NoiseDominatesError,
     RankDeficientError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
@@ -22,9 +21,9 @@ from curlowrank.linalg import (
     compact_svd,
     factored_svd,
     leading_bases,
-    unit_scaled,
 )
 from curlowrank.sampling import (
+    SCHEMES,
     ProbDist,
     axis_dists,
     draw_indices,
@@ -32,12 +31,10 @@ from curlowrank.sampling import (
     length_dist,
     leverage_dist,
     min_sample_size_rv,
-    noisy_stability_floor,
     rescaled_submatrix,
     sample_size_length_via_lev,
     sample_size_leverage,
     uniform_dist,
-    uniform_stability_floor,
 )
 
 from conftest import factored_weights, noisy_rank_k, rank_k
@@ -52,6 +49,16 @@ class TestDistributions:
     def test_length_simple(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
         np.testing.assert_allclose(length_dist(a, COLS).weights, [0.2, 0.8])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_scheme_validates_the_matrix(self, scheme):
+        # a nested list is taken as its array; NaN and a 1-D input are rejected alike
+        k = 1 if scheme == "leverage" else None
+        a = [[3.0, 0.0], [4.0, 1.0]]
+        assert _bits(axis_dists(a, scheme, k)) == _bits(axis_dists(np.array(a), scheme, k))
+        for bad in ([[np.nan, 1.0]], [1.0, 2.0]):
+            with pytest.raises(ValueError, match="finite|2-D"):
+                axis_dists(bad, scheme, k)
 
     def test_length_zero_column_gets_exact_zero(self):
         a = np.array([[3.0, 0.0], [4.0, 0.0]])
@@ -197,7 +204,8 @@ def _pin_cases():
     """``(a, e, k)``: seeded rank-k matrices, clean and noisy, at 1 and 1e+-150.
 
     The larger shapes have a zero row and a zero column.  Each matrix comes
-    with small noise, unit noise and a spike that dominates one column.
+    with small noise, unit noise and a spike that dominates one column; no
+    digest reads the noise, but its draws fix the matrices that follow.
     """
     rng = np.random.default_rng(2001027740)
     for m, n, k in ((7, 5, 2), (20, 15, 3), (61, 44, 4), (90, 90, 5)):
@@ -217,10 +225,9 @@ def _pin_cases():
 
 
 class TestBitPin:
-    """Digests of the length and leverage weights (all three leverage paths) and the noisy floors.
+    """Digests of the length and leverage weights (all three leverage paths).
 
-    A NoiseDominatesError counts by the axis and index it names.  The
-    digests were taken before the builders were merged into one per
+    The digests were taken before the builders were merged into one per
     quantity, so they pin that the merge moved no bit.
     """
 
@@ -229,38 +236,20 @@ class TestBitPin:
         "lev_svd": "58f208bca870b3d5f3da30d70d3f9127d393470c2a61246a379d88927aee7b4e",
         "lev_sketch": "4a20293d0573eca717f249942cf541951a8a1009420dc77e504cf253ee26a594",
         "lev_dense": "97ff956edd430dd5f9c0c848f21168def93e1ecb731deecf72ed21e29d11ed5a",
-        "noisy": "ddd91e5a50e9558ae96b80819aceb7d6827619a442d6c23ba6df17628c6efb46",
     }
 
     def test_digests(self):
         h = {name: hashlib.sha256() for name in self.DIGESTS}
         paths = set()
-        for a, e, k in _pin_cases():
+        for a, _, k in _pin_cases():
             dists = [length_dist(a, ROWS), length_dist(a, COLS), *axis_dists(a, "length")]
             h["length"].update(b"".join(_bits(dists)))
             h["lev_svd"].update(b"".join(w.tobytes() for w in dense_leverage(a, k)))
             path = "lev_dense" if _leading_svd(a, k) is None else "lev_sketch"
             h[path].update(b"".join(_bits(axis_dists(a, "leverage", k))))
             paths.add(path)
-            try:
-                p = noisy_stability_floor(a, e)
-            except NoiseDominatesError as exc:
-                h["noisy"].update(f"{exc.axis} {exc.index};".encode())
-            else:
-                h["noisy"].update(p.beta_per_row.tobytes() + p.alpha_per_col.tobytes())
         assert paths == {"lev_dense", "lev_sketch"}
         assert {name: d.hexdigest() for name, d in h.items()} == self.DIGESTS
-
-    def test_uniform_floors(self):
-        # the floor formula over squared lengths of the scaled matrix, summed whole
-        for a, _, _ in _pin_cases():
-            sq = unit_scaled(a) ** 2
-            fro2, got = float(sq.sum()), uniform_stability_floor(a)
-            for axis, floors in ((1, got.beta_per_row), (0, got.alpha_per_col)):
-                lengths = sq.sum(axis=axis)
-                live = np.where(lengths > 0.0, lengths, 1.0)
-                want = np.where(lengths > 0.0, np.sqrt(fro2 / (lengths.size * live)), 1.0)
-                np.testing.assert_allclose(floors, want, rtol=1e-15, atol=0.0)
 
 
 class TestDraws:
