@@ -26,6 +26,15 @@ def test_no_arguments_prints_usage(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+def test_main_exits_with_the_code_of_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["curlowrank", "sample-size", "--r", "5", "--eps", "0.5",
+                                      "--delta", "0.5"])
+    with pytest.raises(SystemExit) as exc:
+        curlowrank.cli.main()
+    assert exc.value.code == 0
+    assert f"replacement_sampling_d: {min_sample_size_rv(5, 0.5, 0.5, 1.0)}" in capsys.readouterr().out
+
+
 def test_unknown_flag(capsys):
     assert cli_main(["svd", "--bogus"]) == 2
 

@@ -36,6 +36,16 @@ class TestSpec:
             SubspaceSpec(12, dims, points)
         SubspaceSpec(12, dims, tuple(p + (p == d) for d, p in zip(dims, points)))
 
+    @pytest.mark.parametrize("dims, points, message", [
+        ((2, 2), (3,), "equal length"),
+        ((), (), "at least one subspace"),
+        ((2, 0), (3, 3), ">= 1"),
+        ((2,), (0,), ">= 1"),
+    ])
+    def test_malformed_lists_rejected(self, dims, points, message):
+        with pytest.raises(DomainError, match=message):
+            SubspaceSpec(12, dims, points)
+
     def test_single_point_line_accepted(self):
         assert SubspaceSpec(3, (1, 1, 1), (1, 1, 1)).points == (1, 1, 1)
 

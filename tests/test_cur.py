@@ -57,6 +57,11 @@ class TestBuildCur:
         with pytest.raises(IndexOutOfRangeError, match="index 4 out of range for axis 'cols'"):
             _cur(a, IndexSet([0], ROWS), IndexSet([4, 1], COLS), None)
 
+    @pytest.mark.parametrize("rows, cols", [([], [0]), ([0], [])])
+    def test_empty_index_set_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="at least one row index and one column index"):
+            _cur(as_matrix(np.eye(3)), IndexSet(rows, ROWS), IndexSet(cols, COLS), None)
+
     def test_u_pinv_satisfies_penrose(self, rng):
         a = rank_k(9, 8, 3, rng)
         f = _cur(as_matrix(a), IndexSet([0, 3, 5, 7], ROWS), IndexSet([1, 2, 6], COLS), None)

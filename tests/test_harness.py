@@ -96,6 +96,29 @@ class TestConfig:
             ExperimentConfig(kind="deim_check", m=15, n=12, k=3, sparsity=0.5)
         assert exc.value.field == "sparsity"
 
+    @pytest.mark.parametrize("kind, values, field", [
+        ("success_prob", {"scheme": "bogus"}, "scheme"),
+        ("success_prob", {"trials": 0}, "trials"),
+        ("noise_stability", {"sigma": -0.5}, "sigma"),
+        ("success_prob", {"sparsity": 1.0}, "sparsity"),
+        ("success_prob", {"sparsity": -0.25}, "sparsity"),
+        ("success_prob", {"tol": 0.0}, "tol"),
+        ("success_prob", {"d_grid": (4, 0)}, "d_grid"),
+        ("success_prob", {"m": 0}, "m"),
+        ("clustering", {"m": 0, "n": None, "k": None, "dims": (1,), "points": (2,)}, "m"),
+    ])
+    def test_each_range_rule_names_its_field(self, kind, values, field):
+        base = {"m": 8, "n": 6, "k": 2, "d_grid": (4,)}
+        given = {name: v for name, v in {**base, **values}.items() if v is not None}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig(kind=kind, **given)
+        assert exc.value.field == field
+
+    def test_mapping_without_kind_rejected(self):
+        with pytest.raises(ConfigError, match="required") as exc:
+            config_from_mapping({"m": "8", "n": "6", "k": "2", "d_grid": "4"})
+        assert exc.value.field == "kind"
+
     @pytest.mark.parametrize("sparsity, k, survivors", [
         (0.9, 1, 1),  # (1 - 0.9) * 10 is 0.9999999999999998, yet one column survives
         (0.549, 5, 5),

@@ -83,6 +83,11 @@ class TestCompactSvd:
         with pytest.raises(ValueError):
             as_matrix([[np.inf], [0.0]])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_rejects_an_empty_side(self, shape):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            compact_svd(np.zeros(shape))
+
 
 def _factored(p, q):
     """:func:`factored_svd` of the one product ``p @ q.T``, through a stack of one."""
@@ -314,6 +319,10 @@ class TestSubmatrix:
     def test_negative_index_rejected(self):
         with pytest.raises(IndexOutOfRangeError):
             IndexSet([-1], ROWS)
+
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="axis must be"):
+            IndexSet([0], "diag")
 
     def test_extractions_are_new_c_ordered_arrays(self, rng):
         a = rng.standard_normal((5, 4))

@@ -77,6 +77,14 @@ def test_rejects_a_size_below_one(tmp_path, body):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("body", ["2\n1.0\n2.0\n", "2 x\n1.0\n2.0\n", "2 2 1\n", ""])
+def test_rejects_a_dimensions_line_without_two_integers(tmp_path, body):
+    path = tmp_path / "no_shape.mtx"
+    path.write_text(HEADER + body)
+    with pytest.raises(ValueError, match="bad dimensions line"):
+        read_matrix(path)
+
+
 def test_skips_blank_and_comment_lines_between_values(tmp_path):
     path = tmp_path / "gaps.mtx"
     path.write_text(HEADER + "2 2\n1.0\n\n% between\n2.0\n   \n3.0 % trailing note\n4.0\n")

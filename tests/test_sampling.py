@@ -122,6 +122,19 @@ class TestDistributions:
         with pytest.raises(ValueError):
             ProbDist(np.array([1.1, -0.1]), COLS, "uniform")
 
+    @pytest.mark.parametrize("weights, axis", [([[0.5, 0.5]], COLS), ([], ROWS), ([0.5, 0.5], "diag")])
+    def test_probdist_rejects_a_bad_shape_or_axis(self, weights, axis):
+        with pytest.raises(ValueError, match="1-D vector|axis must be"):
+            ProbDist(np.array(weights), axis, "uniform")
+
+    def test_uniform_needs_an_index(self):
+        with pytest.raises(DomainError, match="at least one index"):
+            uniform_dist(0, ROWS)
+
+    def test_length_rejects_an_unknown_axis(self):
+        with pytest.raises(ValueError, match="axis must be"):
+            length_dist(np.eye(2), "diag")
+
 
 def _bits(dists):
     return [d.weights.tobytes() for d in dists]
@@ -285,6 +298,11 @@ class TestDraws:
         with pytest.raises(DomainError):
             draw_with_replacement(uniform_dist(3, ROWS), 0, trial_generator(0, 0))
 
+    def test_pair_must_be_rows_then_columns(self):
+        rows, cols = uniform_dist(3, ROWS), uniform_dist(2, COLS)
+        with pytest.raises(ValueError, match="a row and a column distribution"):
+            draw_indices(cols, rows, 1, 1, trial_generator(0, 0))
+
     def test_full_cumulative_search_draws_what_the_support_search_draws(self):
         # leading, interior and trailing zeros, and a weight of 1e-20 that leaves the
         # running sum where it was: the search over the full running sum gives the
@@ -350,6 +368,14 @@ class TestRescaledSubmatrix:
         dist = length_dist(a, COLS)
         with pytest.raises(ZeroProbabilityDrawError):
             rescaled_submatrix(a, IndexSet([1], COLS), dist, 1)
+
+    def test_d_must_be_positive(self):
+        with pytest.raises(DomainError, match="d must be >= 1"):
+            rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform_dist(2, ROWS), 0)
+
+    def test_index_set_and_distribution_share_an_axis(self):
+        with pytest.raises(ValueError, match="different axes"):
+            rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform_dist(2, COLS), 1)
 
     def test_gram_concentration(self):
         rng_a = np.random.default_rng(1)

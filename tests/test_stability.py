@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ class TestNoisyFloor:
         with pytest.raises(NoiseDominatesError) as exc:
             certified_floors(a, e)
         assert exc.value.index == 1
+
+    def test_holds_no_m_by_n_array_beyond_its_inputs(self, rng):
+        m, n = 400, 300
+        a = rank_k(m, n, 5, rng)
+        e = 1e-3 * rng.standard_normal((m, n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lengths = _squared_lengths(a), _squared_lengths(e)
+            _noisy_floors(*lengths, np.linalg.norm(a), np.linalg.norm(e))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one 64-row block of squares, plus vectors over the rows and columns
+        assert peak <= 64 * n * 8 + 16 * 8 * (m + n) < a.nbytes
 
 
 class TestCertificate:
