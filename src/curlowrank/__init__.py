@@ -62,7 +62,6 @@ from .linalg import (
     factored_norms,
     factored_svd,
     frobenius_norm,
-    leading_bases,
     spectral_norm,
     stable_rank,
 )

@@ -256,9 +256,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ConfigError, DomainError) as exc:

@@ -78,11 +78,16 @@ def _check_cur(rows: IndexSet, cols: IndexSet, shape) -> None:
             )
 
 
-def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
-    """``C, U, R`` of the validated ``a`` for the given index sets; ``U^+`` is cut at ``tol``."""
+def _extract(a, rows: IndexSet, cols: IndexSet) -> tuple:
+    """``(C, U, R)`` of the validated ``a`` for the given index sets."""
     _check_cur(rows, cols, a.shape)
     c, r = _take(a, cols), _take(a, rows)
-    u = _take(c, rows)
+    return c, _take(c, rows), r
+
+
+def _cur(a, rows: IndexSet, cols: IndexSet, tol) -> CurFactors:
+    """``C, U, R`` of the validated ``a`` for the given index sets; ``U^+`` is cut at ``tol``."""
+    c, u, r = _extract(a, rows, cols)
     return CurFactors(I=rows, J=cols, C=c, U=u, R=r, U_pinv=_rank_pinv_cutoff(u, tol)[1])
 
 

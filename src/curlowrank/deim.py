@@ -5,7 +5,7 @@ largest-magnitude entry of the first column; each later step interpolates the
 next column on the indices chosen so far, and picks the entry where the
 interpolation residual is largest.  Ties break toward the smallest index.
 Exactly ``rank(A)`` indices per side recover a low-rank matrix exactly.
-The rank-k bases come from :func:`~curlowrank.linalg.leading_bases`: the
+The rank-k bases come from :func:`~curlowrank.linalg._leading_bases`: the
 certified sketch in O(m n k) time where it certifies (Sorensen and Embree,
 arXiv:1407.5516, select from any accurate rank-k singular vectors), else the
 dense compact SVD.
@@ -22,8 +22,8 @@ from .linalg import (
     ROWS,
     IndexSet,
     _bases,
+    _leading_bases,
     as_matrix,
-    leading_bases,
 )
 
 
@@ -65,13 +65,13 @@ def deim_cur(a, k, tol=None) -> CurFactors:
 
     Columns come from the right singular vectors and rows from the left ones.
     When ``rank(A) = k`` the resulting decomposition reproduces A exactly.
-    The bases are :func:`~curlowrank.linalg.leading_bases` of ``a``: the
+    The bases are :func:`~curlowrank.linalg._leading_bases` of ``a``: the
     certified sketch when ``tol`` is None, else ``a`` factored at ``tol``.
     """
     if k < 1:
         raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
-    left, right = leading_bases(a, k, tol)
+    left, right = _leading_bases(a, k, tol)
     return _cur(a, deim_select(left, k, ROWS), deim_select(right, k, COLS), tol)
 
 

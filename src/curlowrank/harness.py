@@ -7,18 +7,18 @@ the next in one pass over their stacked arrays: every data matrix is
 factored at once; every trial's sampling weights are built at once, and each
 trial only draws from its own stream (DEIM selects on the stack of bases);
 and every CUR of A is measured in A's k-by-k core, shapes that differ (under
-``dedup``) looping inside.  Only the noise trial's middle stage, which holds
-m-by-n arrays, runs trial by trial, and drops a dominated trial.  Each trial
-draws from its own Philox stream keyed by ``(master_seed, trial_index)``, in
-the order it would alone, and a stacked call gives each matrix the bits of a
-call on it alone, so trials are independent, reorderable, and individually
-reproducible.  An exception in any trial aborts the run, though a different
-trial's error may surface first.  For a given numpy/BLAS build and thread
-count, a config plus a master seed determines every output byte; the integer
-and flag columns are also fixed across BLAS thread counts.  Per-trial wall
-time is recorded only when ``timing`` is enabled, since measured clocks
-would break byte-level reproducibility; it is an equal share of each stacked
-stage plus a noise trial's own time in its middle stage.
+``dedup``) looping inside.  The noise kind's middle stage, which holds m-by-n
+arrays, stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`, and
+drops a dominated trial.  Each trial draws from its own Philox stream keyed
+by ``(master_seed, trial_index)``, in the order it would alone, and a stacked
+call gives each matrix the bits of a call on it alone, so trials are
+independent, reorderable, and individually reproducible.  An exception in
+any trial aborts the run, though a different trial's error may surface
+first.  For a given numpy/BLAS build and thread count, a config plus a
+master seed determines every output byte; the integer and flag columns are
+also fixed across BLAS thread counts.  Per-trial wall time is recorded only
+when ``timing`` is enabled, since measured clocks would break byte-level
+reproducibility; it is an equal share of each stage.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -33,10 +33,10 @@ pseudoinverse, the residual and the clustering kind's coefficients all live
 in A's k-by-k core (``cur._cores_of_a``), so no C, U or R is extracted.  Only
 the noise trial forms m-by-n arrays: E, whose Gram matrix it drops before it
 forms A, then ``A + E`` in E's buffer, which it draws from; its floors, from
-the unshifted sums of squares of A and E, need no shift (``_noise_trial``).  Its
+the unshifted sums of squares of A and E, need no shift (``_noisy_chunk``).  Its
 noisy CUR is not in A's row and column space, so its norms come from
 ``linalg.factored_norms`` of its thin factors; the leverage scores of
-``A + E`` come from the certified sketch of ``linalg.leading_bases`` and
+``A + E`` come from the certified sketch of ``linalg._leading_bases`` and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so no
 kind factors an m-by-n matrix.  What passes between stages is A's factors
 and compact SVD and the index sets.
@@ -51,15 +51,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspace_factors
-from .cur import EXACTNESS_TOL, _cores_of_a, randomized_cur
+# perfbench's tracer patches this module's randomized_cur binding, which nothing here calls
+from .cur import EXACTNESS_TOL, _cores_of_a, _extract, _stacked, randomized_cur  # noqa: F401
 from .deim import _deim_indices
 from .errors import ConfigError, NoiseDominatesError
-from .linalg import _EPS, COLS, ROWS, _nonnegative, factored_norms, factored_svd
+from .linalg import _EPS, _as_stack, _nonnegative, _pinvs, factored_norms, factored_svd
 from .sampling import (
     LENGTH,
     SCHEMES,
-    ProbDist,
+    StabilityParams,
     _certify,
+    _check_weights,
     _draw_pair,
     _length_weights,
     _noisy_floors,
@@ -164,8 +166,10 @@ class ExperimentConfig:
                 raise ConfigError("ambient dimension must be >= 1", field="m")
             SubspaceSpec(self.m, tuple(self.dims), tuple(self.points))
         else:
-            if self.m < 1 or self.n < 1:
+            if self.m < 1:
                 raise ConfigError("matrix sizes must be >= 1", field="m")
+            if self.n < 1:
+                raise ConfigError("matrix sizes must be >= 1", field="n")
             if not (1 <= self.k <= min(self.m, self.n)):
                 raise ConfigError("rank must satisfy 1 <= k <= min(m, n)", field="k")
             if self.n - round(self.sparsity * self.n) < self.k:
@@ -317,12 +321,12 @@ class _Trial:
     state: object = None
 
 
-# A stacked stage maps (cfg, d, trials) to the new state of every live trial; the noise
-# trial's stage maps (cfg, d, rng, state) to one trial's, or to None for a skipped trial.
-# The first stage leaves (p, q, svd, tail): the factors of the data ``p @ q.T``, its SVD,
-# and the clustering trial's true labels, else None; the middle stage (svd, rows, cols,
-# tail), where the noise trial's tail is the norms of its own noisy CUR; the last stage
-# the trial's CSV row: (success, rel_err_2, rel_err_F).
+# A stage maps (cfg, d, trials) to the new state of every live trial, or to None for a
+# skipped trial, in one pass over their stacked arrays.  The first stage leaves
+# (p, q, svd, tail): the factors of the data ``p @ q.T``, its SVD, and the clustering
+# trial's true labels, else None; the middle stage (svd, rows, cols, tail), where the
+# noise trial's tail is the norms of its own noisy CUR; the last stage the trial's CSV
+# row: (success, rel_err_2, rel_err_F).
 def _test_matrices(cfg, d, trials):
     rngs = [t.rng for t in trials]
     p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rngs, cfg.kappa)
@@ -353,44 +357,82 @@ def _deim_selections(cfg, d, trials):
     return [(f, *indices, None) for f, indices in zip(svds, _deim_indices(svds, cfg.k))]
 
 
-def _noise_trial(cfg, d, rng, state):
-    """Draw indices from ``A + E``, test exactness on the clean ``A`` underneath.
+# The bytes of the stack of m-by-n arrays that one chunk of noise trials holds: 32 trials
+# at 50-by-40, and one at 300-by-200 and above, where a trial holds what it holds alone.
+_NOISE_CHUNK_BYTES = 512 * 1024
+
+
+def _noisy_curs(cfg, d, trials):
+    """:func:`_noisy_chunk` of the trials, as many at a time as fit :data:`_NOISE_CHUNK_BYTES`."""
+    size = max(1, _NOISE_CHUNK_BYTES // (8 * cfg.m * cfg.n))
+    return [state for i in range(0, len(trials), size)
+            for state in _noisy_chunk(cfg, d, trials[i:i + size])]
+
+
+def _noisy_chunk(cfg, d, trials):
+    """Draw each trial's indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
     The row carries the noisy CUR's errors relative to A; a trial whose noise
-    dominates a row or column is skipped.  E is drawn and scaled through its
-    Gram matrix before A is formed, so the trial holds E, its Gram matrix and
-    at most one other m-by-n array at a time.  The floors come from the row
-    and column sums of squares of A and E, and ``A + E`` is formed in E's
-    buffer, where its sums give the length weights that both certify the
-    floors and, under the length scheme, feed the draws.  No power-of-two
-    shift is needed: ``||A||_2 = 1``, so no square of A overflows, an E whose
-    squares overflow has ``||E||_F = inf``, which leaves every floor 0 or NaN
-    and skips the trial, and an E whose squares underflow is below 1e-150 of
-    A, where every floor rounds to 1 either way.
+    dominates a row or column is skipped (None).  Each trial draws its E,
+    scaled through its Gram matrix, and its indices from its own stream; the
+    rest is done on the stacks of the chunk's matrices.  Every E is drawn
+    before any A is formed, and a lone E is not copied into a stack, so a
+    chunk of one trial holds E, its Gram matrix and at most one other m-by-n
+    array at a time.  The floors come from the row and column sums of squares
+    of A and E, and ``A + E`` is formed in E's buffer, where its sums give the
+    length weights that both certify the floors and, under the length scheme,
+    feed the draws.  No power-of-two shift is needed: ``||A||_2 = 1``, so no
+    square of A overflows, an E whose squares overflow has ``||E||_F = inf``,
+    which leaves every floor 0 or NaN and skips the trial, and an E whose
+    squares underflow is below 1e-150 of A, where every floor rounds to 1
+    either way.
     """
-    p, q, f, _ = state
-    s_1 = f.singular_values[0]
-    p = p / s_1  # now ||A||_2 = 1, and ||A||_F^2 is the stable rank
-    f = replace(f, singular_values=f.singular_values / s_1,
-                all_singular_values=f.all_singular_values / s_1,
-                tolerance_used=f.tolerance_used / s_1)
-    e = spectral_noise((len(p), len(q)), cfg.sigma, rng)
-    a = p @ q.T
-    try:
-        with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
-            lengths = _squared_lengths(a), _squared_lengths(e)
-            floors = _noisy_floors(*lengths, np.linalg.norm(a), np.linalg.norm(e))
-    except NoiseDominatesError:
-        return None
+    p, q, svds, _ = zip(*(t.state for t in trials))
+    s_1 = [f.singular_values[0] for f in svds]
+    p, q = np.stack([x / s for x, s in zip(p, s_1)]), np.stack(q)  # now ||A||_2 = 1
+    svds = [replace(f, singular_values=f.singular_values / s,
+                    all_singular_values=f.all_singular_values / s,
+                    tolerance_used=f.tolerance_used / s) for f, s in zip(svds, s_1)]
+    e = [spectral_noise((cfg.m, cfg.n), cfg.sigma, t.rng) for t in trials]
+    e = np.stack(e) if len(e) > 1 else e[0][None]
+    a = p @ np.swapaxes(q, 1, 2)
+    floors, live = [], []
+    with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
+        lengths = _squared_lengths(a), _squared_lengths(e)
+        for t in range(len(trials)):
+            try:
+                floors.append(_noisy_floors(*([x[t] for x in pair] for pair in lengths),
+                                            np.linalg.norm(a[t]), np.linalg.norm(e[t])))
+                live.append(t)
+            except NoiseDominatesError:
+                pass
+    states = [None] * len(trials)
+    if not live:
+        return states
+    if len(live) < len(trials):
+        p, q, a, e = (x[live] for x in (p, q, a, e))
     a_tilde = np.add(a, e, out=e)
     del a
     weights = _length_weights(*_squared_lengths(a_tilde))
-    _certify(floors, _length_weights(*lengths[0]), weights)
-    dists = ([ProbDist(w, axis, LENGTH) for w, axis in zip(weights, (ROWS, COLS))]
-             if cfg.scheme == LENGTH else axis_dists(a_tilde, cfg.scheme, cfg.k))
-    noisy = randomized_cur(a_tilde, *dists, d, d, rng, dedup=cfg.dedup)
-    norms = factored_norms(np.hstack([p, noisy.C]), np.hstack([q, -(noisy.U_pinv @ noisy.R).T]))
-    return f, noisy.I, noisy.J, norms
+    _certify(StabilityParams(np.stack([f.alpha_per_col for f in floors]),
+                             np.stack([f.beta_per_row for f in floors])),
+             _length_weights(*(x[live] for x in lengths[0])), weights)
+    if cfg.scheme == LENGTH:
+        for w in weights:
+            _check_weights(w)
+    else:
+        weights = [np.stack([dist.weights for dist in axis])
+                   for axis in zip(*(axis_dists(x, cfg.scheme, cfg.k) for x in a_tilde))]
+    cums = [np.cumsum(w, axis=1) for w in weights]
+    picks = [_draw_pair(rows, cols, d, d, trials[t].rng, cfg.dedup)
+             for rows, cols, t in zip(*cums, live)]
+    cs, us, rs = zip(*(_extract(x, *pick) for x, pick in zip(_as_stack(a_tilde), picks)))
+    pinvs = _stacked(_pinvs, us, [None] * len(us))
+    norms = _stacked(factored_norms, [np.hstack([x, c]) for x, c in zip(p, cs)],
+                     [np.hstack([y, -(pinv @ r).T]) for y, (_, pinv), r in zip(q, pinvs, rs)])
+    for t, pick, norm in zip(live, picks, norms):
+        states[t] = (svds[t], *pick, norm)
+    return states
 
 
 def _measure(cfg, d, trials):
@@ -473,7 +515,7 @@ def _clustering_summary(cfg, runs):
 
 _KINDS = {
     "success_prob": ((_test_matrices, _draws, _measure), _success_summary),
-    "noise_stability": ((_test_matrices, _noise_trial, _measure), _noise_summary),
+    "noise_stability": ((_test_matrices, _noisy_curs, _measure), _noise_summary),
     "deim_check": ((_test_matrices, _deim_selections, _measure), _deim_summary),
     "clustering": ((_subspace_data, _draws, _measure), _clustering_summary),
 }
@@ -490,17 +532,11 @@ def _run_trials(cfg, d, indices):
     for stage in _KINDS[cfg.kind][0]:
         if not live:
             break
-        if stage is _noise_trial:
-            for t in live:
-                t0 = now()
-                t.state = stage(cfg, d, t.rng, t.state)
-                t.seconds += now() - t0
-        else:
-            t0 = now()
-            states = stage(cfg, d, live)
-            share = (now() - t0) / len(live)
-            for t, state in zip(live, states):
-                t.state, t.seconds = state, t.seconds + share
+        t0 = now()
+        states = stage(cfg, d, live)
+        share = (now() - t0) / len(live)
+        for t, state in zip(live, states):
+            t.state, t.seconds = state, t.seconds + share
         live = [t for t in live if t.state is not None]
     return [TrialRecord(t.index, _scheme(cfg), d, d, *t.state, t.seconds * 1e3) for t in live]
 

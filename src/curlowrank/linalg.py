@@ -17,7 +17,7 @@ and its small core ``R_p @ R_q.T`` (Halko, Martinsson and Tropp,
 arXiv:0909.4061), in O((m + n) k^2) time instead of O(m n min(m, n)).  The
 top-k singular triplets of a dense matrix come from :func:`_leading_svd`'s
 certified subspace iteration in O(m n k) time, or None where it cannot
-certify them; :func:`leading_bases` is the one place that chooses between
+certify them; :func:`_leading_bases` is the one place that chooses between
 that sketch and the dense SVD.  ``||A||_2`` alone comes from
 :func:`spectral_norm`, a symmetric eigensolve of the smaller Gram matrix,
 and a spectrum alone from :func:`singular_values`, an SVD without vectors.
@@ -196,10 +196,11 @@ def factored_svd(p, q) -> list:
             for left, s_i, right, j in zip(qp @ w, s, vt @ np.swapaxes(qq, 1, 2), shift)]
 
 
-def factored_norms(p, q) -> tuple:
-    """``(||p @ q.T||_2, ||p @ q.T||_F)`` from the singular values of the core."""
-    p, q = as_matrix(p), as_matrix(q)
-    return _norms(*_core(np.linalg.qr(p, mode="r")[None], np.linalg.qr(q, mode="r")[None]))[0]
+def factored_norms(p, q) -> list:
+    """``(||p[t] @ q[t].T||_2, ||p[t] @ q[t].T||_F)`` of each product of the stacks ``p``, ``q``:
+    one QR of each stack and one SVD of the cores' singular values."""
+    p, q = _as_stack(p), _as_stack(q)
+    return _norms(*_core(np.linalg.qr(p, mode="r"), np.linalg.qr(q, mode="r")))
 
 
 def _norms(core, shift=0) -> list:
@@ -263,19 +264,14 @@ def _leading_svd(a, k):
     return w, np.ldexp(s[:k], -shift), vt.T
 
 
-def leading_bases(a, k, tol=None) -> tuple:
-    """``(left, right)``: the top-``k`` left and right singular vectors of ``a``.
+def _leading_bases(a, k, tol=None) -> tuple:
+    """``(left, right)``: the top-``k`` left and right singular vectors of the validated ``a``.
 
     They come from :func:`_leading_svd` when ``tol`` is None and the sketch
     certifies, else from :func:`compact_svd` of ``a`` at ``tol``.  A ``k``
     outside ``1..min(m, n)`` is a DomainError; a ``k`` within it that exceeds
     the numerical rank of that SVD is a RankDeficientError.
     """
-    return _leading_bases(as_matrix(a), k, tol)
-
-
-def _leading_bases(a, k, tol=None) -> tuple:
-    """:func:`leading_bases` of the validated matrix ``a``."""
     if not 1 <= k <= min(a.shape):
         raise DomainError(f"need 1 <= k <= {min(a.shape)}, got k={k}")
     sketch = _leading_svd(a, k) if tol is None else None

@@ -12,7 +12,7 @@ reproduces the same index multiset byte for byte.  Zero-weight indices are
 never drawn.
 
 Rank-k leverage scores need only the top-k singular subspaces, which
-:func:`~curlowrank.linalg.leading_bases` gives: from the certified sketch
+:func:`~curlowrank.linalg._leading_bases` gives: from the certified sketch
 :func:`~curlowrank.linalg._leading_svd`, still a pure function of the matrix
 bits, or from the dense :func:`~curlowrank.linalg.compact_svd` where the
 sketch declines; the paper's stability result (sampling from any
@@ -95,14 +95,15 @@ def uniform_dist(n, axis) -> ProbDist:
 
 
 def _squared_lengths(a) -> tuple:
-    """``(rows, cols)``: the squared row and column lengths of ``a``, with no m-by-n temporary.
+    """``(rows, cols)``: the squared row and column lengths of ``a``, or of each matrix of the
+    stack ``a``, with no m-by-n temporary.
 
-    The rows are squared a block at a time and the columns summed by einsum,
-    with the bits of ``(a * a).sum(axis)``.  No square over- or underflows
-    where ``a`` is at unit scale.
+    The rows are squared 64 of each matrix at a time and the columns summed by
+    einsum, with the bits of ``(a * a).sum(axis)`` of each matrix alone.  No
+    square over- or underflows where ``a`` is at unit scale.
     """
-    rows = [np.square(a[i:i + 64]).sum(axis=1) for i in range(0, len(a), 64)]
-    return np.concatenate(rows), np.einsum("ij,ij->j", a, a)
+    rows = [np.square(a[..., i:i + 64, :]).sum(axis=-1) for i in range(0, a.shape[-2], 64)]
+    return np.concatenate(rows, axis=-1), np.einsum("...ij,...ij->...j", a, a)
 
 
 def _length_weights(rows, cols) -> tuple:
@@ -160,7 +161,7 @@ def axis_dists(a, scheme, k=None) -> tuple:
 
     Leverage scores need the truncation rank ``k``; without it a DomainError
     is raised.  Both leverage axes come from one factorization of ``a``, its
-    :func:`~curlowrank.linalg.leading_bases`.
+    :func:`~curlowrank.linalg._leading_bases`.
     """
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
@@ -332,13 +333,15 @@ def _certify(params: StabilityParams, reference, perturbed) -> StabilityParams:
     """``params``, once each perturbed weight is at least its floor squared times the reference one.
 
     ``reference`` and ``perturbed`` are ``(rows, cols)`` weight pairs, compared
-    with a rounding slack of 1e-12.  The floors certify by construction, so a
-    CertificateError names an internal inconsistency: the first failing
-    index, rows before columns.
+    with a rounding slack of 1e-12; for a stack of matrices each member is a
+    stack of weight vectors, and ``params`` holds stacks of floors.  The floors
+    certify by construction, so a CertificateError names an internal
+    inconsistency: the first failing index, rows before columns, of the first
+    matrix that fails, which is the index that matrix alone names.
     """
     floors = (params.beta_per_row, params.alpha_per_col)
     for axis, floor, ref, tilde in zip((ROWS, COLS), floors, reference, perturbed):
-        short = np.flatnonzero(~(tilde >= floor**2 * ref - 1e-12))
+        short = np.nonzero(~(tilde >= floor**2 * ref - 1e-12))[-1]
         if short.size:
             raise CertificateError(f"stability floor fails to certify {axis[:-1]} {short[0]}")
     return params

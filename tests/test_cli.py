@@ -383,6 +383,14 @@ def test_experiment_non_finite_float_exits_2(capsys, flag, value, field):
     assert f"field '{field}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["m", "n"])
+def test_experiment_empty_matrix_side_exits_2_naming_it(capsys, side):
+    sizes = {"m": "8", "n": "8", side: "0"}
+    assert cli_main(["experiment", "--kind", "success_prob", "--m", sizes["m"], "--n", sizes["n"],
+                     "--k", "2", "--d", "4", "--trials", "2"]) == 2
+    assert f"field '{side}'" in capsys.readouterr().err
+
+
 def test_cluster_rejects_removed_d_max_flag(capsys):
     assert cli_main(["cluster", "--ambient", "10", "--dims", "1,2", "--points", "4,5",
                      "--d-max", "2", "--trials", "3"]) == 2

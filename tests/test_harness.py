@@ -105,6 +105,7 @@ class TestConfig:
         ("success_prob", {"tol": 0.0}, "tol"),
         ("success_prob", {"d_grid": (4, 0)}, "d_grid"),
         ("success_prob", {"m": 0}, "m"),
+        ("success_prob", {"n": 0}, "n"),
         ("clustering", {"m": 0, "n": None, "k": None, "dims": (1,), "points": (2,)}, "m"),
     ])
     def test_each_range_rule_names_its_field(self, kind, values, field):
@@ -364,8 +365,8 @@ class TestNoiseExperiment:
         assert [r.success for r in rec_small] == [r.success for r in rec_large]
 
     def test_length_scheme_takes_one_length_pass_of_a_plus_e(self, monkeypatch):
-        # one pass over A and one over E for the floors, one over A + E for both the
-        # certificate and the draws
+        # one pass over the stack of A and one over that of E for the floors, one over the
+        # stack of A + E for both the certificate and the draws, for the whole grid point
         calls = []
         real = sampling._squared_lengths
 
@@ -379,34 +380,47 @@ class TestNoiseExperiment:
                                scheme="length", d_grid=(9,), trials=3, master_seed=15)
         records, _ = run_experiment(cfg)
         assert len(records) == 3
-        assert calls == [(40, 30)] * 9
+        assert calls == [(3, 40, 30)] * 3
 
     @pytest.mark.parametrize("sigma", [1e-3, 0.1])
     def test_success_is_exactness_of_the_clean_cur(self, sigma, monkeypatch):
         # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1;
         # the clean A is the one whose floors were taken, the indices the noisy CUR's.
-        # A trial takes the lengths of A, of E and of A + E, so A's are the third last
-        seen, clean = [], []
-        lengths, cur = harness._squared_lengths, harness.randomized_cur
+        # A chunk takes the lengths of its stacks of A and of E, then each trial's floors
+        # in turn, so the t-th floors since those lengths are trial t's, the A it takes
+        # them of is the t-th of the second last stack, and the live trials extract their
+        # noisy CURs in the order their floors were taken
+        seen, floored, live, picks = [], [], [], []
+        lengths, floors, extract = harness._squared_lengths, harness._noisy_floors, harness._extract
 
         def recording_lengths(a):
             seen.append(a.copy())
+            floored.clear()
             return lengths(a)
 
-        def recording_cur(*args, **kwargs):
-            noisy = cur(*args, **kwargs)
-            clean.append((seen[-3], noisy.I, noisy.J))
-            return noisy
+        def recording_floors(*args):
+            a = seen[-2][len(floored)]
+            floored.append(a)
+            params = floors(*args)  # a dominated trial raises before its A is kept
+            live.append(a)
+            return params
+
+        def recording_extract(a, rows, cols):
+            picks.append((rows, cols))
+            return extract(a, rows, cols)
 
         monkeypatch.setattr(harness, "_squared_lengths", recording_lengths)
-        monkeypatch.setattr(harness, "randomized_cur", recording_cur)
+        monkeypatch.setattr(harness, "_noisy_floors", recording_floors)
+        monkeypatch.setattr(harness, "_extract", recording_extract)
         flags = []
         for seed in range(3):
-            clean.clear()
+            live.clear()
+            picks.clear()
             cfg = ExperimentConfig(kind="noise_stability", m=40, n=30, k=3, sigma=sigma,
                                    scheme="length", d_grid=(3, 6), trials=6, master_seed=seed)
             records, _ = run_experiment(cfg)
-            assert len(records) == len(clean) > 0
+            assert len(records) == len(live) == len(picks) > 0
+            clean = [(a, *pick) for a, pick in zip(live, picks)]
             expected = [relative_errors(a, _cur(as_matrix(a), rows, cols, None))[1] <= cfg.tol
                         for a, rows, cols in clean]
             assert [r.success for r in records] == expected
@@ -437,9 +451,10 @@ class TestNoiseExperiment:
 
 
 # Configs whose grid point runs its trials through stacked calls; dedup makes U ragged,
-# noise at 0.1 skips half of the trials, kappa adds a stacked reshape.  A clustering
-# grid point factors its data matrices at once; the second model has lines among its
-# subspaces and an ambient dim of exactly sum(dims).
+# noise at 0.1 skips half of the trials, some between live ones, and at 1e6 all of them,
+# kappa adds a stacked reshape.  A clustering grid point factors its data matrices at
+# once; the second model has lines among its subspaces and an ambient dim of exactly
+# sum(dims).
 TABLE = dict(m=30, n=24, k=4)
 STACKED_CONFIGS = {
     "length": dict(TABLE, kind="success_prob", scheme="length", d_grid=(8,)),
@@ -451,6 +466,20 @@ STACKED_CONFIGS = {
                          d_grid=(8,)),
     "noise_leverage_dedup_skips": dict(TABLE, kind="noise_stability", scheme="leverage",
                                        sigma=0.1, dedup=True, d_grid=(8,)),
+    "noise_uniform": dict(TABLE, kind="noise_stability", scheme="uniform", sigma=1e-3,
+                          d_grid=(8,)),
+    "noise_sigma0": dict(TABLE, kind="noise_stability", scheme="length", sigma=0.0,
+                         d_grid=(8,)),
+    "noise_skips_all": dict(TABLE, kind="noise_stability", scheme="length", sigma=1e6,
+                            d_grid=(8,)),
+    "noise_leverage_kappa_dedup": dict(TABLE, kind="noise_stability", scheme="leverage",
+                                       sigma=1e-3, kappa=1e6, dedup=True, d_grid=(8,)),
+    # 180-by-150 trials run two to a chunk, so the six span three chunks; at 0.04 the first
+    # trial of the first chunk and the second of the second are dominated
+    "noise_three_chunks": dict(kind="noise_stability", m=180, n=150, k=4, scheme="length",
+                               sigma=0.04, d_grid=(8,)),
+    "noise_length_skips_between": dict(TABLE, kind="noise_stability", scheme="length",
+                                       sigma=0.1, d_grid=(8,)),
     "deim": dict(TABLE, kind="deim_check"),
     "deim_kappa": dict(TABLE, kind="deim_check", kappa=1e6),
     "clustering_length": dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10),
@@ -479,7 +508,8 @@ class TestStageMajor:
         together = harness._run_trials(cfg, d, range(6))
         alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i])]
         assert together == alone
-        assert together and all(record.wall_time_ms == 0.0 for record in together)
+        assert bool(together) != (name == "noise_skips_all")
+        assert all(record.wall_time_ms == 0.0 for record in together)
 
     @staticmethod
     def _first_stage(cfg, bases=None):
@@ -603,9 +633,8 @@ class TestStageMajor:
         assert str(stacked.value) == str(alone.value)
 
     def test_timing_shares_each_stacked_stage(self, monkeypatch):
-        # each stage advances a fake clock by 1 s per call; a stacked stage's second
-        # is split between the trials that joined it, and each noise trial keeps the
-        # second of its own stage
+        # each stage advances a fake clock by 1 s per call, and a stacked stage's second
+        # is split between the trials that joined it
         ticks = iter(range(10_000))
         monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
         table = dict(m=15, n=12, k=3, trials=4, timing=True)
@@ -613,7 +642,7 @@ class TestStageMajor:
         assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 0.25 + 0.25)] * 4
         noise = ExperimentConfig(kind="noise_stability", sigma=1e-3, d_grid=(6,), **table)
         records, _ = run_experiment(noise)
-        assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 1.0 + 0.25)] * 4
+        assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 0.25 + 0.25)] * 4
 
     @staticmethod
     def _noise_peak(trials, scheme="length"):

@@ -9,6 +9,7 @@ from curlowrank.linalg import (
     IndexSet,
     _bases,
     _fix_signs,
+    _leading_bases,
     _leading_svd,
     _rank_pinv_cutoff,
     _take,
@@ -18,7 +19,6 @@ from curlowrank.linalg import (
     factored_norms,
     factored_svd,
     frobenius_norm,
-    leading_bases,
     rank_cutoff,
     spectral_norm,
     stable_rank,
@@ -120,7 +120,7 @@ class TestFactoredSvd:
     def test_zero_product_rejected(self, rng):
         with pytest.raises(ZeroMatrixError):
             _factored(np.zeros((5, 2)), rng.standard_normal((4, 2)))
-        assert factored_norms(np.zeros((5, 2)), rng.standard_normal((4, 2))) == (0.0, 0.0)
+        assert factored_norms(np.zeros((1, 5, 2)), rng.standard_normal((1, 4, 2))) == [(0.0, 0.0)]
 
     def test_column_counts_must_agree(self, rng):
         with pytest.raises(ValueError):
@@ -141,10 +141,13 @@ class TestFactoredSvd:
             assert np.all(np.abs(f.right[q[t].any(axis=1)]).sum(axis=1) > 0.0)
 
     def test_norms_match_the_dense_ones(self, rng):
-        p, q = rng.standard_normal((25, 6)), rng.standard_normal((18, 6))
-        np.testing.assert_allclose(factored_norms(p, q),
-                                   (np.linalg.norm(p @ q.T, 2), np.linalg.norm(p @ q.T)),
-                                   rtol=1e-13)
+        # each product of a stack has the norms it has alone, near the dense ones
+        p, q = rng.standard_normal((3, 25, 6)), rng.standard_normal((3, 18, 6))
+        norms = factored_norms(p, q)
+        for x, y, got in zip(p, q, norms):
+            assert factored_norms(x[None], y[None]) == [got]
+            np.testing.assert_allclose(got, (np.linalg.norm(x @ y.T, 2), np.linalg.norm(x @ y.T)),
+                                       rtol=1e-13)
 
     @pytest.mark.parametrize("j", [-900, 900])
     def test_factors_at_opposite_extreme_scales(self, rng, j):
@@ -203,7 +206,7 @@ class TestLeadingSvd:
 
     def test_rank_must_be_positive(self, rng):
         with pytest.raises(DomainError, match="got k=0"):
-            leading_bases(rank_k(60, 60, 3, rng), 0)
+            _leading_bases(rank_k(60, 60, 3, rng), 0)
 
 
 class TestPseudoinverse:
@@ -387,7 +390,7 @@ class TestLeadingBases:
     def test_sketch_where_it_certifies(self, rng):
         a = rank_k(80, 60, 4, rng)
         left, _, right = _leading_svd(a, 4)
-        got = leading_bases(a, 4)
+        got = _leading_bases(a, 4)
         np.testing.assert_array_equal(got[0], left)
         np.testing.assert_array_equal(got[1], right)
 
@@ -396,13 +399,13 @@ class TestLeadingBases:
     def test_dense_svd_otherwise(self, rng, shape, tol):
         a = rank_k(*shape, 3, rng)
         f = compact_svd(a, tol)
-        got = leading_bases(a, 3, tol)
+        got = _leading_bases(a, 3, tol)
         np.testing.assert_array_equal(got[0], f.left[:, :3])
         np.testing.assert_array_equal(got[1], f.right[:, :3])
 
     def test_rank_deficient(self, rng):
         with pytest.raises(RankDeficientError, match="k=4 exceeds numerical rank 3"):
-            leading_bases(rank_k(12, 10, 3, rng), 4)
+            _leading_bases(rank_k(12, 10, 3, rng), 4)
 
     def test_bases_of_a_stacked_svd_below_k_are_rank_deficient(self, rng):
         # the trials take their bases from factored_svd of a stack, at rank k of the config
@@ -415,7 +418,7 @@ class TestLeadingBases:
 
     def test_rank_above_the_smaller_size_is_a_domain_error(self, rng):
         with pytest.raises(DomainError, match="need 1 <= k <= 3, got k=4"):
-            leading_bases(rank_k(4, 3, 2, rng), 4)
+            _leading_bases(rank_k(4, 3, 2, rng), 4)
 
 
 def _fix_signs_loop(w, vt):

@@ -63,11 +63,11 @@ from curlowrank.linalg import (
     ROWS,
     SKETCH_OVERSAMPLE,
     IndexSet,
+    _leading_bases,
     _leading_svd,
     as_matrix,
     compact_svd,
     factored_svd,
-    leading_bases,
     rank_cutoff,
     singular_values,
     spectral_norm,
@@ -201,7 +201,7 @@ def test_leverage_and_length_dominate_each_other(inst, scale):
     assert (_leading_svd(a, k) is None) == (min(a.shape) < 2 * (k + SKETCH_OVERSAMPLE))
     length = axis_dists(a, "length")
     for tol in (None, compact_svd(a).tolerance_used):
-        for p_len, b in zip(length, leading_bases(a, k, tol)):
+        for p_len, b in zip(length, _leading_bases(a, k, tol)):
             p_len, p_lev = p_len.weights, np.sum(b * b, axis=1) / k
             assert np.all(p_lev >= (r / k) * p_len - 16 * EPS)
             assert np.all(p_len >= k / (r * kappa**2) * p_lev - 16 * EPS)
@@ -365,7 +365,7 @@ def test_certified_leverage_matches_the_dense_reference(inst):
     a, k = inst
     got = axis_dists(a, "leverage", k)
     ref = [np.sum(b * b, axis=1) / float(k)
-           for b in leading_bases(a, k, compact_svd(a).tolerance_used)]
+           for b in _leading_bases(a, k, compact_svd(a).tolerance_used)]
     if _leading_svd(a, k) is None:  # the fallback is the dense path itself
         assert [d.weights.tobytes() for d in got] == [r.tobytes() for r in ref]
     else:
@@ -571,16 +571,20 @@ def _outcome(floors, *args):
 @given(data=st.data(), sigma=st.sampled_from((1e-3, 0.1, 0.5)))
 def test_noise_trial_floors_match_the_loop_reference(data, sigma):
     # the trial's floors from A's and E's sums have the bits of the per-index loop
-    # reference; a dominated trial names the same index
-    seen, outcomes = [], []
+    # reference; a dominated trial names the same index.  A chunk takes the sums of its
+    # stacks of A and of E, then each trial's floors in turn, so the t-th floors since
+    # those sums are of the t-th A and E of the two stacks
+    seen, floored, outcomes = [], [], []
     lengths, floors = harness._squared_lengths, harness._noisy_floors
 
     def recording_lengths(x):
         seen.append(x.copy())
+        floored.clear()
         return lengths(x)
 
     def recording_floors(*args):
-        a, e = seen[-2:]
+        a, e = (x[len(floored)] for x in seen[-2:])
+        floored.append(a)
         outcomes.append((_outcome(floors, *args), _outcome(noisy_floors_loop, a, e)))
         return floors(*args)
 

@@ -17,10 +17,10 @@ from curlowrank.linalg import (
     COLS,
     ROWS,
     IndexSet,
+    _leading_bases,
     _leading_svd,
     compact_svd,
     factored_svd,
-    leading_bases,
 )
 from curlowrank.sampling import (
     SCHEMES,
@@ -178,9 +178,9 @@ class TestFactoredLength:
 
 def dense_leverage(a, k):
     """The rank-k leverage weights of ``a`` from ``compact_svd`` at the default cutoff: given
-    that cutoff, ``leading_bases`` takes no sketch."""
+    that cutoff, ``_leading_bases`` takes no sketch."""
     tol = compact_svd(a).tolerance_used
-    return [np.sum(b * b, axis=1) / float(k) for b in leading_bases(a, k, tol)]
+    return [np.sum(b * b, axis=1) / float(k) for b in _leading_bases(a, k, tol)]
 
 
 class TestCertifiedLeverage:

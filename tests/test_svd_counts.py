@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curlowrank import cur
+from curlowrank import cur, harness
 
 from curlowrank.cli import cli_main
 from curlowrank.cluster import SubspaceSpec
@@ -238,9 +238,9 @@ QR_TRIALS = {
                        FACTORED_SVD_QRS * 2 + [(3, 12, 4)] * 2),
     "deim": (dict(kind="deim_check"), FACTORED_SVD_QRS + [(3, 4, 4)] * 2),
     # the noisy CUR's residual is the thin product [p, C] [q, -(U^+ R).T].T, of width k + d,
-    # orthogonalized in each trial's own dense stage
+    # orthogonalized through one QR of each factor stack of the grid point's chunk
     "noise_length": (dict(kind="noise_stability", scheme="length", sigma=1e-3, d_grid=(12,)),
-                     FACTORED_SVD_QRS + [(50, 16), (40, 16)] * 3 + [(3, 12, 4)] * 2),
+                     FACTORED_SVD_QRS + [(3, 50, 16), (3, 40, 16)] + [(3, 12, 4)] * 2),
 }
 
 
@@ -289,13 +289,14 @@ BIG_TRIALS = {
 @pytest.mark.parametrize("name", sorted(BIG_TRIALS))
 def test_only_the_noise_trial_extracts_submatrices_or_forms_an_m_by_n_array(name, monkeypatch):
     extracted = []
-    real = cur._cur
+    real = cur._extract
 
-    def recording(a, rows, cols, tol):
+    def recording(a, rows, cols):
         extracted.append(a.shape)
-        return real(a, rows, cols, tol)
+        return real(a, rows, cols)
 
-    monkeypatch.setattr(cur, "_cur", recording)
+    monkeypatch.setattr(cur, "_extract", recording)
+    monkeypatch.setattr(harness, "_extract", recording)
     cfg = ExperimentConfig(**BIG_TRIALS[name])
     size = 8 * cfg.m * (cfg.n or sum(cfg.points))
     run_experiment(cfg)  # the first run also allocates the package's lazily built caches
