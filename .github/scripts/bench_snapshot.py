@@ -1,15 +1,16 @@
 """Write a benchmark snapshot, ``BENCH_<n>.json``, from repeated runs of ``perfbench/run.py``.
 
-    python .github/scripts/bench_snapshot.py 1 [--runs 3] [--seconds 20] [--seed 9001]
+    python .github/scripts/bench_snapshot.py 1 [--out PATH]
 
-Runs the benchmark command of ``BENCHMARK.json`` in this checkout ``--runs``
-times per workload, for ``run_seconds`` each unless ``--seconds`` is given.
-Run ``r`` of every workload uses seed ``--seed + r``, and the seeds are
-recorded.  The file holds, per workload, the median and interquartile range
-of each end-to-end metric, every run's values, and the manifest line that
-perfbench printed (its first run's).  It also holds the checkout's git
-commit, and whether tracked files differed from it.  Exits 1 without a file
-when a run fails or reports ``"correct": false``.
+Runs the benchmark command of ``BENCHMARK.json`` in this checkout once per
+seed of :data:`SEEDS` for each workload, ``run_seconds`` each, so that every
+snapshot is taken at the same seeds, which it records.  The file holds, per
+workload, the median and interquartile range of each end-to-end metric,
+every run's values, and the manifest line that perfbench printed (its first
+run's).  It also holds the checkout's git commit, and whether tracked files
+differed from it.  Exits 1 without a file when a run fails or reports
+``"correct": false``.  Three 20 s runs of each of four workloads take about
+five minutes.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+SEEDS = (9001, 9002, 9003)
 
 
 def _git(*args) -> str:
@@ -48,20 +50,16 @@ def _spread(values) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("index", type=int, help="n of the BENCH_<n>.json to write")
-    parser.add_argument("--runs", type=int, default=3, help="runs per workload, at least 3")
-    parser.add_argument("--seconds", type=int, default=None, help="seconds per run")
-    parser.add_argument("--seed", type=int, default=9001, help="seed of the first run")
     parser.add_argument("--out", default=None, help="output path (default: BENCH_<n>.json here)")
     args = parser.parse_args(argv)
-    if args.runs < 3 or args.index < 0 or args.seed < 0:
-        parser.error("need --runs >= 3, index >= 0 and --seed >= 0")
+    if args.index < 0:
+        parser.error("index must be >= 0")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
-    seeds = [args.seed + r for r in range(args.runs)]
+    seconds = bench["run_seconds"]
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
-        runs = [_run(bench["command"], workload, seed, seconds) for seed in seeds]
+        runs = [_run(bench["command"], workload, seed, seconds) for seed in SEEDS]
         workloads[workload] = {
             "manifest": runs[0][0],
             "metrics": {m["name"]: {"unit": m["unit"], "better": m["better"],
@@ -75,7 +73,7 @@ def main(argv=None) -> int:
         "tracked_files_modified": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "command": bench["command"],
         "seconds_per_run": seconds,
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "workloads": workloads,
     }
     path = args.out or os.path.join(ROOT, f"BENCH_{args.index}.json")

@@ -197,8 +197,8 @@ def factored_svd(p, q) -> list:
 
 
 def factored_norms(p, q) -> list:
-    """``(||p[t] @ q[t].T||_2, ||p[t] @ q[t].T||_F)`` of each product of the stacks ``p``, ``q``:
-    one QR of each stack and one SVD of the cores' singular values."""
+    """``(||p[t] @ q[t].T||_2, ||p[t] @ q[t].T||_F)`` of each product of the stacks ``p``, ``q``,
+    from one QR of each stack and one SVD of the stack of cores, without vectors."""
     p, q = _as_stack(p), _as_stack(q)
     return _norms(*_core(np.linalg.qr(p, mode="r"), np.linalg.qr(q, mode="r")))
 

@@ -96,7 +96,7 @@ def uniform_dist(n, axis) -> ProbDist:
 
 def _squared_lengths(a) -> tuple:
     """``(rows, cols)``: the squared row and column lengths of ``a``, or of each matrix of the
-    stack ``a``, with no m-by-n temporary.
+    stack ``a``, with no temporary beyond 64 rows of each matrix.
 
     The rows are squared 64 of each matrix at a time and the columns summed by
     einsum, with the bits of ``(a * a).sum(axis)`` of each matrix alone.  No

@@ -145,6 +145,21 @@ class TestCertificate:
         params = StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0])
         assert _certify(params, reference, uniform) is params
 
+    def test_a_stack_names_the_index_its_failing_matrix_names_alone(self, rng):
+        # matrix 0 fails only at column 3 and matrix 1 at rows 4 and 1 and column 0: the
+        # stack names row 1, as matrix 1 does alone, since rows come before columns
+        a = np.stack([rank_k(6, 5, 2, rng) for _ in range(2)])
+        reference = _length_weights(*_squared_lengths(a))
+        rows, cols = (np.full(x.shape, 0.5) for x in reference)
+        cols[0, 3] = 1e3
+        rows[1, [4, 1]] = 1e3
+        cols[1, 0] = 1e3
+        for members, named in (([0], "col 3"), ([1], "row 1"), ([0, 1], "row 1")):
+            params = StabilityParams(alpha_per_col=cols[members], beta_per_row=rows[members])
+            pair = [x[members] for x in reference]
+            with pytest.raises(CertificateError, match=f"certify {named}$"):
+                _certify(params, pair, pair)
+
     def test_floors_must_be_positive(self):
         with pytest.raises(ValueError, match="strictly positive"):
             StabilityParams(alpha_per_col=np.array([0.5, 0.0]), beta_per_row=np.array([0.75]))
