@@ -69,7 +69,6 @@ from .mmio import read_matrix, write_matrix
 from .sampling import (
     SCHEMES,
     ProbDist,
-    StabilityParams,
     axis_dists,
     draw_indices,
     draw_with_replacement,

@@ -1,24 +1,25 @@
 """Seeded Monte Carlo experiment runner with CSV output.
 
 Every experiment kind runs through one trial loop, grid point by grid point,
-and a per-kind reducer writes the summary.  A grid point runs stage-major:
-all its trials enter the first stage, and each stage maps the live trials to
-the next in one pass over their stacked arrays: every data matrix is
-factored at once; every trial's sampling weights are built at once, and each
-trial only draws from its own stream (DEIM selects on the stack of bases);
-and every CUR of A is measured in A's k-by-k core, shapes that differ (under
-``dedup``) looping inside.  The noise kind's middle stage, which holds m-by-n
-arrays, stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`, and
-drops a dominated trial.  Each trial draws from its own Philox stream keyed
-by ``(master_seed, trial_index)``, in the order it would alone, and a stacked
-call gives each matrix the bits of a call on it alone, so trials are
-independent, reorderable, and individually reproducible.  An exception in
-any trial aborts the run, though a different trial's error may surface
-first.  For a given numpy/BLAS build and thread count, a config plus a
-master seed determines every output byte; the integer and flag columns are
-also fixed across BLAS thread counts.  Per-trial wall time is recorded only
-when ``timing`` is enabled, since measured clocks would break byte-level
-reproducibility; it is an equal share of each stage.
+and a per-kind reducer writes each grid point's group of the summary.  A grid
+point runs stage-major: all its trials enter the first stage, and each stage
+fills its named fields of the live trials in one pass over their stacked
+arrays and returns the trials that go on: every data matrix is factored at
+once; every trial's sampling weights are built at once, and each trial only
+draws from its own stream (DEIM selects on the stack of bases); and every CUR
+of A is measured in A's k-by-k core, shapes that differ (under ``dedup``)
+looping inside.  The noise kind's middle stage, which holds m-by-n arrays,
+stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`, and does not
+return a dominated trial.  Each trial draws from its own Philox stream keyed by
+``(master_seed, trial_index)``, in the order it would alone, and a stacked call
+gives each matrix the bits of a call on it alone, so trials are independent,
+reorderable, and individually reproducible.  An exception in any trial aborts
+the run, though a different trial's error may surface first.  For a given
+numpy/BLAS build and thread count, a config plus a master seed determines every
+output byte; the integer and flag columns are also fixed across BLAS thread
+counts.  Per-trial wall time is recorded only when ``timing`` is enabled, since
+measured clocks would break byte-level reproducibility; it is an equal share of
+each stage.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -39,7 +40,7 @@ noisy CUR is not in A's row and column space, so its norms come from
 ``A + E`` come from the certified sketch of ``linalg._leading_bases`` and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so no
 kind factors an m-by-n matrix.  What passes between stages is A's factors
-and compact SVD and the index sets.
+and compact SVD and the index sets, as fields of the trial (``_Trial``).
 """
 
 from __future__ import annotations
@@ -54,12 +55,12 @@ from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspa
 # perfbench's tracer patches this module's randomized_cur binding, which nothing here calls
 from .cur import EXACTNESS_TOL, _cores_of_a, _extract, _stacked, randomized_cur  # noqa: F401
 from .deim import _deim_indices
-from .errors import ConfigError, NoiseDominatesError
-from .linalg import _EPS, _as_stack, _nonnegative, _pinvs, factored_norms, factored_svd
+from .errors import ConfigError, DomainError, NoiseDominatesError
+from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _nonnegative, _pinvs, factored_norms,
+                     factored_svd)
 from .sampling import (
     LENGTH,
     SCHEMES,
-    StabilityParams,
     _certify,
     _check_weights,
     _draw_pair,
@@ -140,6 +141,8 @@ class ExperimentConfig:
             raise ConfigError(f"must be one of {SCHEMES}", field="scheme")
         if self.trials < 1:
             raise ConfigError("must be >= 1", field="trials")
+        if self.master_seed < 0:
+            raise ConfigError("must be >= 0", field="master_seed")
         if self.sigma < 0.0:
             raise ConfigError("must be >= 0", field="sigma")
         if not (0.0 <= self.sparsity < 1.0):
@@ -251,7 +254,10 @@ def config_from_text(text) -> ExperimentConfig:
 
 
 def trial_generator(master_seed, trial_index) -> np.random.Generator:
-    """Philox stream for one trial, independent across trial indices."""
+    """Philox stream for one trial, independent across trial indices; a negative seed is a
+    DomainError."""
+    if master_seed < 0:
+        raise DomainError(f"seed must be >= 0, got {master_seed}")
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(trial_index),))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -260,8 +266,13 @@ def lowrank_factors(m, n, k, rngs, kappa=None) -> tuple:
     """Stacks ``(p, q)`` of :func:`lowrank_gaussian`'s factors, one ``p @ q.T`` per generator.
 
     Each generator of the list ``rngs`` draws its own factors from its own
-    stream, and the ``kappa`` reshape factors the stacks at once.
+    stream, and the ``kappa`` reshape factors the stacks at once.  A ``k`` outside
+    ``1..min(m, n)`` or a ``kappa`` that is not finite and >= 1 is a DomainError.
     """
+    if not 1 <= k <= min(m, n):
+        raise DomainError(f"rank must satisfy 1 <= k <= min(m, n), got k={k}")
+    if kappa is not None and not 1.0 <= kappa < math.inf:
+        raise DomainError(f"condition number must be finite and >= 1, got {kappa}")
     draws = [(g.standard_normal((m, k)), g.standard_normal((n, k))) for g in rngs]
     p, q = np.stack([x for x, _ in draws]), np.stack([y for _, y in draws])
     if kappa is not None and k > 1:
@@ -279,7 +290,10 @@ def lowrank_gaussian(m, n, k, rng, kappa=None) -> np.ndarray:
 
 
 def zero_out_columns(a, fraction, rng) -> np.ndarray:
-    """Zero a random ``fraction`` of columns (sparse-column stress case)."""
+    """Zero a random ``fraction`` of columns (sparse-column stress case); a ``fraction``
+    outside [0, 1] is a DomainError."""
+    if not 0.0 <= fraction <= 1.0:
+        raise DomainError(f"fraction must lie in [0, 1], got {fraction}")
     a = a.copy()
     n = a.shape[1]
     count = int(round(fraction * n))
@@ -313,48 +327,62 @@ def spectral_noise(shape, sigma, rng) -> np.ndarray:
 
 @dataclass
 class _Trial:
-    """A trial in flight: its index, stream and clock, and the state one stage hands the next."""
+    """A trial in flight: its index, stream and clock, and the fields its stages fill."""
 
     index: int
     rng: np.random.Generator
     seconds: float = 0.0
-    state: object = None
+    p: np.ndarray | None = None
+    q: np.ndarray | None = None
+    svd: SvdFactors | None = None
+    labels: np.ndarray | None = None
+    rows: IndexSet | None = None
+    cols: IndexSet | None = None
+    noisy_norms: tuple | None = None
+    row: tuple | None = None
 
 
-# A stage maps (cfg, d, trials) to the new state of every live trial, or to None for a
-# skipped trial, in one pass over their stacked arrays.  The first stage leaves
-# (p, q, svd, tail): the factors of the data ``p @ q.T``, its SVD, and the clustering
-# trial's true labels, else None; the middle stage (svd, rows, cols, tail), where the
-# noise trial's tail is the norms of its own noisy CUR; the last stage the trial's CSV
-# row: (success, rel_err_2, rel_err_F).
+# A stage fills its fields of the live trials in one pass over their stacked arrays and
+# returns the trials that go on; a dominated noise trial is dropped.  The first stage
+# fills p and q, the factors of the data ``p @ q.T``, svd, its compact SVD, and the
+# clustering trial's true labels; the middle stage the index sets rows and cols, and the
+# noise trial's noisy_norms, the norms of its own noisy CUR, as it rescales p and svd to
+# ||A||_2 = 1; the last stage, _measure, the CSV row: (success, rel_err_2, rel_err_F).
 def _test_matrices(cfg, d, trials):
     rngs = [t.rng for t in trials]
     p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rngs, cfg.kappa)
     if cfg.sparsity > 0.0:  # zero columns of A are zero rows of q
         q = np.stack([zero_out_columns(x.T, cfg.sparsity, rng).T for x, rng in zip(q, rngs)])
-    return list(zip(p, q, factored_svd(p, q), [None] * len(trials)))
+    for t, x, y, f in zip(trials, p, q, factored_svd(p, q)):
+        t.p, t.q, t.svd = x, y, f
+    return trials
 
 
 def _subspace_data(cfg, d, trials):
     spec = SubspaceSpec(cfg.m, tuple(cfg.dims), tuple(cfg.points))
     p, q, truths = subspace_factors(spec, [t.rng for t in trials])
-    return list(zip(p, q, factored_svd(p, q), truths))
+    for t, x, y, f, labels in zip(trials, p, q, factored_svd(p, q), truths):
+        t.p, t.q, t.svd, t.labels = x, y, f, labels
+    return trials
 
 
 def _draws(cfg, d, trials):
     """Every trial's weights at once, then its own draws; a clustering CUR drops repeats, on
     which neither exactness nor the clusters depend."""
-    p, q, svds, tails = zip(*(t.state for t in trials))
-    k = q[0].shape[1] if cfg.kind == "clustering" else cfg.k
-    cums = [np.cumsum(w, axis=1, out=w) for w in _stacked_weights(p, q, svds, cfg.scheme, k)]
+    k = trials[0].q.shape[1] if cfg.kind == "clustering" else cfg.k
+    weights = _stacked_weights([t.p for t in trials], [t.q for t in trials],
+                               [t.svd for t in trials], cfg.scheme, k)
+    cums = [np.cumsum(w, axis=1, out=w) for w in weights]
     dedup = cfg.dedup or cfg.kind == "clustering"
-    return [(f, *_draw_pair(rows, cols, d, d, t.rng, dedup), tail)
-            for f, rows, cols, t, tail in zip(svds, *cums, trials, tails)]
+    for t, rows, cols in zip(trials, *cums):
+        t.rows, t.cols = _draw_pair(rows, cols, d, d, t.rng, dedup)
+    return trials
 
 
 def _deim_selections(cfg, d, trials):
-    svds = [t.state[2] for t in trials]
-    return [(f, *indices, None) for f, indices in zip(svds, _deim_indices(svds, cfg.k))]
+    for t, (rows, cols) in zip(trials, _deim_indices([t.svd for t in trials], cfg.k)):
+        t.rows, t.cols = rows, cols
+    return trials
 
 
 # The bytes of the stack of m-by-n arrays that one chunk of noise trials holds: 32 trials
@@ -365,57 +393,60 @@ _NOISE_CHUNK_BYTES = 512 * 1024
 def _noisy_curs(cfg, d, trials):
     """:func:`_noisy_chunk` of the trials, as many at a time as fit :data:`_NOISE_CHUNK_BYTES`."""
     size = max(1, _NOISE_CHUNK_BYTES // (8 * cfg.m * cfg.n))
-    return [state for i in range(0, len(trials), size)
-            for state in _noisy_chunk(cfg, d, trials[i:i + size])]
+    return [t for i in range(0, len(trials), size)
+            for t in _noisy_chunk(cfg, d, trials[i:i + size])]
 
 
 def _noisy_chunk(cfg, d, trials):
     """Draw each trial's indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
-    The row carries the noisy CUR's errors relative to A; a trial whose noise
-    dominates a row or column is skipped (None).  Each trial draws its E,
+    The trial keeps the norms of its noisy CUR's residual against A; a trial
+    whose noise dominates a row or column is dropped.  Each trial draws its E,
     scaled through its Gram matrix, and its indices from its own stream; the
-    rest is done on the stacks of the chunk's matrices.  Every E is drawn
-    before any A is formed, and a lone E is not copied into a stack, so a
-    chunk of one trial holds E, its Gram matrix and at most one other m-by-n
-    array at a time.  The floors come from the row and column sums of squares
-    of A and E, and ``A + E`` is formed in E's buffer, where its sums give the
-    length weights that both certify the floors and, under the length scheme,
-    feed the draws.  No power-of-two shift is needed: ``||A||_2 = 1``, so no
-    square of A overflows, an E whose squares overflow has ``||E||_F = inf``,
-    which leaves every floor 0 or NaN and skips the trial, and an E whose
-    squares underflow is below 1e-150 of A, where every floor rounds to 1
-    either way.
+    rest is done on the stacks of the chunk's matrices.  Every E is drawn, into
+    one stack, before any A is formed, and a lone E is not copied into a stack,
+    so a chunk of one trial holds E, its Gram matrix and at most one other
+    m-by-n array at a time.  The floors come from the row and column sums of
+    squares of A and E, and ``A + E`` is formed in E's buffer, where its sums
+    give the length weights that both certify the floors and, under the length
+    scheme, feed the draws.  No power-of-two shift is needed: ``||A||_2 = 1``,
+    so no square of A overflows, an E whose squares overflow has
+    ``||E||_F = inf``, which leaves every floor 0 or NaN and drops the trial,
+    and an E whose squares underflow is below 1e-150 of A, where every floor
+    rounds to 1 either way.
     """
-    p, q, svds, _ = zip(*(t.state for t in trials))
-    s_1 = [f.singular_values[0] for f in svds]
-    p, q = np.stack([x / s for x, s in zip(p, s_1)]), np.stack(q)  # now ||A||_2 = 1
-    svds = [replace(f, singular_values=f.singular_values / s,
-                    all_singular_values=f.all_singular_values / s,
-                    tolerance_used=f.tolerance_used / s) for f, s in zip(svds, s_1)]
-    e = [spectral_noise((cfg.m, cfg.n), cfg.sigma, t.rng) for t in trials]
-    e = np.stack(e) if len(e) > 1 else e[0][None]
+    for t in trials:  # now ||A||_2 = 1
+        s = t.svd.singular_values[0]
+        t.p, t.svd = t.p / s, replace(t.svd, singular_values=t.svd.singular_values / s,
+                                      all_singular_values=t.svd.all_singular_values / s,
+                                      tolerance_used=t.svd.tolerance_used / s)
+    if len(trials) > 1:
+        e = np.empty((len(trials), cfg.m, cfg.n))
+        for x, t in zip(e, trials):
+            x[...] = spectral_noise((cfg.m, cfg.n), cfg.sigma, t.rng)
+    else:
+        e = spectral_noise((cfg.m, cfg.n), cfg.sigma, trials[0].rng)[None]
+    p, q = np.stack([t.p for t in trials]), np.stack([t.q for t in trials])
     a = p @ np.swapaxes(q, 1, 2)
     floors, live = [], []
     with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
         lengths = _squared_lengths(a), _squared_lengths(e)
-        for t in range(len(trials)):
+        for i in range(len(trials)):
             try:
-                floors.append(_noisy_floors(*([x[t] for x in pair] for pair in lengths),
-                                            np.linalg.norm(a[t]), np.linalg.norm(e[t])))
-                live.append(t)
+                floors.append(_noisy_floors(*([x[i] for x in pair] for pair in lengths),
+                                            np.linalg.norm(a[i]), np.linalg.norm(e[i])))
+                live.append(i)
             except NoiseDominatesError:
                 pass
-    states = [None] * len(trials)
     if not live:
-        return states
+        return []
     if len(live) < len(trials):
+        trials = [trials[i] for i in live]
         p, q, a, e = (x[live] for x in (p, q, a, e))
     a_tilde = np.add(a, e, out=e)
     del a
     weights = _length_weights(*_squared_lengths(a_tilde))
-    _certify(StabilityParams(np.stack([f.alpha_per_col for f in floors]),
-                             np.stack([f.beta_per_row for f in floors])),
+    _certify([np.stack(x) for x in zip(*floors)],
              _length_weights(*(x[live] for x in lengths[0])), weights)
     if cfg.scheme == LENGTH:
         for w in weights:
@@ -423,16 +454,15 @@ def _noisy_chunk(cfg, d, trials):
     else:
         weights = [np.stack([dist.weights for dist in axis])
                    for axis in zip(*(axis_dists(x, cfg.scheme, cfg.k) for x in a_tilde))]
-    cums = [np.cumsum(w, axis=1) for w in weights]
-    picks = [_draw_pair(rows, cols, d, d, trials[t].rng, cfg.dedup)
-             for rows, cols, t in zip(*cums, live)]
-    cs, us, rs = zip(*(_extract(x, *pick) for x, pick in zip(_as_stack(a_tilde), picks)))
+    for t, rows, cols in zip(trials, *(np.cumsum(w, axis=1) for w in weights)):
+        t.rows, t.cols = _draw_pair(rows, cols, d, d, t.rng, cfg.dedup)
+    cs, us, rs = zip(*(_extract(x, t.rows, t.cols) for x, t in zip(_as_stack(a_tilde), trials)))
     pinvs = _stacked(_pinvs, us, [None] * len(us))
     norms = _stacked(factored_norms, [np.hstack([x, c]) for x, c in zip(p, cs)],
                      [np.hstack([y, -(pinv @ r).T]) for y, (_, pinv), r in zip(q, pinvs, rs)])
-    for t, pick, norm in zip(live, picks, norms):
-        states[t] = (svds[t], *pick, norm)
-    return states
+    for t, norm in zip(trials, norms):
+        t.noisy_norms = norm
+    return trials
 
 
 def _measure(cfg, d, trials):
@@ -445,37 +475,33 @@ def _measure(cfg, d, trials):
     the support of ``|(U^+ R)^T (U^+ R)|``: its true blocks decide it unless one
     has a missing pair (``recovers_partition``).
     """
-    states = [t.state for t in trials]
-    measured = _cores_of_a([state[:3] for state in states])
-    outcomes = []
-    for (f, _, _, tail), ((err_2, err_f), z) in zip(states, measured):
-        s_1, norm_f = float(f.singular_values[0]), f.frobenius_norm()
+    measured = _cores_of_a([(t.svd, t.rows, t.cols) for t in trials])
+    for t, ((err_2, err_f), z) in zip(trials, measured):
+        s_1, norm_f = float(t.svd.singular_values[0]), t.svd.frobenius_norm()
         if cfg.kind == "clustering":
-            recovered = recovers_partition(clustering_matrix(z @ f.right.T), tail)
-            outcomes.append((recovered, err_2 / s_1, err_f / norm_f))
+            success = recovers_partition(clustering_matrix(z @ t.svd.right.T), t.labels)
         else:
-            row_2, row_f = tail or (err_2, err_f)
-            outcomes.append((err_f / norm_f <= cfg.tol, row_2 / s_1, row_f / norm_f))
-    return outcomes
+            success = err_f / norm_f <= cfg.tol
+        if t.noisy_norms is not None:
+            err_2, err_f = t.noisy_norms
+        t.row = (success, err_2 / s_1, err_f / norm_f)
+    return trials
 
 
-# Each reducer maps the run's (d, first_trial, records) per grid point to the summary,
-# {"groups": [...]} with one group per grid point: a function of the rows and the config.
-def _rate_group(cfg, d, done):
+# Each reducer maps a grid point's (d, first_trial, records) to its group of the summary
+# {"groups": [...]}: a function of the rows and the config.
+def _rate_group(cfg, d, first, done):
     successes = sum(r.success for r in done)
     return {"kind": cfg.kind, "scheme": _scheme(cfg), "d1": d, "d2": d, "trials": cfg.trials,
             "successes": successes, "success_rate": successes / cfg.trials}
 
 
-def _success_summary(cfg, runs):
-    groups = []
-    for d, first, done in runs:
-        err_sum = 0.0  # summed in trial order, which the CSV bytes depend on
-        for r in done:
-            err_sum += r.rel_error_frobenius
-        groups.append({**_rate_group(cfg, d, done), "mean_rel_err_F": err_sum / cfg.trials,
-                       "first_trial": first})
-    return {"groups": groups}
+def _success_group(cfg, d, first, done):
+    err_sum = 0.0  # summed in trial order, which the CSV bytes depend on
+    for r in done:
+        err_sum += r.rel_error_frobenius
+    return {**_rate_group(cfg, d, first, done), "mean_rel_err_F": err_sum / cfg.trials,
+            "first_trial": first}
 
 
 def _median(values) -> float:
@@ -484,40 +510,30 @@ def _median(values) -> float:
     return float(ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _noise_summary(cfg, runs):
+def _noise_group(cfg, d, first, done):
     """Skipped trials count against no rate; the error-to-noise median is over the rows."""
-    groups = []
-    for d, first, done in runs:
-        successes = sum(r.success for r in done)
-        ratios = [r.rel_error_spectral / cfg.sigma for r in done] if cfg.sigma > 0.0 else []
-        groups.append({"kind": cfg.kind, "scheme": cfg.scheme, "d1": d, "d2": d,
-                       "sigma": cfg.sigma, "trials": cfg.trials, "completed": len(done),
-                       "skipped": cfg.trials - len(done), "successes": successes,
-                       "success_rate": successes / len(done) if done else float("nan"),
-                       "median_err_to_noise": _median(ratios) if ratios else float("nan"),
-                       "first_trial": first})
-    return {"groups": groups}
+    successes = sum(r.success for r in done)
+    ratios = [r.rel_error_spectral / cfg.sigma for r in done] if cfg.sigma > 0.0 else []
+    return {"kind": cfg.kind, "scheme": cfg.scheme, "d1": d, "d2": d, "sigma": cfg.sigma,
+            "trials": cfg.trials, "completed": len(done), "skipped": cfg.trials - len(done),
+            "successes": successes,
+            "success_rate": successes / len(done) if done else float("nan"),
+            "median_err_to_noise": _median(ratios) if ratios else float("nan"),
+            "first_trial": first}
 
 
-def _deim_summary(cfg, runs):
-    return {"groups": [_rate_group(cfg, d, done) for d, _, done in runs]}
-
-
-def _clustering_summary(cfg, runs):
+def _clustering_group(cfg, d, first, done):
     """Also counts the exact CURs, ``rel_err_F <= tol``, and those that clustered perfectly."""
-    groups = []
-    for d, _, done in runs:
-        exact = [r.success for r in done if r.rel_error_frobenius <= cfg.tol]
-        groups.append({**_rate_group(cfg, d, done), "exact_curs": len(exact),
-                       "exact_and_perfect": sum(exact)})
-    return {"groups": groups}
+    exact = [r.success for r in done if r.rel_error_frobenius <= cfg.tol]
+    return {**_rate_group(cfg, d, first, done), "exact_curs": len(exact),
+            "exact_and_perfect": sum(exact)}
 
 
 _KINDS = {
-    "success_prob": ((_test_matrices, _draws, _measure), _success_summary),
-    "noise_stability": ((_test_matrices, _noisy_curs, _measure), _noise_summary),
-    "deim_check": ((_test_matrices, _deim_selections, _measure), _deim_summary),
-    "clustering": ((_subspace_data, _draws, _measure), _clustering_summary),
+    "success_prob": ((_test_matrices, _draws, _measure), _success_group),
+    "noise_stability": ((_test_matrices, _noisy_curs, _measure), _noise_group),
+    "deim_check": ((_test_matrices, _deim_selections, _measure), _rate_group),
+    "clustering": ((_subspace_data, _draws, _measure), _clustering_group),
 }
 
 
@@ -532,13 +548,12 @@ def _run_trials(cfg, d, indices):
     for stage in _KINDS[cfg.kind][0]:
         if not live:
             break
-        t0 = now()
-        states = stage(cfg, d, live)
-        share = (now() - t0) / len(live)
-        for t, state in zip(live, states):
-            t.state, t.seconds = state, t.seconds + share
-        live = [t for t in live if t.state is not None]
-    return [TrialRecord(t.index, _scheme(cfg), d, d, *t.state, t.seconds * 1e3) for t in live]
+        t0, joined = now(), len(live)
+        live = stage(cfg, d, live)
+        share = (now() - t0) / joined
+        for t in live:
+            t.seconds += share
+    return [TrialRecord(t.index, _scheme(cfg), d, d, *t.row, t.seconds * 1e3) for t in live]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -548,14 +563,13 @@ def run_experiment(cfg: ExperimentConfig):
     own stream :func:`trial_generator` ``(master_seed, trial_index)``.  The
     summary holds one aggregate ``groups`` row per grid point.
     """
-    records = []
-    runs = []
+    records, groups = [], []
     for gi, d in enumerate(cfg.resolved_d_grid()):
         first = gi * cfg.trials
         done = _run_trials(cfg, d, range(first, first + cfg.trials))
         records += done
-        runs.append((d, first, done))
-    return records, _KINDS[cfg.kind][1](cfg, runs)
+        groups.append(_KINDS[cfg.kind][1](cfg, d, first, done))
+    return records, {"groups": groups}
 
 
 def _format_value(value):

@@ -96,14 +96,15 @@ def uniform_dist(n, axis) -> ProbDist:
 
 def _squared_lengths(a) -> tuple:
     """``(rows, cols)``: the squared row and column lengths of ``a``, or of each matrix of the
-    stack ``a``, with no temporary beyond 64 rows of each matrix.
+    stack ``a``, with no temporary beyond 64 rows of the whole stack.
 
-    The rows are squared 64 of each matrix at a time and the columns summed by
-    einsum, with the bits of ``(a * a).sum(axis)`` of each matrix alone.  No
-    square over- or underflows where ``a`` is at unit scale.
+    The rows of the stack, taken as one tall matrix, are squared 64 at a time
+    and the columns summed by einsum, with the bits of ``(a * a).sum(axis)`` of
+    each matrix alone.  No square over- or underflows where ``a`` is at unit scale.
     """
-    rows = [np.square(a[..., i:i + 64, :]).sum(axis=-1) for i in range(0, a.shape[-2], 64)]
-    return np.concatenate(rows, axis=-1), np.einsum("...ij,...ij->...j", a, a)
+    flat = a.reshape(-1, a.shape[-1])
+    rows = [np.square(flat[i:i + 64]).sum(axis=-1) for i in range(0, len(flat), 64)]
+    return np.concatenate(rows).reshape(a.shape[:-1]), np.einsum("...ij,...ij->...j", a, a)
 
 
 def _length_weights(rows, cols) -> tuple:
@@ -311,45 +312,25 @@ def sample_size_length_via_lev(r, kappa, k, delta) -> int:
                        r=r, kappa=kappa, k=k, delta=delta)
 
 
-@dataclass(frozen=True, eq=False)
-class StabilityParams:
-    """Per-index floors certifying a perturbed distribution pair.
+def _certify(floors, reference, perturbed) -> None:
+    """Check that each perturbed weight is at least its floor squared times the reference one.
 
-    ``alpha_per_col[j]`` certifies the column distribution against the
-    squared-length one (``p_tilde_j >= alpha_j^2 * p_j^col``) and
-    ``beta_per_row[i]`` does the same for rows.  Conventionally the floor is
-    1 on zero rows/columns of the reference matrix.
+    ``floors`` (beta per row, alpha per column), ``reference`` and ``perturbed``
+    are ``(rows, cols)`` pairs, compared with a rounding slack of 1e-12; for a
+    stack of matrices each member is a stack of vectors.  The floors certify by
+    construction, so a CertificateError names an internal inconsistency: the
+    first failing index, rows before columns, of the first matrix that fails,
+    which is the index that matrix alone names.
     """
-
-    alpha_per_col: np.ndarray
-    beta_per_row: np.ndarray
-
-    def __post_init__(self):
-        if not (np.all(self.alpha_per_col > 0.0) and np.all(self.beta_per_row > 0.0)):
-            raise ValueError("stability floors must be strictly positive")
-
-
-def _certify(params: StabilityParams, reference, perturbed) -> StabilityParams:
-    """``params``, once each perturbed weight is at least its floor squared times the reference one.
-
-    ``reference`` and ``perturbed`` are ``(rows, cols)`` weight pairs, compared
-    with a rounding slack of 1e-12; for a stack of matrices each member is a
-    stack of weight vectors, and ``params`` holds stacks of floors.  The floors
-    certify by construction, so a CertificateError names an internal
-    inconsistency: the first failing index, rows before columns, of the first
-    matrix that fails, which is the index that matrix alone names.
-    """
-    floors = (params.beta_per_row, params.alpha_per_col)
     for axis, floor, ref, tilde in zip((ROWS, COLS), floors, reference, perturbed):
         short = np.nonzero(~(tilde >= floor**2 * ref - 1e-12))[-1]
         if short.size:
             raise CertificateError(f"stability floor fails to certify {axis[:-1]} {short[0]}")
-    return params
 
 
-def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e) -> StabilityParams:
-    """Floors certifying the length distributions of ``A + E`` against those of A, not yet
-    certified (:func:`_certify`).
+def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e) -> tuple:
+    """``(rows, cols)``: the floors beta and alpha certifying the length distributions of
+    ``A + E`` against those of A, not yet certified (:func:`_certify`).
 
     Per nonzero row i of A the floor is
     ``(1 - ||E(i,:)|| / ||A(i,:)||) / (1 + ||E||_F / ||A||_F)`` and the column
@@ -372,4 +353,4 @@ def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e) -> StabilityParams:
             if dominated.size:
                 raise NoiseDominatesError(axis, int(dominated[0]))
             floors.append(out)
-    return StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0])
+    return tuple(floors)

@@ -32,8 +32,8 @@ def factored_weights(p, q, svd, scheme, k=None):
 
 
 def noisy_floors_loop(a, e):
-    """The noisy stability floors of A and E by a per-index loop: the reference for
-    ``sampling._noisy_floors``.  A dominated index raises NoiseDominatesError."""
+    """The noisy stability floors ``(rows, cols)`` of A and E by a per-index loop: the reference
+    for ``sampling._noisy_floors``.  A dominated index raises NoiseDominatesError."""
     denom = 1.0 + float(np.linalg.norm(e)) / float(np.linalg.norm(a))
     out = []
     for axis, name in ((1, ROWS), (0, COLS)):
@@ -46,7 +46,7 @@ def noisy_floors_loop(a, e):
                 raise NoiseDominatesError(name, i)
             floors[i] = (1.0 - en / an) / denom
         out.append(floors)
-    return sampling.StabilityParams(alpha_per_col=out[1], beta_per_row=out[0])
+    return tuple(out)
 
 
 def orthonormal(n, k, rng):

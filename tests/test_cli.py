@@ -171,6 +171,21 @@ def test_file_command_bad_tol_exits_2(matrix_file, capsys, command, tol):
     assert "tol must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "--kind", "deim_check", "--m", "12", "--n", "10", "--k", "2", "--trials", "2",
+      "--seed", "-1"], "field 'master_seed'"),
+    (["cluster", "--ambient", "12", "--dims", "2,2", "--points", "6,6", "--trials", "2",
+      "--seed", "-3"], "field 'master_seed'"),
+    (["cluster", "--spec", "{spec}", "--trials", "2"], "field 'master_seed'"),
+    (["cur", "--in", "{matrix}", *FILE_COMMANDS["cur"], "--seed", "-1"], "seed must be >= 0"),
+], ids=["experiment", "cluster", "cluster-spec", "cur"])
+def test_negative_seed_exits_2(tmp_path, matrix_file, capsys, argv, message):
+    spec = tmp_path / "model.txt"
+    spec.write_text("ambient_dim = 12\ndims = 2,2\npoints = 6,6\nseed = -3\n")
+    assert cli_main([arg.format(spec=spec, matrix=matrix_file) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
 def test_file_command_zero_tol_runs(matrix_file, capsys, command):
     assert cli_main([command, "--in", str(matrix_file), *FILE_COMMANDS[command],

@@ -132,11 +132,12 @@ def test_summary_is_a_function_of_the_rows(name, tmp_path):
     path, again = tmp_path / "run.csv", tmp_path / "again.csv"
     emit_csv(*run_experiment(cfg), path)
     records = records_from_csv(path)
-    runs = []
+    groups = []
     for gi, d in enumerate(cfg.resolved_d_grid()):
         first = gi * cfg.trials
-        runs.append((d, first, [r for r in records if first <= r.trial_index < first + cfg.trials]))
-    emit_csv(records, harness._KINDS[cfg.kind][1](cfg, runs), again)
+        done = [r for r in records if first <= r.trial_index < first + cfg.trials]
+        groups.append(harness._KINDS[cfg.kind][1](cfg, d, first, done))
+    emit_csv(records, {"groups": groups}, again)
     assert again.read_bytes() == path.read_bytes()
 
 

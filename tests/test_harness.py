@@ -107,6 +107,7 @@ class TestConfig:
         ("success_prob", {"m": 0}, "m"),
         ("success_prob", {"n": 0}, "n"),
         ("clustering", {"m": 0, "n": None, "k": None, "dims": (1,), "points": (2,)}, "m"),
+        ("success_prob", {"master_seed": -1}, "master_seed"),
     ])
     def test_each_range_rule_names_its_field(self, kind, values, field):
         base = {"m": 8, "n": 6, "k": 2, "d_grid": (4,)}
@@ -256,6 +257,22 @@ class TestGenerators:
         a = zero_out_columns(lowrank_gaussian(10, 20, 3, rng), 0.8, rng)
         assert int(np.sum(np.all(a == 0.0, axis=0))) == 16
 
+    @pytest.mark.parametrize("k, kappa", [(10, None), (5, None), (0, None), (-1, None),
+                                          (2, 0.5), (2, 0.0), (2, math.inf), (2, math.nan)])
+    def test_factors_outside_their_range_raise(self, k, kappa):
+        # lowrank_gaussian(5, 4, 10, rng) would be rank 4, k = 0 the zero matrix
+        with pytest.raises(DomainError):
+            lowrank_factors(5, 4, k, [trial_generator(0, 0)], kappa)
+        with pytest.raises(DomainError):
+            lowrank_gaussian(5, 4, k, trial_generator(0, 0), kappa)
+
+    @pytest.mark.parametrize("fraction", [-0.25, 1.5, math.nan])
+    def test_zero_columns_outside_the_unit_interval_raise(self, rng, fraction):
+        with pytest.raises(DomainError):
+            zero_out_columns(np.ones((3, 4)), fraction, rng)
+        assert zero_out_columns(np.ones((3, 4)), 0.0, rng).all()
+        assert not zero_out_columns(np.ones((3, 4)), 1.0, rng).any()
+
     def test_noise_norm(self, rng):
         e = spectral_noise((9, 7), 1e-3, rng)
         assert np.linalg.norm(e, 2) == pytest.approx(1e-3, rel=1e-12)
@@ -267,6 +284,10 @@ class TestGenerators:
         c = trial_generator(9, 5).standard_normal(8)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            trial_generator(-1, 0)
 
 
 # ||E||_2 = sigma holds to this relative tolerance; the observed error is about 1e-15
@@ -516,8 +537,10 @@ class TestStageMajor:
         """Six trials through ``cfg``'s first stage, each with a fresh stream for the next."""
         trials = [harness._Trial(i, trial_generator(cfg.master_seed, i)) for i in range(6)]
         stage = harness._KINDS[cfg.kind][0][0]
-        for t, state in zip(trials, stage(cfg, cfg.resolved_d_grid()[0], trials)):
-            t.state, t.rng = state, trial_generator(cfg.master_seed, t.index)
+        trials = stage(cfg, cfg.resolved_d_grid()[0], trials)
+        assert [t.index for t in trials] == list(range(6))
+        for t in trials:
+            t.rng = trial_generator(cfg.master_seed, t.index)
         return trials
 
     @pytest.mark.parametrize("name", sorted(DRAW_CONFIGS))
@@ -525,39 +548,42 @@ class TestStageMajor:
         cfg = ExperimentConfig(trials=6, master_seed=47, **DRAW_CONFIGS[name])
         d = cfg.resolved_d_grid()[0]
         trials = self._first_stage(cfg)
-        states = [t.state for t in trials]
+        factors = [(t.p, t.q, t.svd) for t in trials]
         clustering = cfg.kind == "clustering"
-        for (p, q, f, _), (g, rows, cols, _), t in zip(states, harness._draws(cfg, d, trials),
-                                                        trials):
+        drawn = harness._draws(cfg, d, trials)
+        assert [t.index for t in drawn] == list(range(6))
+        for (p, q, f), t in zip(factors, drawn):
             k = q.shape[1] if clustering else cfg.k
             dists = (ProbDist(w, axis, cfg.scheme)
                      for w, axis in zip(factored_weights(p, q, f, cfg.scheme, k), (ROWS, COLS)))
             rng = trial_generator(cfg.master_seed, t.index)
-            assert g is f
-            assert (rows, cols) == draw_indices(*dists, d, d, rng, cfg.dedup or clustering)
+            assert t.p is p and t.q is q and t.svd is f
+            assert (t.rows, t.cols) == draw_indices(*dists, d, d, rng, cfg.dedup or clustering)
 
     def test_draw_stage_weighs_a_trial_of_lower_rank_as_it_does_alone(self):
         cfg = ExperimentConfig(trials=6, master_seed=50, **STACKED_CONFIGS["length"])
         trials = self._first_stage(cfg)
-        p, q, _, _ = trials[1].state
-        p = p * [1.0, 1.0, 0.0, 1.0]  # rank 3 of the config's 4
-        trials[1].state = (p, q, factored_svd(p[None], q[None])[0], None)
-        states = [t.state for t in trials]
-        stacked = sampling._stacked_weights(np.stack([s[0] for s in states]),
-                                            np.stack([s[1] for s in states]),
-                                            [s[2] for s in states], "length", 4)
-        for i, (p, q, f, _) in enumerate(states):
-            alone = factored_weights(p, q, f, "length")
+        low = trials[1]
+        low.p = low.p * [1.0, 1.0, 0.0, 1.0]  # rank 3 of the config's 4
+        low.svd = factored_svd(low.p[None], low.q[None])[0]
+        stacked = sampling._stacked_weights(np.stack([t.p for t in trials]),
+                                            np.stack([t.q for t in trials]),
+                                            [t.svd for t in trials], "length", 4)
+        for i, t in enumerate(trials):
+            alone = factored_weights(t.p, t.q, t.svd, "length")
             assert [w[i].tobytes() for w in stacked] == [w.tobytes() for w in alone]
 
     @pytest.mark.parametrize("kappa", [None, 1e6])
     def test_deim_stage_selects_from_each_basis_what_deim_select_does(self, kappa):
         cfg = ExperimentConfig(trials=6, master_seed=48, kappa=kappa, **TABLE, kind="deim_check")
         trials = self._first_stage(cfg)
-        for t, (f, rows, cols, _) in zip(trials, harness._deim_selections(cfg, 4, trials)):
-            assert f is t.state[2]
-            assert rows == deim_select(f.left[:, :4], 4, ROWS)
-            assert cols == deim_select(f.right[:, :4], 4, COLS)
+        svds = [t.svd for t in trials]
+        selected = harness._deim_selections(cfg, 4, trials)
+        assert [t.index for t in selected] == list(range(6))
+        for t, f in zip(selected, svds):
+            assert t.svd is f
+            assert t.rows == deim_select(f.left[:, :4], 4, ROWS)
+            assert t.cols == deim_select(f.right[:, :4], 4, COLS)
 
     def test_stacked_selection_breaks_ties_toward_the_smallest_index(self):
         # rows i and i + 4 of the tied basis have equal magnitudes, and every entry of
@@ -578,10 +604,10 @@ class TestStageMajor:
     def test_a_zero_matrix_in_the_stack_fails_as_it_fails_alone(self):
         cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["length"])
         trials = self._first_stage(cfg)
-        p, q, f, _ = trials[3].state
-        trials[3].state = (np.zeros_like(p), q, f, None)
+        zero = trials[3]
+        zero.p = np.zeros_like(zero.p)
         with pytest.raises(ZeroMatrixError) as alone:
-            factored_weights(np.zeros_like(p), q, f, "length")
+            factored_weights(zero.p, zero.q, zero.svd, "length")
         with pytest.raises(ZeroMatrixError) as stacked:
             harness._draws(cfg, 8, trials)
         assert str(stacked.value) == str(alone.value)
@@ -589,18 +615,17 @@ class TestStageMajor:
     def test_a_leverage_rank_beyond_a_trial_fails_as_it_fails_alone(self):
         cfg = ExperimentConfig(trials=6, **{**STACKED_CONFIGS["length"], "scheme": "leverage"})
         trials = self._first_stage(cfg)
-        p, q, _, _ = trials[2].state
-        p = p * [1.0, 1.0, 1.0, 0.0]  # rank 3 of the config's 4
-        trials[2].state = (p, q, factored_svd(p[None], q[None])[0], None)
+        low = trials[2]
+        low.p = low.p * [1.0, 1.0, 1.0, 0.0]  # rank 3 of the config's 4
+        low.svd = factored_svd(low.p[None], low.q[None])[0]
         with pytest.raises(RankDeficientError) as alone:
-            factored_weights(p, q, trials[2].state[2], "leverage", 4)
+            factored_weights(low.p, low.q, low.svd, "leverage", 4)
         with pytest.raises(RankDeficientError) as stacked:
             harness._draws(cfg, 8, trials)
         assert str(stacked.value) == str(alone.value)
-        p, q, _, _ = trials[0].state
         for k in (0, 25):  # outside 1..min(m, n), which the config rules out for a trial
             with pytest.raises(DomainError):
-                leverage_dist(p @ q.T, k, ROWS)
+                leverage_dist(trials[0].p @ trials[0].q.T, k, ROWS)
 
     def test_weights_failing_a_check_fail_the_stack_as_they_fail_alone(self, monkeypatch):
         cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["length"])
@@ -613,9 +638,9 @@ class TestStageMajor:
             return rows, cols
 
         monkeypatch.setattr(sampling, "_factored_lengths", one_negative)
-        p, q, f, _ = trials[-1].state
+        last = trials[-1]
         with pytest.raises(ValueError) as alone:
-            factored_weights(p, q, f, "length")
+            factored_weights(last.p, last.q, last.svd, "length")
         with pytest.raises(ValueError) as stacked:
             harness._draws(cfg, 8, trials)
         assert str(stacked.value) == str(alone.value)
@@ -623,9 +648,9 @@ class TestStageMajor:
     def test_a_singular_deim_step_fails_the_stack_as_it_fails_alone(self):
         cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["deim"])
         trials = self._first_stage(cfg)
-        p, q, f, _ = trials[4].state
-        f = replace(f, left=f.left * [0.0, 1.0, 1.0, 1.0])  # step 2 solves a 1-by-1 zero
-        trials[4].state = (p, q, f, None)
+        singular = trials[4]
+        f = replace(singular.svd, left=singular.svd.left * [0.0, 1.0, 1.0, 1.0])
+        singular.svd = f  # step 2 solves a 1-by-1 zero
         with pytest.raises(SingularInterpolationError) as alone:
             deim_select(f.left[:, :4], 4, ROWS)
         with pytest.raises(SingularInterpolationError) as stacked:

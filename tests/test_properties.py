@@ -240,8 +240,8 @@ def near_cutoff(draw):
                            master_seed=seed, **extra)
     [record], _ = run_experiment(cfg)
     rng = trial_generator(seed, 0)
-    p, q, _, _ = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])[0]
-    a = p @ q.T
+    [trial] = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])
+    a = trial.p @ trial.q.T
     if kind == "deim_check":
         factors = deim_cur(a, k)
         return a, k, factors.I, factors.J, tol, record.success
@@ -443,8 +443,8 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
         a, truth = union_of_subspaces(SubspaceSpec(cfg.m, cfg.dims, cfg.points), rng)
         k = sum(cfg.dims)
     else:
-        p, q, _, _ = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])[0]
-        a, truth, k = p @ q.T, None, cfg.k
+        [trial] = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])
+        a, truth, k = trial.p @ trial.q.T, None, cfg.k
     if cfg.kind == "deim_check":
         factors = deim_cur(a, k)
     else:
@@ -561,10 +561,10 @@ def test_noise_far_above_a_skips_every_trial(scheme, data, sigma):
 
 def _outcome(floors, *args):
     try:
-        params = floors(*args)
+        rows, cols = floors(*args)
     except NoiseDominatesError as exc:
         return exc.axis, exc.index
-    return params.beta_per_row.tobytes(), params.alpha_per_col.tobytes()
+    return rows.tobytes(), cols.tobytes()
 
 
 @NOISE_PROPERTY

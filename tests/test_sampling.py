@@ -148,7 +148,8 @@ class TestFactoredLength:
         cfg = ExperimentConfig(kind="success_prob", m=30, n=40, k=4, kappa=kappa, sparsity=0.5,
                                d_grid=(8,), trials=60)
         trials = [harness._Trial(i, trial_generator(5, i)) for i in range(cfg.trials)]
-        for i, (p, q, f, _) in enumerate(harness._test_matrices(cfg, 8, trials)):
+        for i, t in enumerate(harness._test_matrices(cfg, 8, trials)):
+            p, q, f = t.p, t.q, t.svd
             zeroed = ~q.any(axis=1)
             assert zeroed.sum() == 20
             dense = axis_dists(p @ q.T, "length")

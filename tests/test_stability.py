@@ -8,7 +8,6 @@ from curlowrank.errors import CertificateError, DomainError, NoiseDominatesError
 from curlowrank.cur import verify_characterization
 from curlowrank.linalg import COLS, ROWS, IndexSet, condition_number, stable_rank
 from curlowrank.sampling import (
-    StabilityParams,
     _certify,
     _length_weights,
     _noisy_floors,
@@ -23,11 +22,13 @@ from conftest import noisy_floors_loop, rank_k
 
 
 def certified_floors(a, e):
-    """The noise trial's floors for A and E: :func:`_noisy_floors` of their squared lengths
-    and Frobenius norms, checked by :func:`_certify` against the length weights of A + E."""
+    """The noise trial's floors ``(rows, cols)`` for A and E: :func:`_noisy_floors` of their
+    squared lengths and Frobenius norms, checked by :func:`_certify` against the length
+    weights of A + E."""
     lengths = _squared_lengths(a), _squared_lengths(e)
     floors = _noisy_floors(*lengths, np.linalg.norm(a), np.linalg.norm(e))
-    return _certify(floors, _length_weights(*lengths[0]), _length_weights(*_squared_lengths(a + e)))
+    _certify(floors, _length_weights(*lengths[0]), _length_weights(*_squared_lengths(a + e)))
+    return floors
 
 
 class TestNoisyFloor:
@@ -52,10 +53,10 @@ class TestNoisyFloor:
                 assert (exc.value.axis, exc.value.index) == (ref.axis, ref.index)
                 named.add(ref.axis)
                 continue
-            params = certified_floors(a, e)
-            np.testing.assert_array_equal(params.beta_per_row, want.beta_per_row)
-            np.testing.assert_array_equal(params.alpha_per_col, want.alpha_per_col)
-            for floors in (params.beta_per_row, params.alpha_per_col):
+            got = certified_floors(a, e)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            for floors in got:
                 assert np.all((0.0 < floors) & (floors <= 1.0))
         assert named == {ROWS, COLS}
 
@@ -69,16 +70,16 @@ class TestNoisyFloor:
 
     def test_zero_noise_gives_ones(self, rng):
         a = rank_k(6, 5, 2, rng)
-        params = certified_floors(a, np.zeros_like(a))
-        assert np.all(params.alpha_per_col == 1.0)
-        assert np.all(params.beta_per_row == 1.0)
+        rows, cols = certified_floors(a, np.zeros_like(a))
+        assert np.all(cols == 1.0)
+        assert np.all(rows == 1.0)
 
     def test_proportional_noise(self, rng):
         # E = 0.1 A gives every ratio 0.1, so each floor is 0.9/1.1
         a = rank_k(7, 6, 3, rng)
-        params = certified_floors(a, 0.1 * a)
-        np.testing.assert_allclose(params.beta_per_row, 0.9 / 1.1, rtol=1e-12)
-        np.testing.assert_allclose(params.alpha_per_col, 0.9 / 1.1, rtol=1e-12)
+        rows, cols = certified_floors(a, 0.1 * a)
+        np.testing.assert_allclose(rows, 0.9 / 1.1, rtol=1e-12)
+        np.testing.assert_allclose(cols, 0.9 / 1.1, rtol=1e-12)
 
     def test_certifies_noisy_lengths(self, rng):
         # the length distribution of A+E dominates beta^2 times that of A
@@ -86,19 +87,19 @@ class TestNoisyFloor:
             a = rank_k(9, 7, 3, rng)
             e = rng.standard_normal(a.shape)
             e *= 0.3 * min(np.linalg.norm(a, axis=1).min(), np.linalg.norm(a, axis=0).min()) / np.linalg.norm(e, 2)
-            params = certified_floors(a, e)
+            beta, alpha = certified_floors(a, e)
             q_tilde = length_dist(a + e, ROWS).weights
             q_row = length_dist(a, ROWS).weights
-            assert np.all(q_tilde >= params.beta_per_row**2 * q_row - 1e-12)
+            assert np.all(q_tilde >= beta**2 * q_row - 1e-12)
             p_tilde = length_dist(a + e, COLS).weights
             p_col = length_dist(a, COLS).weights
-            assert np.all(p_tilde >= params.alpha_per_col**2 * p_col - 1e-12)
+            assert np.all(p_tilde >= alpha**2 * p_col - 1e-12)
 
     def test_zero_row_convention(self):
         a = np.array([[0.0, 0.0], [1.0, 2.0]])
         e = np.array([[0.1, 0.0], [0.0, 0.0]])
-        params = certified_floors(a, e)
-        assert params.beta_per_row[0] == 1.0
+        rows, _ = certified_floors(a, e)
+        assert rows[0] == 1.0
 
     def test_floor_underflowing_to_zero_is_noise_dominated(self):
         # ||E||_F / ||A||_F = 1e310 leaves the live row's floor at 0
@@ -120,16 +121,28 @@ class TestNoisyFloor:
         m, n = 400, 300
         a = rank_k(m, n, 5, rng)
         e = 1e-3 * rng.standard_normal((m, n))
+        stack = rng.standard_normal((20, 50, 40))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             lengths = _squared_lengths(a), _squared_lengths(e)
             _noisy_floors(*lengths, np.linalg.norm(a), np.linalg.norm(e))
             peak = tracemalloc.get_traced_memory()[1] - base
+            del lengths
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rows, cols = _squared_lengths(stack)
+            stack_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         # one 64-row block of squares, plus vectors over the rows and columns
         assert peak <= 64 * n * 8 + 16 * 8 * (m + n) < a.nbytes
+        # a stack's block is 64 rows of the whole stack, not 64 of each matrix (all 50 here),
+        # and each matrix's sums keep the bits of its sums alone
+        assert stack_peak <= 64 * 40 * 8 + 2 * 8 * 20 * (50 + 40) < stack.nbytes
+        for x, x_rows, x_cols in zip(stack, rows, cols):
+            assert x_rows.tobytes() == (x * x).sum(axis=1).tobytes()
+            assert x_cols.tobytes() == (x * x).sum(axis=0).tobytes()
 
 
 class TestCertificate:
@@ -137,13 +150,10 @@ class TestCertificate:
         a = rank_k(6, 5, 2, rng)
         reference = (length_dist(a, ROWS).weights, length_dist(a, COLS).weights)
         uniform = (np.full(6, 1.0 / 6), np.full(5, 1.0 / 5))
-        params = StabilityParams(alpha_per_col=np.full(5, 2.0), beta_per_row=np.full(6, 2.0))
         with pytest.raises(CertificateError, match="row 0"):
-            _certify(params, reference, uniform)
+            _certify((np.full(6, 2.0), np.full(5, 2.0)), reference, uniform)
         # a uniform weight 1/m is at least (1 / (m q_i)) q_i
-        floors = [np.sqrt(1.0 / (w.size * w)) for w in reference]
-        params = StabilityParams(alpha_per_col=floors[1], beta_per_row=floors[0])
-        assert _certify(params, reference, uniform) is params
+        _certify([np.sqrt(1.0 / (w.size * w)) for w in reference], reference, uniform)
 
     def test_a_stack_names_the_index_its_failing_matrix_names_alone(self, rng):
         # matrix 0 fails only at column 3 and matrix 1 at rows 4 and 1 and column 0: the
@@ -155,14 +165,9 @@ class TestCertificate:
         rows[1, [4, 1]] = 1e3
         cols[1, 0] = 1e3
         for members, named in (([0], "col 3"), ([1], "row 1"), ([0, 1], "row 1")):
-            params = StabilityParams(alpha_per_col=cols[members], beta_per_row=rows[members])
             pair = [x[members] for x in reference]
             with pytest.raises(CertificateError, match=f"certify {named}$"):
-                _certify(params, pair, pair)
-
-    def test_floors_must_be_positive(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            StabilityParams(alpha_per_col=np.array([0.5, 0.0]), beta_per_row=np.array([0.75]))
+                _certify((rows[members], cols[members]), pair, pair)
 
 
 class TestDominanceInequalities:
