@@ -10,6 +10,11 @@ Each case has a second digest over the integer and flag fields only (the
 change that moves the last bits of the float columns on purpose must still
 leave every drawn index and every success flag where it was.
 
+The noise kind is pinned under each scheme, with ``dedup``, with ``kappa``, and
+with some but not all trials skipped.  A chunk of one noise trial runs the same
+code as a chunk of many (``harness._noisy_chunk``), so no case needs a matrix
+above 50x40 to reach it.
+
 The union-of-subspaces generator's matrix and labels are pinned by their own
 digests, so a change to how the data is built cannot hide behind the CSV's
 float columns.
@@ -52,6 +57,26 @@ CASES = {
              d_grid=(4, 8), trials=8, master_seed=304),
         "4636201dbf1622e604b5eb03eff4c96875fa2083ba37a4054e0fcc225823d61c",
     ),
+    "noise_uniform": (
+        dict(kind="noise_stability", m=50, n=40, k=4, sigma=0.05, scheme="uniform",
+             d_grid=(4, 8), trials=12, master_seed=307),
+        "2ebc5dd3fe80bd61ed09c2fa2b50460036af0e9fbe0266a9c5fd2717237b797b",
+    ),
+    "noise_leverage": (
+        dict(kind="noise_stability", m=50, n=40, k=4, sigma=0.05, scheme="leverage",
+             d_grid=(4, 8), trials=12, master_seed=308),
+        "17c0d199cacea4750957a68372a3c0a636d0cc532a076363ecb770d1815c65f5",
+    ),
+    "noise_uniform_dedup": (
+        dict(kind="noise_stability", m=40, n=30, k=3, sigma=0.02, scheme="uniform", dedup=True,
+             d_grid=(5,), trials=10, master_seed=309),
+        "8ee483489696842e797cccfa46f9f33ba21bebed6fd739079db484ae56a55b07",
+    ),
+    "noise_leverage_kappa": (
+        dict(kind="noise_stability", m=40, n=30, k=3, sigma=0.02, scheme="leverage", kappa=20.0,
+             d_grid=(5,), trials=10, master_seed=310),
+        "8f9675bce1990b8f26a7e96ca843fc09c788efe1515b1faa96152d69b53b192f",
+    ),
     "deim": (
         dict(kind="deim_check", m=50, n=40, k=4, trials=8, master_seed=305),
         "5673f6e6ef6f1a886f925c9a34e0a36fa94c7b6452f8b61b7ac4589daf0c3f92",
@@ -60,6 +85,11 @@ CASES = {
         dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="length",
              d_grid=(16,), trials=8, master_seed=306),
         "efc0fb96e70e22ce033af46d97a981b7f378ae0f1e1aa16c8d71b59828bcf9f2",
+    ),
+    "clustering_leverage": (
+        dict(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10), scheme="leverage",
+             d_grid=(16,), trials=8, master_seed=311),
+        "d4323322fc1391e7be3fb50b85c919258a06f656edc9a514d12a4a1d83e9e7c9",
     ),
 }
 
@@ -73,8 +103,13 @@ FLAG_DIGESTS = {
     "success_leverage_kappa": "67db557c6ddc6a9885323acc180922433319ffae83a0fe1f118abf7bc620ae09",
     "success_uniform_sparse_dedup": "e6a3114b339e321e85ef04b62309d3294c8179feba4397e059b871ca596f6a38",
     "noise_two_points": "0cec659f3b485bc89dd0ac9837c6bed02bd13dbf60e818590dc06b1cd1eea6a2",
+    "noise_uniform": "11a423c08933b514e0d86c785520c6cfc5249796fe29b71806eb3f98971b2618",
+    "noise_leverage": "51d7e2f33b7af2ff2b03e273a28cacac95e327a6aa0ddd07039171004ec8f66c",
+    "noise_uniform_dedup": "bbccb877324ea1883bd6994e8aea27f5e9ffa52ba8b9c3585bb155e83577f14b",
+    "noise_leverage_kappa": "0a52ed81b6a9432d45f97862bd5d2b47915c9b7713ef51c1daa3f28efb1685de",
     "deim": "fa928a8c1dc40e87e5d906f60408f2150835a9f05f9451e8e1c70e178755f65f",
     "clustering": "dd67fcf1aa8ea410332cde9fe06e5925f640d8d02dc1e4d94bde1e2e8a9eb836",
+    "clustering_leverage": "aca0c884f726ef0255b1167e00cd7b011feb4a667259d6b86b9cb39652d51171",
     "cli_experiment_config": "d2b16f30a1a2c1f13ac47dfd7fdb289162b07b16b369ee138121ea2909cafe54",
     "cli_cluster_spec": "48e9a5362061beb040c3aa1fec487f8731f32ca1ea98ec227b5713be4f6bb34c",
 }
