@@ -32,7 +32,7 @@ from .errors import (
     ConfigError,
     DomainError,
     IndexOutOfRangeError,
-    NoiseDominatesError,
+    MatrixInputError,
     RankDeficientError,
     SingularInterpolationError,
     ZeroMatrixError,

@@ -5,6 +5,11 @@ class ZeroMatrixError(ValueError):
     """Raised when an operation requires a nonzero matrix."""
 
 
+class MatrixInputError(ValueError):
+    """Raised when a matrix, given or read from a file, is not a finite 2-D matrix of at least
+    one entry, or a matrix file is not a Matrix Market dense array of its stated size."""
+
+
 class RankDeficientError(ValueError):
     """Raised when a requested rank exceeds the numerical rank."""
 
@@ -19,19 +24,6 @@ class DomainError(ValueError):
 
 class ZeroProbabilityDrawError(ValueError):
     """Raised when a drawn index carries zero probability weight."""
-
-
-class NoiseDominatesError(ValueError):
-    """Raised when noise is as large as the signal on some row or column.
-
-    The stability floor for that index would be nonpositive, so no
-    perturbed-probability guarantee can be certified.
-    """
-
-    def __init__(self, axis, index):
-        self.axis = axis
-        self.index = index
-        super().__init__(f"noise dominates signal on {axis[:-1]} {index}")
 
 
 class SingularInterpolationError(RuntimeError):

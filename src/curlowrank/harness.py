@@ -9,17 +9,18 @@ once; every trial's sampling weights are built at once, and each trial only
 draws from its own stream (DEIM selects on the stack of bases); and every CUR
 of A is measured in A's k-by-k core, shapes that differ (under ``dedup``)
 looping inside.  The noise kind's middle stage, which holds m-by-n arrays,
-stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`, and does not
-return a dominated trial.  Each trial draws from its own Philox stream keyed by
-``(master_seed, trial_index)``, in the order it would alone, and a stacked call
-gives each matrix the bits of a call on it alone, so trials are independent,
-reorderable, and individually reproducible.  An exception in any trial aborts
-the run, though a different trial's error may surface first.  For a given
-numpy/BLAS build and thread count, a config plus a master seed determines every
-output byte; the integer and flag columns are also fixed across BLAS thread
-counts.  Per-trial wall time is recorded only when ``timing`` is enabled, since
-measured clocks would break byte-level reproducibility; it is an equal share of
-each stage.
+stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`, draws each E
+straight into its chunk's stack, and does not return a dominated trial, one
+with a stability floor that is not positive.  Each trial draws from its own
+Philox stream keyed by ``(master_seed, trial_index)``, in the order it would
+alone, and a stacked call gives each matrix the bits of a call on it alone, so
+trials are independent, reorderable, and individually reproducible.  An
+exception in any trial aborts the run, though a different trial's error may
+surface first.  For a given numpy/BLAS build and thread count, a config plus a
+master seed determines every output byte; the integer and flag columns are also
+fixed across BLAS thread counts.  Per-trial wall time is recorded only when
+``timing`` is enabled, since measured clocks would break byte-level
+reproducibility; it is an equal share of each stage.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -55,7 +56,7 @@ from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspa
 # perfbench's tracer patches this module's randomized_cur binding, which nothing here calls
 from .cur import EXACTNESS_TOL, _cores_of_a, _extract, _stacked, randomized_cur  # noqa: F401
 from .deim import _deim_indices
-from .errors import ConfigError, DomainError, NoiseDominatesError
+from .errors import ConfigError, DomainError
 from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _nonnegative, _pinvs, factored_norms,
                      factored_svd)
 from .sampling import (
@@ -303,25 +304,31 @@ def zero_out_columns(a, fraction, rng) -> np.ndarray:
     return a
 
 
-def spectral_noise(shape, sigma, rng) -> np.ndarray:
-    """I.i.d. Gaussian noise rescaled so ``||E||_2`` equals ``sigma`` to within 1e-12 relative.
+def spectral_noise(shape, sigma, rngs) -> np.ndarray:
+    """The stack of i.i.d. Gaussian noise matrices, one of ``shape`` per generator of the list
+    ``rngs``, each rescaled so its ``||E||_2`` equals ``sigma`` to within 1e-12 relative.
 
-    ``||E||_2`` is the square root of the largest eigenvalue of the smaller
-    Gram matrix, ``E^T E`` or ``E E^T``: one BLAS-3 product and a symmetric
-    eigensolve instead of an SVD of E.  The largest eigenvalue of a positive
-    semidefinite matrix is accurate relative to itself, so this agrees with
-    the singular value to a few ulp.  The raw Gaussian block is always drawn,
-    so stream consumption does not depend on ``sigma``; ``sigma = 0`` gives
-    exact zeros, and a ``sigma`` that is negative or not finite is a DomainError.
+    Each generator draws its own block straight into the stack, with the bits
+    of a fresh draw.  ``||E||_2`` is the square root of the largest eigenvalue
+    of the block's smaller Gram matrix, ``E^T E`` or ``E E^T``: one BLAS-3
+    product and a symmetric eigensolve instead of an SVD of E.  The largest
+    eigenvalue of a positive semidefinite matrix is accurate relative to
+    itself, so this agrees with the singular value to a few ulp.  The raw
+    Gaussian blocks are always drawn, so stream consumption does not depend on
+    ``sigma``; ``sigma = 0`` gives exact zeros, and a ``sigma`` that is
+    negative or not finite is a DomainError.
     """
     sigma = _nonnegative(sigma, "sigma")
-    e = rng.standard_normal(shape)
-    if sigma == 0.0:
-        return np.zeros(shape)
-    # linalg.spectral_norm gives the same bits, but its scaled m-by-n copy of E
-    # raised the peak memory of 1000-by-800 noise trials by about 4 MiB (measured)
-    gram = e.T @ e if e.shape[0] >= e.shape[1] else e @ e.T
-    e *= sigma / math.sqrt(np.linalg.eigvalsh(gram)[-1])
+    e = np.empty((len(rngs), *shape))
+    for x, rng in zip(e, rngs):
+        rng.standard_normal(out=x)
+        if sigma == 0.0:
+            x.fill(0.0)
+            continue
+        # linalg.spectral_norm gives the same bits, but its scaled m-by-n copy of E
+        # raised the peak memory of 1000-by-800 noise trials by about 4 MiB (measured)
+        gram = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
+        x *= sigma / math.sqrt(np.linalg.eigvalsh(gram)[-1])
     return e
 
 
@@ -401,53 +408,42 @@ def _noisy_chunk(cfg, d, trials):
     """Draw each trial's indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
     The trial keeps the norms of its noisy CUR's residual against A; a trial
-    whose noise dominates a row or column is dropped.  Each trial draws its E,
-    scaled through its Gram matrix, and its indices from its own stream; the
-    rest is done on the stacks of the chunk's matrices.  Every E is drawn, into
-    one stack, before any A is formed, and a lone E is not copied into a stack,
-    so a chunk of one trial holds E, its Gram matrix and at most one other
-    m-by-n array at a time.  The floors come from the row and column sums of
-    squares of A and E, and ``A + E`` is formed in E's buffer, where its sums
-    give the length weights that both certify the floors and, under the length
-    scheme, feed the draws.  No power-of-two shift is needed: ``||A||_2 = 1``,
-    so no square of A overflows, an E whose squares overflow has
-    ``||E||_F = inf``, which leaves every floor 0 or NaN and drops the trial,
-    and an E whose squares underflow is below 1e-150 of A, where every floor
-    rounds to 1 either way.
+    whose noise dominates a row or column, one with a floor that is not
+    positive, is dropped.  Each trial draws its E, scaled through its Gram
+    matrix, and its indices from its own stream; the rest is done on the
+    stacks of the chunk's matrices.  Every E is drawn straight into one stack
+    before any A is formed, so a chunk of one trial holds E, its Gram matrix
+    and at most one other m-by-n array at a time.  The floors come from the
+    row and column sums of squares of the stacks of A and E, and ``A + E`` is
+    formed in E's buffer, where its sums give the length weights that both
+    certify the floors and, under the length scheme, feed the draws.  No
+    power-of-two shift is needed: ``||A||_2 = 1``, so no square of A
+    overflows, an E whose squares overflow has ``||E||_F = inf``, which leaves
+    every floor 0 or NaN and drops the trial, and an E whose squares underflow
+    is below 1e-150 of A, where every floor rounds to 1 either way.
     """
     for t in trials:  # now ||A||_2 = 1
         s = t.svd.singular_values[0]
         t.p, t.svd = t.p / s, replace(t.svd, singular_values=t.svd.singular_values / s,
                                       all_singular_values=t.svd.all_singular_values / s,
                                       tolerance_used=t.svd.tolerance_used / s)
-    if len(trials) > 1:
-        e = np.empty((len(trials), cfg.m, cfg.n))
-        for x, t in zip(e, trials):
-            x[...] = spectral_noise((cfg.m, cfg.n), cfg.sigma, t.rng)
-    else:
-        e = spectral_noise((cfg.m, cfg.n), cfg.sigma, trials[0].rng)[None]
+    e = spectral_noise((cfg.m, cfg.n), cfg.sigma, [t.rng for t in trials])
     p, q = np.stack([t.p for t in trials]), np.stack([t.q for t in trials])
     a = p @ np.swapaxes(q, 1, 2)
-    floors, live = [], []
     with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
         lengths = _squared_lengths(a), _squared_lengths(e)
-        for i in range(len(trials)):
-            try:
-                floors.append(_noisy_floors(*([x[i] for x in pair] for pair in lengths),
-                                            np.linalg.norm(a[i]), np.linalg.norm(e[i])))
-                live.append(i)
-            except NoiseDominatesError:
-                pass
-    if not live:
+        norms = (np.array([np.linalg.norm(x) for x in y]) for y in (a, e))  # the bits alone
+        floors = _noisy_floors(*lengths, *norms)
+    live = np.logical_and(*((f > 0.0).all(axis=1) for f in floors))  # a NaN floor fails
+    if not live.any():
         return []
-    if len(live) < len(trials):
-        trials = [trials[i] for i in live]
+    if not live.all():
+        trials = [t for t, keep in zip(trials, live) if keep]
         p, q, a, e = (x[live] for x in (p, q, a, e))
     a_tilde = np.add(a, e, out=e)
     del a
     weights = _length_weights(*_squared_lengths(a_tilde))
-    _certify([np.stack(x) for x in zip(*floors)],
-             _length_weights(*(x[live] for x in lengths[0])), weights)
+    _certify([f[live] for f in floors], _length_weights(*(x[live] for x in lengths[0])), weights)
     if cfg.scheme == LENGTH:
         for w in weights:
             _check_weights(w)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRangeError, RankDeficientError, ZeroMatrixError
+from .errors import (DomainError, IndexOutOfRangeError, MatrixInputError, RankDeficientError,
+                     ZeroMatrixError)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -47,11 +48,11 @@ def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a 2-D float64 array with finite entries."""
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+        raise MatrixInputError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
+        raise MatrixInputError(f"matrix must be at least 1x1, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+        raise MatrixInputError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
@@ -160,7 +161,7 @@ def _as_stack(a) -> np.ndarray:
     """The stack of matrices ``a``, each matrix validated by :func:`as_matrix`."""
     a = np.asarray(a)
     if a.ndim != 3:
-        raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
+        raise MatrixInputError(f"expected a stack of matrices, got ndim={a.ndim}")
     return as_matrix(a.reshape(-1, a.shape[-1])).reshape(a.shape)
 
 

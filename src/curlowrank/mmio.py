@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 
+from .errors import MatrixInputError
 from .linalg import as_matrix
 
 _HEADER = "%%MatrixMarket matrix array real general"
@@ -40,21 +41,24 @@ def read_matrix(path) -> np.ndarray:
         fields = header.lower().split()
         expected = _HEADER.lower().split()
         if len(fields) != 5 or fields[:3] != expected[:3] or fields[3] != "real" or fields[4] != "general":
-            raise ValueError(f"unsupported MatrixMarket header: {header!r}")
+            raise MatrixInputError(f"unsupported MatrixMarket header: {header!r}")
         line = fh.readline()
         while line and line.lstrip().startswith("%"):
             line = fh.readline()
         try:
             m, n = (int(tok) for tok in line.split())
         except Exception as exc:
-            raise ValueError(f"bad dimensions line: {line!r}") from exc
+            raise MatrixInputError(f"bad dimensions line: {line!r}") from exc
         if m < 1 or n < 1:
-            raise ValueError(f"bad dimensions line: {line!r} (each size must be >= 1)")
+            raise MatrixInputError(f"bad dimensions line: {line!r} (each size must be >= 1)")
         with warnings.catch_warnings():  # an empty body is a count error, not a warning
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)
+            try:
+                values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)
+            except ValueError as exc:
+                raise MatrixInputError(f"bad entry: {exc}") from exc
     if values.shape[1] != 1:
-        raise ValueError(f"expected one entry per line, found {values.shape[1]}")
+        raise MatrixInputError(f"expected one entry per line, found {values.shape[1]}")
     if len(values) != m * n:
-        raise ValueError(f"expected {m * n} entries, found {len(values)}")
+        raise MatrixInputError(f"expected {m * n} entries, found {len(values)}")
     return values.reshape((m, n), order="F").copy(order="C")

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     CertificateError,
     DomainError,
-    NoiseDominatesError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
@@ -336,21 +335,18 @@ def _noisy_floors(a_lengths, e_lengths, norm_a, norm_e) -> tuple:
     ``(1 - ||E(i,:)|| / ||A(i,:)||) / (1 + ||E||_F / ||A||_F)`` and the column
     floors are analogous; zero rows/columns of A get floor 1.  ``a_lengths``
     and ``e_lengths`` are the :func:`_squared_lengths` of A and of E, and
-    ``norm_a`` and ``norm_e`` their Frobenius norms.  Raises
-    NoiseDominatesError on the first index, rows before columns, whose floor
-    would be nonpositive, including one that underflows to 0.
+    ``norm_a`` and ``norm_e`` their Frobenius norms; for a stack of matrices
+    each member is a stack of vectors and each norm a vector.  A floor that is
+    not positive, one that underflows to 0 or is NaN included, marks noise that
+    dominates its row or column, where no floor certifies.
     """
     # ||E||_F / ||A||_F is inf only where E dwarfs A beyond the float range,
-    # which leaves every floor 0 or NaN, so NoiseDominatesError
+    # which leaves every floor 0 or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = 1.0 + norm_e / norm_a
+        denom = np.expand_dims(1.0 + norm_e / norm_a, -1)
         floors = []
-        for a2, e2, axis in zip(a_lengths, e_lengths, (ROWS, COLS)):
+        for a2, e2 in zip(a_lengths, e_lengths):
             live = a2 > 0.0
             ratio = np.sqrt(e2) / np.sqrt(np.where(live, a2, 1.0))
-            out = np.where(live, (1.0 - ratio) / denom, 1.0)
-            dominated = np.flatnonzero(~(out > 0.0))
-            if dominated.size:
-                raise NoiseDominatesError(axis, int(dominated[0]))
-            floors.append(out)
+            floors.append(np.where(live, (1.0 - ratio) / denom, 1.0))
     return tuple(floors)

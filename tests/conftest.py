@@ -3,7 +3,6 @@ import pytest
 
 from curlowrank import sampling
 from curlowrank.cluster import subspace_factors
-from curlowrank.errors import NoiseDominatesError
 from curlowrank.harness import lowrank_gaussian
 from curlowrank.linalg import COLS, ROWS, rank_cutoff, singular_values
 
@@ -32,21 +31,34 @@ def factored_weights(p, q, svd, scheme, k=None):
 
 
 def noisy_floors_loop(a, e):
-    """The noisy stability floors ``(rows, cols)`` of A and E by a per-index loop: the reference
-    for ``sampling._noisy_floors``.  A dominated index raises NoiseDominatesError."""
-    denom = 1.0 + float(np.linalg.norm(e)) / float(np.linalg.norm(a))
-    out = []
-    for axis, name in ((1, ROWS), (0, COLS)):
-        floors = np.ones(a.shape[1 - axis])
-        norms = zip(np.linalg.norm(a, axis=axis), np.linalg.norm(e, axis=axis))
-        for i, (an, en) in enumerate(norms):
-            if an == 0.0:
-                continue
-            if en >= an:
-                raise NoiseDominatesError(name, i)
-            floors[i] = (1.0 - en / an) / denom
-        out.append(floors)
-    return tuple(out)
+    """The noisy stability floors ``(rows, cols)`` of A and E by a per-index loop, the reference
+    for ``sampling._noisy_floors``, and the first index, rows before columns, whose noise is as
+    long as its row or column of A, as ``(axis, index)``, or None where no index is dominated.
+    A dominated index keeps the floor the formula gives it, which is not positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = 1.0 + float(np.linalg.norm(e)) / float(np.linalg.norm(a))
+        out, dominated = [], None
+        for axis, name in ((1, ROWS), (0, COLS)):
+            floors = np.ones(a.shape[1 - axis])
+            norms = zip(np.linalg.norm(a, axis=axis), np.linalg.norm(e, axis=axis))
+            for i, (an, en) in enumerate(norms):
+                if an == 0.0:
+                    continue
+                if en >= an and dominated is None:
+                    dominated = (name, i)
+                floors[i] = (1.0 - en / an) / denom
+            out.append(floors)
+    return tuple(out), dominated
+
+
+def first_nonpositive_floor(floors):
+    """``(axis, index)`` of the first floor of a ``(rows, cols)`` pair, rows before columns, that
+    is not > 0 (NaN included), or None: the index whose noise dominates it."""
+    for name, axis in zip((ROWS, COLS), floors):
+        bad = np.flatnonzero(~(axis > 0.0))
+        if bad.size:
+            return name, int(bad[0])
+    return None
 
 
 def orthonormal(n, k, rng):

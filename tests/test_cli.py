@@ -8,8 +8,10 @@ import pytest
 
 import curlowrank
 from curlowrank.cli import cli_main
+from curlowrank.errors import MatrixInputError
 from curlowrank.harness import lowrank_gaussian
-from curlowrank.mmio import write_matrix
+from curlowrank.linalg import singular_values
+from curlowrank.mmio import read_matrix, write_matrix
 from curlowrank.sampling import min_sample_size_rv, sample_size_length_via_lev, sample_size_leverage
 
 
@@ -53,6 +55,27 @@ def test_svd_of_a_file_with_a_size_below_one_exits_1(tmp_path, capsys, dims):
     path.write_text(f"%%MatrixMarket matrix array real general\n{dims}\n" + "1.0\n" * 6)
     assert cli_main(["svd", "--in", str(path)]) == 1
     assert "bad dimensions line" in capsys.readouterr().err
+
+
+# A 2-by-2 file that is wrong in its header, its entry count, an entry's spelling or an
+# entry's value.
+BAD_FILES = {
+    "coordinate_header": "%%MatrixMarket matrix coordinate real general\n2 2\n1.0\n2.0\n3.0\n4.0\n",
+    "short_body": "%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
+    "non_numeric_entry": "%%MatrixMarket matrix array real general\n2 2\n1.0\nabc\n3.0\n4.0\n",
+    "nan_entry": "%%MatrixMarket matrix array real general\n2 2\n1.0\nnan\n3.0\n4.0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILES))
+def test_svd_of_a_bad_matrix_file_is_a_matrix_input_error_and_exits_1(tmp_path, capsys, name):
+    path = tmp_path / "bad.mtx"
+    path.write_text(BAD_FILES[name])
+    with pytest.raises(MatrixInputError):  # what the svd command calls
+        singular_values(read_matrix(path))
+    assert cli_main(["svd", "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_svd_reports_rank(matrix_file, capsys):

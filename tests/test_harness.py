@@ -274,9 +274,9 @@ class TestGenerators:
         assert not zero_out_columns(np.ones((3, 4)), 1.0, rng).any()
 
     def test_noise_norm(self, rng):
-        e = spectral_noise((9, 7), 1e-3, rng)
+        (e,) = spectral_noise((9, 7), 1e-3, [rng])
         assert np.linalg.norm(e, 2) == pytest.approx(1e-3, rel=1e-12)
-        assert np.all(spectral_noise((4, 4), 0.0, rng) == 0.0)
+        assert np.all(spectral_noise((4, 4), 0.0, [rng]) == 0.0)
 
     def test_trial_streams_are_stable(self):
         a = trial_generator(9, 4).standard_normal(8)
@@ -298,26 +298,30 @@ class TestSpectralNoise:
     @pytest.mark.parametrize("shape", [(40, 25), (25, 40), (30, 30), (1, 17), (17, 1)])
     @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e150, 1e-150])
     def test_spectral_norm_is_sigma(self, shape, sigma):
-        e = spectral_noise(shape, sigma, trial_generator(12, 0))
-        assert e.shape == shape
-        assert np.linalg.norm(e, 2) == pytest.approx(sigma, rel=NOISE_NORM_RTOL)
+        e = spectral_noise(shape, sigma, [trial_generator(12, 0), trial_generator(12, 1)])
+        assert e.shape == (2, *shape)
+        for x in e:
+            assert np.linalg.norm(x, 2) == pytest.approx(sigma, rel=NOISE_NORM_RTOL)
 
     def test_zero_sigma_gives_exact_zeros(self):
-        e = spectral_noise((6, 4), 0.0, trial_generator(13, 0))
-        assert e.tobytes() == np.zeros((6, 4)).tobytes()
+        e = spectral_noise((6, 4), 0.0, [trial_generator(13, 0), trial_generator(13, 1)])
+        assert e.tobytes() == np.zeros((2, 6, 4)).tobytes()
 
     @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf])
     def test_sigma_negative_or_not_finite_rejected(self, sigma):
         # NaN would give an all-NaN E and -1 the negated E
         with pytest.raises(DomainError, match="sigma must be finite"):
-            spectral_noise((6, 4), sigma, trial_generator(13, 0))
+            spectral_noise((6, 4), sigma, [trial_generator(13, 0)])
 
     @pytest.mark.parametrize("sigma", [0.0, 1e-3, 10.0])
     def test_next_draw_does_not_depend_on_sigma(self, sigma):
-        rng, ref = trial_generator(14, 0), trial_generator(14, 0)
-        spectral_noise((9, 7), sigma, rng)
-        ref.standard_normal((9, 7))
-        assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
+        # each stream stands where one draw of its own block leaves it
+        rngs = [trial_generator(14, 0), trial_generator(14, 1)]
+        refs = [trial_generator(14, 0), trial_generator(14, 1)]
+        spectral_noise((9, 7), sigma, rngs)
+        for rng, ref in zip(rngs, refs):
+            ref.standard_normal((9, 7))
+            assert rng.standard_normal(5).tobytes() == ref.standard_normal(5).tobytes()
 
 
 class TestSuccessExperiment:
@@ -407,23 +411,20 @@ class TestNoiseExperiment:
     def test_success_is_exactness_of_the_clean_cur(self, sigma, monkeypatch):
         # the trial reads success in A's core, with A's SVD rescaled as A is to ||A||_2 = 1;
         # the clean A is the one whose floors were taken, the indices the noisy CUR's.
-        # A chunk takes the lengths of its stacks of A and of E, then each trial's floors
-        # in turn, so the t-th floors since those lengths are trial t's, the A it takes
-        # them of is the t-th of the second last stack, and the live trials extract their
-        # noisy CURs in the order their floors were taken
-        seen, floored, live, picks = [], [], [], []
+        # A chunk takes the lengths of its stacks of A and of E, then the floors of those
+        # stacks, so the A whose floors are all > 0 are the live trials', in trial order,
+        # and the live trials extract their noisy CURs in that order
+        seen, live, picks = [], [], []
         lengths, floors, extract = harness._squared_lengths, harness._noisy_floors, harness._extract
 
         def recording_lengths(a):
             seen.append(a.copy())
-            floored.clear()
             return lengths(a)
 
         def recording_floors(*args):
-            a = seen[-2][len(floored)]
-            floored.append(a)
-            params = floors(*args)  # a dominated trial raises before its A is kept
-            live.append(a)
+            rows, cols = params = floors(*args)
+            keep = (rows > 0.0).all(axis=1) & (cols > 0.0).all(axis=1)
+            live.extend(seen[-2][keep])
             return params
 
         def recording_extract(a, rows, cols):

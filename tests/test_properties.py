@@ -56,7 +56,7 @@ from curlowrank.cur import (
     verify_characterization,
 )
 from curlowrank.deim import deim_cur
-from curlowrank.errors import NoiseDominatesError, RankDeficientError
+from curlowrank.errors import RankDeficientError
 from curlowrank.harness import ExperimentConfig, lowrank_gaussian, run_experiment, trial_generator
 from curlowrank.linalg import (
     COLS,
@@ -83,7 +83,8 @@ from curlowrank.sampling import (
     uniform_dist,
 )
 
-from conftest import noisy_floors_loop, noisy_rank_k, rank_of, union_of_subspaces
+from conftest import (first_nonpositive_floor, noisy_floors_loop, noisy_rank_k, rank_of,
+                      union_of_subspaces)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 EPS = float(np.finfo(np.float64).eps)
@@ -559,38 +560,34 @@ def test_noise_far_above_a_skips_every_trial(scheme, data, sigma):
     assert records == [] and summary["groups"][0]["skipped"] == 3
 
 
-def _outcome(floors, *args):
-    try:
-        rows, cols = floors(*args)
-    except NoiseDominatesError as exc:
-        return exc.axis, exc.index
-    return rows.tobytes(), cols.tobytes()
-
-
 @NOISE_PROPERTY
 @given(data=st.data(), sigma=st.sampled_from((1e-3, 0.1, 0.5)))
 def test_noise_trial_floors_match_the_loop_reference(data, sigma):
     # the trial's floors from A's and E's sums have the bits of the per-index loop
-    # reference; a dominated trial names the same index.  A chunk takes the sums of its
-    # stacks of A and of E, then each trial's floors in turn, so the t-th floors since
-    # those sums are of the t-th A and E of the two stacks
-    seen, floored, outcomes = [], [], []
+    # reference, and a trial is dropped exactly where the reference finds a dominated
+    # index, which is its first floor that is not > 0.  A chunk takes the sums of its
+    # stacks of A and of E, then the floors of those stacks, so the t-th floors are of
+    # the t-th A and E of the two stacks
+    seen, outcomes = [], []
     lengths, floors = harness._squared_lengths, harness._noisy_floors
 
     def recording_lengths(x):
         seen.append(x.copy())
-        floored.clear()
         return lengths(x)
 
     def recording_floors(*args):
-        a, e = (x[len(floored)] for x in seen[-2:])
-        floored.append(a)
-        outcomes.append((_outcome(floors, *args), _outcome(noisy_floors_loop, a, e)))
-        return floors(*args)
+        got = floors(*args)
+        for t, (a, e) in enumerate(zip(*seen[-2:])):
+            alone = (got[0][t], got[1][t])
+            want, index = noisy_floors_loop(a, e)
+            outcomes.append(([x.tobytes() for x in alone], first_nonpositive_floor(alone),
+                             [x.tobytes() for x in want], index))
+        return got
 
     with mock.patch.object(harness, "_squared_lengths", recording_lengths), \
             mock.patch.object(harness, "_noisy_floors", recording_floors):
-        run_experiment(data.draw(noise_configs(sigma)))
+        records = run_experiment(data.draw(noise_configs(sigma)))[0]
     assert len(outcomes) == 3
-    for trial, reference in outcomes:
-        assert trial == reference
+    assert [r.trial_index for r in records] == [t for t, o in enumerate(outcomes) if o[3] is None]
+    for got, got_index, want, index in outcomes:
+        assert got == want and got_index == index

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curlowrank.errors import CertificateError, DomainError, NoiseDominatesError
+from curlowrank.errors import CertificateError, DomainError
 from curlowrank.cur import verify_characterization
 from curlowrank.linalg import COLS, ROWS, IndexSet, condition_number, stable_rank
 from curlowrank.sampling import (
@@ -18,16 +18,23 @@ from curlowrank.sampling import (
     sample_size_leverage,
 )
 
-from conftest import noisy_floors_loop, rank_k
+from conftest import first_nonpositive_floor, noisy_floors_loop, rank_k
+
+
+def floors_of(a, e):
+    """The noise trial's floors ``(rows, cols)`` for A and E: :func:`_noisy_floors` of their
+    squared lengths and Frobenius norms, or of those of each matrix of the stacks A and E."""
+    norms = (np.array([np.linalg.norm(x) for x in y]) if y.ndim == 3 else np.linalg.norm(y)
+             for y in (a, e))
+    return _noisy_floors(_squared_lengths(a), _squared_lengths(e), *norms)
 
 
 def certified_floors(a, e):
-    """The noise trial's floors ``(rows, cols)`` for A and E: :func:`_noisy_floors` of their
-    squared lengths and Frobenius norms, checked by :func:`_certify` against the length
-    weights of A + E."""
-    lengths = _squared_lengths(a), _squared_lengths(e)
-    floors = _noisy_floors(*lengths, np.linalg.norm(a), np.linalg.norm(e))
-    _certify(floors, _length_weights(*lengths[0]), _length_weights(*_squared_lengths(a + e)))
+    """:func:`floors_of` A and E, checked by :func:`_certify` against the length weights of
+    A + E."""
+    floors = floors_of(a, e)
+    _certify(floors, _length_weights(*_squared_lengths(a)),
+             _length_weights(*_squared_lengths(a + e)))
     return floors
 
 
@@ -45,13 +52,10 @@ class TestNoisyFloor:
                     e[i] += 2.0 * a[i] + 0.5
                 else:
                     e[:, i] += 2.0 * a[:, i] + 0.5
-            try:
-                want = noisy_floors_loop(a, e)
-            except NoiseDominatesError as ref:
-                with pytest.raises(NoiseDominatesError) as exc:
-                    certified_floors(a, e)
-                assert (exc.value.axis, exc.value.index) == (ref.axis, ref.index)
-                named.add(ref.axis)
+            want, dominated = noisy_floors_loop(a, e)
+            if dominated is not None:
+                assert first_nonpositive_floor(floors_of(a, e)) == dominated
+                named.add(dominated[0])
                 continue
             got = certified_floors(a, e)
             np.testing.assert_array_equal(got[0], want[0])
@@ -60,13 +64,33 @@ class TestNoisyFloor:
                 assert np.all((0.0 < floors) & (floors <= 1.0))
         assert named == {ROWS, COLS}
 
+    def test_a_stack_has_each_matrix_floors_alone(self, rng):
+        # a live matrix, a dominated one between live ones, one whose A has a zero row, and
+        # E scaled to 1e150 and to 1e-150: each matrix's floors have the bits of the loop
+        # reference on it alone, and a matrix has a floor that is not > 0 exactly where the
+        # reference finds a dominated index, the first such floor, rows before columns
+        a = np.stack([rank_k(9, 7, 3, rng) for _ in range(6)])
+        e = 0.05 * rng.standard_normal(a.shape)
+        e[1, :, 4] += 2.0 * a[1, :, 4] + 0.5
+        a[3, 2] = 0.0
+        e[4] *= 1e150 / np.linalg.norm(e[4], 2)
+        e[5] *= 1e-150 / np.linalg.norm(e[5], 2)
+        floors = floors_of(a, e)
+        dominated = []
+        for t in range(len(a)):
+            want, index = noisy_floors_loop(a[t], e[t])
+            alone = (floors[0][t], floors[1][t])
+            assert [x.tobytes() for x in alone] == [x.tobytes() for x in want]
+            assert first_nonpositive_floor(alone) == index
+            dominated.append(index is not None)
+        assert dominated == [False, True, False, False, True, False]
+        assert np.all(floors[0][3][2] == 1.0) and np.all(floors[0][5] == 1.0)
+
     def test_rows_named_before_columns(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         e = np.zeros_like(a)
         e[2, 0] = 2.0  # dominates row 2 and column 0
-        with pytest.raises(NoiseDominatesError) as exc:
-            certified_floors(a, e)
-        assert (exc.value.axis, exc.value.index) == (ROWS, 2)
+        assert first_nonpositive_floor(floors_of(a, e)) == (ROWS, 2)
 
     def test_zero_noise_gives_ones(self, rng):
         a = rank_k(6, 5, 2, rng)
@@ -106,16 +130,12 @@ class TestNoisyFloor:
         a = np.diag([1e-160, 0.0])
         e = np.zeros((2, 2))
         e[1, 1] = 1e150
-        with pytest.raises(NoiseDominatesError) as exc:
-            certified_floors(a, e)
-        assert (exc.value.axis, exc.value.index) == (ROWS, 0)
+        assert first_nonpositive_floor(floors_of(a, e)) == (ROWS, 0)
 
     def test_noise_dominates(self):
         a = np.array([[1.0, 0.0], [0.0, 0.01]])
         e = np.array([[0.0, 0.0], [0.0, 0.02]])
-        with pytest.raises(NoiseDominatesError) as exc:
-            certified_floors(a, e)
-        assert exc.value.index == 1
+        assert first_nonpositive_floor(floors_of(a, e))[1] == 1
 
     def test_holds_no_m_by_n_array_beyond_its_inputs(self, rng):
         m, n = 400, 300
