@@ -432,7 +432,7 @@ def _noisy_chunk(cfg, d, trials):
     a = p @ np.swapaxes(q, 1, 2)
     with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
         lengths = _squared_lengths(a), _squared_lengths(e)
-        norms = (np.array([np.linalg.norm(x) for x in y]) for y in (a, e))  # the bits alone
+        norms = (np.array([np.linalg.norm(x) for x in y]) for y in (a, e))  # each alone, its bits
         floors = _noisy_floors(*lengths, *norms)
     live = np.logical_and(*((f > 0.0).all(axis=1) for f in floors))  # a NaN floor fails
     if not live.any():

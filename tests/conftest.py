@@ -32,8 +32,8 @@ def factored_weights(p, q, svd, scheme, k=None):
 
 def noisy_floors_loop(a, e):
     """The noisy stability floors ``(rows, cols)`` of A and E by a per-index loop, the reference
-    for ``sampling._noisy_floors``, and the first index, rows before columns, whose noise is as
-    long as its row or column of A, as ``(axis, index)``, or None where no index is dominated.
+    for ``sampling._noisy_floors``, and the first index, rows before columns, whose row or column
+    of E is at least as long as A's, as ``(axis, index)``, or None where no index is dominated.
     A dominated index keeps the floor the formula gives it, which is not positive."""
     with np.errstate(over="ignore", invalid="ignore"):
         denom = 1.0 + float(np.linalg.norm(e)) / float(np.linalg.norm(a))

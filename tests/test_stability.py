@@ -84,7 +84,7 @@ class TestNoisyFloor:
             assert first_nonpositive_floor(alone) == index
             dominated.append(index is not None)
         assert dominated == [False, True, False, False, True, False]
-        assert np.all(floors[0][3][2] == 1.0) and np.all(floors[0][5] == 1.0)
+        assert floors[0][3, 2] == 1.0 and all(np.all(f[5] == 1.0) for f in floors)
 
     def test_rows_named_before_columns(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
