@@ -11,6 +11,12 @@ run's).  It also holds the checkout's git commit, and whether tracked files
 differed from it.  Exits 1 without a file when a run fails or reports
 ``"correct": false``.  Three 20 s runs of each of four workloads take about
 five minutes.
+
+It also runs each table and clustering config of ``perfbench/workloads.py``
+once per seed in this process, with BLAS pinned to one thread as perfbench
+pins it, and records the harness's stage timer: for each config the median
+over the seeds of each stage's milliseconds per trial, its ``emit`` and
+``reduce`` steps included, where a trial is one that entered the first stage.
 """
 
 import argparse
@@ -42,6 +48,36 @@ def _run(command, workload, seed, seconds) -> tuple:
     return manifest, {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def _stage_times(workloads) -> dict:
+    """``{workload: {config label: {stage: median ms per trial}}}`` for the table and
+    clustering configs of each workload, each run once untimed and then once per seed."""
+    from curlowrank.harness import ExperimentConfig, _run_trials
+    from perfbench.workloads import WORKLOADS, ClusterCall, TableCall
+
+    def config(call, seed):
+        if isinstance(call, TableCall):
+            return ExperimentConfig(master_seed=seed, **call.config)
+        return ExperimentConfig(kind="clustering", m=call.ambient, dims=call.dims,
+                                points=call.points, scheme="length", trials=call.trials,
+                                master_seed=seed)
+
+    def per_trial(cfg):
+        clock, grid = {}, cfg.resolved_d_grid()
+        for gi, d in enumerate(grid):
+            _run_trials(cfg, d, range(gi * cfg.trials, (gi + 1) * cfg.trials), clock)
+        return {name: ns / 1e6 / (cfg.trials * len(grid)) for name, ns in clock.items()}
+
+    times = {}
+    for workload in workloads:
+        calls = [c for c in WORKLOADS[workload]().calls if isinstance(c, (TableCall, ClusterCall))]
+        for call in calls:
+            per_trial(config(call, 0))  # lazy imports and first-call set-up
+            runs = [per_trial(config(call, seed)) for seed in SEEDS]
+            times.setdefault(workload, {})[call.label] = {
+                name: statistics.median(run[name] for run in runs) for name in runs[0]}
+    return times
+
+
 def _spread(values) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "iqr": q3 - q1, "runs": values}
@@ -56,6 +92,9 @@ def main(argv=None) -> int:
         parser.error("index must be >= 0")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before this process imports numpy
+    sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
     seconds = bench["run_seconds"]
     workloads = {}
     for workload in (w["name"] for w in bench["workloads"]):
@@ -75,6 +114,7 @@ def main(argv=None) -> int:
         "seconds_per_run": seconds,
         "seeds": list(SEEDS),
         "workloads": workloads,
+        "stage_ms_per_trial": _stage_times(workloads),
     }
     path = args.out or os.path.join(ROOT, f"BENCH_{args.index}.json")
     with open(path, "w") as fh:

@@ -2,7 +2,7 @@
 
 A use is a reference in code outside the object's own definition: a name, an
 imported name, or an attribute whose chain starts at an imported module
-(``curlowrank.linalg.frobenius_norm``, but not ``f.frobenius_norm()`` on an
+(``curlowrank.linalg.frobenius_norm``, but not ``f.left`` on an
 object), as the parser finds it in src/curlowrank (the re-exports of
 ``__init__.py`` aside), in tests/test_acceptance.py or in perfbench/.  A
 docstring, a comment or a string does not count.  The tier-1

@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DomainError,
     IndexOutOfRangeError,
+    IndexSetError,
     MatrixInputError,
     RankDeficientError,
     SingularInterpolationError,

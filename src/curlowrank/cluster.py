@@ -85,7 +85,8 @@ def clustering_matrix(y) -> np.ndarray:
     thresholded at ``SUPPORT_RTOL * max|Q|`` to guard rounding, and the diagonal
     is forced on.
     """
-    q = np.abs(y.T @ y)
+    q = y.T @ y
+    np.abs(q, out=q)  # in place: one N-by-N array, not two, per call
     peak = float(q.max())
     support = q >= SUPPORT_RTOL * peak if peak > 0.0 else np.zeros_like(q, dtype=bool)
     np.fill_diagonal(support, True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError
+from .errors import IndexOutOfRangeError, IndexSetError
 from .linalg import (
     COLS,
     ROWS,
@@ -67,9 +67,9 @@ class CurFactors:
 def _check_cur(rows: IndexSet, cols: IndexSet, shape) -> None:
     """Raise unless ``rows``, ``cols`` are a nonempty row and column index set within ``shape``."""
     if rows.axis != ROWS or cols.axis != COLS:
-        raise ValueError("a CUR needs a row index set and a column index set")
+        raise IndexSetError("a CUR needs a row index set and a column index set")
     if not (rows.indices and cols.indices):
-        raise ValueError("a CUR needs at least one row index and one column index")
+        raise IndexSetError("a CUR needs at least one row index and one column index")
     for index_set, size in zip((rows, cols), shape):
         top = max(index_set.indices)
         if top >= size:
@@ -148,17 +148,24 @@ def relative_errors(a, factors: CurFactors) -> tuple:
             _ratio(frobenius_norm(resid), frobenius_norm(a)))
 
 
-def _stacked(fn, mats, *args):
-    """``fn`` of each of ``mats`` and its item of each of ``args``: one call on their
-    stack if they share a shape, else one call each."""
-    if len({m.shape for m in mats}) == 1:
-        return fn(np.stack(mats), *args)
-    return [fn(m[None], *([arg[i]] for arg in args))[0] for i, m in enumerate(mats)]
+def _stacked(fn, *items) -> list:
+    """``fn``'s result for each matrix, where each of ``items`` holds one array (or number) per
+    matrix and ``fn`` maps their stacks to a list of per-matrix results: one call on the whole
+    stacks where each one's items share a shape, else one call per matrix on stacks of one."""
+    try:
+        stacks = [np.array(item) for item in items]
+    except ValueError:  # numpy refuses to stack items of different shapes
+        return [out for i in range(len(items[0]))
+                for out in fn(*(np.array(item[i:i + 1]) for item in items))]
+    return fn(*stacks)
 
 
-def _r_factors(x):
-    """The R factors of the stack ``x``: (T, min(d, k), k) for (T, d, k)."""
-    return np.linalg.qr(x, mode="r")
+def _r_factors(x, indices, scale=None):
+    """The R factors of the rows ``indices[t]`` of each matrix ``x[t]`` of the stack, each
+    column scaled by its item of ``scale[t]`` first where given: (T, min(d, k), k) for (T, d)
+    indices."""
+    rows = x[np.arange(len(x))[:, None], indices]
+    return np.linalg.qr(rows if scale is None else rows * scale[:, None, :], mode="r")
 
 
 def _blocks(curs) -> tuple:
@@ -170,18 +177,24 @@ def _blocks(curs) -> tuple:
     Q_b^T``, cut at A's cutoff ``svd.tolerance_used``; the residual is ``W middle V^T``
     with ``middle = S - S R_v^T M^+ R_b`` (grouped so that no product passes through
     ``S^2``; the part of A below its cutoff is left out), and ``U^+ R = Q_v z V^T``
-    with ``z = M^+ R_b``.  Each stage is one LAPACK call on the stack of its
-    matrices where their shapes agree.
+    with ``z = M^+ R_b``.  Each stage is one call on the stacks of its matrices where
+    their shapes agree (not under dedup), and a trial's blocks are views into them.
     """
     svds, rows, cols = zip(*curs)
-    rb = _stacked(_r_factors, [np.take(f.left, i.indices, axis=0) * f.singular_values
-                               for f, i in zip(svds, rows)])
-    rv = _stacked(_r_factors, [np.take(f.right, j.indices, axis=0) for f, j in zip(svds, cols)])
-    pinvs = _stacked(_pinvs, [b @ v.T for b, v in zip(rb, rv)], [f.tolerance_used for f in svds])
-    zs = [pinv @ b for (_, pinv), b in zip(pinvs, rb)]
-    middles = [np.diag(f.singular_values) - f.singular_values[:, None] * (v.T @ z)
-               for f, v, z in zip(svds, rv, zs)]
+    s = [f.singular_values for f in svds]
+    rb = _stacked(_r_factors, [f.left for f in svds], [i.indices for i in rows], s)
+    rv = _stacked(_r_factors, [f.right for f in svds], [j.indices for j in cols])
+    pinvs, zs, middles = zip(*_stacked(_core_blocks, rb, rv, s, [f.tolerance_used for f in svds]))
     return rb, rv, pinvs, zs, middles
+
+
+def _core_blocks(rb, rv, s, tols) -> list:
+    """``((rank(U), M^+), z, middle)`` of each CUR of :func:`_blocks` from the stacks of its R
+    factors ``rb``, ``rv`` and of A's singular values ``s`` and cutoffs ``tols``."""
+    pinvs = _pinvs(rb @ np.swapaxes(rv, 1, 2), tols)
+    zs = np.stack([pinv for _, pinv in pinvs]) @ rb
+    middles = s[:, :, None] * np.eye(s.shape[1]) - s[:, :, None] * (np.swapaxes(rv, 1, 2) @ zs)
+    return list(zip(pinvs, zs, middles))
 
 
 def _cores_of_a(curs) -> list:

@@ -78,6 +78,5 @@ def deim_cur(a, k, tol=None) -> CurFactors:
 def _deim_indices(svds, k) -> list:
     """``(rows, cols)`` that :func:`deim_cur` selects from each compact SVD of ``svds``, every
     rank-``k`` basis of one side at once."""
-    bases = map(np.stack, zip(*(_bases(f, k) for f in svds)))
-    rows, cols = (_select(b, k) for b in bases)
+    rows, cols = (_select(b, k) for b in _bases(svds, k))
     return [(IndexSet(i, ROWS), IndexSet(j, COLS)) for i, j in zip(rows, cols)]

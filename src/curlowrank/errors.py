@@ -14,6 +14,11 @@ class RankDeficientError(ValueError):
     """Raised when a requested rank exceeds the numerical rank."""
 
 
+class IndexSetError(ValueError):
+    """Raised when an index set names no axis, or a CUR is not given a nonempty row index set
+    and a nonempty column index set."""
+
+
 class IndexOutOfRangeError(IndexError):
     """Raised when a row/column index falls outside the matrix."""
 

@@ -8,19 +8,22 @@ arrays and returns the trials that go on: every data matrix is factored at
 once; every trial's sampling weights are built at once, and each trial only
 draws from its own stream (DEIM selects on the stack of bases); and every CUR
 of A is measured in A's k-by-k core, shapes that differ (under ``dedup``)
-looping inside.  The noise kind's middle stage, which holds m-by-n arrays,
-stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`, draws each E
-straight into its chunk's stack, and does not return a dominated trial, one
-with a stability floor that is not positive.  Each trial draws from its own
-Philox stream keyed by ``(master_seed, trial_index)``, in the order it would
-alone, and a stacked call gives each matrix the bits of a call on it alone, so
-trials are independent, reorderable, and individually reproducible.  An
+looping inside.  A trial's records, its SVD, pseudoinverses, blocks and
+norms, are views into its stage's stacked arrays, so no stage loops over its
+matrices but to hand them out.  The noise kind's middle stage, which holds
+m-by-n arrays, stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`,
+draws each E straight into its chunk's stack, and does not return a dominated
+trial, one with a stability floor that is not positive.  Each trial draws from
+its own Philox stream keyed by ``(master_seed, trial_index)``, in the order it
+would alone, and a stacked call gives each matrix the bits of a call on it
+alone, so trials are independent, reorderable, and individually reproducible.  An
 exception in any trial aborts the run, though a different trial's error may
 surface first.  For a given numpy/BLAS build and thread count, a config plus a
 master seed determines every output byte; the integer and flag columns are also
-fixed across BLAS thread counts.  Per-trial wall time is recorded only when
-``timing`` is enabled, since measured clocks would break byte-level
-reproducibility; it is an equal share of each stage.
+fixed across BLAS thread counts.  A stage timer sums the nanoseconds of each
+stage of a grid point (:func:`_run_trials`); per-trial wall time, an equal
+share of each stage, is recorded only when ``timing`` is enabled, since
+measured clocks would break byte-level reproducibility.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -57,11 +60,12 @@ from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspa
 from .cur import EXACTNESS_TOL, _cores_of_a, _extract, _stacked, randomized_cur  # noqa: F401
 from .deim import _deim_indices
 from .errors import ConfigError, DomainError
-from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _nonnegative, _pinvs, factored_norms,
-                     factored_svd)
+from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _leading_bases, _nonnegative, _pinvs,
+                     _row_norms, factored_norms, factored_svd)
 from .sampling import (
     LENGTH,
     SCHEMES,
+    UNIFORM,
     _certify,
     _check_weights,
     _draw_pair,
@@ -69,7 +73,6 @@ from .sampling import (
     _noisy_floors,
     _squared_lengths,
     _stacked_weights,
-    axis_dists,
     min_sample_size_rv,
 )
 
@@ -334,11 +337,12 @@ def spectral_noise(shape, sigma, rngs) -> np.ndarray:
 
 @dataclass
 class _Trial:
-    """A trial in flight: its index, stream and clock, and the fields its stages fill."""
+    """A trial in flight: its index, stream and share of stage time, and the fields its stages
+    fill."""
 
     index: int
     rng: np.random.Generator
-    seconds: float = 0.0
+    ns: float = 0.0
     p: np.ndarray | None = None
     q: np.ndarray | None = None
     svd: SvdFactors | None = None
@@ -422,38 +426,41 @@ def _noisy_chunk(cfg, d, trials):
     every floor 0 or NaN and drops the trial, and an E whose squares underflow
     is below 1e-150 of A, where every floor rounds to 1 either way.
     """
-    for t in trials:  # now ||A||_2 = 1
-        s = t.svd.singular_values[0]
-        t.p, t.svd = t.p / s, replace(t.svd, singular_values=t.svd.singular_values / s,
-                                      all_singular_values=t.svd.all_singular_values / s,
-                                      tolerance_used=t.svd.tolerance_used / s)
+    scale = np.array([t.svd.singular_values[0] for t in trials])  # now ||A||_2 = 1
+    p = np.stack([t.p for t in trials]) / scale[:, None, None]
+    spectra = np.stack([t.svd.all_singular_values for t in trials]) / scale[:, None]
+    tols = np.array([t.svd.tolerance_used for t in trials]) / scale
+    for t, x, y, tol in zip(trials, p, spectra, tols.tolist()):
+        t.p, t.svd = x, replace(t.svd, singular_values=y[:t.svd.numerical_rank],
+                                all_singular_values=y, tolerance_used=tol)
     e = spectral_noise((cfg.m, cfg.n), cfg.sigma, [t.rng for t in trials])
-    p, q = np.stack([t.p for t in trials]), np.stack([t.q for t in trials])
+    q = np.stack([t.q for t in trials])
     a = p @ np.swapaxes(q, 1, 2)
     with np.errstate(over="ignore"):  # E's squares overflow only in a dominated trial
         lengths = _squared_lengths(a), _squared_lengths(e)
-        norms = (np.array([np.linalg.norm(x) for x in y]) for y in (a, e))  # each alone, its bits
-        floors = _noisy_floors(*lengths, *norms)
+        floors = _noisy_floors(*lengths, *(_row_norms(x.reshape(len(x), -1)) for x in (a, e)))
     live = np.logical_and(*((f > 0.0).all(axis=1) for f in floors))  # a NaN floor fails
     if not live.any():
         return []
     if not live.all():
         trials = [t for t, keep in zip(trials, live) if keep]
         p, q, a, e = (x[live] for x in (p, q, a, e))
-    a_tilde = np.add(a, e, out=e)
+    a_tilde = _as_stack(np.add(a, e, out=e))
     del a
     weights = _length_weights(*_squared_lengths(a_tilde))
     _certify([f[live] for f in floors], _length_weights(*(x[live] for x in lengths[0])), weights)
-    if cfg.scheme == LENGTH:
-        for w in weights:
-            _check_weights(w)
-    else:
-        weights = [np.stack([dist.weights for dist in axis])
-                   for axis in zip(*(axis_dists(x, cfg.scheme, cfg.k) for x in a_tilde))]
+    if cfg.scheme == UNIFORM:
+        weights = [np.full((len(a_tilde), size), 1.0 / size) for size in a_tilde.shape[1:]]
+    elif cfg.scheme != LENGTH:  # each leverage axis summed as sampling.axis_dists sums it
+        bases = zip(*(_leading_bases(x, cfg.k) for x in a_tilde))
+        weights = [np.stack([np.sum(b * b, axis=1) for b in axis]) / float(cfg.k)
+                   for axis in bases]
+    for w in weights:
+        _check_weights(w)
     for t, rows, cols in zip(trials, *(np.cumsum(w, axis=1) for w in weights)):
         t.rows, t.cols = _draw_pair(rows, cols, d, d, t.rng, cfg.dedup)
-    cs, us, rs = zip(*(_extract(x, t.rows, t.cols) for x, t in zip(_as_stack(a_tilde), trials)))
-    pinvs = _stacked(_pinvs, us, [None] * len(us))
+    cs, us, rs = zip(*(_extract(x, t.rows, t.cols) for x, t in zip(a_tilde, trials)))
+    pinvs = _stacked(_pinvs, us)
     norms = _stacked(factored_norms, [np.hstack([x, c]) for x, c in zip(p, cs)],
                      [np.hstack([y, -(pinv @ r).T]) for y, (_, pinv), r in zip(q, pinvs, rs)])
     for t, norm in zip(trials, norms):
@@ -472,8 +479,11 @@ def _measure(cfg, d, trials):
     has a missing pair (``recovers_partition``).
     """
     measured = _cores_of_a([(t.svd, t.rows, t.cols) for t in trials])
-    for t, ((err_2, err_f), z) in zip(trials, measured):
-        s_1, norm_f = float(t.svd.singular_values[0]), t.svd.frobenius_norm()
+    spectra = np.stack([t.svd.all_singular_values for t in trials])
+    s_1 = spectra[:, 0]  # ||A||_F = sigma_1 sqrt(stable rank), so no square overflows
+    norms_f = s_1 * np.sqrt(np.sum((spectra / s_1[:, None]) ** 2, axis=1))
+    for t, ((err_2, err_f), z), s_1, norm_f in zip(trials, measured, s_1.tolist(),
+                                                   norms_f.tolist()):
         if cfg.kind == "clustering":
             success = recovers_partition(clustering_matrix(z @ t.svd.right.T), t.labels)
         else:
@@ -537,19 +547,35 @@ def _scheme(cfg):
     return "deim" if cfg.kind == "deim_check" else cfg.scheme
 
 
-def _run_trials(cfg, d, indices):
-    """The records of the trials ``indices`` at draw count ``d``, run stage-major."""
-    now = time.perf_counter if cfg.timing else (lambda: 0.0)
+def _lap(clock, name, start) -> int:
+    """Add the nanoseconds since ``start`` to ``clock[name]`` and return them."""
+    ns = time.perf_counter_ns() - start
+    clock[name] = clock.get(name, 0) + ns
+    return ns
+
+
+def _run_trials(cfg, d, indices, clock):
+    """``(records, group)``: the trials ``indices`` at draw count ``d``, run stage-major, and
+    their group of the summary.  ``clock`` gains the nanoseconds of each stage, by name, of
+    ``emit`` (the records) and of ``reduce`` (the group); a record's ``ms`` is its equal
+    share of each stage it joined where ``cfg.timing`` is set, else 0."""
     live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices]
     for stage in _KINDS[cfg.kind][0]:
         if not live:
             break
-        t0, joined = now(), len(live)
+        start, joined = time.perf_counter_ns(), len(live)
         live = stage(cfg, d, live)
-        share = (now() - t0) / joined
+        share = _lap(clock, stage.__name__, start) / joined
         for t in live:
-            t.seconds += share
-    return [TrialRecord(t.index, _scheme(cfg), d, d, *t.row, t.seconds * 1e3) for t in live]
+            t.ns += share
+    start = time.perf_counter_ns()
+    records = [TrialRecord(t.index, _scheme(cfg), d, d, *t.row, t.ns / 1e6 if cfg.timing else 0.0)
+               for t in live]
+    _lap(clock, "emit", start)
+    start = time.perf_counter_ns()
+    group = _KINDS[cfg.kind][1](cfg, d, indices[0], records)
+    _lap(clock, "reduce", start)
+    return records, group
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -559,12 +585,11 @@ def run_experiment(cfg: ExperimentConfig):
     own stream :func:`trial_generator` ``(master_seed, trial_index)``.  The
     summary holds one aggregate ``groups`` row per grid point.
     """
-    records, groups = [], []
+    records, groups, clock = [], [], {}
     for gi, d in enumerate(cfg.resolved_d_grid()):
-        first = gi * cfg.trials
-        done = _run_trials(cfg, d, range(first, first + cfg.trials))
+        done, group = _run_trials(cfg, d, range(gi * cfg.trials, (gi + 1) * cfg.trials), clock)
         records += done
-        groups.append(_KINDS[cfg.kind][1](cfg, d, first, done))
+        groups.append(group)
     return records, {"groups": groups}
 
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DomainError, IndexOutOfRangeError, MatrixInputError, RankDeficientError,
-                     ZeroMatrixError)
+from .errors import (DomainError, IndexOutOfRangeError, IndexSetError, MatrixInputError,
+                     RankDeficientError, ZeroMatrixError)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -62,8 +62,20 @@ def rank_cutoff(s, shape, tol=None) -> tuple:
     ``tol`` defaults to ``max(m, n) * eps * s[0]``.  A given ``tol`` that is
     negative or not finite is a DomainError.
     """
-    tol = max(shape) * _EPS * float(s[0]) if tol is None else _nonnegative(tol, "tol")
-    return int(np.count_nonzero(s > tol)), tol
+    ranks, tols = _cutoffs(np.asarray(s)[None], shape, None if tol is None else [tol])
+    return int(ranks[0]), float(tols[0])
+
+
+def _cutoffs(s, shape, tols) -> tuple:
+    """``(ranks, tols)``: :func:`rank_cutoff` of each spectrum of the (T, r) stack ``s`` at its
+    item of ``tols``, or at each one's default where ``tols`` is None, as a list and an array."""
+    if tols is None:
+        tols = max(shape) * _EPS * s[:, 0]
+    else:
+        tols = np.asarray(tols, dtype=np.float64)
+        for extreme in (tols.min(), tols.max()):  # a NaN is both
+            _nonnegative(extreme, "tol")
+    return (s > tols[:, None]).sum(axis=1).tolist(), tols
 
 
 def _nonnegative(value, name) -> float:
@@ -90,7 +102,7 @@ class IndexSet:
         if min(indices, default=0) < 0:
             raise IndexOutOfRangeError("indices must be nonnegative")
         if self.axis not in (ROWS, COLS):
-            raise ValueError(f"axis must be '{ROWS}' or '{COLS}', got {self.axis!r}")
+            raise IndexSetError(f"axis must be '{ROWS}' or '{COLS}', got {self.axis!r}")
 
     def __len__(self):
         return len(self.indices)
@@ -116,14 +128,6 @@ class SvdFactors:
     tolerance_used: float
     all_singular_values: np.ndarray = field(repr=False)
 
-    def stable_rank(self) -> float:
-        """``||A||_F^2 / ||A||_2^2`` from the full spectrum, scaled by sigma_1 first."""
-        return stable_rank_of(self.all_singular_values)
-
-    def frobenius_norm(self) -> float:
-        """``||A||_F`` as ``sigma_1 * sqrt(stable rank)``."""
-        return float(self.all_singular_values[0]) * math.sqrt(self.stable_rank())
-
 
 def condition_of(s) -> float:
     """Largest over smallest of the nonincreasing singular values ``s`` kept above a cutoff."""
@@ -136,10 +140,11 @@ def stable_rank_of(s) -> float:
 
 
 def _fix_signs(w, vt):
-    """Make the largest-magnitude entry of each left singular vector nonnegative."""
-    peak = w[np.argmax(np.abs(w), axis=0), np.arange(w.shape[1])]
+    """Make the largest-magnitude entry of each left singular vector of the stack ``w``
+    nonnegative, the first such entry on ties, and flip the matching rows of ``vt``."""
+    peak = w[np.arange(len(w))[:, None], np.argmax(np.abs(w), axis=1), np.arange(w.shape[2])]
     sign = np.where(peak < 0.0, -1.0, 1.0)
-    return w * sign, vt * sign[:, None]
+    return w * sign[:, None, :], vt * sign[:, :, None]
 
 
 def compact_svd(a, tol=None) -> SvdFactors:
@@ -154,7 +159,8 @@ def compact_svd(a, tol=None) -> SvdFactors:
 
 def _compact_svd(a, tol) -> SvdFactors:
     """:func:`compact_svd` of an already validated matrix ``a``."""
-    return _truncated(*np.linalg.svd(a, full_matrices=False), a.shape, tol)
+    w, s, vt = np.linalg.svd(a, full_matrices=False)
+    return _truncated(w[None], s[None], vt[None], a.shape, None if tol is None else [tol])[0]
 
 
 def _as_stack(a) -> np.ndarray:
@@ -182,7 +188,8 @@ def factored_svd(p, q) -> list:
     ``all_singular_values`` is padded with zeros to length min(m, n).  A zero row
     of a factor, a zero row or column of the product, gives an exactly zero row of
     ``left`` or ``right``, as it gives an exactly zero row or column of any
-    submatrix, where the QR's roundoff would leave about 1e-17.
+    submatrix, where the QR's roundoff would leave about 1e-17.  Each product's
+    arrays are views into the stacks of :func:`_truncated`.
     """
     p, q = _as_stack(p), _as_stack(q)
     qp, rp = np.linalg.qr(p)
@@ -192,9 +199,9 @@ def factored_svd(p, q) -> list:
     core, shift = _core(rp, rq)
     w, s, vt = np.linalg.svd(core, full_matrices=False)
     shape = (p.shape[1], q.shape[1])
-    pad = np.zeros(min(shape) - s.shape[1])
-    return [_truncated(left, np.concatenate([np.ldexp(s_i, -j), pad]), right, shape, None)
-            for left, s_i, right, j in zip(qp @ w, s, vt @ np.swapaxes(qq, 1, 2), shift)]
+    spectra = np.zeros((len(s), min(shape)))
+    spectra[:, :s.shape[1]] = np.ldexp(s, -shift[:, None])
+    return _truncated(qp @ w, spectra, vt @ np.swapaxes(qq, 1, 2), shape)
 
 
 def factored_norms(p, q) -> list:
@@ -209,8 +216,14 @@ def _norms(core, shift=0) -> list:
     shifts), from one SVD of the stack with each core scaled near 1 first."""
     scales = _unit_shift(core)
     s = np.linalg.svd(np.ldexp(core, scales[:, None, None]), compute_uv=False)
-    return [(math.ldexp(float(s_i[0]), -j), math.ldexp(float(np.linalg.norm(s_i)), -j))
-            for s_i, j in zip(s, (scales + shift).tolist())]
+    shifts = -(scales + shift)
+    return list(zip(np.ldexp(s[:, 0], shifts).tolist(), np.ldexp(_row_norms(s), shifts).tolist()))
+
+
+def _row_norms(x):
+    """``np.linalg.norm`` of each row of ``x``, with its bits: numpy takes a row times a column
+    through the same ``dot`` whose square root ``norm`` is."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 # Subspace iteration for the leading singular subspaces (Halko, Martinsson and
@@ -261,8 +274,8 @@ def _leading_svd(a, k):
         return None
     if (s[k] / s[k - 1]) ** (2 * SKETCH_POWER_STEPS + 1) > SKETCH_GAP_TOL:
         return None
-    w, vt = _fix_signs(q @ w[:, :k], vt[:k, :])
-    return w, np.ldexp(s[:k], -shift), vt.T
+    w, vt = _fix_signs((q @ w[:, :k])[None], vt[None, :k, :])
+    return w[0], np.ldexp(s[:k], -shift), vt[0].T
 
 
 def _leading_bases(a, k, tol=None) -> tuple:
@@ -278,33 +291,32 @@ def _leading_bases(a, k, tol=None) -> tuple:
     sketch = _leading_svd(a, k) if tol is None else None
     if sketch is not None:
         return sketch[0], sketch[2]
-    return _bases(_compact_svd(a, tol), k)
+    left, right = _bases([_compact_svd(a, tol)], k)
+    return left[0], right[0]
 
 
-def _bases(svd, k) -> tuple:
-    """``(left, right)``: the first ``k`` columns of the bases of the compact SVD ``svd``, or a
-    RankDeficientError where ``k`` exceeds its numerical rank."""
-    if k > svd.numerical_rank:
-        raise RankDeficientError(
-            f"requested rank k={k} exceeds numerical rank {svd.numerical_rank}"
-        )
-    return svd.left[:, :k], svd.right[:, :k]
+def _bases(svds, k) -> tuple:
+    """``(left, right)``: the stacks of the first ``k`` columns of the bases of each compact SVD
+    of ``svds``, or a RankDeficientError naming the first whose numerical rank is below ``k``."""
+    short = [f.numerical_rank for f in svds if f.numerical_rank < k]
+    if short:
+        raise RankDeficientError(f"requested rank k={k} exceeds numerical rank {short[0]}")
+    return np.stack([f.left[:, :k] for f in svds]), np.stack([f.right[:, :k] for f in svds])
 
 
-def _truncated(w, s, vt, shape, tol) -> SvdFactors:
-    """The compact SVD of an m-by-n matrix from its thin ``w, s, vt``, cut at the cutoff."""
-    k, tol = rank_cutoff(s, shape, tol)
-    if k == 0:
+def _truncated(w, s, vt, shape, tols=None) -> list:
+    """The compact SVD of each m-by-n matrix of a stack from the stacks of its thin ``w, s,
+    vt``, cut at :func:`rank_cutoff` of its item of ``tols`` (by default its own): views into
+    stacks as wide as the largest rank, where the signs are fixed, sliced at its own rank."""
+    ranks, tols = _cutoffs(s, shape, tols)
+    if not min(ranks):
         raise ZeroMatrixError("all singular values are at or below the tolerance")
-    w, vt = _fix_signs(w[:, :k], vt[:k, :])
-    return SvdFactors(
-        left=w,
-        singular_values=s[:k].copy(),
-        right=vt.T.copy(),
-        numerical_rank=k,
-        tolerance_used=tol,
-        all_singular_values=s,
-    )
+    width = max(ranks)
+    w, vt = _fix_signs(w[..., :width], vt[:, :width])
+    right = np.ascontiguousarray(np.swapaxes(vt, 1, 2))
+    return [SvdFactors(left=x[:, :k], singular_values=y[:k], right=z[:, :k], numerical_rank=k,
+                       tolerance_used=tol, all_singular_values=y)
+            for x, y, z, k, tol in zip(w, s, right, ranks, tols.tolist())]
 
 
 def singular_values(a) -> np.ndarray:
@@ -314,19 +326,21 @@ def singular_values(a) -> np.ndarray:
 
 def _rank_pinv_cutoff(a, tol=None) -> tuple:
     """``(rank, pinv)`` of the validated matrix ``a``: :func:`_pinvs` of it alone."""
-    return _pinvs(a[None], [tol])[0]
+    return _pinvs(a[None], None if tol is None else [tol])[0]
 
 
-def _pinvs(a, tols) -> list:
+def _pinvs(a, tols=None) -> list:
     """``(rank, pinv)`` of each matrix of the stack ``a``, from one SVD of the stack, cut at
-    :func:`rank_cutoff` of its item of ``tols`` (None for its own default), so a small matrix
-    can stand for a larger one with the same nonzero singular values.  Rank 0 has a zero
-    pinv; the pinv needs no sign convention, as each term pairs a vector with its own sign."""
-    pinvs = []
-    for w, s, vt, tol in zip(*np.linalg.svd(a, full_matrices=False), tols):
-        rank = rank_cutoff(s, a.shape[1:], tol)[0]
-        pinvs.append((rank, (vt[:rank].T / s[:rank]) @ w[:, :rank].T))
-    return pinvs
+    :func:`rank_cutoff` of its item of ``tols`` (by default its own), so a small matrix can
+    stand for a larger one with the same nonzero singular values.  The cut terms are masked
+    to zero, which keeps the bits of their sum, so the pinvs are views into one stack.  Rank
+    0 has a zero pinv; the pinv needs no sign convention, as each term pairs a vector with
+    its own sign."""
+    w, s, vt = np.linalg.svd(a, full_matrices=False)
+    ranks, tols = _cutoffs(s, a.shape[1:], tols)
+    kept = (s > tols[:, None])[:, :, None]  # the first rank of each nonincreasing spectrum
+    terms = np.divide(vt, s[:, :, None], out=np.zeros_like(vt), where=kept)
+    return list(zip(ranks, np.swapaxes(terms, 1, 2) @ np.swapaxes(w, 1, 2)))
 
 
 def _unit_shift(a):

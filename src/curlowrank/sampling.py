@@ -187,8 +187,7 @@ def _stacked_weights(p, q, svds, scheme, k) -> tuple:
     elif scheme == LENGTH:
         weights = _length_weights(*_factored_lengths(np.stack(p), np.stack(q), svds))
     else:
-        bases = map(np.stack, zip(*(_bases(f, k) for f in svds)))
-        weights = [np.sum(b * b, axis=2) / float(k) for b in bases]
+        weights = [np.sum(b * b, axis=2) / float(k) for b in _bases(svds, k)]
     for w in weights:
         _check_weights(w)
     return weights

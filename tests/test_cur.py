@@ -13,7 +13,7 @@ from curlowrank.cur import (
     relative_errors,
     verify_characterization,
 )
-from curlowrank.errors import DomainError, IndexOutOfRangeError
+from curlowrank.errors import DomainError, IndexOutOfRangeError, IndexSetError
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
@@ -59,7 +59,7 @@ class TestBuildCur:
 
     @pytest.mark.parametrize("rows, cols", [([], [0]), ([0], [])])
     def test_empty_index_set_rejected(self, rows, cols):
-        with pytest.raises(ValueError, match="at least one row index and one column index"):
+        with pytest.raises(IndexSetError, match="at least one row index and one column index"):
             _cur(as_matrix(np.eye(3)), IndexSet(rows, ROWS), IndexSet(cols, COLS), None)
 
     def test_u_pinv_satisfies_penrose(self, rng):
@@ -140,7 +140,7 @@ class TestCharacterization:
 
     def test_swapped_axes_rejected_like_a_cur(self, rng):
         a = rank_k(6, 5, 2, rng)
-        with pytest.raises(ValueError, match="a CUR needs"):
+        with pytest.raises(IndexSetError, match="a row index set and a column index set"):
             verify_characterization(a, IndexSet([2, 3], COLS), IndexSet([0, 1], ROWS))
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])

@@ -527,8 +527,8 @@ class TestStageMajor:
     def test_a_trial_in_a_grid_point_is_the_trial_alone(self, name):
         cfg = ExperimentConfig(trials=6, master_seed=41, **STACKED_CONFIGS[name])
         d = cfg.resolved_d_grid()[0]
-        together = harness._run_trials(cfg, d, range(6))
-        alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i])]
+        together, _ = harness._run_trials(cfg, d, range(6), {})
+        alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i], {})[0]]
         assert together == alone
         assert bool(together) != (name == "noise_skips_all")
         assert all(record.wall_time_ms == 0.0 for record in together)
@@ -662,7 +662,7 @@ class TestStageMajor:
         # each stage advances a fake clock by 1 s per call, and a stacked stage's second
         # is split between the trials that joined it
         ticks = iter(range(10_000))
-        monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+        monkeypatch.setattr(harness.time, "perf_counter_ns", lambda: next(ticks) * 10**9)
         table = dict(m=15, n=12, k=3, trials=4, timing=True)
         records, _ = run_experiment(ExperimentConfig(kind="deim_check", **table))
         assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 0.25 + 0.25)] * 4

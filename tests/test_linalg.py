@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from curlowrank.errors import DomainError, IndexOutOfRangeError, RankDeficientError, ZeroMatrixError
+from curlowrank.errors import (DomainError, IndexOutOfRangeError, IndexSetError, RankDeficientError,
+                              ZeroMatrixError)
 from curlowrank.linalg import (
     COLS,
     ROWS,
@@ -11,8 +14,12 @@ from curlowrank.linalg import (
     _fix_signs,
     _leading_bases,
     _leading_svd,
+    _norms,
+    _pinvs,
     _rank_pinv_cutoff,
+    _row_norms,
     _take,
+    _unit_shift,
     as_matrix,
     compact_svd,
     condition_number,
@@ -22,6 +29,7 @@ from curlowrank.linalg import (
     rank_cutoff,
     spectral_norm,
     stable_rank,
+    stable_rank_of,
 )
 
 from conftest import noisy_rank_k, rank_k, rank_of
@@ -105,7 +113,8 @@ class TestFactoredSvd:
         # same sign convention, so the singular vectors themselves agree
         np.testing.assert_allclose(f.left, dense.left, atol=1e-12)
         np.testing.assert_allclose(f.right, dense.right, atol=1e-12)
-        assert f.frobenius_norm() == pytest.approx(np.linalg.norm(p @ q.T), rel=1e-13)
+        norm_f = f.singular_values[0] * math.sqrt(stable_rank_of(f.all_singular_values))
+        assert norm_f == pytest.approx(np.linalg.norm(p @ q.T), rel=1e-13)
 
     def test_rank_deficient_factors(self, rng):
         p, q = rng.standard_normal((12, 3)), rng.standard_normal((9, 3))
@@ -324,7 +333,7 @@ class TestSubmatrix:
             IndexSet([-1], ROWS)
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError, match="axis must be"):
+        with pytest.raises(IndexSetError, match="axis must be 'rows' or 'cols', got 'diag'"):
             IndexSet([0], "diag")
 
     def test_extractions_are_new_c_ordered_arrays(self, rng):
@@ -414,7 +423,7 @@ class TestLeadingBases:
         full, short = factored_svd(p, q)
         assert (full.numerical_rank, short.numerical_rank) == (4, 3)
         with pytest.raises(RankDeficientError, match="k=4 exceeds numerical rank 3"):
-            _bases(short, 4)
+            _bases([full, short], 4)
 
     def test_rank_above_the_smaller_size_is_a_domain_error(self, rng):
         with pytest.raises(DomainError, match="need 1 <= k <= 3, got k=4"):
@@ -439,7 +448,69 @@ def test_fix_signs_matches_per_column_loop(rng):
     w[:, 1] = -w[:, 0]
     w[:, 2] = [-0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0]
     vt = rng.standard_normal((6, 4))
-    got, want = _fix_signs(w, vt), _fix_signs_loop(w, vt)
-    for g, r in zip(got, want):
+    got, want = _fix_signs(w[None], vt[None]), _fix_signs_loop(w, vt)
+    for g, r in zip((x[0] for x in got), want):
         np.testing.assert_array_equal(g, r)
         assert np.array_equal(np.signbit(g), np.signbit(r))
+
+
+class TestStackEqualsAlone:
+    """Each record of a stacked call has the bits of the same call on a one-matrix stack, and
+    of the per-matrix formula that the stacked one replaced."""
+
+    def test_factored_svd_of_products_of_different_ranks(self, rng):
+        # a zero column of q drops a term of p @ q.T, so the records are views sliced at
+        # ranks 4, 3, 4 and 1 of stacks as wide as the largest
+        p, q = rng.standard_normal((4, 20, 4)), rng.standard_normal((4, 15, 4))
+        q[1, :, 2] = 0.0
+        q[3, :, 1:] = 0.0
+        stacked = factored_svd(p, q)
+        assert [f.numerical_rank for f in stacked] == [4, 3, 4, 1]
+        for x, y, f in zip(p, q, stacked):
+            [alone] = factored_svd(x[None], y[None])
+            assert (f.numerical_rank, f.tolerance_used) == (alone.numerical_rank,
+                                                           alone.tolerance_used)
+            for name in ("left", "singular_values", "right", "all_singular_values"):
+                got, want = getattr(f, name), getattr(alone, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tols", [None, [0.0, 1e-3, 0.5, 1e-3]], ids=["default", "given"])
+    def test_pinvs_of_full_rank_rank_deficient_and_zero_matrices(self, rng, tols):
+        a = rng.standard_normal((4, 6, 5))
+        a[1] = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
+        a[2] = 0.0
+        a[3, :, 0] = 0.0
+        stacked = _pinvs(a, tols)
+        if tols is None:
+            assert [rank for rank, _ in stacked] == [5, 2, 0, 4]
+        w, s, vt = np.linalg.svd(a, full_matrices=False)
+        for i, (rank, pinv) in enumerate(stacked):
+            [(rank_alone, alone)] = _pinvs(a[i:i + 1], None if tols is None else tols[i:i + 1])
+            assert rank == rank_alone and pinv.tobytes() == alone.tobytes()
+            sliced = (vt[i, :rank].T / s[i, :rank]) @ w[i, :, :rank].T
+            assert pinv.tobytes() == sliced.tobytes()
+        assert not stacked[2][1].any() and not np.signbit(stacked[2][1]).any()
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_pinvs_reject_a_bad_tol(self, rng, tol):
+        with pytest.raises(DomainError, match=f"tol must be finite and >= 0, got {tol}"):
+            _pinvs(rng.standard_normal((2, 3, 3)), [0.0, tol])
+
+    def test_norms_match_norm_of_each_spectrum(self, rng):
+        # cores of a spread of scales and a zero core, with shifts of their own
+        core = rng.standard_normal((6, 12, 12)) * np.logspace(-150, 150, 6)[:, None, None]
+        core[3] = 0.0
+        shift = rng.integers(-40, 40, 6)
+        scales = _unit_shift(core)
+        s = np.linalg.svd(np.ldexp(core, scales[:, None, None]), compute_uv=False)
+        stacked = _norms(core, shift)
+        for i, (got, s_i, j) in enumerate(zip(stacked, s, (scales + shift).tolist())):
+            assert _norms(core[i:i + 1], shift[i:i + 1]) == [got]
+            want = (math.ldexp(float(s_i[0]), -j), math.ldexp(float(np.linalg.norm(s_i)), -j))
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 33, 500])
+    def test_row_norms_have_the_bits_of_norm(self, rng, length):
+        x = rng.standard_normal((40, length)) * 10.0 ** rng.integers(-100, 100, (40, 1))
+        want = np.array([np.linalg.norm(row) for row in x])
+        assert _row_norms(x).tobytes() == want.tobytes()
