@@ -480,9 +480,9 @@ def _measure(cfg, d, trials):
     """
     measured = _cores_of_a([(t.svd, t.rows, t.cols) for t in trials])
     spectra = np.stack([t.svd.all_singular_values for t in trials])
-    s_1 = spectra[:, 0]  # ||A||_F = sigma_1 sqrt(stable rank), so no square overflows
-    norms_f = s_1 * np.sqrt(np.sum((spectra / s_1[:, None]) ** 2, axis=1))
-    for t, ((err_2, err_f), z), s_1, norm_f in zip(trials, measured, s_1.tolist(),
+    sigmas = spectra[:, 0]  # ||A||_F = sigma_1 sqrt(stable rank), so no square overflows
+    norms_f = sigmas * np.sqrt(np.sum((spectra / sigmas[:, None]) ** 2, axis=1))
+    for t, ((err_2, err_f), z), s_1, norm_f in zip(trials, measured, sigmas.tolist(),
                                                    norms_f.tolist()):
         if cfg.kind == "clustering":
             success = recovers_partition(clustering_matrix(z @ t.svd.right.T), t.labels)
