@@ -30,6 +30,7 @@ from .deim import deim_cur, deim_select
 from .errors import (
     CertificateError,
     ConfigError,
+    DistributionError,
     DomainError,
     IndexOutOfRangeError,
     IndexSetError,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, IndexSetError
+from .errors import DistributionError, IndexOutOfRangeError, IndexSetError
 from .linalg import (
     COLS,
     ROWS,
@@ -261,5 +261,5 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
     """
     a = as_matrix(a)
     if (row_dist.size, col_dist.size) != a.shape:
-        raise ValueError("row_dist and col_dist must weigh the rows and the columns of a")
+        raise DistributionError("row_dist and col_dist must weigh the rows and the columns of a")
     return _cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)

@@ -14,6 +14,11 @@ class RankDeficientError(ValueError):
     """Raised when a requested rank exceeds the numerical rank."""
 
 
+class DistributionError(ValueError):
+    """Raised when sampling weights are not a nonempty 1-D vector, finite, nonnegative and summing
+    to 1, or a pair of distributions does not weigh the rows and the columns of its matrix."""
+
+
 class IndexSetError(ValueError):
     """Raised when an index set names no axis, or a CUR is not given a nonempty row index set
     and a nonempty column index set."""

@@ -145,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError(f"must be one of {SCHEMES}", field="scheme")
         if self.trials < 1:
             raise ConfigError("must be >= 1", field="trials")
+        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
+            raise ConfigError("must be an integer", field="master_seed")
         if self.master_seed < 0:
             raise ConfigError("must be >= 0", field="master_seed")
         if self.sigma < 0.0:
@@ -257,13 +259,100 @@ def config_from_text(text) -> ExperimentConfig:
     return config_from_mapping(read_key_values(text))
 
 
+# numpy's SeedSequence hash, its ``hashmix`` and ``mix`` of uint32 words written out in plain
+# integers; numpy's compatibility policy (NEP 19) keeps it fixed, and tests pin it bit for bit
+_MASK, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+
+
+def _words(n) -> list:
+    """The little-endian 32-bit words of the integer ``n >= 0``, as SeedSequence reads it."""
+    words = [n & _MASK]
+    while n := n >> 32:
+        words.append(n & _MASK)
+    return words
+
+
+def _absorb(pool, h, words) -> tuple:
+    """``(pool, h)`` after ``mix_entropy`` mixes each of ``words`` into every word of the pool."""
+    for w in words:
+        mixed = []
+        for x in pool:
+            v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+            x = (0xCA01F9DD * x - 0x4973F715 * (v ^ v >> 16)) & _MASK
+            mixed.append(x ^ x >> 16)
+        pool = mixed
+    return pool, h
+
+
+def _seed_pool(seed) -> tuple:
+    """``(pool, h)`` after ``mix_entropy`` of the words of ``seed``, padded with zeros to four as
+    numpy pads them (gh-16539) when a spawn key follows, which :func:`_absorb` then mixes in."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    pool, h = [], 0x43B0D7E5
+    for w in words[:4]:
+        w = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+        pool.append(w ^ w >> 16)
+    for src in range(4):  # each word into each other word
+        rest, h = _absorb(pool[:src] + pool[src + 1:], h, pool[src:src + 1])
+        pool = rest[:src] + pool[src:src + 1] + rest[src:]
+    return _absorb(pool, h, words[4:])
+
+
+class _Stream:
+    """The SeedSequence of a mixed ``(pool, h)`` for numpy's ``Philox`` and ``spawn``: child ``c``
+    mixes in the words of ``c``, as ``SeedSequence.spawn`` appends ``c`` to the spawn key."""
+
+    __slots__ = ("pool", "h", "n_children_spawned")
+
+    def __init__(self, pool, h):
+        self.pool, self.h, self.n_children_spawned = pool, h, 0
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        """``SeedSequence.generate_state``; a dtype but uint32 and uint64 is a DomainError."""
+        dtype = np.dtype(dtype)
+        if dtype.kind != "u" or dtype.itemsize not in (4, 8) or not dtype.isnative:
+            raise DomainError(f"dtype must be uint32 or uint64, got {dtype}")
+        h, out, wide = _INIT_B, [], dtype.itemsize == 8
+        for i in range(n_words << wide):
+            v = (self.pool[i & 3] ^ h) * (h := h * _MULT_B & _MASK) & _MASK
+            v ^= v >> 16
+            if wide and i & 1:  # a uint64 is two uint32 words, little-endian
+                out[-1] |= v << 32
+            else:
+                out.append(v)
+        return np.array(out, dtype)
+
+    def spawn(self, n_children) -> list:
+        first = self.n_children_spawned
+        self.n_children_spawned += n_children
+        return [_Stream(*_absorb(self.pool, self.h, _words(c)))
+                for c in range(first, first + n_children)]
+
+
+def _count(value, name) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
+def _trial_generators(master_seed, indices) -> list:
+    """:func:`trial_generator` of each trial index, the seed's words mixed once."""
+    # importing numpy.random.bit_generator takes 11-16 ms, so the first stream pays for it
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+    ISpawnableSeedSequence.register(_Stream)
+    pool, h = _seed_pool(_count(master_seed, "seed"))
+    return [np.random.Generator(np.random.Philox(
+        _Stream(*_absorb(pool, h, _words(_count(i, "trial index")))))) for i in indices]
+
+
 def trial_generator(master_seed, trial_index) -> np.random.Generator:
-    """Philox stream for one trial, independent across trial indices; a negative seed is a
-    DomainError."""
-    if master_seed < 0:
-        raise DomainError(f"seed must be >= 0, got {master_seed}")
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(trial_index),))
-    return np.random.Generator(np.random.Philox(ss))
+    """The Philox stream of ``SeedSequence(master_seed, spawn_key=(trial_index,))`` for one
+    trial, bit for bit, independent across trial indices; a seed or index that is negative,
+    a bool or not an integer is a DomainError."""
+    return _trial_generators(master_seed, [trial_index])[0]
 
 
 def lowrank_factors(m, n, k, rngs, kappa=None) -> tuple:
@@ -559,7 +648,7 @@ def _run_trials(cfg, d, indices, clock):
     their group of the summary.  ``clock`` gains the nanoseconds of each stage, by name, of
     ``emit`` (the records) and of ``reduce`` (the group); a record's ``ms`` is its equal
     share of each stage it joined where ``cfg.timing`` is set, else 0."""
-    live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices]
+    live = list(map(_Trial, indices, _trial_generators(cfg.master_seed, indices)))
     for stage in _KINDS[cfg.kind][0]:
         if not live:
             break

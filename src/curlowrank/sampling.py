@@ -34,7 +34,9 @@ import numpy as np
 
 from .errors import (
     CertificateError,
+    DistributionError,
     DomainError,
+    IndexSetError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
 )
@@ -64,10 +66,10 @@ class ProbDist:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a nonempty 1-D vector")
+            raise DistributionError("weights must be a nonempty 1-D vector")
         _check_weights(w)
         if self.axis not in (ROWS, COLS):
-            raise ValueError(f"axis must be '{ROWS}' or '{COLS}'")
+            raise IndexSetError(f"axis must be '{ROWS}' or '{COLS}'")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -80,10 +82,10 @@ class ProbDist:
 def _check_weights(w) -> None:
     """:class:`ProbDist`'s checks on each vector of the stack ``w``: finite, nonnegative, sum 1."""
     if not (w.min() >= 0.0 and w.max() < math.inf):  # NaN fails the first test
-        raise ValueError("weights must be finite and nonnegative")
+        raise DistributionError("weights must be finite and nonnegative")
     off = [total for total in np.atleast_1d(w.sum(axis=-1)).tolist() if abs(total - 1.0) > 1e-12]
     if off:
-        raise ValueError(f"weights must sum to 1 (got {off[0]!r})")
+        raise DistributionError(f"weights must sum to 1 (got {off[0]!r})")
 
 
 def uniform_dist(n, axis) -> ProbDist:
@@ -134,7 +136,7 @@ def _factored_lengths(p, q, svds) -> tuple:
 def _on_axis(dists, axis) -> ProbDist:
     """The member of a ``(rows, cols)`` pair that ``axis`` names."""
     if axis not in (ROWS, COLS):
-        raise ValueError(f"axis must be '{ROWS}' or '{COLS}', got {axis!r}")
+        raise IndexSetError(f"axis must be '{ROWS}' or '{COLS}', got {axis!r}")
     return dists[axis == COLS]
 
 
@@ -221,7 +223,7 @@ def draw_indices(row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng, dedup=Fals
     ``dedup=True`` removes repeated indices afterwards.
     """
     if row_dist.axis != ROWS or col_dist.axis != COLS:
-        raise ValueError("draw_indices needs a row and a column distribution")
+        raise IndexSetError("draw_indices needs a row and a column distribution")
     return _draw_pair(np.cumsum(row_dist.weights), np.cumsum(col_dist.weights), d1, d2, rng, dedup)
 
 
@@ -238,7 +240,7 @@ def rescaled_submatrix(a, index_set: IndexSet, dist: ProbDist, d) -> np.ndarray:
     if d < 1:
         raise DomainError(f"scaling denominator d must be >= 1, got d={d}")
     if index_set.axis != dist.axis:
-        raise ValueError("index set and distribution refer to different axes")
+        raise IndexSetError("index set and distribution refer to different axes")
     a = as_matrix(a)
     idx = np.asarray(index_set.indices, dtype=np.intp)
     w = dist.weights[idx]

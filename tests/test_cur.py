@@ -13,7 +13,7 @@ from curlowrank.cur import (
     relative_errors,
     verify_characterization,
 )
-from curlowrank.errors import DomainError, IndexOutOfRangeError, IndexSetError
+from curlowrank.errors import DistributionError, DomainError, IndexOutOfRangeError, IndexSetError
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
 from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
@@ -192,7 +192,7 @@ class TestRandomizedCur:
 
     def test_axis_mismatch_rejected(self, rng):
         a = rank_k(6, 5, 2, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(DistributionError, match="weigh the rows and the columns"):
             randomized_cur(a, length_dist(a, COLS), length_dist(a, COLS), 2, 2,
                            trial_generator(0, 0))
 

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlowrank import cur, deim, harness, sampling
 from curlowrank.cur import EXACTNESS_TOL, _cur, relative_errors
@@ -108,6 +110,9 @@ class TestConfig:
         ("success_prob", {"n": 0}, "n"),
         ("clustering", {"m": 0, "n": None, "k": None, "dims": (1,), "points": (2,)}, "m"),
         ("success_prob", {"master_seed": -1}, "master_seed"),
+        ("success_prob", {"master_seed": 1.5}, "master_seed"),
+        ("success_prob", {"master_seed": True}, "master_seed"),
+        ("success_prob", {"master_seed": "3"}, "master_seed"),
     ])
     def test_each_range_rule_names_its_field(self, kind, values, field):
         base = {"m": 8, "n": 6, "k": 2, "d_grid": (4,)}
@@ -288,6 +293,93 @@ class TestGenerators:
     def test_negative_seed_raises(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
             trial_generator(-1, 0)
+
+
+def numpy_stream(seed, index):
+    """numpy's own Philox stream of ``(seed, index)``, which :func:`trial_generator` transcribes."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
+def assert_same_stream(ours, theirs):
+    """The two generators hold one Philox key and counter and give the same draws of each kind."""
+    for name in ("key", "counter"):
+        np.testing.assert_array_equal(ours.bit_generator.state["state"][name],
+                                      theirs.bit_generator.state["state"][name])
+    np.testing.assert_array_equal(ours.standard_normal(7), theirs.standard_normal(7))
+    np.testing.assert_array_equal(ours.random(5), theirs.random(5))
+    np.testing.assert_array_equal(ours.permutation(11), theirs.permutation(11))
+    np.testing.assert_array_equal(ours.choice(13, size=6, replace=False),
+                                  theirs.choice(13, size=6, replace=False))
+
+
+# 2**128 + 11 has five words, the only seed here that numpy does not pad to four; 2**32 + 3
+# is a two-word spawn key; the 62-bit seeds are drawn once, from a fixed generator
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 11,
+                *np.random.default_rng(35).integers(0, 2**62, 3).tolist()]
+STREAM_INDICES = [0, 1, 2**32 + 3]
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("index", STREAM_INDICES)
+    def test_a_stream_and_its_children_are_numpys_bit_for_bit(self, seed, index):
+        ours, theirs = trial_generator(seed, index), numpy_stream(seed, index)
+        # the first spawn(2) gives the children (i, 0) and (i, 1), the second (i, 2) and (i, 3)
+        for _ in range(2):
+            for child, numpy_child in zip(ours.spawn(2), theirs.spawn(2)):
+                (grandchild,), (numpy_grandchild,) = child.spawn(1), numpy_child.spawn(1)
+                assert_same_stream(grandchild, numpy_grandchild)
+                assert_same_stream(child, numpy_child)
+        assert_same_stream(ours, theirs)
+
+    def test_a_grid_points_streams_are_each_trials_own(self):
+        ours = harness._trial_generators(2**64 + 7, range(3, 9))
+        for i, rng in zip(range(3, 9), ours):
+            assert_same_stream(rng, numpy_stream(2**64 + 7, i))
+
+    @pytest.mark.parametrize("n_words", [1, 2, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, "uint64"])
+    @pytest.mark.parametrize("seed, index", [(0, 0), (2**64 + 7, 2**32 + 3), (2**128 + 11, 1)])
+    def test_generate_state_is_seedsequences(self, n_words, dtype, seed, index):
+        got = trial_generator(seed, index).bit_generator.seed_seq.generate_state(n_words, dtype)
+        want = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(n_words, dtype)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16, ">u8"])
+    def test_generate_state_rejects_other_dtypes(self, dtype):
+        with pytest.raises(DomainError, match="dtype must be uint32 or uint64"):
+            trial_generator(0, 0).bit_generator.seed_seq.generate_state(2, dtype)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**200), index=st.integers(0, 2**80))
+    def test_every_seed_and_index_is_numpys(self, seed, index):
+        ours, theirs = trial_generator(seed, index), numpy_stream(seed, index)
+        for child, numpy_child in zip(ours.spawn(2), theirs.spawn(2)):
+            assert_same_stream(child, numpy_child)
+        assert_same_stream(ours, theirs)
+
+    def test_numpy_integers_are_integers(self):
+        assert_same_stream(trial_generator(np.int64(9), np.uint8(4)), trial_generator(9, 4))
+
+    @pytest.mark.parametrize("seed, index, match", [
+        (1.5, 0, "seed must be an integer"), (True, 0, "seed must be an integer"),
+        ("3", 0, "seed must be an integer"), (np.float64(2.0), 0, "seed must be an integer"),
+        (-1, 0, "seed must be >= 0"), (0, 2.7, "trial index must be an integer"),
+        (0, False, "trial index must be an integer"), (0, -1, "trial index must be >= 0"),
+    ])
+    def test_a_bad_seed_or_index_raises(self, seed, index, match):
+        with pytest.raises(DomainError, match=match):
+            trial_generator(seed, index)
+
+    def test_importing_the_cli_loads_no_numpy_random(self):
+        # numpy.random costs 11-16 ms to import, so it loads with the first trial stream
+        code = ("import sys, curlowrank.cli; "
+                "assert not [m for m in sys.modules if m.startswith('numpy.random')], 'loaded'; "
+                "curlowrank.harness.trial_generator(0, 0); "
+                "assert 'numpy.random.bit_generator' in sys.modules")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ||E||_2 = sigma holds to this relative tolerance; the observed error is about 1e-15

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from curlowrank.errors import (
+    DistributionError,
     DomainError,
+    IndexSetError,
     RankDeficientError,
     ZeroMatrixError,
     ZeroProbabilityDrawError,
@@ -117,14 +119,18 @@ class TestDistributions:
             axis_dists(rank_k(6, 5, 2, rng), "bogus", 2)
 
     def test_probdist_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DistributionError, match="must sum to 1"):
             ProbDist(np.array([0.5, 0.4]), COLS, "uniform")
-        with pytest.raises(ValueError):
+        with pytest.raises(DistributionError, match="finite and nonnegative"):
             ProbDist(np.array([1.1, -0.1]), COLS, "uniform")
 
-    @pytest.mark.parametrize("weights, axis", [([[0.5, 0.5]], COLS), ([], ROWS), ([0.5, 0.5], "diag")])
-    def test_probdist_rejects_a_bad_shape_or_axis(self, weights, axis):
-        with pytest.raises(ValueError, match="1-D vector|axis must be"):
+    @pytest.mark.parametrize("weights, axis, error, match", [
+        ([[0.5, 0.5]], COLS, DistributionError, "1-D vector"),
+        ([], ROWS, DistributionError, "1-D vector"),
+        ([0.5, 0.5], "diag", IndexSetError, "axis must be"),
+    ])
+    def test_probdist_rejects_a_bad_shape_or_axis(self, weights, axis, error, match):
+        with pytest.raises(error, match=match):
             ProbDist(np.array(weights), axis, "uniform")
 
     def test_uniform_needs_an_index(self):
@@ -132,7 +138,7 @@ class TestDistributions:
             uniform_dist(0, ROWS)
 
     def test_length_rejects_an_unknown_axis(self):
-        with pytest.raises(ValueError, match="axis must be"):
+        with pytest.raises(IndexSetError, match="axis must be"):
             length_dist(np.eye(2), "diag")
 
 
@@ -301,7 +307,7 @@ class TestDraws:
 
     def test_pair_must_be_rows_then_columns(self):
         rows, cols = uniform_dist(3, ROWS), uniform_dist(2, COLS)
-        with pytest.raises(ValueError, match="a row and a column distribution"):
+        with pytest.raises(IndexSetError, match="a row and a column distribution"):
             draw_indices(cols, rows, 1, 1, trial_generator(0, 0))
 
     def test_full_cumulative_search_draws_what_the_support_search_draws(self):
@@ -332,9 +338,9 @@ class TestWeightChecks:
                                      [0.5, 0.4, 0.1 + 1e-9]])
     def test_a_stack_fails_as_its_bad_vector_fails(self, bad):
         stack = np.array([[0.25, 0.25, 0.5], bad, [1.0, 0.0, 0.0]])
-        with pytest.raises(ValueError) as alone:
+        with pytest.raises(DistributionError, match="finite and nonnegative|sum to 1") as alone:
             ProbDist(np.array(bad), ROWS, "length")
-        with pytest.raises(ValueError) as stacked:
+        with pytest.raises(DistributionError) as stacked:
             sampling._check_weights(stack)
         assert str(stacked.value) == str(alone.value)
         sampling._check_weights(stack[[0, 2]])
@@ -375,7 +381,7 @@ class TestRescaledSubmatrix:
             rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform_dist(2, ROWS), 0)
 
     def test_index_set_and_distribution_share_an_axis(self):
-        with pytest.raises(ValueError, match="different axes"):
+        with pytest.raises(IndexSetError, match="different axes"):
             rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform_dist(2, COLS), 1)
 
     def test_gram_concentration(self):
