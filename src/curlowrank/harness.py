@@ -309,7 +309,7 @@ class _Stream:
         self.pool, self.h, self.n_children_spawned = pool, h, 0
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        """``SeedSequence.generate_state``; a dtype but uint32 and uint64 is a DomainError."""
+        """``SeedSequence.generate_state``; a dtype other than uint32 or uint64 is a DomainError."""
         dtype = np.dtype(dtype)
         if dtype.kind != "u" or dtype.itemsize not in (4, 8) or not dtype.isnative:
             raise DomainError(f"dtype must be uint32 or uint64, got {dtype}")
