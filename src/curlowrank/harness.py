@@ -49,6 +49,7 @@ and compact SVD and the index sets, as fields of the trial (``_Trial``).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -264,39 +265,40 @@ def config_from_text(text) -> ExperimentConfig:
 _MASK, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 
 
-def _words(n) -> list:
-    """The little-endian 32-bit words of the integer ``n >= 0``, as SeedSequence reads it."""
-    words = [n & _MASK]
-    while n := n >> 32:
-        words.append(n & _MASK)
-    return words
-
-
-def _absorb(pool, h, words) -> tuple:
-    """``(pool, h)`` after ``mix_entropy`` mixes each of ``words`` into every word of the pool."""
-    for w in words:
-        mixed = []
+def _absorb(pool, h, n) -> tuple:
+    """``(pool, h)`` after ``mix_entropy`` mixes each 32-bit word of the integer ``n >= 0``, low
+    word first as SeedSequence reads an integer, into every word of the pool."""
+    while True:
+        w, n, mixed = n & _MASK, n >> 32, []
         for x in pool:
             v = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
             x = (0xCA01F9DD * x - 0x4973F715 * (v ^ v >> 16)) & _MASK
             mixed.append(x ^ x >> 16)
         pool = mixed
-    return pool, h
+        if not n:
+            return pool, h
 
 
+@functools.lru_cache(maxsize=16)
 def _seed_pool(seed) -> tuple:
     """``(pool, h)`` after ``mix_entropy`` of the words of ``seed``, padded with zeros to four as
-    numpy pads them (gh-16539) when a spawn key follows, which :func:`_absorb` then mixes in."""
-    words = _words(seed)
-    words += [0] * (4 - len(words))
+    numpy pads them (gh-16539) when a spawn key follows, which :func:`_absorb` then mixes in;
+    memoized, since every trial of a run shares one seed."""
     pool, h = [], 0x43B0D7E5
-    for w in words[:4]:
-        w = (w ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+    for shift in (0, 32, 64, 96):
+        w = ((seed >> shift & _MASK) ^ h) * (h := h * _MULT_A & _MASK) & _MASK
         pool.append(w ^ w >> 16)
-    for src in range(4):  # each word into each other word
-        rest, h = _absorb(pool[:src] + pool[src + 1:], h, pool[src:src + 1])
-        pool = rest[:src] + pool[src:src + 1] + rest[src:]
-    return _absorb(pool, h, words[4:])
+    for src in range(4):  # each word into each other word, in place
+        for dst in range(4):
+            if src != dst:
+                v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK) & _MASK
+                x = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _MASK
+                pool[dst] = x ^ x >> 16
+    if seed >> 128:  # the words past the fourth
+        pool, h = _absorb(pool, h, seed >> 128)
+    # numpy.random loads with the first stream, not at import: its bit_generator takes 11-16 ms
+    np.random.bit_generator.ISpawnableSeedSequence.register(_Stream)
+    return tuple(pool), h
 
 
 class _Stream:
@@ -326,8 +328,7 @@ class _Stream:
     def spawn(self, n_children) -> list:
         first = self.n_children_spawned
         self.n_children_spawned += n_children
-        return [_Stream(*_absorb(self.pool, self.h, _words(c)))
-                for c in range(first, first + n_children)]
+        return [_Stream(*_absorb(self.pool, self.h, c)) for c in range(first, first + n_children)]
 
 
 def _count(value, name) -> int:
@@ -338,21 +339,13 @@ def _count(value, name) -> int:
     return int(value)
 
 
-def _trial_generators(master_seed, indices) -> list:
-    """:func:`trial_generator` of each trial index, the seed's words mixed once."""
-    # importing numpy.random.bit_generator takes 11-16 ms, so the first stream pays for it
-    from numpy.random.bit_generator import ISpawnableSeedSequence
-    ISpawnableSeedSequence.register(_Stream)
-    pool, h = _seed_pool(_count(master_seed, "seed"))
-    return [np.random.Generator(np.random.Philox(
-        _Stream(*_absorb(pool, h, _words(_count(i, "trial index")))))) for i in indices]
-
-
 def trial_generator(master_seed, trial_index) -> np.random.Generator:
     """The Philox stream of ``SeedSequence(master_seed, spawn_key=(trial_index,))`` for one
     trial, bit for bit, independent across trial indices; a seed or index that is negative,
     a bool or not an integer is a DomainError."""
-    return _trial_generators(master_seed, [trial_index])[0]
+    pool, h = _seed_pool(_count(master_seed, "seed"))
+    stream = _Stream(*_absorb(pool, h, _count(trial_index, "trial index")))
+    return np.random.Generator(np.random.Philox(stream))
 
 
 def lowrank_factors(m, n, k, rngs, kappa=None) -> tuple:
@@ -648,7 +641,7 @@ def _run_trials(cfg, d, indices, clock):
     their group of the summary.  ``clock`` gains the nanoseconds of each stage, by name, of
     ``emit`` (the records) and of ``reduce`` (the group); a record's ``ms`` is its equal
     share of each stage it joined where ``cfg.timing`` is set, else 0."""
-    live = list(map(_Trial, indices, _trial_generators(cfg.master_seed, indices)))
+    live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices]
     for stage in _KINDS[cfg.kind][0]:
         if not live:
             break

@@ -332,10 +332,12 @@ class TestTrialStreams:
                 assert_same_stream(child, numpy_child)
         assert_same_stream(ours, theirs)
 
-    def test_a_grid_points_streams_are_each_trials_own(self):
-        ours = harness._trial_generators(2**64 + 7, range(3, 9))
-        for i, rng in zip(range(3, 9), ours):
-            assert_same_stream(rng, numpy_stream(2**64 + 7, i))
+    def test_streams_of_a_memoized_seed_are_numpys(self):
+        # the first stream mixes the seed's words, and the others take them from the memo
+        harness._seed_pool.cache_clear()
+        for i in range(3, 9):
+            assert_same_stream(trial_generator(2**64 + 7, i), numpy_stream(2**64 + 7, i))
+        assert harness._seed_pool.cache_info()[:2] == (5, 1)
 
     @pytest.mark.parametrize("n_words", [1, 2, 4, 5])
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, "uint64"])
