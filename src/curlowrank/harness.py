@@ -260,14 +260,14 @@ def config_from_text(text) -> ExperimentConfig:
     return config_from_mapping(read_key_values(text))
 
 
-# numpy's SeedSequence hash, its ``hashmix`` and ``mix`` of uint32 words written out in plain
+# numpy's SeedSequence hash (``hashmix``, ``mix`` and ``mix_entropy`` of uint32 words) in plain
 # integers; numpy's compatibility policy (NEP 19) keeps it fixed, and tests pin it bit for bit
-_MASK, _MULT_A, _INIT_B, _MULT_B = 0xFFFFFFFF, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MASK, _MULT_A = 0xFFFFFFFF, 0x931E8875
 
 
 def _absorb(pool, h, n) -> tuple:
     """``(pool, h)`` after ``mix_entropy`` mixes each 32-bit word of the integer ``n >= 0``, low
-    word first as SeedSequence reads an integer, into every word of the pool."""
+    word first as SeedSequence reads an integer, into every word of ``pool``."""
     while True:
         w, n, mixed = n & _MASK, n >> 32, []
         for x in pool:
@@ -281,9 +281,8 @@ def _absorb(pool, h, n) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed) -> tuple:
-    """``(pool, h)`` after ``mix_entropy`` of the words of ``seed``, padded with zeros to four as
-    numpy pads them (gh-16539) when a spawn key follows, which :func:`_absorb` then mixes in;
-    memoized, since every trial of a run shares one seed."""
+    """``(pool, h)`` after ``mix_entropy`` of ``seed``'s words, padded with zeros to four as numpy
+    pads them (gh-16539) before a spawn key; memoized, since a run's trials share one seed."""
     pool, h = [], 0x43B0D7E5
     for shift in (0, 32, 64, 96):
         w = ((seed >> shift & _MASK) ^ h) * (h := h * _MULT_A & _MASK) & _MASK
@@ -313,13 +312,14 @@ class _Stream:
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         """``SeedSequence.generate_state``; a dtype other than uint32 or uint64 is a DomainError."""
         dtype = np.dtype(dtype)
-        if dtype.kind != "u" or dtype.itemsize not in (4, 8) or not dtype.isnative:
+        wide = dtype == np.uint64
+        if not wide and dtype != np.uint32:
             raise DomainError(f"dtype must be uint32 or uint64, got {dtype}")
-        h, out, wide = _INIT_B, [], dtype.itemsize == 8
+        h, out = 0x8B51F9DD, []
         for i in range(n_words << wide):
-            v = (self.pool[i & 3] ^ h) * (h := h * _MULT_B & _MASK) & _MASK
+            v = (self.pool[i & 3] ^ h) * (h := h * 0x58F38DED & _MASK) & _MASK
             v ^= v >> 16
-            if wide and i & 1:  # a uint64 is two uint32 words, little-endian
+            if wide and i & 1:  # a uint64 is two uint32 words, the low one first
                 out[-1] |= v << 32
             else:
                 out.append(v)

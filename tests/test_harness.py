@@ -290,10 +290,6 @@ class TestGenerators:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_negative_seed_raises(self):
-        with pytest.raises(DomainError, match="seed must be >= 0"):
-            trial_generator(-1, 0)
-
 
 def numpy_stream(seed, index):
     """numpy's own Philox stream of ``(seed, index)``, which :func:`trial_generator` transcribes."""
@@ -338,6 +334,15 @@ class TestTrialStreams:
         for i in range(3, 9):
             assert_same_stream(trial_generator(2**64 + 7, i), numpy_stream(2**64 + 7, i))
         assert harness._seed_pool.cache_info()[:2] == (5, 1)
+
+    def test_every_trial_stream_comes_from_trial_generator(self, monkeypatch):
+        # one stream path, so a trace of trial_generator sees every trial's stream
+        calls, real = [], harness.trial_generator
+        monkeypatch.setattr(harness, "trial_generator", lambda *key: calls.append(key) or real(*key))
+        cfg = ExperimentConfig(kind="success_prob", m=12, n=10, k=2, scheme="length",
+                               d_grid=(4, 6), trials=3, master_seed=2**64 + 7)
+        run_experiment(cfg)
+        assert calls == [(2**64 + 7, i) for i in range(6)]
 
     @pytest.mark.parametrize("n_words", [1, 2, 4, 5])
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, "uint64"])
