@@ -306,8 +306,11 @@ class _Stream:
 
     __slots__ = ("pool", "h", "n_children_spawned")
 
-    def __init__(self, pool, h):
-        self.pool, self.h, self.n_children_spawned = pool, h, 0
+    def __init__(self, pool, h, n_children_spawned=0):
+        self.pool, self.h, self.n_children_spawned = pool, h, n_children_spawned
+
+    def __reduce__(self):
+        return _loaded_stream, (self.pool, self.h, self.n_children_spawned)
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
         """``SeedSequence.generate_state``; a dtype other than uint32 or uint64 is a DomainError."""
@@ -329,6 +332,13 @@ class _Stream:
         first = self.n_children_spawned
         self.n_children_spawned += n_children
         return [_Stream(*_absorb(self.pool, self.h, c)) for c in range(first, first + n_children)]
+
+
+def _loaded_stream(*state) -> _Stream:
+    """An unpickled :class:`_Stream`: a process that loads one before it mixes a seed must
+    register the class, as :func:`_seed_pool` does, for numpy to spawn from it."""
+    np.random.bit_generator.ISpawnableSeedSequence.register(_Stream)
+    return _Stream(*state)
 
 
 def _count(value, name) -> int:

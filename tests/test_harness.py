@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -378,6 +379,20 @@ class TestTrialStreams:
     def test_a_bad_seed_or_index_raises(self, seed, index, match):
         with pytest.raises(DomainError, match=match):
             trial_generator(seed, index)
+
+    def test_a_stream_loaded_in_a_fresh_process_still_spawns(self, tmp_path):
+        # the loading process has mixed no seed, so unpickling must register the class itself
+        rng = trial_generator(2**64 + 7, 3)
+        rng.spawn(2)
+        path = tmp_path / "rng.pickle"
+        path.write_bytes(pickle.dumps(rng))
+        code = ("import pickle, sys; rng = pickle.loads(open(sys.argv[1], 'rb').read()); "
+                "print(*(child.random() for child in rng.spawn(2)))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env,
+                             capture_output=True, text=True).stdout.split()
+        children = numpy_stream(2**64 + 7, 3).spawn(4)[2:]
+        assert [float(x) for x in out] == [child.random() for child in children]
 
     def test_importing_the_cli_loads_no_numpy_random(self):
         # numpy.random costs 11-16 ms to import, so it loads with the first trial stream
