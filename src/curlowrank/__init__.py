@@ -80,7 +80,6 @@ from .sampling import (
     rescaled_submatrix,
     sample_size_length_via_lev,
     sample_size_leverage,
-    uniform_dist,
 )
 
 __version__ = "0.1.0"

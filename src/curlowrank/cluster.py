@@ -117,7 +117,7 @@ def same_partition(pred, truth) -> bool:
     ``pred * count + truth`` is one distinct integer per pair for any labels.
     """
     if np.shape(pred) != np.shape(truth):
-        raise ValueError("label vectors must have equal length")
+        raise DomainError("label vectors must have equal length")
     pred_names, pred_ids = np.unique(pred, return_inverse=True)
     truth_names, truth_ids = np.unique(truth, return_inverse=True)
     count = pred_names.size

@@ -2,28 +2,29 @@
 
 Every experiment kind runs through one trial loop, grid point by grid point,
 and a per-kind reducer writes each grid point's group of the summary.  A grid
-point runs stage-major: all its trials enter the first stage, and each stage
-fills its named fields of the live trials in one pass over their stacked
-arrays and returns the trials that go on: every data matrix is factored at
-once; every trial's sampling weights are built at once, and each trial only
-draws from its own stream (DEIM selects on the stack of bases); and every CUR
-of A is measured in A's k-by-k core, shapes that differ (under ``dedup``)
-looping inside.  A trial's records, its SVD, pseudoinverses, blocks and
-norms, are views into its stage's stacked arrays, so no stage loops over its
-matrices but to hand them out.  The noise kind's middle stage, which holds
-m-by-n arrays, stacks its trials in chunks that fit :data:`_NOISE_CHUNK_BYTES`,
-draws each E straight into its chunk's stack, and does not return a dominated
-trial, one with a stability floor that is not positive.  Each trial draws from
-its own Philox stream keyed by ``(master_seed, trial_index)``, in the order it
-would alone, and a stacked call gives each matrix the bits of a call on it
-alone, so trials are independent, reorderable, and individually reproducible.  An
-exception in any trial aborts the run, though a different trial's error may
-surface first.  For a given numpy/BLAS build and thread count, a config plus a
-master seed determines every output byte; the integer and flag columns are also
-fixed across BLAS thread counts.  A stage timer sums the nanoseconds of each
-stage of a grid point (:func:`_run_trials`); per-trial wall time, an equal
-share of each stage, is recorded only when ``timing`` is enabled, since
-measured clocks would break byte-level reproducibility.
+point runs its trials in chunks whose stacked per-trial arrays fit
+:data:`_CHUNK_BYTES`, each chunk stage-major: all its trials enter the first
+stage, and each stage fills its named fields of the live trials in one pass
+over their stacked arrays and returns the trials that go on: every data
+matrix is factored at once; every trial's sampling weights are built at once,
+and each trial only draws from its own stream (DEIM selects on the stack of
+bases); and every CUR of A is measured in A's k-by-k core, shapes that differ
+(under ``dedup``) looping inside.  A trial's records, its SVD,
+pseudoinverses, blocks and norms, are views into its stage's stacked arrays,
+so no stage loops over its matrices but to hand them out.  The noise kind's
+middle stage draws each E straight into its chunk's stack and does not
+return a dominated trial, one with a stability floor that is not positive.
+Each trial draws from its own Philox stream keyed by ``(master_seed,
+trial_index)``, in the order it would alone, and a stacked call gives each
+matrix the bits of a call on it alone, so trials are independent,
+reorderable, and individually reproducible.  An exception in any trial
+aborts the run, though a different trial's error may surface first.  For a
+given numpy/BLAS build and thread count, a config plus a master seed
+determines every output byte; the integer and flag columns are also fixed
+across BLAS thread counts.  A stage timer sums the nanoseconds of each stage
+of a grid point over its chunks (:func:`_run_trials`); per-trial wall time,
+an equal share of each stage of its chunk, is recorded only when ``timing``
+is enabled, since measured clocks would break byte-level reproducibility.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -38,10 +39,10 @@ pseudoinverse, the residual and the clustering kind's coefficients all live
 in A's k-by-k core (``cur._cores_of_a``), so no C, U or R is extracted.  Only
 the noise trial forms m-by-n arrays: E, whose Gram matrix it drops before it
 forms A, then ``A + E`` in E's buffer, which it draws from; its floors, from
-the unshifted sums of squares of A and E, need no shift (``_noisy_chunk``).  Its
+the unshifted sums of squares of A and E, need no shift (``_noisy_curs``).  Its
 noisy CUR is not in A's row and column space, so its norms come from
 ``linalg.factored_norms`` of its thin factors; the leverage scores of
-``A + E`` come from the certified sketch of ``linalg._leading_bases`` and
+``A + E`` come from the certified sketch of its top-k singular bases and
 ``||E||_2`` from the largest eigenvalue of E's smaller Gram matrix, so no
 kind factors an m-by-n matrix.  What passes between stages is A's factors
 and compact SVD and the index sets, as fields of the trial (``_Trial``).
@@ -61,19 +62,16 @@ from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspa
 from .cur import EXACTNESS_TOL, _cores_of_a, _extract, _stacked, randomized_cur  # noqa: F401
 from .deim import _deim_indices
 from .errors import ConfigError, DomainError
-from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _leading_bases, _nonnegative, _pinvs,
-                     _row_norms, factored_norms, factored_svd)
+from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _nonnegative, _pinvs, _row_norms,
+                     factored_norms, factored_svd)
 from .sampling import (
-    LENGTH,
     SCHEMES,
-    UNIFORM,
     _certify,
-    _check_weights,
     _draw_pair,
     _length_weights,
     _noisy_floors,
     _squared_lengths,
-    _stacked_weights,
+    _weights,
     min_sample_size_rv,
 )
 
@@ -469,16 +467,19 @@ def _subspace_data(cfg, d, trials):
     return trials
 
 
-def _draws(cfg, d, trials):
-    """Every trial's weights at once, then its own draws; a clustering CUR drops repeats, on
-    which neither exactness nor the clusters depend."""
-    k = trials[0].q.shape[1] if cfg.kind == "clustering" else cfg.k
-    weights = _stacked_weights([t.p for t in trials], [t.q for t in trials],
-                               [t.svd for t in trials], cfg.scheme, k)
-    cums = [np.cumsum(w, axis=1, out=w) for w in weights]
-    dedup = cfg.dedup or cfg.kind == "clustering"
-    for t, rows, cols in zip(trials, *cums):
+def _draw_each(trials, weights, d, dedup) -> None:
+    """Each trial's rows and cols: ``d`` draws per axis from its member of the weight stacks."""
+    for t, rows, cols in zip(trials, *(np.cumsum(w, axis=1, out=w) for w in weights)):
         t.rows, t.cols = _draw_pair(rows, cols, d, d, t.rng, dedup)
+
+
+def _draws(cfg, d, trials):
+    """Every trial's weights at once, from its factors, then its own draws; a clustering CUR
+    drops repeats, on which neither exactness nor the clusters depend."""
+    k = trials[0].q.shape[1] if cfg.kind == "clustering" else cfg.k
+    factors = [t.p for t in trials], [t.q for t in trials], [t.svd for t in trials]
+    _draw_each(trials, _weights(cfg.scheme, k, factors=factors), d,
+               cfg.dedup or cfg.kind == "clustering")
     return trials
 
 
@@ -488,19 +489,7 @@ def _deim_selections(cfg, d, trials):
     return trials
 
 
-# The bytes of the stack of m-by-n arrays that one chunk of noise trials holds: 32 trials
-# at 50-by-40, and one at 300-by-200 and above, where a trial holds what it holds alone.
-_NOISE_CHUNK_BYTES = 512 * 1024
-
-
 def _noisy_curs(cfg, d, trials):
-    """:func:`_noisy_chunk` of the trials, as many at a time as fit :data:`_NOISE_CHUNK_BYTES`."""
-    size = max(1, _NOISE_CHUNK_BYTES // (8 * cfg.m * cfg.n))
-    return [t for i in range(0, len(trials), size)
-            for t in _noisy_chunk(cfg, d, trials[i:i + size])]
-
-
-def _noisy_chunk(cfg, d, trials):
     """Draw each trial's indices from ``A + E``, test exactness on the clean ``A`` underneath.
 
     The trial keeps the norms of its noisy CUR's residual against A; a trial
@@ -510,9 +499,8 @@ def _noisy_chunk(cfg, d, trials):
     stacks of the chunk's matrices.  Every E is drawn straight into one stack
     before any A is formed, so a chunk of one trial holds E, its Gram matrix
     and at most one other m-by-n array at a time.  The floors come from the
-    row and column sums of squares of the stacks of A and E, and ``A + E`` is
-    formed in E's buffer, where its sums give the length weights that both
-    certify the floors and, under the length scheme, feed the draws.  No
+    row and column sums of squares of the stacks of A and E, and the sums of
+    ``A + E``, formed in E's buffer, certify them and weigh its draws.  No
     power-of-two shift is needed: ``||A||_2 = 1``, so no square of A
     overflows, an E whose squares overflow has ``||E||_F = inf``, which leaves
     every floor 0 or NaN and drops the trial, and an E whose squares underflow
@@ -539,18 +527,10 @@ def _noisy_chunk(cfg, d, trials):
         p, q, a, e = (x[live] for x in (p, q, a, e))
     a_tilde = _as_stack(np.add(a, e, out=e))
     del a
-    weights = _length_weights(*_squared_lengths(a_tilde))
-    _certify([f[live] for f in floors], _length_weights(*(x[live] for x in lengths[0])), weights)
-    if cfg.scheme == UNIFORM:
-        weights = [np.full((len(a_tilde), size), 1.0 / size) for size in a_tilde.shape[1:]]
-    elif cfg.scheme != LENGTH:  # each leverage axis summed as sampling.axis_dists sums it
-        bases = zip(*(_leading_bases(x, cfg.k) for x in a_tilde))
-        weights = [np.stack([np.sum(b * b, axis=1) for b in axis]) / float(cfg.k)
-                   for axis in bases]
-    for w in weights:
-        _check_weights(w)
-    for t, rows, cols in zip(trials, *(np.cumsum(w, axis=1) for w in weights)):
-        t.rows, t.cols = _draw_pair(rows, cols, d, d, t.rng, cfg.dedup)
+    tilde_sums = _squared_lengths(a_tilde)
+    _certify([f[live] for f in floors], _length_weights(*(x[live] for x in lengths[0])),
+             _length_weights(*tilde_sums))
+    _draw_each(trials, _weights(cfg.scheme, cfg.k, dense=a_tilde, lengths=tilde_sums), d, cfg.dedup)
     cs, us, rs = zip(*(_extract(x, t.rows, t.cols) for x, t in zip(a_tilde, trials)))
     pinvs = _stacked(_pinvs, us)
     norms = _stacked(factored_norms, [np.hstack([x, c]) for x, c in zip(p, cs)],
@@ -646,26 +626,46 @@ def _lap(clock, name, start) -> int:
     return ns
 
 
+# The bytes of one chunk's stacked per-trial arrays: 46 noise trials at 50-by-40, and one at
+# 300-by-200 and above, where a noise trial holds what it holds alone.
+_CHUNK_BYTES = 2 * 1024 * 1024
+
+
+def _chunk_size(cfg) -> int:
+    """How many of a grid point's trials run at once: as many as fit :data:`_CHUNK_BYTES`, and at
+    least one.  A noise trial holds E, A and E's Gram matrix; any other, its factor pair."""
+    if cfg.kind == "noise_stability":
+        floats = 2 * cfg.m * cfg.n + min(cfg.m, cfg.n) ** 2
+    elif cfg.kind == "clustering":
+        floats = (cfg.m + sum(cfg.points)) * sum(cfg.dims)
+    else:
+        floats = (cfg.m + cfg.n) * cfg.k
+    return max(1, _CHUNK_BYTES // (8 * floats))
+
+
 def _run_trials(cfg, d, indices, clock):
-    """``(records, group)``: the trials ``indices`` at draw count ``d``, run stage-major, and
-    their group of the summary.  ``clock`` gains the nanoseconds of each stage, by name, of
-    ``emit`` (the records) and of ``reduce`` (the group); a record's ``ms`` is its equal
-    share of each stage it joined where ``cfg.timing`` is set, else 0."""
-    live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices]
-    for stage in _KINDS[cfg.kind][0]:
-        if not live:
-            break
-        start, joined = time.perf_counter_ns(), len(live)
-        live = stage(cfg, d, live)
-        share = _lap(clock, stage.__name__, start) / joined
-        for t in live:
-            t.ns += share
+    """``(records, group)``: the trials ``indices`` at draw count ``d``, run stage-major a chunk
+    at a time, and their group of the summary.  ``clock`` gains the nanoseconds of each stage,
+    by name, of ``emit`` (the records) and of ``reduce`` (the group); a record's ``ms`` is its
+    equal share of each stage of its chunk where ``cfg.timing`` is set, else 0."""
+    stages, reducer = _KINDS[cfg.kind]
+    size, records = _chunk_size(cfg), []
+    for first in range(0, len(indices), size):
+        live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices[first:first + size]]
+        for stage in stages:
+            if not live:
+                break
+            start, joined = time.perf_counter_ns(), len(live)
+            live = stage(cfg, d, live)
+            share = _lap(clock, stage.__name__, start) / joined
+            for t in live:
+                t.ns += share
+        start = time.perf_counter_ns()
+        records += [TrialRecord(t.index, _scheme(cfg), d, d, *t.row,
+                                t.ns / 1e6 if cfg.timing else 0.0) for t in live]
+        _lap(clock, "emit", start)
     start = time.perf_counter_ns()
-    records = [TrialRecord(t.index, _scheme(cfg), d, d, *t.row, t.ns / 1e6 if cfg.timing else 0.0)
-               for t in live]
-    _lap(clock, "emit", start)
-    start = time.perf_counter_ns()
-    group = _KINDS[cfg.kind][1](cfg, d, indices[0], records)
+    group = reducer(cfg, d, indices[0], records)
     _lap(clock, "reduce", start)
     return records, group
 

@@ -47,7 +47,7 @@ def read_matrix(path) -> np.ndarray:
             line = fh.readline()
         try:
             m, n = (int(tok) for tok in line.split())
-        except Exception as exc:
+        except ValueError as exc:
             raise MatrixInputError(f"bad dimensions line: {line!r}") from exc
         if m < 1 or n < 1:
             raise MatrixInputError(f"bad dimensions line: {line!r} (each size must be >= 1)")

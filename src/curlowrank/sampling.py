@@ -1,18 +1,17 @@
 """Sampling distributions over rows/columns, weighted draws, and size bounds.
 
-Uniform, squared-length and rank-k leverage distributions each have one
-builder, :func:`axis_dists`, which gives both axes at once; the squared
-lengths of both axes come from one pass of row and column sums of squares
-over the scaled matrix, with no m-by-n temporary.  The trials, which hold
-each matrix as thin factors, weigh a whole stack of them at once from the
-factors and their SVDs (:func:`_stacked_weights`).  Draws are i.i.d. with
-replacement through an inverse-CDF lookup, a binary search of the full
-cumulative weight vector, so a fixed ``numpy.random.Generator`` state
-reproduces the same index multiset byte for byte.  Zero-weight indices are
-never drawn.
+Uniform, squared-length and rank-k leverage weights have one builder,
+:func:`_weights`, which weighs a stack of matrices given dense or as thin
+factors with their SVDs: :func:`axis_dists` gives both axes of one matrix
+through it, the trials weigh their factors, and the noise trial its dense
+``A + E``.  Draws are i.i.d. with replacement through an inverse-CDF lookup,
+a binary search of the full cumulative weight vector, so a fixed
+``numpy.random.Generator`` state reproduces the same index multiset byte for
+byte.  Zero-weight indices are never drawn.
 
-Rank-k leverage scores need only the top-k singular subspaces, which
-:func:`~curlowrank.linalg._leading_bases` gives: from the certified sketch
+Rank-k leverage scores need only the top-k singular subspaces.  Of a
+factored matrix they come from its SVD; of a dense one from
+:func:`~curlowrank.linalg._leading_bases`: from the certified sketch
 :func:`~curlowrank.linalg._leading_svd`, still a pure function of the matrix
 bits, or from the dense :func:`~curlowrank.linalg.compact_svd` where the
 sketch declines; the paper's stability result (sampling from any
@@ -88,13 +87,6 @@ def _check_weights(w) -> None:
         raise DistributionError(f"weights must sum to 1 (got {off[0]!r})")
 
 
-def uniform_dist(n, axis) -> ProbDist:
-    """Uniform weights 1/n over ``n`` indices."""
-    if n < 1:
-        raise DomainError(f"need at least one index, got n={n}")
-    return ProbDist(np.full(int(n), 1.0 / int(n)), axis, UNIFORM)
-
-
 def _squared_lengths(a) -> tuple:
     """``(rows, cols)``: the squared row and column lengths of ``a``, or of each matrix of the
     stack ``a``, with no temporary beyond 64 rows of the whole stack.
@@ -159,35 +151,44 @@ def leverage_dist(a, k, axis) -> ProbDist:
 
 
 def axis_dists(a, scheme, k=None) -> tuple:
-    """Row and column distributions of the matrix ``a`` for one scheme from :data:`SCHEMES`.
-
-    Leverage scores need the truncation rank ``k``; without it a DomainError
-    is raised.  Both leverage axes come from one factorization of ``a``, its
-    :func:`~curlowrank.linalg._leading_bases`.
-    """
+    """Row and column distributions of the matrix ``a`` for one scheme from :data:`SCHEMES`:
+    :func:`_weights` of ``a`` as a stack of one.  Leverage needs the truncation rank ``k``."""
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme not in (UNIFORM, LENGTH) and (k is None or k < 1):
         raise DomainError(f"leverage sampling needs a truncation rank k >= 1, got {k}")
-    a = as_matrix(a)
-    if scheme == UNIFORM:
-        return uniform_dist(a.shape[0], ROWS), uniform_dist(a.shape[1], COLS)
-    elif scheme == LENGTH:
-        weights = _length_weights(*_squared_lengths(np.ldexp(a, _unit_shift(a))))
-    else:
-        weights = [np.sum(b * b, axis=1) / float(k) for b in _leading_bases(a, k)]
+    weights = _weights(scheme, k, dense=as_matrix(a)[None])
     label = scheme if scheme in (UNIFORM, LENGTH) else f"leverage({int(k)})"
-    return ProbDist(weights[0], ROWS, label), ProbDist(weights[1], COLS, label)
+    return ProbDist(weights[0][0], ROWS, label), ProbDist(weights[1][0], COLS, label)
 
 
-def _stacked_weights(p, q, svds, scheme, k) -> tuple:
-    """The (T, m) and (T, n) stacks of :func:`axis_dists`'s weights of each ``p[t] @ q[t].T``,
-    from each product's compact SVD ``svds[t]``, with the checks of :class:`ProbDist`.  The
-    length weights are within 1e-14 of the largest weight of the dense product."""
+def _weights(scheme, k, dense=None, factors=None, lengths=None) -> list:
+    """The (T, m) and (T, n) stacks of ``scheme``'s row and column weights, with the checks of
+    :class:`ProbDist`, of each matrix of ``dense``, a (T, m, n) array, or of each ``p[t] @ q[t].T``
+    of ``factors = (p, q, svds)``, the factors and the products' compact SVDs.
+
+    Length weights normalise ``lengths``, the squared lengths where the caller has them, else
+    those of the factors (:func:`_factored_lengths`) or of the dense stack shifted by
+    :func:`~curlowrank.linalg._unit_shift`, which keeps their bits.  Leverage weights are
+    ``sum(b**2) / k`` over the rows of the top-``k`` bases of the SVDs or of each dense matrix
+    alone (:func:`~curlowrank.linalg._leading_bases`), unshifted: the SVD of a matrix scaled
+    far from 1 need not keep its bits."""
+    if factors is None:
+        count, *sizes = dense.shape
+    else:
+        p, q, svds = factors
+        count, sizes = len(p), (len(p[0]), len(q[0]))
     if scheme == UNIFORM:
-        weights = [np.full((len(x), len(x[0])), 1.0 / len(x[0])) for x in (p, q)]
+        weights = [np.full((count, size), 1.0 / size) for size in sizes]
     elif scheme == LENGTH:
-        weights = _length_weights(*_factored_lengths(np.stack(p), np.stack(q), svds))
+        if lengths is None and factors is None:
+            lengths = _squared_lengths(np.ldexp(dense, _unit_shift(dense)[:, None, None]))
+        elif lengths is None:
+            lengths = _factored_lengths(np.stack(p), np.stack(q), svds)
+        weights = _length_weights(*lengths)
+    elif factors is None:  # each matrix's bases summed alone, as its bits need
+        weights = [np.stack([np.sum(b * b, axis=1) for b in axis]) / float(k)
+                   for axis in zip(*(_leading_bases(x, k) for x in dense))]
     else:
         weights = [np.sum(b * b, axis=2) / float(k) for b in _bases(svds, k)]
     for w in weights:

@@ -5,6 +5,7 @@ from curlowrank import sampling
 from curlowrank.cluster import subspace_factors
 from curlowrank.harness import lowrank_gaussian
 from curlowrank.linalg import COLS, ROWS, rank_cutoff, singular_values
+from curlowrank.sampling import ProbDist
 
 
 @pytest.fixture
@@ -24,10 +25,15 @@ def noisy_rank_k(m, n, k, sigma, rng):
     return a + e * (sigma * np.linalg.svd(a, compute_uv=False)[k - 1] / np.linalg.norm(e, 2))
 
 
+def uniform(n, axis):
+    """Uniform weights ``1/n`` over the ``n`` indices of ``axis``."""
+    return ProbDist(np.full(n, 1.0 / n), axis, "uniform")
+
+
 def factored_weights(p, q, svd, scheme, k=None):
     """The row and column weights the trials build for ``p @ q.T`` from its compact SVD ``svd``:
-    the stacked builder on a stack of one."""
-    return [w[0] for w in sampling._stacked_weights(p[None], q[None], [svd], scheme, k)]
+    the builder on a factored stack of one."""
+    return [w[0] for w in sampling._weights(scheme, k, factors=(p[None], q[None], [svd]))]
 
 
 def noisy_floors_loop(a, e):

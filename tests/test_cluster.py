@@ -230,7 +230,7 @@ class TestAccuracy:
         assert not same_partition(split, truth) and not same_partition(truth, split)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="equal length"):
             same_partition(np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64))
 
     def test_twelve_clusters_relabeled(self):

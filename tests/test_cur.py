@@ -16,9 +16,9 @@ from curlowrank.cur import (
 from curlowrank.errors import DistributionError, DomainError, IndexOutOfRangeError, IndexSetError
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
-from curlowrank.sampling import ProbDist, draw_indices, length_dist, uniform_dist
+from curlowrank.sampling import ProbDist, draw_indices, length_dist
 
-from conftest import rank_k
+from conftest import rank_k, uniform
 
 
 class TestBuildCur:
@@ -162,7 +162,7 @@ class TestRandomizedCur:
         a = rank_k(6, 4, 2, rng)
         a[:, 3] = 0.0
         col_dist = ProbDist(np.array([0.0, 0.0, 0.0, 1.0]), COLS, "length")
-        f = randomized_cur(a, uniform_dist(6, ROWS), col_dist, 4, 4, trial_generator(4, 0))
+        f = randomized_cur(a, uniform(6, ROWS), col_dist, 4, 4, trial_generator(4, 0))
         rep = verify_characterization(a, f.I, f.J)
         assert rep.unanimous and not any(rep.verdicts)
 

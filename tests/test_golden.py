@@ -12,7 +12,7 @@ leave every drawn index and every success flag where it was.
 
 The noise kind is pinned under each scheme, with ``dedup``, with ``kappa``, and
 with some but not all trials skipped.  A chunk of one noise trial runs the same
-code as a chunk of many (``harness._noisy_chunk``), so no case needs a matrix
+code as a chunk of many (``harness._noisy_curs``), so no case needs a matrix
 above 50x40 to reach it.
 
 The union-of-subspaces generator's matrix and labels are pinned by their own

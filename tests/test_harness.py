@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -610,8 +611,8 @@ STACKED_CONFIGS = {
                             d_grid=(8,)),
     "noise_leverage_kappa_dedup": dict(TABLE, kind="noise_stability", scheme="leverage",
                                        sigma=1e-3, kappa=1e6, dedup=True, d_grid=(8,)),
-    # 180-by-150 trials run two to a chunk, so the six span three chunks; at 0.04 the first
-    # trial of the first chunk and the second of the second are dominated
+    # with the chunk budget patched to two 180-by-150 trials, the six span three chunks; at
+    # 0.04 the first trial of the first chunk and the second of the second are dominated
     "noise_three_chunks": dict(kind="noise_stability", m=180, n=150, k=4, scheme="length",
                                sigma=0.04, d_grid=(8,)),
     "noise_length_skips_between": dict(TABLE, kind="noise_stability", scheme="length",
@@ -623,6 +624,16 @@ STACKED_CONFIGS = {
     "clustering_lines_tight_leverage": dict(kind="clustering", m=6, dims=(1, 1, 4),
                                             points=(2, 1, 7), scheme="leverage", d_grid=(9,)),
 }
+
+def trial_bytes(cfg):
+    """The bytes of one trial's stacked arrays under the chunk rule: E, A and E's Gram matrix
+    for the noise kind, the factor pair of the m-by-n rank-k data otherwise."""
+    if cfg.kind == "noise_stability":
+        return 8 * (2 * cfg.m * cfg.n + min(cfg.m, cfg.n) ** 2)
+    if cfg.kind == "clustering":
+        return 8 * (cfg.m + sum(cfg.points)) * sum(cfg.dims)
+    return 8 * (cfg.m + cfg.n) * cfg.k
+
 
 # The draw stage's configs: every scheme at sparsity 0 and 0.5, with and without dedup
 # and kappa = 1e6, and both clustering models.
@@ -638,14 +649,60 @@ DRAW_CONFIGS.update({name: STACKED_CONFIGS[name]
 
 class TestStageMajor:
     @pytest.mark.parametrize("name", sorted(STACKED_CONFIGS))
-    def test_a_trial_in_a_grid_point_is_the_trial_alone(self, name):
+    def test_a_trial_in_a_grid_point_is_the_trial_alone(self, name, monkeypatch):
         cfg = ExperimentConfig(trials=6, master_seed=41, **STACKED_CONFIGS[name])
         d = cfg.resolved_d_grid()[0]
+        if name == "noise_three_chunks":
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
+            assert harness._chunk_size(cfg) == 2
         together, _ = harness._run_trials(cfg, d, range(6), {})
         alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i], {})[0]]
         assert together == alone
         assert bool(together) != (name == "noise_skips_all")
         assert all(record.wall_time_ms == 0.0 for record in together)
+
+    @pytest.mark.parametrize("name", ["length", "noise_length", "noise_skips_all",
+                                      "noise_length_skips_between", "deim", "clustering_length"])
+    def test_a_grid_point_in_chunks_is_the_grid_point_in_one(self, name, monkeypatch):
+        # two trials a chunk, so six span three; no stage sees more than a chunk
+        cfg = ExperimentConfig(trials=6, master_seed=43, **STACKED_CONFIGS[name])
+        assert harness._chunk_size(cfg) >= 6
+        whole = repr(run_experiment(cfg))
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
+        assert harness._chunk_size(cfg) == 2
+        stages, reducer = harness._KINDS[cfg.kind]
+        seen = []
+
+        def spy(stage):
+            @functools.wraps(stage)
+            def counted(cfg, d, trials):
+                seen.append((stage, len(trials)))
+                return stage(cfg, d, trials)
+            return counted
+
+        monkeypatch.setitem(harness._KINDS, cfg.kind, (tuple(map(spy, stages)), reducer))
+        assert repr(run_experiment(cfg)) == whole
+        assert [n for stage, n in seen if stage is stages[0]] == [2, 2, 2]
+        assert max(n for _, n in seen) <= 2
+
+    @pytest.mark.parametrize("fields, size", [
+        (dict(kind="noise_stability", m=50, n=40, k=4), 46),
+        (dict(kind="noise_stability", m=180, n=150, k=4), 3),
+        (dict(kind="noise_stability", m=300, n=200, k=4), 1),
+        (dict(kind="noise_stability", m=1000, n=800, k=10), 1),
+        (dict(kind="success_prob", m=50, n=40, k=4), 728),
+        (dict(kind="success_prob", m=180, n=150, k=4), 198),
+        (dict(kind="deim_check", m=300, n=200, k=4), 131),
+        (dict(kind="success_prob", m=1000, n=800, k=10), 14),
+        (dict(kind="clustering", m=60, dims=(2, 3, 4, 5, 6), points=(30,) * 5), 62),
+        (dict(kind="clustering", m=40, dims=(2, 2, 3, 3, 4, 4, 5), points=(20,) * 7), 63),
+    ])
+    def test_chunk_sizes(self, fields, size):
+        # README's table, and the benchmark's grid points stay one chunk: 20 trials at
+        # 50-by-40, 5 in each clustering model and 1 at 1000-by-800
+        grid = {} if fields["kind"] == "deim_check" else {"d_grid": (8,)}
+        cfg = ExperimentConfig(**fields, **grid)
+        assert harness._chunk_size(cfg) == size == max(1, harness._CHUNK_BYTES // trial_bytes(cfg))
 
     @staticmethod
     def _first_stage(cfg, bases=None):
@@ -681,9 +738,8 @@ class TestStageMajor:
         low = trials[1]
         low.p = low.p * [1.0, 1.0, 0.0, 1.0]  # rank 3 of the config's 4
         low.svd = factored_svd(low.p[None], low.q[None])[0]
-        stacked = sampling._stacked_weights(np.stack([t.p for t in trials]),
-                                            np.stack([t.q for t in trials]),
-                                            [t.svd for t in trials], "length", 4)
+        factors = [t.p for t in trials], [t.q for t in trials], [t.svd for t in trials]
+        stacked = sampling._weights("length", 4, factors=factors)
         for i, t in enumerate(trials):
             alone = factored_weights(t.p, t.q, t.svd, "length")
             assert [w[i].tobytes() for w in stacked] == [w.tobytes() for w in alone]

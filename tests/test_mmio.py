@@ -77,7 +77,7 @@ def test_rejects_a_size_below_one(tmp_path, body):
         read_matrix(path)
 
 
-@pytest.mark.parametrize("body", ["2\n1.0\n2.0\n", "2 x\n1.0\n2.0\n", "2 2 1\n", ""])
+@pytest.mark.parametrize("body", ["2\n1.0\n2.0\n", "2 x\n1.0\n2.0\n", "2 2 1\n", "", "2.5 2\n"])
 def test_rejects_a_dimensions_line_without_two_integers(tmp_path, body):
     path = tmp_path / "no_shape.mtx"
     path.write_text(HEADER + body)

@@ -80,11 +80,10 @@ from curlowrank.sampling import (
     leverage_dist,
     length_dist,
     rescaled_submatrix,
-    uniform_dist,
 )
 
 from conftest import (first_nonpositive_floor, noisy_floors_loop, noisy_rank_k, rank_of,
-                      union_of_subspaces)
+                      uniform, union_of_subspaces)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 EPS = float(np.finfo(np.float64).eps)
@@ -171,7 +170,7 @@ def test_rescaled_gram_is_unbiased_exactly(inst):
     # leverage(k) meets it because rank(A) = k, so no nonzero row has zero leverage
     a, k, _, _, _ = inst
     for axis, gram in ((ROWS, a.T @ a), (COLS, a @ a.T)):
-        for dist in (uniform_dist(a.shape[axis == COLS], axis), length_dist(a, axis),
+        for dist in (uniform(a.shape[axis == COLS], axis), length_dist(a, axis),
                      leverage_dist(a, k, axis)):
             support = np.flatnonzero(dist.weights > 0.0)
             rhat = rescaled_submatrix(a, IndexSet(support, axis), dist, 1)

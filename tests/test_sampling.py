@@ -36,17 +36,18 @@ from curlowrank.sampling import (
     rescaled_submatrix,
     sample_size_length_via_lev,
     sample_size_leverage,
-    uniform_dist,
 )
 
-from conftest import factored_weights, noisy_rank_k, rank_k
+from conftest import factored_weights, noisy_rank_k, rank_k, uniform
 
 
 class TestDistributions:
     def test_uniform(self):
-        np.testing.assert_allclose(uniform_dist(4, COLS).weights, [0.25] * 4)
-        np.testing.assert_allclose(uniform_dist(1, ROWS).weights, [1.0])
-        assert uniform_dist(3, COLS).weights.sum() == pytest.approx(1.0, abs=1e-15)
+        rows, cols = axis_dists(np.ones((1, 4)), "uniform")
+        np.testing.assert_allclose(cols.weights, [0.25] * 4)
+        np.testing.assert_allclose(rows.weights, [1.0])
+        cols = axis_dists(np.ones((2, 3)), "uniform")[1]
+        assert cols.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_length_simple(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
@@ -103,7 +104,7 @@ class TestDistributions:
     def test_axis_dists_per_scheme(self, rng):
         a = rank_k(10, 8, 3, rng)
         expected = {
-            ("uniform", None): (uniform_dist(10, ROWS), uniform_dist(8, COLS)),
+            ("uniform", None): (uniform(10, ROWS), uniform(8, COLS)),
             ("length", None): (length_dist(a, ROWS), length_dist(a, COLS)),
             ("leverage", 3): (leverage_dist(a, 3, ROWS), leverage_dist(a, 3, COLS)),
         }
@@ -132,10 +133,6 @@ class TestDistributions:
     def test_probdist_rejects_a_bad_shape_or_axis(self, weights, axis, error, match):
         with pytest.raises(error, match=match):
             ProbDist(np.array(weights), axis, "uniform")
-
-    def test_uniform_needs_an_index(self):
-        with pytest.raises(DomainError, match="at least one index"):
-            uniform_dist(0, ROWS)
 
     def test_length_rejects_an_unknown_axis(self):
         with pytest.raises(IndexSetError, match="axis must be"):
@@ -279,7 +276,7 @@ class TestDraws:
         assert tuple(idx) == (0, 0, 0, 0, 0)
 
     def test_uniform_frequencies(self):
-        dist = uniform_dist(2, ROWS)
+        dist = uniform(2, ROWS)
         idx = draw_with_replacement(dist, 10**5, trial_generator(7, 0))
         freq0 = np.mean(np.asarray(idx.indices) == 0)
         assert abs(freq0 - 0.5) <= 0.01
@@ -303,10 +300,10 @@ class TestDraws:
 
     def test_d_must_be_positive(self):
         with pytest.raises(DomainError):
-            draw_with_replacement(uniform_dist(3, ROWS), 0, trial_generator(0, 0))
+            draw_with_replacement(uniform(3, ROWS), 0, trial_generator(0, 0))
 
     def test_pair_must_be_rows_then_columns(self):
-        rows, cols = uniform_dist(3, ROWS), uniform_dist(2, COLS)
+        rows, cols = uniform(3, ROWS), uniform(2, COLS)
         with pytest.raises(IndexSetError, match="a row and a column distribution"):
             draw_indices(cols, rows, 1, 1, trial_generator(0, 0))
 
@@ -348,7 +345,7 @@ class TestWeightChecks:
 
 class TestDedup:
     def test_draws_keep_first_occurrences_in_order(self):
-        dists = uniform_dist(6, ROWS), uniform_dist(5, COLS)
+        dists = uniform(6, ROWS), uniform(5, COLS)
         for seed in range(20):
             drawn = draw_indices(*dists, 30, 3, trial_generator(seed, 0))
             kept = draw_indices(*dists, 30, 3, trial_generator(seed, 0), dedup=True)
@@ -359,7 +356,7 @@ class TestDedup:
 
 class TestRescaledSubmatrix:
     def test_identity_uniform(self):
-        dist = uniform_dist(2, ROWS)
+        dist = uniform(2, ROWS)
         row = rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), dist, 1)
         np.testing.assert_allclose(row, [[np.sqrt(2.0), 0.0]])
 
@@ -378,11 +375,11 @@ class TestRescaledSubmatrix:
 
     def test_d_must_be_positive(self):
         with pytest.raises(DomainError, match="d must be >= 1"):
-            rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform_dist(2, ROWS), 0)
+            rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform(2, ROWS), 0)
 
     def test_index_set_and_distribution_share_an_axis(self):
         with pytest.raises(IndexSetError, match="different axes"):
-            rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform_dist(2, COLS), 1)
+            rescaled_submatrix(np.eye(2), IndexSet([0], ROWS), uniform(2, COLS), 1)
 
     def test_gram_concentration(self):
         rng_a = np.random.default_rng(1)
