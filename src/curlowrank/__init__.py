@@ -44,7 +44,6 @@ from .harness import (
     ExperimentConfig,
     TrialRecord,
     config_from_mapping,
-    config_from_text,
     emit_csv,
     lowrank_factors,
     lowrank_gaussian,
@@ -74,8 +73,6 @@ from .sampling import (
     axis_dists,
     draw_indices,
     draw_with_replacement,
-    leverage_dist,
-    length_dist,
     min_sample_size_rv,
     rescaled_submatrix,
     sample_size_length_via_lev,

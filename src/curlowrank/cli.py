@@ -11,6 +11,7 @@ import argparse
 import functools
 import sys
 
+from . import errors
 from .cur import approx_error, randomized_cur, relative_errors
 from .deim import deim_cur
 from .errors import ConfigError, DomainError
@@ -129,11 +130,17 @@ def _run(cfg):
     return 0
 
 
+def _key_values(path, field) -> dict:
+    """:func:`read_key_values` of the file ``path``; one that is not UTF-8 text is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read_key_values(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not a UTF-8 text file: {exc}", field=field) from exc
+
+
 def _cmd_experiment(args):
-    values = {}
-    if "config" in args:
-        with open(args.config) as fh:
-            values = read_key_values(fh.read())
+    values = _key_values(args.config, "config") if "config" in args else {}
     values.update(_given_fields(args))
     return _run(config_from_mapping(values))
 
@@ -145,12 +152,11 @@ _SPEC_FIELDS = {"ambient_dim": "m", "dims": "dims", "points": "points", "seed": 
 def _cmd_cluster(args):
     values = {"kind": "clustering"}
     if "spec" in args:
-        with open(args.spec) as fh:
-            for key, value in read_key_values(fh.read()).items():
-                if key not in _SPEC_FIELDS:
-                    raise ConfigError(f"not a model spec key; use one of {tuple(_SPEC_FIELDS)}",
-                                      field=key)
-                values[_SPEC_FIELDS[key]] = value
+        for key, value in _key_values(args.spec, "spec").items():
+            if key not in _SPEC_FIELDS:
+                raise ConfigError(f"not a model spec key; use one of {tuple(_SPEC_FIELDS)}",
+                                  field=key)
+            values[_SPEC_FIELDS[key]] = value
     values.update(_given_fields(args))
     if not {"m", "dims", "points"} <= values.keys():
         raise ConfigError("give ambient_dim (--ambient), dims and points in --spec or as flags",
@@ -243,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 # parser serves every call in the process.
 _shared_parser = functools.cache(build_parser)
 
+# The failures that print one error line; any other exception is a bug and propagates.
+_REPORTED = (*(c for c in vars(errors).values() if isinstance(c, type)), OSError)
+
 
 def cli_main(argv=None) -> int:
     """Entry point returning an exit code instead of raising SystemExit."""
@@ -258,12 +267,9 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, DomainError)) else 1
 
 
 def main() -> None:

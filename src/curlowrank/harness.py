@@ -62,8 +62,8 @@ from .cluster import SubspaceSpec, clustering_matrix, recovers_partition, subspa
 from .cur import EXACTNESS_TOL, _cores_of_a, _extract, _stacked, randomized_cur  # noqa: F401
 from .deim import _deim_indices
 from .errors import ConfigError, DomainError
-from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _nonnegative, _pinvs, _row_norms,
-                     factored_norms, factored_svd)
+from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _gram_norm, _nonnegative, _pinvs,
+                     _row_norms, factored_norms, factored_svd)
 from .sampling import (
     SCHEMES,
     _certify,
@@ -106,7 +106,7 @@ _UNREAD = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see :func:`config_from_text` for the file form."""
+    """Validated experiment description; :func:`read_key_values` reads its file form."""
 
     kind: str
     m: int = 0
@@ -174,10 +174,9 @@ class ExperimentConfig:
                 raise ConfigError("ambient dimension must be >= 1", field="m")
             SubspaceSpec(self.m, tuple(self.dims), tuple(self.points))
         else:
-            if self.m < 1:
-                raise ConfigError("matrix sizes must be >= 1", field="m")
-            if self.n < 1:
-                raise ConfigError("matrix sizes must be >= 1", field="n")
+            for side in ("m", "n"):
+                if getattr(self, side) < 1:
+                    raise ConfigError("matrix sizes must be >= 1", field=side)
             if not (1 <= self.k <= min(self.m, self.n)):
                 raise ConfigError("rank must satisfy 1 <= k <= min(m, n)", field="k")
             if self.n - round(self.sparsity * self.n) < self.k:
@@ -251,11 +250,6 @@ def read_key_values(text) -> dict:
             raise ConfigError("given twice", field=key, line=lineno)
         mapping[key] = value.strip()
     return mapping
-
-
-def config_from_text(text) -> ExperimentConfig:
-    """Parse a ``key = value`` block (``#`` comments allowed) into a config."""
-    return config_from_mapping(read_key_values(text))
 
 
 # numpy's SeedSequence hash (``hashmix``, ``mix`` and ``mix_entropy`` of uint32 words) in plain
@@ -401,15 +395,11 @@ def spectral_noise(shape, sigma, rngs) -> np.ndarray:
     """The stack of i.i.d. Gaussian noise matrices, one of ``shape`` per generator of the list
     ``rngs``, each rescaled so its ``||E||_2`` equals ``sigma`` to within 1e-12 relative.
 
-    Each generator draws its own block straight into the stack, with the bits
-    of a fresh draw.  ``||E||_2`` is the square root of the largest eigenvalue
-    of the block's smaller Gram matrix, ``E^T E`` or ``E E^T``: one BLAS-3
-    product and a symmetric eigensolve instead of an SVD of E.  The largest
-    eigenvalue of a positive semidefinite matrix is accurate relative to
-    itself, so this agrees with the singular value to a few ulp.  The raw
-    Gaussian blocks are always drawn, so stream consumption does not depend on
-    ``sigma``; ``sigma = 0`` gives exact zeros, and a ``sigma`` that is
-    negative or not finite is a DomainError.
+    Each generator draws its own block straight into the stack, with the bits of a fresh draw,
+    and ``||E||_2`` is ``linalg._gram_norm`` of the block as it is, with no m-by-n copy: no
+    square of a standard Gaussian entry over- or underflows.  The raw Gaussian blocks are
+    always drawn, so stream consumption does not depend on ``sigma``; ``sigma = 0`` gives
+    exact zeros, and a ``sigma`` that is negative or not finite is a DomainError.
     """
     sigma = _nonnegative(sigma, "sigma")
     e = np.empty((len(rngs), *shape))
@@ -418,21 +408,16 @@ def spectral_noise(shape, sigma, rngs) -> np.ndarray:
         if sigma == 0.0:
             x.fill(0.0)
             continue
-        # linalg.spectral_norm gives the same bits, but its scaled m-by-n copy of E
-        # raised the peak memory of 1000-by-800 noise trials by about 4 MiB (measured)
-        gram = x.T @ x if x.shape[0] >= x.shape[1] else x @ x.T
-        x *= sigma / math.sqrt(np.linalg.eigvalsh(gram)[-1])
+        x *= sigma / _gram_norm(x)
     return e
 
 
 @dataclass
 class _Trial:
-    """A trial in flight: its index, stream and share of stage time, and the fields its stages
-    fill."""
+    """A trial in flight: its index and stream, and the fields its stages fill."""
 
     index: int
     rng: np.random.Generator
-    ns: float = 0.0
     p: np.ndarray | None = None
     q: np.ndarray | None = None
     svd: SvdFactors | None = None
@@ -652,17 +637,16 @@ def _run_trials(cfg, d, indices, clock):
     size, records = _chunk_size(cfg), []
     for first in range(0, len(indices), size):
         live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices[first:first + size]]
+        ns = 0.0  # each recorded trial's share: it joined every stage of its chunk
         for stage in stages:
             if not live:
                 break
             start, joined = time.perf_counter_ns(), len(live)
             live = stage(cfg, d, live)
-            share = _lap(clock, stage.__name__, start) / joined
-            for t in live:
-                t.ns += share
+            ns += _lap(clock, stage.__name__, start) / joined
         start = time.perf_counter_ns()
         records += [TrialRecord(t.index, _scheme(cfg), d, d, *t.row,
-                                t.ns / 1e6 if cfg.timing else 0.0) for t in live]
+                                ns / 1e6 if cfg.timing else 0.0) for t in live]
         _lap(clock, "emit", start)
     start = time.perf_counter_ns()
     group = reducer(cfg, d, indices[0], records)

@@ -6,9 +6,9 @@ enters the public API; the package passes an already validated matrix on to
 private helpers (:func:`_take`, :func:`_compact_svd`, :func:`_leading_svd`,
 :func:`_leading_bases`, :func:`_rank_pinv_cutoff`, which also gives the
 pseudoinverse) that skip that check, and :func:`_take` trusts its caller's
-range check.  No other module of the package calls ``np.linalg.svd``.
-Every numerical-rank decision in the package is made by
-:func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
+range check.  No other module of the package calls ``np.linalg.svd`` or
+``np.linalg.eigvalsh``.  Every numerical-rank decision in the package is made
+by :func:`rank_cutoff`, at the cutoff ``max(m, n) * machine_epsilon * sigma_1``
 unless the ``tol`` argument of a function overrides it; the small blocks that
 stand for a CUR of A (:func:`_pinvs`, :func:`_rank_pinv_cutoff`) are cut at A's.
 
@@ -18,9 +18,10 @@ arXiv:0909.4061), in O((m + n) k^2) time instead of O(m n min(m, n)).  The
 top-k singular triplets of a dense matrix come from :func:`_leading_svd`'s
 certified subspace iteration in O(m n k) time, or None where it cannot
 certify them; :func:`_leading_bases` is the one place that chooses between
-that sketch and the dense SVD.  ``||A||_2`` alone comes from
-:func:`spectral_norm`, a symmetric eigensolve of the smaller Gram matrix,
-and a spectrum alone from :func:`singular_values`, an SVD without vectors.
+that sketch and the dense SVD.  ``||A||_2`` alone comes from :func:`_gram_norm`,
+a symmetric eigensolve of the smaller Gram matrix, which :func:`spectral_norm`
+applies to a scaled copy of A, and a spectrum alone from
+:func:`singular_values`, an SVD without vectors.
 
 The SVD carries a fixed sign convention (the largest-magnitude entry of each
 left singular vector is made nonnegative, first such entry on ties) so that
@@ -335,10 +336,13 @@ def _pinvs(a, tols=None) -> list:
     stand for a larger one with the same nonzero singular values.  The cut terms are masked
     to zero, which keeps the bits of their sum, so the pinvs are views into one stack.  Rank
     0 has a zero pinv; the pinv needs no sign convention, as each term pairs a vector with
-    its own sign."""
+    its own sign.  A kept singular value below the normal range, whose reciprocal can
+    overflow, is a MatrixInputError."""
     w, s, vt = np.linalg.svd(a, full_matrices=False)
     ranks, tols = _cutoffs(s, a.shape[1:], tols)
     kept = (s > tols[:, None])[:, :, None]  # the first rank of each nonincreasing spectrum
+    if (kept[..., 0] & (s < np.finfo(np.float64).tiny)).any():
+        raise MatrixInputError("a kept singular value is subnormal; the pinv would overflow")
     terms = np.divide(vt, s[:, :, None], out=np.zeros_like(vt), where=kept)
     return list(zip(ranks, np.swapaxes(terms, 1, 2) @ np.swapaxes(w, 1, 2)))
 
@@ -369,21 +373,19 @@ def frobenius_norm(a) -> float:
 
 
 def spectral_norm(a) -> float:
-    """``||a||_2`` of ``a`` scaled by :func:`_unit_shift`, scaled back, from its smaller Gram
-    matrix.
-
-    The square root of the largest eigenvalue of ``a.T @ a`` or ``a @ a.T``:
-    one BLAS-3 product and a symmetric eigensolve instead of an SVD.  The
-    largest eigenvalue of a positive semidefinite matrix is accurate relative
-    to itself, so this agrees with the largest singular value to within
-    1e-12 relative; the power-of-two scaling keeps every bit under scaling
-    by 2^j and keeps the Gram entries from over- or underflowing.
-    """
+    """``||a||_2``: :func:`_gram_norm` of ``a`` scaled by :func:`_unit_shift`, scaled back, which
+    keeps every bit under scaling by 2^j and keeps the Gram entries from over- or underflowing."""
     a = as_matrix(a)
     shift = _unit_shift(a)
-    a = np.ldexp(a, shift)
+    return math.ldexp(_gram_norm(np.ldexp(a, shift)), -shift)
+
+
+def _gram_norm(a) -> float:
+    """``||a||_2``, the square root of the largest eigenvalue of the smaller of ``a.T @ a`` and
+    ``a @ a.T``: one BLAS-3 product and a symmetric eigensolve instead of an SVD, with no copy of
+    ``a``, within 1e-12 relative, as that eigenvalue is accurate relative to itself."""
     gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
-    return math.ldexp(math.sqrt(float(np.linalg.eigvalsh(gram)[-1])), -shift)
+    return math.sqrt(float(np.linalg.eigvalsh(gram)[-1]))
 
 
 def stable_rank(a) -> float:

@@ -35,28 +35,30 @@ def write_matrix(a, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a Matrix Market "array real general" file written by :func:`write_matrix`."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        fields = header.lower().split()
-        expected = _HEADER.lower().split()
-        if len(fields) != 5 or fields[:3] != expected[:3] or fields[3] != "real" or fields[4] != "general":
-            raise MatrixInputError(f"unsupported MatrixMarket header: {header!r}")
-        line = fh.readline()
-        while line and line.lstrip().startswith("%"):
+    """Read a Matrix Market "array real general" file written by :func:`write_matrix`; a file
+    that is malformed or not UTF-8 text is a MatrixInputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header.lower().split() != _HEADER.lower().split():
+                raise MatrixInputError(f"unsupported MatrixMarket header: {header!r}")
             line = fh.readline()
-        try:
-            m, n = (int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise MatrixInputError(f"bad dimensions line: {line!r}") from exc
-        if m < 1 or n < 1:
-            raise MatrixInputError(f"bad dimensions line: {line!r} (each size must be >= 1)")
-        with warnings.catch_warnings():  # an empty body is a count error, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            while line and line.lstrip().startswith("%"):
+                line = fh.readline()
             try:
-                values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)
+                m, n = (int(tok) for tok in line.split())
             except ValueError as exc:
-                raise MatrixInputError(f"bad entry: {exc}") from exc
+                raise MatrixInputError(f"bad dimensions line: {line!r}") from exc
+            if m < 1 or n < 1:
+                raise MatrixInputError(f"bad dimensions line: {line!r} (each size must be >= 1)")
+            with warnings.catch_warnings():  # an empty body is a count error, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                try:  # a byte that is not UTF-8 in the body fails here too
+                    values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)
+                except ValueError as exc:
+                    raise MatrixInputError(f"bad entry: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixInputError(f"not a UTF-8 text file: {exc}") from exc
     if values.shape[1] != 1:
         raise MatrixInputError(f"expected one entry per line, found {values.shape[1]}")
     if len(values) != m * n:

@@ -2,12 +2,13 @@
 
 Uniform, squared-length and rank-k leverage weights have one builder,
 :func:`_weights`, which weighs a stack of matrices given dense or as thin
-factors with their SVDs: :func:`axis_dists` gives both axes of one matrix
-through it, the trials weigh their factors, and the noise trial its dense
-``A + E``.  Draws are i.i.d. with replacement through an inverse-CDF lookup,
-a binary search of the full cumulative weight vector, so a fixed
-``numpy.random.Generator`` state reproduces the same index multiset byte for
-byte.  Zero-weight indices are never drawn.
+factors with their SVDs: :func:`axis_dists`, the one public entry for a
+distribution, gives both axes of one matrix through it, the trials weigh
+their factors, and the noise trial its dense ``A + E``.  Draws are i.i.d.
+with replacement through an inverse-CDF lookup, a binary search of the full
+cumulative weight vector, so a fixed ``numpy.random.Generator`` state
+reproduces the same index multiset byte for byte.  Zero-weight indices are
+never drawn.
 
 Rank-k leverage scores need only the top-k singular subspaces.  Of a
 factored matrix they come from its SVD; of a dense one from
@@ -125,34 +126,16 @@ def _factored_lengths(p, q, svds) -> tuple:
                  for x, y, basis in ((p, q, rights), (q, p, lefts)))
 
 
-def _on_axis(dists, axis) -> ProbDist:
-    """The member of a ``(rows, cols)`` pair that ``axis`` names."""
-    if axis not in (ROWS, COLS):
-        raise IndexSetError(f"axis must be '{ROWS}' or '{COLS}', got {axis!r}")
-    return dists[axis == COLS]
-
-
-def length_dist(a, axis) -> ProbDist:
-    """Weights proportional to squared row/column Euclidean norms.
-
-    Zero rows/columns get weight exactly 0.0; the zero matrix is rejected.
-    """
-    return _on_axis(axis_dists(a, LENGTH), axis)
-
-
-def leverage_dist(a, k, axis) -> ProbDist:
-    """Rank-k leverage scores: ``(1/k) * ||V_k(j,:)||^2`` per column index.
-
-    Row leverage replaces the right singular factor by the left one, and
-    both come from the sketch or the dense SVD as in :func:`axis_dists`.
-    Raises RankDeficientError when ``k`` exceeds the numerical rank of ``a``.
-    """
-    return _on_axis(axis_dists(a, "leverage", k), axis)
-
-
 def axis_dists(a, scheme, k=None) -> tuple:
-    """Row and column distributions of the matrix ``a`` for one scheme from :data:`SCHEMES`:
-    :func:`_weights` of ``a`` as a stack of one.  Leverage needs the truncation rank ``k``."""
+    """``(rows, cols)``: the row and column distributions of the matrix ``a`` for one scheme of
+    :data:`SCHEMES`, :func:`_weights` of ``a`` as a stack of one; the one public entry for a
+    sampling distribution.
+
+    Length weights are proportional to squared row and column norms: zero rows and columns get
+    weight exactly 0.0, and the zero matrix is a ZeroMatrixError.  Rank-k leverage weights,
+    ``||V_k(j,:)||^2 / k`` per column and ``||U_k(i,:)||^2 / k`` per row, come from the sketch
+    or the dense SVD (:func:`~curlowrank.linalg._leading_bases`) and need the truncation rank
+    ``k``; a ``k`` above the numerical rank of ``a`` is a RankDeficientError."""
     if scheme not in SCHEMES:
         raise DomainError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme not in (UNIFORM, LENGTH) and (k is None or k < 1):

@@ -23,9 +23,8 @@ from curlowrank.harness import (
 )
 from curlowrank.linalg import COLS, ROWS, IndexSet, condition_number, stable_rank
 from curlowrank.sampling import (
+    axis_dists,
     draw_with_replacement,
-    length_dist,
-    leverage_dist,
     rescaled_submatrix,
 )
 
@@ -116,8 +115,8 @@ def test_criterion_05_leverage_length_inequalities():
         a = lowrank_gaussian(m, n, k, rng)
         r = stable_rank(a)
         kap = condition_number(a)
-        p_col = length_dist(a, COLS).weights
-        p_lev = leverage_dist(a, k, COLS).weights
+        p_col = axis_dists(a, "length")[1].weights
+        p_lev = axis_dists(a, "leverage", k)[1].weights
         violations += int(np.any(p_lev < (r / k) * p_col - 1e-10))
         violations += int(np.any(p_col < (k / (r * kap**2)) * p_lev - 1e-10))
     gate(5, f"leverage/length dominance inequalities: {violations} violations in 200 matrices",
@@ -126,7 +125,7 @@ def test_criterion_05_leverage_length_inequalities():
 
 def test_criterion_06_rescaled_gram_concentration():
     a = np.random.default_rng(1).standard_normal((8, 6))
-    dist = length_dist(a, ROWS)
+    dist = axis_dists(a, "length")[0]
     gram = a.T @ a
     bound = 0.1 * np.linalg.norm(a, 2) ** 2
     hits = 0
@@ -191,11 +190,11 @@ def test_criterion_10_determinism(tmp_path):
         "kind = success_prob\nm = 30\nn = 24\nk = 3\nscheme = length\n"
         "d_grid = 8, 12\ntrials = 40\nmaster_seed = 1001\n"
     )
-    from curlowrank.harness import config_from_text
+    from curlowrank.harness import config_from_mapping, read_key_values
 
     digests = []
     for name in ("run1.csv", "run2.csv"):
-        cfg = config_from_text(cfg_text)
+        cfg = config_from_mapping(read_key_values(cfg_text))
         records, summary = run_experiment(cfg)
         path = tmp_path / name
         emit_csv(records, summary, path)

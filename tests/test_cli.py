@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import curlowrank
+from curlowrank import cli
 from curlowrank.cli import cli_main
-from curlowrank.errors import MatrixInputError
+from curlowrank.errors import ConfigError, MatrixInputError
 from curlowrank.harness import lowrank_gaussian
 from curlowrank.linalg import singular_values
 from curlowrank.mmio import read_matrix, write_matrix
@@ -21,6 +22,12 @@ def matrix_file(tmp_path, rng):
     path = tmp_path / "a.mtx"
     write_matrix(a, path)
     return path
+
+
+def _error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 def test_no_arguments_prints_usage(capsys):
@@ -74,8 +81,49 @@ def test_svd_of_a_bad_matrix_file_is_a_matrix_input_error_and_exits_1(tmp_path, 
     with pytest.raises(MatrixInputError):  # what the svd command calls
         singular_values(read_matrix(path))
     assert cli_main(["svd", "--in", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    _error_line(capsys)
+
+
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_svd_of_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, where):
+    header, body = b"%%MatrixMarket matrix array real general\n", b"1 1\n2.0\n"
+    path = tmp_path / "latin1.mtx"
+    path.write_bytes(header.replace(b"\n", b"\xff\n") + body if where == "header"
+                     else header + body.replace(b"2.0", b"2.0\xff"))
+    assert cli_main(["svd", "--in", str(path)]) == 1
+    assert "not a UTF-8 text file" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("command, flag", [("experiment", "--config"), ("cluster", "--spec")])
+def test_a_config_or_spec_file_that_is_not_utf8_exits_2(tmp_path, capsys, command, flag):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\nkind = deim_check\n")
+    with pytest.raises(ConfigError, match="not a UTF-8 text file"):
+        cli._key_values(path, flag[2:])
+    assert cli_main([command, flag, str(path)]) == 2
+    assert f"field '{flag[2:]}': not a UTF-8 text file" in _error_line(capsys)
+
+
+def test_a_directory_as_input_exits_1(tmp_path, capsys):
+    assert cli_main(["svd", "--in", str(tmp_path)]) == 1
+    _error_line(capsys)
+
+
+@pytest.mark.parametrize("command", [["cur", "--d1", "2", "--d2", "2"], ["deim", "--k", "1"]])
+def test_a_matrix_whose_kept_singular_value_is_subnormal_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "tiny.mtx"
+    write_matrix(np.diag([1e-310, 5e-324]), path)
+    assert cli_main([command[0], "--in", str(path), *command[1:]]) == 1
+    assert "subnormal" in _error_line(capsys)
+
+
+def test_an_exception_outside_errors_py_is_a_bug_and_propagates(matrix_file, monkeypatch):
+    def broken(path):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "read_matrix", broken)
+    with pytest.raises(KeyError, match="bug"):
+        cli_main(["svd", "--in", str(matrix_file)])
 
 
 def test_svd_reports_rank(matrix_file, capsys):

@@ -17,7 +17,7 @@ from curlowrank.cur import _cur, randomized_cur, verify_characterization
 from curlowrank.errors import DomainError
 from curlowrank.harness import ExperimentConfig, run_experiment, trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, as_matrix
-from curlowrank.sampling import SCHEMES, length_dist
+from curlowrank.sampling import SCHEMES, axis_dists
 
 from conftest import rank_of, union_of_subspaces
 
@@ -401,7 +401,7 @@ def test_labels_do_not_depend_on_walk_length(spec, seed, draws):
     # so its components do not depend on the walk length, exact CUR or not
     rng = trial_generator(seed, 0)
     a, _ = union_of_subspaces(spec, rng)
-    f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), draws, draws, rng)
+    f = randomized_cur(a, *axis_dists(a, "length"), draws, draws, rng)
     support = clustering_matrix(f.U_pinv @ f.R)
     want = labels_from_clustering_matrix(support)
     for d in range(2, max(spec.dims) + 1):
@@ -429,7 +429,7 @@ class TestEndToEnd:
         for trial in range(30):
             rng = trial_generator(1000, trial)
             a, truth = union_of_subspaces(spec, rng)
-            f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), 40, 40, rng)
+            f = randomized_cur(a, *axis_dists(a, "length"), 40, 40, rng)
             report = verify_characterization(a, f.I, f.J)
             if not report.all_hold:
                 continue
@@ -448,8 +448,7 @@ class TestEndToEnd:
         data = np.hstack([pts1, pts2])
         truth = np.array([0] * 6 + [1] * 6)
         lifted = np.vstack([data, np.ones((1, 12))])
-        f = randomized_cur(lifted, length_dist(lifted, ROWS), length_dist(lifted, COLS),
-                           20, 20, rng)
+        f = randomized_cur(lifted, *axis_dists(lifted, "length"), 20, 20, rng)
         report = verify_characterization(lifted, f.I, f.J)
         assert report.all_hold
         pred = labels_from_clustering_matrix(clustering_matrix(f.U_pinv @ f.R))

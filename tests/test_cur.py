@@ -16,7 +16,7 @@ from curlowrank.cur import (
 from curlowrank.errors import DistributionError, DomainError, IndexOutOfRangeError, IndexSetError
 from curlowrank.harness import trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, _rank_pinv_cutoff, as_matrix, factored_svd
-from curlowrank.sampling import ProbDist, draw_indices, length_dist
+from curlowrank.sampling import ProbDist, axis_dists, draw_indices
 
 from conftest import rank_k, uniform
 
@@ -154,7 +154,7 @@ class TestCharacterization:
 class TestRandomizedCur:
     def test_rank_one_single_draw(self, rng):
         a = np.outer(rng.standard_normal(6), rng.standard_normal(5))
-        f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), 1, 1,
+        f = randomized_cur(a, *axis_dists(a, "length"), 1, 1,
                            trial_generator(3, 0))
         assert approx_error(a, f) <= 1e-10 * np.linalg.norm(a)
 
@@ -168,7 +168,7 @@ class TestRandomizedCur:
 
     def test_row_draws_independent_of_column_count(self, rng):
         a = rank_k(10, 9, 3, rng)
-        rd, cd = length_dist(a, ROWS), length_dist(a, COLS)
+        rd, cd = axis_dists(a, "length")
         f1 = randomized_cur(a, rd, cd, 5, 3, trial_generator(11, 0))
         f2 = randomized_cur(a, rd, cd, 5, 8, trial_generator(11, 0))
         assert f1.I == f2.I
@@ -177,7 +177,7 @@ class TestRandomizedCur:
 
     def test_dedup_invariance(self, rng):
         a = rank_k(12, 10, 3, rng)
-        rd, cd = length_dist(a, ROWS), length_dist(a, COLS)
+        rd, cd = axis_dists(a, "length")
         plain = randomized_cur(a, rd, cd, 8, 8, trial_generator(5, 1), dedup=False)
         deduped = randomized_cur(a, rd, cd, 8, 8, trial_generator(5, 1), dedup=True)
         tol = 1e-8 * np.linalg.norm(a)
@@ -186,15 +186,15 @@ class TestRandomizedCur:
     @pytest.mark.parametrize("dedup", [False, True])
     def test_draws_the_indices_of_draw_indices(self, rng, dedup):
         a = rank_k(12, 10, 3, rng)
-        rd, cd = length_dist(a, ROWS), length_dist(a, COLS)
+        rd, cd = axis_dists(a, "length")
         f = randomized_cur(a, rd, cd, 9, 7, trial_generator(8, 2), dedup=dedup)
         assert (f.I, f.J) == draw_indices(rd, cd, 9, 7, trial_generator(8, 2), dedup)
 
     def test_axis_mismatch_rejected(self, rng):
         a = rank_k(6, 5, 2, rng)
         with pytest.raises(DistributionError, match="weigh the rows and the columns"):
-            randomized_cur(a, length_dist(a, COLS), length_dist(a, COLS), 2, 2,
-                           trial_generator(0, 0))
+            cols = axis_dists(a, "length")[1]
+            randomized_cur(a, cols, cols, 2, 2, trial_generator(0, 0))
 
 
 class TestRandomizedUnanimity:
@@ -237,7 +237,7 @@ class TestApproxError:
 class TestRelativeErrors:
     def test_in_range_match_plain_norm_ratios(self, rng):
         a = rank_k(20, 16, 4, rng)
-        f = randomized_cur(a, length_dist(a, ROWS), length_dist(a, COLS), 5, 5,
+        f = randomized_cur(a, *axis_dists(a, "length"), 5, 5,
                            trial_generator(3, 0))
         resid = a - f.approximation()
         rel_2, rel_f = relative_errors(a, f)

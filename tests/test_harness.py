@@ -28,17 +28,17 @@ from curlowrank.harness import (
     ExperimentConfig,
     TrialRecord,
     config_from_mapping,
-    config_from_text,
     emit_csv,
     lowrank_factors,
     lowrank_gaussian,
+    read_key_values,
     run_experiment,
     spectral_noise,
     trial_generator,
     zero_out_columns,
 )
 from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd, rank_cutoff
-from curlowrank.sampling import SCHEMES, ProbDist, draw_indices, leverage_dist
+from curlowrank.sampling import SCHEMES, ProbDist, axis_dists, draw_indices
 
 from conftest import factored_weights
 
@@ -49,7 +49,7 @@ def sha(path):
 
 class TestConfig:
     def test_from_text(self):
-        cfg = config_from_text(
+        cfg = config_from_mapping(read_key_values(
             "kind = success_prob\n"
             "m = 20\n"
             "n = 16\n"
@@ -58,7 +58,7 @@ class TestConfig:
             "d_grid = 6, 8\n"
             "trials = 10\n"
             "master_seed = 5\n"
-        )
+        ))
         assert cfg.kind == "success_prob"
         assert cfg.d_grid == (6, 8)
         assert cfg.master_seed == 5
@@ -71,7 +71,7 @@ class TestConfig:
 
     def test_bad_line_reported(self):
         with pytest.raises(ConfigError) as exc:
-            config_from_text("kind = success_prob\nno equals sign here\n")
+            config_from_mapping(read_key_values("kind = success_prob\nno equals sign here\n"))
         assert "line 2" in str(exc.value)
 
     def test_validation_errors(self):
@@ -186,7 +186,8 @@ class TestConfig:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError) as exc:
-            config_from_text("kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid =\n")
+            text = "kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid =\n"
+            config_from_mapping(read_key_values(text))
         assert exc.value.field == "d_grid"
 
     @pytest.mark.parametrize("text, field", [
@@ -198,7 +199,7 @@ class TestConfig:
     def test_empty_list_item_rejected(self, text, field):
         # an empty item is an error, not a shorter list: "2,,1" is not (2, 1)
         with pytest.raises(ConfigError) as exc:
-            config_from_text(text)
+            config_from_mapping(read_key_values(text))
         assert exc.value.field == field
 
     def test_tol_defaults_to_the_exactness_tolerance(self):
@@ -215,8 +216,8 @@ class TestConfig:
         ("YES", True), ("no", False), (" On ", True), ("off", False),
     ])
     def test_bool_words(self, word, value):
-        cfg = config_from_text(f"kind = success_prob\nm = 8\nn = 8\nk = 2\nd_grid = 4\n"
-                               f"dedup = {word}\n")
+        cfg = config_from_mapping(read_key_values(f"kind = success_prob\nm = 8\nn = 8\nk = 2\n"
+                                                  f"d_grid = 4\ndedup = {word}\n"))
         assert cfg.dedup is value
 
     @pytest.mark.parametrize("word", ["ture", "yes please", "2", "", "y"])
@@ -796,7 +797,7 @@ class TestStageMajor:
         assert str(stacked.value) == str(alone.value)
         for k in (0, 25):  # outside 1..min(m, n), which the config rules out for a trial
             with pytest.raises(DomainError):
-                leverage_dist(trials[0].p @ trials[0].q.T, k, ROWS)
+                axis_dists(trials[0].p @ trials[0].q.T, "leverage", k)
 
     def test_weights_failing_a_check_fail_the_stack_as_they_fail_alone(self, monkeypatch):
         cfg = ExperimentConfig(trials=6, **STACKED_CONFIGS["length"])

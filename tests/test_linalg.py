@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from curlowrank.errors import (DomainError, IndexOutOfRangeError, IndexSetError, RankDeficientError,
-                              ZeroMatrixError)
+from curlowrank.errors import (DomainError, IndexOutOfRangeError, IndexSetError, MatrixInputError,
+                              RankDeficientError, ZeroMatrixError)
 from curlowrank.linalg import (
     COLS,
     ROWS,
@@ -15,6 +15,7 @@ from curlowrank.linalg import (
     _leading_bases,
     _leading_svd,
     _norms,
+    _gram_norm,
     _pinvs,
     _rank_pinv_cutoff,
     _row_norms,
@@ -248,6 +249,13 @@ class TestPseudoinverse:
         assert p.shape == (5, 3)
         assert np.all(p == 0.0)
 
+    def test_a_kept_subnormal_singular_value_is_a_matrix_input_error(self):
+        # 1 / 5e-324 overflows; where the cutoff drops that value, the pinv is finite
+        with pytest.raises(MatrixInputError, match="subnormal"):
+            pinv(np.diag([1e-310, 5e-324]))
+        rank, p = _rank_pinv_cutoff(np.diag([1.0, 5e-324]))
+        assert rank == 1 and p.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
 
 class TestStableRank:
     def test_identity(self):
@@ -383,6 +391,13 @@ class TestSpectralNorm:
 
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 2))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40), (7, 7)])
+    def test_the_gram_rule_on_a_unit_scale_matrix_keeps_the_bits_of_its_scaled_copy(self, rng, shape):
+        # spectral_noise takes _gram_norm of E as it is, spectral_norm of a scaled copy
+        for scale in (1.0, 2.0, 3.0, 0.3):
+            x = scale * rng.standard_normal(shape)
+            assert _gram_norm(x) == spectral_norm(x)
 
 
 class TestRankCutoffTol:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curlowrank.errors import MatrixInputError
 from curlowrank.mmio import read_matrix, write_matrix
 
 
@@ -82,6 +83,18 @@ def test_rejects_a_dimensions_line_without_two_integers(tmp_path, body):
     path = tmp_path / "no_shape.mtx"
     path.write_text(HEADER + body)
     with pytest.raises(ValueError, match="bad dimensions line"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("where", ["header", "comment", "dimensions", "first_entry", "far_entry"])
+def test_a_file_that_is_not_utf8_is_a_matrix_input_error(tmp_path, where):
+    # "far_entry" sits past the first buffered read, where loadtxt decodes the body
+    lines = [HEADER.rstrip("\n").encode(), b"% note", b"2000 1", *[b"1.5"] * 2000]
+    spot = {"header": 0, "comment": 1, "dimensions": 2, "first_entry": 3, "far_entry": -1}[where]
+    lines[spot] += b"\xff"
+    path = tmp_path / "latin1.mtx"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(MatrixInputError, match="can't decode byte 0xff"):
         read_matrix(path)
 
 

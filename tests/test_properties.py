@@ -77,8 +77,6 @@ from curlowrank.sampling import (
     SCHEMES,
     axis_dists,
     draw_indices,
-    leverage_dist,
-    length_dist,
     rescaled_submatrix,
 )
 
@@ -117,8 +115,8 @@ def instances(draw):
 @given(inst=instances(), j=st.integers(-500, 500))
 def test_power_of_two_scaling_keeps_every_bit(inst, j):
     a, s = inst[0], 2.0**j
-    for axis in (ROWS, COLS):
-        assert length_dist(s * a, axis).weights.tobytes() == length_dist(a, axis).weights.tobytes()
+    for got, want in zip(axis_dists(s * a, "length"), axis_dists(a, "length")):
+        assert got.weights.tobytes() == want.weights.tobytes()
 
 
 @PROPERTY
@@ -156,11 +154,10 @@ def test_permutation_permutes_the_weights(inst):
     a, k, _, _, rng = inst
     pr, pc = rng.permutation(a.shape[0]), rng.permutation(a.shape[1])
     b = a[pr][:, pc]
-    for axis, perm in ((ROWS, pr), (COLS, pc)):
-        np.testing.assert_allclose(length_dist(b, axis).weights, length_dist(a, axis).weights[perm],
-                                   rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(leverage_dist(b, k, axis).weights,
-                                   leverage_dist(a, k, axis).weights[perm], rtol=1e-8, atol=1e-12)
+    for scheme, rank, rtol, atol in (("length", None, 1e-12, 1e-15), ("leverage", k, 1e-8, 1e-12)):
+        pairs = zip(axis_dists(b, scheme, rank), axis_dists(a, scheme, rank), (pr, pc))
+        for got, want, perm in pairs:
+            np.testing.assert_allclose(got.weights, want.weights[perm], rtol=rtol, atol=atol)
 
 
 @PROPERTY
@@ -169,9 +166,9 @@ def test_rescaled_gram_is_unbiased_exactly(inst):
     # sum_i p_i * rhat_i^T rhat_i = A^T A, one draw of each index in the support;
     # leverage(k) meets it because rank(A) = k, so no nonzero row has zero leverage
     a, k, _, _, _ = inst
-    for axis, gram in ((ROWS, a.T @ a), (COLS, a @ a.T)):
-        for dist in (uniform(a.shape[axis == COLS], axis), length_dist(a, axis),
-                     leverage_dist(a, k, axis)):
+    length, leverage = axis_dists(a, "length"), axis_dists(a, "leverage", k)
+    for i, (axis, gram) in enumerate(((ROWS, a.T @ a), (COLS, a @ a.T))):
+        for dist in (uniform(a.shape[i], axis), length[i], leverage[i]):
             support = np.flatnonzero(dist.weights > 0.0)
             rhat = rescaled_submatrix(a, IndexSet(support, axis), dist, 1)
             p = dist.weights[support]

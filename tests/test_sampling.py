@@ -30,8 +30,6 @@ from curlowrank.sampling import (
     axis_dists,
     draw_indices,
     draw_with_replacement,
-    length_dist,
-    leverage_dist,
     min_sample_size_rv,
     rescaled_submatrix,
     sample_size_length_via_lev,
@@ -51,7 +49,7 @@ class TestDistributions:
 
     def test_length_simple(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
-        np.testing.assert_allclose(length_dist(a, COLS).weights, [0.2, 0.8])
+        np.testing.assert_allclose(axis_dists(a, "length")[1].weights, [0.2, 0.8])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_every_scheme_validates_the_matrix(self, scheme):
@@ -65,53 +63,45 @@ class TestDistributions:
 
     def test_length_zero_column_gets_exact_zero(self):
         a = np.array([[3.0, 0.0], [4.0, 0.0]])
-        w = length_dist(a, COLS).weights
+        w = axis_dists(a, "length")[1].weights
         assert w[0] == 1.0 and w[1] == 0.0
 
     def test_length_matches_bruteforce(self, rng):
         a = rng.standard_normal((6, 4))
-        w = length_dist(a, COLS).weights
+        rows, cols = axis_dists(a, "length")
+        w = cols.weights
         # independent oracle: explicit per-column sums
         brute = np.array([sum(a[i, j] ** 2 for i in range(6)) for j in range(4)])
         brute /= brute.sum()
         np.testing.assert_allclose(w, brute, atol=1e-12)
-        w_rows = length_dist(a, ROWS).weights
+        w_rows = rows.weights
         brute_r = np.array([sum(a[i, j] ** 2 for j in range(4)) for i in range(6)])
         np.testing.assert_allclose(w_rows, brute_r / brute_r.sum(), atol=1e-12)
 
     def test_length_rejects_zero_matrix(self):
         with pytest.raises(ZeroMatrixError):
-            length_dist(np.zeros((2, 3)), COLS)
+            axis_dists(np.zeros((2, 3)), "length")
 
     def test_leverage_diag(self):
-        np.testing.assert_allclose(leverage_dist(np.diag([3.0, 4.0]), 2, COLS).weights, [0.5, 0.5])
+        cols = axis_dists(np.diag([3.0, 4.0]), "leverage", 2)[1]
+        np.testing.assert_allclose(cols.weights, [0.5, 0.5])
 
     def test_leverage_rank_one(self):
         a = np.outer([1.0, 1.0], [1.0, 1.0])
-        np.testing.assert_allclose(leverage_dist(a, 1, COLS).weights, [0.5, 0.5])
+        np.testing.assert_allclose(axis_dists(a, "leverage", 1)[1].weights, [0.5, 0.5])
 
     def test_leverage_matches_svd(self, rng):
         a = rank_k(10, 8, 3, rng)
-        w = leverage_dist(a, 3, COLS).weights
+        rows, cols = axis_dists(a, "leverage", 3)
+        w = cols.weights
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
-        _, _, vt = np.linalg.svd(a, full_matrices=False)
+        u, _, vt = np.linalg.svd(a, full_matrices=False)
         np.testing.assert_allclose(w, np.sum(vt[:3, :] ** 2, axis=0) / 3.0, atol=1e-12)
+        np.testing.assert_allclose(rows.weights, np.sum(u[:, :3] ** 2, axis=1) / 3.0, atol=1e-12)
 
     def test_leverage_rank_deficient(self, rng):
         with pytest.raises(RankDeficientError):
-            leverage_dist(rank_k(6, 5, 2, rng), 3, COLS)
-
-    def test_axis_dists_per_scheme(self, rng):
-        a = rank_k(10, 8, 3, rng)
-        expected = {
-            ("uniform", None): (uniform(10, ROWS), uniform(8, COLS)),
-            ("length", None): (length_dist(a, ROWS), length_dist(a, COLS)),
-            ("leverage", 3): (leverage_dist(a, 3, ROWS), leverage_dist(a, 3, COLS)),
-        }
-        for (scheme, k), want in expected.items():
-            for got, dist in zip(axis_dists(a, scheme, k), want):
-                assert got.axis == dist.axis
-                np.testing.assert_array_equal(got.weights, dist.weights)
+            axis_dists(rank_k(6, 5, 2, rng), "leverage", 3)
 
     def test_axis_dists_leverage_needs_k(self, rng):
         with pytest.raises(DomainError):
@@ -133,10 +123,6 @@ class TestDistributions:
     def test_probdist_rejects_a_bad_shape_or_axis(self, weights, axis, error, match):
         with pytest.raises(error, match=match):
             ProbDist(np.array(weights), axis, "uniform")
-
-    def test_length_rejects_an_unknown_axis(self):
-        with pytest.raises(IndexSetError, match="axis must be"):
-            length_dist(np.eye(2), "diag")
 
 
 def _bits(dists):
@@ -202,7 +188,7 @@ class TestCertifiedLeverage:
 
     def test_rank_deficient_at_sketch_size(self, rng):
         with pytest.raises(RankDeficientError):
-            leverage_dist(rank_k(200, 150, 3, rng), 5, COLS)
+            axis_dists(rank_k(200, 150, 3, rng), "leverage", 5)
 
     def test_matrices_below_the_size_rule_keep_their_bits(self, rng):
         a = noisy_rank_k(40, 29, 5, 1e-3, rng)
@@ -259,7 +245,7 @@ class TestBitPin:
         h = {name: hashlib.sha256() for name in self.DIGESTS}
         paths = set()
         for a, _, k in _pin_cases():
-            dists = [length_dist(a, ROWS), length_dist(a, COLS), *axis_dists(a, "length")]
+            dists = [*axis_dists(a, "length"), *axis_dists(a, "length")]
             h["length"].update(b"".join(_bits(dists)))
             h["lev_svd"].update(b"".join(w.tobytes() for w in dense_leverage(a, k)))
             path = "lev_dense" if _leading_svd(a, k) is None else "lev_sketch"
@@ -362,14 +348,14 @@ class TestRescaledSubmatrix:
 
     def test_length_weighted_scale(self):
         a = np.diag([1.0, 2.0])
-        dist = length_dist(a, ROWS)  # weights [0.2, 0.8]
+        dist = axis_dists(a, "length")[0]  # weights [0.2, 0.8]
         row = rescaled_submatrix(a, IndexSet([1], ROWS), dist, 1)
         # scale ||A||_F / ||A(1,:)|| = sqrt(5)/2
         np.testing.assert_allclose(row, [[0.0, 2.0 * np.sqrt(5.0) / 2.0]])
 
     def test_zero_probability_draw_rejected(self):
         a = np.array([[3.0, 0.0], [4.0, 0.0]])
-        dist = length_dist(a, COLS)
+        dist = axis_dists(a, "length")[1]
         with pytest.raises(ZeroProbabilityDrawError):
             rescaled_submatrix(a, IndexSet([1], COLS), dist, 1)
 
@@ -384,7 +370,7 @@ class TestRescaledSubmatrix:
     def test_gram_concentration(self):
         rng_a = np.random.default_rng(1)
         a = rng_a.standard_normal((8, 6))
-        dist = length_dist(a, ROWS)
+        dist = axis_dists(a, "length")[0]
         idx = draw_with_replacement(dist, 2000, trial_generator(77, 0))
         rhat = rescaled_submatrix(a, idx, dist, 2000)
         dev = np.linalg.norm(a.T @ a - rhat.T @ rhat, 2)
@@ -394,7 +380,7 @@ class TestRescaledSubmatrix:
         # mean of 1e4 independent single-row Gram estimates approximates A^T A
         rng_a = np.random.default_rng(1)
         a = rng_a.standard_normal((8, 6))
-        dist = length_dist(a, ROWS)
+        dist = axis_dists(a, "length")[0]
         gen = trial_generator(42, 0)
         acc = np.zeros((6, 6))
         n = 10_000
@@ -410,10 +396,10 @@ class TestRescaledSubmatrix:
 class TestColumnAxisRescaling:
     def test_columns_scale_like_rows_of_transpose(self, rng):
         a = rng.standard_normal((5, 7))
-        dist = length_dist(a, COLS)
+        dist = axis_dists(a, "length")[1]
         idx = draw_with_replacement(dist, 6, trial_generator(12, 0))
         got = rescaled_submatrix(a, idx, dist, 6)
-        dist_t = length_dist(a.T, ROWS)
+        dist_t = axis_dists(a.T, "length")[0]
         idx_t = IndexSet(idx.indices, ROWS)
         np.testing.assert_allclose(got, rescaled_submatrix(a.T, idx_t, dist_t, 6).T, atol=1e-14)
 

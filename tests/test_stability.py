@@ -12,8 +12,7 @@ from curlowrank.sampling import (
     _length_weights,
     _noisy_floors,
     _squared_lengths,
-    length_dist,
-    leverage_dist,
+    axis_dists,
     sample_size_length_via_lev,
     sample_size_leverage,
 )
@@ -112,11 +111,9 @@ class TestNoisyFloor:
             e = rng.standard_normal(a.shape)
             e *= 0.3 * min(np.linalg.norm(a, axis=1).min(), np.linalg.norm(a, axis=0).min()) / np.linalg.norm(e, 2)
             beta, alpha = certified_floors(a, e)
-            q_tilde = length_dist(a + e, ROWS).weights
-            q_row = length_dist(a, ROWS).weights
+            q_tilde, p_tilde = (d.weights for d in axis_dists(a + e, "length"))
+            q_row, p_col = (d.weights for d in axis_dists(a, "length"))
             assert np.all(q_tilde >= beta**2 * q_row - 1e-12)
-            p_tilde = length_dist(a + e, COLS).weights
-            p_col = length_dist(a, COLS).weights
             assert np.all(p_tilde >= alpha**2 * p_col - 1e-12)
 
     def test_zero_row_convention(self):
@@ -168,7 +165,7 @@ class TestNoisyFloor:
 class TestCertificate:
     def test_floors_that_do_not_certify_raise(self, rng):
         a = rank_k(6, 5, 2, rng)
-        reference = (length_dist(a, ROWS).weights, length_dist(a, COLS).weights)
+        reference = tuple(d.weights for d in axis_dists(a, "length"))
         uniform = (np.full(6, 1.0 / 6), np.full(5, 1.0 / 5))
         with pytest.raises(CertificateError, match="row 0"):
             _certify((np.full(6, 2.0), np.full(5, 2.0)), reference, uniform)
@@ -204,8 +201,8 @@ class TestDominanceInequalities:
         for _ in range(20):
             k = int(rng.integers(1, 5))
             a = rank_k(10, 8, k, rng)
-            p_col = length_dist(a, COLS).weights
-            p_lev = leverage_dist(a, k, COLS).weights
+            p_col = axis_dists(a, "length")[1].weights
+            p_lev = axis_dists(a, "leverage", k)[1].weights
             live = p_lev > 0.0
             bound = stable_rank(a) * condition_number(a) ** 2 / k
             assert np.max(p_lev[live] / p_col[live]) <= bound * (1 + 1e-10)
@@ -216,8 +213,8 @@ class TestDominanceInequalities:
             k = int(rng.integers(1, 6))
             a = rank_k(11, 9, k, rng)
             r = stable_rank(a)
-            p_col = length_dist(a, COLS).weights
-            p_lev = leverage_dist(a, k, COLS).weights
+            p_col = axis_dists(a, "length")[1].weights
+            p_lev = axis_dists(a, "leverage", k)[1].weights
             assert np.all(p_lev >= (r / k) * p_col - 1e-10)
 
     def test_length_dominates_leverage(self, rng):
@@ -227,8 +224,8 @@ class TestDominanceInequalities:
             a = rank_k(11, 9, k, rng)
             r = stable_rank(a)
             kap = condition_number(a)
-            p_col = length_dist(a, COLS).weights
-            p_lev = leverage_dist(a, k, COLS).weights
+            p_col = axis_dists(a, "length")[1].weights
+            p_lev = axis_dists(a, "leverage", k)[1].weights
             assert np.all(p_col >= (k / (r * kap**2)) * p_lev - 1e-10)
 
 
@@ -270,8 +267,7 @@ def test_extreme_scale_gives_unscaled_results(rng, scale):
     a = rank_k(30, 20, 3, rng)
     a[4] = 0.0
     a[:, 7] = 0.0
-    for axis in (ROWS, COLS):
-        np.testing.assert_allclose(length_dist(scale * a, axis).weights,
-                                   length_dist(a, axis).weights, rtol=1e-14)
+    for got, want in zip(axis_dists(scale * a, "length"), axis_dists(a, "length")):
+        np.testing.assert_allclose(got.weights, want.weights, rtol=1e-14)
     report = verify_characterization(scale * a, IndexSet(range(30), ROWS), IndexSet(range(20), COLS))
     assert report.all_hold and report.u_pinv_identity
