@@ -50,7 +50,7 @@ BAD = {
     "delta": ["1e-320", "1", "0"], "big_c": ["1e300", "-1", "0", "inf"],
     "trials": ["0", "-1", "1.5"], "master_seed": ["-1", "1.5", "seven", str(2**130)],
     "kappa": ["0.5", "1e15", "inf", "1e300"], "sparsity": ["1", "-0.1", "0.99"],
-    "tol": ["0", "-1", "1", "1e-300", "nan"], "dedup": ["maybe"], "timing": ["2"],
+    "tol": ["0", "-1", "1", "1e-300", "nan"], "dedup": ["maybe"],
     "dims": ["0,1", "2,,1", "x", "41", "3"], "points": ["1", "2,1", "", "0"],
 }
 
@@ -82,7 +82,6 @@ def random_config(rng):
         else:
             fields.update(eps=rng.choice(["0.9", "0.95"]), delta=rng.choice(["0.9", "0.99"]))
         fields["dedup"] = rng.choice(["yes", "no"])
-        fields["timing"] = rng.choice(["on", "off"])
         if rng.random() < 0.3:
             fields["sparsity"] = rng.choice(["0.3", "0.5"])
     if kind == "noise_stability":

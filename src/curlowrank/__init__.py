@@ -50,7 +50,6 @@ from .harness import (
     run_experiment,
     spectral_noise,
     trial_generator,
-    zero_out_columns,
 )
 from .linalg import (
     COLS,

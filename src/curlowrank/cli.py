@@ -227,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", dest="big_c", type=float, help="leading constant")
     p.add_argument("--sparsity", type=float, help="fraction of columns zeroed")
     p.add_argument("--dedup", action="store_true", help="drop repeated indices")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall time per trial (breaks byte reproducibility)")
     _config_flags(p)
     p.set_defaults(func=_cmd_experiment)
 

@@ -22,9 +22,8 @@ aborts the run, though a different trial's error may surface first.  For a
 given numpy/BLAS build and thread count, a config plus a master seed
 determines every output byte; the integer and flag columns are also fixed
 across BLAS thread counts.  A stage timer sums the nanoseconds of each stage
-of a grid point over its chunks (:func:`_run_trials`); per-trial wall time,
-an equal share of each stage of its chunk, is recorded only when ``timing``
-is enabled, since measured clocks would break byte-level reproducibility.
+of a grid point over its chunks (:func:`_run_trials`); no clock reaches the
+records, whose ``ms`` column is always 0.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -91,7 +90,6 @@ class TrialRecord:
     success: bool
     rel_error_spectral: float
     rel_error_frobenius: float
-    wall_time_ms: float
 
 
 # The fields each kind never reads; a config giving one a non-default value is rejected.
@@ -125,7 +123,6 @@ class ExperimentConfig:
     sparsity: float = 0.0
     tol: float = EXACTNESS_TOL
     dedup: bool = False
-    timing: bool = False
     dims: tuple | None = None
     points: tuple | None = None
 
@@ -377,20 +374,6 @@ def lowrank_gaussian(m, n, k, rng, kappa=None) -> np.ndarray:
     return p[0] @ q[0].T
 
 
-def zero_out_columns(a, fraction, rng) -> np.ndarray:
-    """Zero a random ``fraction`` of columns (sparse-column stress case); a ``fraction``
-    outside [0, 1] is a DomainError."""
-    if not 0.0 <= fraction <= 1.0:
-        raise DomainError(f"fraction must lie in [0, 1], got {fraction}")
-    a = a.copy()
-    n = a.shape[1]
-    count = int(round(fraction * n))
-    if count > 0:
-        cols = rng.choice(n, size=count, replace=False)
-        a[:, cols] = 0.0
-    return a
-
-
 def spectral_noise(shape, sigma, rngs) -> np.ndarray:
     """The stack of i.i.d. Gaussian noise matrices, one of ``shape`` per generator of the list
     ``rngs``, each rescaled so its ``||E||_2`` equals ``sigma`` to within 1e-12 relative.
@@ -438,7 +421,8 @@ def _test_matrices(cfg, d, trials):
     rngs = [t.rng for t in trials]
     p, q = lowrank_factors(cfg.m, cfg.n, cfg.k, rngs, cfg.kappa)
     if cfg.sparsity > 0.0:  # zero columns of A are zero rows of q
-        q = np.stack([zero_out_columns(x.T, cfg.sparsity, rng).T for x, rng in zip(q, rngs)])
+        for x, rng in zip(q, rngs):
+            x[rng.choice(cfg.n, size=round(cfg.sparsity * cfg.n), replace=False)] = 0.0
     for t, x, y, f in zip(trials, p, q, factored_svd(p, q)):
         t.p, t.q, t.svd = x, y, f
     return trials
@@ -604,11 +588,9 @@ def _scheme(cfg):
     return "deim" if cfg.kind == "deim_check" else cfg.scheme
 
 
-def _lap(clock, name, start) -> int:
-    """Add the nanoseconds since ``start`` to ``clock[name]`` and return them."""
-    ns = time.perf_counter_ns() - start
-    clock[name] = clock.get(name, 0) + ns
-    return ns
+def _lap(clock, name, start) -> None:
+    """Add the nanoseconds since ``start`` to ``clock[name]``."""
+    clock[name] = clock.get(name, 0) + time.perf_counter_ns() - start
 
 
 # The bytes of one chunk's stacked per-trial arrays: 46 noise trials at 50-by-40, and one at
@@ -631,22 +613,20 @@ def _chunk_size(cfg) -> int:
 def _run_trials(cfg, d, indices, clock):
     """``(records, group)``: the trials ``indices`` at draw count ``d``, run stage-major a chunk
     at a time, and their group of the summary.  ``clock`` gains the nanoseconds of each stage,
-    by name, of ``emit`` (the records) and of ``reduce`` (the group); a record's ``ms`` is its
-    equal share of each stage of its chunk where ``cfg.timing`` is set, else 0."""
+    by name, of ``emit`` (the records) and of ``reduce`` (the group), summed over the chunks;
+    the records hold no time."""
     stages, reducer = _KINDS[cfg.kind]
     size, records = _chunk_size(cfg), []
     for first in range(0, len(indices), size):
         live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices[first:first + size]]
-        ns = 0.0  # each recorded trial's share: it joined every stage of its chunk
         for stage in stages:
             if not live:
                 break
-            start, joined = time.perf_counter_ns(), len(live)
+            start = time.perf_counter_ns()
             live = stage(cfg, d, live)
-            ns += _lap(clock, stage.__name__, start) / joined
+            _lap(clock, stage.__name__, start)
         start = time.perf_counter_ns()
-        records += [TrialRecord(t.index, _scheme(cfg), d, d, *t.row,
-                                ns / 1e6 if cfg.timing else 0.0) for t in live]
+        records += [TrialRecord(t.index, _scheme(cfg), d, d, *t.row) for t in live]
         _lap(clock, "emit", start)
     start = time.perf_counter_ns()
     group = reducer(cfg, d, indices[0], records)
@@ -685,8 +665,7 @@ def emit_csv(records, summary, path) -> None:
         fh.write(CSV_HEADER + "\n")
         for r in records:
             fh.write(f"{r.trial_index},{r.scheme},{r.d1},{r.d2},{'1' if r.success else '0'},"
-                     f"{float(r.rel_error_spectral):.17g},{float(r.rel_error_frobenius):.17g},"
-                     f"{float(r.wall_time_ms):.17g}\n")
+                     f"{float(r.rel_error_spectral):.17g},{float(r.rel_error_frobenius):.17g},0\n")
         fh.write("# summary\n")
         for group in summary["groups"]:
             parts = [f"{key}={_format_value(val)}" for key, val in group.items()]

@@ -154,9 +154,10 @@ def records_from_csv(path):
     for line in path.read_text().splitlines()[1:]:
         if line == "# summary":
             break
-        trial, scheme, d1, d2, success, *floats = line.split(",")
+        trial, scheme, d1, d2, success, err_2, err_f, ms = line.split(",")
+        assert ms == "0"
         records.append(TrialRecord(int(trial), scheme, int(d1), int(d2), success == "1",
-                                   *map(float, floats)))
+                                   float(err_2), float(err_f)))
     return records
 
 

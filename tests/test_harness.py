@@ -35,7 +35,6 @@ from curlowrank.harness import (
     run_experiment,
     spectral_noise,
     trial_generator,
-    zero_out_columns,
 )
 from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd, rank_cutoff
 from curlowrank.sampling import SCHEMES, ProbDist, axis_dists, draw_indices
@@ -134,9 +133,11 @@ class TestConfig:
         (0.6, 5, 4),
     ])
     def test_sparsity_accepted_while_k_columns_survive(self, sparsity, k, survivors):
-        kept = zero_out_columns(np.ones((3, 10)), sparsity, trial_generator(0, 0)).any(axis=0)
-        assert np.count_nonzero(kept) == survivors
         cfg = dict(kind="success_prob", m=12, n=10, k=k, sparsity=sparsity, d_grid=(6,), trials=1)
+        # a zeroed column of A is a zero row of q; a rank-1 config counts the survivors
+        rank_one = ExperimentConfig(**{**cfg, "k": 1})
+        [t] = harness._test_matrices(rank_one, 6, [harness._Trial(0, trial_generator(0, 0))])
+        assert np.count_nonzero(t.q.any(axis=1)) == survivors
         if survivors < k:
             with pytest.raises(ConfigError) as exc:
                 ExperimentConfig(**cfg)
@@ -261,9 +262,12 @@ class TestGenerators:
             a = lowrank_gaussian(20, 15, 5, trial_generator(4, i), kappa)
             np.testing.assert_array_equal(p[i] @ q[i].T, a)
 
-    def test_zero_columns(self, rng):
-        a = zero_out_columns(lowrank_gaussian(10, 20, 3, rng), 0.8, rng)
-        assert int(np.sum(np.all(a == 0.0, axis=0))) == 16
+    def test_zero_columns(self):
+        cfg = ExperimentConfig(kind="success_prob", m=10, n=20, k=3, sparsity=0.8, d_grid=(6,))
+        trials = [harness._Trial(i, trial_generator(0, i)) for i in range(3)]
+        for t in harness._test_matrices(cfg, 6, trials):
+            assert int(np.sum(np.all(t.q == 0.0, axis=1))) == 16
+            assert int(np.sum(np.all(t.p @ t.q.T == 0.0, axis=0))) == 16
 
     @pytest.mark.parametrize("k, kappa", [(10, None), (5, None), (0, None), (-1, None),
                                           (2, 0.5), (2, 0.0), (2, math.inf), (2, math.nan)])
@@ -273,13 +277,6 @@ class TestGenerators:
             lowrank_factors(5, 4, k, [trial_generator(0, 0)], kappa)
         with pytest.raises(DomainError):
             lowrank_gaussian(5, 4, k, trial_generator(0, 0), kappa)
-
-    @pytest.mark.parametrize("fraction", [-0.25, 1.5, math.nan])
-    def test_zero_columns_outside_the_unit_interval_raise(self, rng, fraction):
-        with pytest.raises(DomainError):
-            zero_out_columns(np.ones((3, 4)), fraction, rng)
-        assert zero_out_columns(np.ones((3, 4)), 0.0, rng).all()
-        assert not zero_out_columns(np.ones((3, 4)), 1.0, rng).any()
 
     def test_noise_norm(self, rng):
         (e,) = spectral_noise((9, 7), 1e-3, [rng])
@@ -457,13 +454,6 @@ class TestSuccessExperiment:
             assert r.d1 == r.d2 == 8
             if r.success:
                 assert r.rel_error_frobenius <= 1e-8
-            assert r.wall_time_ms == 0.0  # timing disabled by default
-
-    def test_timing_flag_records_wall_time(self):
-        cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
-                               d_grid=(8,), trials=5, master_seed=99, timing=True)
-        records, _ = run_experiment(cfg)
-        assert any(r.wall_time_ms > 0.0 for r in records)
 
     def test_trial_isolation(self):
         # a shorter run reproduces the exact prefix of a longer one
@@ -660,7 +650,6 @@ class TestStageMajor:
         alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i], {})[0]]
         assert together == alone
         assert bool(together) != (name == "noise_skips_all")
-        assert all(record.wall_time_ms == 0.0 for record in together)
 
     @pytest.mark.parametrize("name", ["length", "noise_length", "noise_skips_all",
                                       "noise_length_skips_between", "deim", "clustering_length"])
@@ -829,17 +818,20 @@ class TestStageMajor:
             harness._deim_selections(cfg, 4, trials)
         assert str(stacked.value) == str(alone.value)
 
-    def test_timing_shares_each_stacked_stage(self, monkeypatch):
-        # each stage advances a fake clock by 1 s per call, and a stacked stage's second
-        # is split between the trials that joined it
+    @pytest.mark.parametrize("kind, extra", [("deim_check", {}),
+                                             ("noise_stability", dict(sigma=1e-3, d_grid=(6,)))])
+    def test_the_clock_sums_each_stage_over_the_chunks(self, kind, extra, monkeypatch):
+        # each read advances a fake clock by 1 s, so each stage and emit take 1 s a chunk and
+        # reduce 1 s a grid point; two trials a chunk, so four span two chunks
         ticks = iter(range(10_000))
         monkeypatch.setattr(harness.time, "perf_counter_ns", lambda: next(ticks) * 10**9)
-        table = dict(m=15, n=12, k=3, trials=4, timing=True)
-        records, _ = run_experiment(ExperimentConfig(kind="deim_check", **table))
-        assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 0.25 + 0.25)] * 4
-        noise = ExperimentConfig(kind="noise_stability", sigma=1e-3, d_grid=(6,), **table)
-        records, _ = run_experiment(noise)
-        assert [r.wall_time_ms for r in records] == [1e3 * (0.25 + 0.25 + 0.25)] * 4
+        cfg = ExperimentConfig(kind=kind, m=15, n=12, k=3, trials=4, **extra)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
+        clock = {}
+        records, _ = harness._run_trials(cfg, cfg.resolved_d_grid()[0], range(4), clock)
+        assert len(records) == 4
+        stages = [stage.__name__ for stage in harness._KINDS[kind][0]]
+        assert clock == {**dict.fromkeys([*stages, "emit"], 2 * 10**9), "reduce": 10**9}
 
     @staticmethod
     def _noise_peak(trials, scheme="length"):
@@ -923,7 +915,7 @@ class TestEmitCsv:
         assert path.read_text() == CSV_HEADER + "\n# summary\n"
 
     def test_one_record(self, tmp_path):
-        rec = TrialRecord(0, "length", 4, 4, True, 1.25e-12, 2.5e-13, 0.0)
+        rec = TrialRecord(0, "length", 4, 4, True, 1.25e-12, 2.5e-13)
         path = tmp_path / "one.csv"
         emit_csv([rec], {"groups": [{"scheme": "length", "successes": 1}]}, path)
         lines = path.read_text().splitlines()
@@ -934,7 +926,7 @@ class TestEmitCsv:
 
     def test_numpy_bool_success_prints_as_flag(self, tmp_path):
         path = tmp_path / "flags.csv"
-        recs = [TrialRecord(i, "length", 4, 4, np.bool_(i == 0), 0.5, 0.25, 0.0) for i in range(2)]
+        recs = [TrialRecord(i, "length", 4, 4, np.bool_(i == 0), 0.5, 0.25) for i in range(2)]
         emit_csv(recs, {"groups": []}, path)
         assert [l.split(",")[4] for l in path.read_text().splitlines()[1:3]] == ["1", "0"]
 
