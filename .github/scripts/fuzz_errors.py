@@ -3,12 +3,15 @@
 Two parts, each with a fixed seed and fixed counts, with every warning raised
 as an error:
 
-- 400 random experiment configs, given as the strings of a config file, go
+- 500 random experiment configs, given as the strings of a config file, go
   through ``config_from_mapping`` and, where they are valid, ``run_experiment``.
   Each is a valid config of one of the four kinds at sizes 1-40, with sigma
   from 0 to 1e300 and kappa up to 1e12, and half of them then get one bad or
   extreme field: sigma inf, nan or -1, kappa 1e15, bad seeds, draw counts
-  and lists among them.
+  and lists among them.  A config whose trial would hold more than the
+  package's ceiling (``eps = 1e-3`` or ``d_grid = 10000000000``) must be a
+  ConfigError when it is built; one of more than 200 draws under the ceiling
+  is validated but not run.
 - The ``svd``, ``cur`` and ``deim`` commands run on malformed and extreme
   ``.mtx`` files, files that are not UTF-8 among them, and the ``experiment``
   and ``cluster`` commands on config and spec files that are not UTF-8.  Each
@@ -36,7 +39,7 @@ from curlowrank.harness import KINDS, config_from_mapping, run_experiment
 from curlowrank.sampling import SCHEMES
 
 SEED = 20260
-CONFIGS = 400
+CONFIGS = 500
 TYPED = tuple(c for c in vars(errors).values() if isinstance(c, type))
 
 # Values a valid config may hold: the extremes of sigma and kappa included.
@@ -46,7 +49,8 @@ KAPPAS = ["1", "1.5", "1e4", "1e8", "1e12"]
 BAD = {
     "kind": ["bogus", ""], "m": ["0", "-1", "x", "1e3"], "n": ["0", "-5", "2.5"],
     "k": ["0", "41", "-2"], "sigma": ["inf", "nan", "-1", "1e309"], "scheme": ["lev", ""],
-    "d_grid": ["0", "-3", "", "2,,4", "3, 8,", "1, 40"], "eps": ["0", "1", "1e-3", "nan"],
+    "d_grid": ["0", "-3", "", "2,,4", "3, 8,", "1, 40", "500", "10000000000"],
+    "eps": ["0", "1", "1e-3", "nan"],
     "delta": ["1e-320", "1", "0"], "big_c": ["1e300", "-1", "0", "inf"],
     "trials": ["0", "-1", "1.5"], "master_seed": ["-1", "1.5", "seven", str(2**130)],
     "kappa": ["0.5", "1e15", "inf", "1e300"], "sparsity": ["1", "-0.1", "0.99"],
@@ -98,13 +102,16 @@ def fuzz_configs(outcomes):
         mapping = random_config(rng)
         try:
             cfg = config_from_mapping(mapping)
-            # eps = 1e-3 resolves to ~1e13 draws, which no run can hold; such a config is
-            # validated but not run
+            # a valid config of more than 200 draws is validated but not run, to keep the fuzz fast
             if max(cfg.resolved_d_grid()) > 200:
                 outcomes["config: valid, over 200 draws, not run"] += 1
                 continue
             run_experiment(cfg)
             outcomes["config: ran"] += 1
+        except errors.ConfigError as exc:
+            # eps = 1e-3 (1e13 draws or more) or d_grid = 1e10 is refused when it is built
+            over = ", over the trial ceiling" if "would hold" in str(exc) else ""
+            outcomes["config: ConfigError" + over] += 1
         except TYPED as exc:
             outcomes[f"config: {type(exc).__name__}"] += 1
         except BaseException:

@@ -68,8 +68,6 @@ def deim_cur(a, k, tol=None) -> CurFactors:
     The bases are :func:`~curlowrank.linalg._leading_bases` of ``a``: the
     certified sketch when ``tol`` is None, else ``a`` factored at ``tol``.
     """
-    if k < 1:
-        raise DomainError(f"rank must be >= 1, got k={k}")
     a = as_matrix(a)
     left, right = _leading_bases(a, k, tol)
     return _cur(a, deim_select(left, k, ROWS), deim_select(right, k, COLS), tol)

@@ -2,8 +2,8 @@
 
 Every experiment kind runs through one trial loop, grid point by grid point,
 and a per-kind reducer writes each grid point's group of the summary.  A grid
-point runs its trials in chunks whose stacked per-trial arrays fit
-:data:`_CHUNK_BYTES`, each chunk stage-major: all its trials enter the first
+point runs its trials in chunks that fit :data:`_CHUNK_BYTES`, draws included
+(:func:`_trial_bytes`), each chunk stage-major: all its trials enter the first
 stage, and each stage fills its named fields of the live trials in one pass
 over their stacked arrays and returns the trials that go on: every data
 matrix is factored at once; every trial's sampling weights are built at once,
@@ -64,6 +64,7 @@ from .errors import ConfigError, DomainError
 from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _gram_norm, _nonnegative, _pinvs,
                      _row_norms, factored_norms, factored_svd)
 from .sampling import (
+    _CEILING_BYTES,
     SCHEMES,
     _certify,
     _draw_pair,
@@ -181,6 +182,10 @@ class ExperimentConfig:
         if self.d_grid is None and self.kind in ("success_prob", "noise_stability"):
             if self.eps is None or self.delta is None:
                 raise ConfigError("give d_grid or both eps and delta", field="d_grid")
+        d = max(self.resolved_d_grid())  # an eps, delta or big_c out of range: a DomainError
+        if _trial_bytes(self, d) > _CEILING_BYTES:
+            raise ConfigError(f"a trial at {d} draws would hold over {_CEILING_BYTES} bytes",
+                              field="d_grid" if self.eps is None else "eps")
 
     def resolved_d_grid(self) -> tuple:
         """The draw-count grid, computing it from (eps, delta, big_c) when absent.
@@ -593,21 +598,31 @@ def _lap(clock, name, start) -> None:
     clock[name] = clock.get(name, 0) + time.perf_counter_ns() - start
 
 
-# The bytes of one chunk's stacked per-trial arrays: 46 noise trials at 50-by-40, and one at
-# 300-by-200 and above, where a noise trial holds what it holds alone.
+# The bytes of one chunk's per-trial arrays: 24 noise trials at 50-by-40 and 16 draws, and one
+# at 300-by-200 and above, where a noise trial holds what it holds alone.
 _CHUNK_BYTES = 2 * 1024 * 1024
 
 
-def _chunk_size(cfg) -> int:
-    """How many of a grid point's trials run at once: as many as fit :data:`_CHUNK_BYTES`, and at
-    least one.  A noise trial holds E, A and E's Gram matrix; any other, its factor pair."""
-    if cfg.kind == "noise_stability":
-        floats = 2 * cfg.m * cfg.n + min(cfg.m, cfg.n) ** 2
-    elif cfg.kind == "clustering":
-        floats = (cfg.m + sum(cfg.points)) * sum(cfg.dims)
+def _trial_bytes(cfg, d) -> int:
+    """The bytes one trial at ``d`` draws holds, to within a tenth of tracemalloc's count: its
+    factor pair and 3k + 11 floats a draw, the indices and gathers of A's bases; a noise trial
+    adds E, A, E's Gram matrix, twice its noisy C and R and six times its U, d1 by d2 (each
+    ``min(d, side)`` under ``dedup``, else d), with U's stacked SVD and pseudoinverse."""
+    if cfg.kind == "clustering":
+        m, n, k = cfg.m, sum(cfg.points), sum(cfg.dims)
     else:
-        floats = (cfg.m + cfg.n) * cfg.k
-    return max(1, _CHUNK_BYTES // (8 * floats))
+        m, n, k = cfg.m, cfg.n, cfg.k
+    floats = (m + n) * k + d * (3 * k + 11)
+    if cfg.kind == "noise_stability":
+        d1, d2 = (min(d, m), min(d, n)) if cfg.dedup else (d, d)
+        floats += 2 * m * n + min(m, n) ** 2 + 2 * (m * d2 + d1 * n) + 6 * d1 * d2
+    return 8 * floats
+
+
+def _chunk_size(cfg, d) -> int:
+    """How many of a grid point's trials run at once: as many as fit :data:`_CHUNK_BYTES`, and at
+    least one."""
+    return max(1, _CHUNK_BYTES // _trial_bytes(cfg, d))
 
 
 def _run_trials(cfg, d, indices, clock):
@@ -616,7 +631,7 @@ def _run_trials(cfg, d, indices, clock):
     by name, of ``emit`` (the records) and of ``reduce`` (the group), summed over the chunks;
     the records hold no time."""
     stages, reducer = _KINDS[cfg.kind]
-    size, records = _chunk_size(cfg), []
+    size, records = _chunk_size(cfg, d), []
     for first in range(0, len(indices), size):
         live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices[first:first + size]]
         for stage in stages:

@@ -54,6 +54,10 @@ UNIFORM = "uniform"
 LENGTH = "length"
 SCHEMES = (UNIFORM, LENGTH, "leverage")
 
+# The most bytes one experiment trial or one sampled CUR may hold; a draw count past it is
+# refused before anything is drawn.
+_CEILING_BYTES = 1 << 30
+
 
 @dataclass(frozen=True, eq=False)
 class ProbDist:

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,26 @@ def test_experiment_non_finite_float_exits_2(capsys, flag, value, field):
                      "--k", "2", "--eps", "0.5", "--delta", "0.5", "--trials", "2",
                      flag, value]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--kind", "success_prob", "--m", "10", "--n", "10", "--k", "2",
+     "--eps", "0.001", "--delta", "0.5", "--trials", "1"],
+    ["cur", "--d1", "1000000000000", "--d2", "3"],
+    ["cur", "--d1", "3", "--d2", "1000000000000", "--dedup"],
+])
+def test_a_draw_count_no_run_can_hold_exits_2_before_it_allocates(matrix_file, capsys, argv):
+    # 1e12 draws or more: the ceiling refuses them before a draw is made
+    if argv[0] == "cur":
+        argv = [*argv, "--in", str(matrix_file)]
+    tracemalloc.start()
+    try:
+        assert cli_main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "would hold" in _error_line(capsys)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("side", ["m", "n"])

@@ -241,6 +241,25 @@ class TestConfig:
             ExperimentConfig(**{**base, "eps": 0.5, "delta": 0.5, field: float(value)})
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("field, value", [("eps", 5.0), ("delta", 0.0), ("big_c", -1.0)])
+    def test_a_sample_size_input_out_of_range_is_refused_when_built(self, field, value):
+        with pytest.raises(DomainError, match=f"got {value}"):
+            ExperimentConfig(kind="success_prob", m=10, n=10, k=2,
+                             **{"eps": 0.5, "delta": 0.5, field: value})
+
+    def test_a_grid_point_over_the_ceiling_is_refused_when_built(self):
+        # a 10-by-10 rank-2 trial holds 8 (40 + 17 d) bytes; the largest d that fits builds
+        d = (sampling._CEILING_BYTES // 8 - 40) // 17
+        cfg = dict(kind="success_prob", m=10, n=10, k=2)
+        fits = ExperimentConfig(**cfg, d_grid=(4, d))
+        assert harness._trial_bytes(fits, d + 1) > sampling._CEILING_BYTES
+        with pytest.raises(ConfigError, match="would hold") as exc:
+            ExperimentConfig(**cfg, d_grid=(4, d + 1))
+        assert exc.value.field == "d_grid"
+        with pytest.raises(ConfigError, match="would hold") as exc:
+            ExperimentConfig(**cfg, eps=0.001, delta=0.5)
+        assert exc.value.field == "eps"
+
 
 class TestGenerators:
     def test_rank_and_shape(self, rng):
@@ -617,13 +636,31 @@ STACKED_CONFIGS = {
 }
 
 def trial_bytes(cfg):
-    """The bytes of one trial's stacked arrays under the chunk rule: E, A and E's Gram matrix
-    for the noise kind, the factor pair of the m-by-n rank-k data otherwise."""
-    if cfg.kind == "noise_stability":
-        return 8 * (2 * cfg.m * cfg.n + min(cfg.m, cfg.n) ** 2)
+    """The bytes of one trial under the chunk rule at the config's one draw count ``d``: the
+    factor pair of the m-by-n rank-k data and 3k + 11 floats a draw; a noise trial adds E, A
+    and E's Gram matrix, twice its noisy C and R and six times its U."""
+    (d,) = cfg.resolved_d_grid()
     if cfg.kind == "clustering":
-        return 8 * (cfg.m + sum(cfg.points)) * sum(cfg.dims)
-    return 8 * (cfg.m + cfg.n) * cfg.k
+        m, n, k = cfg.m, sum(cfg.points), sum(cfg.dims)
+    else:
+        m, n, k = cfg.m, cfg.n, cfg.k
+    floats = (m + n) * k + d * (3 * k + 11)
+    if cfg.kind == "noise_stability":
+        d1, d2 = (min(d, m), min(d, n)) if cfg.dedup else (d, d)
+        floats += 2 * m * n + min(m, n) ** 2 + 2 * (m * d2 + d1 * n) + 6 * d1 * d2
+    return 8 * floats
+
+
+def traced_peak(cfg):
+    """The traced peak of ``run_experiment(cfg)`` in bytes, after a first run has allocated the
+    package's lazily built caches."""
+    run_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # The draw stage's configs: every scheme at sparsity 0 and 0.5, with and without dedup
@@ -645,7 +682,7 @@ class TestStageMajor:
         d = cfg.resolved_d_grid()[0]
         if name == "noise_three_chunks":
             monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
-            assert harness._chunk_size(cfg) == 2
+            assert harness._chunk_size(cfg, d) == 2
         together, _ = harness._run_trials(cfg, d, range(6), {})
         alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i], {})[0]]
         assert together == alone
@@ -656,10 +693,11 @@ class TestStageMajor:
     def test_a_grid_point_in_chunks_is_the_grid_point_in_one(self, name, monkeypatch):
         # two trials a chunk, so six span three; no stage sees more than a chunk
         cfg = ExperimentConfig(trials=6, master_seed=43, **STACKED_CONFIGS[name])
-        assert harness._chunk_size(cfg) >= 6
+        d = cfg.resolved_d_grid()[0]
+        assert harness._chunk_size(cfg, d) >= 6
         whole = repr(run_experiment(cfg))
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
-        assert harness._chunk_size(cfg) == 2
+        assert harness._chunk_size(cfg, d) == 2
         stages, reducer = harness._KINDS[cfg.kind]
         seen = []
 
@@ -675,24 +713,53 @@ class TestStageMajor:
         assert [n for stage, n in seen if stage is stages[0]] == [2, 2, 2]
         assert max(n for _, n in seen) <= 2
 
+    # README's table: trials per chunk at each m-by-n for each (kind, k, d)
+    CHUNK_TABLE_COLUMNS = [("noise_stability", 4, 16), ("noise_stability", 4, 100),
+                           ("success_prob", 4, 16), ("success_prob", 4, 1000),
+                           ("success_prob", 10, 40)]
+
+    @pytest.mark.parametrize("m, n, sizes", [(50, 40, (24, 3, 360, 11, 103)),
+                                             (180, 150, (2, 1, 155, 10, 53)),
+                                             (300, 200, (1, 1, 110, 10, 39)),
+                                             (1000, 800, (1, 1, 34, 8, 13))])
+    def test_the_readme_chunk_table(self, m, n, sizes):
+        for (kind, k, d), size in zip(self.CHUNK_TABLE_COLUMNS, sizes):
+            cfg = ExperimentConfig(kind=kind, m=m, n=n, k=k, d_grid=(d,))
+            assert harness._chunk_size(cfg, d) == size
+            assert size == max(1, harness._CHUNK_BYTES // trial_bytes(cfg))
+
     @pytest.mark.parametrize("fields, size", [
-        (dict(kind="noise_stability", m=50, n=40, k=4), 46),
-        (dict(kind="noise_stability", m=180, n=150, k=4), 3),
-        (dict(kind="noise_stability", m=300, n=200, k=4), 1),
-        (dict(kind="noise_stability", m=1000, n=800, k=10), 1),
-        (dict(kind="success_prob", m=50, n=40, k=4), 728),
-        (dict(kind="success_prob", m=180, n=150, k=4), 198),
-        (dict(kind="deim_check", m=300, n=200, k=4), 131),
-        (dict(kind="success_prob", m=1000, n=800, k=10), 14),
-        (dict(kind="clustering", m=60, dims=(2, 3, 4, 5, 6), points=(30,) * 5), 62),
-        (dict(kind="clustering", m=40, dims=(2, 2, 3, 3, 4, 4, 5), points=(20,) * 7), 63),
+        (dict(kind="noise_stability", m=50, n=40, k=4, d_grid=(1000,), dedup=True), 5),
+        (dict(kind="noise_stability", m=1000, n=800, k=10, d_grid=(40,)), 1),
+        (dict(kind="deim_check", m=50, n=40, k=4), 579),
+        (dict(kind="clustering", m=60, dims=(2, 3, 4, 5, 6), points=(30,) * 5), 12),
+        (dict(kind="clustering", m=40, dims=(2, 2, 3, 3, 4, 4, 5), points=(20,) * 7), 9),
     ])
     def test_chunk_sizes(self, fields, size):
-        # README's table, and the benchmark's grid points stay one chunk: 20 trials at
-        # 50-by-40, 5 in each clustering model and 1 at 1000-by-800
-        grid = {} if fields["kind"] == "deim_check" else {"d_grid": (8,)}
-        cfg = ExperimentConfig(**fields, **grid)
-        assert harness._chunk_size(cfg) == size == max(1, harness._CHUNK_BYTES // trial_bytes(cfg))
+        # with the table, the benchmark's grid points stay one chunk: 20 trials at 50-by-40
+        # and 16 draws, 5 in each clustering model, at 240 and 289 draws, and 1 at 1000-by-800
+        cfg = ExperimentConfig(**fields)
+        d = cfg.resolved_d_grid()[0]
+        assert harness._chunk_size(cfg, d) == size == max(1, harness._CHUNK_BYTES // trial_bytes(cfg))
+
+    # Grid points whose draws outweigh their factors, a success trial holding gathers of 5000
+    # indices a side and a noise trial its 400-by-400 U six times
+    DRAW_HEAVY = [dict(kind="success_prob", m=1000, n=800, k=4, d_grid=(5000,)),
+                  dict(kind="noise_stability", m=50, n=40, k=4, sigma=1e-3, d_grid=(400,))]
+
+    @pytest.mark.parametrize("fields", DRAW_HEAVY)
+    def test_a_trial_holds_about_its_trial_bytes(self, fields, monkeypatch):
+        # one chunk of one trial, then of three: the peak grows by the rule's bytes a trial
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2**40)
+        cfg = ExperimentConfig(trials=1, **fields)
+        grown = (traced_peak(replace(cfg, trials=3)) - traced_peak(cfg)) / 2
+        assert 0.9 * trial_bytes(cfg) < grown < 1.1 * trial_bytes(cfg)
+
+    @pytest.mark.parametrize("fields", DRAW_HEAVY)
+    def test_a_grid_point_peaks_at_one_chunk_at_any_trial_count(self, fields, monkeypatch):
+        cfg = ExperimentConfig(trials=2, **fields)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
+        assert traced_peak(replace(cfg, trials=8)) - traced_peak(cfg) < trial_bytes(cfg) / 4
 
     @staticmethod
     def _first_stage(cfg, bases=None):
