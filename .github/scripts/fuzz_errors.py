@@ -1,6 +1,6 @@
 """Fail when a bad input raises anything but a class of curlowrank.errors.
 
-Two parts, each with a fixed seed and fixed counts, with every warning raised
+Four parts, each with a fixed seed or fixed cases, with every warning raised
 as an error:
 
 - 500 random experiment configs, given as the strings of a config file, go
@@ -12,6 +12,12 @@ as an error:
   package's ceiling (``eps = 1e-3`` or ``d_grid = 10000000000``) must be a
   ConfigError when it is built; one of more than 200 draws under the ceiling
   is validated but not run.
+- ``ExperimentConfig`` built from Python values of the wrong type for their
+  field's annotation (floats for ints, bools for numbers, strings, lists,
+  ints past the float range) must be a ConfigError naming that field.
+- Draw counts no run can hold (1e13 draws and more) given to
+  ``draw_with_replacement``, ``draw_indices`` and ``randomized_cur`` must be
+  a DomainError, raised before anything is drawn.
 - The ``svd``, ``cur`` and ``deim`` commands run on malformed and extreme
   ``.mtx`` files, files that are not UTF-8 among them, and the ``experiment``
   and ``cluster`` commands on config and spec files that are not UTF-8.  Each
@@ -33,10 +39,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from curlowrank import errors
 from curlowrank.cli import cli_main
-from curlowrank.harness import KINDS, config_from_mapping, run_experiment
-from curlowrank.sampling import SCHEMES
+from curlowrank.cur import randomized_cur
+from curlowrank.harness import KINDS, ExperimentConfig, config_from_mapping, run_experiment
+from curlowrank.sampling import SCHEMES, axis_dists, draw_indices, draw_with_replacement
 
 SEED = 20260
 CONFIGS = 500
@@ -117,6 +126,55 @@ def fuzz_configs(outcomes):
         except BaseException:
             print(f"untyped exception for config {mapping!r}", file=sys.stderr)
             raise
+
+
+# Python values of the wrong type for each field, set one at a time on a valid config.
+WRONG_TYPES = {
+    "kind": [None, 3], "m": [10.0, True, "8", None], "n": [6.5, np.float64(6.0)],
+    "k": [2.0, False], "trials": [2.5, True, [2], np.True_], "master_seed": [1.5, False, "3"],
+    "d_grid": [(3.5,), [4], (4, True), 4, ("4",)], "sigma": [True, "0.5", 10**400, 1j],
+    "eps": [np.inf], "big_c": [-(10**400)], "kappa": ["10"], "sparsity": [None],
+    "tol": [float("nan")], "dedup": ["no", 1, None, np.True_], "out_path": [5],
+    "dims": [(2, 2.0), [2, 2], "2,2"], "points": [(6, True), (6, 6.5)],
+}
+
+
+def fuzz_types(outcomes):
+    bases = {"success_prob": dict(kind="success_prob", m=8, n=6, k=2, d_grid=(4,)),
+             "clustering": dict(kind="clustering", m=12, dims=(2, 2), points=(6, 6))}
+    for name, values in WRONG_TYPES.items():
+        base = bases["clustering" if name in ("dims", "points") else "success_prob"]
+        for value in values:
+            try:
+                ExperimentConfig(**{**base, name: value})
+            except errors.ConfigError as exc:
+                if exc.field != name:
+                    raise SystemExit(f"{name}={value!r}: the ConfigError names {exc.field!r}")
+                outcomes["type: ConfigError"] += 1
+                continue
+            except BaseException:
+                print(f"untyped exception for {name}={value!r}", file=sys.stderr)
+                raise
+            raise SystemExit(f"{name}={value!r} of the wrong type was accepted")
+
+
+def fuzz_draws(outcomes):
+    a = np.arange(1.0, 601.0).reshape(30, 20)
+    rows, cols = axis_dists(a, "length")
+    for d in (10**13, 2**62, 10**30):
+        for draw in (lambda g: draw_with_replacement(rows, d, g),
+                     lambda g: draw_indices(rows, cols, 3, d, g),
+                     lambda g: draw_indices(rows, cols, d, 3, g, dedup=True),
+                     lambda g: randomized_cur(a, rows, cols, d, d, g, dedup=True)):
+            try:
+                draw(np.random.default_rng(0))
+            except errors.DomainError:
+                outcomes["draws: DomainError"] += 1
+                continue
+            except BaseException:
+                print(f"untyped exception for {d} draws", file=sys.stderr)
+                raise
+            raise SystemExit(f"{d} draws were not refused")
 
 
 HEADER = b"%%MatrixMarket matrix array real general\n"
@@ -202,6 +260,8 @@ def main():
     warnings.simplefilter("error")
     outcomes = collections.Counter()
     fuzz_configs(outcomes)
+    fuzz_types(outcomes)
+    fuzz_draws(outcomes)
     with tempfile.TemporaryDirectory() as work:
         fuzz_files(outcomes, Path(work))
     for key, count in sorted(outcomes.items()):

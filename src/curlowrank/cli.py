@@ -117,8 +117,8 @@ def _summary_lines(summary):
 
 
 def _given_fields(args):
-    """Config fields of the flags actually given (their parsers suppress defaults)."""
-    return {key: tuple(val) if isinstance(val, list) else val
+    """Config fields of the flags given (their parsers suppress defaults), as config-file text."""
+    return {key: ",".join(val) if isinstance(val, list) else val
             for key, val in vars(args).items() if key in CONFIG_FIELDS}
 
 
@@ -167,9 +167,9 @@ def _cmd_cluster(args):
 def _config_flags(sub):
     """Flags shared by the experiment commands; each ``dest`` is a config field."""
     sub.add_argument("--scheme", choices=SCHEMES)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", dest="master_seed", type=int, help="master seed")
-    sub.add_argument("--tol", type=float, help="exactness tolerance")
+    sub.add_argument("--trials")
+    sub.add_argument("--seed", dest="master_seed", help="master seed")
+    sub.add_argument("--tol", help="exactness tolerance")
     sub.add_argument("--out", dest="out_path", help="CSV output path")
 
 
@@ -219,13 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a Monte Carlo experiment, write CSV")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--kind", choices=KINDS)
-    for name in ("m", "n", "k"):
-        p.add_argument(f"--{name}", type=int)
-    for name in ("sigma", "eps", "delta", "kappa"):
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--d", dest="d_grid", type=int, nargs="+", help="draw-count grid")
-    p.add_argument("--c", dest="big_c", type=float, help="leading constant")
-    p.add_argument("--sparsity", type=float, help="fraction of columns zeroed")
+    for name in ("m", "n", "k", "sigma", "eps", "delta", "kappa"):
+        p.add_argument(f"--{name}")
+    p.add_argument("--d", dest="d_grid", nargs="+", help="draw-count grid")
+    p.add_argument("--c", dest="big_c", help="leading constant")
+    p.add_argument("--sparsity", help="fraction of columns zeroed")
     p.add_argument("--dedup", action="store_true", help="drop repeated indices")
     _config_flags(p)
     p.set_defaults(func=_cmd_experiment)
@@ -233,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", argument_default=quiet,
                        help="union-of-subspaces clustering experiment")
     p.add_argument("--spec", help="model spec file (key=value block)")
-    p.add_argument("--ambient", dest="m", type=int)
+    p.add_argument("--ambient", dest="m")
     p.add_argument("--dims", help="comma list of subspace dims")
     p.add_argument("--points", help="comma list of points per subspace")
-    p.add_argument("--d", dest="d_grid", type=int, nargs=1, help="draw count per axis")
+    p.add_argument("--d", dest="d_grid", nargs=1, help="draw count per axis")
     _config_flags(p)
     p.set_defaults(func=_cmd_cluster)
 

@@ -43,7 +43,7 @@ from .linalg import (
     frobenius_norm,
     spectral_norm,
 )
-from .sampling import _CEILING_BYTES, ProbDist, draw_indices
+from .sampling import _CEILING_BYTES, ProbDist, _draw_bytes, draw_indices
 
 EXACTNESS_TOL = 1e-8
 
@@ -257,15 +257,16 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
 
     Rows and columns come from independent child streams of ``rng``.
     ``dedup=True`` removes repeated indices afterwards (exactness of the
-    decomposition is unaffected).  Draws whose indices, about 5 floats a draw, and C, U and
-    R would hold more than 1 GiB (``sampling._CEILING_BYTES``) are a DomainError.
+    decomposition is unaffected).  Draws whose indices (5 floats a draw, ``_draw_bytes`` under
+    ``dedup``) and C, U and R would hold over 1 GiB (``_CEILING_BYTES``) are a DomainError.
     """
     a = as_matrix(a)
     if (row_dist.size, col_dist.size) != a.shape:
         raise DistributionError("row_dist and col_dist must weigh the rows and the columns of a")
     m, n = a.shape
     rows, cols = (min(d1, m), min(d2, n)) if dedup else (d1, d2)
-    held = 8 * (5 * (d1 + d2) + m * cols + rows * n + rows * cols)
+    draws = _draw_bytes(d1, m) + _draw_bytes(d2, n) if dedup else 40 * (d1 + d2)
+    held = draws + 8 * (m * cols + rows * n + rows * cols)
     if held > _CEILING_BYTES:
         raise DomainError(f"{d1} row and {d2} column draws would hold over {_CEILING_BYTES} bytes")
     return _cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)

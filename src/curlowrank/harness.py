@@ -51,6 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -132,18 +134,16 @@ class ExperimentConfig:
             raise ConfigError(f"must be one of {KINDS}", field="kind")
         for f in fields(self):
             value = getattr(self, f.name)
+            _, admits, name = _FIELD_TYPES[f.name]
+            if not (admits(value) or value is None and f.type.endswith("None")):
+                raise ConfigError(f"must be {name}, got {value!r}", field=f.name)
             if f.name in _UNREAD[self.kind] and value != f.default:
                 raise ConfigError(f"{self.kind} does not read this field; leave it out",
                                   field=f.name)
-            set_float = _FIELD_CONVERTERS[f.name] is float and value is not None
-            if set_float and not math.isfinite(value):
-                raise ConfigError("must be finite", field=f.name)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"must be one of {SCHEMES}", field="scheme")
         if self.trials < 1:
             raise ConfigError("must be >= 1", field="trials")
-        if isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int):
-            raise ConfigError("must be an integer", field="master_seed")
         if self.master_seed < 0:
             raise ConfigError("must be >= 0", field="master_seed")
         if self.sigma < 0.0:
@@ -170,7 +170,7 @@ class ExperimentConfig:
                 raise ConfigError("clustering needs dims and points", field="dims")
             if self.m < 1:
                 raise ConfigError("ambient dimension must be >= 1", field="m")
-            SubspaceSpec(self.m, tuple(self.dims), tuple(self.points))
+            SubspaceSpec(self.m, self.dims, self.points)
         else:
             for side in ("m", "n"):
                 if getattr(self, side) < 1:
@@ -210,14 +210,23 @@ def _to_bool(text) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
-def _to_ints(text) -> tuple:
-    return tuple(int(tok) for tok in text.split(","))
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-# How a string value becomes each field's annotated type (``float | None`` reads as float).
-_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _to_bool, "tuple": _to_ints}
-_FIELD_CONVERTERS = {f.name: _CONVERTERS[f.type.split(" | ")[0]] for f in fields(ExperimentConfig)}
-CONFIG_FIELDS = frozenset(_FIELD_CONVERTERS)
+# Each annotated type's converter of config text (``float | None`` reads as float), the Python
+# values it admits (``| None`` admits None too) and their name in an error.
+_TYPES = {
+    "str": (str, lambda v: isinstance(v, str), "a str"),
+    "int": (int, _is_int, "an integer"),
+    "float": (float, lambda v: isinstance(v, (float, np.floating)) and math.isfinite(v)
+              or _is_int(v) and -sys.float_info.max <= v <= sys.float_info.max, "a finite number"),
+    "bool": (_to_bool, lambda v: isinstance(v, bool), "a bool"),
+    "tuple": (lambda text: tuple(map(int, text.split(","))),
+              lambda v: isinstance(v, tuple) and all(map(_is_int, v)), "a tuple of integers"),
+}
+_FIELD_TYPES = {f.name: _TYPES[f.type.split(" | ")[0]] for f in fields(ExperimentConfig)}
+CONFIG_FIELDS = frozenset(_FIELD_TYPES)
 
 
 def config_from_mapping(mapping) -> ExperimentConfig:
@@ -228,7 +237,7 @@ def config_from_mapping(mapping) -> ExperimentConfig:
             raise ConfigError("unknown field", field=key)
         if isinstance(value, str):
             try:
-                value = _FIELD_CONVERTERS[key](value)
+                value = _FIELD_TYPES[key][0](value)
             except ValueError as exc:
                 raise ConfigError(f"bad value {value!r}", field=key) from exc
         converted[key] = value
@@ -275,23 +284,12 @@ def _absorb(pool, h, n) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed) -> tuple:
-    """``(pool, h)`` after ``mix_entropy`` of ``seed``'s words, padded with zeros to four as numpy
-    pads them (gh-16539) before a spawn key; memoized, since a run's trials share one seed."""
-    pool, h = [], 0x43B0D7E5
-    for shift in (0, 32, 64, 96):
-        w = ((seed >> shift & _MASK) ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-        pool.append(w ^ w >> 16)
-    for src in range(4):  # each word into each other word, in place
-        for dst in range(4):
-            if src != dst:
-                v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK) & _MASK
-                x = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _MASK
-                pool[dst] = x ^ x >> 16
-    if seed >> 128:  # the words past the fourth
-        pool, h = _absorb(pool, h, seed >> 128)
+    """``(pool, h)`` after ``mix_entropy`` of ``seed``'s words: numpy's pool, and the hash constant
+    after 16 steps and 4 more per word past the fourth; memoized, as a run's trials share a seed."""
     # numpy.random loads with the first stream, not at import: its bit_generator takes 11-16 ms
     np.random.bit_generator.ISpawnableSeedSequence.register(_Stream)
-    return tuple(pool), h
+    h = 0x43B0D7E5 * pow(_MULT_A, 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4), 1 << 32)
+    return tuple(np.random.SeedSequence(seed).pool.tolist()), h & _MASK
 
 
 class _Stream:
@@ -667,8 +665,6 @@ def run_experiment(cfg: ExperimentConfig):
 def _format_value(value):
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)

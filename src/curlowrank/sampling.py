@@ -54,8 +54,8 @@ UNIFORM = "uniform"
 LENGTH = "length"
 SCHEMES = (UNIFORM, LENGTH, "leverage")
 
-# The most bytes one experiment trial or one sampled CUR may hold; a draw count past it is
-# refused before anything is drawn.
+# The most bytes one experiment trial, one sampled CUR or one axis's draws may hold; a draw
+# count past it is refused before anything is drawn.
 _CEILING_BYTES = 1 << 30
 
 
@@ -183,10 +183,19 @@ def _weights(scheme, k, dense=None, factors=None, lengths=None) -> list:
     return weights
 
 
+def _draw_bytes(d, size) -> int:
+    """About the bytes ``d`` draws of ``size`` indices hold: 16 a draw, the index array and its
+    list, and 32 more for an int object where an index may pass the 256 ints Python caches."""
+    return d * (48 if size > 257 else 16)
+
+
 def _inverse_cdf(cum, d, rng) -> np.ndarray:
-    """``d >= 1`` i.i.d. indices of the weights with running sum ``cum``; never a zero weight's."""
+    """``d >= 1`` i.i.d. indices of the weights with running sum ``cum``; never a zero weight's.
+    Draws that would hold over :data:`_CEILING_BYTES` are a DomainError."""
     if d < 1:
         raise DomainError(f"need at least one draw, got d={d}")
+    if _draw_bytes(d, cum.size) > _CEILING_BYTES:
+        raise DomainError(f"{d} draws would hold over {_CEILING_BYTES} bytes")
     return np.searchsorted(cum, rng.random(int(d)) * cum[-1], side="right")
 
 

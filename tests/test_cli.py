@@ -322,6 +322,41 @@ def test_config_file_is_validated_after_the_flags(tmp_path, capsys, text, flags)
     assert "kind=success_prob" in capsys.readouterr().out
 
 
+BASE_FLAGS = ["--kind", "noise_stability", "--m", "12", "--n", "10", "--k", "2", "--eps", "0.9",
+              "--delta", "0.9"]
+BASE_LINES = "kind = noise_stability\nm = 12\nn = 10\nk = 2\neps = 0.9\ndelta = 0.9\n"
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--d", "4", "6"], "d_grid = 4, 6"), (["--trials", "3"], "trials = 3"),
+    (["--seed", "7"], "master_seed = 7"), (["--sigma", "1e-3"], "sigma = 1e-3"),
+    (["--c", "2"], "big_c = 2"), (["--kappa", "10"], "kappa = 10"),
+    (["--sparsity", "0.25"], "sparsity = 0.25"), (["--tol", "1e-6"], "tol = 1e-6"),
+    (["--dedup"], "dedup = yes"),
+])
+def test_flags_and_config_files_convert_by_one_rule(tmp_path, monkeypatch, flags, line):
+    built = []
+    monkeypatch.setattr(cli, "_run", lambda cfg: built.append(cfg) or 0)
+    config = tmp_path / "exp.cfg"
+    config.write_text(BASE_LINES + line + "\n")
+    assert cli_main(["experiment", *BASE_FLAGS, *flags]) == 0
+    assert cli_main(["experiment", "--config", str(config)]) == 0
+    assert built[0] == built[1] != cli.config_from_mapping(cli.read_key_values(BASE_LINES))
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--trials", "many"], "trials = many"), (["--seed", "1e3"], "master_seed = 1e3"),
+    (["--d", "4", "x"], "d_grid = 4,x"), (["--sigma", "inf"], "sigma = inf"),
+])
+def test_a_bad_flag_value_is_the_error_of_the_same_config_line(tmp_path, capsys, flags, line):
+    config = tmp_path / "exp.cfg"
+    config.write_text(BASE_LINES + line + "\n")
+    assert cli_main(["experiment", *BASE_FLAGS, *flags]) == 2
+    from_flags = _error_line(capsys)
+    assert cli_main(["experiment", "--config", str(config)]) == 2
+    assert _error_line(capsys) == from_flags
+
+
 def test_experiment_inline_flags(tmp_path):
     out = tmp_path / "inline.csv"
     code = cli_main(["experiment", "--kind", "deim_check", "--m", "12", "--n", "10",
@@ -572,7 +607,7 @@ def test_flags_of_one_call_do_not_reach_the_next(tmp_path, capsys):
 def test_a_usage_error_leaves_the_next_call_intact(capsys):
     code, want = _alone(EXPERIMENT)
     assert code == 0 and "success_rate" in want
-    assert cli_main([*EXPERIMENT, "--dedup", "--trials", "many"]) == 2
-    assert "invalid int value" in capsys.readouterr().err
+    assert cli_main([*EXPERIMENT, "--dedup", "--bogus", "1"]) == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
     assert cli_main(EXPERIMENT) == 0
     assert capsys.readouterr().out == want

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from curlowrank import cur
 from curlowrank.cur import (
     CurFactors,
     _cores_of_a,
@@ -189,6 +191,24 @@ class TestRandomizedCur:
         rd, cd = axis_dists(a, "length")
         f = randomized_cur(a, rd, cd, 9, 7, trial_generator(8, 2), dedup=dedup)
         assert (f.I, f.J) == draw_indices(rd, cd, 9, 7, trial_generator(8, 2), dedup)
+
+    @pytest.mark.parametrize("d1, d2", [(100_000, 3), (3, 100_000)])
+    def test_a_deduplicated_cur_is_counted_at_its_traced_peak(self, monkeypatch, rng, d1, d2):
+        # refused under a ceiling a tenth below its traced peak, run under one a tenth above
+        a = rank_k(30, 20, 3, rng)
+        dists = axis_dists(a, "length")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(cur, "_CEILING_BYTES", int(1.1 * peak))
+        randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=True)
+        monkeypatch.setattr(cur, "_CEILING_BYTES", int(0.9 * peak))
+        with pytest.raises(DomainError, match=f"{d1} row and {d2} column draws would hold"):
+            randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=True)
 
     def test_axis_mismatch_rejected(self, rng):
         a = rank_k(6, 5, 2, rng)

@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +115,22 @@ class TestConfig:
         ("success_prob", {"master_seed": 1.5}, "master_seed"),
         ("success_prob", {"master_seed": True}, "master_seed"),
         ("success_prob", {"master_seed": "3"}, "master_seed"),
+        ("success_prob", {"trials": 2.5}, "trials"),
+        ("success_prob", {"trials": True}, "trials"),
+        ("success_prob", {"m": 10.0}, "m"),
+        ("success_prob", {"k": 2.0}, "k"),
+        ("success_prob", {"d_grid": (3.5,)}, "d_grid"),
+        ("success_prob", {"d_grid": [4]}, "d_grid"),
+        ("success_prob", {"d_grid": (4, True)}, "d_grid"),
+        ("success_prob", {"dedup": "no"}, "dedup"),
+        ("success_prob", {"dedup": 1}, "dedup"),
+        ("noise_stability", {"sigma": True}, "sigma"),
+        ("noise_stability", {"sigma": "0.5"}, "sigma"),
+        ("noise_stability", {"sigma": 10**400}, "sigma"),
+        ("success_prob", {"kappa": np.float64("inf")}, "kappa"),
+        ("success_prob", {"out_path": 5}, "out_path"),
+        ("clustering", {"m": 12, "n": None, "k": None, "dims": (2, 2.0), "points": (6, 6)},
+         "dims"),
     ])
     def test_each_range_rule_names_its_field(self, kind, values, field):
         base = {"m": 8, "n": 6, "k": 2, "d_grid": (4,)}
@@ -121,6 +138,25 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig(kind=kind, **given)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("values, name", [
+        ({"trials": 2.5}, "an integer, got 2.5"), ({"dedup": "no"}, "a bool, got 'no'"),
+        ({"tol": float("nan")}, "a finite number, got nan"),
+        ({"d_grid": (3.5,)}, "a tuple of integers, got (3.5,)"),
+    ])
+    def test_a_value_of_the_wrong_type_names_what_its_field_admits(self, values, name):
+        with pytest.raises(ConfigError, match=re.escape(f"must be {name}")):
+            ExperimentConfig(**{"kind": "success_prob", "m": 8, "n": 6, "k": 2, "d_grid": (4,),
+                                **values})
+
+    def test_numpy_numbers_are_admitted_and_run_as_python_numbers(self):
+        plain = dict(kind="success_prob", m=12, n=10, k=2, d_grid=(4, 6), trials=2,
+                     master_seed=3, kappa=10.0)
+        numpy = dict(plain, m=np.int64(12), n=np.uint16(10), k=np.int8(2),
+                     d_grid=(np.int64(4), 6), trials=np.int32(2), master_seed=np.uint64(3),
+                     kappa=np.float32(10.0))
+        assert (run_experiment(ExperimentConfig(**numpy))
+                == run_experiment(ExperimentConfig(**plain)))
 
     def test_mapping_without_kind_rejected(self):
         with pytest.raises(ConfigError, match="required") as exc:
@@ -327,9 +363,10 @@ def assert_same_stream(ours, theirs):
                                   theirs.choice(13, size=6, replace=False))
 
 
-# 2**128 + 11 has five words, the only seed here that numpy does not pad to four; 2**32 + 3
-# is a two-word spawn key; the 62-bit seeds are drawn once, from a fixed generator
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 11,
+# 2**128 + 11 has five words and 2**200 + 12345 seven, the seeds here that numpy does not pad
+# to four; 2**32 + 3 is a two-word spawn key; the 62-bit seeds are drawn once, from a fixed
+# generator
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 11, 2**200 + 12345,
                 *np.random.default_rng(35).integers(0, 2**62, 3).tolist()]
 STREAM_INDICES = [0, 1, 2**32 + 3]
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,45 @@ class TestDraws:
     def test_d_must_be_positive(self):
         with pytest.raises(DomainError):
             draw_with_replacement(uniform(3, ROWS), 0, trial_generator(0, 0))
+
+    @pytest.mark.parametrize("draw", [
+        lambda rows, cols, rng: draw_with_replacement(rows, 10**13, rng),
+        lambda rows, cols, rng: draw_indices(rows, cols, 10**13, 3, rng),
+        lambda rows, cols, rng: draw_indices(rows, cols, 3, 10**13, rng, dedup=True),
+    ], ids=["with_replacement", "rows", "dedup_cols"])
+    def test_a_draw_count_no_run_can_hold_is_refused_before_it_allocates(self, draw):
+        rows, cols = uniform(30, ROWS), uniform(20, COLS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="10000000000000 draws would hold over"):
+                draw(rows, cols, trial_generator(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("size, share", [(30, 1.0), (300, 0.4), (100_000, 1.0)])
+    def test_draws_hold_about_their_draw_bytes(self, size, share):
+        # 100,000 uniform draws: within a tenth of the count where no index or nearly every
+        # index is past Python's 256 cached ints, and under it where some are
+        d, dist = 100_000, uniform(size, ROWS)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            draw_with_replacement(dist, d, trial_generator(0, 0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert share * 0.9 < peak / sampling._draw_bytes(d, size) < 1.1
+
+    @pytest.mark.parametrize("size, per_draw", [(257, 16), (258, 48)])
+    def test_the_ceiling_refuses_the_first_draw_count_over_it(self, monkeypatch, size,
+                                                              per_draw):
+        monkeypatch.setattr(sampling, "_CEILING_BYTES", 1000 * per_draw)
+        dist = uniform(size, ROWS)
+        assert len(draw_with_replacement(dist, 1000, trial_generator(0, 0))) == 1000
+        with pytest.raises(DomainError, match=f"1001 draws would hold over {1000 * per_draw} "):
+            draw_with_replacement(dist, 1001, trial_generator(0, 0))
 
     def test_pair_must_be_rows_then_columns(self):
         rows, cols = uniform(3, ROWS), uniform(2, COLS)
