@@ -15,8 +15,9 @@ five minutes.
 It also runs each table and clustering config of ``perfbench/workloads.py``
 once per seed in this process, with BLAS pinned to one thread as perfbench
 pins it, and records the harness's stage timer: for each config the median
-over the seeds of each stage's milliseconds per trial, its ``emit`` and
-``reduce`` steps included, where a trial is one that entered the first stage.
+over the seeds of each stage's milliseconds per trial, its ``emit`` (the
+writing of each chunk's rows, here to the null device) and ``reduce`` steps
+included, where a trial is one that entered the first stage.
 """
 
 import argparse
@@ -63,8 +64,9 @@ def _stage_times(workloads) -> dict:
 
     def per_trial(cfg):
         clock, grid = {}, cfg.resolved_d_grid()
-        for gi, d in enumerate(grid):
-            _run_trials(cfg, d, range(gi * cfg.trials, (gi + 1) * cfg.trials), clock)
+        with open(os.devnull, "w") as out:
+            for gi, d in enumerate(grid):
+                _run_trials(cfg, d, range(gi * cfg.trials, (gi + 1) * cfg.trials), clock, out)
         return {name: ns / 1e6 / (cfg.trials * len(grid)) for name, ns in clock.items()}
 
     times = {}

@@ -42,9 +42,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    TrialRecord,
     config_from_mapping,
-    emit_csv,
     lowrank_factors,
     lowrank_gaussian,
     run_experiment,

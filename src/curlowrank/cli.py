@@ -19,7 +19,6 @@ from .harness import (
     CONFIG_FIELDS,
     KINDS,
     config_from_mapping,
-    emit_csv,
     read_key_values,
     run_experiment,
     trial_generator,
@@ -123,10 +122,7 @@ def _given_fields(args):
 
 
 def _run(cfg):
-    records, summary = run_experiment(cfg)
-    if cfg.out_path:
-        emit_csv(records, summary, cfg.out_path)
-    _emit(_summary_lines(summary), None)
+    _emit(_summary_lines(run_experiment(cfg)), None)
     return 0
 
 

@@ -257,16 +257,18 @@ def randomized_cur(a, row_dist: ProbDist, col_dist: ProbDist, d1, d2, rng,
 
     Rows and columns come from independent child streams of ``rng``.
     ``dedup=True`` removes repeated indices afterwards (exactness of the
-    decomposition is unaffected).  Draws whose indices (5 floats a draw, ``_draw_bytes`` under
-    ``dedup``) and C, U and R would hold over 1 GiB (``_CEILING_BYTES``) are a DomainError.
+    decomposition is unaffected).  A call whose draws, or whose kept indices, C, U and R with
+    U's SVD and pseudoinverse, would hold over 1 GiB (``_CEILING_BYTES``) is a DomainError.
     """
     a = as_matrix(a)
     if (row_dist.size, col_dist.size) != a.shape:
         raise DistributionError("row_dist and col_dist must weigh the rows and the columns of a")
     m, n = a.shape
     rows, cols = (min(d1, m), min(d2, n)) if dedup else (d1, d2)
-    draws = _draw_bytes(d1, m) + _draw_bytes(d2, n) if dedup else 40 * (d1 + d2)
-    held = draws + 8 * (m * cols + rows * n + rows * cols)
+    p = min(rows, cols)  # U's SVD holds W and V^T, its pinv V^T's scaled copy and U^+
+    floats = m * cols + rows * n + rows * cols + rows * p + 2 * p * cols + cols * rows
+    held = max(_draw_bytes(d1, m) + _draw_bytes(d2, n),
+               _draw_bytes(rows, m) + _draw_bytes(cols, n) + 8 * floats)
     if held > _CEILING_BYTES:
         raise DomainError(f"{d1} row and {d2} column draws would hold over {_CEILING_BYTES} bytes")
     return _cur(a, *draw_indices(row_dist, col_dist, d1, d2, rng, dedup), tol)

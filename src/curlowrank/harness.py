@@ -17,13 +17,15 @@ return a dominated trial, one with a stability floor that is not positive.
 Each trial draws from its own Philox stream keyed by ``(master_seed,
 trial_index)``, in the order it would alone, and a stacked call gives each
 matrix the bits of a call on it alone, so trials are independent,
-reorderable, and individually reproducible.  An exception in any trial
-aborts the run, though a different trial's error may surface first.  For a
-given numpy/BLAS build and thread count, a config plus a master seed
-determines every output byte; the integer and flag columns are also fixed
-across BLAS thread counts.  A stage timer sums the nanoseconds of each stage
-of a grid point over its chunks (:func:`_run_trials`); no clock reaches the
-records, whose ``ms`` column is always 0.
+reorderable, and individually reproducible.  A chunk's CSV rows are written
+and folded into the summary as it ends, so no row outlives its chunk.  An
+exception in any trial aborts the run, leaving the rows of the chunks before
+it and no ``# summary``, though another trial's error may surface first.  For
+a given numpy version, BLAS build, runtime BLAS kernel and thread count, a
+config plus a master seed determines every output byte; the integer and flag
+columns are also fixed across BLAS kernels and thread counts.  A stage timer
+sums the nanoseconds of each stage of a grid point over its chunks
+(:func:`_rows`); no clock reaches the rows, whose ``ms`` column is always 0.
 
 Test matrices are Gaussian-factor products ``A = G1 @ G2^T`` (exactly rank
 k almost surely); an optional ``kappa`` reshapes the spectrum geometrically
@@ -67,6 +69,7 @@ from .linalg import (_EPS, IndexSet, SvdFactors, _as_stack, _gram_norm, _nonnega
                      _row_norms, factored_norms, factored_svd)
 from .sampling import (
     _CEILING_BYTES,
+    _INPUT_RANGES,
     SCHEMES,
     _certify,
     _draw_pair,
@@ -80,19 +83,6 @@ from .sampling import (
 KINDS = ("success_prob", "noise_stability", "deim_check", "clustering")
 
 CSV_HEADER = "trial,scheme,d1,d2,success,rel_err_2,rel_err_F,ms"
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte Carlo outcome; ``success`` means the CUR was exact at the config tolerance."""
-
-    trial_index: int
-    scheme: str
-    d1: int
-    d2: int
-    success: bool
-    rel_error_spectral: float
-    rel_error_frobenius: float
 
 
 # The fields each kind never reads; a config giving one a non-default value is rejected.
@@ -170,7 +160,10 @@ class ExperimentConfig:
                 raise ConfigError("clustering needs dims and points", field="dims")
             if self.m < 1:
                 raise ConfigError("ambient dimension must be >= 1", field="m")
-            SubspaceSpec(self.m, self.dims, self.points)
+            try:
+                SubspaceSpec(self.m, self.dims, self.points)
+            except DomainError as exc:
+                raise ConfigError(str(exc), field="dims") from exc
         else:
             for side in ("m", "n"):
                 if getattr(self, side) < 1:
@@ -182,7 +175,12 @@ class ExperimentConfig:
         if self.d_grid is None and self.kind in ("success_prob", "noise_stability"):
             if self.eps is None or self.delta is None:
                 raise ConfigError("give d_grid or both eps and delta", field="d_grid")
-        d = max(self.resolved_d_grid())  # an eps, delta or big_c out of range: a DomainError
+        try:
+            d = max(self.resolved_d_grid())
+        except DomainError as exc:  # eps, delta or big_c out of range, or a count past the floats
+            bad = [f for f in ("eps", "delta", "big_c")
+                   if not _INPUT_RANGES[f][0](getattr(self, f))]
+            raise ConfigError(str(exc), field=(bad or ["eps"])[0]) from exc
         if _trial_bytes(self, d) > _CEILING_BYTES:
             raise ConfigError(f"a trial at {d} draws would hold over {_CEILING_BYTES} bytes",
                               field="d_grid" if self.eps is None else "eps")
@@ -538,52 +536,47 @@ def _measure(cfg, d, trials):
     return trials
 
 
-# Each reducer maps a grid point's (d, first_trial, records) to its group of the summary
-# {"groups": [...]}: a function of the rows and the config.
-def _rate_group(cfg, d, first, done):
-    successes = sum(r.success for r in done)
-    return {"kind": cfg.kind, "scheme": _scheme(cfg), "d1": d, "d2": d, "trials": cfg.trials,
-            "successes": successes, "success_rate": successes / cfg.trials}
-
-
-def _success_group(cfg, d, first, done):
-    err_sum = 0.0  # summed in trial order, which the CSV bytes depend on
-    for r in done:
-        err_sum += r.rel_error_frobenius
-    return {**_rate_group(cfg, d, first, done), "mean_rel_err_F": err_sum / cfg.trials,
-            "first_trial": first}
-
-
 def _median(values) -> float:
     """``np.median`` of nonempty values, by a sort: the first ``np.median`` imports ``numpy.ma``."""
     ordered, mid = sorted(values), len(values) // 2
     return float(ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def _noise_group(cfg, d, first, done):
-    """Skipped trials count against no rate; the error-to-noise median is over the rows."""
-    successes = sum(r.success for r in done)
-    ratios = [r.rel_error_spectral / cfg.sigma for r in done] if cfg.sigma > 0.0 else []
-    return {"kind": cfg.kind, "scheme": cfg.scheme, "d1": d, "d2": d, "sigma": cfg.sigma,
-            "trials": cfg.trials, "completed": len(done), "skipped": cfg.trials - len(done),
-            "successes": successes,
-            "success_rate": successes / len(done) if done else float("nan"),
-            "median_err_to_noise": _median(ratios) if ratios else float("nan"),
-            "first_trial": first}
+def _group(cfg, d, first, rows) -> dict:
+    """A grid point's group of the summary, folded in one pass over its rows, an iterable of
+    ``(success, rel_err_2, rel_err_F)`` in trial order; only the noise median keeps a float a
+    row.  Clustering also counts the exact CURs, ``rel_err_F <= tol``, and the perfect ones."""
+    noise = cfg.kind == "noise_stability"
+    completed, successes, exact, perfect, err_sum, ratios = 0, 0, 0, 0, 0.0, []
+    for success, err_2, err_f in rows:
+        completed += 1
+        successes += success
+        err_sum += err_f  # in trial order, which the CSV bytes depend on
+        if err_f <= cfg.tol:
+            exact += 1
+            perfect += success
+        if noise and cfg.sigma > 0.0:
+            ratios.append(err_2 / cfg.sigma)
+    group = {"kind": cfg.kind, "scheme": _scheme(cfg), "d1": d, "d2": d}
+    if noise:  # a skipped trial counts against no rate
+        return {**group, "sigma": cfg.sigma, "trials": cfg.trials, "completed": completed,
+                "skipped": cfg.trials - completed, "successes": successes,
+                "success_rate": successes / completed if completed else math.nan,
+                "median_err_to_noise": _median(ratios) if ratios else math.nan,
+                "first_trial": first}
+    group.update(trials=cfg.trials, successes=successes, success_rate=successes / cfg.trials)
+    if cfg.kind == "success_prob":
+        group.update(mean_rel_err_F=err_sum / cfg.trials, first_trial=first)
+    if cfg.kind == "clustering":
+        group.update(exact_curs=exact, exact_and_perfect=perfect)
+    return group
 
 
-def _clustering_group(cfg, d, first, done):
-    """Also counts the exact CURs, ``rel_err_F <= tol``, and those that clustered perfectly."""
-    exact = [r.success for r in done if r.rel_error_frobenius <= cfg.tol]
-    return {**_rate_group(cfg, d, first, done), "exact_curs": len(exact),
-            "exact_and_perfect": sum(exact)}
-
-
-_KINDS = {
-    "success_prob": ((_test_matrices, _draws, _measure), _success_group),
-    "noise_stability": ((_test_matrices, _noisy_curs, _measure), _noise_group),
-    "deim_check": ((_test_matrices, _deim_selections, _measure), _rate_group),
-    "clustering": ((_subspace_data, _draws, _measure), _clustering_group),
+_STAGES = {
+    "success_prob": (_test_matrices, _draws, _measure),
+    "noise_stability": (_test_matrices, _noisy_curs, _measure),
+    "deim_check": (_test_matrices, _deim_selections, _measure),
+    "clustering": (_subspace_data, _draws, _measure),
 }
 
 
@@ -623,61 +616,68 @@ def _chunk_size(cfg, d) -> int:
     return max(1, _CHUNK_BYTES // _trial_bytes(cfg, d))
 
 
-def _run_trials(cfg, d, indices, clock):
-    """``(records, group)``: the trials ``indices`` at draw count ``d``, run stage-major a chunk
-    at a time, and their group of the summary.  ``clock`` gains the nanoseconds of each stage,
-    by name, of ``emit`` (the records) and of ``reduce`` (the group), summed over the chunks;
-    the records hold no time."""
-    stages, reducer = _KINDS[cfg.kind]
-    size, records = _chunk_size(cfg, d), []
+def _rows(cfg, d, indices, clock, out):
+    """The rows ``(success, rel_err_2, rel_err_F)`` of the trials ``indices`` at ``d`` draws, run
+    stage-major a chunk at a time, each chunk's CSV lines written to ``out`` (if given) and
+    flushed as it ends.  ``clock`` gains the nanoseconds of each stage, by name, of ``emit``
+    (the writing) and of ``reduce`` (the fold of a chunk's rows), summed over the chunks."""
+    size, scheme = _chunk_size(cfg, d), _scheme(cfg)
     for first in range(0, len(indices), size):
         live = [_Trial(i, trial_generator(cfg.master_seed, i)) for i in indices[first:first + size]]
-        for stage in stages:
+        for stage in _STAGES[cfg.kind]:
             if not live:
                 break
             start = time.perf_counter_ns()
             live = stage(cfg, d, live)
             _lap(clock, stage.__name__, start)
         start = time.perf_counter_ns()
-        records += [TrialRecord(t.index, _scheme(cfg), d, d, *t.row) for t in live]
+        if out is not None:
+            out.write("".join(f"{t.index},{scheme},{d},{d},{'1' if t.row[0] else '0'},"
+                              f"{t.row[1]:.17g},{t.row[2]:.17g},0\n" for t in live))
+            out.flush()  # so a killed run keeps the rows of every chunk that ended
         _lap(clock, "emit", start)
-    start = time.perf_counter_ns()
-    group = reducer(cfg, d, indices[0], records)
-    _lap(clock, "reduce", start)
-    return records, group
+        start = time.perf_counter_ns()
+        yield from (t.row for t in live)
+        _lap(clock, "reduce", start)
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Run ``cfg.trials`` trials per grid point; return ``(records, summary)``.
+def _run_trials(cfg, d, indices, clock, out=None) -> dict:
+    """The summary group (:func:`_group`) of the trials ``indices`` at ``d`` draws, folded from
+    their rows as :func:`_rows` runs the trials and writes each chunk's rows to ``out``."""
+    return _group(cfg, d, indices[0], _rows(cfg, d, indices, clock, out))
+
+
+def _summary(cfg, out) -> dict:
+    clock, trials = {}, cfg.trials
+    return {"groups": [_run_trials(cfg, d, range(gi * trials, (gi + 1) * trials), clock, out)
+                       for gi, d in enumerate(cfg.resolved_d_grid())]}
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run ``cfg.trials`` trials per grid point; return the summary, one aggregate ``groups``
+    row per grid point.
 
     Trial indices run on across grid points, and each trial draws from its
-    own stream :func:`trial_generator` ``(master_seed, trial_index)``.  The
-    summary holds one aggregate ``groups`` row per grid point.
+    own stream :func:`trial_generator` ``(master_seed, trial_index)``.  With
+    ``cfg.out_path`` set, the file is opened before the first trial runs and
+    gets the CSV header, each chunk's rows as the chunk ends and then the
+    ``# summary`` block, so a file without that block is an interrupted run.
     """
-    records, groups, clock = [], [], {}
-    for gi, d in enumerate(cfg.resolved_d_grid()):
-        done, group = _run_trials(cfg, d, range(gi * cfg.trials, (gi + 1) * cfg.trials), clock)
-        records += done
-        groups.append(group)
-    return records, {"groups": groups}
+    if not cfg.out_path:
+        return _summary(cfg, None)
+    with open(cfg.out_path, "w", newline="") as out:
+        out.write(CSV_HEADER + "\n")
+        summary = _summary(cfg, out)
+        out.write(_summary_text(summary))
+    return summary
 
 
-def _format_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def _format_value(value) -> str:
+    return format(float(value), ".17g") if isinstance(value, (float, np.floating)) else str(value)
 
 
-def emit_csv(records, summary, path) -> None:
-    """Write trial rows plus a ``# summary`` comment block, deterministically formatted."""
-    with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.trial_index},{r.scheme},{r.d1},{r.d2},{'1' if r.success else '0'},"
-                     f"{float(r.rel_error_spectral):.17g},{float(r.rel_error_frobenius):.17g},0\n")
-        fh.write("# summary\n")
-        for group in summary["groups"]:
-            parts = [f"{key}={_format_value(val)}" for key, val in group.items()]
-            fh.write("# " + " ".join(parts) + "\n")
+def _summary_text(summary) -> str:
+    """The CSV's ``# summary`` block: a comment line of ``key=value`` fields per group."""
+    lines = ["# summary"] + ["# " + " ".join(f"{key}={_format_value(v)}" for key, v in g.items())
+                             for g in summary["groups"]]
+    return "\n".join(lines) + "\n"

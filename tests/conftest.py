@@ -1,9 +1,14 @@
+import os
+import tempfile
+from collections import namedtuple
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from curlowrank import sampling
 from curlowrank.cluster import subspace_factors
-from curlowrank.harness import lowrank_gaussian
+from curlowrank.harness import CSV_HEADER, lowrank_gaussian, run_experiment
 from curlowrank.linalg import COLS, ROWS, rank_cutoff, singular_values
 from curlowrank.sampling import ProbDist
 
@@ -11,6 +16,29 @@ from curlowrank.sampling import ProbDist
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240517)
+
+
+# One trial row of an experiment CSV, its fields named by the header.
+Row = namedtuple("Row", CSV_HEADER.split(","))
+
+
+def run_rows(cfg, path=None):
+    """``(rows, summary)`` of ``run_experiment(cfg)`` with its CSV written to ``path`` (by
+    default a temporary file): the trial rows read back as ``Row``s, typed, and the summary it
+    returned.  The ``.17g`` floats round-trip, so each row holds the run's own values."""
+    with tempfile.TemporaryDirectory() as work:
+        path = path or os.path.join(work, "run.csv")
+        summary = run_experiment(replace(cfg, out_path=str(path)))
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    assert lines[0] == CSV_HEADER and "# summary" in lines
+    rows = []
+    for line in lines[1:lines.index("# summary")]:
+        trial, scheme, d1, d2, success, err_2, err_f, ms = line.split(",")
+        assert success in ("0", "1") and ms == "0"
+        rows.append(Row(int(trial), scheme, int(d1), int(d2), success == "1", float(err_2),
+                        float(err_f), 0))
+    return rows, summary
 
 
 def rank_k(m, n, k, rng, kappa=None):

@@ -16,7 +16,6 @@ from curlowrank.cur import approx_error, verify_characterization
 from curlowrank.deim import deim_cur
 from curlowrank.harness import (
     ExperimentConfig,
-    emit_csv,
     lowrank_gaussian,
     run_experiment,
     trial_generator,
@@ -62,7 +61,7 @@ def test_criterion_02_length_sampling_recovery():
     assert d == 16
     cfg = ExperimentConfig(kind="success_prob", m=50, n=40, k=k, scheme="length",
                            d_grid=(d,), trials=500, master_seed=301)
-    _, summary = run_experiment(cfg)
+    summary = run_experiment(cfg)
     rate = summary["groups"][0]["success_rate"]
     elapsed = time.perf_counter() - t0
     gate(2, f"length sampling d={d} success rate {rate:.3f} >= 0.99 ({elapsed:.1f}s)",
@@ -71,14 +70,14 @@ def test_criterion_02_length_sampling_recovery():
 
 def test_criterion_03_uniform_sampling_and_sparse_gap():
     base = dict(kind="success_prob", m=50, n=40, k=4, d_grid=(16,), trials=500)
-    _, dense = run_experiment(
+    dense = run_experiment(
         ExperimentConfig(scheme="uniform", master_seed=302, **base))
     dense_rate = dense["groups"][0]["success_rate"]
 
     sparse = dict(base, sparsity=0.8)
-    _, s_len = run_experiment(
+    s_len = run_experiment(
         ExperimentConfig(scheme="length", master_seed=303, **sparse))
-    _, s_uni = run_experiment(
+    s_uni = run_experiment(
         ExperimentConfig(scheme="uniform", master_seed=304, **sparse))
     len_rate = s_len["groups"][0]["success_rate"]
     uni_rate = s_uni["groups"][0]["success_rate"]
@@ -143,7 +142,7 @@ def test_criterion_07_noisy_recovery():
     d = math.ceil(4 * k * math.log(k))
     cfg = ExperimentConfig(kind="noise_stability", m=50, n=40, k=k, sigma=1e-4,
                            scheme="length", d_grid=(d,), trials=200, master_seed=701)
-    _, summary = run_experiment(cfg)
+    summary = run_experiment(cfg)
     g = summary["groups"][0]
     rate = g["success_rate"]
     median_ratio = g["median_err_to_noise"]
@@ -155,7 +154,7 @@ def test_criterion_07_noisy_recovery():
 def test_criterion_08_clustering():
     cfg = ExperimentConfig(kind="clustering", m=20, dims=(2, 3, 4), points=(10, 10, 10),
                            scheme="length", trials=200, master_seed=801)
-    _, summary = run_experiment(cfg)
+    summary = run_experiment(cfg)
     g = summary["groups"][0]
     deterministic = g["exact_and_perfect"] == g["exact_curs"]
     rate = g["success_rate"]
@@ -194,10 +193,8 @@ def test_criterion_10_determinism(tmp_path):
 
     digests = []
     for name in ("run1.csv", "run2.csv"):
-        cfg = config_from_mapping(read_key_values(cfg_text))
-        records, summary = run_experiment(cfg)
         path = tmp_path / name
-        emit_csv(records, summary, path)
+        run_experiment(config_from_mapping({**read_key_values(cfg_text), "out_path": str(path)}))
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     gate(10, f"rerun with same master seed gives identical CSV (sha256 {digests[0][:12]}...)",
          digests[0] == digests[1])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import curlowrank
-from curlowrank import cli
+from curlowrank import cli, harness
 from curlowrank.cli import cli_main
 from curlowrank.errors import ConfigError, MatrixInputError
 from curlowrank.harness import lowrank_gaussian
@@ -365,6 +365,16 @@ def test_experiment_inline_flags(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("trial,")
     assert len([l for l in lines if not l.startswith("#")]) == 5  # header + 4 trials
+
+
+def test_an_out_path_that_cannot_be_opened_exits_1_before_the_first_trial(tmp_path, capsys,
+                                                                          monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "trial_generator", lambda *key: calls.append(key))
+    code = cli_main(["experiment", "--kind", "deim_check", "--m", "12", "--n", "10", "--k", "2",
+                     "--trials", "4", "--out", str(tmp_path / "missing" / "a.csv")])
+    assert code == 1 and calls == []
+    assert "No such file or directory" in _error_line(capsys)
 
 
 def test_experiment_bad_config_exits_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ from curlowrank.harness import ExperimentConfig, run_experiment, trial_generator
 from curlowrank.linalg import COLS, ROWS, IndexSet, as_matrix
 from curlowrank.sampling import SCHEMES, axis_dists
 
-from conftest import rank_of, union_of_subspaces
+from conftest import rank_of, run_rows, union_of_subspaces
 
 
 class TestSpec:
@@ -362,7 +362,7 @@ class TestRecoversPartition:
 
         with monkeypatch.context() as patch:
             patch.setattr(cluster, "labels_from_clustering_matrix", counting)
-            flags = [r.success for r in run_experiment(cfg)[0]]
+            flags = [r.success for r in run_rows(cfg)[0]]
         return flags, len(calls)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -381,7 +381,7 @@ class TestRecoversPartition:
         flags, searches = self.flags_and_searches(monkeypatch, cfg)
         assert searches >= 1
         monkeypatch.setattr(harness, "recovers_partition", searched)
-        assert [r.success for r in run_experiment(cfg)[0]] == flags
+        assert [r.success for r in run_rows(cfg)[0]] == flags
         assert any(flags) and not all(flags)
 
 
@@ -418,7 +418,7 @@ def test_exact_cur_recovers_the_partition(spec, seed, scheme):
     # gives the true partition, for any number of subspaces
     cfg = ExperimentConfig(kind="clustering", m=spec.ambient_dim, dims=spec.dims,
                            points=spec.points, scheme=scheme, trials=3, master_seed=seed)
-    group = run_experiment(cfg)[1]["groups"][0]
+    group = run_experiment(cfg)["groups"][0]
     assert group["exact_and_perfect"] == group["exact_curs"]
 
 

@@ -192,23 +192,28 @@ class TestRandomizedCur:
         f = randomized_cur(a, rd, cd, 9, 7, trial_generator(8, 2), dedup=dedup)
         assert (f.I, f.J) == draw_indices(rd, cd, 9, 7, trial_generator(8, 2), dedup)
 
-    @pytest.mark.parametrize("d1, d2", [(100_000, 3), (3, 100_000)])
-    def test_a_deduplicated_cur_is_counted_at_its_traced_peak(self, monkeypatch, rng, d1, d2):
+    @pytest.mark.parametrize("m, n, d1, d2, dedup", [
+        (30, 20, 100_000, 3, True), (30, 20, 3, 100_000, True),  # the draws peak
+        (200, 150, 10_000, 10_000, True),  # C, U and R, and as much again in U's SVD and pinv
+        (30, 20, 50_000, 10, False), (30, 20, 10, 50_000, False),  # every draw is kept
+        (1000, 5, 50_000, 5, False),  # an index past the 256 cached ints is an int object
+    ])
+    def test_a_cur_is_counted_at_its_traced_peak(self, monkeypatch, rng, m, n, d1, d2, dedup):
         # refused under a ceiling a tenth below its traced peak, run under one a tenth above
-        a = rank_k(30, 20, 3, rng)
+        a = rank_k(m, n, 3, rng)
         dists = axis_dists(a, "length")
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=True)
+            randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=dedup)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         monkeypatch.setattr(cur, "_CEILING_BYTES", int(1.1 * peak))
-        randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=True)
+        randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=dedup)
         monkeypatch.setattr(cur, "_CEILING_BYTES", int(0.9 * peak))
         with pytest.raises(DomainError, match=f"{d1} row and {d2} column draws would hold"):
-            randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=True)
+            randomized_cur(a, *dists, d1, d2, trial_generator(0, 0), dedup=dedup)
 
     def test_axis_mismatch_rejected(self, rng):
         a = rank_k(6, 5, 2, rng)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import math
 import os
 import pickle
@@ -27,9 +28,7 @@ from curlowrank.errors import (
 from curlowrank.harness import (
     CSV_HEADER,
     ExperimentConfig,
-    TrialRecord,
     config_from_mapping,
-    emit_csv,
     lowrank_factors,
     lowrank_gaussian,
     read_key_values,
@@ -40,7 +39,7 @@ from curlowrank.harness import (
 from curlowrank.linalg import COLS, ROWS, as_matrix, factored_svd, rank_cutoff
 from curlowrank.sampling import SCHEMES, ProbDist, axis_dists, draw_indices
 
-from conftest import factored_weights
+from conftest import factored_weights, run_rows
 
 
 def sha(path):
@@ -139,6 +138,21 @@ class TestConfig:
             ExperimentConfig(kind=kind, **given)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("values, field, message", [
+        (dict(kind="success_prob", eps=0.9, delta=1e-320), "eps", "is not a finite integer"),
+        (dict(kind="success_prob", eps=1.0, delta=0.5), "eps", "eps must lie in (0, 1)"),
+        (dict(kind="noise_stability", eps=0.9, delta=0.5, big_c=0.0), "big_c",
+         "leading constant must be finite and positive"),
+        (dict(kind="clustering", m=12, dims=(2, 3), points=(6,)), "dims",
+         "dims and points lists must have equal length"),
+    ])
+    def test_a_sample_size_or_subspace_rule_names_its_field(self, values, field, message):
+        # these rules live in sampling and cluster, whose DomainError names no field
+        sizes = {} if values["kind"] == "clustering" else {"m": 8, "n": 6, "k": 2}
+        with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+            ExperimentConfig(**sizes, **values)
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("values, name", [
         ({"trials": 2.5}, "an integer, got 2.5"), ({"dedup": "no"}, "a bool, got 'no'"),
         ({"tol": float("nan")}, "a finite number, got nan"),
@@ -155,8 +169,7 @@ class TestConfig:
         numpy = dict(plain, m=np.int64(12), n=np.uint16(10), k=np.int8(2),
                      d_grid=(np.int64(4), 6), trials=np.int32(2), master_seed=np.uint64(3),
                      kappa=np.float32(10.0))
-        assert (run_experiment(ExperimentConfig(**numpy))
-                == run_experiment(ExperimentConfig(**plain)))
+        assert run_rows(ExperimentConfig(**numpy)) == run_rows(ExperimentConfig(**plain))
 
     def test_mapping_without_kind_rejected(self):
         with pytest.raises(ConfigError, match="required") as exc:
@@ -179,7 +192,7 @@ class TestConfig:
                 ExperimentConfig(**cfg)
             assert exc.value.field == "sparsity"
         else:
-            assert len(run_experiment(ExperimentConfig(**cfg))[0]) == 1
+            assert len(run_rows(ExperimentConfig(**cfg))[0]) == 1
 
     @pytest.mark.parametrize("kind, field, value", [
         ("clustering", "kappa", 10.0),
@@ -279,9 +292,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [("eps", 5.0), ("delta", 0.0), ("big_c", -1.0)])
     def test_a_sample_size_input_out_of_range_is_refused_when_built(self, field, value):
-        with pytest.raises(DomainError, match=f"got {value}"):
+        with pytest.raises(ConfigError, match=f"got {value}") as exc:
             ExperimentConfig(kind="success_prob", m=10, n=10, k=2,
                              **{"eps": 0.5, "delta": 0.5, field: value})
+        assert exc.value.field == field
 
     def test_a_grid_point_over_the_ceiling_is_refused_when_built(self):
         # a 10-by-10 rank-2 trial holds 8 (40 + 17 d) bytes; the largest d that fits builds
@@ -500,29 +514,29 @@ class TestSuccessExperiment:
     def test_rank_one_always_succeeds(self):
         cfg = ExperimentConfig(kind="success_prob", m=10, n=8, k=1, scheme="length",
                                d_grid=(1,), trials=25, master_seed=1)
-        _, summary = run_experiment(cfg)
+        summary = run_experiment(cfg)
         assert summary["groups"][0]["success_rate"] == 1.0
 
     def test_records_match_contract(self):
-        records, _ = run_experiment(self.CFG)
+        records, _ = run_rows(self.CFG)
         assert len(records) == 20
         for r in records:
             assert r.d1 == r.d2 == 8
             if r.success:
-                assert r.rel_error_frobenius <= 1e-8
+                assert r.rel_err_F <= 1e-8
 
     def test_trial_isolation(self):
         # a shorter run reproduces the exact prefix of a longer one
         short = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
                                  d_grid=(8,), trials=5, master_seed=99)
-        long_records, _ = run_experiment(self.CFG)
-        short_records, _ = run_experiment(short)
+        long_records, _ = run_rows(self.CFG)
+        short_records, _ = run_rows(short)
         assert short_records == long_records[:5]
 
     def test_monotone_in_d(self):
         cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="uniform",
                                d_grid=(3, 4, 6, 9, 14), trials=500, master_seed=31)
-        _, summary = run_experiment(cfg)
+        summary = run_experiment(cfg)
         rates = [g["success_rate"] for g in summary["groups"]]
         for lo, hi in zip(rates, rates[1:]):
             assert hi >= lo - 0.03
@@ -530,25 +544,25 @@ class TestSuccessExperiment:
     def test_length_beats_uniform_on_sparse(self):
         base = dict(kind="success_prob", m=20, n=20, k=2, d_grid=(6,), trials=200,
                     master_seed=17, sparsity=0.7)
-        _, s_len = run_experiment(ExperimentConfig(scheme="length", **base))
-        _, s_uni = run_experiment(ExperimentConfig(scheme="uniform", **base))
+        s_len = run_experiment(ExperimentConfig(scheme="length", **base))
+        s_uni = run_experiment(ExperimentConfig(scheme="uniform", **base))
         assert s_len["groups"][0]["success_rate"] > s_uni["groups"][0]["success_rate"]
 
 
 class TestNoiseExperiment:
     def test_zero_sigma_matches_success_flags(self):
         common = dict(m=18, n=14, k=3, scheme="length", d_grid=(9,), trials=25, master_seed=7)
-        noise_records, _ = run_experiment(
+        noise_records, _ = run_rows(
             ExperimentConfig(kind="noise_stability", sigma=0.0, **common))
-        succ_records, _ = run_experiment(
+        succ_records, _ = run_rows(
             ExperimentConfig(kind="success_prob", **common))
         assert [r.success for r in noise_records] == [r.success for r in succ_records]
 
     def test_uniform_scheme_ignores_noise(self):
         common = dict(kind="noise_stability", m=18, n=14, k=3, scheme="uniform",
                       d_grid=(9,), trials=40, master_seed=8)
-        rec_small, _ = run_experiment(ExperimentConfig(sigma=1e-6, **common))
-        rec_large, _ = run_experiment(ExperimentConfig(sigma=1e-2, **common))
+        rec_small, _ = run_rows(ExperimentConfig(sigma=1e-6, **common))
+        rec_large, _ = run_rows(ExperimentConfig(sigma=1e-2, **common))
         assert [r.success for r in rec_small] == [r.success for r in rec_large]
 
     def test_length_scheme_takes_one_length_pass_of_a_plus_e(self, monkeypatch):
@@ -565,7 +579,7 @@ class TestNoiseExperiment:
         monkeypatch.setattr(harness, "_squared_lengths", counting)
         cfg = ExperimentConfig(kind="noise_stability", m=40, n=30, k=3, sigma=1e-3,
                                scheme="length", d_grid=(9,), trials=3, master_seed=15)
-        records, _ = run_experiment(cfg)
+        records, _ = run_rows(cfg)
         assert len(records) == 3
         assert calls == [(3, 40, 30)] * 3
 
@@ -602,7 +616,7 @@ class TestNoiseExperiment:
             picks.clear()
             cfg = ExperimentConfig(kind="noise_stability", m=40, n=30, k=3, sigma=sigma,
                                    scheme="length", d_grid=(3, 6), trials=6, master_seed=seed)
-            records, _ = run_experiment(cfg)
+            records, _ = run_rows(cfg)
             assert len(records) == len(live) == len(picks) > 0
             clean = [(a, *pick) for a, pick in zip(live, picks)]
             expected = [relative_errors(a, _cur(as_matrix(a), rows, cols, None))[1] <= cfg.tol
@@ -614,7 +628,7 @@ class TestNoiseExperiment:
     def test_dominating_noise_counts_as_skip(self):
         cfg = ExperimentConfig(kind="noise_stability", m=2, n=2, k=1, sigma=1e6,
                                scheme="uniform", d_grid=(2,), trials=4, master_seed=10)
-        records, summary = run_experiment(cfg)
+        records, summary = run_rows(cfg)
         assert summary["groups"][0]["skipped"] == 4
         assert records == []
 
@@ -628,7 +642,7 @@ class TestNoiseExperiment:
         code = ("import sys; from curlowrank.harness import ExperimentConfig, run_experiment; "
                 "cfg = ExperimentConfig(kind='noise_stability', m=12, n=10, k=3, sigma=0.1, "
                 "d_grid=(4,), trials=3); "
-                "assert run_experiment(cfg)[1]['groups'][0]['median_err_to_noise'] > 0; "
+                "assert run_experiment(cfg)['groups'][0]['median_err_to_noise'] > 0; "
                 "assert 'numpy.ma' not in sys.modules")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
@@ -720,10 +734,12 @@ class TestStageMajor:
         if name == "noise_three_chunks":
             monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
             assert harness._chunk_size(cfg, d) == 2
-        together, _ = harness._run_trials(cfg, d, range(6), {})
-        alone = [record for i in range(6) for record in harness._run_trials(cfg, d, [i], {})[0]]
-        assert together == alone
-        assert bool(together) != (name == "noise_skips_all")
+        together, alone = io.StringIO(), io.StringIO()
+        harness._run_trials(cfg, d, range(6), {}, together)
+        for i in range(6):
+            harness._run_trials(cfg, d, [i], {}, alone)
+        assert together.getvalue() == alone.getvalue()
+        assert bool(together.getvalue()) != (name == "noise_skips_all")
 
     @pytest.mark.parametrize("name", ["length", "noise_length", "noise_skips_all",
                                       "noise_length_skips_between", "deim", "clustering_length"])
@@ -732,10 +748,10 @@ class TestStageMajor:
         cfg = ExperimentConfig(trials=6, master_seed=43, **STACKED_CONFIGS[name])
         d = cfg.resolved_d_grid()[0]
         assert harness._chunk_size(cfg, d) >= 6
-        whole = repr(run_experiment(cfg))
+        whole = repr(run_rows(cfg))
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
         assert harness._chunk_size(cfg, d) == 2
-        stages, reducer = harness._KINDS[cfg.kind]
+        stages = harness._STAGES[cfg.kind]
         seen = []
 
         def spy(stage):
@@ -745,8 +761,8 @@ class TestStageMajor:
                 return stage(cfg, d, trials)
             return counted
 
-        monkeypatch.setitem(harness._KINDS, cfg.kind, (tuple(map(spy, stages)), reducer))
-        assert repr(run_experiment(cfg)) == whole
+        monkeypatch.setitem(harness._STAGES, cfg.kind, tuple(map(spy, stages)))
+        assert repr(run_rows(cfg)) == whole
         assert [n for stage, n in seen if stage is stages[0]] == [2, 2, 2]
         assert max(n for _, n in seen) <= 2
 
@@ -802,7 +818,7 @@ class TestStageMajor:
     def _first_stage(cfg, bases=None):
         """Six trials through ``cfg``'s first stage, each with a fresh stream for the next."""
         trials = [harness._Trial(i, trial_generator(cfg.master_seed, i)) for i in range(6)]
-        stage = harness._KINDS[cfg.kind][0][0]
+        stage = harness._STAGES[cfg.kind][0]
         trials = stage(cfg, cfg.resolved_d_grid()[0], trials)
         assert [t.index for t in trials] == list(range(6))
         for t in trials:
@@ -925,17 +941,17 @@ class TestStageMajor:
     @pytest.mark.parametrize("kind, extra", [("deim_check", {}),
                                              ("noise_stability", dict(sigma=1e-3, d_grid=(6,)))])
     def test_the_clock_sums_each_stage_over_the_chunks(self, kind, extra, monkeypatch):
-        # each read advances a fake clock by 1 s, so each stage and emit take 1 s a chunk and
-        # reduce 1 s a grid point; two trials a chunk, so four span two chunks
+        # each read advances a fake clock by 1 s, so each stage, emit and reduce take 1 s a
+        # chunk; two trials a chunk, so four span two chunks, whose rows are written
         ticks = iter(range(10_000))
         monkeypatch.setattr(harness.time, "perf_counter_ns", lambda: next(ticks) * 10**9)
         cfg = ExperimentConfig(kind=kind, m=15, n=12, k=3, trials=4, **extra)
         monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
-        clock = {}
-        records, _ = harness._run_trials(cfg, cfg.resolved_d_grid()[0], range(4), clock)
-        assert len(records) == 4
-        stages = [stage.__name__ for stage in harness._KINDS[kind][0]]
-        assert clock == {**dict.fromkeys([*stages, "emit"], 2 * 10**9), "reduce": 10**9}
+        clock, out = {}, io.StringIO()
+        group = harness._run_trials(cfg, cfg.resolved_d_grid()[0], range(4), clock, out)
+        assert len(out.getvalue().splitlines()) == 4
+        stages = [stage.__name__ for stage in harness._STAGES[kind]]
+        assert clock == dict.fromkeys([*stages, "emit", "reduce"], 2 * 10**9)
 
     @staticmethod
     def _noise_peak(trials, scheme="length"):
@@ -944,7 +960,7 @@ class TestStageMajor:
                                scheme=scheme, d_grid=(16,), trials=trials, master_seed=5)
         tracemalloc.start()
         try:
-            assert len(run_experiment(cfg)[0]) == trials
+            assert run_experiment(cfg)["groups"][0]["completed"] == trials
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -968,7 +984,7 @@ class TestClusteringExperiment:
     def test_small_model(self):
         cfg = ExperimentConfig(kind="clustering", m=12, dims=(2, 2), points=(6, 6),
                                scheme="length", trials=10, master_seed=11)
-        records, summary = run_experiment(cfg)
+        records, summary = run_rows(cfg)
         g = summary["groups"][0]
         assert g["trials"] == 10
         assert g["exact_and_perfect"] == g["exact_curs"]
@@ -976,7 +992,7 @@ class TestClusteringExperiment:
 
     def test_dispatch(self):
         cfg = ExperimentConfig(kind="deim_check", m=15, n=12, k=3, trials=5, master_seed=12)
-        records, summary = run_experiment(cfg)
+        records, summary = run_rows(cfg)
         assert all(r.success for r in records)
         assert summary["groups"][0]["success_rate"] == 1.0
 
@@ -1007,40 +1023,92 @@ def test_each_kind_cuts_u_pinv_at_its_own_cutoff(kind, monkeypatch):
 
     monkeypatch.setattr(harness, "_cores_of_a", recording_cores)
     monkeypatch.setattr(cur, "_pinvs", recording_pinvs)
-    records, _ = run_experiment(ExperimentConfig(trials=4, **EVERY_KIND[kind]))
+    records, _ = run_rows(ExperimentConfig(trials=4, **EVERY_KIND[kind]))
     assert len(cutoffs) == len(records) > 0
     assert cutoffs == pytest.approx(a_cutoffs, rel=1e-15, abs=0.0)
 
 
-class TestEmitCsv:
-    def test_empty_records(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv([], {"groups": []}, path)
-        assert path.read_text() == CSV_HEADER + "\n# summary\n"
+class TestCsv:
+    def test_a_run_that_skips_every_trial_writes_the_header_and_summary(self, tmp_path):
+        cfg = ExperimentConfig(kind="noise_stability", m=2, n=2, k=1, sigma=1e6, scheme="uniform",
+                               d_grid=(2,), trials=4, master_seed=10, out_path=str(tmp_path / "a"))
+        summary = run_experiment(cfg)
+        assert (tmp_path / "a").read_text() == CSV_HEADER + "\n" + harness._summary_text(summary)
+        assert summary["groups"][0]["skipped"] == 4
 
-    def test_one_record(self, tmp_path):
-        rec = TrialRecord(0, "length", 4, 4, True, 1.25e-12, 2.5e-13)
-        path = tmp_path / "one.csv"
-        emit_csv([rec], {"groups": [{"scheme": "length", "successes": 1}]}, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert lines[1] == "0,length,4,4,1,1.2499999999999999e-12,2.4999999999999999e-13,0"
-        assert lines[2] == "# summary"
-        assert lines[3] == "# scheme=length successes=1"
-
-    def test_numpy_bool_success_prints_as_flag(self, tmp_path):
-        path = tmp_path / "flags.csv"
-        recs = [TrialRecord(i, "length", 4, 4, np.bool_(i == 0), 0.5, 0.25) for i in range(2)]
-        emit_csv(recs, {"groups": []}, path)
-        assert [l.split(",")[4] for l in path.read_text().splitlines()[1:3]] == ["1", "0"]
+    def test_rows_print_flags_as_0_or_1_and_floats_at_17_digits(self, tmp_path):
+        cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="uniform",
+                               d_grid=(3, 8), trials=10, master_seed=5)
+        rows, summary = run_rows(cfg, tmp_path / "run.csv")
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        assert lines[1:len(rows) + 1] == [
+            f"{r.trial},uniform,{r.d1},{r.d2},{int(r.success)},{r.rel_err_2:.17g},"
+            f"{r.rel_err_F:.17g},0" for r in rows]
+        assert {r.success for r in rows} == {True, False}
+        group = summary["groups"][0]
+        assert lines[len(rows) + 2] == (
+            f"# kind=success_prob scheme=uniform d1=3 d2=3 trials=10 "
+            f"successes={group['successes']} success_rate={group['success_rate']:.17g} "
+            f"mean_rel_err_F={group['mean_rel_err_F']:.17g} first_trial=0")
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
                                d_grid=(6, 8), trials=15, master_seed=123)
-        paths = []
-        for name in ("a.csv", "b.csv"):
-            records, summary = run_experiment(cfg)
-            path = tmp_path / name
-            emit_csv(records, summary, path)
-            paths.append(path)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            run_experiment(replace(cfg, out_path=str(path)))
         assert sha(paths[0]) == sha(paths[1])
+
+    def test_an_interrupted_run_leaves_the_rows_of_the_chunks_before_it(self, tmp_path,
+                                                                        monkeypatch):
+        # two trials a chunk; the draw stage of the second chunk raises, so the file holds the
+        # header and the first chunk's two rows, and no summary block, and held them on disk
+        # before the second chunk ran
+        cfg = ExperimentConfig(kind="success_prob", m=20, n=16, k=3, scheme="length",
+                               d_grid=(8,), trials=6, master_seed=7, out_path=str(tmp_path / "a"))
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * trial_bytes(cfg))
+        draws, chunks, on_disk = harness._draws, [], []
+
+        def failing(cfg, d, trials):
+            chunks.append(len(trials))
+            if len(chunks) == 2:
+                on_disk.append((tmp_path / "a").read_text())
+                raise DomainError("second chunk")
+            return draws(cfg, d, trials)
+
+        monkeypatch.setitem(harness._STAGES, "success_prob",
+                            (harness._test_matrices, failing, harness._measure))
+        with pytest.raises(DomainError, match="second chunk"):
+            run_experiment(cfg)
+        lines = (tmp_path / "a").read_text().splitlines()
+        assert chunks == [2, 2] and on_disk == [(tmp_path / "a").read_text()]
+        assert lines[0] == CSV_HEADER and [l.split(",")[0] for l in lines[1:]] == ["0", "1"]
+        assert not any(l.startswith("#") for l in lines)
+
+    def test_an_out_path_that_cannot_be_opened_fails_before_the_first_trial(self, tmp_path,
+                                                                            monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "trial_generator", lambda *key: calls.append(key))
+        cfg = ExperimentConfig(kind="deim_check", m=12, n=10, k=2, trials=3,
+                               out_path=str(tmp_path / "missing" / "a.csv"))
+        with pytest.raises(FileNotFoundError):
+            run_experiment(cfg)
+        assert calls == []
+
+    def test_a_runs_peak_does_not_grow_with_its_trials(self, tmp_path):
+        # 98 trials at d = 100 fill a chunk; at 100 times the trials each chunk's rows go to the
+        # file as it ends, so the run holds less than a tenth of a chunk's budget beyond what
+        # 98 held (a run that kept every row would hold about 1.1 budgets more here)
+        cfg = ExperimentConfig(kind="success_prob", m=50, n=40, k=4, d_grid=(100,), trials=98,
+                               master_seed=3, out_path=str(tmp_path / "run.csv"))
+        assert harness._chunk_size(cfg, 100) == cfg.trials
+        run_experiment(cfg)  # the first run allocates the package's lazily built caches
+        peaks = []
+        for trials in (cfg.trials, 100 * cfg.trials):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(cfg, trials=trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < harness._CHUNK_BYTES / 10

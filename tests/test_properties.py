@@ -81,7 +81,7 @@ from curlowrank.sampling import (
 )
 
 from conftest import (first_nonpositive_floor, noisy_floors_loop, noisy_rank_k, rank_of,
-                      uniform, union_of_subspaces)
+                      run_rows, uniform, union_of_subspaces)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 EPS = float(np.finfo(np.float64).eps)
@@ -235,7 +235,7 @@ def near_cutoff(draw):
              "dedup": draw(st.booleans())} if kind == "success_prob" else {}
     cfg = ExperimentConfig(kind=kind, m=m, n=n, k=k, kappa=near / tol, tol=tol, trials=1,
                            master_seed=seed, **extra)
-    [record], _ = run_experiment(cfg)
+    [record], _ = run_rows(cfg)
     rng = trial_generator(seed, 0)
     [trial] = harness._test_matrices(cfg, 1, [harness._Trial(0, rng)])
     a = trial.p @ trial.q.T
@@ -413,7 +413,7 @@ def test_clustering_exactness_is_the_verifiers(inst, scheme, seed, data):
     cfg = ExperimentConfig(kind="clustering", m=spec.ambient_dim, dims=spec.dims,
                            points=spec.points, scheme=scheme, d_grid=(d,), trials=1,
                            master_seed=seed)
-    exact = run_experiment(cfg)[1]["groups"][0]["exact_curs"]
+    exact = run_experiment(cfg)["groups"][0]["exact_curs"]
     rng = trial_generator(seed, 0)
     a, _ = union_of_subspaces(spec, rng)
     report = verify_characterization(a, *draw_indices(*axis_dists(a, scheme, k), d, d, rng,
@@ -434,7 +434,7 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
     which reaches about ``40 eps kappa`` of ``||A||`` (measured on 3,000
     trials; the bound allows ``1000 eps kappa``).
     """
-    [record], summary = run_experiment(cfg)
+    [record], summary = run_rows(cfg)
     rng = trial_generator(cfg.master_seed, 0)
     if cfg.kind == "clustering":
         a, truth = union_of_subspaces(SubspaceSpec(cfg.m, cfg.dims, cfg.points), rng)
@@ -453,7 +453,7 @@ def _assert_agrees_with_the_dense_path(cfg, dense_success):
     if cfg.kind == "clustering":
         assert summary["groups"][0]["exact_curs"] == (rel_f <= cfg.tol)
     roundoff = 1e3 * EPS * cfg.kappa if cfg.kappa else 0.0
-    for got, ref in ((record.rel_error_spectral, rel_2), (record.rel_error_frobenius, rel_f)):
+    for got, ref in ((record.rel_err_2, rel_2), (record.rel_err_F, rel_f)):
         assert abs(got - ref) <= 1e-11 * max(ref, 1.0) + roundoff
 
 
@@ -542,9 +542,9 @@ def test_noise_below_every_entry_of_a_gives_the_noiseless_rows(scheme, data):
     # E at 1e-150 vanishes in A + E, so every row has the bits of sigma = 0; in a zeroed
     # column of A it would not, so A has none
     cfg = data.draw(noise_configs(1e-150, scheme, sparsities=(0.0,)))
-    records = run_experiment(cfg)[0]
+    records = run_rows(cfg)[0]
     assert len(records) == cfg.trials
-    assert repr(records) == repr(run_experiment(replace(cfg, sigma=0.0))[0])
+    assert repr(records) == repr(run_rows(replace(cfg, sigma=0.0))[0])
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -552,7 +552,7 @@ def test_noise_below_every_entry_of_a_gives_the_noiseless_rows(scheme, data):
 @given(data=st.data(), sigma=st.sampled_from((1e150, 1e300)))
 def test_noise_far_above_a_skips_every_trial(scheme, data, sigma):
     # at 1e300 E's squares overflow; the skip comes without a RuntimeWarning either way
-    records, summary = run_experiment(data.draw(noise_configs(sigma, scheme)))
+    records, summary = run_rows(data.draw(noise_configs(sigma, scheme)))
     assert records == [] and summary["groups"][0]["skipped"] == 3
 
 
@@ -582,8 +582,8 @@ def test_noise_trial_floors_match_the_loop_reference(data, sigma):
 
     with mock.patch.object(harness, "_squared_lengths", recording_lengths), \
             mock.patch.object(harness, "_noisy_floors", recording_floors):
-        records = run_experiment(data.draw(noise_configs(sigma)))[0]
+        records = run_rows(data.draw(noise_configs(sigma)))[0]
     assert len(outcomes) == 3
-    assert [r.trial_index for r in records] == [t for t, o in enumerate(outcomes) if o[3] is None]
+    assert [r.trial for r in records] == [t for t, o in enumerate(outcomes) if o[3] is None]
     for got, got_index, want, index in outcomes:
         assert got == want and got_index == index

@@ -33,7 +33,7 @@ from curlowrank.linalg import (
 from curlowrank.mmio import write_matrix
 from curlowrank.sampling import axis_dists, draw_indices
 
-from conftest import union_of_subspaces
+from conftest import run_rows, union_of_subspaces
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ def test_clustering_trial_factors_each_matrix_once(uv_calls):
         distinct.append((len(rows), len(cols)))
     assert len(set(distinct)) > 1
     uv_calls.clear()
-    records, _ = run_experiment(ExperimentConfig(**{**CLUSTERING, "trials": 3}))
+    records, _ = run_rows(ExperimentConfig(**{**CLUSTERING, "trials": 3}))
     assert len(records) == 3
     assert uv_calls == [((3, 9, 9), True), ((3, 9, 9), True), ((3, 9, 9), False)]
 
@@ -153,7 +153,7 @@ def test_clustering_trial_factors_each_matrix_once(uv_calls):
 def test_clustering_trial_takes_no_svd_or_spectral_norm_of_the_residual(scheme, spectral_calls):
     # nor of A: the data is kept as its thin factors, the leverage scores come from the
     # grid point's SVD of them, and every norm is read from a k x k core
-    records, _ = run_experiment(ExperimentConfig(**CLUSTERING, scheme=scheme))
+    records, _ = run_rows(ExperimentConfig(**CLUSTERING, scheme=scheme))
     assert len(records) == 1
     assert spectral_calls and [call for call in spectral_calls if max(call[1]) >= 20] == []
 
@@ -174,7 +174,7 @@ def _of_a_size(calls):
 
 @pytest.mark.parametrize("name", sorted(TABLE_TRIALS))
 def test_table_trials_factor_no_m_by_n_matrix(name, spectral_calls):
-    records, _ = run_experiment(ExperimentConfig(m=M, n=N, k=4, trials=2, **TABLE_TRIALS[name]))
+    records, _ = run_rows(ExperimentConfig(m=M, n=N, k=4, trials=2, **TABLE_TRIALS[name]))
     assert len(records) == 2
     assert spectral_calls and _of_a_size(spectral_calls) == []
 
@@ -182,7 +182,7 @@ def test_table_trials_factor_no_m_by_n_matrix(name, spectral_calls):
 def test_noise_trial_factors_no_m_by_n_matrix(spectral_calls):
     cfg = ExperimentConfig(kind="noise_stability", m=M, n=N, k=4, sigma=1e-3, scheme="leverage",
                            d_grid=(12,), trials=1)
-    records, _ = run_experiment(cfg)
+    records, _ = run_rows(cfg)
     assert len(records) == 1
     # ||E||_2 comes from a Gram eigenvalue, and the leverage scores of A + E from the
     # sketch's Rayleigh-Ritz SVD of a (k + 10) x n matrix, the only SVD of A's width
@@ -249,7 +249,7 @@ def test_table_trials_orthogonalize_only_thin_stacks(name, qr_calls):
     # a CUR of A is measured in A's k x k core, from the R factors of its d x k stacks;
     # no QR is taken of an m x n matrix or of a submatrix of one
     fields, expected = QR_TRIALS[name]
-    records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=3, **fields))
+    records, _ = run_rows(ExperimentConfig(m=50, n=40, k=4, trials=3, **fields))
     assert len(records) == 3
     assert qr_calls == expected
 
@@ -269,7 +269,7 @@ SVD_STAGES = {
 @pytest.mark.parametrize("trials", [1, 3])
 def test_table_grid_point_takes_one_stacked_svd_per_stage(name, trials, uv_calls):
     fields, expected = SVD_STAGES[name]
-    records, _ = run_experiment(ExperimentConfig(m=50, n=40, k=4, trials=trials, **fields))
+    records, _ = run_rows(ExperimentConfig(m=50, n=40, k=4, trials=trials, **fields))
     assert len(records) == trials
     assert uv_calls == [((trials, *shape), uv) for shape, uv in expected]
 
@@ -303,7 +303,7 @@ def test_only_the_noise_trial_extracts_submatrices_or_forms_an_m_by_n_array(name
     extracted.clear()
     tracemalloc.start()
     try:
-        assert len(run_experiment(cfg)[0]) == 2
+        assert len(run_rows(cfg)[0]) == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
